@@ -21,7 +21,6 @@ from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda,
                          solve_lambda_report)
 from .monodromy import (MonodromyEngine, SphereData, build_potential,
-                        developing_jet, integrate_fundamental, loop_monodromy,
-                        monodromy_representation)
+                        developing_jet, integrate_fundamental)
 from .kawai import (AccessoryDirection, GridOffset, KawaiReport,
                     PointDirection, kawai_experiment)

@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .cocycles import CocycleNotParabolicError, verify_cocycle
 from .goldman import goldman_closed, goldman_orbifold
-from .monodromy import IntegrationError, OrderingError
+from .monodromy import IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (check_identities, exp_provider, moebius_provider,
                          poly_provider, solve_lambda_report)
 from .serialize import (cocycle_in, complex_in, complex_out, dumps_deterministic,
@@ -170,17 +170,15 @@ def _cmd_monodromy(args) -> int:
         data = sphere_in(cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sphere data: {e}")
-    from .monodromy import MonodromyEngine
-    engine = MonodromyEngine(data, rtol=float(cfg.get("rtol", 1e-12)))
     code = 0
     report: dict = {"config": sphere_out(data), "tolerances": tols}
     try:
-        rho = engine.representation(relation_tol=tols["relation"])
+        engine = MonodromyEngine(data, rtol=float(cfg.get("rtol", 1e-12)))
+        rho, wdrift = engine.representation(relation_tol=tols["relation"])
     except OrderingError as e:
         report["error"] = str(e)
         return _emit(report, args, 2)
     traces = rho.trace_residuals()
-    wdrift = engine.max_wronskian_drift()
     report.update({
         "representation": representation_out(rho),
         "lasso_order": [str(t) for t in engine.order],

@@ -393,8 +393,3 @@ def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
 def random_quadpoly(rng, scale: float = 1.0) -> QuadPoly:
     v = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     return QuadPoly.from_vector(v)
-
-
-def killing_pairing_scale(chi1: Cocycle, chi2: Cocycle) -> float:
-    """Natural magnitude for Goldman-type pairings of two cocycles."""
-    return max(1e-300, chi1.norm() * chi2.norm())

@@ -10,8 +10,6 @@ asserted (it lives in out-of-scope quasiconformal pairings).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,18 +55,18 @@ def displace(data: SphereData, direction: Direction, s: complex) -> SphereData:
 
 
 def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direction,
-                     relation_tol: float = 1e-5):
-    """s -> Representation along one deformation direction, with memoization
-    so stencil evaluations can be reused for trace diagnostics."""
-    cache: dict[float, Representation] = {}
+                     rho: Representation, relation_tol: float = 1e-5):
+    """s -> Representation along one deformation direction, memoized so that
+    stencil evaluations are reused for trace diagnostics; ``rho`` is the
+    representation at s = 0 and seeds the memo."""
+    cache: dict[float, Representation] = {0.0: rho}
 
     def family(s: float) -> Representation:
         if s not in cache:
             cache[s] = engine.representation(displace(base, direction, s),
-                                             relation_tol=relation_tol)
+                                             relation_tol=relation_tol)[0]
         return cache[s]
 
-    family.cache = cache
     return family
 
 
@@ -170,7 +168,7 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
         data = displace(data, d, off)
 
     engine = MonodromyEngine(data, rtol=rtol)
-    rho = engine.representation(relation_tol=relation_tol)
+    rho, drift = engine.representation(relation_tol=relation_tol)
 
     directions = list(acc_directions) + list(t_directions)
     labels = [d.label() for d in directions]
@@ -178,8 +176,7 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
     drifts: dict[str, float] = {}
     relres: dict[str, float] = {}
     for d, lab in zip(directions, labels):
-        fam = direction_family(engine, data, d, relation_tol)
-        fam.cache[0.0] = rho
+        fam = direction_family(engine, data, d, rho, relation_tol)
         chi = Cocycle(rho, finite_difference_cocycle(fam, 0.0, h).values)
         # the class is unchanged; the pairing sums are far better conditioned
         cocycles.append(reduce_by_coboundary(chi))
@@ -200,7 +197,7 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
 
     return GridResult(offset, labels, omega,
                       relation_residual=rho.relator_residual(),
-                      wronskian_drift=engine.max_wronskian_drift(data),
+                      wronskian_drift=drift,
                       trace_drifts=drifts,
                       cocycle_relator_residuals=relres,
                       local_residuals=local, kernel_dims=kdims)
@@ -212,8 +209,7 @@ def kawai_experiment(base: SphereData,
                      grid: Sequence[GridOffset] = (GridOffset(),),
                      accessory_directions: Optional[Sequence[AccessoryDirection]] = None,
                      rtol: float = 1e-12,
-                     relation_tol: float = 1e-5,
-                     max_workers: Optional[int] = None) -> KawaiReport:
+                     relation_tol: float = 1e-5) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
     Paths and homotopy classes are frozen per grid point; each family
@@ -221,17 +217,7 @@ def kawai_experiment(base: SphereData,
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
-    if max_workers is None:
-        max_workers = int(os.environ.get("CHARVAR_THREADS", "1"))
     labels = [d.label() for d in list(accessory_directions) + list(t_directions)]
-
-    def run(offset: GridOffset) -> GridResult:
-        return _grid_point(base, t_directions, accessory_directions, offset,
-                           h, rtol, relation_tol)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, grid))
-    else:
-        results = [run(offset) for offset in grid]
+    results = [_grid_point(base, t_directions, accessory_directions, offset,
+                           h, rtol, relation_tol) for offset in grid]
     return KawaiReport(base, h, labels, results)

@@ -378,46 +378,27 @@ class MonodromyEngine:
         elliptic = tuple(o for o in seq if o is not None)
         return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
 
-    def raw_transports(self, data: Optional[SphereData] = None) -> list[Mat2]:
-        d = self.data if data is None else data
-        poles = d.half_q_terms()
-        return [integrate_fundamental(poles, p.vertices, self.rtol, self.atol)
-                for p in self.paths]
-
     def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = 1e-5,
-                       check_relation: bool = True):
+                       relation_tol: float = 1e-5):
+        """(rho, Wronskian drift) for ``data`` (default: the engine's own)
+        transported along the frozen lassos, each integrated once.  The drift
+        max |det - 1| is read off the same transports; a lasso product that
+        misses +-identity by more than ``relation_tol`` raises OrderingError."""
         from .cocycles import Representation
-        mats = self.raw_transports(data)
+        poles = (self.data if data is None else data).half_q_terms()
+        mats = [integrate_fundamental(poles, p.vertices, self.rtol, self.atol)
+                for p in self.paths]
         images = {f"c{i + 1}": MoebiusMap(*m) for i, m in enumerate(mats)}
-        rho = Representation(self.signature, images)
-        if check_relation:
-            prod = MoebiusMap.identity()
-            for i in range(len(mats)):
-                prod = prod @ images[f"c{i + 1}"]
-            resid = prod.psl_distance(MoebiusMap.identity())
-            if resid > relation_tol:
-                raise OrderingError(
-                    f"lasso product misses +-identity by {resid:.3e} "
-                    "(ordering/clearance failure)")
-        return rho
-
-    def max_wronskian_drift(self, data: Optional[SphereData] = None) -> float:
-        return max(wronskian_drift(m) for m in self.raw_transports(data))
-
-
-def loop_monodromy(data: SphereData, j, rtol: float = 1e-12, **kw) -> MoebiusMap:
-    """PSL class of the lasso transport around marked point j ('inf' allowed)."""
-    engine = MonodromyEngine(data, rtol=rtol, **kw)
-    for tgt, path in zip(engine.order, engine.paths):
-        if tgt == j:
-            return MoebiusMap(*integrate_fundamental(data.half_q_terms(),
-                                                     path.vertices, rtol, engine.atol))
-    raise ValueError(f"no marked point with index {j}")
-
-
-def monodromy_representation(data: SphereData, rtol: float = 1e-12, **kw):
-    return MonodromyEngine(data, rtol=rtol, **kw).representation()
+        prod = MoebiusMap.identity()
+        for image in images.values():
+            prod = prod @ image
+        resid = prod.psl_distance(MoebiusMap.identity())
+        if resid > relation_tol:
+            raise OrderingError(
+                f"lasso product misses +-identity by {resid:.3e} "
+                "(ordering/clearance failure)")
+        return (Representation(self.signature, images),
+                max(wronskian_drift(m) for m in mats))
 
 
 # ---------------------------------------------------------------------------

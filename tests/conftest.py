@@ -105,7 +105,7 @@ def four_cusp_engine():
 @pytest.fixture(scope="session")
 def four_cusp_rep(four_cusp_engine):
     engine, _ = four_cusp_engine
-    return engine.representation()
+    return engine.representation()[0]
 
 
 @pytest.fixture(scope="session")
@@ -117,7 +117,7 @@ def orb3_engine():
 @pytest.fixture(scope="session")
 def orb3_rep(orb3_engine):
     engine, _ = orb3_engine
-    return engine.representation()
+    return engine.representation()[0]
 
 
 @pytest.fixture(scope="session")

@@ -111,7 +111,7 @@ def _orb3_rep():
     # with the relation residual amplified by Ad norms of the prefix words
     data = build_potential([0, 1, FOUR_CUSP_T], [3, None, None], None,
                            [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
-    rho = MonodromyEngine(data, rtol=3e-14, atol=1e-16).representation()
+    rho, _ = MonodromyEngine(data, rtol=3e-14, atol=1e-16).representation()
     assert rho.signature.order_sequence() == (None, None, 3, None)
     return rho
 
@@ -196,23 +196,23 @@ def test_criterion_6_monodromy_local_types():
         data = build_potential([0, 1, FOUR_CUSP_T], [None] * 3, None, acc,
                                base_point=FOUR_CUSP_ZB)
         engine = MonodromyEngine(data, rtol=1e-12, atol=1e-14)
-        rho = engine.representation()
+        rho, drift = engine.representation()
         for g in rho.signature.generators:
             assert abs(abs(rho.images[g].trace()) - 2) <= 1e-6
         prod = MoebiusMap.identity()
         for i in range(1, 5):
             prod = prod @ rho.images[f"c{i}"]
         assert prod.psl_distance(MoebiusMap.identity()) <= 1e-6
-        assert engine.max_wronskian_drift() <= 1e-9
+        assert drift <= 1e-9
         for e in (2, 3, 6):
             data_e = build_potential([0, 1, FOUR_CUSP_T], [e, None, None], None,
                                      acc, base_point=FOUR_CUSP_ZB)
             engine_e = MonodromyEngine(data_e, rtol=1e-12, atol=1e-14)
-            rho_e = engine_e.representation()
+            rho_e, drift_e = engine_e.representation()
             got = abs(rho_e.images["c3"].trace())
             assert abs(got - 2 * math.cos(math.pi / e)) <= 1e-6
             assert max(rho_e.trace_residuals().values()) <= 1e-6
-            assert engine_e.max_wronskian_drift() <= 1e-9
+            assert drift_e <= 1e-9
 
 
 def test_criterion_7_kawai_pullback_consequences():
@@ -267,11 +267,10 @@ def test_criterion_8_finite_difference_hygiene():
         data = build_potential([0, 1, FOUR_CUSP_T], [None] * 3, None,
                                [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
         engine = MonodromyEngine(data, rtol=1e-12, atol=1e-14)
-        rho = engine.representation()
+        rho, _ = engine.representation()
         from charvar.kawai import direction_family
         for direction in (AccessoryDirection(0), PointDirection((0, 0, 1))):
-            fam = direction_family(engine, data, direction)
-            fam.cache[0.0] = rho
+            fam = direction_family(engine, data, direction, rho)
             c_h = finite_difference_cocycle(fam, 0.0, 1e-3)
             c_2h = finite_difference_cocycle(fam, 0.0, 2e-3)
             rel = max((c_h.values[g] - c_2h.values[g]).norm()

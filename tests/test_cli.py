@@ -176,3 +176,12 @@ def test_kawai_subcommand_end_to_end(capsys, tmp_path):
     assert rep["max_antisymmetry_defect"] <= 1e-8 * rep["scale"]
     omega = rep["grid"][0]["omega"]
     assert abs(complex(*omega[0][1])) > 1.0
+
+
+def test_monodromy_ordering_error_is_reported(capsys):
+    # from this base point 0 and 1 lie at the same argument: build_lassos fails
+    cfg = {"points": [[0, 0], [1, 0], [0.3, 0.4]], "orders": [None, None, None],
+           "accessory": [[0.2, 0.1]], "base_point": [-1, 0]}
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code == 2
+    assert "argument tie" in rep["error"]

@@ -293,8 +293,7 @@ class TestFiniteDifferences:
     def test_fd_lands_in_parabolic_space(self, four_cusp_engine, four_cusp_rep):
         from charvar.kawai import AccessoryDirection, direction_family
         engine, data = four_cusp_engine
-        fam = direction_family(engine, data, AccessoryDirection(0))
-        fam.cache[0.0] = four_cusp_rep
+        fam = direction_family(engine, data, AccessoryDirection(0), four_cusp_rep)
         chi = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 1e-3).values)
         rep = verify_cocycle(four_cusp_rep, chi)
         assert rep.relator_residual < 1e-6 * rep.scale

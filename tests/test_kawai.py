@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import FOUR_CUSP_T, four_cusp_data
@@ -26,8 +28,7 @@ def test_displace_point_keeps_accessory():
 def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
     engine, data = four_cusp_engine
     for d in (AccessoryDirection(0), PointDirection((0, 0, 1))):
-        fam = direction_family(engine, data, d)
-        fam.cache[0.0] = four_cusp_rep
+        fam = direction_family(engine, data, d, four_cusp_rep)
         assert trace_drift(fam, 1e-3) < 1e-6
 
 
@@ -45,6 +46,8 @@ def test_single_grid_point_experiment():
     assert all(k == 1 for k in res.kernel_dims.values())
     # the off-diagonal pairing is the interesting number; it must be far from 0
     assert abs(res.pairing("c0", "t2")) > 1.0
+    # omega(c, t) = pi*i along the fiber
+    assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-7
 
 
 def test_grid_offsets_and_report_shape():
@@ -61,8 +64,7 @@ def test_grid_offsets_and_report_shape():
 
 def test_fd_step_doubling_stability(four_cusp_engine, four_cusp_rep):
     engine, data = four_cusp_engine
-    fam = direction_family(engine, data, AccessoryDirection(0))
-    fam.cache[0.0] = four_cusp_rep
+    fam = direction_family(engine, data, AccessoryDirection(0), four_cusp_rep)
     c1 = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 1e-3).values)
     c2 = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 2e-3).values)
     rel = max((c1.values[g] - c2.values[g]).norm() for g in c1.values) / c1.norm()
@@ -74,15 +76,3 @@ def test_constant_family_zero_cocycle(four_cusp_rep):
     scale = max(max(abs(e) for e in m.tuple()) for m in four_cusp_rep.images.values())
     assert chi.norm() <= 1e-12 * scale
 
-
-def test_thread_pool_matches_serial(monkeypatch):
-    base = four_cusp_data()
-    grid = [GridOffset(), GridOffset(c=(0.03,))]
-    serial = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid, rtol=1e-12)
-    monkeypatch.setenv("CHARVAR_THREADS", "2")
-    threaded = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid, rtol=1e-12)
-    for a, b in zip(serial.results, threaded.results):
-        assert a.offset == b.offset
-        diff = max(abs(x - y) for ra, rb in zip(a.omega, b.omega)
-                   for x, y in zip(ra, rb))
-        assert diff == 0.0  # same arithmetic, just scheduled in a pool

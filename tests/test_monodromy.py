@@ -1,12 +1,13 @@
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
 from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
                                build_lassos, build_potential,
-                               integrate_fundamental, loop_monodromy, theta_of,
+                               integrate_fundamental, theta_of,
                                wronskian_drift)
 from charvar.sl2 import MoebiusMap
 
@@ -72,9 +73,9 @@ class TestTransport:
         assert wronskian_drift(m) < 1e-11
 
     def test_wronskian_closed_loop(self, four_cusp_engine):
-        engine, data = four_cusp_engine
-        for m in engine.raw_transports():
-            assert wronskian_drift(m) < 1e-9
+        engine, _ = four_cusp_engine
+        _, drift = engine.representation()
+        assert drift < 1e-9
 
     def test_step_underflow_near_pole(self):
         data = four_cusp_data()
@@ -161,12 +162,11 @@ class TestLassos:
         with pytest.raises(OrderingError):
             build_lassos(data)
 
-    def test_loop_monodromy_single(self):
+    def test_three_cusp_lasso_traces(self):
         data = build_potential([0, 1], [None, None], None, [])
-        m = loop_monodromy(data, 0)
-        assert abs(abs(m.trace()) - 2) < 1e-6
-        m = loop_monodromy(data, "inf")
-        assert abs(abs(m.trace()) - 2) < 1e-6
+        rho, _ = MonodromyEngine(data).representation()
+        for m in rho.images.values():
+            assert abs(abs(m.trace()) - 2) < 1e-6
 
 
 class TestRepresentation:
@@ -180,7 +180,7 @@ class TestRepresentation:
         data = build_potential([0, 1, FOUR_CUSP_T], [e, None, None], None,
                                [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
         engine = MonodromyEngine(data, rtol=1e-12, atol=1e-14)
-        rho = engine.representation()
+        rho, _ = engine.representation()
         # point 0 is third in lasso order from this base point
         assert engine.signature.order_sequence() == (None, None, e, None)
         got = abs(rho.images["c3"].trace())
@@ -189,7 +189,7 @@ class TestRepresentation:
 
     def test_rigid_three_cusp(self):
         data = build_potential([0, 1], [None, None], None, [])
-        rho = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
+        rho, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
         prod = MoebiusMap.identity()
         for i in (1, 2, 3):
             prod = prod @ rho.images[f"c{i}"]
@@ -197,10 +197,10 @@ class TestRepresentation:
 
     def test_homotopy_invariance(self):
         data = four_cusp_data()
-        r1 = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
-                             arc_segments=16, radius_factor=0.3).representation()
-        r2 = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
-                             arc_segments=24, radius_factor=0.22).representation()
+        r1, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
+                                arc_segments=16, radius_factor=0.3).representation()
+        r2, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
+                                arc_segments=24, radius_factor=0.22).representation()
         worst = max(r1.images[g].psl_distance(r2.images[g])
                     for g in r1.signature.generators)
         assert worst < 1e-8
@@ -210,8 +210,8 @@ class TestRepresentation:
         zb2 = -0.4 - 1.2j
         data2 = build_potential([0, 1, FOUR_CUSP_T], [None] * 3, None,
                                 [0.2 + 0.1j], base_point=zb2)
-        r1 = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
-        r2 = MonodromyEngine(data2, rtol=1e-12, atol=1e-14).representation()
+        r1, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
+        r2, _ = MonodromyEngine(data2, rtol=1e-12, atol=1e-14).representation()
         M = MoebiusMap(*integrate_fundamental(data.half_q_terms(),
                                               [zb2, FOUR_CUSP_ZB], 1e-12, 1e-14))
         worst = max(r2.images[g].psl_distance(M @ r1.images[g] @ M.inverse())
@@ -230,3 +230,25 @@ class TestRepresentation:
         engine, _ = four_cusp_engine
         with pytest.raises(OrderingError):
             engine.representation(relation_tol=1e-16)
+
+
+def test_one_integration_per_lasso(monkeypatch, capsys):
+    import charvar.monodromy as mono
+    from charvar.cli import main
+    from charvar.kawai import GridOffset, PointDirection, kawai_experiment
+
+    calls = []
+    integrate = mono.integrate_fundamental
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(mono, "integrate_fundamental", counted)
+    config = Path(__file__).resolve().parents[1] / "configs" / "sphere-4cusp.json"
+    assert main(["monodromy", "--input", str(config)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4  # the Wronskian drift comes from the same transports
+    calls.clear()
+    kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
+    assert len(calls) == 4 + 2 * 4 * 4  # base rho, then 4 stencil points per direction
