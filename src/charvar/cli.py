@@ -173,9 +173,9 @@ def _cmd_monodromy(args) -> int:
     code = 0
     report: dict = {"config": sphere_out(data), "tolerances": tols}
     try:
-        engine = MonodromyEngine(data, rtol=float(cfg.get("rtol", 1e-12)))
-        rho, wdrift = engine.representation(relation_tol=tols["relation"])
-    except OrderingError as e:
+        engine = MonodromyEngine(data)
+        rho, wdrift, _ = engine.representation(relation_tol=tols["relation"])
+    except (OrderingError, IntegrationError) as e:
         report["error"] = str(e)
         return _emit(report, args, 2)
     traces = rho.trace_residuals()
@@ -186,7 +186,7 @@ def _cmd_monodromy(args) -> int:
         "trace_residuals": traces,
         "wronskian_drift": wdrift,
     })
-    if max(traces.values()) > tols["trace"] or wdrift > tols["wronskian"]:
+    if not (max(traces.values()) <= tols["trace"] and wdrift <= tols["wronskian"]):
         code = 2
     return _emit(report, args, code)
 
@@ -209,9 +209,7 @@ def _cmd_kawai(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad kawai config: {e}")
     try:
-        rep = kawai_experiment(base, t_dirs, h=float(cfg.get("h", 1e-3)), grid=grid,
-                               accessory_directions=acc,
-                               rtol=float(cfg.get("rtol", 1e-12)),
+        rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
                                relation_tol=tols["relation"])
     except (OrderingError, IntegrationError, CocycleNotParabolicError) as e:
         return _emit({"config": cfg, "tolerances": tols, "error": str(e)}, args, 2)

@@ -2,8 +2,9 @@
 
 A cocycle is stored by its values on the presentation generators and extended
 to arbitrary words through chi(g1 g2) = chi(g1) + rho(g1).chi(g2).  Tangent
-vectors along representation families are realized with 4th-order central
-differences of sign-aligned SL(2,C) lifts.
+vectors along representation families come from exact derivatives of the
+generator images; 4th-order central differences of sign-aligned SL(2,C) lifts
+give the independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .sl2 import (
+    Mat2,
     MoebiusMap,
     QuadPoly,
     ad_matrix,
@@ -277,6 +279,18 @@ def finite_difference_cocycle(family: Callable[[float], Representation],
             np.array([[inv0[0], inv0[1]], [inv0[2], inv0[3]]])
         values[gen] = matrix_to_poly(project_traceless(x))
     return Cocycle(base, values)
+
+
+def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycle:
+    """chi(gen) = traceless part of rho_dot(gen) rho(gen)^-1, from the
+    derivative of each generator's image (row-major 4-tuples, the lift that
+    ``rho.images`` holds), as the monodromy engine transports them."""
+    values: dict[str, QuadPoly] = {}
+    for gen in rho.signature.generators:
+        inv = mat_inv_unit(rho.images[gen].tuple())
+        x = np.array(derivatives[gen]).reshape(2, 2) @ np.array(inv).reshape(2, 2)
+        values[gen] = matrix_to_poly(project_traceless(x))
+    return Cocycle(rho, values)
 
 
 def fd_cocycle_with_check(family, s0: float = 0.0, h: float = DEFAULT_FD_STEP,

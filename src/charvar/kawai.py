@@ -1,5 +1,5 @@
-"""Pullback experiments: finite-difference cocycles along accessory and
-marked-point families, paired through the orbifold Goldman form.
+"""Pullback experiments: tangent cocycles along accessory and marked-point
+families, paired through the orbifold Goldman form.
 
 The structural consequences checked at desk scale: accessory (fiber)
 directions pair to ~0 with one another, the fiber-base pairing is constant
@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cocycles import (Cocycle, Representation, finite_difference_cocycle,
-                       reduce_by_coboundary, verify_cocycle)
+from .cocycles import (Cocycle, Representation, reduce_by_coboundary,
+                       tangent_cocycle, verify_cocycle)
 from .goldman import goldman_orbifold
-from .monodromy import MonodromyEngine, SphereData, build_potential
+from .monodromy import (MonodromyEngine, SphereData, build_potential,
+                        potential_tangent)
+from .sl2 import Mat2, MoebiusMap
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,14 @@ class AccessoryDirection:
     def label(self) -> str:
         return f"c{self.index}"
 
+    def velocity(self, data: SphereData) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        """(point velocities, accessory velocities) at ``data``."""
+        acc = [0j] * data.free_dimension()
+        if not 0 <= self.index < len(acc):
+            raise ValueError(f"accessory index {self.index} out of range 0..{len(acc) - 1}")
+        acc[self.index] = complex(self.scale)
+        return (0j,) * len(data.points), tuple(acc)
+
 
 @dataclass(frozen=True)
 class PointDirection:
@@ -38,26 +48,28 @@ class PointDirection:
         moving = [i for i, v in enumerate(self.velocities) if v != 0]
         return "t" + "".join(str(i) for i in moving)
 
+    def velocity(self, data: SphereData) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        """(point velocities, accessory velocities) at ``data``."""
+        if len(self.velocities) != len(data.points):
+            raise ValueError("velocity vector length must match finite point count")
+        return tuple(complex(v) for v in self.velocities), (0j,) * data.free_dimension()
+
 
 Direction = AccessoryDirection | PointDirection
 
 
 def displace(data: SphereData, direction: Direction, s: complex) -> SphereData:
-    acc = list(data.accessory())
-    pts = list(data.points)
-    if isinstance(direction, AccessoryDirection):
-        acc[direction.index] += s * direction.scale
-    else:
-        if len(direction.velocities) != len(pts):
-            raise ValueError("velocity vector length must match finite point count")
-        pts = [p + s * v for p, v in zip(pts, direction.velocities)]
-    return build_potential(pts, data.orders, data.order_infinity, acc, data.base_point)
+    dpts, dacc = direction.velocity(data)
+    return build_potential([p + s * v for p, v in zip(data.points, dpts)],
+                           data.orders, data.order_infinity,
+                           [a + s * w for a, w in zip(data.accessory(), dacc)],
+                           data.base_point)
 
 
 def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direction,
                      rho: Representation, relation_tol: float = 1e-5):
-    """s -> Representation along one deformation direction, memoized so that
-    stencil evaluations are reused for trace diagnostics; ``rho`` is the
+    """s -> Representation along one deformation direction, memoized; the
+    finite-difference cross-check of the tangent cocycles.  ``rho`` is the
     representation at s = 0 and seeds the memo."""
     cache: dict[float, Representation] = {0.0: rho}
 
@@ -70,16 +82,12 @@ def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direc
     return family
 
 
-def trace_drift(family, h: float) -> float:
-    """4th-order d|tr|/ds estimate per marked generator, maximized; families
-    that stay on the character variety must keep this at noise level."""
-    reps = {k: family(k * h) for k in (-2, -1, 1, 2)}
-    worst = 0.0
-    for gen in reps[1].signature.generators:
-        vals = {k: abs(reps[k].images[gen].trace()) for k in reps}
-        d = (vals[-2] - 8 * vals[-1] + 8 * vals[1] - vals[2]) / (12 * h)
-        worst = max(worst, abs(d))
-    return worst
+def _abs_trace_rate(image: MoebiusMap, derivative: Mat2) -> float:
+    """|d|tr|/ds| of one generator's image; families that stay on the
+    character variety keep it at noise level."""
+    t = image.trace()
+    dt = derivative[0] + derivative[3]
+    return abs((t.conjugate() * dt).real) / max(abs(t), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,6 @@ class GridResult:
 @dataclass
 class KawaiReport:
     base: SphereData
-    h: float
     labels: list[str]
     results: list[GridResult]
 
@@ -151,7 +158,6 @@ class KawaiReport:
 
     def as_dict(self) -> dict:
         return {
-            "h": self.h,
             "labels": list(self.labels),
             "scale": self.scale,
             "max_antisymmetry_defect": self.max_antisymmetry_defect,
@@ -160,27 +166,28 @@ class KawaiReport:
 
 
 def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffset,
-                h: float, rtol: float, relation_tol: float) -> GridResult:
+                relation_tol: float) -> GridResult:
     data = base
     for off, d in zip(offset.t, t_directions):
         data = displace(data, d, off)
     for off, d in zip(offset.c, acc_directions):
         data = displace(data, d, off)
 
-    engine = MonodromyEngine(data, rtol=rtol)
-    rho, drift = engine.representation(relation_tol=relation_tol)
-
     directions = list(acc_directions) + list(t_directions)
     labels = [d.label() for d in directions]
+    tangents = [potential_tangent(data, *d.velocity(data)) for d in directions]
+    rho, drift, derivatives = MonodromyEngine(data).representation(
+        relation_tol=relation_tol, tangents=tangents)
+
     cocycles: list[Cocycle] = []
     drifts: dict[str, float] = {}
     relres: dict[str, float] = {}
-    for d, lab in zip(directions, labels):
-        fam = direction_family(engine, data, d, rho, relation_tol)
-        chi = Cocycle(rho, finite_difference_cocycle(fam, 0.0, h).values)
+    for lab, dimages in zip(labels, derivatives):
+        chi = tangent_cocycle(rho, dimages)
         # the class is unchanged; the pairing sums are far better conditioned
         cocycles.append(reduce_by_coboundary(chi))
-        drifts[lab] = trace_drift(fam, h)
+        drifts[lab] = max(_abs_trace_rate(rho.images[g], dimages[g])
+                          for g in rho.signature.generators)
         relres[lab] = verify_cocycle(rho, chi).relator_residual / max(1.0, chi.norm())
 
     n = len(directions)
@@ -205,19 +212,17 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
 
 def kawai_experiment(base: SphereData,
                      t_directions: Sequence[PointDirection],
-                     h: float = 1e-3,
                      grid: Sequence[GridOffset] = (GridOffset(),),
                      accessory_directions: Optional[Sequence[AccessoryDirection]] = None,
-                     rtol: float = 1e-12,
                      relation_tol: float = 1e-5) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
-    Paths and homotopy classes are frozen per grid point; each family
-    evaluates the 4-point stencil against those paths.
+    Paths and homotopy classes are frozen per grid point; each lasso is
+    transported once, carrying the derivative along every direction.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
     labels = [d.label() for d in list(accessory_directions) + list(t_directions)]
-    results = [_grid_point(base, t_directions, accessory_directions, offset,
-                           h, rtol, relation_tol) for offset in grid]
-    return KawaiReport(base, h, labels, results)
+    results = [_grid_point(base, t_directions, accessory_directions, offset, relation_tol)
+               for offset in grid]
+    return KawaiReport(base, labels, results)

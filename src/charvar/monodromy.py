@@ -18,10 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .jets import DEFAULT_ORDER, Jet
-from .sl2 import Mat2, MoebiusMap, mat_det
+from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
 from .words import Signature
 
 
@@ -139,6 +140,32 @@ def build_potential(points: Sequence[complex],
                       (m0, m1) + tuple(complex(a) for a in accessory), zb)
 
 
+#: velocity (dp, dA, dB) of each (pole, A, B) triple of q/2 along a deformation
+Tangent = Sequence[tuple[complex, float, complex]]
+
+
+def potential_tangent(data: SphereData, point_velocity: Sequence[complex],
+                      accessory_velocity: Sequence[complex]) -> Tangent:
+    """Velocity (dp, dA, dB) of ``data.half_q_terms()`` along the family
+    build_potential(points + s v, ..., accessory + s w) at s = 0: the points
+    move with v, the accessory residues with w, the two dependent residues
+    re-solve and the orders (so every A) stay fixed."""
+    pts, acc = data.points, data.accessory()
+    v = [complex(x) for x in point_velocity]
+    w = [complex(x) for x in accessory_velocity]
+    if len(v) != len(pts) or len(w) != len(acc):
+        raise ValueError(f"expected {len(pts)} point and {len(acc)} accessory velocities")
+    target = (theta_of(data.order_infinity) - sum(data.thetas)) / 2.0
+    s1, ds1 = -sum(acc), -sum(w)
+    s2 = target - sum(m * p for m, p in zip(acc, pts[2:]))
+    ds2 = -sum(dm * p + m * dp for m, dm, p, dp in zip(acc, w, pts[2:], v[2:]))
+    det = pts[1] - pts[0]
+    m1 = (s2 - pts[0] * s1) / det
+    dm1 = (ds2 - v[0] * s1 - pts[0] * ds1 - m1 * (v[1] - v[0])) / det
+    dm = [ds1 - dm1, dm1] + w
+    return [(dp, 0.0, d / 2.0) for dp, d in zip(v, dm)]
+
+
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
@@ -237,114 +264,159 @@ def build_lassos(data: SphereData, arc_segments: int = 16,
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) transport, dense complex arithmetic
+# Taylor-series transport with tangents
 # ---------------------------------------------------------------------------
 
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+#: a step reaches at most this fraction of the distance to the nearest pole;
+#: expanded at its midpoint, its series then converge at least like 3^-n
+STEP_RATIO = 0.5
+#: a step's series stop after two consecutive terms below this fraction of
+#: the largest term (the tail beyond them is smaller still)
+_TAIL = 2.0 ** -56
+#: a step whose series has not settled by then raises IntegrationError
+_MAX_TERMS = 400
+#: a step shorter than this fraction of its segment means the path runs into
+#: a pole
+_MIN_STEP = 1e-13
 
 
-def _integrate_segment(q2, singularities, za: complex, zb: complex, u,
-                       rtol: float, atol: float):
-    """Advance the column fundamental matrix u (row-major 4-tuple) from za to
-    zb; step size is error-controlled and capped at 0.2x the distance to the
-    nearest singularity."""
-    dz = zb - za
-    seg_len = abs(dz)
-    if seg_len < 1e-300:
-        return u
-
-    def deriv(tau: float, y):
-        q2v = q2(za + tau * dz)
-        return (dz * y[2], dz * y[3], -dz * q2v * y[0], -dz * q2v * y[1])
-
-    def cap(tau: float) -> float:
-        if not singularities:
-            return 0.35
-        z = za + tau * dz
-        return 0.2 * min(abs(z - p) for p in singularities) / seg_len
-
-    tau = 0.0
-    h = min(0.35, cap(0.0))
-    k1 = deriv(tau, u)
-    while tau < 1.0:
-        h = min(h, cap(tau), 1.0 - tau)
-        if h < 1e-13:
-            raise IntegrationError("step underflow near singularity")
-        y = u
-        y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(4))
-        k2 = deriv(tau + _C2 * h, y2)
-        y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(4))
-        k3 = deriv(tau + _C3 * h, y3)
-        y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(4))
-        k4 = deriv(tau + _C4 * h, y4)
-        y5 = tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                   for i in range(4))
-        k5 = deriv(tau + _C5 * h, y5)
-        y6 = tuple(y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i]
-                               + _A65 * k5[i]) for i in range(4))
-        k6 = deriv(tau + h, y6)
-        ynew = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i]
-                                 + _B6 * k6[i]) for i in range(4))
-        k7 = deriv(tau + h, ynew)
-        errn = 0.0
-        for i in range(4):
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-            errn = max(errn, abs(e) / sc)
-        if errn <= 1.0:
-            tau += h
-            u = ynew
-            k1 = k7  # FSAL
-            grow = 0.9 * errn ** -0.2 if errn > 1e-10 else 6.0
-            h *= min(6.0, max(0.25, grow))
-        else:
-            h *= max(0.25, 0.9 * errn ** -0.2)
-    return u
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
 
 
-def _pole_q2(poles):
-    def q2(z: complex) -> complex:
-        total = 0j
-        for p, A, B in poles:
-            w = z - p
-            total += A / (w * w) + B / w
-        return total
-    return q2
+def _ends(c):
+    """Value and tau-slope of sum c_n tau^n at tau = +1, then at tau = -1."""
+    even, odd = c[0::2], c[1::2]
+    e, o = sum(even), sum(odd)
+    de = sum(map(mul, range(0, 2 * len(even), 2), even))
+    do = sum(map(mul, range(1, 2 * len(odd), 2), odd))
+    return e + o, de + do, e - o, do - de
 
 
-def integrate_fundamental(source, vertices: Sequence[complex],
-                          rtol: float = 1e-12, atol: float = 1e-14,
-                          singularities: Optional[Sequence[complex]] = None) -> Mat2:
-    """Transport matrix along a polyline in the row convention (see module
-    docstring); its determinant is the Wronskian and must stay at 1.
+def _transfer(poles, tangents, z0: complex, h: complex):
+    """Transfer matrix T from z0 to z0 + h (column convention, row-major
+    4-tuple: data at z0 + h = T data at z0) and its derivative along each
+    tangent, from one Taylor expansion at the midpoint z0 + h/2.
 
-    ``source`` is a SphereData, a list of (pole, theta/4, m/2) triples, or an
-    explicit callable q(z) (halved internally); for a callable, pass
-    ``singularities`` so the step cap knows where the poles are.
+    With g = h/2, z = z0 + g + g tau and, per pole, x = g / (p - z0 - g),
+    q/2 = sum A/(z-p)^2 + B/(z-p) expands by geometric series as
+    g^-2 sum_k P_k tau^k with
+        P_k = (k+1) sum A x^(k+2) - g sum B x^(k+1),
+    and psi = sum c_n tau^n obeys (n+2)(n+1) c_(n+2) = -sum_j P_j c_(n-j).
+    The canonical solutions (identity data at the midpoint) evaluated at
+    tau = +-1 give S+ and S-, and T = S+ S-^-1.  A tangent (dp, dA, dB) per
+    pole differentiates P_k with the step frozen:
+        dP_k = (k+1) sum (dA + B dp) x^(k+2) - (k+1)(k+2)/g sum A dp x^(k+3)
+               - g sum dB x^(k+1),
+    and the differentiated recursion, from zero initial data, adds
+    -sum_j dP_j c_(n-j) to the right-hand side.
     """
-    if isinstance(source, SphereData):
-        poles = source.half_q_terms()
-        q2 = _pole_q2(poles)
-        sing = [p for p, _, _ in poles]
-    elif callable(source):
-        q2 = lambda z: 0.5 * source(z)
-        sing = list(singularities or [])
+    g = h / 2
+    xs = [g / (p - z0 - g) for p, _, _ in poles]
+    ax = [A * x for (_, A, _), x in zip(poles, xs)]
+    bg = [B * g for _, _, B in poles]
+    rows = [([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(poles, tan, xs)],
+             [A * dp * x * x / g for (_, A, _), (dp, _, _), x in zip(poles, tan, xs)],
+             [dB * g for _, _, dB in tan]) for tan in tangents]
+    pw = list(xs)  # x^(k+1)
+    P: list[complex] = []
+    dP: list[list[complex]] = [[] for _ in tangents]
+    a, b = [1.0 + 0j, 0j], [0j, 1.0 + 0j]  # psi_a and psi_b / g
+    da = [([0j, 0j], [0j, 0j]) for _ in tangents]
+    big, quiet = 1.0, 0
+    for n in range(_MAX_TERMS):
+        k1 = n + 1
+        P.append(k1 * sum(map(mul, pw, ax)) - sum(map(mul, pw, bg)))
+        for (al, be, ga), dPt in zip(rows, dP):
+            dPt.append(k1 * (sum(map(mul, pw, al)) - (k1 + 1) * sum(map(mul, pw, be)))
+                       - sum(map(mul, pw, ga)))
+        pw = list(map(mul, pw, xs))
+        f = -1.0 / ((n + 2) * k1)
+        ar, br = a[n::-1], b[n::-1]
+        a.append(f * sum(map(mul, P, ar)))
+        b.append(f * sum(map(mul, P, br)))
+        size = abs(a[-1]) + abs(b[-1])
+        for dPt, (dat, dbt) in zip(dP, da):
+            dat.append(f * (sum(map(mul, dPt, ar)) + sum(map(mul, P, dat[n::-1]))))
+            dbt.append(f * (sum(map(mul, dPt, br)) + sum(map(mul, P, dbt[n::-1]))))
+            size += abs(dat[-1]) + abs(dbt[-1])
+        size *= n + 2
+        if not math.isfinite(size):
+            raise IntegrationError(f"non-finite Taylor series at {z0:.6g}")
+        big = max(big, size)
+        quiet = quiet + 1 if size <= _TAIL * big else 0
+        if quiet == 2:
+            break
     else:
-        poles = list(source)
-        q2 = _pole_q2(poles)
-        sing = [p for p, _, _ in poles]
-    u = (1 + 0j, 0j, 0j, 1 + 0j)
-    for a, b in zip(vertices, vertices[1:]):
-        u = _integrate_segment(q2, sing, a, b, u, rtol, atol)
+        raise IntegrationError(f"Taylor series did not converge in {_MAX_TERMS} terms "
+                               f"(step {abs(h):.3g} at {z0:.6g})")
+
+    def ends(a, b):  # column matrices S+ and S- of one pair of solutions
+        va, sa, wa, ta = _ends(a)
+        vb, sb, wb, tb = _ends(b)
+        return (va, g * vb, sa / g, sb), (wa, g * wb, ta / g, tb)
+
+    splus, sminus = ends(a, b)
+    inv = mat_inv_unit(sminus)  # det S- is the Wronskian, 1
+    dT = []
+    for dat, dbt in da:
+        dplus, dminus = ends(dat, dbt)
+        # det S- stays 1, so d(S-^-1) is the adjugate of dS-
+        dT.append(_add(mat_mul(dplus, inv), mat_mul(splus, mat_inv_unit(dminus))))
+    return mat_mul(splus, inv), dT
+
+
+def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
+                          vertices: Sequence[complex],
+                          tangents: Sequence[Tangent] = ()):
+    """(M, [dM per tangent]): the transport matrix along a polyline in the
+    row convention (see module docstring), whose determinant is the Wronskian
+    and must stay at 1, and its derivatives along ``tangents``.
+
+    ``poles`` lists the (pole, theta/4, m/2) triples of
+    q/2 = sum A/(z-p)^2 + B/(z-p); a tangent lists one (dp, dA, dB) per pole,
+    the velocity of the pole list along a deformation that holds the path
+    fixed.  Each Taylor step reaches at most STEP_RATIO of the distance to
+    the nearest pole; U <- T U accumulates the steps' transfer matrices and
+    dU <- dT U + T dU their derivatives.
+    """
+    poles = [(complex(p), A, complex(B)) for p, A, B in poles]
+    tangents = [[tuple(map(complex, v)) for v in t] for t in tangents]
+    if any(len(t) != len(poles) for t in tangents):
+        raise ValueError("a tangent needs one (dp, dA, dB) per pole")
+    verts = [complex(v) for v in vertices]
+    u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    du = [(0j, 0j, 0j, 0j)] * len(tangents)
+    z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
+    while i < last:
+        reach = STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
+        # farthest point of the polyline that stays within reach of z: the
+        # chord to it is homotopic to the polyline in the pole-free disc
+        prev, k = z, i + 1
+        while k <= last and abs(verts[k] - z) <= reach:
+            prev, k = verts[k], k + 1
+        if k > last:
+            target, i = verts[last], last
+        else:
+            d, a = verts[k] - prev, prev - z
+            dd = abs(d) ** 2
+            beta = (a * d.conjugate()).real
+            t = (math.sqrt(beta * beta + dd * (reach * reach - abs(a) ** 2)) - beta) / dd
+            target, i = prev + t * d, k - 1
+            if reach <= _MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
+                raise IntegrationError(f"step underflow: the path runs into a pole "
+                                       f"near {z:.6g}")
+        if target == z:
+            continue
+        T, dT = _transfer(poles, tangents, z, target - z)
+        u, du = mat_mul(T, u), [_add(mat_mul(d, u), mat_mul(T, w)) for d, w in zip(dT, du)]
+        if not all(map(cmath.isfinite, u + sum(du, ()))):
+            raise IntegrationError(f"non-finite transport at {z:.6g}")
+        z = target
+    return _row(u), [_row(d) for d in du]
+
+
+def _row(u):
     return (u[0], u[2], u[1], u[3])  # transpose: column convention -> row
 
 
@@ -360,12 +432,9 @@ class MonodromyEngine:
     """Monodromy with paths frozen at construction, so that representation
     families over perturbed data compare identical homotopy classes."""
 
-    def __init__(self, data: SphereData, rtol: float = 1e-12, atol: float = 1e-14,
-                 arc_segments: int = 16, radius_factor: float = 0.3,
-                 clearance_factor: float = 0.05):
+    def __init__(self, data: SphereData, arc_segments: int = 16,
+                 radius_factor: float = 0.3, clearance_factor: float = 0.05):
         self.data = data
-        self.rtol = rtol
-        self.atol = atol
         self.order, self.paths = build_lassos(
             data, arc_segments=arc_segments, radius_factor=radius_factor,
             clearance_factor=clearance_factor)
@@ -379,26 +448,35 @@ class MonodromyEngine:
         return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
 
     def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = 1e-5):
-        """(rho, Wronskian drift) for ``data`` (default: the engine's own)
-        transported along the frozen lassos, each integrated once.  The drift
-        max |det - 1| is read off the same transports; a lasso product that
-        misses +-identity by more than ``relation_tol`` raises OrderingError."""
+                       relation_tol: float = 1e-5,
+                       tangents: Sequence[Tangent] = ()):
+        """(rho, Wronskian drift, tangent images) for ``data`` (default: the
+        engine's own) transported along the frozen lassos, each integrated
+        once.  The drift max |det - 1| is read off the same transports; a
+        lasso product that misses +-identity by more than ``relation_tol``
+        (or by NaN) raises OrderingError.  For each tangent of the pole list
+        (see ``potential_tangent``) the tangent images map every generator
+        to dm / sqrt(det m) for its transport m, scaled as its image in rho
+        is, so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""
         from .cocycles import Representation
         poles = (self.data if data is None else data).half_q_terms()
-        mats = [integrate_fundamental(poles, p.vertices, self.rtol, self.atol)
-                for p in self.paths]
-        images = {f"c{i + 1}": MoebiusMap(*m) for i, m in enumerate(mats)}
+        runs = [integrate_fundamental(poles, p.vertices, tangents) for p in self.paths]
+        gens = [f"c{i + 1}" for i in range(len(runs))]
+        images = {g: MoebiusMap(*m) for g, (m, _) in zip(gens, runs)}
         prod = MoebiusMap.identity()
         for image in images.values():
             prod = prod @ image
         resid = prod.psl_distance(MoebiusMap.identity())
-        if resid > relation_tol:
+        if not resid <= relation_tol:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
+        scales = [cmath.sqrt(mat_det(m)) for m, _ in runs]
+        dimages = [{g: tuple(x / s for x in dms[t])
+                    for g, s, (_, dms) in zip(gens, scales, runs)}
+                   for t in range(len(tangents))]
         return (Representation(self.signature, images),
-                max(wronskian_drift(m) for m in mats))
+                max(wronskian_drift(m) for m, _ in runs), dimages)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def orb3_data(accessory=0.2 + 0.1j):
 @pytest.fixture(scope="session")
 def four_cusp_engine():
     data = four_cusp_data()
-    return MonodromyEngine(data, rtol=1e-12, atol=1e-14), data
+    return MonodromyEngine(data), data
 
 
 @pytest.fixture(scope="session")
@@ -111,7 +111,7 @@ def four_cusp_rep(four_cusp_engine):
 @pytest.fixture(scope="session")
 def orb3_engine():
     data = orb3_data()
-    return MonodromyEngine(data, rtol=1e-12, atol=1e-14), data
+    return MonodromyEngine(data), data
 
 
 @pytest.fixture(scope="session")

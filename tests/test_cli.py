@@ -166,7 +166,6 @@ def test_kawai_subcommand_end_to_end(capsys, tmp_path):
                    "accessory": [[0.2, 0.1]], "base_point": [0.5, -1.5]},
         "t_directions": [{"velocities": [[0, 0], [0, 0], [1, 0]]}],
         "grid": [{"t": [[0, 0]], "c": [[0, 0]]}],
-        "h": 1e-3, "rtol": 1e-12,
     }
     path = tmp_path / "kawai.json"
     path.write_text(json.dumps(cfg))
@@ -185,3 +184,23 @@ def test_monodromy_ordering_error_is_reported(capsys):
     code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
     assert code == 2
     assert "argument tie" in rep["error"]
+
+
+def test_monodromy_non_finite_transport_is_reported(capsys):
+    # a residue of 1e200 overflows the transport: a report, not "nan" figures
+    cfg = {"points": [[0, 0], [1, 0], [0.3, 0.4]], "orders": [None, None, None],
+           "accessory": [[1e200, 0]]}
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code == 2
+    assert "non-finite" in rep["error"]
+
+
+def test_monodromy_nan_drift_is_a_failure(capsys, tmp_path, monkeypatch):
+    # NaN compares False with every tolerance, so it must not pass as small
+    import charvar.monodromy as mono
+    monkeypatch.setattr(mono, "wronskian_drift", lambda m: float("nan"))
+    cfg = {"points": [[0, 0], [1, 0]], "orders": [None, None],
+           "order_infinity": None, "accessory": []}
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code == 2
+    assert rep["wronskian_drift"] == "nan"

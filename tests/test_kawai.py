@@ -2,11 +2,18 @@ import math
 
 import pytest
 
-from conftest import FOUR_CUSP_T, four_cusp_data
-from charvar.cocycles import Cocycle, finite_difference_cocycle
+from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
+from charvar.cocycles import Cocycle, finite_difference_cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
-                           direction_family, displace, kawai_experiment,
-                           trace_drift)
+                           _abs_trace_rate, direction_family, displace,
+                           kawai_experiment)
+from charvar.monodromy import build_potential, potential_tangent
+
+DIRECTIONS = (AccessoryDirection(0), PointDirection((0, 0, 1)))
+
+
+def _tangents(data):
+    return [potential_tangent(data, *d.velocity(data)) for d in DIRECTIONS]
 
 
 def test_displace_accessory_resolves_dependents():
@@ -26,16 +33,36 @@ def test_displace_point_keeps_accessory():
 
 
 def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
+    # exact d|tr|/ds from the tangents, and the 4th-order stencil of |tr| along
+    # the displaced families as the independent check
     engine, data = four_cusp_engine
-    for d in (AccessoryDirection(0), PointDirection((0, 0, 1))):
+    rho, _, derivatives = engine.representation(tangents=_tangents(data))
+    h = 1e-3
+    for d, dimages in zip(DIRECTIONS, derivatives):
+        exact = max(_abs_trace_rate(rho.images[g], dimages[g])
+                    for g in rho.signature.generators)
+        assert exact < 1e-9
         fam = direction_family(engine, data, d, four_cusp_rep)
-        assert trace_drift(fam, 1e-3) < 1e-6
+        for g in rho.signature.generators:
+            t = {k: abs(fam(k * h).images[g].trace()) for k in (-2, -1, 1, 2)}
+            assert abs(t[-2] - 8 * t[-1] + 8 * t[1] - t[2]) / (12 * h) < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["four_cusp", "orb3"])
+def test_tangent_cocycles_match_finite_differences(fixture, request):
+    engine, data = request.getfixturevalue(f"{fixture}_engine")
+    rho = request.getfixturevalue(f"{fixture}_rep")
+    _, _, derivatives = engine.representation(tangents=_tangents(data))
+    for d, dimages in zip(DIRECTIONS, derivatives):
+        chi = tangent_cocycle(rho, dimages)
+        fd = finite_difference_cocycle(direction_family(engine, data, d, rho), 0, 1e-3)
+        diff = max((chi.values[g] - fd.values[g]).norm() for g in chi.values)
+        assert diff <= 1e-7 * max(1.0, chi.norm()), d
 
 
 def test_single_grid_point_experiment():
     base = four_cusp_data()
-    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], h=1e-3,
-                           grid=[GridOffset()], rtol=1e-12)
+    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=[GridOffset()])
     assert rep.labels == ["c0", "t2"]
     res = rep.results[0]
     assert res.antisymmetry_defect <= 1e-8 * res.scale
@@ -47,14 +74,25 @@ def test_single_grid_point_experiment():
     # the off-diagonal pairing is the interesting number; it must be far from 0
     assert abs(res.pairing("c0", "t2")) > 1.0
     # omega(c, t) = pi*i along the fiber
+    assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("orders", [(2, None, None), (3, None, None),
+                                    (None, None, 2), (None, None, 3)],
+                         ids=["order2-at-0", "order3-at-0", "order2-at-t", "order3-at-t"])
+def test_omega_is_pi_i_on_orbifolds(orders):
+    # an elliptic point of order 2 or 3 at the point 0 or at t
+    base = build_potential([0, 1, FOUR_CUSP_T], orders, None, [0.2 + 0.1j],
+                           base_point=FOUR_CUSP_ZB)
+    res = kawai_experiment(base, [PointDirection((0, 0, 1))]).results[0]
     assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-7
+    assert res.antisymmetry_defect <= 1e-8 * res.scale
 
 
 def test_grid_offsets_and_report_shape():
     base = four_cusp_data()
     grid = [GridOffset(t=(0.0,), c=(0.0,)), GridOffset(t=(0.02,), c=(0.01 + 0.005j,))]
-    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], h=1e-3, grid=grid,
-                           rtol=1e-12)
+    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid)
     assert len(rep.results) == 2
     d = rep.as_dict()
     assert len(d["grid"]) == 2

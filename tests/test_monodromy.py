@@ -1,4 +1,4 @@
-import cmath
+import json
 import math
 from pathlib import Path
 
@@ -7,9 +7,12 @@ import pytest
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
 from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
                                build_lassos, build_potential,
-                               integrate_fundamental, theta_of,
-                               wronskian_drift)
+                               integrate_fundamental, potential_tangent,
+                               theta_of, wronskian_drift)
+from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestPotential:
@@ -58,63 +61,120 @@ class TestPotential:
         assert abs(j.derivative().value - fd) < 1e-6
 
 
+def _euler_transport(order):
+    """Closed-form row transport from 1 to 2 of psi'' + (theta/4) z^-2 psi = 0,
+    whose solutions are z^alpha, alpha = (1 +- 1/o)/2 (cusp: z^(1/2) and
+    z^(1/2) log z)."""
+    if order is None:
+        r2 = math.sqrt(2)
+        phi1 = (r2, 1 / (2 * r2))  # z^(1/2): value and slope at 2
+        phi2 = (r2 * math.log(2), (math.log(2) + 2) / (2 * r2))  # z^(1/2) log z
+        # (psi, psi') = (1, 0) at 1 is phi1 - phi2/2; (0, 1) is phi2
+        psi_a = (phi1[0] - phi2[0] / 2, phi1[1] - phi2[1] / 2)
+        return (psi_a[0], psi_a[1], phi2[0], phi2[1])
+    a1, a2 = (1 + 1 / order) / 2, (1 - 1 / order) / 2
+
+    def at_two(c1, c2):
+        return (c1 * 2 ** a1 + c2 * 2 ** a2,
+                c1 * a1 * 2 ** (a1 - 1) + c2 * a2 * 2 ** (a2 - 1))
+
+    psi_a = at_two(-a2 / (a1 - a2), a1 / (a1 - a2))
+    psi_b = at_two(1 / (a1 - a2), -1 / (a1 - a2))
+    return psi_a + psi_b
+
+
 class TestTransport:
     def test_flat_case(self):
         # q = 0: transport over 0 -> 1 in the row convention is [[1,0],[1,1]]
-        m = integrate_fundamental([], [0, 1], 1e-12, 1e-14)
+        m, _ = integrate_fundamental([], [0, 1])
         assert max(abs(x - y) for x, y in zip(m, (1, 0, 1, 1))) < 1e-12
 
-    def test_constant_q_two(self):
-        # psi'' + psi = 0 (q = 2): solutions cos, sin; over 0 -> pi/2 the row
-        # transport is [[0,-1],[1,0]]
-        m = integrate_fundamental(lambda z: 2.0 + 0j, [0, math.pi / 2], 1e-12, 1e-14)
-        want = (0, -1, 1, 0)
-        assert max(abs(x - y) for x, y in zip(m, want)) < 1e-11
-        assert wronskian_drift(m) < 1e-11
+    def test_euler_transport_closed_form(self):
+        for order in (2, 3, 6, None):
+            m, _ = integrate_fundamental([(0, theta_of(order) / 4, 0)], [1, 2])
+            want = _euler_transport(order)
+            assert max(abs(x - y) for x, y in zip(m, want)) < 1e-12, order
+            assert wronskian_drift(m) < 1e-12
 
     def test_wronskian_closed_loop(self, four_cusp_engine):
         engine, _ = four_cusp_engine
-        _, drift = engine.representation()
+        _, drift, _ = engine.representation()
         assert drift < 1e-9
 
     def test_step_underflow_near_pole(self):
         data = four_cusp_data()
+        with pytest.raises(IntegrationError, match="runs into a pole"):
+            integrate_fundamental(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0])
+
+    def test_non_finite_series_raises(self):
+        # a residue of 1e200 overflows the Taylor coefficients
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_fundamental([(0, 0.25, 1e200)], [1, 1j])
+
+    def test_divergent_series_raises(self, monkeypatch):
+        # a term cap below what the a-priori count asks for
+        import charvar.monodromy as mono
+        monkeypatch.setattr(mono, "_MAX_TERMS", 8)
+        with pytest.raises(IntegrationError, match="did not converge"):
+            integrate_fundamental([(0, 0.25, 0.1)], [1, 1.5])
+
+    def test_huge_residue_raises(self):
+        # finite, but the solutions grow like exp(1e3): the transport overflows
         with pytest.raises(IntegrationError):
-            integrate_fundamental(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0], 1e-12, 1e-14)
+            integrate_fundamental([(0, 0.25, 1e6)], [1, 1j])
+
+    def test_tangent_length_checked(self):
+        with pytest.raises(ValueError):
+            integrate_fundamental([(0, 0.25, 0)], [1, 2], [[]])
 
 
-def _jet_transport(data, vertices, order=20, step_fraction=0.22):
-    """Independent transport oracle: analytic continuation by re-expanded
-    Taylor solutions of the ODE, no Runge-Kutta involved."""
-    from charvar.monodromy import ode_solution_jet
-
-    u = [(1 + 0j, 0j), (0j, 1 + 0j)]  # columns (psi, psi')
-    for a, b in zip(vertices, vertices[1:]):
-        z = a
-        while abs(b - z) > 1e-14:
-            radius = min(abs(z - p) for p in data.points)
-            step = min(abs(b - z), step_fraction * radius)
-            target = z + step * (b - z) / abs(b - z)
-            qj = data.q_jet(z, order)
-            cols = []
-            for v, d in u:
-                psi = ode_solution_jet(qj, v, d)
-                cols.append((psi.eval(target), psi.derivative().eval(target)))
-            u = cols
-            z = target
-    # row convention to match integrate_fundamental
-    return (u[0][0], u[0][1], u[1][0], u[1][1])
+def test_euler_loop_traces():
+    # the loop around the single pole 0 multiplies z^alpha by exp(2 pi i alpha):
+    # trace -2 cos(pi/o), and -2 at a cusp
+    square = [1, 1j, -1, -1j, 1]
+    for order in (2, 3, 6, None):
+        m, _ = integrate_fundamental([(0, theta_of(order) / 4, 0)], square)
+        want = -2 * math.cos(math.pi / order) if order else -2.0
+        assert abs(m[0] + m[3] - want) < 1e-12, order
 
 
-def test_rk_transport_against_jet_continuation():
-    # dual-route check: adaptive RK5(4) vs Taylor re-expansion, one lasso
+def test_transport_against_dp5_oracle():
+    # dual-route check: Taylor steps vs adaptive Dormand-Prince 5(4), every lasso
+    from dp5 import dp5_transport
+
+    for config in ("kawai-4cusp.json", "sphere-elliptic3.json"):
+        cfg = json.loads((CONFIGS / config).read_text())
+        data = sphere_in(cfg.get("sphere", cfg))
+        poles = data.half_q_terms()
+        for path in build_lassos(data)[1]:
+            m, _ = integrate_fundamental(poles, path.vertices)
+            ref = dp5_transport(poles, path.vertices)
+            scale = max(abs(x) for x in ref)
+            assert max(abs(x - y) for x, y in zip(m, ref)) <= 1e-11 * scale, \
+                (config, path.target)
+
+
+def test_tangents_match_difference_quotients():
+    # dM along an accessory residue and along a moving point, against the
+    # 4th-order stencil of the transport itself
     data = four_cusp_data()
-    _, paths = build_lassos(data)
-    path = paths[0]
-    rk = integrate_fundamental(data, path.vertices, 1e-12, 1e-14)
-    jet = _jet_transport(data, path.vertices)
-    scale = max(abs(x) for x in rk)
-    assert max(abs(x - y) for x, y in zip(rk, jet)) < 1e-9 * scale
+    path = build_lassos(data)[1][0]
+    for v, w in (((0, 0, 0), (1,)), ((0, 0, 1), (0,))):
+        _, (dm,) = integrate_fundamental(data.half_q_terms(), path.vertices,
+                                         [potential_tangent(data, v, w)])
+
+        def moved(s):
+            shifted = build_potential([p + s * x for p, x in zip(data.points, v)],
+                                      data.orders, None,
+                                      [a + s * y for a, y in zip(data.accessory(), w)],
+                                      base_point=FOUR_CUSP_ZB)
+            return integrate_fundamental(shifted.half_q_terms(), path.vertices)[0]
+
+        h = 1e-3
+        f = [moved(k * h) for k in (-2, -1, 1, 2)]
+        fd = [(8 * (f[2][i] - f[1][i]) - (f[3][i] - f[0][i])) / (12 * h) for i in range(4)]
+        scale = max(abs(x) for x in dm)
+        assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale
 
 
 def test_row_convention_is_a_homomorphism():
@@ -123,23 +183,14 @@ def test_row_convention_is_a_homomorphism():
     data = four_cusp_data()
     _, paths = build_lassos(data)
     va, vb = paths[0].vertices, paths[1].vertices
-    ma = integrate_fundamental(data, va, 1e-12, 1e-14)
-    mb = integrate_fundamental(data, vb, 1e-12, 1e-14)
-    mab = integrate_fundamental(data, va + vb, 1e-12, 1e-14)
+    poles = data.half_q_terms()
+    ma, _ = integrate_fundamental(poles, va)
+    mb, _ = integrate_fundamental(poles, vb)
+    mab, _ = integrate_fundamental(poles, va + vb)
     from charvar.sl2 import mat_mul
     prod = mat_mul(ma, mb)
     scale = max(abs(x) for x in prod)
     assert max(abs(x - y) for x, y in zip(mab, prod)) < 1e-9 * scale
-
-
-def test_complex_path_trig():
-    # transport along a bent polyline agrees with cos/sin of the total
-    # parameter: the solution is path independent for entire q
-    L1, L2 = 0.4 + 0.3j, 0.2 - 0.5j
-    m = integrate_fundamental(lambda z: 2.0 + 0j, [0, L1, L1 + L2], 1e-12, 1e-14)
-    s = L1 + L2
-    want = (cmath.cos(s), -cmath.sin(s), cmath.sin(s), cmath.cos(s))
-    assert max(abs(x - y) for x, y in zip(m, want)) < 1e-10
 
 
 class TestLassos:
@@ -164,7 +215,7 @@ class TestLassos:
 
     def test_three_cusp_lasso_traces(self):
         data = build_potential([0, 1], [None, None], None, [])
-        rho, _ = MonodromyEngine(data).representation()
+        rho, _, _ = MonodromyEngine(data).representation()
         for m in rho.images.values():
             assert abs(abs(m.trace()) - 2) < 1e-6
 
@@ -179,8 +230,8 @@ class TestRepresentation:
     def test_elliptic_variant(self, e):
         data = build_potential([0, 1, FOUR_CUSP_T], [e, None, None], None,
                                [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
-        engine = MonodromyEngine(data, rtol=1e-12, atol=1e-14)
-        rho, _ = engine.representation()
+        engine = MonodromyEngine(data)
+        rho, _, _ = engine.representation()
         # point 0 is third in lasso order from this base point
         assert engine.signature.order_sequence() == (None, None, e, None)
         got = abs(rho.images["c3"].trace())
@@ -189,7 +240,7 @@ class TestRepresentation:
 
     def test_rigid_three_cusp(self):
         data = build_potential([0, 1], [None, None], None, [])
-        rho, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
+        rho, _, _ = MonodromyEngine(data).representation()
         prod = MoebiusMap.identity()
         for i in (1, 2, 3):
             prod = prod @ rho.images[f"c{i}"]
@@ -197,10 +248,8 @@ class TestRepresentation:
 
     def test_homotopy_invariance(self):
         data = four_cusp_data()
-        r1, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
-                                arc_segments=16, radius_factor=0.3).representation()
-        r2, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14,
-                                arc_segments=24, radius_factor=0.22).representation()
+        r1, _, _ = MonodromyEngine(data, arc_segments=16, radius_factor=0.3).representation()
+        r2, _, _ = MonodromyEngine(data, arc_segments=24, radius_factor=0.22).representation()
         worst = max(r1.images[g].psl_distance(r2.images[g])
                     for g in r1.signature.generators)
         assert worst < 1e-8
@@ -210,10 +259,9 @@ class TestRepresentation:
         zb2 = -0.4 - 1.2j
         data2 = build_potential([0, 1, FOUR_CUSP_T], [None] * 3, None,
                                 [0.2 + 0.1j], base_point=zb2)
-        r1, _ = MonodromyEngine(data, rtol=1e-12, atol=1e-14).representation()
-        r2, _ = MonodromyEngine(data2, rtol=1e-12, atol=1e-14).representation()
-        M = MoebiusMap(*integrate_fundamental(data.half_q_terms(),
-                                              [zb2, FOUR_CUSP_ZB], 1e-12, 1e-14))
+        r1, _, _ = MonodromyEngine(data).representation()
+        r2, _, _ = MonodromyEngine(data2).representation()
+        M = MoebiusMap(*integrate_fundamental(data.half_q_terms(), [zb2, FOUR_CUSP_ZB])[0])
         worst = max(r2.images[g].psl_distance(M @ r1.images[g] @ M.inverse())
                     for g in r1.signature.generators)
         assert worst < 1e-8
@@ -231,6 +279,16 @@ class TestRepresentation:
         with pytest.raises(OrderingError):
             engine.representation(relation_tol=1e-16)
 
+    def test_nan_relation_residual_raises(self, four_cusp_engine, monkeypatch):
+        # NaN compares False with every tolerance, so it must not pass as small
+        import charvar.monodromy as mono
+        nan = float("nan")
+        monkeypatch.setattr(mono, "integrate_fundamental",
+                            lambda poles, vertices, tangents=(): ((nan, 0, 0, 1), []))
+        engine, _ = four_cusp_engine
+        with pytest.raises(OrderingError):
+            engine.representation()
+
 
 def test_one_integration_per_lasso(monkeypatch, capsys):
     import charvar.monodromy as mono
@@ -245,10 +303,9 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(mono, "integrate_fundamental", counted)
-    config = Path(__file__).resolve().parents[1] / "configs" / "sphere-4cusp.json"
-    assert main(["monodromy", "--input", str(config)]) == 0
+    assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
     assert len(calls) == 4  # the Wronskian drift comes from the same transports
     calls.clear()
     kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
-    assert len(calls) == 4 + 2 * 4 * 4  # base rho, then 4 stencil points per direction
+    assert len(calls) == 4  # each lasso once, carrying both tangents
