@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: fox, identities, goldman, lambda-check, monodromy, kawai.
-Exit codes: 0 success, 2 tolerance failure (report still emitted), 1 input
-error.  All reports embed the resolved tolerance set and the version.
+Exit codes: 0 success, 2 tolerance or numerical failure (report still
+emitted), 1 input error.  All reports embed the resolved tolerance set and
+the version.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import json
 import sys
 
 from . import __version__
-from .cocycles import CocycleNotParabolicError, verify_cocycle
-from .goldman import goldman_closed, goldman_orbifold
+from .cocycles import CocycleNotParabolicError
+from .goldman import _pairing
 from .monodromy import IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (check_identities, exp_provider, moebius_provider,
                          poly_provider, solve_lambda_report)
-from .serialize import (cocycle_in, complex_in, complex_out, dumps_deterministic,
+from .serialize import (cocycle_in, complex_in, dumps_deterministic,
                         moebius_in, representation_in, representation_out,
                         signature_in, sphere_in, sphere_out)
 from .sl2 import MoebiusMap, QuadPoly
@@ -115,20 +116,13 @@ def _cmd_goldman(args) -> int:
     }
     code = 0
     try:
-        if rho.signature.num_marked == 0:
-            value = goldman_closed(rho, chi1, chi2)
-            report.update({"value": complex_out(value), "residuals": {
-                "chi1_relator": verify_cocycle(rho, chi1).relator_residual,
-                "chi2_relator": verify_cocycle(rho, chi2).relator_residual,
-            }, "p2_list": {}})
-        else:
-            pairing = goldman_orbifold(rho, chi1, chi2, local_tol=tols["local"])
-            d = pairing.as_dict()
-            report.update({"value": d["value"], "residuals": {
-                "chi1_relator": pairing.relator_residuals[0],
-                "chi2_relator": pairing.relator_residuals[1],
-                "local": d["local_residuals"],
-            }, "p2_list": d["p2_list"]})
+        pairing = _pairing(rho, chi1, chi2, local_tol=tols["local"])
+        d = pairing.as_dict()
+        residuals = {"chi1_relator": pairing.relator_residuals[0],
+                     "chi2_relator": pairing.relator_residuals[1]}
+        if rho.signature.num_marked:
+            residuals["local"] = d["local_residuals"]
+        report.update({"value": d["value"], "residuals": residuals, "p2_list": d["p2_list"]})
     except CocycleNotParabolicError as e:
         report["error"] = str(e)
         code = 2
@@ -151,6 +145,8 @@ def _cmd_lambda_check(args) -> int:
     P = QuadPoly(*(complex_in(c) for c in cfg.get("P", [1, 0.5, -0.25])))
     samples = [complex_in(z) for z in cfg.get("samples",
                [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.5], [0.7, 0.1]])]
+    if not samples:
+        raise InputError("samples must list at least one point")
     order = int(cfg.get("order", 8))
     residuals = check_identities(f, P, gamma, samples, order=order,
                                  seed=int(cfg.get("seed", 7)))
@@ -264,6 +260,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(dumps_deterministic({"error": str(e), "version": __version__}))
         return 1
+    except ArithmeticError as e:
+        # numerical failure (sl2 path disagreement, division by zero): exit 2
+        print(dumps_deterministic({"error": f"{type(e).__name__}: {e}", "version": __version__}))
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,6 +120,14 @@ class Cocycle:
 
     def __call__(self, w: FreeWord) -> QuadPoly:
         total = QuadPoly.zero()
+        for _, _, _, total in self.prefixes(w):
+            pass
+        return total
+
+    def prefixes(self, w: FreeWord):
+        """Yield (name, exp, rho(P), chi(P)) after each letter of w, P the
+        prefix through that letter."""
+        total = QuadPoly.zero()
         prefix = MoebiusMap.identity()
         for name, exp in w:
             m = self.base.images[name]
@@ -132,7 +140,7 @@ class Cocycle:
                 term = -1 * adjoint_action(mi, self.values[name])
                 total = total + adjoint_action(prefix, term)
                 prefix = prefix @ mi
-        return total
+            yield name, exp, prefix, total
 
     def evaluate_ring(self, x: GroupRingElement) -> QuadPoly:
         total = QuadPoly.zero()

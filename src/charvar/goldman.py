@@ -8,6 +8,7 @@ Closed surfaces:
 and for orbifold signatures two more sums: the marked-generator Fox terms
 (dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
+All the chi1(# dR/dx) come from one walk of the relator (see _pairing).
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -20,8 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .cocycles import Cocycle, Representation, solve_local_coboundary
-from .sl2 import QuadPoly, adjoint_action, killing
-from .words import FreeWord, GoldmanSchedule, GroupRingElement, fox_derivative, prefix_products
+from .sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
+from .words import FreeWord, GoldmanSchedule, relator
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
 CUP_SIGN = +1
@@ -59,19 +60,29 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
         warnings.warn("representation is visibly reducible (common fixed point); "
                       "the pairing may be degenerate", RuntimeWarning, stacklevel=3)
     sig = rho.signature
-    R = prefix_products(sig)
-    Rword = R[-1]
+    Rword = relator(sig)
+    # one walk of R = x_1 ... x_L carrying rho(P_j) and c_j = chi1(P_j):
+    # dR/dx collects P_{j-1} at x_j = x and -P_j at x_j = x^-1, and
+    # chi1(P^-1) = -Ad(rho(P)^-1) chi1(P) evaluates their # images
+    sharp = {gen: QuadPoly.zero() for gen in sig.generators}
+    prefix, c = MoebiusMap.identity(), QuadPoly.zero()
+    for name, exp, next_prefix, next_c in chi1.prefixes(Rword):
+        if exp == 1:
+            sharp[name] = sharp[name] - adjoint_action(prefix.inverse(), c)
+        else:
+            sharp[name] = sharp[name] + adjoint_action(next_prefix.inverse(), next_c)
+        prefix, c = next_prefix, next_c
+    chi1_relator = c
+
     total = 0j
     for k in range(1, sig.g + 1):
         for gen in (f"a{k}", f"b{k}"):
-            sharp = fox_derivative(Rword, gen).anti_involution()
-            total -= killing(chi1.evaluate_ring(sharp), chi2(sig.gen(gen)))
+            total -= killing(sharp[gen], chi2.values[gen])
 
     report = PairingReport(value=0j)
     for i in range(1, sig.num_marked + 1):
         gen = f"c{i}"
-        sharp = GroupRingElement.from_word(R[sig.g + i - 1].inverse())  # = # dR/dc_i
-        total -= killing(chi1.evaluate_ring(sharp), chi2(sig.gen(gen)))
+        total -= killing(sharp[gen], chi2.values[gen])  # # dR/dc_i = R_{g+i-1}^-1
         solve = solve_local_coboundary(rho, chi2, sig.gen(gen), tol=local_tol)
         total -= killing(chi1(sig.gen(gen).inverse()), solve.poly)
         report.p2[gen] = solve.poly
@@ -79,7 +90,7 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
         report.kernel_dims[gen] = solve.kernel_dim
 
     report.value = total
-    report.relator_residuals = (chi1(Rword).norm(), chi2(Rword).norm())
+    report.relator_residuals = (chi1_relator.norm(), chi2(Rword).norm())
     report.scale = max(1e-300, chi1.norm() * chi2.norm())
     return report
 

@@ -175,11 +175,14 @@ def matrix_to_poly(X) -> QuadPoly:
     X = np.asarray(X, dtype=complex)
     if X.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    scale = max(np.max(np.abs(X)), 1e-300)
-    if abs(X[0, 0] + X[1, 1]) > 1e-10 * scale:
-        raise ValueError(f"matrix is not traceless: trace = {X[0, 0] + X[1, 1]}")
-    a, b, c = X[0, 0], X[0, 1], X[1, 0]
-    return QuadPoly(-b, -2 * a, c)
+    return _traceless_to_poly((X[0, 0], X[0, 1], X[1, 0], X[1, 1]))
+
+
+def _traceless_to_poly(x: Mat2) -> QuadPoly:
+    scale = max(mat_norm(x), 1e-300)
+    if abs(x[0] + x[3]) > 1e-10 * scale:
+        raise ValueError(f"matrix is not traceless: trace = {x[0] + x[3]}")
+    return QuadPoly(-x[1], -2 * x[0], x[2])
 
 
 def poly_to_matrix(P: QuadPoly) -> np.ndarray:
@@ -202,9 +205,8 @@ def adjoint_action(g: MoebiusMap, P: QuadPoly) -> QuadPoly:
     q2 = P.p0 * c * c - P.p1 * c * d + P.p2 * d * d
     out = QuadPoly(q0, q1, q2)
 
-    X = poly_to_matrix(P)
-    gm = np.array([[a, b], [c, d]], dtype=complex)
-    conj = matrix_to_poly(gm @ X @ np.array([[d, -b], [-c, a]], dtype=complex))
+    X = (-P.p1 / 2, -P.p0, P.p2, P.p1 / 2)  # poly_to_matrix(P), row-major
+    conj = _traceless_to_poly(mat_mul(mat_mul((a, b, c, d), X), (d, -b, -c, a)))
     # both paths cancel through intermediates of size ~ |g|^2 |P|; that is the
     # magnitude roundoff is relative to
     gn = max(abs(a), abs(b), abs(c), abs(d))

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -25,50 +27,74 @@ def make_genus1_rep(seed=0) -> Representation:
 def make_genus2_rep(seed=11) -> Representation:
     """Exact genus-2 representation: pick A1, B1 at random and solve
     [A2, B2] = [A1, B1]^{-1} (trace matching plus a conjugation solve)."""
+    return make_closed_rep(2, seed)
+
+
+def near_identity_sl2(rng, scale=0.3) -> MoebiusMap:
+    """exp of a random traceless matrix with entries of size ~scale."""
+    x = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    d = cmath.sqrt(x[0] * x[0] + x[1] * x[2])
+    s = cmath.sinh(d) / d
+    return MoebiusMap(cmath.cosh(d) + s * x[0], s * x[1], s * x[2],
+                      cmath.cosh(d) - s * x[0], normalize=False)
+
+
+def make_closed_rep(g, seed=11, draw=rand_sl2) -> Representation:
+    """Exact genus-g representation: handles 1..g-1 from ``draw``, the last
+    handle solved from [A_g, B_g] = (prod_{k<g} [A_k, B_k])^{-1}."""
     rng = np.random.default_rng(seed)
     while True:
-        A1, B1 = rand_sl2(rng), rand_sl2(rng)
-        W = (A1 @ B1 @ A1.inverse() @ B1.inverse()).inverse()
-        Wm = np.array([[W.a, W.b], [W.c, W.d]])
-        D = Wm - np.eye(2)
-        if abs(D[1, 1]) < 0.2:
-            continue
-        B2m = None
-        for _ in range(40):
-            x11, x12, x21 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            x22 = -(D[0, 0] * x11 + D[0, 1] * x21 + D[1, 0] * x12) / D[1, 1]
-            X = np.array([[x11, x12], [x21, x22]])
-            det = np.linalg.det(X)
-            if abs(det) > 0.1:
-                B2m = X / np.sqrt(det)
-                break
-        if B2m is None:
-            continue
-        B2p = Wm @ B2m
-        M = np.zeros((4, 4), dtype=complex)  # A2 B2 - B2' A2 = 0, row per entry
-        for i in range(2):
-            for j in range(2):
-                r = 2 * i + j
-                for k in range(2):
-                    M[r, 2 * i + k] += B2m[k, j]
-                    M[r, 2 * k + j] -= B2p[i, k]
-        _, s, vh = np.linalg.svd(M)
-        null = vh[s < 1e-8 * s[0]].conj()
-        if null.shape[0] == 0:
-            continue
-        for _ in range(40):
-            co = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
-            A2m = (co @ null).reshape(2, 2)
-            det = np.linalg.det(A2m)
-            if abs(det) > 0.1:
-                A2m = A2m / np.sqrt(det)
-                rho = Representation(Signature(2), {
-                    "a1": A1, "b1": B1,
-                    "a2": MoebiusMap(A2m[0, 0], A2m[0, 1], A2m[1, 0], A2m[1, 1]),
-                    "b2": MoebiusMap(B2m[0, 0], B2m[0, 1], B2m[1, 0], B2m[1, 1]),
-                })
-                if rho.relator_residual() < 1e-12:
-                    return rho
+        images = {}
+        W = MoebiusMap.identity()
+        for k in range(1, g):
+            A, B = draw(rng), draw(rng)
+            images[f"a{k}"], images[f"b{k}"] = A, B
+            W = W @ A @ B @ A.inverse() @ B.inverse()
+        for A, B in _closing_handles(W.inverse(), rng):
+            images[f"a{g}"], images[f"b{g}"] = A, B
+            rho = Representation(Signature(g), dict(images))
+            if rho.relator_residual() < 1e-12:
+                return rho
+
+
+def _closing_handles(W, rng):
+    """Candidate pairs (A, B) with [A, B] = W; none when this draw is badly
+    conditioned."""
+    Wm = np.array([[W.a, W.b], [W.c, W.d]])
+    D = Wm - np.eye(2)
+    if abs(D[1, 1]) < 0.2:
+        return
+    B2m = None
+    for _ in range(40):
+        x11, x12, x21 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x22 = -(D[0, 0] * x11 + D[0, 1] * x21 + D[1, 0] * x12) / D[1, 1]
+        X = np.array([[x11, x12], [x21, x22]])
+        det = np.linalg.det(X)
+        if abs(det) > 0.1:
+            B2m = X / np.sqrt(det)
+            break
+    if B2m is None:
+        return
+    B2p = Wm @ B2m
+    M = np.zeros((4, 4), dtype=complex)  # A2 B2 - B2' A2 = 0, row per entry
+    for i in range(2):
+        for j in range(2):
+            r = 2 * i + j
+            for k in range(2):
+                M[r, 2 * i + k] += B2m[k, j]
+                M[r, 2 * k + j] -= B2p[i, k]
+    _, s, vh = np.linalg.svd(M)
+    null = vh[s < 1e-8 * s[0]].conj()
+    if null.shape[0] == 0:
+        return
+    for _ in range(40):
+        co = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
+        A2m = (co @ null).reshape(2, 2)
+        det = np.linalg.det(A2m)
+        if abs(det) > 0.1:
+            A2m = A2m / np.sqrt(det)
+            yield (MoebiusMap(A2m[0, 0], A2m[0, 1], A2m[1, 0], A2m[1, 1]),
+                   MoebiusMap(B2m[0, 0], B2m[0, 1], B2m[1, 0], B2m[1, 1]))
 
 
 def thrice_punctured_rep() -> Representation:

@@ -204,3 +204,71 @@ def test_monodromy_nan_drift_is_a_failure(capsys, tmp_path, monkeypatch):
     code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
     assert code == 2
     assert rep["wronskian_drift"] == "nan"
+
+
+def _bundle_path(tmp_path, rho, seed):
+    rng = np.random.default_rng(seed)
+    bundle = {"representation": representation_out(rho),
+              "cocycle1": cocycle_out(random_parabolic_cocycle(rho, rng)),
+              "cocycle2": cocycle_out(random_parabolic_cocycle(rho, rng))}
+    path = tmp_path / "bundle.json"
+    path.write_text(dumps_deterministic(bundle))
+    return path, bundle
+
+
+def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2_rep):
+    # the report's relator residuals are the pairing's own walk of R; they
+    # must be bit for bit what verify_cocycle's separate walk gives
+    from charvar import __version__
+    from charvar.cocycles import verify_cocycle
+    from charvar.goldman import goldman_closed
+    from charvar.serialize import cocycle_in, complex_out
+    path, bundle = _bundle_path(tmp_path, genus2_rep, 3)
+    assert main(["goldman", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    rho = representation_in(bundle["representation"])
+    chi1 = cocycle_in(bundle["cocycle1"], rho)
+    chi2 = cocycle_in(bundle["cocycle2"], rho)
+    want = {"config": {"signature": bundle["representation"]["signature"]},
+            "tolerances": {"local": 1e-6},
+            "representation_relator_residual": rho.relator_residual(),
+            "value": complex_out(goldman_closed(rho, chi1, chi2)),
+            "residuals": {"chi1_relator": verify_cocycle(rho, chi1).relator_residual,
+                          "chi2_relator": verify_cocycle(rho, chi2).relator_residual},
+            "p2_list": {}, "version": __version__}
+    assert out == dumps_deterministic(want) + "\n"
+
+
+def test_sl2_disagreement_is_reported(capsys, tmp_path, monkeypatch, genus2_rep):
+    # no input makes the two adjoint-action paths disagree: inject it
+    import charvar.sl2 as sl2
+    path, _ = _bundle_path(tmp_path, genus2_rep, 4)
+    to_poly = sl2._traceless_to_poly
+    monkeypatch.setattr(sl2, "_traceless_to_poly",
+                        lambda x: to_poly(x) + sl2.QuadPoly(1e-6, 0, 0))
+    code, rep = run_cli(capsys, "goldman", "--input", str(path))
+    assert code == 2
+    assert rep["error"].startswith("ArithmeticError: adjoint action paths disagree")
+
+
+def test_lambda_check_zero_division_is_reported(capsys, monkeypatch):
+    # a critical point of f exactly on a quadrature node: injected (the
+    # package's ``schwarzian`` attribute is the function, not the module)
+    import importlib
+    schwarzian = importlib.import_module("charvar.schwarzian")
+
+    def critical(*args, **kwargs):
+        raise ZeroDivisionError("critical point of f on integration path")
+
+    monkeypatch.setattr(schwarzian, "_moment_integrals", critical)
+    code, rep = run_cli(capsys, "lambda-check")
+    assert code == 2
+    assert rep["error"] == "ZeroDivisionError: critical point of f on integration path"
+
+
+def test_lambda_check_empty_samples_is_input_error(capsys):
+    # a parabolic gamma used to divide by len(samples) == 0
+    code, rep = run_cli(capsys, "lambda-check", "--json",
+                        '{"gamma": [[1, 0], [1, 0], [0, 0], [1, 0]], "samples": []}')
+    assert code == 1
+    assert "samples" in rep["error"]

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import make_genus1_rep, make_genus2_rep, rand_sl2, thrice_punctured_rep
+from conftest import (make_closed_rep, make_genus1_rep, make_genus2_rep, near_identity_sl2,
+                      rand_sl2, thrice_punctured_rep)
 from charvar.cocycles import (Cocycle, coboundary, local_kernel_basis,
-                              random_parabolic_cocycle, random_quadpoly)
+                              random_parabolic_cocycle, random_quadpoly,
+                              solve_local_coboundary)
 from charvar.goldman import (CUP_SIGN, _pairing, cup_product_on_chain,
                              goldman_closed, goldman_orbifold)
 from charvar.sl2 import adjoint_action, killing
-from charvar.words import fundamental_class_chain
+from charvar.words import fox_derivative, fundamental_class_chain, relator
 
 
 def _scale(chi1, chi2, value=0j):
@@ -174,3 +176,61 @@ class TestOrbifold:
         assert set(d) >= {"value", "p2_list", "local_residuals", "kernel_dims",
                           "relator_residuals", "cup_sign"}
         assert sorted(d["p2_list"]) == ["c1", "c2", "c3", "c4"]
+
+
+def _fox_reference(rho, chi1, chi2, local_tol=1e-6):
+    """The Goldman sum as Fox calculus writes it: each # dR/dgen built as a
+    group-ring element and evaluated word by word."""
+    sig = rho.signature
+    R = relator(sig)
+    total = 0j
+    for gen in sig.generators:
+        sharp = fox_derivative(R, gen).anti_involution()
+        total -= killing(chi1.evaluate_ring(sharp), chi2(sig.gen(gen)))
+        if gen.startswith("c"):
+            solve = solve_local_coboundary(rho, chi2, sig.gen(gen), tol=local_tol)
+            total -= killing(chi1(sig.gen(gen).inverse()), solve.poly)
+    return total
+
+
+class TestPrefixScan:
+    # criterion 3's representations and one at genus 8
+    @pytest.mark.parametrize("which", ["genus2", "orb3", "genus8"])
+    def test_matches_fox_reference(self, which, orb3_rep):
+        rho = {"genus2": lambda: make_genus2_rep(101), "orb3": lambda: orb3_rep,
+               "genus8": lambda: make_closed_rep(8, 3, near_identity_sl2)}[which]()
+        rng = np.random.default_rng(21)
+        chis = [random_parabolic_cocycle(rho, rng) for _ in range(4)]
+        for chi1 in chis:
+            for chi2 in chis:
+                rep = _pairing(rho, chi1, chi2)
+                want = _fox_reference(rho, chi1, chi2)
+                assert abs(rep.value - want) <= 1e-12 * _scale(chi1, chi2, want)
+                R = relator(rho.signature)
+                assert rep.relator_residuals == (chi1(R).norm(), chi2(R).norm())
+                for i in range(1, rho.signature.num_marked + 1):
+                    gen = f"c{i}"
+                    solve = solve_local_coboundary(rho, chi2, rho.signature.gen(gen))
+                    assert rep.p2[gen] == solve.poly
+                    assert rep.local_residuals[gen] == solve.residual
+                    assert rep.kernel_dims[gen] == solve.kernel_dim
+
+    @pytest.mark.parametrize("g", [2, 8])
+    def test_adjoint_actions_per_closed_pairing(self, g, monkeypatch):
+        import charvar.cocycles as cocycles
+        import charvar.goldman as goldman
+        rho = make_closed_rep(g, 3, near_identity_sl2)
+        rng = np.random.default_rng(22)
+        chi1 = random_parabolic_cocycle(rho, rng)
+        chi2 = random_parabolic_cocycle(rho, rng)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return adjoint_action(*args)
+
+        for mod in (cocycles, goldman):
+            monkeypatch.setattr(mod, "adjoint_action", counted)
+        goldman_closed(rho, chi1, chi2)
+        # 6g walking chi1 along R, 4g for the # images, 6g for chi2(R)
+        assert len(calls) == 16 * g

@@ -137,3 +137,36 @@ def test_project_traceless():
     X = np.array([[1 + 1j, 2], [3, 5 - 1j]])
     Y = project_traceless(X)
     assert abs(Y[0, 0] + Y[1, 1]) < 1e-15
+
+
+def _numpy_conjugation(g, P):
+    gm = np.array([[g.a, g.b], [g.c, g.d]])
+    return matrix_to_poly(gm @ poly_to_matrix(P) @ np.linalg.inv(gm))
+
+
+def test_adjoint_matches_numpy_conjugation():
+    # random SL2 elements, stretched by diag(s, 1/s) and a shear so that
+    # entries reach ~1e2
+    rng = np.random.default_rng(8)
+    biggest = 0.0
+    for _ in range(300):
+        s = 10 ** rng.uniform(0, 0.5)
+        t = 10 ** rng.uniform(-1, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        g = rand_sl2(rng) @ MoebiusMap(s, 0, 0, 1 / s, normalize=False) \
+            @ MoebiusMap(1, t, 0, 1, normalize=False)
+        P = QuadPoly(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+        gn = max(abs(e) for e in g.tuple())
+        biggest = max(biggest, gn)
+        got = adjoint_action(g, P)
+        want = _numpy_conjugation(g, P)
+        assert (got - want).norm() <= 1e-12 * max(got.norm(), P.norm(), 1.0) * gn * gn
+    assert 50 < biggest < 1e3
+
+
+def test_adjoint_path_disagreement_raises(monkeypatch):
+    import charvar.sl2 as sl2
+    to_poly = sl2._traceless_to_poly
+    monkeypatch.setattr(sl2, "_traceless_to_poly",
+                        lambda x: to_poly(x) + QuadPoly(1e-9, 0, 0))
+    with pytest.raises(ArithmeticError, match="adjoint action paths disagree"):
+        adjoint_action(MoebiusMap(1, 1, 0, 1), QuadPoly(0, 0, 1))
