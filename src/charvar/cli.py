@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
 from .cocycles import CocycleNotParabolicError
 from .goldman import _pairing
 from .monodromy import IntegrationError, MonodromyEngine, OrderingError
-from .schwarzian import (check_identities, exp_provider, moebius_provider,
-                         poly_provider, solve_lambda_report)
+from .schwarzian import (QuadratureError, check_identities, exp_provider,
+                         moebius_provider, nan_max, poly_provider,
+                         solve_lambda_report)
 from .serialize import (cocycle_in, complex_in, dumps_deterministic,
                         moebius_in, representation_in, representation_out,
                         signature_in, sphere_in, sphere_out)
@@ -62,6 +64,8 @@ def _tolerances(args, defaults: dict) -> dict:
         if k not in tols:
             raise InputError(f"unknown tolerance {k!r}; known: {sorted(tols)}")
         tols[k] = float(v)
+        if not math.isfinite(tols[k]):
+            raise InputError(f"tolerance {k} must be finite, got {v!r}")
     return tols
 
 
@@ -150,12 +154,16 @@ def _cmd_lambda_check(args) -> int:
     order = int(cfg.get("order", 8))
     residuals = check_identities(f, P, gamma, samples, order=order,
                                  seed=int(cfg.get("seed", 7)))
-    solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),
-                                (0, 0, 0))
+    report = {"config": cfg, "tolerances": tols, "residuals": residuals}
+    try:
+        solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),
+                                    (0, 0, 0))
+    except QuadratureError as e:
+        report["error"] = str(e)
+        return _emit(report, args, 2)
     residuals["lambda4_solver"] = solve.residual
-    worst = max(residuals.values())
-    report = {"config": cfg, "tolerances": tols, "residuals": residuals,
-              "max_residual": worst}
+    worst = nan_max(*residuals.values())
+    report["max_residual"] = worst
     return _emit(report, args, 0 if worst <= max(tols.values()) else 2)
 
 
@@ -254,14 +262,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(dumps_deterministic({"error": str(e), "version": __version__}))
-        return 1
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # InputError included
         print(dumps_deterministic({"error": str(e), "version": __version__}))
         return 1
     except ArithmeticError as e:
-        # numerical failure (sl2 path disagreement, division by zero): exit 2
+        # numerical failure (a non-finite pairing, division by zero): exit 2
         print(dumps_deterministic({"error": f"{type(e).__name__}: {e}", "version": __version__}))
         return 2
 

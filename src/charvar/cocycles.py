@@ -186,6 +186,9 @@ def solve_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord,
     g = rho.image(gamma)
     M = ad_matrix(g) - np.eye(3)
     rhs = chi(gamma).vector()
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        # LAPACK would fail on it and print to stdout
+        raise ArithmeticError(f"non-finite local system at {gamma}")
     sol, _, rank, svals = np.linalg.lstsq(M, rhs, rcond=_RCOND)
     kernel_dim = 3 - int(rank)
     residual = float(np.linalg.norm(M @ sol - rhs))
@@ -215,15 +218,6 @@ class CocycleReport:
     @property
     def parabolic(self) -> bool:
         return not self.local_failures
-
-    def as_dict(self) -> dict:
-        return {
-            "relator_residual": self.relator_residual,
-            "scale": self.scale,
-            "local_residuals": {k: v.residual for k, v in self.local.items()},
-            "local_kernel_dims": {k: v.kernel_dim for k, v in self.local.items()},
-            "local_failures": dict(self.local_failures),
-        }
 
 
 def verify_cocycle(rho: Representation, chi: Cocycle, local_tol: float = 1e-6) -> CocycleReport:
@@ -365,11 +359,10 @@ def parabolic_parameter_basis(rho: Representation) -> tuple[np.ndarray, np.ndarr
     return P, N
 
 
-def random_parabolic_cocycle(rho: Representation, rng,
-                             normalize: bool = True) -> Cocycle:
-    """A random exact cocycle whose restriction to every marked generator is a
-    local coboundary by construction.  For closed signatures this is simply a
-    random element of Z^1."""
+def random_parabolic_cocycle(rho: Representation, rng) -> Cocycle:
+    """A random exact cocycle of norm 1 whose restriction to every marked
+    generator is a local coboundary by construction.  For closed signatures
+    this is simply a random element of Z^1."""
     P, N = parabolic_parameter_basis(rho)
     if N.shape[1] == 0:
         raise ValueError("representation admits no nonzero parabolic cocycles")
@@ -381,7 +374,7 @@ def random_parabolic_cocycle(rho: Representation, rng,
         chi = Cocycle(rho, values)
         nrm = chi.norm()
         if nrm > 1e-8:
-            return chi * (1.0 / nrm) if normalize else chi
+            return chi * (1.0 / nrm)
     raise RuntimeError("failed to sample a nonzero cocycle")
 
 

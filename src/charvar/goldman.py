@@ -17,6 +17,7 @@ the conventions here the two paths agree with global sign +1 (CUP_SIGN):
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,6 +92,9 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
 
     report.value = total
     report.relator_residuals = (chi1_relator.norm(), chi2(Rword).norm())
+    if not all(map(math.isfinite, (total.real, total.imag, *report.relator_residuals))):
+        raise ArithmeticError(f"non-finite Goldman pairing {total} "
+                              f"(relator residuals {report.relator_residuals})")
     report.scale = max(1e-300, chi1.norm() * chi2.norm())
     return report
 

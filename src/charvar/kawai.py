@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cocycles import (Cocycle, Representation, reduce_by_coboundary,
-                       tangent_cocycle, verify_cocycle)
+                       tangent_cocycle)
 from .goldman import goldman_orbifold
 from .monodromy import (MonodromyEngine, SphereData, build_potential,
                         potential_tangent)
 from .sl2 import Mat2, MoebiusMap
+from .words import relator
 
 
 @dataclass(frozen=True)
@@ -182,13 +183,14 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
     cocycles: list[Cocycle] = []
     drifts: dict[str, float] = {}
     relres: dict[str, float] = {}
+    R = relator(rho.signature)
     for lab, dimages in zip(labels, derivatives):
         chi = tangent_cocycle(rho, dimages)
         # the class is unchanged; the pairing sums are far better conditioned
         cocycles.append(reduce_by_coboundary(chi))
         drifts[lab] = max(_abs_trace_rate(rho.images[g], dimages[g])
                           for g in rho.signature.generators)
-        relres[lab] = verify_cocycle(rho, chi).relator_residual / max(1.0, chi.norm())
+        relres[lab] = chi(R).norm() / max(1.0, chi.norm())
 
     n = len(directions)
     omega = [[0j] * n for _ in range(n)]

@@ -212,9 +212,16 @@ def _circle(center: complex, radius: float, start_angle: float, n: int,
             for k in range(n + 1)]
 
 
+#: the loop around infinity runs on a circle this many times the spread of
+#: the points and the base point about their centre
+_BIG_RADIUS_FACTOR = 2.4
+#: every lasso keeps at least this fraction of the smallest point gap from
+#: every marked point but its own, or OrderingError
+_CLEARANCE_FACTOR = 0.05
+
+
 def build_lassos(data: SphereData, arc_segments: int = 16,
-                 radius_factor: float = 0.3, big_radius_factor: float = 2.4,
-                 clearance_factor: float = 0.05) -> tuple[list, list[LoopPath]]:
+                 radius_factor: float = 0.3) -> tuple[list, list[LoopPath]]:
     """Lassos in base-point ordering: finite points by increasing argument of
     p - z_b, then infinity through the largest angular gap.  Polylines are
     frozen objects; families reuse them unchanged."""
@@ -237,8 +244,8 @@ def build_lassos(data: SphereData, arc_segments: int = 16,
         paths.append(LoopPath(tuple(verts), i))
 
     centre = sum(data.points) / len(data.points)
-    rbig = big_radius_factor * max(max(abs(p - centre) for p in data.points),
-                                   abs(zb - centre), 1e-6)
+    rbig = _BIG_RADIUS_FACTOR * max(max(abs(p - centre) for p in data.points),
+                                    abs(zb - centre), 1e-6)
     wrap_gap_angle = (angles[-1] + angles[0] + 2 * math.pi) / 2
     exit_dir = cmath.exp(1j * wrap_gap_angle)
     lo, hi = 0.0, 8 * rbig
@@ -254,7 +261,7 @@ def build_lassos(data: SphereData, arc_segments: int = 16,
                                     clockwise=True)[1:] + [zb]
     paths.append(LoopPath(tuple(verts), "inf"))
 
-    min_clear = clearance_factor * gap
+    min_clear = _CLEARANCE_FACTOR * gap
     for path in paths:
         c = path.min_clearance(data.points)
         if c < min_clear:
@@ -433,11 +440,10 @@ class MonodromyEngine:
     families over perturbed data compare identical homotopy classes."""
 
     def __init__(self, data: SphereData, arc_segments: int = 16,
-                 radius_factor: float = 0.3, clearance_factor: float = 0.05):
+                 radius_factor: float = 0.3):
         self.data = data
         self.order, self.paths = build_lassos(
-            data, arc_segments=arc_segments, radius_factor=radius_factor,
-            clearance_factor=clearance_factor)
+            data, arc_segments=arc_segments, radius_factor=radius_factor)
         self.signature = self._signature(data)
 
     def _signature(self, data: SphereData) -> Signature:

@@ -175,6 +175,12 @@ def _rel(diff: float, *scales: float) -> float:
     return diff / max(1.0, *scales)
 
 
+def nan_max(*values: float) -> float:
+    """max() that keeps a NaN: a residual that came out NaN is the worst one,
+    where max() would keep whichever operand came first."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
                      samples: Sequence[complex], order: int = DEFAULT_ORDER,
                      seed: int = 7) -> dict[str, float]:
@@ -225,8 +231,8 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         Pf = quadpoly_jet(P, fj.value, order).compose(fj)
         Fj = Pf * fj.derivative().truncate(Pf.order).reciprocal()
         out = lambda_apply(qj.truncate(Fj.order - 3), Fj)
-        res["lambda1"] = max(res["lambda1"],
-                             _rel(out.norm(), Fj.norm() * (1 + qj.norm())))
+        res["lambda1"] = nan_max(res["lambda1"],
+                                 _rel(out.norm(), Fj.norm() * (1 + qj.norm())))
 
         # Lambda2: Lambda_{S(f)}((h o f)/f') = (Lambda_0 h) o f * (f')^2
         hj = Jet.from_polynomial(h_coeffs, fj.value, order)
@@ -235,9 +241,9 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         h3 = hj.derivative().derivative().derivative()
         rhs = h3.compose(fj.truncate(h3.order)) * fj.derivative() * fj.derivative()
         n = min(lhs.order, rhs.order)
-        res["lambda2"] = max(res["lambda2"],
-                             _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                  lhs.norm(), rhs.norm()))
+        res["lambda2"] = nan_max(res["lambda2"],
+                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
+                                      lhs.norm(), rhs.norm()))
 
         # Lambda3: Lambda_q((F o gamma)/gamma') = Lambda_q(F) o gamma (gamma')^2
         gj = moebius_jet(gamma, zs, order + 1)
@@ -249,9 +255,9 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         LF = lambda_apply(qw, Jet.from_polynomial(F_coeffs, gj.value, order))
         rhs = LF.compose(gj.truncate(LF.order)) * dg * dg
         n = min(lhs.order, rhs.order)
-        res["lambda3"] = max(res["lambda3"],
-                             _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                  lhs.norm(), rhs.norm()))
+        res["lambda3"] = nan_max(res["lambda3"],
+                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
+                                      lhs.norm(), rhs.norm()))
 
         # Lambda5: (B_q[F,G])' = Lambda_q(F) G + F Lambda_q(G)
         qp = Jet.from_polynomial(q_coeffs, zs, order)
@@ -261,9 +267,9 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         rhs = lambda_apply(qp, Fp) * Gp.truncate(order - 3) \
             + Fp.truncate(order - 3) * lambda_apply(qp, Gp)
         n = min(lhs.order, rhs.order)
-        res["lambda5"] = max(res["lambda5"],
-                             _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                  lhs.norm(), rhs.norm()))
+        res["lambda5"] = nan_max(res["lambda5"],
+                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
+                                      lhs.norm(), rhs.norm()))
 
         # B1: B_{S(f1)}[F,G] o f2 = B_{S(f1 o f2)}[(F o f2)/f2', (G o f2)/f2']
         f2j = Jet.from_polynomial(f2_coeffs, zs, order)
@@ -281,9 +287,9 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         n = min(lhs.order, rhs.order)
         # relative to the operand that feeds the composition: that is where
         # the cancellation happens for steep outer maps
-        res["b1"] = max(res["b1"],
-                        _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                             lhs.norm(), rhs.norm(), B_at_w.norm()))
+        res["b1"] = nan_max(res["b1"],
+                            _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
+                                 lhs.norm(), rhs.norm(), B_at_w.norm()))
 
         # B2: B_q[F,G] o gamma = B_q[(F o gamma)/gamma', (G o gamma)/gamma']
         Fw = Jet.from_polynomial(F_coeffs, gj.value, order)
@@ -294,13 +300,13 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         Gc = Gw.compose(gj.truncate(order)) * dg.truncate(order).reciprocal()
         rhs = b_apply(qz, Fc, Gc)
         n = min(lhs.order, rhs.order)
-        res["b2"] = max(res["b2"],
-                        _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                             lhs.norm(), rhs.norm()))
+        res["b2"] = nan_max(res["b2"],
+                            _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
+                                 lhs.norm(), rhs.norm()))
 
         # B3 (pointwise): B[F,G] - B[F,G] o iota conj(iota') = B[F, H]
-        res["b3"] = max(res["b3"], _b3_residual(iota_pot, iota, F_coeffs, G_coeffs,
-                                                zs, order))
+        res["b3"] = nan_max(res["b3"], _b3_residual(iota_pot, iota, F_coeffs, G_coeffs,
+                                                    zs, order))
     return res
 
 

@@ -7,6 +7,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -22,9 +23,12 @@ def complex_out(z: complex) -> list[float]:
 
 
 def complex_in(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(float(v[0]), float(v[1]))
+    """The one entry point of every number read from JSON; NaN and infinity
+    are input errors."""
+    z = complex(v) if isinstance(v, (int, float)) else complex(float(v[0]), float(v[1]))
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite number {v!r}")
+    return z
 
 
 def poly_out(p: QuadPoly) -> list[list[float]]:

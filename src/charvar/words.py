@@ -236,9 +236,6 @@ class GroupRingElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def anti_involution(self) -> "GroupRingElement":
         """The natural anti-involution #: sum n_j g_j -> sum n_j g_j^-1."""
         out: dict[FreeWord, int] = {}

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import orb3_data
 from charvar.cli import main
@@ -239,16 +240,91 @@ def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2
     assert out == dumps_deterministic(want) + "\n"
 
 
-def test_sl2_disagreement_is_reported(capsys, tmp_path, monkeypatch, genus2_rep):
-    # no input makes the two adjoint-action paths disagree: inject it
-    import charvar.sl2 as sl2
-    path, _ = _bundle_path(tmp_path, genus2_rep, 4)
-    to_poly = sl2._traceless_to_poly
-    monkeypatch.setattr(sl2, "_traceless_to_poly",
-                        lambda x: to_poly(x) + sl2.QuadPoly(1e-6, 0, 0))
-    code, rep = run_cli(capsys, "goldman", "--input", str(path))
+def _set(bundle, path, value):
+    bundle = json.loads(json.dumps(bundle))
+    node = bundle
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(bundle)
+
+
+def test_goldman_non_finite_pairing_is_reported(capsys, tmp_path, genus2_rep):
+    # a finite coefficient of 1e308 overflows the sums: a numerical failure
+    _, bundle = _bundle_path(tmp_path, genus2_rep, 4)
+    code, rep = run_cli(capsys, "goldman", "--json",
+                        _set(bundle, ["cocycle1", "values", "a1", 0], [1e308, 0]))
     assert code == 2
-    assert rep["error"].startswith("ArithmeticError: adjoint action paths disagree")
+    assert rep["error"].startswith("ArithmeticError: non-finite Goldman pairing")
+
+
+@pytest.mark.parametrize("path, value", [
+    (["cocycle1", "values", "a1", 0], [float("nan"), 0]),
+    (["cocycle2", "values", "b2", 1], [0, float("inf")]),
+    (["representation", "images", "a1", 0], [float("nan"), 0]),
+    (["representation", "images", "b1", 3], [float("-inf"), 0]),
+], ids=["cocycle-nan", "cocycle-inf", "representation-nan", "representation-inf"])
+def test_goldman_non_finite_input_is_input_error(capsys, tmp_path, genus2_rep, path, value):
+    _, bundle = _bundle_path(tmp_path, genus2_rep, 4)
+    code, rep = run_cli(capsys, "goldman", "--json", _set(bundle, path, value))
+    assert code == 1
+    assert "non-finite number" in rep["error"]
+
+
+def test_goldman_non_finite_local_system_is_reported(capfd, tmp_path, orb3_rep):
+    # an image entry of 1e308 overflows Ad rho(c1); handed to LAPACK, the
+    # local solve printed to stdout and exited 1
+    _, bundle = _bundle_path(tmp_path, orb3_rep, 4)
+    code = main(["goldman", "--json",
+                 _set(bundle, ["representation", "images", "c1", 0], [1e308, 0])])
+    rep = json.loads(capfd.readouterr().out)
+    assert code == 2
+    assert rep["error"] == "ArithmeticError: non-finite local system at c1"
+
+
+def test_nan_tolerance_is_input_error(capsys, tmp_path, genus2_rep):
+    # local=nan would pass every local residual (residual > nan is False)
+    path, _ = _bundle_path(tmp_path, genus2_rep, 4)
+    code, rep = run_cli(capsys, "goldman", "--input", str(path), "--tol", "local=nan")
+    assert code == 1
+    assert "must be finite" in rep["error"]
+
+
+SPHERE = {"points": [[0, 0], [1, 0], [0.3, 0.4]], "orders": [None, None, None],
+          "accessory": [[0.2, 0.1]], "base_point": [0.5, -1.5]}
+NAN_POINT = dict(SPHERE, points=[[0, 0], [1, 0], [float("nan"), 0.4]])
+VELOCITY = [{"velocities": [[0, 0], [0, 0], [1, 0]]}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-check", "--json", '{"gamma": [[NaN, 0], [1, 0], [1, 0], [2, 0]]}'],
+    ["monodromy", "--json", json.dumps(NAN_POINT)],
+    ["kawai", "--json", json.dumps({"sphere": NAN_POINT, "t_directions": VELOCITY})],
+    ["kawai", "--json", json.dumps({"sphere": SPHERE, "t_directions": [
+        {"velocities": [[0, 0], [0, 0], [float("nan"), 0]]}]})],
+], ids=["lambda-gamma", "monodromy-point", "kawai-point", "kawai-velocity"])
+def test_nan_input_is_input_error(capsys, argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 1
+    assert "non-finite number" in rep["error"]
+
+
+def test_lambda_check_nan_residual_fails(capsys):
+    # some samples' lambda3/b2 residuals come out NaN; max() used to drop them
+    code, rep = run_cli(capsys, "lambda-check", "--json",
+                        '{"gamma": [[1e150, 0], [1, 0], [1, 0], [2e-150, 0]]}')
+    assert code == 2
+    assert rep["residuals"]["lambda3"] == rep["residuals"]["b2"] == "nan"
+    assert rep["max_residual"] == "nan"
+
+
+def test_lambda_check_quadrature_error_is_reported(capsys):
+    # f = z^2 has a critical point at the solver's start point 0
+    code, rep = run_cli(capsys, "lambda-check", "--json",
+                        '{"f": {"kind": "poly", "coeffs": [[0, 0], [0, 0], [1, 0]]}}')
+    assert code == 2
+    assert rep["error"].startswith("quadrature did not converge")
+    assert rep["residuals"]["lambda1"] <= 1e-8
 
 
 def test_lambda_check_zero_division_is_reported(capsys, monkeypatch):

@@ -163,10 +163,42 @@ def test_adjoint_matches_numpy_conjugation():
     assert 50 < biggest < 1e3
 
 
-def test_adjoint_path_disagreement_raises(monkeypatch):
-    import charvar.sl2 as sl2
-    to_poly = sl2._traceless_to_poly
-    monkeypatch.setattr(sl2, "_traceless_to_poly",
-                        lambda x: to_poly(x) + QuadPoly(1e-9, 0, 0))
-    with pytest.raises(ArithmeticError, match="adjoint action paths disagree"):
-        adjoint_action(MoebiusMap(1, 1, 0, 1), QuadPoly(0, 0, 1))
+def _kawai_config():
+    from pathlib import Path
+    from charvar.cli import main
+    config = Path(__file__).resolve().parents[1] / "configs" / "kawai-4cusp.json"
+    assert main(["kawai", "--input", str(config)]) == 0
+
+
+def _closed_pairing_genus8():
+    from conftest import make_closed_rep, near_identity_sl2
+    from charvar.cocycles import random_parabolic_cocycle
+    from charvar.goldman import goldman_closed
+    rho = make_closed_rep(8, 3, near_identity_sl2)
+    rng = np.random.default_rng(22)
+    goldman_closed(rho, random_parabolic_cocycle(rho, rng),
+                   random_parabolic_cocycle(rho, rng))
+
+
+@pytest.mark.parametrize("run", [_closed_pairing_genus8, _kawai_config],
+                         ids=["closed-g8", "kawai-config"])
+def test_adjoint_matches_numpy_conjugation_on_production_inputs(run, monkeypatch):
+    # every adjoint action that a closed pairing and `charvar kawai` on the
+    # committed config make, against the numpy conjugation, at the bound the
+    # per-call check used
+    import charvar.cocycles as cocycles
+    import charvar.goldman as goldman
+    worst = []
+
+    def checked(g, P):
+        got = adjoint_action(g, P)
+        gn = max(abs(e) for e in g.tuple())
+        scale = max(got.norm(), P.norm(), 1.0) * max(1.0, gn * gn)
+        worst.append((got - _numpy_conjugation(g, P)).norm() / scale)
+        return got
+
+    for mod in (cocycles, goldman):
+        monkeypatch.setattr(mod, "adjoint_action", checked)
+    run()
+    assert len(worst) > 100
+    assert max(worst) <= 1e-12
