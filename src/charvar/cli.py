@@ -16,11 +16,11 @@ import sys
 from . import __version__
 from .cocycles import CocycleNotParabolicError
 from .goldman import _pairing
+from .jets import nan_max
 from .monodromy import IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (QuadratureError, check_identities, exp_provider,
-                         moebius_provider, nan_max, poly_provider,
-                         solve_lambda_report)
-from .serialize import (cocycle_in, complex_in, dumps_deterministic,
+                         moebius_provider, poly_provider, solve_lambda_report)
+from .serialize import (cocycle_in, complex_in, dumps_deterministic, int_in,
                         moebius_in, representation_in, representation_out,
                         signature_in, sphere_in, sphere_out)
 from .sl2 import MoebiusMap, QuadPoly
@@ -151,9 +151,8 @@ def _cmd_lambda_check(args) -> int:
                [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.5], [0.7, 0.1]])]
     if not samples:
         raise InputError("samples must list at least one point")
-    order = int(cfg.get("order", 8))
-    residuals = check_identities(f, P, gamma, samples, order=order,
-                                 seed=int(cfg.get("seed", 7)))
+    residuals = check_identities(f, P, gamma, samples, order=int_in(cfg.get("order", 8)),
+                                 seed=int_in(cfg.get("seed", 7)))
     report = {"config": cfg, "tolerances": tols, "residuals": residuals}
     try:
         solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),
@@ -205,7 +204,7 @@ def _cmd_kawai(args) -> int:
                   for d in cfg.get("t_directions", [])]
         acc = None
         if "accessory_directions" in cfg:
-            acc = [AccessoryDirection(int(d["index"]), complex_in(d.get("scale", 1.0)))
+            acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
                    for d in cfg["accessory_directions"]]
         grid = [GridOffset(tuple(complex_in(v) for v in g.get("t", [])),
                            tuple(complex_in(v) for v in g.get("c", [])))

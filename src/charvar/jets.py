@@ -8,9 +8,16 @@ testable at the 1e-12 level without finite differences.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Sequence
 
 DEFAULT_ORDER = 8
+
+
+def nan_max(*values: float) -> float:
+    """max() that keeps a NaN: a residual that came out NaN is the worst one,
+    where max() would keep whichever operand came first."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 class Jet:
@@ -151,7 +158,7 @@ class Jet:
         return acc
 
     def norm(self) -> float:
-        return max(abs(c) for c in self.coeffs)
+        return nan_max(*(abs(c) for c in self.coeffs))
 
     def __repr__(self) -> str:
         return f"Jet(base={self.base:.4g}, coeffs={[f'{c:.4g}' for c in self.coeffs]})"

@@ -219,8 +219,9 @@ def kawai_experiment(base: SphereData,
                      relation_tol: float = 1e-5) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
-    Paths and homotopy classes are frozen per grid point; each lasso is
-    transported once, carrying the derivative along every direction.
+    Paths and homotopy classes are frozen per grid point; each lasso's stem
+    is transported once and its circle's monodromy is exact, both carrying
+    the derivative along every direction.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]

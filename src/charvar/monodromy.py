@@ -7,6 +7,13 @@ that make infinity a marked point of the same type, and k-2 free residues:
 the accessory parameters.  Frobenius exponents at a marked point are
 (1 +- 1/o)/2 and force |trace| = 2 cos(pi/o) (cusp: 2) for lasso monodromies.
 
+A lasso is a stem from the base point to an entry point near its marked point
+and a circle about that point through the entry.  The stem is transported by
+Taylor steps (``integrate_fundamental``), once per lasso; the circle is not
+integrated at all: its monodromy is exact from the Frobenius basis at the
+marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
+2016), and both carry derivatives along deformations of the potential.
+
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
 is matrix multiplication in reading order and the lasso product in base-point
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from .jets import DEFAULT_ORDER, Jet
+from .jets import DEFAULT_ORDER, Jet, nan_max
 from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
 from .words import Signature
 
@@ -96,6 +103,10 @@ class SphereData:
     def accessory(self) -> tuple[complex, ...]:
         """Free residues: everything past the first two listed points."""
         return self.residues[2:]
+
+    def order_at(self, target) -> Optional[int]:
+        """Order of a marked point: an index into ``points``, or "inf"."""
+        return self.order_infinity if target == "inf" else self.orders[target]
 
     def min_gap(self) -> float:
         pts = self.points
@@ -182,48 +193,38 @@ def _seg_point_distance(a: complex, b: complex, p: complex) -> float:
 
 @dataclass(frozen=True)
 class LoopPath:
-    """Based polyline loop encircling one marked point counterclockwise
-    (for infinity: the big circle run clockwise, i.e. ccw in the 1/z chart)."""
+    """Lasso about one marked point: the stem from the base point to the entry
+    point, the circle about ``centre`` through the entry counterclockwise (for
+    infinity: clockwise, i.e. ccw in the chart w = 1/(z - centre)), and the
+    stem back.  Only the stem is integrated; the circle's monodromy is exact
+    (see ``_local_monodromy``)."""
 
-    vertices: tuple[complex, ...]
+    stem: tuple[complex, complex]
+    centre: complex
     target: object  # index into points, or "inf"
 
     def min_clearance(self, points: Sequence[complex]) -> float:
-        best = math.inf
-        for i, p in enumerate(points):
-            if self.target == i:
-                continue
-            for a, b in zip(self.vertices, self.vertices[1:]):
-                best = min(best, _seg_point_distance(a, b, p))
-        return best
-
-    def target_clearance(self, points: Sequence[complex]) -> float:
-        if self.target == "inf":
-            return math.inf
-        p = points[self.target]
-        return min(_seg_point_distance(a, b, p)
-                   for a, b in zip(self.vertices, self.vertices[1:]))
-
-
-def _circle(center: complex, radius: float, start_angle: float, n: int,
-            clockwise: bool = False) -> list[complex]:
-    sgn = -1.0 if clockwise else 1.0
-    return [center + radius * cmath.exp(1j * (start_angle + sgn * 2 * math.pi * k / n))
-            for k in range(n + 1)]
+        """Closest approach of the stem to a marked point other than its own.
+        The circle needs no clearance: it is not integrated, and it holds no
+        other marked point while its radius stays below the smallest gap."""
+        a, b = self.stem
+        return min((_seg_point_distance(a, b, p) for i, p in enumerate(points)
+                    if i != self.target), default=math.inf)
 
 
 #: the loop around infinity runs on a circle this many times the spread of
 #: the points and the base point about their centre
 _BIG_RADIUS_FACTOR = 2.4
-#: every lasso keeps at least this fraction of the smallest point gap from
+#: every stem keeps at least this fraction of the smallest point gap from
 #: every marked point but its own, or OrderingError
 _CLEARANCE_FACTOR = 0.05
 
 
-def build_lassos(data: SphereData, arc_segments: int = 16,
-                 radius_factor: float = 0.3) -> tuple[list, list[LoopPath]]:
+def build_lassos(data: SphereData, radius_factor: float = 0.3) -> tuple[list, list[LoopPath]]:
     """Lassos in base-point ordering: finite points by increasing argument of
-    p - z_b, then infinity through the largest angular gap.  Polylines are
+    p - z_b, then infinity through the largest angular gap.  A finite point's
+    circle has radius ``radius_factor`` x min(gap, |p - z_b|), so its
+    Frobenius series converge at least like radius_factor^n.  Paths are
     frozen objects; families reuse them unchanged."""
     zb = data.base_point
     gap = data.min_gap()
@@ -238,10 +239,8 @@ def build_lassos(data: SphereData, arc_segments: int = 16,
     for i in order:
         p = data.points[i]
         r = radius_factor * min(gap, abs(p - zb))
-        entry_angle = cmath.phase(zb - p)
-        entry = p + r * cmath.exp(1j * entry_angle)
-        verts = [zb, entry] + _circle(p, r, entry_angle, arc_segments)[1:] + [zb]
-        paths.append(LoopPath(tuple(verts), i))
+        entry = p + r * cmath.exp(1j * cmath.phase(zb - p))
+        paths.append(LoopPath((zb, entry), p, i))
 
     centre = sum(data.points) / len(data.points)
     rbig = _BIG_RADIUS_FACTOR * max(max(abs(p - centre) for p in data.points),
@@ -255,11 +254,7 @@ def build_lassos(data: SphereData, arc_segments: int = 16,
             lo = mid
         else:
             hi = mid
-    exit_pt = zb + hi * exit_dir
-    start = cmath.phase(exit_pt - centre)
-    verts = [zb, exit_pt] + _circle(centre, rbig, start, 4 * arc_segments,
-                                    clockwise=True)[1:] + [zb]
-    paths.append(LoopPath(tuple(verts), "inf"))
+    paths.append(LoopPath((zb, zb + hi * exit_dir), centre, "inf"))
 
     min_clear = _CLEARANCE_FACTOR * gap
     for path in paths:
@@ -431,6 +426,179 @@ def wronskian_drift(m: Mat2) -> float:
     return abs(mat_det(m) - 1.0)
 
 
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
+
+
+# ---------------------------------------------------------------------------
+# exact local monodromy: Frobenius bases at the marked points
+# ---------------------------------------------------------------------------
+
+def _laurent(poles, tangents, path: LoopPath, s: complex):
+    """Yields (P_m, [dP_m per tangent]) for m = 1, 2, ...: the Laurent
+    coefficients of the potential R(u) = sum R_m u^(m-2) about a marked point
+    in its local coordinate u, scaled to the entry point as P_m = R_m s^m,
+    s = u(entry).  R_0 = theta/4 enters through the exponents.
+
+    At a finite pole p, u = z - p and R = q/2; with r_i = s / (p_i - p) over
+    the other poles, for m >= 2
+        P_m = (m-1) sum A r^m - s sum B r^(m-1),
+    and P_1 = s B_p.  At infinity u = w = 1/(z - c) and R = (q/2) w^-4, the
+    equation of phi = w psi; with d_i = p_i - c and r_i = s d_i, for m >= 1
+        P_m = sum ((m+1) A + B d) r^m,
+    and the w^-3 term sum B vanishes by the first moment constraint.  A
+    tangent differentiates the coefficients with the entry point frozen; at a
+    finite pole that is the motion of the other poles relative to p.  Both
+    cases read P_m = (m+k) sum u r^(m-1) + sum v r^(m-1) and dP_m =
+    (m+k) sum (du + m dw) r^(m-1) + sum dv r^(m-1), with k = -1 or +1.
+    """
+    if path.target == "inf":
+        d = [p - path.centre for p, _, _ in poles]
+        r = [s * x for x in d]
+        u = [A * x for (_, A, _), x in zip(poles, r)]
+        v = [B * y * x for (_, _, B), y, x in zip(poles, d, r)]
+        rows = [([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(poles, tan, r)],
+                 [A * s * dp for (_, A, _), (dp, _, _) in zip(poles, tan)],
+                 [dB * y * x for (_, _, dB), y, x in zip(tan, d, r)]) for tan in tangents]
+        m, k, pw = 1, 1, [1.0] * len(poles)  # pw = r^(m-1)
+    else:
+        j = path.target
+        yield s * poles[j][2], [s * tan[j][2] for tan in tangents]
+        others = [poles[i] for i in range(len(poles)) if i != j]
+        r = [s / (p - poles[j][0]) for p, _, _ in others]
+        u = [A * x for (_, A, _), x in zip(others, r)]
+        v = [-B * s for _, _, B in others]
+        rows = []
+        for tan in tangents:
+            rel = [(dp - tan[j][0], dA, dB) for i, (dp, dA, dB) in enumerate(tan) if i != j]
+            rows.append(([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(others, rel, r)],
+                         [-A * x * x * dp / s for (_, A, _), (dp, _, _), x in zip(others, rel, r)],
+                         [-dB * s for _, _, dB in rel]))
+        m, k, pw = 2, -1, r
+    while True:
+        yield ((m + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)),
+               [(m + k) * (sum(map(mul, pw, du)) + m * sum(map(mul, pw, dw)))
+                + sum(map(mul, pw, dv)) for du, dw, dv in rows])
+        pw = list(map(mul, pw, r))
+        m += 1
+
+
+def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
+    """(C, [E per tangent], Wronskian drift) for the circle of ``path``
+    (column convention, row-major 4-tuples): C = Phi N Phi^-1 is the exact
+    monodromy of the loop from the entry point, E = dPhi Phi^-1 along each
+    tangent, and the drift compares the Frobenius Wronskian with its exact
+    value.
+
+    In the local coordinate u (see ``_laurent``) the exponents are
+    rho = (1 +- 1/e)/2 at an order-e point, and
+        n (n + 2 rho - 1) a_n = -sum_(m=1..n) R_m a_(n-m)
+    gives the basis u^rho sum a_n u^n, which the loop multiplies by
+    exp(2 pi i rho): N = diag(exp(2 pi i rho)).  At a cusp rho = 1/2 is
+    double, the second solution is phi_1 log u + u^(1/2) sum b_n u^n with
+        n^2 b_n = -sum_(m=1..n) R_m b_(n-m) - 2 n a_n,
+    and N = [[-1, -2 pi i], [0, -1]].  The powers u^rho and the log commute
+    with N, so Phi is replaced by the matrix Mh of the reduced data
+    (sum a_n s^n, rho sum a_n s^n + sum n a_n s^n) of each basis function,
+    whose determinant is exactly rho_- - rho_+ (cusp: 1), and by G, the map
+    from reduced data to (psi, psi') at the entry point: diag(1, 1/s), and at
+    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  A tangent varies the
+    coefficients (dMh) and, at a finite pole, moves the pole under the frozen
+    entry point, which adds -dp (psi', -(q/2) psi): E = G dMh Mh^-1 G^-1 -
+    dp K with K = [[0, 1], [-q/2, 0]].  The exponents do not move, so dN = 0.
+    """
+    entry = path.stem[1]
+    inf = path.target == "inf"
+    if inf:
+        s = 1 / (entry - path.centre)
+        g, ginv = (1 / s, 0j, 1 + 0j, -1 + 0j), (s, 0j, s, -1 + 0j)
+    else:
+        if any(tan[path.target][1] != 0 for tan in tangents):
+            raise ValueError("a tangent may not move the order of a marked point")
+        s = entry - poles[path.target][0]
+        g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
+    cusp = order is None
+    dlt = 0.0 if cusp else 1.0 / order
+    coeffs = _laurent(poles, tangents, path, s)
+    P: list[complex] = []
+    dP: list[list[complex]] = [[] for _ in tangents]
+    a, b = [1.0 + 0j], [0j if cusp else 1.0 + 0j]
+    da = [([0j], [0j]) for _ in tangents]
+    big, quiet = 1.0, 0
+    for n in range(1, _MAX_TERMS):
+        pn, dpn = next(coeffs)
+        P.append(pn)
+        for dPt, x in zip(dP, dpn):
+            dPt.append(x)
+        fa, fb = -1.0 / (n * (n + dlt)), -1.0 / (n * (n - dlt))
+        ar, br = a[::-1], b[::-1]
+        a.append(fa * sum(map(mul, P, ar)))
+        b.append(fb * (sum(map(mul, P, br)) + (2 * n * a[-1] if cusp else 0)))
+        size = abs(a[-1]) + abs(b[-1])
+        for dPt, (dat, dbt) in zip(dP, da):
+            dat.append(fa * (sum(map(mul, dPt, ar)) + sum(map(mul, P, dat[::-1]))))
+            dbt.append(fb * (sum(map(mul, dPt, br)) + sum(map(mul, P, dbt[::-1]))
+                             + (2 * n * dat[-1] if cusp else 0)))
+            size += abs(dat[-1]) + abs(dbt[-1])
+        size *= n + 1
+        if not math.isfinite(size):
+            raise IntegrationError(f"non-finite Frobenius series at {path.target}")
+        big = max(big, size)
+        quiet = quiet + 1 if size <= _TAIL * big else 0
+        if quiet == 2:
+            break
+    else:
+        raise IntegrationError(f"Frobenius series at {path.target} did not converge "
+                               f"in {_MAX_TERMS} terms")
+
+    rho_a, rho_b = (1 + dlt) / 2, (1 - dlt) / 2
+
+    def reduced(a, b):  # Mh, or dMh from the differentiated series
+        sa, sb = sum(a), sum(b)
+        ta = sum(map(mul, range(len(a)), a))
+        tb = sum(map(mul, range(len(b)), b))
+        if cusp:
+            return (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
+        return (sa, sb, rho_a * sa + ta, rho_b * sb + tb)
+
+    mh = reduced(a, b)
+    det = mat_det(mh)
+    drift = abs(det / (1.0 if cusp else -dlt) - 1.0)
+    mh_inv = tuple(x / det for x in mat_inv_unit(mh))
+    if cusp:
+        n_mat = (-1.0 + 0j, -2j * math.pi, 0j, -1.0 + 0j)
+    else:
+        n_mat = (-cmath.exp(1j * math.pi * dlt), 0j, 0j, -cmath.exp(-1j * math.pi * dlt))
+    c = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(n_mat, mh_inv)), ginv))
+    es = [mat_mul(g, mat_mul(mat_mul(reduced(dat, dbt), mh_inv), ginv)) for dat, dbt in da]
+    if not inf:
+        q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
+        es = [_sub(e, (0j, dp, -q2 * dp, 0j))
+              for e, dp in zip(es, (tan[path.target][0] for tan in tangents))]
+    return c, es, drift
+
+
+def lasso_monodromy(poles: Sequence[tuple[complex, float, complex]], path: LoopPath,
+                    order: Optional[int], tangents: Sequence[Tangent] = ()):
+    """(L, [dL per tangent], drift) in the row convention for the lasso
+    ``path`` about a marked point of the given order (None: a cusp):
+    L = S^-1 C S (column convention), where S is the stem's transport and C
+    the exact local monodromy.  S^-1 is the adjugate, so det L = det(S)^2
+    det C keeps the stem's drift.  With X = S^-1 (dS - E S), dL = [L, X].
+    The drift is the worst of the image's, the stem's and the Frobenius
+    Wronskian's."""
+    s, ds = integrate_fundamental(poles, path.stem, tangents)
+    s, ds = _row(s), [_row(d) for d in ds]  # back to the column convention
+    c, es, frob = _local_monodromy(poles, tangents, path, order)
+    sinv = mat_inv_unit(s)
+    lasso = mat_mul(sinv, mat_mul(c, s))
+    dls = []
+    for d, e in zip(ds, es):
+        x = mat_mul(sinv, _sub(d, mat_mul(e, s)))
+        dls.append(_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))))
+    return _row(lasso), dls, nan_max(wronskian_drift(lasso), wronskian_drift(s), frob)
+
+
 # ---------------------------------------------------------------------------
 # representations from lasso monodromies
 # ---------------------------------------------------------------------------
@@ -439,17 +607,13 @@ class MonodromyEngine:
     """Monodromy with paths frozen at construction, so that representation
     families over perturbed data compare identical homotopy classes."""
 
-    def __init__(self, data: SphereData, arc_segments: int = 16,
-                 radius_factor: float = 0.3):
+    def __init__(self, data: SphereData, radius_factor: float = 0.3):
         self.data = data
-        self.order, self.paths = build_lassos(
-            data, arc_segments=arc_segments, radius_factor=radius_factor)
+        self.order, self.paths = build_lassos(data, radius_factor=radius_factor)
         self.signature = self._signature(data)
 
     def _signature(self, data: SphereData) -> Signature:
-        seq = []
-        for tgt in self.order:
-            seq.append(data.order_infinity if tgt == "inf" else data.orders[tgt])
+        seq = [data.order_at(tgt) for tgt in self.order]
         elliptic = tuple(o for o in seq if o is not None)
         return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
 
@@ -457,18 +621,22 @@ class MonodromyEngine:
                        relation_tol: float = 1e-5,
                        tangents: Sequence[Tangent] = ()):
         """(rho, Wronskian drift, tangent images) for ``data`` (default: the
-        engine's own) transported along the frozen lassos, each integrated
-        once.  The drift max |det - 1| is read off the same transports; a
-        lasso product that misses +-identity by more than ``relation_tol``
-        (or by NaN) raises OrderingError.  For each tangent of the pole list
-        (see ``potential_tangent``) the tangent images map every generator
-        to dm / sqrt(det m) for its transport m, scaled as its image in rho
-        is, so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""
+        engine's own) along the frozen lassos: each stem is integrated once
+        and each circle's monodromy is exact (see ``lasso_monodromy``).  The drift is
+        the worst |det - 1| of the lasso images and the stems and of the
+        Frobenius Wronskians against their exact values; a lasso product
+        that misses +-identity by more than ``relation_tol`` (or by NaN)
+        raises OrderingError.  For each tangent of the pole list (see
+        ``potential_tangent``) the tangent images map every generator to
+        dm / sqrt(det m) for its monodromy m, scaled as its image in rho is,
+        so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""
         from .cocycles import Representation
-        poles = (self.data if data is None else data).half_q_terms()
-        runs = [integrate_fundamental(poles, p.vertices, tangents) for p in self.paths]
+        data = self.data if data is None else data
+        poles = data.half_q_terms()
+        runs = [lasso_monodromy(poles, p, data.order_at(p.target), tangents)
+                for p in self.paths]
         gens = [f"c{i + 1}" for i in range(len(runs))]
-        images = {g: MoebiusMap(*m) for g, (m, _) in zip(gens, runs)}
+        images = {g: MoebiusMap(*m) for g, (m, _, _) in zip(gens, runs)}
         prod = MoebiusMap.identity()
         for image in images.values():
             prod = prod @ image
@@ -477,12 +645,12 @@ class MonodromyEngine:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        scales = [cmath.sqrt(mat_det(m)) for m, _ in runs]
+        scales = [cmath.sqrt(mat_det(m)) for m, _, _ in runs]
         dimages = [{g: tuple(x / s for x in dms[t])
-                    for g, s, (_, dms) in zip(gens, scales, runs)}
+                    for g, s, (_, dms, _) in zip(gens, scales, runs)}
                    for t in range(len(tangents))]
         return (Representation(self.signature, images),
-                max(wronskian_drift(m) for m, _ in runs), dimages)
+                nan_max(*(drift for _, _, drift in runs)), dimages)
 
 
 # ---------------------------------------------------------------------------

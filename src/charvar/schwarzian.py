@@ -9,13 +9,14 @@ derivatives and finite differencing would eat the entire tolerance budget.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, jet_exp, moebius_jet
+from .jets import DEFAULT_ORDER, Jet, jet_exp, moebius_jet, nan_max
 from .sl2 import MoebiusMap, QuadPoly
 
 JetProvider = Callable[[complex, int], Jet]
@@ -173,12 +174,6 @@ def _sym_equivariant_jet(F0: JetProvider, iota: MoebiusMap, z0: complex, order: 
 
 def _rel(diff: float, *scales: float) -> float:
     return diff / max(1.0, *scales)
-
-
-def nan_max(*values: float) -> float:
-    """max() that keeps a NaN: a residual that came out NaN is the worst one,
-    where max() would keep whichever operand came first."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
@@ -354,14 +349,26 @@ class LambdaSolveResult:
     quad_error: float
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Legendre nodes and weights, computed on first use: only
+    the Lambda4 solver integrates, and the eigensolve behind them pulls in
+    LAPACK."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
                       rel_tol: float, max_levels: int) -> tuple[np.ndarray, int, float]:
     """J_k = int_{z0}^{z1} f(u)^k Q(u)/f'(u) du, k = 0,1,2, straight segment,
-    32-point Gauss-Legendre per panel with dyadic refinement."""
+    32-point Gauss-Legendre per panel with dyadic refinement.  A critical
+    point of f at either end makes 1/f' singular there, which no refinement
+    resolves: QuadratureError at once."""
+    for end in (z0, z1):
+        if abs(f(end, 1).derivative().value) < 1e-300:
+            raise QuadratureError(f"quadrature did not converge: f' vanishes at the "
+                                  f"endpoint {end}, a critical point of f")
     dz = z1 - z0
+    nodes, weights = _gauss_legendre()
 
     def level(n_panels: int) -> np.ndarray:
         total = np.zeros(3, dtype=complex)
@@ -369,7 +376,7 @@ def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
             a = p / n_panels
             b = (p + 1) / n_panels
             mid, half = (a + b) / 2, (b - a) / 2
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            for x, w in zip(nodes, weights):
                 t = mid + half * x
                 u = z0 + t * dz
                 fu = f(u, 1)

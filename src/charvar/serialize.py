@@ -31,6 +31,16 @@ def complex_in(v) -> complex:
     return z
 
 
+def int_in(v) -> int:
+    """The one entry point of every integer read from JSON: an integral
+    number; NaN, infinity, a fraction, a boolean or a string is an input
+    error."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not math.isfinite(v) or v != int(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def poly_out(p: QuadPoly) -> list[list[float]]:
     return [complex_out(c) for c in p.coeffs()]
 
@@ -57,7 +67,7 @@ def signature_out(sig: Signature) -> dict:
 
 def signature_in(d: dict) -> Signature:
     marked = tuple(d["orders"]) if "orders" in d else None
-    return Signature(int(d["g"]), tuple(d.get("elliptic", ())), int(d.get("cusps", 0)),
+    return Signature(int_in(d["g"]), tuple(d.get("elliptic", ())), int_in(d.get("cusps", 0)),
                      marked_orders=marked)
 
 
@@ -81,7 +91,7 @@ def cocycle_in(d: dict, rho: Representation) -> Cocycle:
 
 
 def _order_in(o):
-    return None if o in (None, "inf", "cusp") else int(o)
+    return None if o in (None, "inf", "cusp") else int_in(o)
 
 
 def sphere_out(data: SphereData) -> dict:

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ def _closing_handles(W, rng):
             A2m = A2m / np.sqrt(det)
             yield (MoebiusMap(A2m[0, 0], A2m[0, 1], A2m[1, 0], A2m[1, 1]),
                    MoebiusMap(B2m[0, 0], B2m[0, 1], B2m[1, 0], B2m[1, 1]))
+
+
+def lasso_polyline(path, arc_segments=16):
+    """The full polyline of a lasso: out along the stem, round its circle
+    (counterclockwise, or clockwise with 4x the segments about infinity) and
+    back, for the transports that integrate the whole loop."""
+    zb, entry = path.stem
+    radius, start = abs(entry - path.centre), cmath.phase(entry - path.centre)
+    n, sgn = (4 * arc_segments, -1) if path.target == "inf" else (arc_segments, 1)
+    circle = [path.centre + radius * cmath.exp(1j * (start + sgn * 2 * math.pi * k / n))
+              for k in range(1, n + 1)]
+    return [zb, entry] + circle + [zb]
 
 
 def thrice_punctured_rep() -> Representation:

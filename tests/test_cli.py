@@ -309,6 +309,26 @@ def test_nan_input_is_input_error(capsys, argv):
     assert "non-finite number" in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["lambda-check", "--json", '{"order": Infinity}'],
+    ["lambda-check", "--json", '{"seed": NaN}'],
+    ["lambda-check", "--json", '{"order": 8.5}'],
+    ["kawai", "--json", json.dumps({"sphere": SPHERE, "t_directions": VELOCITY,
+                                    "accessory_directions": [{"index": float("inf")}]})],
+    ["monodromy", "--json", json.dumps(dict(SPHERE, orders=[float("inf"), None, None]))],
+    ["monodromy", "--json", json.dumps(dict(SPHERE, order_infinity=True))],
+    ["fox", "--sig", '{"g": Infinity}', "--word", "R", "--gen", "a1"],
+    ["fox", "--sig", '{"g": 0, "cusps": 3.5}', "--word", "R", "--gen", "c1"],
+], ids=["lambda-order", "lambda-seed", "lambda-order-fraction", "kawai-index",
+        "monodromy-order", "monodromy-order-bool", "signature-g", "signature-cusps"])
+def test_non_integer_input_is_input_error(capsys, argv):
+    # every JSON integer goes through serialize.int_in, so infinity is an
+    # input error (exit 1), not an OverflowError from int() (exit 2)
+    code, rep = run_cli(capsys, *argv)
+    assert code == 1
+    assert "expected an integer" in rep["error"]
+
+
 def test_lambda_check_nan_residual_fails(capsys):
     # some samples' lambda3/b2 residuals come out NaN; max() used to drop them
     code, rep = run_cli(capsys, "lambda-check", "--json",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,11 @@ def test_eval_matches_polynomial():
     j = Jet.from_polynomial(coeffs, 1.1, 6)
     for z in (0.9, 1.3 + 0.2j):
         assert abs(j.eval(z) - _poly_eval(coeffs, z)) < 1e-12
+
+
+def test_norm_keeps_a_nan_in_any_coefficient():
+    # max() keeps a NaN only when it comes first
+    nan = float("nan")
+    assert math.isnan(Jet(0, [1, nan]).norm())
+    assert math.isnan(Jet(0, [nan, 1]).norm())
+    assert Jet(0, [1, -3j, 2]).norm() == 3.0

@@ -2,13 +2,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
+from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
                                build_lassos, build_potential,
-                               integrate_fundamental, potential_tangent,
-                               theta_of, wronskian_drift)
+                               integrate_fundamental, lasso_monodromy,
+                               potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap
 
@@ -138,43 +139,98 @@ def test_euler_loop_traces():
         assert abs(m[0] + m[3] - want) < 1e-12, order
 
 
+def _sphere(source):
+    """A committed sphere config, or a seeded 5-point sphere drawn as the
+    benchmark's scan draws them (orders from {cusp, 2, 3, 4, 6})."""
+    if isinstance(source, str):
+        cfg = json.loads((CONFIGS / source).read_text())
+        return sphere_in(cfg.get("sphere", cfg))
+    rng = np.random.default_rng(source)
+    points = [complex(x, y) for x, y in rng.uniform(-1.0, 1.0, size=(5, 2))]
+    orders = [(None, 2, 3, 4, 6)[int(i)] for i in rng.integers(0, 5, size=6)]
+    accessory = [complex(x, y) for x, y in 0.2 * rng.standard_normal((3, 2))]
+    return build_potential(points, orders[:5], orders[5], accessory)
+
+
 def test_transport_against_dp5_oracle():
-    # dual-route check: Taylor steps vs adaptive Dormand-Prince 5(4), every lasso
+    # dual-route check: adaptive Dormand-Prince 5(4) round the whole polyline
+    # of every lasso, against the Taylor transport of the same polyline and
+    # against the lasso image from one stem and the exact local monodromy
     from dp5 import dp5_transport
 
     for config in ("kawai-4cusp.json", "sphere-elliptic3.json"):
-        cfg = json.loads((CONFIGS / config).read_text())
-        data = sphere_in(cfg.get("sphere", cfg))
+        data = _sphere(config)
         poles = data.half_q_terms()
         for path in build_lassos(data)[1]:
-            m, _ = integrate_fundamental(poles, path.vertices)
-            ref = dp5_transport(poles, path.vertices)
+            ref = dp5_transport(poles, lasso_polyline(path))
             scale = max(abs(x) for x in ref)
-            assert max(abs(x - y) for x, y in zip(m, ref)) <= 1e-11 * scale, \
-                (config, path.target)
+            m, _ = integrate_fundamental(poles, lasso_polyline(path))
+            image, _, _ = lasso_monodromy(poles, path, data.order_at(path.target))
+            for got in (m, image):
+                assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-11 * scale, \
+                    (config, path.target)
+
+
+# seed 0 draws a sphere whose stem misses the clearance (OrderingError)
+@pytest.mark.parametrize("source", ["sphere-elliptic3.json", "sphere-4cusp.json", 1, 2, 3])
+def test_lasso_traces_are_exact(source):
+    # the local monodromy is exact, so a lasso's trace is -2 cos(pi/o) (a
+    # cusp: -2) up to the rounding of S^-1 C S
+    data = _sphere(source)
+    poles = data.half_q_terms()
+    for path in build_lassos(data)[1]:
+        order = data.order_at(path.target)
+        m, _, _ = lasso_monodromy(poles, path, order)
+        want = -2 * math.cos(math.pi / order) if order else -2.0
+        bound = 1e-14 * max(1.0, max(abs(x) for x in m)) ** 2
+        assert abs(m[0] + m[3] - want) <= bound, (source, path.target)
+
+
+def _moved(data, v, w, s):
+    return build_potential([p + s * x for p, x in zip(data.points, v)],
+                           data.orders, data.order_infinity,
+                           [a + s * y for a, y in zip(data.accessory(), w)],
+                           base_point=data.base_point)
+
+
+def _stencil(f, h=1e-3):
+    """4th-order central difference of a matrix-valued s -> f(s) at 0."""
+    m = [f(k * h) for k in (-2, -1, 1, 2)]
+    return [(8 * (m[2][i] - m[1][i]) - (m[3][i] - m[0][i])) / (12 * h) for i in range(4)]
 
 
 def test_tangents_match_difference_quotients():
     # dM along an accessory residue and along a moving point, against the
     # 4th-order stencil of the transport itself
     data = four_cusp_data()
-    path = build_lassos(data)[1][0]
+    vertices = lasso_polyline(build_lassos(data)[1][0])
     for v, w in (((0, 0, 0), (1,)), ((0, 0, 1), (0,))):
-        _, (dm,) = integrate_fundamental(data.half_q_terms(), path.vertices,
+        _, (dm,) = integrate_fundamental(data.half_q_terms(), vertices,
                                          [potential_tangent(data, v, w)])
-
-        def moved(s):
-            shifted = build_potential([p + s * x for p, x in zip(data.points, v)],
-                                      data.orders, None,
-                                      [a + s * y for a, y in zip(data.accessory(), w)],
-                                      base_point=FOUR_CUSP_ZB)
-            return integrate_fundamental(shifted.half_q_terms(), path.vertices)[0]
-
-        h = 1e-3
-        f = [moved(k * h) for k in (-2, -1, 1, 2)]
-        fd = [(8 * (f[2][i] - f[1][i]) - (f[3][i] - f[0][i])) / (12 * h) for i in range(4)]
+        fd = _stencil(lambda s: integrate_fundamental(
+            _moved(data, v, w, s).half_q_terms(), vertices)[0])
         scale = max(abs(x) for x in dm)
         assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("config", ["sphere-elliptic3.json", "sphere-4cusp.json"])
+def test_lasso_tangents_match_difference_quotients(config):
+    # dL = [L, X] on every lasso, cusp, elliptic and infinity alike: an
+    # accessory residue, the lasso's own point and another point move
+    data = _sphere(config)
+    paths = build_lassos(data)[1]
+    k = len(data.points)
+    directions = [((0,) * k, (1,))] + [(tuple(int(i == j) for i in range(k)), (0,))
+                                       for j in range(k)]
+    for v, w in directions:
+        tangent = potential_tangent(data, v, w)
+        for path in paths:
+            order = data.order_at(path.target)
+            _, (dm,), _ = lasso_monodromy(data.half_q_terms(), path, order, [tangent])
+            fd = _stencil(lambda s: lasso_monodromy(
+                _moved(data, v, w, s).half_q_terms(), path, order)[0])
+            scale = max(abs(x) for x in dm)
+            assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale, (v, path.target)
 
 
 def test_row_convention_is_a_homomorphism():
@@ -182,7 +238,7 @@ def test_row_convention_is_a_homomorphism():
     # the individual transports in the row convention
     data = four_cusp_data()
     _, paths = build_lassos(data)
-    va, vb = paths[0].vertices, paths[1].vertices
+    va, vb = lasso_polyline(paths[0]), lasso_polyline(paths[1])
     poles = data.half_q_terms()
     ma, _ = integrate_fundamental(poles, va)
     mb, _ = integrate_fundamental(poles, vb)
@@ -202,9 +258,8 @@ class TestLassos:
         for path in paths:
             assert path.min_clearance(data.points) >= 0.05 * gap
             if path.target != "inf":
-                # the encircled point stays at roughly the chosen circle radius
-                tc = path.target_clearance(data.points)
-                assert 0.2 * gap <= tc <= 0.31 * gap
+                # the circle about the point has the chosen radius
+                assert 0.2 * gap <= abs(path.stem[1] - path.centre) <= 0.3 * gap
 
     def test_ordering_error_on_tie(self):
         # base point directly below two vertically aligned points -> tie
@@ -248,8 +303,8 @@ class TestRepresentation:
 
     def test_homotopy_invariance(self):
         data = four_cusp_data()
-        r1, _, _ = MonodromyEngine(data, arc_segments=16, radius_factor=0.3).representation()
-        r2, _, _ = MonodromyEngine(data, arc_segments=24, radius_factor=0.22).representation()
+        r1, _, _ = MonodromyEngine(data, radius_factor=0.3).representation()
+        r2, _, _ = MonodromyEngine(data, radius_factor=0.22).representation()
         worst = max(r1.images[g].psl_distance(r2.images[g])
                     for g in r1.signature.generators)
         assert worst < 1e-8
@@ -296,16 +351,56 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
     from charvar.kawai import GridOffset, PointDirection, kawai_experiment
 
     calls = []
-    integrate = mono.integrate_fundamental
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
+    def counted(name):
+        fn = getattr(mono, name)
 
-    monkeypatch.setattr(mono, "integrate_fundamental", counted)
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mono, name, wrapped)
+
+    for name in ("integrate_fundamental", "_transfer", "_local_monodromy"):
+        counted(name)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
-    assert len(calls) == 4  # the Wronskian drift comes from the same transports
+    # the Wronskian drift comes from the same transports
+    assert calls.count("integrate_fundamental") == 4
     calls.clear()
     kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
-    assert len(calls) == 4  # each lasso once, carrying both tangents
+    # each stem once, carrying both tangents; one local expansion per lasso
+    assert calls.count("integrate_fundamental") == 4
+    assert calls.count("_local_monodromy") == 4
+    # series per grid point: 16 Taylor steps on the stems plus 4 Frobenius
+    # expansions (84 Taylor steps when the circles were integrated)
+    assert calls.count("_transfer") + calls.count("_local_monodromy") == 20
+
+
+def test_truncated_local_series_exits_2(capsys, monkeypatch):
+    # a Frobenius series stopped early shows in its Wronskian, which the
+    # drift compares with the exact value, so the subcommand exits 2
+    import charvar.monodromy as mono
+    from charvar.cli import main
+
+    local, tail = mono._local_monodromy, mono._TAIL
+
+    def truncated(*args):
+        monkeypatch.setattr(mono, "_TAIL", 2.0 ** -22)
+        try:
+            return local(*args)
+        finally:
+            monkeypatch.setattr(mono, "_TAIL", tail)
+
+    monkeypatch.setattr(mono, "_local_monodromy", truncated)
+    assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["wronskian_drift"] > rep["tolerances"]["wronskian"]
+
+
+def test_tangent_may_not_move_an_order():
+    # the exponents at a marked point are fixed, so its dA must be zero
+    data = four_cusp_data()
+    path = build_lassos(data)[1][0]
+    tangent = [(0j, 0.01 if i == path.target else 0.0, 0j) for i in range(3)]
+    with pytest.raises(ValueError, match="order"):
+        lasso_monodromy(data.half_q_terms(), path, None, [tangent])
