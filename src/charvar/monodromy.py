@@ -286,6 +286,10 @@ def _add(x, y):
     return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
 
 
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
+
+
 def _ends(c):
     """Value and tau-slope of sum c_n tau^n at tau = +1, then at tau = -1."""
     even, odd = c[0::2], c[1::2]
@@ -424,10 +428,6 @@ def _row(u):
 
 def wronskian_drift(m: Mat2) -> float:
     return abs(mat_det(m) - 1.0)
-
-
-def _sub(x, y):
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
 
 # ---------------------------------------------------------------------------
