@@ -9,6 +9,7 @@ give the independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,15 +86,17 @@ class Representation:
                 out[name] = min(abs(t - target) for target in elliptic_trace_targets(order))
         return out
 
-    def visibly_reducible(self, tol: float = 1e-8) -> bool:
+    @functools.cached_property
+    def visibly_reducible(self) -> bool:
         """Common-fixed-point check over all generator images (a warning-level
-        diagnostic; irreducibility is a hypothesis, not something we certify)."""
+        diagnostic; irreducibility is a hypothesis, not something we certify),
+        computed once per representation."""
         maps = [m for m in self.images.values() if not m.is_identity(1e-12)]
         if len(maps) < 2:
             return True
         candidates = maps[0].fixed_points()
         for p in candidates:
-            if all(_fixes(m, p, tol) for m in maps):
+            if all(_fixes(m, p) for m in maps):
                 return True
         return False
 
@@ -103,11 +106,11 @@ class Representation:
                               {k: g @ m @ gi for k, m in self.images.items()})
 
 
-def _fixes(m: MoebiusMap, p, tol: float) -> bool:
+def _fixes(m: MoebiusMap, p) -> bool:
     q = m(p)
     if p == "inf" or q == "inf":
         return p == q
-    return abs(q - p) <= tol * max(1.0, abs(p))
+    return abs(q - p) <= 1e-8 * max(1.0, abs(p))
 
 
 @dataclass(frozen=True)

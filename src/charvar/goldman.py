@@ -57,7 +57,7 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
              local_tol: float = 1e-6) -> PairingReport:
     """Shared Goldman sum; the marked-generator sums are empty for closed
     signatures, so this is simultaneously (G-2) and (G-non)."""
-    if rho.visibly_reducible():
+    if rho.visibly_reducible:
         warnings.warn("representation is visibly reducible (common fixed point); "
                       "the pairing may be degenerate", RuntimeWarning, stacklevel=3)
     sig = rho.signature

@@ -40,8 +40,8 @@ class TestRepresentation:
         d1 = MoebiusMap(2, 0, 0, 0.5, normalize=False)
         d2 = MoebiusMap(3, 0, 0, 1 / 3, normalize=False)
         rho = Representation(Signature(1), {"a1": d1, "b1": d2})
-        assert rho.visibly_reducible()
-        assert not make_genus2_rep(5).visibly_reducible()
+        assert rho.visibly_reducible
+        assert not make_genus2_rep(5).visibly_reducible
 
     def test_conjugated(self, rho2):
         g = rand_sl2(np.random.default_rng(9))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
-                               build_lassos, build_potential,
+                               _MAX_TERMS, _gauss_legendre, _transfer, build_lassos, build_potential,
                                integrate_fundamental, lasso_monodromy,
                                potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
@@ -186,6 +186,147 @@ def test_lasso_traces_are_exact(source):
         assert abs(m[0] + m[3] - want) <= bound, (source, path.target)
 
 
+def _recorded_steps(monkeypatch, run):
+    """Every (poles, tangents, z0, h) that ``run()`` hands to ``_transfer``."""
+    import charvar.monodromy as mono
+
+    steps, transfer = [], mono._transfer
+
+    def recorded(poles, tangents, z0, h):
+        steps.append((poles, tangents, z0, h))
+        return transfer(poles, tangents, z0, h)
+    monkeypatch.setattr(mono, "_transfer", recorded)
+    run()
+    monkeypatch.setattr(mono, "_transfer", transfer)
+    return steps
+
+
+def _kawai_steps(monkeypatch, capsys):
+    from charvar.cli import main
+
+    steps = _recorded_steps(monkeypatch, lambda: main(
+        ["kawai", "--input", str(CONFIGS / "kawai-4cusp.json")]))
+    capsys.readouterr()
+    assert len(steps) == 48 and all(len(t) == 2 for _, t, _, _ in steps)
+    return steps
+
+
+#: worst cases of the step rule: z0 = 0, h = 1/2 and a pole straight ahead at
+#: 1, so x = 1/3; a cusp (A = 1/4) or an order-3 point (A = 2/9) with |B| up
+#: to 20 there, and an order-3 point and a cusp off the path
+WORST_STEPS = [[(1.0 + 0j, A, B), (-0.9 + 0.5j, 2 / 9, -B / 2), (0.2 - 1.1j, 1 / 4, 1 - 2j)]
+               for A in (1 / 4, 2 / 9) for B in (20 + 0j, -20j, 3 - 4j, 0j)]
+#: a motion of the pole ahead, a change of its theta/4 and of its residue,
+#: and the three at once on every pole
+WORST_TANGENTS = [[(0.7 - 0.4j, 0j, 0j), (0j,) * 3, (0j,) * 3],
+                  [(0j, 0.01 + 0j, 0j), (0j,) * 3, (0j,) * 3],
+                  [(0j, 0j, 1 - 2j), (0j,) * 3, (0j,) * 3],
+                  [(0.3 + 0.1j, 0.02 + 0j, -2j), (1j, 0j, 0.5 + 0j), (-0.2 + 0j, 0.01 + 0j, 1 + 0j)]]
+
+
+def _relative_gap(got, ref):
+    return max(abs(x - y) for x, y in zip(got, ref)) / max(abs(x) for x in ref)
+
+
+def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
+    # T comes from the same recursion summed in the same order as the
+    # differentiated-series reference: equal, not close, on every step of
+    # the kawai config and of three seeded 5-point spheres
+    from taylor_reference import reference_transfer
+
+    steps = _kawai_steps(monkeypatch, capsys)
+    for seed in (1, 2, 3):
+        steps += _recorded_steps(monkeypatch,
+                                 lambda: MonodromyEngine(_sphere(seed)).representation())
+    assert len(steps) > 100
+    for poles, _, z0, h in steps:
+        assert _transfer(poles, [], z0, h) == reference_transfer(poles, [], z0, h)
+
+
+def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
+    # the Gauss-Legendre integral against the differentiated recursion, on
+    # every kawai step and on the worst cases the step rule allows
+    from taylor_reference import reference_transfer
+
+    steps = [(poles, tangents, z0, h) for poles, tangents, z0, h
+             in _kawai_steps(monkeypatch, capsys)]
+    steps += [(poles, WORST_TANGENTS, 0j, 0.5 + 0j) for poles in WORST_STEPS]
+    for poles, tangents, z0, h in steps:
+        _, dts = _transfer(poles, tangents, z0, h)
+        _, refs = reference_transfer(poles, tangents, z0, h)
+        assert len(dts) == len(refs) == len(tangents)
+        for dt, ref in zip(dts, refs):
+            assert _relative_gap(dt, ref) <= 1e-13, (poles, z0, h)
+
+
+def test_gauss_legendre_rule_is_exact_on_polynomials():
+    nodes, weights, squares = _gauss_legendre()
+    m = len(nodes)
+    assert m == 16 and len(set(nodes)) == m and all(-1 < t < 1 for t in nodes)
+    assert nodes[1::2] == [-t for t in nodes[::2]] and weights[1::2] == weights[::2]
+    for k in range(2 * m):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(sum(w * t ** k for t, w in zip(nodes, weights)) - exact) <= 1e-15, k
+    # the even and odd parts of the longest series a step may sum
+    for t, row in zip(nodes[::2], squares):
+        assert len(row) == _MAX_TERMS // 2 + 2
+        assert all(x == pytest.approx(t ** (2 * k), rel=1e-13, abs=1e-300)
+                   for k, x in enumerate(row))
+
+
+def _mp_transfer(mp, poles, z0, h):
+    """T from z0 to z0 + h at mp's working precision: the midpoint series of
+    ``_transfer`` summed until its terms fall below 10^-(dps + 5)."""
+    g = h / 2
+    xs = [g / (p - z0 - g) for p, _, _ in poles]
+    pw = list(xs)  # x^(n+1)
+    P, a, b = [], [mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)]
+    tail = mp.mpf(10) ** -(mp.dps + 5)
+    n = 0
+    while n < 20 or abs(a[-1]) + abs(b[-1]) + abs(a[-2]) + abs(b[-2]) > tail:
+        P.append(mp.fsum(((n + 1) * A * x - g * B) * y
+                         for (_, A, B), x, y in zip(poles, xs, pw)))
+        pw = [x * y for x, y in zip(xs, pw)]
+        f = -mp.mpf(1) / ((n + 2) * (n + 1))
+        a.append(f * mp.fdot(P, a[n::-1]))
+        b.append(f * mp.fdot(P, b[n::-1]))
+        n += 1
+
+    def ends(c, sign):
+        return (mp.fsum(x * sign ** k for k, x in enumerate(c)),
+                mp.fsum(k * x * sign ** (k - 1) for k, x in enumerate(c) if k))
+    (va, sa), (vb, sb) = ends(a, 1), ends(b, 1)
+    (wa, ta), (wb, tb) = ends(a, -1), ends(b, -1)
+    splus = mp.matrix([[va, g * vb], [sa / g, sb]])
+    sminus = mp.matrix([[wa, g * wb], [ta / g, tb]])
+    return splus * mp.inverse(sminus)
+
+
+def test_step_tangents_against_a_40_digit_oracle():
+    # dT on the worst step (cusp straight ahead, |B| = 20) as a central
+    # difference of the 70-digit transfer with step 1e-25, good to ~43
+    # digits; the quadrature and the differentiated series must both be
+    # rounding-close to it
+    mp = pytest.importorskip("mpmath").mp
+    from taylor_reference import reference_transfer
+
+    poles, z0, h = WORST_STEPS[0], 0j, 0.5 + 0j
+    _, dts = _transfer(poles, WORST_TANGENTS, z0, h)
+    _, refs = reference_transfer(poles, WORST_TANGENTS, z0, h)
+    with mp.workdps(70):
+        eps = mp.mpf(10) ** -25
+        mpoles = [tuple(mp.mpc(v) for v in pole) for pole in poles]
+        for tangent, dt, ref in zip(WORST_TANGENTS, dts, refs):
+            def moved(s):
+                return [tuple(v + s * mp.mpc(dv) for v, dv in zip(pole, tan))
+                        for pole, tan in zip(mpoles, tangent)]
+            fd = (_mp_transfer(mp, moved(eps), mp.mpc(z0), mp.mpc(h))
+                  - _mp_transfer(mp, moved(-eps), mp.mpc(z0), mp.mpc(h))) / (2 * eps)
+            exact = [complex(fd[i, j]) for i in range(2) for j in range(2)]
+            for got in (dt, ref):
+                assert _relative_gap(got, exact) <= 1e-14, tangent
+
+
 def _moved(data, v, w, s):
     return build_potential([p + s * x for p, x in zip(data.points, v)],
                            data.orders, data.order_infinity,
@@ -327,7 +468,7 @@ class TestRepresentation:
         assert orb3_rep.relator_residual() < 1e-6
 
     def test_not_visibly_reducible(self, four_cusp_rep):
-        assert not four_cusp_rep.visibly_reducible()
+        assert not four_cusp_rep.visibly_reducible
 
     def test_impossible_relation_tolerance_raises(self, four_cusp_engine):
         engine, _ = four_cusp_engine
