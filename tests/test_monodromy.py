@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
-from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
-                               _MAX_TERMS, _gauss_legendre, _transfer, build_lassos, build_potential,
+from charvar.monodromy import (_MAX_TERMS, IntegrationError, MonodromyEngine, OrderingError,
+                               _gauss_legendre, _transfer, build_lassos, build_potential,
                                integrate_fundamental, lasso_monodromy,
                                potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
@@ -221,7 +221,8 @@ WORST_STEPS = [[(1.0 + 0j, A, B), (-0.9 + 0.5j, 2 / 9, -B / 2), (0.2 - 1.1j, 1 /
 WORST_TANGENTS = [[(0.7 - 0.4j, 0j, 0j), (0j,) * 3, (0j,) * 3],
                   [(0j, 0.01 + 0j, 0j), (0j,) * 3, (0j,) * 3],
                   [(0j, 0j, 1 - 2j), (0j,) * 3, (0j,) * 3],
-                  [(0.3 + 0.1j, 0.02 + 0j, -2j), (1j, 0j, 0.5 + 0j), (-0.2 + 0j, 0.01 + 0j, 1 + 0j)]]
+                  [(0.3 + 0.1j, 0.02 + 0j, -2j), (1j, 0j, 0.5 + 0j),
+                   (-0.2 + 0j, 0.01 + 0j, 1 + 0j)]]
 
 
 def _relative_gap(got, ref):
@@ -248,8 +249,7 @@ def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
     # every kawai step and on the worst cases the step rule allows
     from taylor_reference import reference_transfer
 
-    steps = [(poles, tangents, z0, h) for poles, tangents, z0, h
-             in _kawai_steps(monkeypatch, capsys)]
+    steps = _kawai_steps(monkeypatch, capsys)
     steps += [(poles, WORST_TANGENTS, 0j, 0.5 + 0j) for poles in WORST_STEPS]
     for poles, tangents, z0, h in steps:
         _, dts = _transfer(poles, tangents, z0, h)
