@@ -4,23 +4,21 @@ surface groups, with a Schwarzian-ODE monodromy engine for marked spheres."""
 __version__ = "0.1.0"
 
 from .words import (FreeWord, GroupRingElement, Signature, anti_involution,
-                    boundary_pairing, dual_generators, fox_derivative,
-                    fundamental_class_chain, parse_word, prefix_products,
-                    relator, verify_presentation_identities)
+                    dual_generators, fox_derivative, fundamental_class_chain,
+                    parse_word, prefix_products, relator,
+                    verify_presentation_identities)
 from .sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, ad_matrix,
-                  adjoint_action, b0_bracket, killing, matrix_to_poly,
-                  poly_to_matrix)
+                  adjoint_action, killing, matrix_to_poly, poly_to_matrix)
 from .cocycles import (Cocycle, Representation, coboundary,
-                       finite_difference_cocycle, random_parabolic_cocycle,
-                       reduce_by_coboundary, solve_local_coboundary,
-                       verify_cocycle)
+                       random_parabolic_cocycle, reduce_by_coboundary,
+                       solve_local_coboundary)
 from .goldman import (CUP_SIGN, PairingReport, cup_product_on_chain,
-                      goldman_closed, goldman_orbifold)
+                      goldman_closed, goldman_matrix, goldman_orbifold)
 from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda,
                          solve_lambda_report)
 from .monodromy import (MonodromyEngine, SphereData, build_potential,
-                        developing_jet, integrate_fundamental)
+                        integrate_fundamental)
 from .kawai import (AccessoryDirection, GridOffset, KawaiReport,
                     PointDirection, kawai_experiment)

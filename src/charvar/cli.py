@@ -141,18 +141,23 @@ _F_KINDS = {"exp": lambda cfg: exp_provider(complex_in(cfg.get("scale", 1.0))),
 def _cmd_lambda_check(args) -> int:
     cfg = _load_json(args) if (args.input or args.json) else {}
     tols = _tolerances(args, {"identity": 1e-8, "solver": 1e-8})
-    f_cfg = cfg.get("f", {"kind": "exp"})
-    if f_cfg.get("kind") not in _F_KINDS:
-        raise InputError(f"unknown f kind {f_cfg.get('kind')!r}")
-    f = _F_KINDS[f_cfg["kind"]](f_cfg)
-    gamma = moebius_in(cfg["gamma"]) if "gamma" in cfg else MoebiusMap(1, 1, 1, 2)
-    P = QuadPoly(*(complex_in(c) for c in cfg.get("P", [1, 0.5, -0.25])))
-    samples = [complex_in(z) for z in cfg.get("samples",
-               [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.5], [0.7, 0.1]])]
-    if not samples:
-        raise InputError("samples must list at least one point")
-    residuals = check_identities(f, P, gamma, samples, order=int_in(cfg.get("order", 8)),
-                                 seed=int_in(cfg.get("seed", 7)))
+    try:
+        if not isinstance(cfg, dict):
+            raise TypeError(f"expected a JSON object, got {cfg!r}")
+        f_cfg = cfg.get("f", {"kind": "exp"})
+        if not isinstance(f_cfg, dict) or f_cfg.get("kind") not in _F_KINDS:
+            raise ValueError(f"unknown f {f_cfg!r}")
+        f = _F_KINDS[f_cfg["kind"]](f_cfg)
+        gamma = moebius_in(cfg["gamma"]) if "gamma" in cfg else MoebiusMap(1, 1, 1, 2)
+        P = QuadPoly(*(complex_in(c) for c in cfg.get("P", [1, 0.5, -0.25])))
+        samples = [complex_in(z) for z in cfg.get("samples",
+                   [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.5], [0.7, 0.1]])]
+        if not samples:
+            raise ValueError("samples must list at least one point")
+        order, seed = int_in(cfg.get("order", 8)), int_in(cfg.get("seed", 7))
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"bad lambda-check config: {e}")
+    residuals = check_identities(f, P, gamma, samples, order=order, seed=seed)
     report = {"config": cfg, "tolerances": tols, "residuals": residuals}
     try:
         solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),

@@ -3,16 +3,14 @@
 A cocycle is stored by its values on the presentation generators and extended
 to arbitrary words through chi(g1 g2) = chi(g1) + rho(g1).chi(g2).  Tangent
 vectors along representation families come from exact derivatives of the
-generator images; 4th-order central differences of sign-aligned SL(2,C) lifts
-give the independent cross-check.
+generator images.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +21,11 @@ from .sl2 import (
     ad_matrix,
     adjoint_action,
     mat_inv_unit,
-    mat_norm,
     matrix_to_poly,
     project_traceless,
 )
 from .words import FreeWord, GroupRingElement, Signature, relator
 
-DEFAULT_FD_STEP = 1e-3
 _RCOND = 1e-9
 
 
@@ -38,10 +34,6 @@ class CocycleNotParabolicError(ValueError):
         super().__init__(
             f"cocycle is not a local coboundary at {word}: residual {residual:.3e} > {tol:.3e}")
         self.residual = residual
-
-
-class BranchJumpError(RuntimeError):
-    """Consecutive SL2 lifts along a family are too far apart for sign alignment."""
 
 
 def elliptic_trace_targets(order: int) -> list[float]:
@@ -201,91 +193,6 @@ def solve_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord,
     return LocalSolve(QuadPoly.from_vector(sol), residual, kernel_dim)
 
 
-def local_kernel_basis(rho: Representation, gamma: FreeWord,
-                       rcond: float = _RCOND) -> list[QuadPoly]:
-    """Basis of ker(Ad rho(gamma) - 1)."""
-    M = ad_matrix(rho.image(gamma)) - np.eye(3)
-    _, svals, vh = np.linalg.svd(M)
-    cutoff = rcond * max(float(svals[0]), 1e-30)
-    null = vh[svals <= cutoff].conj()
-    return [QuadPoly.from_vector(v) for v in null]
-
-
-@dataclass
-class CocycleReport:
-    relator_residual: float
-    local: dict[str, LocalSolve] = field(default_factory=dict)
-    local_failures: dict[str, float] = field(default_factory=dict)
-    scale: float = 1.0
-
-    @property
-    def parabolic(self) -> bool:
-        return not self.local_failures
-
-
-def verify_cocycle(rho: Representation, chi: Cocycle, local_tol: float = 1e-6) -> CocycleReport:
-    """Relator residual of the par-1 extension plus local coboundary residuals
-    at every marked generator.  Reports, never raises."""
-    rep = CocycleReport(relator_residual=chi(relator(rho.signature)).norm(),
-                        scale=max(1.0, chi.norm()))
-    for i in range(1, rho.signature.num_marked + 1):
-        name = f"c{i}"
-        w = rho.signature.gen(name)
-        try:
-            rep.local[name] = solve_local_coboundary(rho, chi, w, tol=local_tol)
-        except CocycleNotParabolicError as err:
-            rep.local_failures[name] = err.residual
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# finite differences along representation families
-# ---------------------------------------------------------------------------
-
-_FD_OFFSETS = (-2, -1, 0, 1, 2)  # f' ~ (8(f_{+1} - f_{-1}) - (f_{+2} - f_{-2})) / 12h
-
-
-def _aligned_lifts(reps, gen: str, branch_tol: float):
-    """Sign-align one generator's SL2 lifts along consecutive family samples."""
-    lifts = [reps[0].images[gen].tuple()]
-    for rep in reps[1:]:
-        m = rep.images[gen].tuple()
-        prev = lifts[-1]
-        dplus = max(abs(x - y) for x, y in zip(m, prev))
-        dminus = max(abs(-x - y) for x, y in zip(m, prev))
-        m = m if dplus <= dminus else tuple(-x for x in m)
-        if min(dplus, dminus) > branch_tol * max(1.0, mat_norm(prev)):
-            raise BranchJumpError(
-                f"lift discontinuity for {gen}: distance {min(dplus, dminus):.3e}")
-        lifts.append(m)
-    return lifts
-
-
-def finite_difference_cocycle(family: Callable[[float], Representation],
-                              s0: float = 0.0,
-                              h: float = DEFAULT_FD_STEP,
-                              branch_tol: float = 0.5) -> Cocycle:
-    """chi(gamma) = rho_dot(gamma) rho(gamma)^-1 via the 4th-order stencil
-    (-f(s+2h) + 8 f(s+h) - 8 f(s-h) + f(s-2h)) / 12h on sign-aligned lifts.
-
-    The base representation (at s0) and the derivative use the same aligned
-    lift chain, so flipping any sample's PSL representative cancels exactly.
-    """
-    reps = [family(s0 + k * h) for k in _FD_OFFSETS]
-    base = reps[2]
-    values: dict[str, QuadPoly] = {}
-    for gen in base.signature.generators:
-        lifts = _aligned_lifts(reps, gen, branch_tol)
-        # difference symmetric pairs first: exact zero on constant families
-        dot = tuple((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
-                    for m2, m1, p1, p2 in zip(lifts[0], lifts[1], lifts[3], lifts[4]))
-        inv0 = mat_inv_unit(lifts[2])
-        x = np.array([[dot[0], dot[1]], [dot[2], dot[3]]]) @ \
-            np.array([[inv0[0], inv0[1]], [inv0[2], inv0[3]]])
-        values[gen] = matrix_to_poly(project_traceless(x))
-    return Cocycle(base, values)
-
-
 def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycle:
     """chi(gen) = traceless part of rho_dot(gen) rho(gen)^-1, from the
     derivative of each generator's image (row-major 4-tuples, the lift that
@@ -296,18 +203,6 @@ def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycl
         x = np.array(derivatives[gen]).reshape(2, 2) @ np.array(inv).reshape(2, 2)
         values[gen] = matrix_to_poly(project_traceless(x))
     return Cocycle(rho, values)
-
-
-def fd_cocycle_with_check(family, s0: float = 0.0, h: float = DEFAULT_FD_STEP,
-                          agree_tol: float = 1e-5) -> tuple[Cocycle, float]:
-    """Richardson-style hygiene: compute at h and h/2 and require agreement."""
-    coarse = finite_difference_cocycle(family, s0, h)
-    fine = finite_difference_cocycle(family, s0, h / 2)
-    scale = max(1.0, fine.norm())
-    diff = max((coarse.values[g] - fine.values[g]).norm() for g in fine.values) / scale
-    if diff > agree_tol:
-        raise BranchJumpError(f"finite-difference refinement disagreement {diff:.3e}")
-    return fine, diff
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +289,8 @@ def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
     """Subtract the least-squares-best coboundary from chi.
 
     The cohomology class (hence every Goldman pairing) is unchanged; what this
-    buys is conditioning: finite-difference cocycles of monodromy families
-    carry a large coboundary part (the frame drags along the family) that
+    buys is conditioning: tangent cocycles of monodromy families carry a
+    large coboundary part (the frame drags along the family) that
     would otherwise force ~|chi|^2 / |pairing| cancellation in the sums.
     """
     rho = chi.base
@@ -406,8 +301,3 @@ def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
     v2 = v - D @ P
     return Cocycle(rho, {g: QuadPoly.from_vector(v2[3 * i:3 * i + 3])
                          for i, g in enumerate(gens)})
-
-
-def random_quadpoly(rng, scale: float = 1.0) -> QuadPoly:
-    v = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    return QuadPoly.from_vector(v)

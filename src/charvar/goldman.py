@@ -8,7 +8,7 @@ Closed surfaces:
 and for orbifold signatures two more sums: the marked-generator Fox terms
 (dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
-All the chi1(# dR/dx) come from one walk of the relator (see _pairing).
+Each cocycle's side is one walk of the relator (_walk) and m local solves.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
-from .cocycles import Cocycle, Representation, solve_local_coboundary
+from .cocycles import Cocycle, LocalSolve, Representation, solve_local_coboundary
 from .sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
 from .words import FreeWord, GoldmanSchedule, relator
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
 CUP_SIGN = +1
+
+_REDUCIBLE = ("representation is visibly reducible (common fixed point); "
+              "the pairing may be degenerate")
 
 
 @dataclass
@@ -34,17 +38,15 @@ class PairingReport:
     """Value of the pairing together with the correction data that entered it."""
 
     value: complex
-    p2: dict[str, QuadPoly] = field(default_factory=dict)
-    local_residuals: dict[str, float] = field(default_factory=dict)
-    kernel_dims: dict[str, int] = field(default_factory=dict)
-    relator_residuals: tuple[float, float] = (0.0, 0.0)
-    scale: float = 1.0
+    p2: dict[str, QuadPoly]
+    local_residuals: dict[str, float]
+    kernel_dims: dict[str, int]
+    relator_residuals: tuple[float, float]
 
     def as_dict(self) -> dict:
         from .serialize import complex_out, poly_out
         return {
             "value": complex_out(self.value),
-            "scale": self.scale,
             "p2_list": {k: poly_out(v) for k, v in self.p2.items()},
             "local_residuals": dict(self.local_residuals),
             "kernel_dims": dict(self.kernel_dims),
@@ -53,50 +55,82 @@ class PairingReport:
         }
 
 
-def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
-             local_tol: float = 1e-6) -> PairingReport:
-    """Shared Goldman sum; the marked-generator sums are empty for closed
-    signatures, so this is simultaneously (G-2) and (G-non)."""
-    if rho.visibly_reducible:
-        warnings.warn("representation is visibly reducible (common fixed point); "
-                      "the pairing may be degenerate", RuntimeWarning, stacklevel=3)
-    sig = rho.signature
-    Rword = relator(sig)
-    # one walk of R = x_1 ... x_L carrying rho(P_j) and c_j = chi1(P_j):
-    # dR/dx collects P_{j-1} at x_j = x and -P_j at x_j = x^-1, and
-    # chi1(P^-1) = -Ad(rho(P)^-1) chi1(P) evaluates their # images
+#: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i
+_Walk = namedtuple("_Walk", "sharp relator inverses")
+
+
+def _walk(chi: Cocycle, Rword: FreeWord) -> _Walk:
+    """Walk R = x_1 ... x_L carrying rho(P_j) and c_j = chi(P_j): dR/dx
+    collects P_{j-1} at x_j = x and -P_j at x_j = x^-1, and
+    chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their # images."""
+    sig = chi.base.signature
     sharp = {gen: QuadPoly.zero() for gen in sig.generators}
     prefix, c = MoebiusMap.identity(), QuadPoly.zero()
-    for name, exp, next_prefix, next_c in chi1.prefixes(Rword):
+    for name, exp, next_prefix, next_c in chi.prefixes(Rword):
         if exp == 1:
             sharp[name] = sharp[name] - adjoint_action(prefix.inverse(), c)
         else:
             sharp[name] = sharp[name] + adjoint_action(next_prefix.inverse(), next_c)
         prefix, c = next_prefix, next_c
-    chi1_relator = c
+    inverses = {f"c{i}": chi(sig.gen(f"c{i}").inverse())
+                for i in range(1, sig.num_marked + 1)}
+    return _Walk(sharp, c, inverses)
 
+
+def _local_solves(rho: Representation, chi: Cocycle, local_tol: float) -> dict[str, LocalSolve]:
+    """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i."""
+    sig = rho.signature
+    return {f"c{i}": solve_local_coboundary(rho, chi, sig.gen(f"c{i}"), tol=local_tol)
+            for i in range(1, sig.num_marked + 1)}
+
+
+def _value(walk: _Walk, chi2: Cocycle, solves2: dict[str, LocalSolve]) -> complex:
+    """One Goldman sum, (G-2) and (G-non) alike: closed signatures have no c_i."""
     total = 0j
-    for k in range(1, sig.g + 1):
-        for gen in (f"a{k}", f"b{k}"):
-            total -= killing(sharp[gen], chi2.values[gen])
+    for gen, sharp in walk.sharp.items():
+        total -= killing(sharp, chi2.values[gen])
+        if gen in solves2:
+            total -= killing(walk.inverses[gen], solves2[gen].poly)
+    return total
 
-    report = PairingReport(value=0j)
-    for i in range(1, sig.num_marked + 1):
-        gen = f"c{i}"
-        total -= killing(sharp[gen], chi2.values[gen])  # # dR/dc_i = R_{g+i-1}^-1
-        solve = solve_local_coboundary(rho, chi2, sig.gen(gen), tol=local_tol)
-        total -= killing(chi1(sig.gen(gen).inverse()), solve.poly)
-        report.p2[gen] = solve.poly
-        report.local_residuals[gen] = solve.residual
-        report.kernel_dims[gen] = solve.kernel_dim
 
-    report.value = total
-    report.relator_residuals = (chi1_relator.norm(), chi2(Rword).norm())
-    if not all(map(math.isfinite, (total.real, total.imag, *report.relator_residuals))):
-        raise ArithmeticError(f"non-finite Goldman pairing {total} "
-                              f"(relator residuals {report.relator_residuals})")
-    report.scale = max(1e-300, chi1.norm() * chi2.norm())
-    return report
+def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> None:
+    if not all(map(math.isfinite, (value.real, value.imag, *relator_residuals))):
+        raise ArithmeticError(f"non-finite Goldman pairing {value} "
+                              f"(relator residuals {relator_residuals})")
+
+
+def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
+             local_tol: float = 1e-6) -> PairingReport:
+    """One pair: chi1's walk of R, chi2's local solves and chi2(R)."""
+    if rho.visibly_reducible:
+        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=3)
+    Rword = relator(rho.signature)
+    walk = _walk(chi1, Rword)
+    solves = _local_solves(rho, chi2, local_tol)
+    value = _value(walk, chi2, solves)
+    residuals = (walk.relator.norm(), chi2(Rword).norm())
+    _check_finite(value, residuals)
+    return PairingReport(value, {k: s.poly for k, s in solves.items()},
+                         {k: s.residual for k, s in solves.items()},
+                         {k: s.kernel_dim for k, s in solves.items()},
+                         residuals)
+
+
+def goldman_matrix(rho: Representation, chis: list[Cocycle], local_tol: float = 1e-6
+                   ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
+    """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
+    from n walks of R and n*m local solves; with each cocycle's local solves."""
+    if rho.visibly_reducible:
+        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
+    Rword = relator(rho.signature)
+    walks = [_walk(chi, Rword) for chi in chis]
+    solves = [_local_solves(rho, chi, local_tol) for chi in chis]
+    values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]
+    for row, w1 in zip(values, walks):
+        for v, w2 in zip(row, walks):
+            _check_finite(v, (w1.relator.norm(), w2.relator.norm()))
+    return values, solves
 
 
 def goldman_closed(rho: Representation, chi1: Cocycle, chi2: Cocycle) -> complex:

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cocycles import (Cocycle, Representation, reduce_by_coboundary,
-                       tangent_cocycle)
-from .goldman import goldman_orbifold
-from .monodromy import (MonodromyEngine, SphereData, build_potential,
-                        potential_tangent)
+from .cocycles import Cocycle, reduce_by_coboundary, tangent_cocycle
+from .goldman import goldman_matrix
+from .monodromy import MonodromyEngine, SphereData, build_potential, potential_tangent
 from .sl2 import Mat2, MoebiusMap
 from .words import relator
 
@@ -65,22 +63,6 @@ def displace(data: SphereData, direction: Direction, s: complex) -> SphereData:
                            data.orders, data.order_infinity,
                            [a + s * w for a, w in zip(data.accessory(), dacc)],
                            data.base_point)
-
-
-def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direction,
-                     rho: Representation, relation_tol: float = 1e-5):
-    """s -> Representation along one deformation direction, memoized; the
-    finite-difference cross-check of the tangent cocycles.  ``rho`` is the
-    representation at s = 0 and seeds the memo."""
-    cache: dict[float, Representation] = {0.0: rho}
-
-    def family(s: float) -> Representation:
-        if s not in cache:
-            cache[s] = engine.representation(displace(base, direction, s),
-                                             relation_tol=relation_tol)[0]
-        return cache[s]
-
-    return family
 
 
 def _abs_trace_rate(image: MoebiusMap, derivative: Mat2) -> float:
@@ -192,17 +174,9 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
                           for g in rho.signature.generators)
         relres[lab] = chi(R).norm() / max(1.0, chi.norm())
 
-    n = len(directions)
-    omega = [[0j] * n for _ in range(n)]
-    local: dict[str, float] = {}
-    kdims: dict[str, int] = {}
-    for i in range(n):
-        for j in range(n):
-            rep = goldman_orbifold(rho, cocycles[i], cocycles[j])
-            omega[i][j] = rep.value  # the diagonal is a self-pairing null check
-            for k, v in rep.local_residuals.items():
-                local[k] = max(local.get(k, 0.0), v)
-            kdims.update(rep.kernel_dims)
+    omega, solves = goldman_matrix(rho, cocycles)  # the diagonal is a self-pairing null check
+    local = {k: max(s[k].residual for s in solves) for k in solves[0]}
+    kdims = {k: s.kernel_dim for k, s in solves[0].items()}  # rho's alone
 
     return GridResult(offset, labels, omega,
                       relation_residual=rho.relator_residual(),
@@ -225,6 +199,12 @@ def kawai_experiment(base: SphereData,
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
+    if not accessory_directions and not t_directions:
+        raise ValueError("a kawai experiment needs at least one direction")
+    for offset in grid:
+        if len(offset.t) > len(t_directions) or len(offset.c) > len(accessory_directions):
+            raise ValueError(f"grid offsets {offset} exceed the {len(t_directions)} t and "
+                             f"{len(accessory_directions)} accessory directions")
     labels = [d.label() for d in list(accessory_directions) + list(t_directions)]
     results = [_grid_point(base, t_directions, accessory_directions, offset, relation_tol)
                for offset in grid]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from .jets import DEFAULT_ORDER, Jet, nan_max
+from .jets import nan_max
 from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
 from .words import Signature
 
@@ -86,14 +86,6 @@ class SphereData:
         """(pole, theta/4, m/2) triples: q(z)/2 = sum A/(z-p)^2 + B/(z-p)."""
         return [(p, th / 4.0, m / 2.0)
                 for p, th, m in zip(self.points, self.thetas, self.residues)]
-
-    def q_jet(self, z0: complex, order: int = DEFAULT_ORDER) -> Jet:
-        total = Jet.constant(0j, z0, order)
-        z = Jet.variable(z0, order)
-        for p, th, m in zip(self.points, self.thetas, self.residues):
-            inv = (z - p).reciprocal()
-            total = total + (th / 2.0) * inv * inv + m * inv
-        return total
 
     def moment_residuals(self) -> tuple[float, float]:
         s1 = sum(self.residues)
@@ -709,28 +701,3 @@ class MonodromyEngine:
         return (Representation(self.signature, images),
                 nan_max(*(drift for _, _, drift in runs)), dimages)
 
-
-# ---------------------------------------------------------------------------
-# local solution jets (developing map data for the jet lab)
-# ---------------------------------------------------------------------------
-
-def ode_solution_jet(q_jet: Jet, value: complex, slope: complex) -> Jet:
-    """Taylor recursion for psi'' = -(q/2) psi with psi(z0), psi'(z0) given."""
-    n = q_jet.order + 2
-    c = [complex(value), complex(slope)] + [0j] * (n - 1)
-    for k in range(n - 1):
-        acc = 0j
-        for j in range(min(k, q_jet.order) + 1):
-            acc += q_jet.coeffs[j] * c[k - j]
-        c[k + 2] = -acc / (2 * (k + 1) * (k + 2))
-    return Jet(q_jet.base, c)
-
-
-def developing_jet(data: SphereData, z0: complex, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet of a developing map f = psi_b / psi_a at an ordinary point; by
-    construction S(f) = q there, which the jet lab cross-checks."""
-    qj = data.q_jet(z0, order)
-    psi_a = ode_solution_jet(qj, 1.0, 0.0)
-    psi_b = ode_solution_jet(qj, 0.0, 1.0)
-    n = min(psi_a.order, psi_b.order, order + 2)
-    return (psi_b.truncate(n) * psi_a.truncate(n).reciprocal()).truncate(order)

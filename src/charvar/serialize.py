@@ -87,6 +87,8 @@ def cocycle_out(chi: Cocycle) -> dict:
 
 def cocycle_in(d: dict, rho: Representation) -> Cocycle:
     values = d.get("values", d)  # accept the bare generator -> poly map too
+    if set(values) != set(rho.signature.generators):
+        raise ValueError(f"cocycle generators {list(values)} are not {rho.signature.generators}")
     return Cocycle(rho, {g: poly_in(v) for g, v in values.items()})
 
 

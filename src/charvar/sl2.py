@@ -217,7 +217,3 @@ def killing(P1: QuadPoly, P2: QuadPoly) -> complex:
         + 0.5 * P1.p1 * P2.p1
     )
 
-
-def b0_bracket(P1: QuadPoly, P2: QuadPoly) -> complex:
-    """B_0[F,G] = F'' G + F G'' - F' G', constant on quadratics; <,> = -B_0/2."""
-    return 2 * P1.p2 * P2.p0 + 2 * P1.p0 * P2.p2 - P1.p1 * P2.p1

@@ -482,25 +482,3 @@ def fundamental_class_chain(sig: Signature) -> GoldmanSchedule:
     corrections = tuple(f"c{i}" for i in range(1, sig.num_marked + 1))
     return GoldmanSchedule(tuple(terms), corrections)
 
-
-def boundary_pairing(sig: Signature) -> list[tuple[int, FreeWord]]:
-    """Edge pairings lambda_i of the canonical domain, N = 2g + m + n of them."""
-    duals = dual_generators(sig)
-    out: list[tuple[int, FreeWord]] = []
-    for k in range(1, sig.g + 1):
-        out.append((k, duals.alphas[k - 1].inverse()))
-    for k in range(1, sig.g + 1):
-        out.append((k + sig.g, duals.betas[k - 1].inverse()))
-    for i in range(1, sig.num_marked + 1):
-        out.append((2 * sig.g + i, duals.gammas[i - 1].inverse()))
-    return out
-
-
-def random_word(sig: Signature, length: int, rng) -> FreeWord:
-    """Random (reduced) word for property tests; rng is a numpy Generator."""
-    gens = sig.generators
-    letters = []
-    for _ in range(length):
-        name = gens[int(rng.integers(len(gens)))]
-        letters.append((name, 1 if rng.integers(2) else -1))
-    return FreeWord(letters)

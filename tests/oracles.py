@@ -1,0 +1,161 @@
+"""Independent cross-checks and samplers that only the tests use.
+
+- Finite-difference cocycles: 4th-order central differences of sign-aligned
+  SL(2,C) lifts along a representation family, to hold the exact tangent
+  cocycles (``charvar.cocycles.tangent_cocycle``) against.
+- Developing-map jets: the Taylor recursion of psi'' = -(q/2) psi at an
+  ordinary point, whose ratio must have Schwarzian q.
+- Kernel bases of the local systems (Ad rho(gamma) - 1), for the
+  kernel-shift invariance of the orbifold Goldman sum.
+- The B_0 bracket of quadratics, and random words and quadratics.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from charvar.cocycles import _RCOND, Cocycle, Representation
+from charvar.jets import Jet
+from charvar.kawai import Direction, displace
+from charvar.monodromy import MonodromyEngine, SphereData
+from charvar.sl2 import (QuadPoly, ad_matrix, mat_inv_unit, mat_norm, matrix_to_poly,
+                         project_traceless)
+from charvar.words import FreeWord, Signature
+
+DEFAULT_FD_STEP = 1e-3
+_BRANCH_TOL = 0.5  # largest lift jump, relative to the lift, taken as a sign flip
+
+
+# ---------------------------------------------------------------------------
+# finite differences along representation families
+# ---------------------------------------------------------------------------
+
+class BranchJumpError(RuntimeError):
+    """Consecutive SL2 lifts along a family are too far apart for sign alignment."""
+
+
+_FD_OFFSETS = (-2, -1, 0, 1, 2)  # f' ~ (8(f_{+1} - f_{-1}) - (f_{+2} - f_{-2})) / 12h
+
+
+def _aligned_lifts(reps, gen: str):
+    """Sign-align one generator's SL2 lifts along consecutive family samples."""
+    lifts = [reps[0].images[gen].tuple()]
+    for rep in reps[1:]:
+        m = rep.images[gen].tuple()
+        prev = lifts[-1]
+        dplus = max(abs(x - y) for x, y in zip(m, prev))
+        dminus = max(abs(-x - y) for x, y in zip(m, prev))
+        m = m if dplus <= dminus else tuple(-x for x in m)
+        if min(dplus, dminus) > _BRANCH_TOL * max(1.0, mat_norm(prev)):
+            raise BranchJumpError(
+                f"lift discontinuity for {gen}: distance {min(dplus, dminus):.3e}")
+        lifts.append(m)
+    return lifts
+
+
+def finite_difference_cocycle(family: Callable[[float], Representation],
+                              s0: float = 0.0, h: float = DEFAULT_FD_STEP) -> Cocycle:
+    """chi(gamma) = rho_dot(gamma) rho(gamma)^-1 via the 4th-order stencil
+    (-f(s+2h) + 8 f(s+h) - 8 f(s-h) + f(s-2h)) / 12h on sign-aligned lifts.
+
+    The base representation (at s0) and the derivative use the same aligned
+    lift chain, so flipping any sample's PSL representative cancels exactly.
+    """
+    reps = [family(s0 + k * h) for k in _FD_OFFSETS]
+    base = reps[2]
+    values: dict[str, QuadPoly] = {}
+    for gen in base.signature.generators:
+        lifts = _aligned_lifts(reps, gen)
+        # difference symmetric pairs first: exact zero on constant families
+        dot = tuple((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+                    for m2, m1, p1, p2 in zip(lifts[0], lifts[1], lifts[3], lifts[4]))
+        inv0 = mat_inv_unit(lifts[2])
+        x = np.array([[dot[0], dot[1]], [dot[2], dot[3]]]) @ \
+            np.array([[inv0[0], inv0[1]], [inv0[2], inv0[3]]])
+        values[gen] = matrix_to_poly(project_traceless(x))
+    return Cocycle(base, values)
+
+
+def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direction,
+                     rho: Representation):
+    """s -> Representation along one kawai deformation direction, memoized.
+    ``rho`` is the representation at s = 0 and seeds the memo."""
+    cache: dict[float, Representation] = {0.0: rho}
+
+    def family(s: float) -> Representation:
+        if s not in cache:
+            cache[s] = engine.representation(displace(base, direction, s))[0]
+        return cache[s]
+
+    return family
+
+
+# ---------------------------------------------------------------------------
+# local solution jets: developing map data for the Schwarzian checks
+# ---------------------------------------------------------------------------
+
+def q_jet(data: SphereData, z0: complex, order: int) -> Jet:
+    """Jet of the sphere's potential q at z0."""
+    total = Jet.constant(0j, z0, order)
+    z = Jet.variable(z0, order)
+    for p, th, m in zip(data.points, data.thetas, data.residues):
+        inv = (z - p).reciprocal()
+        total = total + (th / 2.0) * inv * inv + m * inv
+    return total
+
+
+def ode_solution_jet(qj: Jet, value: complex, slope: complex) -> Jet:
+    """Taylor recursion for psi'' = -(q/2) psi with psi(z0), psi'(z0) given."""
+    n = qj.order + 2
+    c = [complex(value), complex(slope)] + [0j] * (n - 1)
+    for k in range(n - 1):
+        acc = 0j
+        for j in range(min(k, qj.order) + 1):
+            acc += qj.coeffs[j] * c[k - j]
+        c[k + 2] = -acc / (2 * (k + 1) * (k + 2))
+    return Jet(qj.base, c)
+
+
+def developing_jet(data: SphereData, z0: complex, order: int) -> Jet:
+    """Jet of a developing map f = psi_b / psi_a at an ordinary point; by
+    construction S(f) = q there."""
+    qj = q_jet(data, z0, order)
+    psi_a = ode_solution_jet(qj, 1.0, 0.0)
+    psi_b = ode_solution_jet(qj, 0.0, 1.0)
+    n = min(psi_a.order, psi_b.order, order + 2)
+    return (psi_b.truncate(n) * psi_a.truncate(n).reciprocal()).truncate(order)
+
+
+# ---------------------------------------------------------------------------
+# sl(2) helpers and samplers
+# ---------------------------------------------------------------------------
+
+def local_kernel_basis(rho: Representation, gamma: FreeWord) -> list[QuadPoly]:
+    """Basis of ker(Ad rho(gamma) - 1), at the rank cutoff of
+    ``solve_local_coboundary``."""
+    M = ad_matrix(rho.image(gamma)) - np.eye(3)
+    _, svals, vh = np.linalg.svd(M)
+    cutoff = _RCOND * max(float(svals[0]), 1e-30)
+    null = vh[svals <= cutoff].conj()
+    return [QuadPoly.from_vector(v) for v in null]
+
+
+def b0_bracket(P1: QuadPoly, P2: QuadPoly) -> complex:
+    """B_0[F,G] = F'' G + F G'' - F' G', constant on quadratics; <,> = -B_0/2."""
+    return 2 * P1.p2 * P2.p0 + 2 * P1.p0 * P2.p2 - P1.p1 * P2.p1
+
+
+def random_word(sig: Signature, length: int, rng) -> FreeWord:
+    """Random (reduced) word; rng is a numpy Generator."""
+    gens = sig.generators
+    letters = []
+    for _ in range(length):
+        name = gens[int(rng.integers(len(gens)))]
+        letters.append((name, 1 if rng.integers(2) else -1))
+    return FreeWord(letters)
+
+
+def random_quadpoly(rng) -> QuadPoly:
+    return QuadPoly.from_vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, make_genus1_rep, make_genus2_rep
-from charvar.cocycles import (coboundary, finite_difference_cocycle,
-                              local_kernel_basis, random_parabolic_cocycle,
-                              random_quadpoly)
+from oracles import (b0_bracket, direction_family, finite_difference_cocycle,
+                     local_kernel_basis, random_quadpoly)
+from charvar.cocycles import coboundary, random_parabolic_cocycle
 from charvar.goldman import (CUP_SIGN, cup_product_on_chain, goldman_closed,
                              goldman_orbifold)
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
@@ -21,7 +21,7 @@ from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.schwarzian import (check_identities, exp_provider, poly_provider,
                                 solve_lambda_report)
-from charvar.sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, b0_bracket, killing)
+from charvar.sl2 import KILLING_MATRIX, MoebiusMap, QuadPoly, killing
 from charvar.words import (GroupRingElement, Signature, dual_generators,
                            fox_derivative, fundamental_class_chain,
                            prefix_products, verify_presentation_identities)
@@ -266,7 +266,6 @@ def test_criterion_8_finite_difference_hygiene():
                                [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
         engine = MonodromyEngine(data)
         rho, _, _ = engine.representation()
-        from charvar.kawai import direction_family
         for direction in (AccessoryDirection(0), PointDirection((0, 0, 1))):
             fam = direction_family(engine, data, direction, rho)
             c_h = finite_difference_cocycle(fam, 0.0, 1e-3)

@@ -56,7 +56,7 @@ def test_fox_unknown_generator(capsys):
 
 def test_goldman_tolerance_failure_exit_2(capsys, tmp_path, orb3_rep):
     rng = np.random.default_rng(1)
-    from charvar.cocycles import random_quadpoly
+    from oracles import random_quadpoly
     chi1 = random_parabolic_cocycle(orb3_rep, rng)
     bad = {"values": {g: [[v.real, v.imag] for v in
                           random_quadpoly(rng).coeffs()]
@@ -219,11 +219,11 @@ def _bundle_path(tmp_path, rho, seed):
 
 def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2_rep):
     # the report's relator residuals are the pairing's own walk of R; they
-    # must be bit for bit what verify_cocycle's separate walk gives
+    # must be bit for bit what a separate evaluation of chi(R) gives
     from charvar import __version__
-    from charvar.cocycles import verify_cocycle
     from charvar.goldman import goldman_closed
     from charvar.serialize import cocycle_in, complex_out
+    from charvar.words import relator
     path, bundle = _bundle_path(tmp_path, genus2_rep, 3)
     assert main(["goldman", "--input", str(path)]) == 0
     out = capsys.readouterr().out
@@ -234,8 +234,8 @@ def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2
             "tolerances": {"local": 1e-6},
             "representation_relator_residual": rho.relator_residual(),
             "value": complex_out(goldman_closed(rho, chi1, chi2)),
-            "residuals": {"chi1_relator": verify_cocycle(rho, chi1).relator_residual,
-                          "chi2_relator": verify_cocycle(rho, chi2).relator_residual},
+            "residuals": {"chi1_relator": chi1(relator(rho.signature)).norm(),
+                          "chi2_relator": chi2(relator(rho.signature)).norm()},
             "p2_list": {}, "version": __version__}
     assert out == dumps_deterministic(want) + "\n"
 
@@ -368,3 +368,39 @@ def test_lambda_check_empty_samples_is_input_error(capsys):
                         '{"gamma": [[1, 0], [1, 0], [0, 0], [1, 0]], "samples": []}')
     assert code == 1
     assert "samples" in rep["error"]
+
+
+@pytest.mark.parametrize("text", ['[1]', '{"f": 3}', '{"gamma": null}', '{"P": 5}',
+                                  '{"samples": [null]}', '{"f": {"kind": "poly"}}'])
+def test_lambda_check_malformed_config_is_input_error(capsys, text):
+    code, rep = run_cli(capsys, "lambda-check", "--json", text)
+    assert code == 1
+    assert rep["error"].startswith("bad lambda-check config")
+
+
+@pytest.mark.parametrize("edit", ["missing", "unknown"])
+def test_goldman_cocycle_generators_are_checked(capsys, tmp_path, genus2_rep, edit):
+    # a cocycle without b1 used to die with KeyError inside the pairing
+    _, bundle = _bundle_path(tmp_path, genus2_rep, 5)
+    values = bundle["cocycle2"]["values"]
+    if edit == "missing":
+        del values["b1"]
+    else:
+        values["c1"] = values["b1"]
+    code, rep = run_cli(capsys, "goldman", "--json", json.dumps(bundle))
+    assert code == 1
+    assert rep["error"].startswith("bad goldman bundle: cocycle generators")
+
+
+@pytest.mark.parametrize("cfg,message", [
+    # one t and one accessory direction: a second offset of each used to be
+    # dropped while the report echoed it as applied
+    ({"sphere": SPHERE, "t_directions": VELOCITY,
+      "grid": [{"t": [[0, 0], [5, 5]], "c": [[0, 0], [7, 7]]}]}, "exceed"),
+    ({"sphere": SPHERE, "t_directions": [], "accessory_directions": []},
+     "at least one direction"),
+], ids=["offsets-beyond-directions", "no-directions"])
+def test_kawai_grid_must_fit_the_directions(capsys, cfg, message):
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
+    assert code == 1
+    assert message in rep["error"]

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_genus2_rep, rand_sl2, thrice_punctured_rep
-from charvar.cocycles import (BranchJumpError, Cocycle, CocycleNotParabolicError,
-                              Representation, coboundary, elliptic_trace_targets,
-                              fd_cocycle_with_check, finite_difference_cocycle,
-                              local_kernel_basis, random_parabolic_cocycle,
-                              random_quadpoly, reduce_by_coboundary,
-                              relator_extension_matrix, solve_local_coboundary,
-                              verify_cocycle)
+from oracles import (BranchJumpError, direction_family, finite_difference_cocycle,
+                     local_kernel_basis, random_quadpoly, random_word)
+from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
+                              coboundary, elliptic_trace_targets,
+                              random_parabolic_cocycle, reduce_by_coboundary,
+                              relator_extension_matrix, solve_local_coboundary)
 from charvar.sl2 import MoebiusMap, adjoint_action, killing, matrix_to_poly
-from charvar.words import Signature, random_word, relator
+from charvar.words import Signature, relator
 
 
 @pytest.fixture(scope="module")
@@ -197,27 +196,41 @@ class TestLocalSolve:
                     assert abs(val) < 1e-10 * max(1.0, X.norm())
 
 
+def _relator_residual(chi):
+    return chi(relator(chi.base.signature)).norm()
+
+
+def _local_residuals(rho, chi):
+    """Local-solve residual at every marked generator; None where the
+    solve rejects chi as no local coboundary."""
+    out = {}
+    for i in range(1, rho.signature.num_marked + 1):
+        try:
+            out[f"c{i}"] = solve_local_coboundary(rho, chi, rho.signature.gen(f"c{i}")).residual
+        except CocycleNotParabolicError:
+            out[f"c{i}"] = None
+    return out
+
+
 class TestVerify:
     def test_coboundary_report(self, rho_tp):
         rng = np.random.default_rng(8)
         chi = coboundary(rho_tp, random_quadpoly(rng))
-        rep = verify_cocycle(rho_tp, chi)
-        assert rep.relator_residual < 1e-10 * rep.scale
-        assert rep.parabolic
-        assert all(s.residual < 1e-10 for s in rep.local.values())
+        assert _relator_residual(chi) < 1e-10 * max(1.0, chi.norm())
+        local = _local_residuals(rho_tp, chi)
+        assert len(local) == 3
+        assert all(r is not None and r < 1e-10 for r in local.values())
 
     def test_random_assignment_fails(self, rho_tp):
         rng = np.random.default_rng(9)
         bad = Cocycle(rho_tp, {g: random_quadpoly(rng) for g in rho_tp.signature.generators})
-        rep = verify_cocycle(rho_tp, bad)
-        assert rep.relator_residual > 1e-2 or not rep.parabolic
+        assert _relator_residual(bad) > 1e-2 or None in _local_residuals(rho_tp, bad).values()
 
     def test_random_parabolic_cocycle_is_exact(self, orb3_rep):
         rng = np.random.default_rng(10)
         chi = random_parabolic_cocycle(orb3_rep, rng)
-        rep = verify_cocycle(orb3_rep, chi)
-        assert rep.relator_residual < 1e-9
-        assert rep.parabolic
+        assert _relator_residual(chi) < 1e-9
+        assert None not in _local_residuals(orb3_rep, chi).values()
 
     def test_relator_extension_matrix(self, rho2):
         rng = np.random.default_rng(11)
@@ -285,19 +298,13 @@ class TestFiniteDifferences:
         with pytest.raises(BranchJumpError):
             finite_difference_cocycle(jumpy, 0.0, 1e-3)
 
-    def test_richardson_check(self, rho2):
-        X = np.array([[0.2, 0.1], [0.3, -0.2]])
-        chi, diff = fd_cocycle_with_check(_conjugation_family(rho2, X), 0.0, 1e-3)
-        assert diff < 1e-5
-
     def test_fd_lands_in_parabolic_space(self, four_cusp_engine, four_cusp_rep):
-        from charvar.kawai import AccessoryDirection, direction_family
+        from charvar.kawai import AccessoryDirection
         engine, data = four_cusp_engine
         fam = direction_family(engine, data, AccessoryDirection(0), four_cusp_rep)
         chi = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 1e-3).values)
-        rep = verify_cocycle(four_cusp_rep, chi)
-        assert rep.relator_residual < 1e-6 * rep.scale
-        assert rep.parabolic
+        assert _relator_residual(chi) < 1e-6 * max(1.0, chi.norm())
+        assert None not in _local_residuals(four_cusp_rep, chi).values()
 
 
 class TestCoboundaryReduction:
@@ -310,7 +317,7 @@ class TestCoboundaryReduction:
         v_raw = goldman_orbifold(orb3_rep, c1, c2).value
         v_red = goldman_orbifold(orb3_rep, r1, c2).value
         assert abs(v_raw - v_red) < 1e-8 * max(1, abs(v_raw))
-        assert verify_cocycle(orb3_rep, r1).relator_residual < 1e-8
+        assert _relator_residual(r1) < 1e-8
 
     def test_kills_pure_coboundary(self, orb3_rep):
         rng = np.random.default_rng(13)

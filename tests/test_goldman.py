@@ -3,12 +3,12 @@ import pytest
 
 from conftest import (make_closed_rep, make_genus1_rep, make_genus2_rep, near_identity_sl2,
                       rand_sl2, thrice_punctured_rep)
-from charvar.cocycles import (Cocycle, coboundary, local_kernel_basis,
-                              random_parabolic_cocycle, random_quadpoly,
-                              solve_local_coboundary)
+from oracles import local_kernel_basis, random_quadpoly
+from charvar.cocycles import (Cocycle, coboundary, parabolic_parameter_basis,
+                              random_parabolic_cocycle, solve_local_coboundary)
 from charvar.goldman import (CUP_SIGN, _pairing, cup_product_on_chain,
-                             goldman_closed, goldman_orbifold)
-from charvar.sl2 import adjoint_action, killing
+                             goldman_closed, goldman_matrix, goldman_orbifold)
+from charvar.sl2 import QuadPoly, adjoint_action, killing
 from charvar.words import fox_derivative, fundamental_class_chain, relator
 
 
@@ -234,3 +234,33 @@ class TestPrefixScan:
         goldman_closed(rho, chi1, chi2)
         # 6g walking chi1 along R, 4g for the # images, 6g for chi2(R)
         assert len(calls) == 16 * g
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("which", ["genus2", "orb3"])
+    def test_entries_are_the_one_pair_values(self, which, genus2_rep, orb3_rep):
+        rho = {"genus2": genus2_rep, "orb3": orb3_rep}[which]
+        rng = np.random.default_rng(23)
+        chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
+        omega, solves = goldman_matrix(rho, chis)
+        for i, chi1 in enumerate(chis):
+            for j, chi2 in enumerate(chis):
+                rep = _pairing(rho, chi1, chi2)
+                assert omega[i][j] == rep.value
+                assert {k: s.poly for k, s in solves[j].items()} == rep.p2
+                assert {k: s.residual for k, s in solves[j].items()} == rep.local_residuals
+
+    @pytest.mark.parametrize("fixture,rank", [("genus2_rep", 6), ("four_cusp_rep", 2),
+                                              ("orb3_rep", 2)])
+    def test_nondegenerate_on_parabolic_cohomology(self, fixture, rank, request):
+        # one cocycle per basis vector of Z^1_par: the coboundaries span the
+        # radical, so the rank is dim H^1_par = 2(3g - 3 + m + n)
+        rho = request.getfixturevalue(fixture)
+        assert rank == 2 * rho.signature.dimension
+        P, N = parabolic_parameter_basis(rho)
+        gens = rho.signature.generators
+        chis = [Cocycle(rho, {g: QuadPoly.from_vector(v[3 * i:3 * i + 3])
+                              for i, g in enumerate(gens)}) for v in (P @ N).T]
+        omega, _ = goldman_matrix(rho, chis)
+        svals = np.linalg.svd(np.array(omega), compute_uv=False)
+        assert int(np.sum(svals > 1e-6 * svals[0])) == rank, svals

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
-from charvar.cocycles import Cocycle, finite_difference_cocycle, tangent_cocycle
+from oracles import direction_family, finite_difference_cocycle
+from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
-                           _abs_trace_rate, direction_family, displace,
-                           kawai_experiment)
+                           _abs_trace_rate, displace, kawai_experiment)
 from charvar.monodromy import build_potential, potential_tangent
 
 DIRECTIONS = (AccessoryDirection(0), PointDirection((0, 0, 1)))
@@ -114,3 +114,25 @@ def test_constant_family_zero_cocycle(four_cusp_rep):
     scale = max(max(abs(e) for e in m.tuple()) for m in four_cusp_rep.images.values())
     assert chi.norm() <= 1e-12 * scale
 
+
+
+def test_grid_point_pairs_each_cocycle_once(monkeypatch):
+    # two cocycles on four marked points: 2 x 4 local solves (not one set per
+    # ordered pair, 16) and one walk of the relator per cocycle
+    import charvar.cocycles as cocycles
+    import charvar.goldman as goldman
+    calls = {"solve": 0, "walk": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    solve = counting("solve", cocycles.solve_local_coboundary)
+    for mod in (cocycles, goldman):
+        monkeypatch.setattr(mod, "solve_local_coboundary", solve)
+    monkeypatch.setattr(goldman, "_walk", counting("walk", goldman._walk))
+    rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))])
+    assert rep.labels == ["c0", "t2"]
+    assert calls == {"solve": 8, "walk": 2}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
+from oracles import q_jet
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, MonodromyEngine, OrderingError,
                                _gauss_legendre, _transfer, build_lassos, build_potential,
                                integrate_fundamental, lasso_monodromy,
@@ -55,7 +56,7 @@ class TestPotential:
 
     def test_q_jet_matches_values(self):
         data = four_cusp_data()
-        j = data.q_jet(0.4 - 0.8j, 6)
+        j = q_jet(data, 0.4 - 0.8j, 6)
         assert abs(j.value - data.q(0.4 - 0.8j)) < 1e-12
         eps = 1e-5
         fd = (data.q(0.4 - 0.8j + eps) - data.q(0.4 - 0.8j - eps)) / (2 * eps)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from charvar.jets import Jet, jet_exp, moebius_jet
-from charvar.monodromy import build_potential, developing_jet
+from oracles import developing_jet, q_jet
+from charvar.monodromy import build_potential
 from charvar.schwarzian import (b_apply, check_identities, exp_provider,
                                 invariant_potential, lambda_apply,
                                 moebius_provider, poly_provider, quadpoly_jet,
@@ -185,14 +186,14 @@ class TestMonodromyIntegration:
         for z0 in (0.4 + 0.9j, -0.3 + 0.5j):
             f = developing_jet(data, z0, 10)
             S = schwarzian(f)
-            q = data.q_jet(z0, S.order)
+            q = q_jet(data, z0, S.order)
             assert (S - q).norm() < 1e-9 * max(1, q.norm())
 
     def test_lambda1_with_developing_map(self):
         data = build_potential([0, 1], [None, None], None, [])
         z0 = 0.4 + 0.9j
         f = developing_jet(data, z0, 10)
-        q = data.q_jet(z0, 10)
+        q = q_jet(data, z0, 10)
         P = QuadPoly(0.3, -0.7j, 1.1)
         Pf = quadpoly_jet(P, f.value, 10).compose(f)
         F = Pf * f.derivative().truncate(Pf.order).reciprocal()
@@ -209,12 +210,12 @@ class TestMonodromyIntegration:
             z = 0.5 + 0.4 * complex(*rng.standard_normal(2)) + 0.8j
             gj = moebius_jet(gamma, z, 9)
             dg = gj.derivative()
-            lhs = data.q_jet(gj.value, 8).compose(gj.truncate(8)) * dg.truncate(8) * dg.truncate(8)
-            rhs = data.q_jet(z, 8)
+            lhs = q_jet(data, gj.value, 8).compose(gj.truncate(8)) * dg.truncate(8) * dg.truncate(8)
+            rhs = q_jet(data, z, 8)
             assert (lhs.truncate(8) - rhs.truncate(8)).norm() < 1e-10 * max(1, rhs.norm())
             F = Jet.from_polynomial([0.2, 1.1, -0.4, 0.3j], gj.value, 8)
             lam_lhs = lambda_apply(rhs, F.compose(gj.truncate(8)) * dg.truncate(8).reciprocal())
-            lam_F = lambda_apply(data.q_jet(gj.value, 8), F)
+            lam_F = lambda_apply(q_jet(data, gj.value, 8), F)
             lam_rhs = lam_F.compose(gj.truncate(lam_F.order)) * dg * dg
             n = min(lam_lhs.order, lam_rhs.order)
             assert (lam_lhs.truncate(n) - lam_rhs.truncate(n)).norm() < \

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_sl2
+from oracles import b0_bracket
 from charvar.sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, ad_matrix,
-                         adjoint_action, b0_bracket, killing, matrix_to_poly,
-                         poly_to_matrix, project_traceless)
+                         adjoint_action, killing, matrix_to_poly, poly_to_matrix,
+                         project_traceless)
 
 BASIS = [QuadPoly(1, 0, 0), QuadPoly(0, 1, 0), QuadPoly(0, 0, 1)]
 

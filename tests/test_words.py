@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import random_word
 from charvar.words import (FreeWord, GroupRingElement, Signature, anti_involution,
-                           boundary_pairing, commutator, dual_generators,
-                           fox_derivative, fundamental_class_chain, parse_word,
-                           prefix_products, random_word, relator,
-                           verify_presentation_identities)
+                           commutator, dual_generators, fox_derivative,
+                           fundamental_class_chain, parse_word, prefix_products,
+                           relator, verify_presentation_identities)
 
 
 SIG2 = Signature(2)
@@ -152,19 +152,6 @@ class TestPrefixAndDuals:
         assert duals.betas[0] == parse_word("a1 b1 a1^-1 b1^-1 a1^-1", sig)
         duals04 = dual_generators(SIG04)
         assert duals04.gammas[0] == parse_word("c1^-1", SIG04)
-
-    def test_boundary_pairing(self):
-        pairs = dict(boundary_pairing(Signature(1)))
-        duals = dual_generators(Signature(1))
-        assert len(pairs) == 2
-        assert pairs[1] == duals.alphas[0].inverse()
-        assert pairs[2] == duals.betas[0].inverse()
-        pairs = boundary_pairing(SIG111)
-        assert len(pairs) == 4  # N = 2g + m + n
-        duals = dual_generators(SIG111)
-        assert pairs[2][1] == duals.gammas[0].inverse()
-        pairs = boundary_pairing(Signature(0, (), 3))
-        assert [i for i, _ in pairs] == [1, 2, 3]
 
     def test_chain_genus1(self):
         sig = Signature(1)
