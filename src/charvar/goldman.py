@@ -117,7 +117,7 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
                          residuals)
 
 
-def goldman_matrix(rho: Representation, chis: list[Cocycle], local_tol: float = 1e-6
+def goldman_matrix(rho: Representation, chis: list[Cocycle]
                    ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
     """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
     from n walks of R and n*m local solves; with each cocycle's local solves."""
@@ -125,7 +125,7 @@ def goldman_matrix(rho: Representation, chis: list[Cocycle], local_tol: float = 
         warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
     Rword = relator(rho.signature)
     walks = [_walk(chi, Rword) for chi in chis]
-    solves = [_local_solves(rho, chi, local_tol) for chi in chis]
+    solves = [_local_solves(rho, chi, 1e-6) for chi in chis]
     values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]
     for row, w1 in zip(values, walks):
         for v, w2 in zip(row, walks):
