@@ -12,7 +12,10 @@ and a circle about that point through the entry.  The stem is transported by
 Taylor steps (``integrate_fundamental``), once per lasso; the circle is not
 integrated at all: its monodromy is exact from the Frobenius basis at the
 marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
-2016), and both carry derivatives along deformations of the potential.
+2016).  Both carry derivatives along deformations of the potential, both by
+variation of constants over the series they already sum: a Gauss-Legendre
+rule over each Taylor step, and product-integration rules for the singular
+factors u^rho and log u along the ray from the marked point to the entry.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -316,6 +319,18 @@ def _gauss_legendre():
     return nodes, weights, squares
 
 
+def _dq(poles, tangent, recips):
+    """The variation of q/2 = sum A/(z-p)^2 + B/(z-p) along ``tangent`` (one
+    (dp, dA, dB) per pole) with z frozen, at the _QUAD_NODES points where
+    ``recips`` holds y = 1/(z - p) per pole:
+        dq = sum y (dB + y (dA + B dp + 2 A dp y))."""
+    dq = [0j] * _QUAD_NODES
+    for (_, A, B), (dp, dA, dB), r in zip(poles, tangent, recips):
+        c2, c3 = dA + B * dp, 2 * A * dp
+        dq = [s + y * (dB + y * (c2 + y * c3)) for s, y in zip(dq, r)]
+    return dq
+
+
 def _ends(c):
     """Value and tau-slope of sum c_n tau^n at tau = +1, then at tau = -1."""
     even, odd = c[0::2], c[1::2]
@@ -404,10 +419,7 @@ def _transfer(poles, tangents, z0: complex, h: complex):
     g2 = g * g
     dT = []
     for tan in tangents:
-        dq = [0j] * len(nodes)
-        for (_, A, B), (dp, dA, dB), r in zip(poles, tan, recips):
-            c2, c3 = dA + B * dp, 2 * A * dp
-            dq = [s + y * (dB + y * (c2 + y * c3)) for s, y in zip(dq, r)]
+        dq = _dq(poles, tan, recips)
         iab = sum(map(mul, dq, wab))
         # the tau-data kernel g^2 [[iab, ibb], [-iaa, -iab]] in z data
         k = (g2 * iab, g2 * g * sum(map(mul, dq, wbb)), -g * sum(map(mul, dq, waa)), -g2 * iab)
@@ -477,11 +489,52 @@ def wronskian_drift(m: Mat2) -> float:
 # exact local monodromy: Frobenius bases at the marked points
 # ---------------------------------------------------------------------------
 
-def _laurent(poles, tangents, path: LoopPath, s: complex):
-    """Yields (P_m, [dP_m per tangent]) for m = 1, 2, ...: the Laurent
-    coefficients of the potential R(u) = sum R_m u^(m-2) about a marked point
-    in its local coordinate u, scaled to the entry point as P_m = R_m s^m,
-    s = u(entry).  R_0 = theta/4 enters through the exponents.
+@functools.lru_cache(maxsize=None)
+def _ray_rule(order: Optional[int]):
+    """(nodes, weights, weights) of two product-integration rules on [0, 1]
+    for a marked point of the given order: the _QUAD_NODES Gauss-Legendre
+    nodes t_i = (1 + x_i)/2 and weights W_i with sum W_i f(t_i) =
+    int_0^1 omega(t) f(t) dt for every polynomial f of degree < _QUAD_NODES,
+    for omega = t^(1/e) and t^(-1/e) at an order-e point, and omega = 1 and
+    log t at a cusp (order None).  Interpolating f in the Legendre basis
+    gives W_i = (w_i/2) sum_(k<16) (2k+1) P_k(x_i) mu_k with the moments
+    mu_k = int_0^1 omega(t) P_k(2t-1) dt in closed form:
+        t^g:   mu_0 = 1/(g+1),  mu_k = mu_(k-1) (g-k+1)/(g+k+1);
+        log t: mu_0 = -1,       mu_k = (-1)^(k+1) / (k(k+1)).
+    The P_k are taken at 2 t_i - 1 of the nodes as rounded, which keeps the
+    rule exact to rounding on t^15 (from the unrounded x_i it errs ~k eps on
+    t^k).  Computed on first use, once per order."""
+    xs, ws, _ = _gauss_legendre()
+    m = len(xs)
+    nodes = [(1 + x) / 2 for x in xs]
+    legendre = []  # P_0(x_i), ..., P_(m-1)(x_i) per node, at x_i = 2 t_i - 1
+    for x in (2 * t - 1 for t in nodes):
+        row = [1.0, x]
+        for k in range(2, m):
+            row.append(((2 * k - 1) * x * row[-1] - (k - 1) * row[-2]) / k)
+        legendre.append(row)
+
+    def weights(mu):
+        return [w / 2 * sum((2 * k + 1) * p * c for k, (p, c) in enumerate(zip(row, mu)))
+                for w, row in zip(ws, legendre)]
+
+    def power(g):
+        mu = [1 / (g + 1)]
+        for k in range(1, m):
+            mu.append(mu[-1] * (g - k + 1) / (g + k + 1))
+        return mu
+
+    if order is None:
+        log = [-1.0] + [(-1) ** (k + 1) / (k * (k + 1)) for k in range(1, m)]
+        return nodes, weights(power(0.0)), weights(log)
+    return nodes, weights(power(1 / order)), weights(power(-1 / order))
+
+
+def _laurent(poles, path: LoopPath, s: complex):
+    """Yields P_m for m = 1, 2, ...: the Laurent coefficients of the
+    potential R(u) = sum R_m u^(m-2) about a marked point in its local
+    coordinate u, scaled to the entry point as P_m = R_m s^m, s = u(entry).
+    R_0 = theta/4 enters through the exponents.
 
     At a finite pole p, u = z - p and R = q/2; with r_i = s / (p_i - p) over
     the other poles, for m >= 2
@@ -489,39 +542,25 @@ def _laurent(poles, tangents, path: LoopPath, s: complex):
     and P_1 = s B_p.  At infinity u = w = 1/(z - c) and R = (q/2) w^-4, the
     equation of phi = w psi; with d_i = p_i - c and r_i = s d_i, for m >= 1
         P_m = sum ((m+1) A + B d) r^m,
-    and the w^-3 term sum B vanishes by the first moment constraint.  A
-    tangent differentiates the coefficients with the entry point frozen; at a
-    finite pole that is the motion of the other poles relative to p.  Both
-    cases read P_m = (m+k) sum u r^(m-1) + sum v r^(m-1) and dP_m =
-    (m+k) sum (du + m dw) r^(m-1) + sum dv r^(m-1), with k = -1 or +1.
+    and the w^-3 term sum B vanishes by the first moment constraint.  Both
+    cases read P_m = (m+k) sum u r^(m-1) + sum v r^(m-1), k = -1 or +1.
     """
     if path.target == "inf":
         d = [p - path.centre for p, _, _ in poles]
         r = [s * x for x in d]
         u = [A * x for (_, A, _), x in zip(poles, r)]
         v = [B * y * x for (_, _, B), y, x in zip(poles, d, r)]
-        rows = [([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(poles, tan, r)],
-                 [A * s * dp for (_, A, _), (dp, _, _) in zip(poles, tan)],
-                 [dB * y * x for (_, _, dB), y, x in zip(tan, d, r)]) for tan in tangents]
         m, k, pw = 1, 1, [1.0] * len(poles)  # pw = r^(m-1)
     else:
         j = path.target
-        yield s * poles[j][2], [s * tan[j][2] for tan in tangents]
+        yield s * poles[j][2]
         others = [poles[i] for i in range(len(poles)) if i != j]
         r = [s / (p - poles[j][0]) for p, _, _ in others]
         u = [A * x for (_, A, _), x in zip(others, r)]
         v = [-B * s for _, _, B in others]
-        rows = []
-        for tan in tangents:
-            rel = [(dp - tan[j][0], dA, dB) for i, (dp, dA, dB) in enumerate(tan) if i != j]
-            rows.append(([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(others, rel, r)],
-                         [-A * x * x * dp / s for (_, A, _), (dp, _, _), x in zip(others, rel, r)],
-                         [-dB * s for _, _, dB in rel]))
         m, k, pw = 2, -1, r
     while True:
-        yield ((m + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)),
-               [(m + k) * (sum(map(mul, pw, du)) + m * sum(map(mul, pw, dw)))
-                + sum(map(mul, pw, dv)) for du, dw, dv in rows])
+        yield (m + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v))
         pw = list(map(mul, pw, r))
         m += 1
 
@@ -530,8 +569,8 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     """(C, [E per tangent], Wronskian drift) for the circle of ``path``
     (column convention, row-major 4-tuples): C = Phi N Phi^-1 is the exact
     monodromy of the loop from the entry point, E = dPhi Phi^-1 along each
-    tangent, and the drift compares the Frobenius Wronskian with its exact
-    value.
+    tangent up to a matrix that commutes with C, and the drift compares the
+    Frobenius Wronskian with its exact value.
 
     In the local coordinate u (see ``_laurent``) the exponents are
     rho = (1 +- 1/e)/2 at an order-e point, and
@@ -545,10 +584,33 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     (sum a_n s^n, rho sum a_n s^n + sum n a_n s^n) of each basis function,
     whose determinant is exactly rho_- - rho_+ (cusp: 1), and by G, the map
     from reduced data to (psi, psi') at the entry point: diag(1, 1/s), and at
-    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  A tangent varies the
-    coefficients (dMh) and, at a finite pole, moves the pole under the frozen
-    entry point, which adds -dp (psi', -(q/2) psi): E = G dMh Mh^-1 G^-1 -
-    dp K with K = [[0, 1], [-q/2, 0]].  The exponents do not move, so dN = 0.
+    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  The series stop on
+    the untangented terms alone.
+
+    A tangent varies R by dR with the entry point frozen; the exponents do
+    not move, so dN = 0 and the lasso reads E only through dC = [E, C].
+    Variation of constants from the marked point along the ray u = s t,
+    t in [0, 1], gives dPhi = Phi int_0^s Phi^-1 dK Phi du with
+    dK = [[0, 0], [-dR, 0]], and of that integral only the entries that do
+    not commute with N are needed.  With A(t) = sum a_n t^n, B(t) =
+    sum b_n t^n and F_xy(t) = t s^2 dR(s t) X(t) Y(t), in the reduced frame
+        elliptic: Eh = [[0, J_bb/W], [-J_aa/W, 0]], W = -1/e,
+                  J_aa = int t^(1/e) F_aa, J_bb = int t^(-1/e) F_bb;
+        cusp:     Eh = [[2 (int log t F_aa + int F_ab), 0], [-int F_aa, 0]]
+    over [0, 1], by the product rules of ``_ray_rule``: the factors u^rho
+    and log u of the Frobenius basis become the weights, and every F is
+    analytic on the ray.  Then E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite
+    pole the pole moves under the frozen entry point, which adds
+    -dp (psi', -(q/2) psi), K = [[0, 1], [-q/2, 0]].
+
+    dR at a finite pole p_j is ``_dq`` with every pole's motion taken
+    relative to p_j.  At infinity, per pole and with y = 1/(1 - d w),
+        dR = sum w^-1 [(dA + B dp)(2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
+           = sum w^-1 y [d (dB d + dA + B dp) + y (d (dA + B dp) + 2 A dp y)]:
+    the w^-3 and w^-2 terms, d sum B and d sum (A + B d), vanish by the
+    moment constraints and are left out, since their float residue would
+    meet a factor t^-2 at the marked point.  A tangent thus costs
+    O(nodes x poles), not a differentiated series.
     """
     entry = path.stem[1]
     inf = path.target == "inf"
@@ -562,32 +624,20 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
     cusp = order is None
     dlt = 0.0 if cusp else 1.0 / order
-    coeffs = _laurent(poles, tangents, path, s)
+    coeffs = _laurent(poles, path, s)
     P: list[complex] = []
-    dP: list[list[complex]] = [[] for _ in tangents]
     a, b = [1.0 + 0j], [0j if cusp else 1.0 + 0j]
     ar: list[complex] = []  # a_(n-1), ..., a_0, the convolution's other factor
     br: list[complex] = []
-    da = [([0j], [0j], [], []) for _ in tangents]  # da, db and both reversed
     big, quiet = 1.0, 0
     for n in range(1, _MAX_TERMS):
-        pn, dpn = next(coeffs)
-        P.append(pn)
-        for dPt, x in zip(dP, dpn):
-            dPt.append(x)
+        P.append(next(coeffs))
         fa, fb = -1.0 / (n * (n + dlt)), -1.0 / (n * (n - dlt))
         ar.insert(0, a[-1])
         br.insert(0, b[-1])
         a.append(fa * sum(map(mul, P, ar)))
         b.append(fb * (sum(map(mul, P, br)) + (2 * n * a[-1] if cusp else 0)))
         size = abs(a[-1]) + abs(b[-1])
-        for dPt, (dat, dbt, dar, dbr) in zip(dP, da):
-            dar.insert(0, dat[-1])
-            dbr.insert(0, dbt[-1])
-            dat.append(fa * (sum(map(mul, dPt, ar)) + sum(map(mul, P, dar))))
-            dbt.append(fb * (sum(map(mul, dPt, br)) + sum(map(mul, P, dbr))
-                             + (2 * n * dat[-1] if cusp else 0)))
-            size += abs(dat[-1]) + abs(dbt[-1])
         size *= n + 1
         if not math.isfinite(size):
             raise IntegrationError(f"non-finite Frobenius series at {path.target}")
@@ -599,17 +649,13 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
         raise IntegrationError(f"Frobenius series at {path.target} did not converge "
                                f"in {_MAX_TERMS} terms")
 
-    rho_a, rho_b = (1 + dlt) / 2, (1 - dlt) / 2
-
-    def reduced(a, b):  # Mh, or dMh from the differentiated series
-        sa, sb = sum(a), sum(b)
-        ta = sum(map(mul, range(len(a)), a))
-        tb = sum(map(mul, range(len(b)), b))
-        if cusp:
-            return (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
-        return (sa, sb, rho_a * sa + ta, rho_b * sb + tb)
-
-    mh = reduced(a, b)
+    sa, sb = sum(a), sum(b)
+    ta = sum(map(mul, range(len(a)), a))
+    tb = sum(map(mul, range(len(b)), b))
+    if cusp:
+        mh = (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
+    else:
+        mh = (sa, sb, (1 + dlt) / 2 * sa + ta, (1 - dlt) / 2 * sb + tb)
     det = mat_det(mh)
     drift = abs(det / (1.0 if cusp else -dlt) - 1.0)
     mh_inv = tuple(x / det for x in mat_inv_unit(mh))
@@ -618,12 +664,45 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     else:
         n_mat = (-cmath.exp(1j * math.pi * dlt), 0j, 0j, -cmath.exp(-1j * math.pi * dlt))
     c = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(n_mat, mh_inv)), ginv))
-    es = [mat_mul(g, mat_mul(mat_mul(reduced(dat, dbt), mh_inv), ginv))
-          for dat, dbt, _, _ in da]
-    if not inf:
+    if not tangents:
+        return c, [], drift
+
+    nodes, w1, w2 = _ray_rule(order)
+    av, bv = [], []  # A and B at the nodes
+    for t in nodes:
+        row = [t ** n for n in range(len(a))]
+        av.append(sum(map(mul, a, row)))
+        bv.append(sum(map(mul, b, row)))
+    if inf:
+        f = [s] * len(nodes)  # t s^2 dR(s t) = s x the sum in brackets
+        ys = [[1 / (1 - s * (p - path.centre) * t) for t in nodes] for p, _, _ in poles]
+    else:
+        f = [s * s * t for t in nodes]
+        p0 = poles[path.target][0]
+        recips = [[1 / (p0 - p + s * t) for t in nodes] for p, _, _ in poles]
         q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
-        es = [_sub(e, (0j, dp, -q2 * dp, 0j))
-              for e, dp in zip(es, (tan[path.target][0] for tan in tangents))]
+    # the weights of dR at the nodes for each entry of Eh (None: zero)
+    if cusp:
+        kernel = ([2 * x * y * (wl * y + wp * z) for wp, wl, x, y, z in zip(w1, w2, f, av, bv)],
+                  None, [-wp * x * y * y for wp, x, y in zip(w1, f, av)], None)
+    else:
+        kernel = (None, [-wm * x * z * z / dlt for wm, x, z in zip(w2, f, bv)],
+                  [wp * x * y * y / dlt for wp, x, y in zip(w1, f, av)], None)
+    es = []
+    for tan in tangents:
+        if inf:
+            dr = [0j] * len(nodes)
+            for (p, A, B), (dp, dA, dB), y in zip(poles, tan, ys):
+                d = p - path.centre
+                c2, c3 = (dA + B * dp) * d, 2 * A * dp
+                c1 = d * dB * d + c2
+                dr = [x + v * (c1 + v * (c2 + v * c3)) for x, v in zip(dr, y)]
+        else:
+            dp0 = tan[path.target][0]
+            dr = _dq(poles, [(dp - dp0, dA, dB) for dp, dA, dB in tan], recips)
+        eh = tuple(0j if w is None else sum(map(mul, dr, w)) for w in kernel)
+        e = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(eh, mh_inv)), ginv))
+        es.append(e if inf else _sub(e, (0j, dp0, -q2 * dp0, 0j)))
     return c, es, drift
 
 
@@ -633,9 +712,10 @@ def lasso_monodromy(poles: Sequence[tuple[complex, float, complex]], path: LoopP
     ``path`` about a marked point of the given order (None: a cusp):
     L = S^-1 C S (column convention), where S is the stem's transport and C
     the exact local monodromy.  S^-1 is the adjugate, so det L = det(S)^2
-    det C keeps the stem's drift.  With X = S^-1 (dS - E S), dL = [L, X].
-    The drift is the worst of the image's, the stem's and the Frobenius
-    Wronskian's."""
+    det C keeps the stem's drift.  With X = S^-1 (dS - E S), dL = [L, X]:
+    a part of E that commutes with C drops out, which is why
+    ``_local_monodromy`` may leave it out.  The drift is the worst of the
+    image's, the stem's and the Frobenius Wronskian's."""
     s, ds = integrate_fundamental(poles, path.stem, tangents)
     s, ds = _row(s), [_row(d) for d in ds]  # back to the column convention
     c, es, frob = _local_monodromy(poles, tangents, path, order)

@@ -78,7 +78,10 @@ def representation_out(rho: Representation) -> dict:
 
 def representation_in(d: dict) -> Representation:
     sig = signature_in(d["signature"])
-    return Representation(sig, {g: moebius_in(v) for g, v in d["images"].items()})
+    images = d["images"]
+    if set(images) != set(sig.generators):
+        raise ValueError(f"representation generators {list(images)} are not {sig.generators}")
+    return Representation(sig, {g: moebius_in(v) for g, v in images.items()})
 
 
 def cocycle_out(chi: Cocycle) -> dict:

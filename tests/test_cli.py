@@ -392,6 +392,22 @@ def test_goldman_cocycle_generators_are_checked(capsys, tmp_path, genus2_rep, ed
     assert rep["error"].startswith("bad goldman bundle: cocycle generators")
 
 
+@pytest.mark.parametrize("edit", ["missing", "unknown"])
+def test_goldman_representation_generators_are_checked(capsys, tmp_path, genus2_rep, edit):
+    # an image for a generator the signature does not have used to be kept
+    # (and read by the reducibility check) with exit 0
+    _, bundle = _bundle_path(tmp_path, genus2_rep, 5)
+    images = bundle["representation"]["images"]
+    if edit == "missing":
+        del images["b2"]
+    else:
+        images["c7"] = images["a1"]
+    code, rep = run_cli(capsys, "goldman", "--json", json.dumps(bundle))
+    assert code == 1
+    assert rep["error"].startswith("bad goldman bundle: representation generators")
+    assert ("c7" if edit == "unknown" else "b2") in rep["error"]
+
+
 @pytest.mark.parametrize("cfg,message", [
     # one t and one accessory direction: a second offset of each used to be
     # dropped while the report echoed it as applied

@@ -8,11 +8,11 @@ import pytest
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, MonodromyEngine, OrderingError,
-                               _gauss_legendre, _transfer, build_lassos, build_potential,
-                               integrate_fundamental, lasso_monodromy,
-                               potential_tangent, theta_of, wronskian_drift)
+                               _gauss_legendre, _local_monodromy, _ray_rule, _transfer,
+                               build_lassos, build_potential, integrate_fundamental,
+                               lasso_monodromy, potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
-from charvar.sl2 import MoebiusMap
+from charvar.sl2 import MoebiusMap, mat_mul
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -275,6 +275,73 @@ def test_gauss_legendre_rule_is_exact_on_polynomials():
                    for k, x in enumerate(row))
 
 
+def _commutator(x, y):
+    return tuple(a - b for a, b in zip(mat_mul(x, y), mat_mul(y, x)))
+
+
+def _local_sources():
+    """The three configs, the seeded 5-point spheres 1-10, and sphere 1 with
+    every order at infinity (the seeds draw only cusps, 2 and 3 there)."""
+    sources = [_sphere(c) for c in ("kawai-4cusp.json", "sphere-elliptic3.json",
+                                    "sphere-4cusp.json")]
+    sources += [_sphere(seed) for seed in range(1, 11)]
+    one = _sphere(1)
+    sources += [build_potential(one.points, one.orders, o, one.accessory())
+                for o in (None, 2, 3, 4, 6)]
+    return sources
+
+
+def test_local_tangents_match_the_differentiated_series():
+    # the Duhamel integral along the ray from the marked point gives E up to
+    # a matrix that commutes with C, so [E, C], the only way a lasso reads E,
+    # must match the differentiated Frobenius series of the reference; the
+    # untangented expansion is the reference's, bit for bit
+    from frobenius_reference import reference_local_monodromy
+
+    rng = np.random.default_rng(9)
+    seen = set()
+    for data in _local_sources():
+        k = len(data.points)
+        tangents = [potential_tangent(data, rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                                      rng.standard_normal(k - 2) + 1j * rng.standard_normal(k - 2))
+                    for _ in range(2)]
+        poles = data.half_q_terms()
+        for path in build_lassos(data)[1]:
+            order = data.order_at(path.target)
+            seen.add((path.target == "inf", order))
+            assert (_local_monodromy(poles, [], path, order)
+                    == reference_local_monodromy(poles, [], path, order))
+            c, es, _ = _local_monodromy(poles, tangents, path, order)
+            cr, refs, _ = reference_local_monodromy(poles, tangents, path, order)
+            assert len(es) == len(refs) == 2
+            for e, ref in zip(es, refs):
+                gap = max(abs(x - y) for x, y in zip(_commutator(e, c), _commutator(ref, cr)))
+                scale = max(map(abs, ref)) * max(map(abs, cr))
+                assert gap <= 1e-13 * scale, (data.points, path.target, order)
+    assert seen == {(at_inf, o) for at_inf in (False, True) for o in (None, 2, 3, 4, 6)}
+
+
+def test_ray_rule_is_exact_on_polynomials():
+    # sum W_i t_i^k against the exact moments, as rationals: t^(g+k) for
+    # g = 0 and +-1/e, and t^k log t, for every k below the node count
+    from fractions import Fraction
+
+    for order in (None, 2, 3, 4, 5, 6, 7):
+        nodes, w1, w2 = _ray_rule(order)
+        assert len(set(nodes)) == 16 and all(0 < t < 1 for t in nodes)
+        if order is None:
+            rules = [(w1, lambda k: Fraction(1, k + 1)),
+                     (w2, lambda k: -Fraction(1, (k + 1) ** 2))]
+        else:
+            rules = [(w, lambda k, g=Fraction(sign, order): 1 / (g + k + 1))
+                     for w, sign in ((w1, 1), (w2, -1))]
+        for weights, exact in rules:
+            for k in range(16):
+                want = float(exact(k))
+                got = sum(w * t ** k for w, t in zip(weights, nodes))
+                assert abs(got - want) <= 1e-15 * abs(want), (order, k)
+
+
 def _mp_transfer(mp, poles, z0, h):
     """T from z0 to z0 + h at mp's working precision: the midpoint series of
     ``_transfer`` summed until its terms fall below 10^-(dps + 5)."""
@@ -385,7 +452,6 @@ def test_row_convention_is_a_homomorphism():
     ma, _ = integrate_fundamental(poles, va)
     mb, _ = integrate_fundamental(poles, vb)
     mab, _ = integrate_fundamental(poles, va + vb)
-    from charvar.sl2 import mat_mul
     prod = mat_mul(ma, mb)
     scale = max(abs(x) for x in prod)
     assert max(abs(x - y) for x, y in zip(mab, prod)) < 1e-9 * scale

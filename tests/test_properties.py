@@ -1,14 +1,21 @@
-"""Property tests: the exact presentation identities on random signatures, and
-the equivariance of the adjoint action and invariance of the Killing form on
-random SL(2,C) elements.  Derandomized, so every run draws the same cases."""
+"""Property tests: the exact presentation identities and the Fox fundamental
+formula on random signatures and words, the equivariance of the adjoint
+action and invariance of the Killing form on random SL(2,C) elements, and
+random marked spheres through the monodromy subcommand.  Derandomized, so
+every run draws the same cases."""
 
 import cmath
+import contextlib
+import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charvar.cli import main
 from charvar.sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
-from charvar.words import Signature, verify_presentation_identities
+from charvar.words import (FreeWord, GroupRingElement, Signature, fox_derivative,
+                           verify_presentation_identities)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -29,6 +36,60 @@ def signatures(draw):
 def test_presentation_identities_hold(sig):
     report = verify_presentation_identities(sig)
     assert report.all_pass, [c for c in report.checks if not c.status]
+
+
+@st.composite
+def words(draw):
+    """A signature and a word of up to 12 letters in its generators (not
+    reduced: FreeWord reduces it)."""
+    sig = draw(signatures())
+    if not sig.generators:
+        return sig, FreeWord()
+    letters = draw(st.lists(st.tuples(st.sampled_from(sig.generators), st.sampled_from((1, -1))),
+                            max_size=12))
+    return sig, FreeWord(letters)
+
+
+@PROPERTY
+@given(words())
+def test_fox_fundamental_formula(case):
+    # w - 1 = sum_x (dw/dx)(x - 1) in Z[F]
+    sig, w = case
+    one = GroupRingElement.one()
+    total = GroupRingElement.zero()
+    for x in sig.generators:
+        total = total + fox_derivative(w, x) * (GroupRingElement.from_word(sig.gen(x)) - one)
+    assert total == GroupRingElement.from_word(w) - one
+
+
+@st.composite
+def spheres(draw):
+    """3 to 5 distinct finite points on the grid 0.25 Z^2 in [-1, 1]^2, orders
+    from {cusp, 2, 3, 4, 6} there and at infinity, small accessory residues."""
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=3, max_size=5, unique=True))
+    order = st.sampled_from((None, 2, 3, 4, 6))
+    small = st.floats(-0.3, 0.3)
+    return {"points": [[x / 4, y / 4] for x, y in cells],
+            "orders": [draw(order) for _ in cells],
+            "order_infinity": draw(order),
+            "accessory": [[draw(small), draw(small)] for _ in cells[2:]]}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(spheres())
+def test_monodromy_ends_in_a_report(cfg):
+    # any such sphere ends in a JSON report with exit 0 or, when a lasso or
+    # a check fails, exit 2 with the reason; never a traceback
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["monodromy", "--json", json.dumps(cfg)])
+    rep = json.loads(out.getvalue())
+    assert code in (0, 2)
+    if code == 0:
+        assert rep["relation_residual"] <= rep["tolerances"]["relation"]
+    else:
+        assert "error" in rep or "wronskian_drift" in rep
 
 
 _coeff = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
