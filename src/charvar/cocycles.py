@@ -21,6 +21,7 @@ from .sl2 import (
     ad_matrix,
     adjoint_action,
     mat_inv_unit,
+    mat_mul,
     matrix_to_poly,
     project_traceless,
 )
@@ -292,12 +293,25 @@ def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
     buys is conditioning: tangent cocycles of monodromy families carry a
     large coboundary part (the frame drags along the family) that
     would otherwise force ~|chi|^2 / |pairing| cancellation in the sums.
+
+    The subtraction cancels chi down by |chi| / |reduced chi| (~50 on the
+    kawai grid), so its rounding sets the pairing's: delta P(g) is taken as
+    the 2x2 conjugation rho(g) P rho(g)^-1 - P, whose rounding the pairing
+    absorbs far better than that of (Ad rho(g) - 1) P on the 3x3 adjoint
+    matrix (omega(c0, t2) on kawai-4cusp errs about half as much).
     """
     rho = chi.base
     gens = rho.signature.generators
     D = coboundary_matrix(rho)
     v = np.concatenate([chi.values[g].vector() for g in gens])
     P, *_ = np.linalg.lstsq(D, v, rcond=None)
-    v2 = v - D @ P
-    return Cocycle(rho, {g: QuadPoly.from_vector(v2[3 * i:3 * i + 3])
-                         for i, g in enumerate(gens)})
+    p0, p1, p2 = (complex(x) for x in P)
+    pm = (-p1 / 2, -p0, p2, p1 / 2)  # poly_to_matrix(P)
+    values = {}
+    for g in gens:
+        m = rho.images[g].tuple()
+        conj = mat_mul(mat_mul(m, pm), mat_inv_unit(m))
+        x = chi.values[g]
+        y = [a - (b - p) for a, b, p in zip((-x.p1 / 2, -x.p0, x.p2, x.p1 / 2), conj, pm)]
+        values[g] = QuadPoly(-y[1], y[3] - y[0], y[2])  # matrix_to_poly of the traceless part
+    return Cocycle(rho, values)

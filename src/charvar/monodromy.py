@@ -214,14 +214,25 @@ _BIG_RADIUS_FACTOR = 2.4
 #: every stem keeps at least this fraction of the smallest point gap from
 #: every marked point but its own, or OrderingError
 _CLEARANCE_FACTOR = 0.05
+#: the largest circle radius, as a fraction of min(gap, |p - z_b|), that
+#: ``build_lassos`` accepts: it keeps every other singularity of a circle's
+#: Frobenius data at |t| >= 1/0.3 on the ray of ``_ray_rule``, where the 16
+#: nodes integrate the tangents exactly to rounding ([E, C] within ~3e-15
+#: |E||C| of the differentiated series at 0.3, 1e-13 at 0.4, 2e-11 at 0.5)
+MAX_RADIUS_FACTOR = 0.3
 
 
-def build_lassos(data: SphereData, radius_factor: float = 0.3) -> tuple[list, list[LoopPath]]:
+def build_lassos(data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR
+                 ) -> tuple[list, list[LoopPath]]:
     """Lassos in base-point ordering: finite points by increasing argument of
     p - z_b, then infinity through the largest angular gap.  A finite point's
     circle has radius ``radius_factor`` x min(gap, |p - z_b|), so its
-    Frobenius series converge at least like radius_factor^n.  Paths are
-    frozen objects; families reuse them unchanged."""
+    Frobenius series converge at least like radius_factor^n; a factor
+    outside (0, MAX_RADIUS_FACTOR] raises ValueError, since the ray rule of
+    the circle's tangents is exact only up to it.  Paths are frozen objects;
+    families reuse them unchanged."""
+    if not 0 < radius_factor <= MAX_RADIUS_FACTOR:
+        raise ValueError(f"radius_factor {radius_factor} outside (0, {MAX_RADIUS_FACTOR}]")
     zb = data.base_point
     gap = data.min_gap()
     order = sorted(range(len(data.points)),
@@ -503,7 +514,11 @@ def _ray_rule(order: Optional[int]):
         log t: mu_0 = -1,       mu_k = (-1)^(k+1) / (k(k+1)).
     The P_k are taken at 2 t_i - 1 of the nodes as rounded, which keeps the
     rule exact to rounding on t^15 (from the unrounded x_i it errs ~k eps on
-    t^k).  Computed on first use, once per order."""
+    t^k).  The integrands of ``_local_monodromy`` are not polynomials: the
+    rule is exact to rounding on them because ``build_lassos`` keeps every
+    other singularity of dR, A and B at |t| >= 1/MAX_RADIUS_FACTOR (at
+    infinity |t| >= 2.4, the big circle's factor).  Computed on first use,
+    once per order."""
     xs, ws, _ = _gauss_legendre()
     m = len(xs)
     nodes = [(1 + x) / 2 for x in xs]
@@ -736,7 +751,7 @@ class MonodromyEngine:
     """Monodromy with paths frozen at construction, so that representation
     families over perturbed data compare identical homotopy classes."""
 
-    def __init__(self, data: SphereData, radius_factor: float = 0.3):
+    def __init__(self, data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR):
         self.data = data
         self.order, self.paths = build_lassos(data, radius_factor=radius_factor)
         self.signature = self._signature(data)

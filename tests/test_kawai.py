@@ -1,5 +1,9 @@
+import json
 import math
+import statistics
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
@@ -8,6 +12,7 @@ from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
                            _abs_trace_rate, displace, kawai_experiment)
 from charvar.monodromy import build_potential, potential_tangent
+from charvar.serialize import complex_in, sphere_in
 
 DIRECTIONS = (AccessoryDirection(0), PointDirection((0, 0, 1)))
 
@@ -75,6 +80,25 @@ def test_single_grid_point_experiment():
     assert abs(res.pairing("c0", "t2")) > 1.0
     # omega(c, t) = pi*i along the fiber
     assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-9
+
+
+def test_reduced_cocycles_keep_omega_accurate():
+    # reduce_by_coboundary cancels each tangent cocycle ~50-fold, so its
+    # rounding sets omega's: on the committed config's grid and over 40 seeded
+    # offsets about it, omega(c0, t2) = pi*i to ~2e-11 (subtracting the
+    # coboundary through the 3x3 adjoint matrix read 3e-11 to 4e-11 in the
+    # median and up to 1e-10 on the grid)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "kawai-4cusp.json").read_text())
+    grid = [GridOffset(tuple(map(complex_in, g["t"])), tuple(map(complex_in, g["c"])))
+            for g in cfg["grid"]]
+    rng = np.random.default_rng(1)
+    grid += [GridOffset(t=(complex(*0.06 * rng.standard_normal(2)),),
+                        c=(complex(*0.06 * rng.standard_normal(2)),)) for _ in range(40)]
+    rep = kawai_experiment(sphere_in(cfg["sphere"]), [PointDirection((0, 0, 1))], grid=grid)
+    errs = [abs(r.pairing("c0", "t2") / (math.pi * 1j) - 1) for r in rep.results]
+    assert max(errs[:3]) <= 5e-11, errs[:3]
+    assert statistics.median(errs[3:]) <= 2.5e-11
 
 
 @pytest.mark.parametrize("orders", [(2, None, None), (3, None, None),

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
-from charvar.monodromy import (_MAX_TERMS, IntegrationError, MonodromyEngine, OrderingError,
-                               _gauss_legendre, _local_monodromy, _ray_rule, _transfer,
+from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError,
+                               MonodromyEngine, OrderingError, _gauss_legendre, _local_monodromy, _ray_rule, _transfer,
                                build_lassos, build_potential, integrate_fundamental,
                                lasso_monodromy, potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
@@ -295,7 +295,9 @@ def test_local_tangents_match_the_differentiated_series():
     # the Duhamel integral along the ray from the marked point gives E up to
     # a matrix that commutes with C, so [E, C], the only way a lasso reads E,
     # must match the differentiated Frobenius series of the reference; the
-    # untangented expansion is the reference's, bit for bit
+    # untangented expansion is the reference's, bit for bit.  The circles
+    # take the largest radius build_lassos accepts, MAX_RADIUS_FACTOR, where
+    # the ray rule's integrands come closest to a singularity
     from frobenius_reference import reference_local_monodromy
 
     rng = np.random.default_rng(9)
@@ -306,7 +308,7 @@ def test_local_tangents_match_the_differentiated_series():
                                       rng.standard_normal(k - 2) + 1j * rng.standard_normal(k - 2))
                     for _ in range(2)]
         poles = data.half_q_terms()
-        for path in build_lassos(data)[1]:
+        for path in build_lassos(data, MAX_RADIUS_FACTOR)[1]:
             order = data.order_at(path.target)
             seen.add((path.target == "inf", order))
             assert (_local_monodromy(poles, [], path, order)
@@ -319,6 +321,16 @@ def test_local_tangents_match_the_differentiated_series():
                 scale = max(map(abs, ref)) * max(map(abs, cr))
                 assert gap <= 1e-13 * scale, (data.points, path.target, order)
     assert seen == {(at_inf, o) for at_inf in (False, True) for o in (None, 2, 3, 4, 6)}
+
+
+def test_radius_factor_is_bounded():
+    # past MAX_RADIUS_FACTOR the ray rule would lose digits of [E, C] without
+    # any report, so a larger circle is refused where it is asked for
+    data = _sphere("kawai-4cusp.json")
+    for factor in (0.0, -0.1, 0.31, 0.5):
+        with pytest.raises(ValueError, match="radius_factor"):
+            MonodromyEngine(data, radius_factor=factor)
+    assert len(build_lassos(data, MAX_RADIUS_FACTOR)[1]) == 4
 
 
 def test_ray_rule_is_exact_on_polynomials():

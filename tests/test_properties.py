@@ -1,8 +1,8 @@
 """Property tests: the exact presentation identities and the Fox fundamental
 formula on random signatures and words, the equivariance of the adjoint
 action and invariance of the Killing form on random SL(2,C) elements, and
-random marked spheres through the monodromy subcommand.  Derandomized, so
-every run draws the same cases."""
+random marked spheres through the monodromy subcommand and their tangent
+cocycles.  Derandomized, so every run draws the same cases."""
 
 import cmath
 import contextlib
@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.cli import main
+from charvar.cocycles import tangent_cocycle
+from charvar.monodromy import IntegrationError, MonodromyEngine, OrderingError, potential_tangent
+from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
-from charvar.words import (FreeWord, GroupRingElement, Signature, fox_derivative,
+from charvar.words import (FreeWord, GroupRingElement, Signature, fox_derivative, relator,
                            verify_presentation_identities)
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -86,10 +89,40 @@ def test_monodromy_ends_in_a_report(cfg):
         code = main(["monodromy", "--json", json.dumps(cfg)])
     rep = json.loads(out.getvalue())
     assert code in (0, 2)
-    if code == 0:
-        assert rep["relation_residual"] <= rep["tolerances"]["relation"]
-    else:
-        assert "error" in rep or "wronskian_drift" in rep
+    if "error" in rep:
+        assert code == 2
+        return
+    tols = rep["tolerances"]
+    assert rep["relation_residual"] <= tols["relation"]
+    # exit 2 without an error means a check over its tolerance; a NaN or an
+    # infinity is written as a string and fails too
+    def within(x, tol):
+        return isinstance(x, float) and x <= tol
+
+    passed = (all(within(t, tols["trace"]) for t in rep["trace_residuals"].values())
+              and within(rep["wronskian_drift"], tols["wronskian"]))
+    assert code == (0 if passed else 2)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(spheres(), st.data())
+def test_tangent_cocycles_kill_the_relator(cfg, draw):
+    # along a random deformation the lasso product stays +-1, so the tangent
+    # cocycle, which carries the stems' Taylor tangents and the circles' ray
+    # integrals, must kill the relator: chi(R) = 0 to rounding
+    data = sphere_in(cfg)
+    unit = st.floats(-1, 1)
+    velocity = [[complex(draw.draw(unit), draw.draw(unit)) for _ in range(n)]
+                for n in (len(data.points), data.free_dimension())]
+    try:
+        rho, drift, (dimages,) = MonodromyEngine(data).representation(
+            tangents=[potential_tangent(data, *velocity)])
+    except (OrderingError, IntegrationError):
+        return  # the monodromy subcommand's exit-2 reports
+    if not drift <= 1e-9:
+        return  # past the subcommand's Wronskian tolerance
+    chi = tangent_cocycle(rho, dimages)
+    assert chi(relator(rho.signature)).norm() <= 1e-6 * max(1.0, chi.norm())
 
 
 _coeff = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
