@@ -22,8 +22,6 @@ from .sl2 import (
     adjoint_action,
     mat_inv_unit,
     mat_mul,
-    matrix_to_poly,
-    project_traceless,
 )
 from .words import FreeWord, GroupRingElement, Signature, relator
 
@@ -194,15 +192,34 @@ def solve_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord,
     return LocalSolve(QuadPoly.from_vector(sol), residual, kernel_dim)
 
 
+def _dot(*pairs) -> complex:
+    """sum a b over the complex pairs (a, b), the real products of each part
+    summed exactly and rounded once (``math.fsum``)."""
+    re, im = [], []
+    for a, b in pairs:
+        re += (a.real * b.real, -a.imag * b.imag)
+        im += (a.real * b.imag, a.imag * b.real)
+    return complex(math.fsum(re), math.fsum(im))
+
+
 def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycle:
     """chi(gen) = traceless part of rho_dot(gen) rho(gen)^-1, from the
     derivative of each generator's image (row-major 4-tuples, the lift that
-    ``rho.images`` holds), as the monodromy engine transports them."""
+    ``rho.images`` holds), as the monodromy engine transports them.
+
+    With d = rho_dot(gen) and m = rho(gen) (det 1, so m^-1 is the adjugate)
+    the entries of d m^-1 that the traceless part needs are dot products of
+    d with m, taken by ``_dot``: they cancel ~|d||m|/|chi|-fold, and summing
+    Python's rounded complex products instead leaves omega(c0, t2) on the
+    kawai grid ~1.4x less accurate than the fused multiply-adds of a BLAS
+    2x2 product."""
     values: dict[str, QuadPoly] = {}
     for gen in rho.signature.generators:
-        inv = mat_inv_unit(rho.images[gen].tuple())
-        x = np.array(derivatives[gen]).reshape(2, 2) @ np.array(inv).reshape(2, 2)
-        values[gen] = matrix_to_poly(project_traceless(x))
+        d, m = derivatives[gen], rho.images[gen].tuple()
+        # matrix_to_poly of the traceless part: -x01, x11 - x00, x10
+        values[gen] = QuadPoly(-_dot((d[1], m[0]), (-d[0], m[1])),
+                               _dot((d[3], m[0]), (-d[2], m[1]), (-d[0], m[3]), (d[1], m[2])),
+                               _dot((d[2], m[3]), (-d[3], m[2])))
     return Cocycle(rho, values)
 
 

@@ -16,6 +16,9 @@ marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
 variation of constants over the series they already sum: a Gauss-Legendre
 rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
+The series are summed in pure Python, in a fixed order; the quadratures are
+numpy array operations, one batch per stem (``_step_tangents``) and one per
+circle, over a cached table of the nodes' powers.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -31,6 +34,8 @@ import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .jets import nan_max
 from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
@@ -301,15 +306,21 @@ def _sub(x, y):
 _QUAD_NODES = 16
 
 
+def _powers(nodes):
+    """The table t_i^n of the nodes, n = 0, ..., _MAX_TERMS + 1 by rows, as
+    long as a series of ``_transfer`` or ``_local_monodromy`` can get: the
+    values of padded coefficient rows c at the nodes are c @ table."""
+    return np.power(np.array(nodes), np.arange(_MAX_TERMS + 2)[:, None]).astype(complex)
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre():
-    """(nodes, weights, squares) of the _QUAD_NODES-point Gauss-Legendre rule
-    on [-1, 1], nodes in pairs (t, -t) of equal weight, and per pair
-    squares = [1, t^2, t^4, ...] as long as the even or odd part of a step's
-    series can get.  Newton's method on P_m from the usual cosine guesses;
-    computed on first use."""
+    """(nodes, weights, powers) of the _QUAD_NODES-point Gauss-Legendre rule
+    on [-1, 1], nodes in pairs (t, -t) of equal weight, with the nodes'
+    power table (``_powers``).  Newton's method on P_m from the usual cosine
+    guesses; computed on first use."""
     m = _QUAD_NODES
-    nodes, weights, squares = [], [], []
+    nodes, weights = [], []
     for i in range(m // 2):
         t = math.cos(math.pi * (i + 0.75) / (m + 0.5))
         for _ in range(100):
@@ -323,23 +334,25 @@ def _gauss_legendre():
                 break
         nodes += (t, -t)
         weights += [2 / ((1 - t * t) * dp * dp)] * 2
-        row = [1.0]
-        for _ in range(_MAX_TERMS // 2 + 1):
-            row.append(row[-1] * t * t)
-        squares.append(row)
-    return nodes, weights, squares
+    return nodes, weights, _powers(nodes)
 
 
-def _dq(poles, tangent, recips):
-    """The variation of q/2 = sum A/(z-p)^2 + B/(z-p) along ``tangent`` (one
-    (dp, dA, dB) per pole) with z frozen, at the _QUAD_NODES points where
-    ``recips`` holds y = 1/(z - p) per pole:
+def _cubic(coeffs, y):
+    """sum over the poles of c1 y + c2 y^2 + c3 y^3, for every row
+    (c1 per pole | c2 per pole | c3 per pole) of ``coeffs``, with the poles
+    of y on its axis -2: one matmul for all tangents at all nodes."""
+    y2 = y * y
+    return coeffs @ np.concatenate((y, y2, y2 * y), axis=-2)
+
+
+def _dq(poles, tangents):
+    """The coefficients for ``_cubic`` of the variation of
+    q/2 = sum A/(z-p)^2 + B/(z-p) along each tangent (one (dp, dA, dB) per
+    pole) with z frozen, at y = 1/(z - p):
         dq = sum y (dB + y (dA + B dp + 2 A dp y))."""
-    dq = [0j] * _QUAD_NODES
-    for (_, A, B), (dp, dA, dB), r in zip(poles, tangent, recips):
-        c2, c3 = dA + B * dp, 2 * A * dp
-        dq = [s + y * (dB + y * (c2 + y * c3)) for s, y in zip(dq, r)]
-    return dq
+    _, a, b = np.array(poles, dtype=complex).reshape(-1, 3).T
+    dp, da, db = np.array(tangents, dtype=complex).reshape(len(tangents), -1, 3).transpose(2, 0, 1)
+    return np.concatenate((db, da + b * dp, 2 * a * dp), axis=1)
 
 
 def _ends(c):
@@ -351,10 +364,11 @@ def _ends(c):
     return e + o, de + do, e - o, do - de
 
 
-def _transfer(poles, tangents, z0: complex, h: complex):
+def _transfer(poles, z0: complex, h: complex):
     """Transfer matrix T from z0 to z0 + h (column convention, row-major
-    4-tuple: data at z0 + h = T data at z0) and its derivative along each
-    tangent, from one Taylor expansion at the midpoint z0 + h/2.
+    4-tuple: data at z0 + h = T data at z0) from one Taylor expansion at the
+    midpoint z0 + h/2, and the step's series record
+    (z0, g, a, b, Phi(1), Phi(-1)^-1) for ``_step_tangents``.
 
     With g = h/2, z = z0 + g + g tau and, per pole, x = g / (p - z0 - g),
     q/2 = sum A/(z-p)^2 + B/(z-p) expands by geometric series as
@@ -364,17 +378,6 @@ def _transfer(poles, tangents, z0: complex, h: complex):
     The canonical solutions a, b (identity data in tau at the midpoint) make
     Phi = [[a, b], [a', b']], det Phi = 1, and T = Phi(1) Phi(-1)^-1 in tau
     data, conjugated by diag(1, 1/g) into z data.
-
-    A tangent (dp, dA, dB) per pole varies Q with the step frozen by
-        dQ = g^2 sum (dA + B dp)/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
-    and variation of constants (Duhamel) gives
-        dT = Phi(1) [int_-1^1 dQ [[ab, b^2], [-a^2, -ab]] dtau] Phi(-1)^-1.
-    The integral takes the _QUAD_NODES-point Gauss-Legendre rule: every
-    pole lies at |tau| >= 3 (|x| <= 1/3, since a step reaches at most
-    STEP_RATIO = 1/2 of the distance to the nearest pole), so the integrand
-    is analytic well outside [-1, 1] and 16 nodes reach rounding (12 leave
-    ~3e-14, 8 leave ~1e-8 on a pole straight ahead with |B| = 20).  A
-    tangent thus costs O(nodes x poles), not a second series.
     """
     g = h / 2
     xs = [g / (p - z0 - g) for p, _, _ in poles]
@@ -411,31 +414,46 @@ def _transfer(poles, tangents, z0: complex, h: complex):
     vb, sb, wb, tb = _ends(b)
     splus = (va, g * vb, sa / g, sb)  # column matrices of (psi_a, psi_b) at z0 + h
     inv = mat_inv_unit((wa, g * wb, ta / g, tb))  # and at z0; the Wronskian is 1
-    T = mat_mul(splus, inv)
-    if not tangents:
-        return T, []
-    nodes, weights, squares = _gauss_legendre()
-    ae, ao, be, bo = a[0::2], a[1::2], b[0::2], b[1::2]
-    av, bv = [], []  # a and b at the nodes, from their even and odd parts
-    for t, row in zip(nodes[::2], squares):
-        e, o = sum(map(mul, ae, row)), t * sum(map(mul, ao, row))
-        av += (e + o, e - o)
-        e, o = sum(map(mul, be, row)), t * sum(map(mul, bo, row))
-        bv += (e + o, e - o)
-    waa = [w * x * x for w, x in zip(weights, av)]
-    wab = [w * x * y for w, x, y in zip(weights, av, bv)]
-    wbb = [w * y * y for w, y in zip(weights, bv)]
-    mid = z0 + g
-    recips = [[1 / (mid - p + g * t) for t in nodes] for p, _, _ in poles]  # 1/(z-p)
-    g2 = g * g
-    dT = []
-    for tan in tangents:
-        dq = _dq(poles, tan, recips)
-        iab = sum(map(mul, dq, wab))
+    return mat_mul(splus, inv), (z0, g, a, b, splus, inv)
+
+
+def _step_tangents(poles, tangents, steps):
+    """[dT per tangent] for each step record of ``_transfer``, all steps of
+    a path at once.
+
+    A tangent (dp, dA, dB) per pole varies Q with the step frozen by
+        dQ = g^2 sum (dA + B dp)/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
+    and variation of constants (Duhamel) gives
+        dT = Phi(1) [int_-1^1 dQ [[ab, b^2], [-a^2, -ab]] dtau] Phi(-1)^-1.
+    The integral takes the _QUAD_NODES-point Gauss-Legendre rule: every
+    pole lies at |tau| >= 3 (|x| <= 1/3, since a step reaches at most
+    STEP_RATIO = 1/2 of the distance to the nearest pole), so the integrand
+    is analytic well outside [-1, 1] and 16 nodes reach rounding (12 leave
+    ~3e-14, 8 leave ~1e-8 on a pole straight ahead with |B| = 20).  The
+    steps' series, zero-padded to the longest, are read at the nodes by one
+    matmul with the power table; y = 1/(z - p), dQ and the three kernel
+    integrals follow as array operations over steps x tangents x nodes, so
+    a tangent costs O(nodes x poles) per step, not a second series.
+    """
+    nodes, weights, powers = _gauss_legendre()
+    n = max(len(a) for _, _, a, _, _, _ in steps)
+    coeffs = np.zeros((len(steps), 2, n), dtype=complex)
+    for row, (_, _, a, b, _, _) in zip(coeffs, steps):
+        row[0, :len(a)], row[1, :len(b)] = a, b
+    av, bv = np.moveaxis(coeffs @ powers[:n], 1, 0)  # a and b at the nodes
+    kernel = np.stack((av * bv, bv * bv, av * av), axis=-1) * np.array(weights)[:, None]
+    gs = np.array([st[1] for st in steps])
+    mids = np.array([st[0] for st in steps]) + gs
+    y = 1 / ((mids[:, None] - np.array([p for p, _, _ in poles]))[:, :, None]
+             + (gs[:, None] * np.array(nodes))[:, None])  # 1/(z-p): steps x poles x nodes
+    ints = (_cubic(_dq(poles, tangents), y) @ kernel).tolist()  # steps x tangents x 3
+    out = []
+    for (_, g, _, _, splus, inv), step in zip(steps, ints):
+        g2 = g * g
         # the tau-data kernel g^2 [[iab, ibb], [-iaa, -iab]] in z data
-        k = (g2 * iab, g2 * g * sum(map(mul, dq, wbb)), -g * sum(map(mul, dq, waa)), -g2 * iab)
-        dT.append(mat_mul(splus, mat_mul(k, inv)))
-    return T, dT
+        out.append([mat_mul(splus, mat_mul((g2 * iab, g2 * g * ibb, -g * iaa, -g2 * iab), inv))
+                    for iab, ibb, iaa in step])
+    return out
 
 
 def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
@@ -449,8 +467,9 @@ def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
     q/2 = sum A/(z-p)^2 + B/(z-p); a tangent lists one (dp, dA, dB) per pole,
     the velocity of the pole list along a deformation that holds the path
     fixed.  Each Taylor step reaches at most STEP_RATIO of the distance to
-    the nearest pole; U <- T U accumulates the steps' transfer matrices and
-    dU <- dT U + T dU their derivatives.
+    the nearest pole and U <- T U accumulates the steps' transfer matrices.
+    With tangents, one ``_step_tangents`` call takes the steps' series
+    records and dU <- dT U + T dU accumulates their derivatives.
     """
     poles = [(complex(p), A, complex(B)) for p, A, B in poles]
     tangents = [[tuple(map(complex, v)) for v in t] for t in tangents]
@@ -458,7 +477,7 @@ def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
         raise ValueError("a tangent needs one (dp, dA, dB) per pole")
     verts = [complex(v) for v in vertices]
     u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    du = [(0j, 0j, 0j, 0j)] * len(tangents)
+    steps, records = [], []  # (T, U before the step) and the series records
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
         reach = STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
@@ -480,11 +499,19 @@ def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
                                        f"near {z:.6g}")
         if target == z:
             continue
-        T, dT = _transfer(poles, tangents, z, target - z)
-        u, du = mat_mul(T, u), [_add(mat_mul(d, u), mat_mul(T, w)) for d, w in zip(dT, du)]
-        if not all(map(cmath.isfinite, u + sum(du, ()))):
+        T, record = _transfer(poles, z, target - z)
+        steps.append((T, u))
+        records.append(record)
+        u = mat_mul(T, u)
+        if not all(map(cmath.isfinite, u)):
             raise IntegrationError(f"non-finite transport at {z:.6g}")
         z = target
+    du = [(0j, 0j, 0j, 0j)] * len(tangents)
+    if tangents and steps:
+        for (T, before), dT in zip(steps, _step_tangents(poles, tangents, records)):
+            du = [_add(mat_mul(d, before), mat_mul(T, w)) for d, w in zip(dT, du)]
+        if not all(map(cmath.isfinite, sum(du, ()))):
+            raise IntegrationError(f"non-finite tangent transport at {z:.6g}")
     return _row(u), [_row(d) for d in du]
 
 
@@ -502,8 +529,9 @@ def wronskian_drift(m: Mat2) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _ray_rule(order: Optional[int]):
-    """(nodes, weights, weights) of two product-integration rules on [0, 1]
-    for a marked point of the given order: the _QUAD_NODES Gauss-Legendre
+    """(nodes, weights, weights, powers) of two product-integration rules on
+    [0, 1] for a marked point of the given order, as numpy arrays, with the
+    nodes' power table (``_powers``): the _QUAD_NODES Gauss-Legendre
     nodes t_i = (1 + x_i)/2 and weights W_i with sum W_i f(t_i) =
     int_0^1 omega(t) f(t) dt for every polynomial f of degree < _QUAD_NODES,
     for omega = t^(1/e) and t^(-1/e) at an order-e point, and omega = 1 and
@@ -541,8 +569,10 @@ def _ray_rule(order: Optional[int]):
 
     if order is None:
         log = [-1.0] + [(-1) ** (k + 1) / (k * (k + 1)) for k in range(1, m)]
-        return nodes, weights(power(0.0)), weights(log)
-    return nodes, weights(power(1 / order)), weights(power(-1 / order))
+        w1, w2 = weights(power(0.0)), weights(log)
+    else:
+        w1, w2 = weights(power(1 / order)), weights(power(-1 / order))
+    return np.array(nodes), np.array(w1), np.array(w2), _powers(nodes)
 
 
 def _laurent(poles, path: LoopPath, s: complex):
@@ -614,12 +644,16 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
         cusp:     Eh = [[2 (int log t F_aa + int F_ab), 0], [-int F_aa, 0]]
     over [0, 1], by the product rules of ``_ray_rule``: the factors u^rho
     and log u of the Frobenius basis become the weights, and every F is
-    analytic on the ray.  Then E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite
-    pole the pole moves under the frozen entry point, which adds
-    -dp (psi', -(q/2) psi), K = [[0, 1], [-q/2, 0]].
+    analytic on the ray.  A and B are read at the nodes by one matmul with
+    the ray's power table, and the two nonzero entries of Eh for all
+    tangents by ``_cubic`` and one more matmul.  Then
+    E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite pole the pole moves under the
+    frozen entry point, which adds -dp (psi', -(q/2) psi),
+    K = [[0, 1], [-q/2, 0]].
 
-    dR at a finite pole p_j is ``_dq`` with every pole's motion taken
-    relative to p_j.  At infinity, per pole and with y = 1/(1 - d w),
+    dR at a finite pole p_j takes the coefficients of ``_dq`` with every
+    pole's motion taken relative to p_j.  At infinity, per pole and with
+    y = 1/(1 - d w),
         dR = sum w^-1 [(dA + B dp)(2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
            = sum w^-1 y [d (dB d + dA + B dp) + y (d (dA + B dp) + 2 A dp y)]:
     the w^-3 and w^-2 terms, d sum B and d sum (A + B d), vanish by the
@@ -682,42 +716,37 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     if not tangents:
         return c, [], drift
 
-    nodes, w1, w2 = _ray_rule(order)
-    av, bv = [], []  # A and B at the nodes
-    for t in nodes:
-        row = [t ** n for n in range(len(a))]
-        av.append(sum(map(mul, a, row)))
-        bv.append(sum(map(mul, b, row)))
+    nodes, w1, w2, powers = _ray_rule(order)
+    av, bv = np.array((a, b)) @ powers[:len(a)]  # A and B at the nodes
     if inf:
-        f = [s] * len(nodes)  # t s^2 dR(s t) = s x the sum in brackets
-        ys = [[1 / (1 - s * (p - path.centre) * t) for t in nodes] for p, _, _ in poles]
+        f = s  # t s^2 dR(s t) = s x the sum in brackets
+        d = np.array([p - path.centre for p, _, _ in poles])
+        y = 1 / (1 - np.multiply.outer(s * d, nodes))
+        _, pa, pb = np.array(poles, dtype=complex).T
+        dp, da, db = np.array(tangents, dtype=complex).transpose(2, 0, 1)
+        c2 = (da + pb * dp) * d
+        coeffs = np.concatenate((d * db * d + c2, c2, 2 * pa * dp), axis=1)
     else:
-        f = [s * s * t for t in nodes]
+        f = s * s * nodes
         p0 = poles[path.target][0]
-        recips = [[1 / (p0 - p + s * t) for t in nodes] for p, _, _ in poles]
+        y = 1 / (np.array([p0 - p for p, _, _ in poles])[:, None] + s * nodes)
+        coeffs = _dq(poles, [[(dp - tan[path.target][0], dA, dB) for dp, dA, dB in tan]
+                             for tan in tangents])
         q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
-    # the weights of dR at the nodes for each entry of Eh (None: zero)
+    # the weights of dR at the nodes for the two nonzero entries of Eh
     if cusp:
-        kernel = ([2 * x * y * (wl * y + wp * z) for wp, wl, x, y, z in zip(w1, w2, f, av, bv)],
-                  None, [-wp * x * y * y for wp, x, y in zip(w1, f, av)], None)
+        kernel = (2 * f * av * (w2 * av + w1 * bv), -w1 * f * av * av)
     else:
-        kernel = (None, [-wm * x * z * z / dlt for wm, x, z in zip(w2, f, bv)],
-                  [wp * x * y * y / dlt for wp, x, y in zip(w1, f, av)], None)
+        kernel = (-w2 * f * bv * bv / dlt, w1 * f * av * av / dlt)
     es = []
-    for tan in tangents:
-        if inf:
-            dr = [0j] * len(nodes)
-            for (p, A, B), (dp, dA, dB), y in zip(poles, tan, ys):
-                d = p - path.centre
-                c2, c3 = (dA + B * dp) * d, 2 * A * dp
-                c1 = d * dB * d + c2
-                dr = [x + v * (c1 + v * (c2 + v * c3)) for x, v in zip(dr, y)]
-        else:
-            dp0 = tan[path.target][0]
-            dr = _dq(poles, [(dp - dp0, dA, dB) for dp, dA, dB in tan], recips)
-        eh = tuple(0j if w is None else sum(map(mul, dr, w)) for w in kernel)
+    ints = (_cubic(coeffs, y) @ np.stack(kernel, axis=1)).tolist()  # tangents x 2
+    for tan, (x1, x2) in zip(tangents, ints):
+        eh = (x1, 0j, x2, 0j) if cusp else (0j, x1, x2, 0j)
         e = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(eh, mh_inv)), ginv))
-        es.append(e if inf else _sub(e, (0j, dp0, -q2 * dp0, 0j)))
+        if not inf:
+            dp0 = tan[path.target][0]
+            e = _sub(e, (0j, dp0, -q2 * dp0, 0j))
+        es.append(e)
     return c, es, drift
 
 

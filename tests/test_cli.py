@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,24 @@ def test_determinism_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_kawai_stdout_is_independent_of_blas_threads():
+    # the stem and circle tangents read their series at the quadrature nodes
+    # by numpy matmuls: the report must not depend on how many threads the
+    # BLAS may split them over
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "charvar.cli", "kawai", "--input",
+                              str(root / "configs" / "kawai-4cusp.json")],
+                             capture_output=True, env=env, cwd=root, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and b'"omega"' in outs[0]
 
 
 def test_tolerance_override_unknown_rejected(capsys):

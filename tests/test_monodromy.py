@@ -8,7 +8,8 @@ import pytest
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
 from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError,
-                               MonodromyEngine, OrderingError, _gauss_legendre, _local_monodromy, _ray_rule, _transfer,
+                               MonodromyEngine, OrderingError, _gauss_legendre, _local_monodromy, _ray_rule,
+                               _step_tangents, _transfer,
                                build_lassos, build_potential, integrate_fundamental,
                                lasso_monodromy, potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
@@ -188,28 +189,44 @@ def test_lasso_traces_are_exact(source):
 
 
 def _recorded_steps(monkeypatch, run):
-    """Every (poles, tangents, z0, h) that ``run()`` hands to ``_transfer``."""
+    """Every (poles, z0, h) that ``run()`` hands to ``_transfer``, in one
+    (poles, tangents, [(z0, h), ...]) batch per ``integrate_fundamental``
+    call: a path's steps, whose tangents one ``_step_tangents`` call takes."""
     import charvar.monodromy as mono
 
-    steps, transfer = [], mono._transfer
+    batches, integrate, transfer = [], mono.integrate_fundamental, mono._transfer
 
-    def recorded(poles, tangents, z0, h):
-        steps.append((poles, tangents, z0, h))
-        return transfer(poles, tangents, z0, h)
-    monkeypatch.setattr(mono, "_transfer", recorded)
+    def integrated(poles, vertices, tangents=()):
+        batches.append((None, [[tuple(map(complex, v)) for v in t] for t in tangents], []))
+        return integrate(poles, vertices, tangents)
+
+    def transferred(poles, z0, h):
+        _, tangents, steps = batches[-1]
+        batches[-1] = (poles, tangents, steps + [(z0, h)])
+        return transfer(poles, z0, h)
+    monkeypatch.setattr(mono, "integrate_fundamental", integrated)
+    monkeypatch.setattr(mono, "_transfer", transferred)
     run()
+    monkeypatch.setattr(mono, "integrate_fundamental", integrate)
     monkeypatch.setattr(mono, "_transfer", transfer)
-    return steps
+    return [batch for batch in batches if batch[2]]
 
 
 def _kawai_steps(monkeypatch, capsys):
+    """The kawai config's steps, one batch per stem: 4 stems per grid point,
+    48 steps in all, each stem carrying both tangents."""
     from charvar.cli import main
 
-    steps = _recorded_steps(monkeypatch, lambda: main(
+    batches = _recorded_steps(monkeypatch, lambda: main(
         ["kawai", "--input", str(CONFIGS / "kawai-4cusp.json")]))
     capsys.readouterr()
-    assert len(steps) == 48 and all(len(t) == 2 for _, t, _, _ in steps)
-    return steps
+    assert len(batches) == 12 and sum(len(steps) for _, _, steps in batches) == 48
+    assert all(len(t) == 2 for _, t, _ in batches)
+    return batches
+
+
+def _flat(batches):
+    return [(poles, z0, h) for poles, _, steps in batches for z0, h in steps]
 
 
 #: worst cases of the step rule: z0 = 0, h = 1/2 and a pole straight ahead at
@@ -236,43 +253,59 @@ def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
     # the kawai config and of three seeded 5-point spheres
     from taylor_reference import reference_transfer
 
-    steps = _kawai_steps(monkeypatch, capsys)
+    steps = _flat(_kawai_steps(monkeypatch, capsys))
     for seed in (1, 2, 3):
-        steps += _recorded_steps(monkeypatch,
-                                 lambda: MonodromyEngine(_sphere(seed)).representation())
+        steps += _flat(_recorded_steps(monkeypatch,
+                                       lambda: MonodromyEngine(_sphere(seed)).representation()))
     assert len(steps) > 100
-    for poles, _, z0, h in steps:
-        assert _transfer(poles, [], z0, h) == reference_transfer(poles, [], z0, h)
+    for poles, z0, h in steps:
+        assert (_transfer(poles, z0, h)[0], []) == reference_transfer(poles, [], z0, h)
+
+
+def _batch_tangents(poles, tangents, steps):
+    """dT per tangent for each (z0, h) of one path, by one ``_step_tangents``
+    call over the steps' series records."""
+    return _step_tangents(poles, tangents, [_transfer(poles, z0, h)[1] for z0, h in steps])
 
 
 def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
     # the Gauss-Legendre integral against the differentiated recursion, on
-    # every kawai step and on the worst cases the step rule allows
+    # every kawai step, each stem's steps in one batch, and on the worst
+    # cases the step rule allows
     from taylor_reference import reference_transfer
 
-    steps = _kawai_steps(monkeypatch, capsys)
-    steps += [(poles, WORST_TANGENTS, 0j, 0.5 + 0j) for poles in WORST_STEPS]
-    for poles, tangents, z0, h in steps:
-        _, dts = _transfer(poles, tangents, z0, h)
-        _, refs = reference_transfer(poles, tangents, z0, h)
-        assert len(dts) == len(refs) == len(tangents)
-        for dt, ref in zip(dts, refs):
-            assert _relative_gap(dt, ref) <= 1e-13, (poles, z0, h)
+    batches = _kawai_steps(monkeypatch, capsys)
+    # a stem's series differ in length, so the batch pads the shorter ones
+    lengths = [{len(_transfer(poles, z0, h)[1][2]) for z0, h in steps}
+               for poles, _, steps in batches]
+    assert all(len(ls) > 1 for ls in lengths) and min(map(min, lengths)) < max(map(max, lengths))
+    batches += [(poles, WORST_TANGENTS, [(0j, 0.5 + 0j)]) for poles in WORST_STEPS]
+    for poles, tangents, steps in batches:
+        for (z0, h), dts in zip(steps, _batch_tangents(poles, tangents, steps), strict=True):
+            _, refs = reference_transfer(poles, tangents, z0, h)
+            assert len(dts) == len(refs) == len(tangents)
+            for dt, ref in zip(dts, refs):
+                assert _relative_gap(dt, ref) <= 1e-13, (poles, z0, h)
 
 
 def test_gauss_legendre_rule_is_exact_on_polynomials():
-    nodes, weights, squares = _gauss_legendre()
+    nodes, weights, powers = _gauss_legendre()
     m = len(nodes)
     assert m == 16 and len(set(nodes)) == m and all(-1 < t < 1 for t in nodes)
     assert nodes[1::2] == [-t for t in nodes[::2]] and weights[1::2] == weights[::2]
     for k in range(2 * m):
         exact = 2 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(sum(w * t ** k for t, w in zip(nodes, weights)) - exact) <= 1e-15, k
-    # the even and odd parts of the longest series a step may sum
-    for t, row in zip(nodes[::2], squares):
-        assert len(row) == _MAX_TERMS // 2 + 2
-        assert all(x == pytest.approx(t ** (2 * k), rel=1e-13, abs=1e-300)
-                   for k, x in enumerate(row))
+    _assert_power_table(nodes, powers)
+
+
+def _assert_power_table(nodes, powers):
+    # t^k at every node for every coefficient of the longest series a step
+    # or a Frobenius expansion may sum
+    assert powers.shape == (_MAX_TERMS + 2, len(nodes))
+    for k, row in enumerate(powers):
+        assert all(x == pytest.approx(t ** k, rel=1e-13, abs=1e-300)
+                   for t, x in zip(nodes, row)), k
 
 
 def _commutator(x, y):
@@ -339,8 +372,9 @@ def test_ray_rule_is_exact_on_polynomials():
     from fractions import Fraction
 
     for order in (None, 2, 3, 4, 5, 6, 7):
-        nodes, w1, w2 = _ray_rule(order)
+        nodes, w1, w2, powers = _ray_rule(order)
         assert len(set(nodes)) == 16 and all(0 < t < 1 for t in nodes)
+        _assert_power_table(nodes, powers)
         if order is None:
             rules = [(w1, lambda k: Fraction(1, k + 1)),
                      (w2, lambda k: -Fraction(1, (k + 1) ** 2))]
@@ -391,7 +425,7 @@ def test_step_tangents_against_a_40_digit_oracle():
     from taylor_reference import reference_transfer
 
     poles, z0, h = WORST_STEPS[0], 0j, 0.5 + 0j
-    _, dts = _transfer(poles, WORST_TANGENTS, z0, h)
+    [dts] = _batch_tangents(poles, WORST_TANGENTS, [(z0, h)])
     _, refs = reference_transfer(poles, WORST_TANGENTS, z0, h)
     with mp.workdps(70):
         eps = mp.mpf(10) ** -25
@@ -580,17 +614,21 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
             return fn(*args, **kwargs)
         monkeypatch.setattr(mono, name, wrapped)
 
-    for name in ("integrate_fundamental", "_transfer", "_local_monodromy"):
+    for name in ("integrate_fundamental", "_transfer", "_step_tangents", "_local_monodromy"):
         counted(name)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
-    # the Wronskian drift comes from the same transports
+    # the Wronskian drift comes from the same transports, which carry no
+    # tangents
     assert calls.count("integrate_fundamental") == 4
+    assert calls.count("_step_tangents") == 0
     calls.clear()
     kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
     # each stem once, carrying both tangents; one local expansion per lasso
     assert calls.count("integrate_fundamental") == 4
     assert calls.count("_local_monodromy") == 4
+    # one batch of step tangents per stem
+    assert calls.count("_step_tangents") == 4
     # series per grid point: 16 Taylor steps on the stems plus 4 Frobenius
     # expansions (84 Taylor steps when the circles were integrated)
     assert calls.count("_transfer") + calls.count("_local_monodromy") == 20
