@@ -722,10 +722,9 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
         f = s  # t s^2 dR(s t) = s x the sum in brackets
         d = np.array([p - path.centre for p, _, _ in poles])
         y = 1 / (1 - np.multiply.outer(s * d, nodes))
-        _, pa, pb = np.array(poles, dtype=complex).T
-        dp, da, db = np.array(tangents, dtype=complex).transpose(2, 0, 1)
-        c2 = (da + pb * dp) * d
-        coeffs = np.concatenate((d * db * d + c2, c2, 2 * pa * dp), axis=1)
+        db, c2, c3 = np.split(_dq(poles, tangents), 3, axis=1)
+        c2 = c2 * d
+        coeffs = np.concatenate((d * db * d + c2, c2, c3), axis=1)
     else:
         f = s * s * nodes
         p0 = poles[path.target][0]
