@@ -16,8 +16,7 @@ from .goldman import (CUP_SIGN, PairingReport, cup_product_on_chain,
                       goldman_closed, goldman_matrix, goldman_orbifold)
 from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
-                         lambda_apply, schwarzian, solve_lambda,
-                         solve_lambda_report)
+                         lambda_apply, schwarzian, solve_lambda_report)
 from .monodromy import (MonodromyEngine, SphereData, build_potential,
                         integrate_fundamental)
 from .kawai import (AccessoryDirection, GridOffset, KawaiReport,

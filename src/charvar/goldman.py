@@ -21,10 +21,11 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cocycles import Cocycle, LocalSolve, Representation, solve_local_coboundary
 from .sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
-from .words import FreeWord, GoldmanSchedule, relator
+from .words import FreeWord, GroupRingElement, relator
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
 CUP_SIGN = +1
@@ -147,15 +148,14 @@ def goldman_orbifold(rho: Representation, chi1: Cocycle, chi2: Cocycle,
 
 
 def cup_product_on_chain(rho: Representation, chi1: Cocycle, chi2: Cocycle,
-                         chain: GoldmanSchedule | list) -> complex:
-    """<chi1 cup chi2> evaluated on a 2-chain of (group-ring, word) pairs,
-    Z-linear in the first slot:
+                         chain: Sequence[tuple[GroupRingElement, str | FreeWord]]) -> complex:
+    """<chi1 cup chi2> evaluated on a 2-chain of (group-ring, generator or word)
+    pairs such as ``fundamental_class_chain``, Z-linear in the first slot:
 
         sum over terms n.w of  n * <chi1(w), Ad rho(w) . chi2(gamma2)>.
     """
-    terms = chain.fox_terms if isinstance(chain, GoldmanSchedule) else chain
     total = 0j
-    for ring_elt, gen in terms:
+    for ring_elt, gen in chain:
         gamma2 = gen if isinstance(gen, FreeWord) else rho.signature.gen(gen)
         target = chi2(gamma2)
         for w, n in ring_elt.terms.items():

@@ -16,9 +16,11 @@ marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
 variation of constants over the series they already sum: a Gauss-Legendre
 rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
-The series are summed in pure Python, in a fixed order; the quadratures are
-numpy array operations, one batch per stem (``_step_tangents``) and one per
-circle, over a cached table of the nodes' powers.
+One recurrence (``_series``) sums the stem steps' Taylor series and the
+circles' Frobenius bases, in pure Python and in a fixed order; the
+quadratures are numpy array operations, one batch per stem
+(``_step_tangents``) and one per circle, over a cached table of the nodes'
+powers.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -284,10 +286,11 @@ def build_lassos(data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR
 #: a step reaches at most this fraction of the distance to the nearest pole;
 #: expanded at its midpoint, its series then converge at least like 3^-n
 STEP_RATIO = 0.5
-#: a step's series stop after two consecutive terms below this fraction of
-#: the largest term (the tail beyond them is smaller still)
+#: a series stops after two consecutive terms below this fraction of the
+#: largest term (the tail beyond them is smaller still)
 _TAIL = 2.0 ** -56
-#: a step whose series has not settled by then raises IntegrationError
+#: a series that has not settled after this many new terms raises
+#: IntegrationError
 _MAX_TERMS = 400
 #: a step shorter than this fraction of its segment means the path runs into
 #: a pole
@@ -308,8 +311,9 @@ _QUAD_NODES = 16
 
 def _powers(nodes):
     """The table t_i^n of the nodes, n = 0, ..., _MAX_TERMS + 1 by rows, as
-    long as a series of ``_transfer`` or ``_local_monodromy`` can get: the
-    values of padded coefficient rows c at the nodes are c @ table."""
+    long as a series of ``_series`` can get (at most two leading terms and
+    _MAX_TERMS new ones): the values of padded coefficient rows c at the
+    nodes are c @ table."""
     return np.power(np.array(nodes), np.arange(_MAX_TERMS + 2)[:, None]).astype(complex)
 
 
@@ -364,6 +368,50 @@ def _ends(c):
     return e + o, de + do, e - o, do - de
 
 
+def _series(laurent, a, b, shifts, log: bool, name: str):
+    """(a, b): the coefficient lists a and b of two solutions, extended in
+    place by the one recurrence of the Taylor steps and the Frobenius bases
+    until both settle.
+
+    With the coefficients P_i of the scaled potential, the j-th new term of
+    each list c = a, b is, with n = j + 1,
+        c_new = -(sum_(i<=j) P_i c[j-i] [+ 2 n a_new]) / (n (n + e)),
+    e = shifts[0] for a and shifts[1] for b, the bracket for b only if
+    ``log`` (the log solution at a cusp).  ``laurent`` = (head, u, v, r, pw,
+    k) gives the P_i: ``head`` lists the leading ones, and every later one is
+        P_i = (i + k) sum u pw + sum v pw,  then pw <- pw r.
+    A term's size is (|a_new| + |b_new|)(j + 2); the series stop after two
+    consecutive sizes below _TAIL of the largest, and a non-finite size or
+    _MAX_TERMS new terms raise IntegrationError naming the series ``name``.
+    The arithmetic keeps one fixed order, so the sums are bit-reproducible.
+    """
+    head, u, v, r, pw, k = laurent
+    P = list(head)
+    ea, eb = shifts
+    ar: list[complex] = []  # a[j], ..., a[0], the convolution's other factor
+    br: list[complex] = []
+    big, quiet = 1.0, 0
+    for j in range(_MAX_TERMS):
+        if j == len(P):
+            P.append((j + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)))
+            pw = list(map(mul, pw, r))
+        n = j + 1
+        ar.insert(0, a[j])
+        br.insert(0, b[j])
+        a.append(-1.0 / (n * (n + ea)) * sum(map(mul, P, ar)))
+        sb = sum(map(mul, P, br))
+        b.append(-1.0 / (n * (n + eb)) * (sb + 2 * n * a[-1] if log else sb))
+        size = abs(a[-1]) + abs(b[-1])
+        size *= j + 2
+        if not math.isfinite(size):
+            raise IntegrationError(f"non-finite {name}")
+        big = max(big, size)
+        quiet = quiet + 1 if size <= _TAIL * big else 0
+        if quiet == 2:
+            return a, b
+    raise IntegrationError(f"{name} did not converge in {_MAX_TERMS} terms")
+
+
 def _transfer(poles, z0: complex, h: complex):
     """Transfer matrix T from z0 to z0 + h (column convention, row-major
     4-tuple: data at z0 + h = T data at z0) from one Taylor expansion at the
@@ -372,44 +420,18 @@ def _transfer(poles, z0: complex, h: complex):
 
     With g = h/2, z = z0 + g + g tau and, per pole, x = g / (p - z0 - g),
     q/2 = sum A/(z-p)^2 + B/(z-p) expands by geometric series as
-    g^-2 Q(tau) = g^-2 sum_k P_k tau^k with
-        P_k = (k+1) sum A x^(k+2) - g sum B x^(k+1),
-    and psi = sum c_n tau^n obeys (n+2)(n+1) c_(n+2) = -sum_j P_j c_(n-j).
-    The canonical solutions a, b (identity data in tau at the midpoint) make
-    Phi = [[a, b], [a', b']], det Phi = 1, and T = Phi(1) Phi(-1)^-1 in tau
-    data, conjugated by diag(1, 1/g) into z data.
+    g^-2 sum_k P_k tau^k with P_k = (k+1) sum A x^(k+2) - g sum B x^(k+1),
+    and ``_series`` sums the canonical solutions a, b (identity data in tau
+    at the midpoint; shifts 1).  They make Phi = [[a, b], [a', b']],
+    det Phi = 1, and T = Phi(1) Phi(-1)^-1 in tau data, conjugated by
+    diag(1, 1/g) into z data.
     """
     g = h / 2
     xs = [g / (p - z0 - g) for p, _, _ in poles]
-    ax = [A * x for (_, A, _), x in zip(poles, xs)]
-    bg = [B * g for _, _, B in poles]
-    pw = list(xs)  # x^(k+1)
-    P: list[complex] = []
-    a, b = [1.0 + 0j, 0j], [0j, 1.0 + 0j]  # psi_a and psi_b / g
-    ar: list[complex] = []  # a_n, ..., a_0, the convolution's other factor
-    br: list[complex] = []
-    big, quiet = 1.0, 0
-    for n in range(_MAX_TERMS):
-        k1 = n + 1
-        P.append(k1 * sum(map(mul, pw, ax)) - sum(map(mul, pw, bg)))
-        pw = list(map(mul, pw, xs))
-        f = -1.0 / ((n + 2) * k1)
-        ar.insert(0, a[n])
-        br.insert(0, b[n])
-        a.append(f * sum(map(mul, P, ar)))
-        b.append(f * sum(map(mul, P, br)))
-        size = abs(a[-1]) + abs(b[-1])
-        size *= n + 2
-        if not math.isfinite(size):
-            raise IntegrationError(f"non-finite Taylor series at {z0:.6g}")
-        big = max(big, size)
-        quiet = quiet + 1 if size <= _TAIL * big else 0
-        if quiet == 2:
-            break
-    else:
-        raise IntegrationError(f"Taylor series did not converge in {_MAX_TERMS} terms "
-                               f"(step {abs(h):.3g} at {z0:.6g})")
-
+    laurent = ((), [A * x for (_, A, _), x in zip(poles, xs)],
+               [-(B * g) for _, _, B in poles], xs, xs, 1)
+    a, b = _series(laurent, [1.0 + 0j, 0j], [0j, 1.0 + 0j],  # psi_a and psi_b / g
+                   (1, 1), False, f"Taylor series at {z0:.6g}")
     va, sa, wa, ta = _ends(a)
     vb, sb, wb, tb = _ends(b)
     splus = (va, g * vb, sa / g, sb)  # column matrices of (psi_a, psi_b) at z0 + h
@@ -576,38 +598,31 @@ def _ray_rule(order: Optional[int]):
 
 
 def _laurent(poles, path: LoopPath, s: complex):
-    """Yields P_m for m = 1, 2, ...: the Laurent coefficients of the
-    potential R(u) = sum R_m u^(m-2) about a marked point in its local
-    coordinate u, scaled to the entry point as P_m = R_m s^m, s = u(entry).
-    R_0 = theta/4 enters through the exponents.
+    """(head, u, v, r, pw, k) of ``_series`` for the Laurent coefficients of
+    the potential R(u) = sum R_m u^(m-2) about a marked point in its local
+    coordinate u, scaled to the entry point as P_(m-1) = R_m s^m,
+    s = u(entry).  R_0 = theta/4 enters through the exponents.
 
     At a finite pole p, u = z - p and R = q/2; with r_i = s / (p_i - p) over
-    the other poles, for m >= 2
-        P_m = (m-1) sum A r^m - s sum B r^(m-1),
-    and P_1 = s B_p.  At infinity u = w = 1/(z - c) and R = (q/2) w^-4, the
-    equation of phi = w psi; with d_i = p_i - c and r_i = s d_i, for m >= 1
-        P_m = sum ((m+1) A + B d) r^m,
-    and the w^-3 term sum B vanishes by the first moment constraint.  Both
-    cases read P_m = (m+k) sum u r^(m-1) + sum v r^(m-1), k = -1 or +1.
+    the other poles, P_0 = s B_p and for m >= 2
+        R_m s^m = (m-1) sum A r^m - s sum B r^(m-1).
+    At infinity u = w = 1/(z - c) and R = (q/2) w^-4, the equation of
+    phi = w psi; with d_i = p_i - c and r_i = s d_i, for m >= 1
+        R_m s^m = sum ((m+1) A + B d) r^m,
+    and the w^-3 term sum B vanishes by the first moment constraint.
     """
     if path.target == "inf":
         d = [p - path.centre for p, _, _ in poles]
         r = [s * x for x in d]
         u = [A * x for (_, A, _), x in zip(poles, r)]
         v = [B * y * x for (_, _, B), y, x in zip(poles, d, r)]
-        m, k, pw = 1, 1, [1.0] * len(poles)  # pw = r^(m-1)
-    else:
-        j = path.target
-        yield s * poles[j][2]
-        others = [poles[i] for i in range(len(poles)) if i != j]
-        r = [s / (p - poles[j][0]) for p, _, _ in others]
-        u = [A * x for (_, A, _), x in zip(others, r)]
-        v = [-B * s for _, _, B in others]
-        m, k, pw = 2, -1, r
-    while True:
-        yield (m + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v))
-        pw = list(map(mul, pw, r))
-        m += 1
+        return (), u, v, r, [1.0] * len(poles), 2
+    j = path.target
+    others = [poles[i] for i in range(len(poles)) if i != j]
+    r = [s / (p - poles[j][0]) for p, _, _ in others]
+    u = [A * x for (_, A, _), x in zip(others, r)]
+    v = [-B * s for _, _, B in others]
+    return (s * poles[j][2],), u, v, r, r, 0
 
 
 def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
@@ -618,19 +633,18 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     Frobenius Wronskian with its exact value.
 
     In the local coordinate u (see ``_laurent``) the exponents are
-    rho = (1 +- 1/e)/2 at an order-e point, and
-        n (n + 2 rho - 1) a_n = -sum_(m=1..n) R_m a_(n-m)
-    gives the basis u^rho sum a_n u^n, which the loop multiplies by
+    rho = (1 +- 1/e)/2 at an order-e point, and ``_series`` (shifts +-1/e)
+    sums the basis u^rho sum a_n u^n, which the loop multiplies by
     exp(2 pi i rho): N = diag(exp(2 pi i rho)).  At a cusp rho = 1/2 is
-    double, the second solution is phi_1 log u + u^(1/2) sum b_n u^n with
-        n^2 b_n = -sum_(m=1..n) R_m b_(n-m) - 2 n a_n,
-    and N = [[-1, -2 pi i], [0, -1]].  The powers u^rho and the log commute
-    with N, so Phi is replaced by the matrix Mh of the reduced data
-    (sum a_n s^n, rho sum a_n s^n + sum n a_n s^n) of each basis function,
-    whose determinant is exactly rho_- - rho_+ (cusp: 1), and by G, the map
-    from reduced data to (psi, psi') at the entry point: diag(1, 1/s), and at
-    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  The series stop on
-    the untangented terms alone.
+    double, the second solution is phi_1 log u + u^(1/2) sum b_n u^n
+    (shifts 0, with the log term), and N = [[-1, -2 pi i], [0, -1]].  The
+    powers u^rho and the log commute with N, so Phi is replaced by the
+    matrix Mh of the reduced data (sum a_n s^n, rho sum a_n s^n +
+    sum n a_n s^n) of each basis function, whose determinant is exactly
+    rho_- - rho_+ (cusp: 1), and by G, the map from reduced data to
+    (psi, psi') at the entry point: diag(1, 1/s), and at infinity
+    [[1/s, 0], [1, -1]] since psi = phi / w.  The series stop on the
+    untangented terms alone.
 
     A tangent varies R by dR with the entry point frozen; the exponents do
     not move, so dN = 0 and the lasso reads E only through dC = [E, C].
@@ -673,31 +687,8 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
     cusp = order is None
     dlt = 0.0 if cusp else 1.0 / order
-    coeffs = _laurent(poles, path, s)
-    P: list[complex] = []
-    a, b = [1.0 + 0j], [0j if cusp else 1.0 + 0j]
-    ar: list[complex] = []  # a_(n-1), ..., a_0, the convolution's other factor
-    br: list[complex] = []
-    big, quiet = 1.0, 0
-    for n in range(1, _MAX_TERMS):
-        P.append(next(coeffs))
-        fa, fb = -1.0 / (n * (n + dlt)), -1.0 / (n * (n - dlt))
-        ar.insert(0, a[-1])
-        br.insert(0, b[-1])
-        a.append(fa * sum(map(mul, P, ar)))
-        b.append(fb * (sum(map(mul, P, br)) + (2 * n * a[-1] if cusp else 0)))
-        size = abs(a[-1]) + abs(b[-1])
-        size *= n + 1
-        if not math.isfinite(size):
-            raise IntegrationError(f"non-finite Frobenius series at {path.target}")
-        big = max(big, size)
-        quiet = quiet + 1 if size <= _TAIL * big else 0
-        if quiet == 2:
-            break
-    else:
-        raise IntegrationError(f"Frobenius series at {path.target} did not converge "
-                               f"in {_MAX_TERMS} terms")
-
+    a, b = _series(_laurent(poles, path, s), [1.0 + 0j], [0j if cusp else 1.0 + 0j],
+                   (dlt, -dlt), cusp, f"Frobenius series at {path.target}")
     sa, sb = sum(a), sum(b)
     ta = sum(map(mul, range(len(a)), a))
     tb = sum(map(mul, range(len(b)), b))

@@ -416,50 +416,35 @@ def _dft_jet(Q, z1: complex, radius: float, order: int, n_samples: int = 24) -> 
     return Jet(z1, coeffs)
 
 
-def solve_lambda(f: JetProvider, Q, z0: complex, z1: complex,
-                 abc: tuple[complex, complex, complex] = (0, 0, 0),
-                 rel_tol: float = 1e-10, max_levels: int = 10) -> complex:
+def solve_lambda_report(f: JetProvider, Q, z0: complex, z1: complex,
+                        abc: tuple[complex, complex, complex] = (0, 0, 0),
+                        rel_tol: float = 1e-10, max_levels: int = 10) -> LambdaSolveResult:
     """G(z1) for the general solution
 
         G(z) = 1/2 int_{z0}^{z} (f(z)-f(u))^2 / (f'(z) f'(u)) Q(u) du
-               + (a f(z)^2 + b f(z) + c) / f'(z).
-    """
-    return solve_lambda_report(f, Q, z0, z1, abc, rel_tol, max_levels,
-                               verify=False).value
+               + (a f(z)^2 + b f(z) + c) / f'(z),
 
-
-def solve_lambda_report(f: JetProvider, Q, z0: complex, z1: complex,
-                        abc: tuple[complex, complex, complex] = (0, 0, 0),
-                        rel_tol: float = 1e-10, max_levels: int = 10,
-                        verify: bool = True,
-                        stencil_radius: Optional[float] = None,
-                        order: int = DEFAULT_ORDER) -> LambdaSolveResult:
-    """solve_lambda plus a jet check that Lambda_q(G)(z1) = Q(z1).
-
-    The jet of G at z1 is reconstructed from the quadrature constants J_k and
-    the jets of the integrands (Q's jet comes from a micro-stencil of cheap Q
-    evaluations on a circle around z1), then differentiated exactly.
+    with a jet check that Lambda_q(G)(z1) = Q(z1).  The jet of G at z1 is
+    reconstructed from the quadrature constants J_k and the jets of the
+    integrands (Q's jet comes from a micro-stencil of cheap Q evaluations on
+    a circle of radius 0.25 max(|z1 - z0|, 1) around z1), then
+    differentiated exactly.
     """
     J, panels, quad_err = _moment_integrals(f, Q, z0, z1, rel_tol, max_levels)
     a, b, c = abc
-    fj = f(z1, max(order, 6))
+    n = DEFAULT_ORDER
+    fj = f(z1, n)
     fv, fpv = fj.value, fj.derivative().value
     value = (fv * fv * J[0] - 2 * fv * J[1] + J[2]) / (2 * fpv) \
         + (a * fv * fv + b * fv + c) / fpv
-    if not verify:
-        return LambdaSolveResult(value, float("nan"), panels, quad_err)
-
-    if stencil_radius is None:
-        stencil_radius = 0.25 * max(abs(z1 - z0), 1.0)
-    Qj = _dft_jet(Q, z1, stencil_radius, order)
+    Qj = _dft_jet(Q, z1, 0.25 * max(abs(z1 - z0), 1.0), n)
     fp = fj.derivative()
-    inv_fp = fp.truncate(order).reciprocal()
-    base = Qj.truncate(order) * inv_fp
+    inv_fp = fp.truncate(n).reciprocal()
+    base = Qj.truncate(n) * inv_fp
     J0 = (base).antiderivative(J[0])
-    J1 = (fj.truncate(order) * base).antiderivative(J[1])
-    J2 = (fj.truncate(order) * fj.truncate(order) * base).antiderivative(J[2])
-    n = order
     fjn = fj.truncate(n)
+    J1 = (fjn * base).antiderivative(J[1])
+    J2 = (fjn * fjn * base).antiderivative(J[2])
     Gj = (fjn * fjn * J0.truncate(n) - 2 * fjn * J1.truncate(n) + J2.truncate(n)) \
         * (2 * fp.truncate(n)).reciprocal() \
         + (a * fjn * fjn + b * fjn + Jet.constant(c, z1, n)) * fp.truncate(n).reciprocal()

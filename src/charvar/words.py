@@ -461,24 +461,11 @@ def verify_presentation_identities(sig: Signature) -> PresentationReport:
     return rep
 
 
-@dataclass(frozen=True)
-class GoldmanSchedule:
-    """Fox-derivative terms and marked-generator correction slots of the
-    Goldman sum; for a closed signature this is exactly the group-homology
-    2-cycle realizing the fundamental class."""
-
-    fox_terms: tuple[tuple[GroupRingElement, str], ...]
-    corrections: tuple[str, ...] = ()
-
-
-def fundamental_class_chain(sig: Signature) -> GoldmanSchedule:
+def fundamental_class_chain(sig: Signature) -> tuple[tuple[GroupRingElement, str], ...]:
+    """The (Fox derivative dR/dx, generator x) pairs of the Goldman sum, over
+    a_k, b_k, then c_i; for a closed signature this is exactly the
+    group-homology 2-cycle realizing the fundamental class."""
     Rword = relator(sig)
-    terms: list[tuple[GroupRingElement, str]] = []
-    for k in range(1, sig.g + 1):
-        terms.append((fox_derivative(Rword, f"a{k}"), f"a{k}"))
-        terms.append((fox_derivative(Rword, f"b{k}"), f"b{k}"))
-    for i in range(1, sig.num_marked + 1):
-        terms.append((fox_derivative(Rword, f"c{i}"), f"c{i}"))
-    corrections = tuple(f"c{i}" for i in range(1, sig.num_marked + 1))
-    return GoldmanSchedule(tuple(terms), corrections)
-
+    gens = [x for k in range(1, sig.g + 1) for x in (f"a{k}", f"b{k}")]
+    gens += [f"c{i}" for i in range(1, sig.num_marked + 1)]
+    return tuple((fox_derivative(Rword, x), x) for x in gens)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
-from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError,
+from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError, LoopPath,
                                MonodromyEngine, OrderingError, _gauss_legendre, _local_monodromy, _ray_rule,
                                _step_tangents, _transfer,
                                build_lassos, build_potential, integrate_fundamental,
@@ -110,16 +111,30 @@ class TestTransport:
             integrate_fundamental(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0])
 
     def test_non_finite_series_raises(self):
-        # a residue of 1e200 overflows the Taylor coefficients
-        with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_fundamental([(0, 0.25, 1e200)], [1, 1j])
+        # a residue of 1e200 overflows the Taylor coefficients of a step from
+        # 1 and the Frobenius coefficients at the cusp 0
+        runs = {"Taylor series at 1+0j":
+                lambda: integrate_fundamental([(0, 0.25, 1e200)], [1, 1j]),
+                "Frobenius series at 0":
+                lambda: _local_monodromy([(0, 0.25, 1e200)], [], LoopPath((2, 1), 0, 0), None)}
+        for name, run in runs.items():
+            with pytest.raises(IntegrationError, match=re.escape(f"non-finite {name}")):
+                run()
 
     def test_divergent_series_raises(self, monkeypatch):
-        # a term cap below what the a-priori count asks for
+        # a term cap below what the a-priori count asks for: the Frobenius
+        # series at the order-3 point 0 converge like (0.5 / 2)^n
         import charvar.monodromy as mono
         monkeypatch.setattr(mono, "_MAX_TERMS", 8)
-        with pytest.raises(IntegrationError, match="did not converge"):
-            integrate_fundamental([(0, 0.25, 0.1)], [1, 1.5])
+        poles = [(0, theta_of(3) / 4, 0.1), (2, 0.25, -0.1)]
+        runs = {"Taylor series at 1+0j":
+                lambda: integrate_fundamental([(0, 0.25, 0.1)], [1, 1.5]),
+                "Frobenius series at 0":
+                lambda: _local_monodromy(poles, [], LoopPath((1j, 0.5), 0, 0), 3)}
+        for name, run in runs.items():
+            with pytest.raises(IntegrationError,
+                               match=re.escape(f"{name} did not converge in 8 terms")):
+                run()
 
     def test_huge_residue_raises(self):
         # finite, but the solutions grow like exp(1e3): the transport overflows

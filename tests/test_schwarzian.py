@@ -7,7 +7,7 @@ from charvar.monodromy import build_potential
 from charvar.schwarzian import (b_apply, check_identities, exp_provider,
                                 invariant_potential, lambda_apply,
                                 moebius_provider, poly_provider, quadpoly_jet,
-                                schwarzian, solve_lambda, solve_lambda_report)
+                                schwarzian, solve_lambda_report)
 from charvar.sl2 import MoebiusMap, QuadPoly
 
 
@@ -150,10 +150,11 @@ class TestSolveLambda:
     def test_flat_case_closed_form(self):
         # f = z, Q = 6: G(z1) = (1/2) int (z1-u)^2 * 6 du = z1^3
         z1 = 0.7 + 0.2j
-        val = solve_lambda(poly_provider([0, 1]), lambda z: 6.0 + 0j, 0j, z1)
+        val = solve_lambda_report(poly_provider([0, 1]), lambda z: 6.0 + 0j, 0j, z1).value
         assert abs(val - z1 ** 3) < 1e-12
         # and the abc part adds (a z^2 + b z + c)
-        val2 = solve_lambda(poly_provider([0, 1]), lambda z: 6.0 + 0j, 0j, z1, (1, 2, 3))
+        val2 = solve_lambda_report(poly_provider([0, 1]), lambda z: 6.0 + 0j, 0j, z1,
+                                   (1, 2, 3)).value
         assert abs(val2 - (z1 ** 3 + z1 ** 2 + 2 * z1 + 3)) < 1e-12
 
     def test_residual_verification(self):
@@ -166,16 +167,16 @@ class TestSolveLambda:
         from charvar.schwarzian import QuadratureError
         # integrable singularity right next to the path, no refinement budget
         with pytest.raises(QuadratureError):
-            solve_lambda(poly_provider([0, 1]), lambda z: 1 / (z - (0.5 + 1e-7j)),
-                         0j, 1.0 + 0j, max_levels=3)
+            solve_lambda_report(poly_provider([0, 1]), lambda z: 1 / (z - (0.5 + 1e-7j)),
+                                0j, 1.0 + 0j, max_levels=3).value
 
     def test_critical_point_on_path(self):
         from charvar.schwarzian import QuadratureError
         # f = z^2 has f'(0) = 0 inside the segment; the 1/f' pole defeats the
         # refinement (the symmetric path -1 -> 1 would cancel it by parity)
         with pytest.raises((QuadratureError, ZeroDivisionError)):
-            solve_lambda(poly_provider([0, 0, 1]), lambda z: 1.0 + 0j, -1, 1.3,
-                         max_levels=6)
+            solve_lambda_report(poly_provider([0, 0, 1]), lambda z: 1.0 + 0j, -1, 1.3,
+                                max_levels=6).value
 
 
 class TestMonodromyIntegration:
