@@ -9,6 +9,7 @@ the version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -226,7 +227,10 @@ def _cmd_kawai(args) -> int:
     return _emit(report, args, 0 if ok else 2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process: parsing leaves it as
+    it was."""
     ap = argparse.ArgumentParser(prog="charvar", description=__doc__)
     ap.add_argument("--version", action="version", version=f"charvar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -104,6 +104,20 @@ def _fixes(m: MoebiusMap, p) -> bool:
     return abs(q - p) <= 1e-8 * max(1.0, abs(p))
 
 
+def word_images(rho: Representation, w: FreeWord):
+    """rho's side of a walk of the word w = x_1 ... x_L: (letters, prefixes)
+    with letters[j - 1] = (name, exp, rho(x_j)^exp) and the prefix images
+    prefixes[j] = rho(x_1 ... x_j), prefixes[0] = 1.  Built once, it serves
+    every cocycle's walk of w (``Cocycle.along``)."""
+    letters, prefixes = [], [MoebiusMap.identity()]
+    for name, exp in w:
+        m = rho.images[name]
+        m = m if exp == 1 else m.inverse()
+        letters.append((name, exp, m))
+        prefixes.append(prefixes[-1] @ m)
+    return letters, prefixes
+
+
 @dataclass(frozen=True)
 class Cocycle:
     """Map Gamma -> P2 satisfying chi(g1 g2) = chi(g1) + rho(g1).chi(g2),
@@ -113,28 +127,18 @@ class Cocycle:
     values: dict[str, QuadPoly]
 
     def __call__(self, w: FreeWord) -> QuadPoly:
-        total = QuadPoly.zero()
-        for _, _, _, total in self.prefixes(w):
-            pass
-        return total
+        return self.along(*word_images(self.base, w))[-1]
 
-    def prefixes(self, w: FreeWord):
-        """Yield (name, exp, rho(P), chi(P)) after each letter of w, P the
-        prefix through that letter."""
+    def along(self, letters, prefixes) -> list[QuadPoly]:
+        """chi(P_0) = 0, ..., chi(P_L) = chi(w) over the prefixes P_j of a
+        word w, from rho's side of its walk (``word_images``)."""
         total = QuadPoly.zero()
-        prefix = MoebiusMap.identity()
-        for name, exp in w:
-            m = self.base.images[name]
-            if exp == 1:
-                term = self.values[name]
-                total = total + adjoint_action(prefix, term)
-                prefix = prefix @ m
-            else:
-                mi = m.inverse()
-                term = -1 * adjoint_action(mi, self.values[name])
-                total = total + adjoint_action(prefix, term)
-                prefix = prefix @ mi
-            yield name, exp, prefix, total
+        out = [total]
+        for (name, exp, m), prefix in zip(letters, prefixes):
+            term = self.values[name] if exp == 1 else -1 * adjoint_action(m, self.values[name])
+            total = total + adjoint_action(prefix, term)
+            out.append(total)
+        return out
 
     def evaluate_ring(self, x: GroupRingElement) -> QuadPoly:
         total = QuadPoly.zero()
@@ -169,27 +173,63 @@ class LocalSolve:
     kernel_dim: int
 
 
+def _matvec(a, x):
+    """a x for each 3x3 matrix of the stack a (m x 3 x 3) and the matching
+    3-vector of x (... x m x 3), as elementwise operations in one fixed
+    order: an entry does not depend on the other entries of the batch."""
+    return a[..., 0] * x[..., :1] + a[..., 1] * x[..., 1:2] + a[..., 2] * x[..., 2:]
+
+
+def _norms(x):
+    """Euclidean norms of the 3-vectors on the last axis, summed in order."""
+    x = x.real * x.real + x.imag * x.imag
+    return np.sqrt(x[..., 0] + x[..., 1] + x[..., 2])
+
+
+def local_coboundaries(rho: Representation, chis, gammas, tol: float = 1e-6
+                       ) -> list[list[LocalSolve]]:
+    """[[LocalSolve per word of ``gammas``] per cocycle of ``chis``]: the
+    minimum-norm P with (Ad rho(gamma) - 1) P = chi(gamma) for every pair.
+
+    The 3x3 systems are singular for parabolic/elliptic rho(gamma) (kernel
+    of dimension >= 1).  One stacked SVD U S V^* of the m matrices serves
+    every cocycle: singular values at most _RCOND times a matrix's largest
+    count as zero, as under lstsq's ``rcond``, their number is the kernel
+    dimension, and P = V S^+ U^* chi(gamma).  A non-finite system raises
+    ArithmeticError before any is solved; then, cocycle by cocycle, a
+    residual above ``tol`` x max(1, |chi(gamma)|, |chi|) raises
+    CocycleNotParabolicError.
+    """
+    if not gammas:
+        return [[] for _ in chis]
+    M = np.array([ad_matrix(rho.image(g)) for g in gammas]) - np.eye(3)
+    rhs = np.array([[chi(g).vector() for g in gammas] for chi in chis]).reshape(-1, len(gammas), 3)
+    finite = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=2)
+    if not finite.all():  # LAPACK would fail on it and print to stdout
+        raise ArithmeticError(
+            f"non-finite local system at {gammas[int(np.argmin(finite)) % len(gammas)]}")
+    u, svals, vh = np.linalg.svd(M)
+    keep = svals > _RCOND * svals[:, :1]
+    pinv = np.divide(1, svals, out=np.zeros_like(svals), where=keep)
+    sol = _matvec(vh.conj().swapaxes(1, 2), _matvec(u.conj().swapaxes(1, 2), rhs) * pinv)
+    residuals = _norms(_matvec(M, sol) - rhs).tolist()
+    kernel_dims = (3 - keep.sum(axis=1)).tolist()
+    out = []
+    for chi, row, res, scale in zip(chis, sol, residuals, _norms(rhs).tolist()):
+        solves = []
+        for gamma, p, r, sc, k in zip(gammas, row, res, scale, kernel_dims):
+            bound = tol * max(1.0, sc, chi.norm())
+            if r > bound:
+                raise CocycleNotParabolicError(gamma, r, bound)
+            solves.append(LocalSolve(QuadPoly.from_vector(p), r, k))
+        out.append(solves)
+    return out
+
+
 def solve_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord,
                            tol: float = 1e-6) -> LocalSolve:
-    """Minimum-norm P with (Ad rho(gamma) - 1) P = chi(gamma).
-
-    The 3x3 system is singular for parabolic/elliptic rho(gamma) (kernel of
-    dimension >= 1); numpy's SVD-backed lstsq provides the min-norm solution
-    and the singular values give the kernel dimension.
-    """
-    g = rho.image(gamma)
-    M = ad_matrix(g) - np.eye(3)
-    rhs = chi(gamma).vector()
-    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
-        # LAPACK would fail on it and print to stdout
-        raise ArithmeticError(f"non-finite local system at {gamma}")
-    sol, _, rank, svals = np.linalg.lstsq(M, rhs, rcond=_RCOND)
-    kernel_dim = 3 - int(rank)
-    residual = float(np.linalg.norm(M @ sol - rhs))
-    scale = max(1.0, float(np.linalg.norm(rhs)), chi.norm())
-    if residual > tol * scale:
-        raise CocycleNotParabolicError(gamma, residual, tol * scale)
-    return LocalSolve(QuadPoly.from_vector(sol), residual, kernel_dim)
+    """One cocycle and one word of ``local_coboundaries``."""
+    return local_coboundaries(rho, [chi], [gamma], tol)[0][0]
 
 
 def _dot(*pairs) -> complex:
@@ -303,8 +343,9 @@ def coboundary_matrix(rho: Representation) -> np.ndarray:
     return D
 
 
-def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
-    """Subtract the least-squares-best coboundary from chi.
+def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:
+    """Each cocycle of ``chis`` over ``rho`` less its least-squares-best
+    coboundary, all from one ``lstsq`` on ``coboundary_matrix(rho)``.
 
     The cohomology class (hence every Goldman pairing) is unchanged; what this
     buys is conditioning: tangent cocycles of monodromy families carry a
@@ -317,18 +358,21 @@ def reduce_by_coboundary(chi: Cocycle) -> Cocycle:
     absorbs far better than that of (Ad rho(g) - 1) P on the 3x3 adjoint
     matrix (omega(c0, t2) on kawai-4cusp errs about half as much).
     """
-    rho = chi.base
+    if any(chi.base is not rho and chi.base != rho for chi in chis):
+        raise ValueError("cannot reduce cocycles over a different representation")
     gens = rho.signature.generators
-    D = coboundary_matrix(rho)
-    v = np.concatenate([chi.values[g].vector() for g in gens])
-    P, *_ = np.linalg.lstsq(D, v, rcond=None)
-    p0, p1, p2 = (complex(x) for x in P)
-    pm = (-p1 / 2, -p0, p2, p1 / 2)  # poly_to_matrix(P)
-    values = {}
-    for g in gens:
-        m = rho.images[g].tuple()
-        conj = mat_mul(mat_mul(m, pm), mat_inv_unit(m))
-        x = chi.values[g]
-        y = [a - (b - p) for a, b, p in zip((-x.p1 / 2, -x.p0, x.p2, x.p1 / 2), conj, pm)]
-        values[g] = QuadPoly(-y[1], y[3] - y[0], y[2])  # matrix_to_poly of the traceless part
-    return Cocycle(rho, values)
+    V = np.array([np.concatenate([chi.values[g].vector() for g in gens]) for chi in chis]).T
+    Ps, *_ = np.linalg.lstsq(coboundary_matrix(rho), V, rcond=None)
+    images = [rho.images[g].tuple() for g in gens]
+    out = []
+    for chi, P in zip(chis, Ps.T.tolist()):
+        p0, p1, p2 = P
+        pm = (-p1 / 2, -p0, p2, p1 / 2)  # poly_to_matrix(P)
+        values = {}
+        for g, m in zip(gens, images):
+            conj = mat_mul(mat_mul(m, pm), mat_inv_unit(m))
+            x = chi.values[g]
+            y = [a - (b - p) for a, b, p in zip((-x.p1 / 2, -x.p0, x.p2, x.p1 / 2), conj, pm)]
+            values[g] = QuadPoly(-y[1], y[3] - y[0], y[2])  # matrix_to_poly of the traceless part
+        out.append(Cocycle(rho, values))
+    return out

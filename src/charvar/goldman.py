@@ -8,7 +8,9 @@ Closed surfaces:
 and for orbifold signatures two more sums: the marked-generator Fox terms
 (dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
-Each cocycle's side is one walk of the relator (_walk) and m local solves.
+rho's side of the relator walk (letter and prefix images) is built once per
+pairing call and shared by every cocycle's walk (_walk) and chi(R); the
+local solves of all cocycles at all c_i come from one stacked SVD.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -23,8 +25,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cocycles import Cocycle, LocalSolve, Representation, solve_local_coboundary
-from .sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
+from .cocycles import Cocycle, LocalSolve, Representation, local_coboundaries, word_images
+from .sl2 import QuadPoly, adjoint_action, killing
 from .words import FreeWord, GroupRingElement, relator
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
@@ -58,31 +60,44 @@ class PairingReport:
 
 #: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i
 _Walk = namedtuple("_Walk", "sharp relator inverses")
+#: rho's side of the walk of R: the letters and prefix images of
+#: ``word_images`` and the prefixes' inverses
+_Frame = namedtuple("_Frame", "letters prefixes inverses")
 
 
-def _walk(chi: Cocycle, Rword: FreeWord) -> _Walk:
-    """Walk R = x_1 ... x_L carrying rho(P_j) and c_j = chi(P_j): dR/dx
-    collects P_{j-1} at x_j = x and -P_j at x_j = x^-1, and
-    chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their # images."""
+def _frame(rho: Representation) -> _Frame:
+    """rho's side of the walk of R, built once per pairing call and shared by
+    every cocycle's walk and chi(R)."""
+    letters, prefixes = word_images(rho, relator(rho.signature))
+    return _Frame(letters, prefixes, [p.inverse() for p in prefixes])
+
+
+def _walk(chi: Cocycle, frame: _Frame) -> _Walk:
+    """Walk R = x_1 ... x_L carrying c_j = chi(P_j) along the prefixes
+    P_j of ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
+    x_j = x^-1, and chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their #
+    images."""
     sig = chi.base.signature
     sharp = {gen: QuadPoly.zero() for gen in sig.generators}
-    prefix, c = MoebiusMap.identity(), QuadPoly.zero()
-    for name, exp, next_prefix, next_c in chi.prefixes(Rword):
+    cs = chi.along(frame.letters, frame.prefixes)
+    for j, (name, exp, _) in enumerate(frame.letters):
         if exp == 1:
-            sharp[name] = sharp[name] - adjoint_action(prefix.inverse(), c)
+            sharp[name] = sharp[name] - adjoint_action(frame.inverses[j], cs[j])
         else:
-            sharp[name] = sharp[name] + adjoint_action(next_prefix.inverse(), next_c)
-        prefix, c = next_prefix, next_c
+            sharp[name] = sharp[name] + adjoint_action(frame.inverses[j + 1], cs[j + 1])
     inverses = {f"c{i}": chi(sig.gen(f"c{i}").inverse())
                 for i in range(1, sig.num_marked + 1)}
-    return _Walk(sharp, c, inverses)
+    return _Walk(sharp, cs[-1], inverses)
 
 
-def _local_solves(rho: Representation, chi: Cocycle, local_tol: float) -> dict[str, LocalSolve]:
-    """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i."""
+def _local_solves(rho: Representation, chis: list[Cocycle], local_tol: float
+                  ) -> list[dict[str, LocalSolve]]:
+    """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i, for
+    every cocycle, from one ``local_coboundaries`` batch."""
     sig = rho.signature
-    return {f"c{i}": solve_local_coboundary(rho, chi, sig.gen(f"c{i}"), tol=local_tol)
-            for i in range(1, sig.num_marked + 1)}
+    names = [f"c{i}" for i in range(1, sig.num_marked + 1)]
+    batch = local_coboundaries(rho, chis, [sig.gen(c) for c in names], tol=local_tol)
+    return [dict(zip(names, solves)) for solves in batch]
 
 
 def _value(walk: _Walk, chi2: Cocycle, solves2: dict[str, LocalSolve]) -> complex:
@@ -103,14 +118,15 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
 
 def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
              local_tol: float = 1e-6) -> PairingReport:
-    """One pair: chi1's walk of R, chi2's local solves and chi2(R)."""
+    """One pair: chi1's walk of R, chi2's local solves and chi2(R), on one
+    frame of R."""
     if rho.visibly_reducible:
         warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=3)
-    Rword = relator(rho.signature)
-    walk = _walk(chi1, Rword)
-    solves = _local_solves(rho, chi2, local_tol)
+    frame = _frame(rho)
+    walk = _walk(chi1, frame)
+    (solves,) = _local_solves(rho, [chi2], local_tol)
     value = _value(walk, chi2, solves)
-    residuals = (walk.relator.norm(), chi2(Rword).norm())
+    residuals = (walk.relator.norm(), chi2.along(frame.letters, frame.prefixes)[-1].norm())
     _check_finite(value, residuals)
     return PairingReport(value, {k: s.poly for k, s in solves.items()},
                          {k: s.residual for k, s in solves.items()},
@@ -121,12 +137,13 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
 def goldman_matrix(rho: Representation, chis: list[Cocycle]
                    ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
     """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
-    from n walks of R and n*m local solves; with each cocycle's local solves."""
+    from one frame of R, n walks of it and one batch of n*m local solves;
+    with each cocycle's local solves."""
     if rho.visibly_reducible:
         warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
-    Rword = relator(rho.signature)
-    walks = [_walk(chi, Rword) for chi in chis]
-    solves = [_local_solves(rho, chi, 1e-6) for chi in chis]
+    frame = _frame(rho)
+    walks = [_walk(chi, frame) for chi in chis]
+    solves = _local_solves(rho, chis, 1e-6)
     values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]
     for row, w1 in zip(values, walks):
         for v, w2 in zip(row, walks):

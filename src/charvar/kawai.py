@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cocycles import Cocycle, reduce_by_coboundary, tangent_cocycle
+from .cocycles import reduce_by_coboundary, tangent_cocycle, word_images
 from .goldman import goldman_matrix
 from .monodromy import MonodromyEngine, SphereData, build_potential, potential_tangent
 from .sl2 import Mat2, MoebiusMap
@@ -162,17 +162,15 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
     rho, drift, derivatives = MonodromyEngine(data).representation(
         relation_tol=relation_tol, tangents=tangents)
 
-    cocycles: list[Cocycle] = []
-    drifts: dict[str, float] = {}
-    relres: dict[str, float] = {}
-    R = relator(rho.signature)
-    for lab, dimages in zip(labels, derivatives):
-        chi = tangent_cocycle(rho, dimages)
-        # the class is unchanged; the pairing sums are far better conditioned
-        cocycles.append(reduce_by_coboundary(chi))
-        drifts[lab] = max(_abs_trace_rate(rho.images[g], dimages[g])
-                          for g in rho.signature.generators)
-        relres[lab] = chi(R).norm() / max(1.0, chi.norm())
+    chis = [tangent_cocycle(rho, dimages) for dimages in derivatives]
+    drifts = {lab: max(_abs_trace_rate(rho.images[g], dimages[g])
+                       for g in rho.signature.generators)
+              for lab, dimages in zip(labels, derivatives)}
+    walk = word_images(rho, relator(rho.signature))
+    relres = {lab: chi.along(*walk)[-1].norm() / max(1.0, chi.norm())
+              for lab, chi in zip(labels, chis)}
+    # the classes are unchanged; the pairing sums are far better conditioned
+    cocycles = reduce_by_coboundary(rho, chis)
 
     omega, solves = goldman_matrix(rho, cocycles)  # the diagonal is a self-pairing null check
     local = {k: max(s[k].residual for s in solves) for k in solves[0]}

@@ -18,9 +18,9 @@ rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
 One recurrence (``_series``) sums the stem steps' Taylor series and the
 circles' Frobenius bases, in pure Python and in a fixed order; the
-quadratures are numpy array operations, one batch per stem
-(``_step_tangents``) and one per circle, over a cached table of the nodes'
-powers.
+quadratures are numpy array operations, one batch for the steps of all
+stems of a representation (``_step_tangents``) and one per circle, over a
+cached table of the nodes' powers.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -478,28 +479,28 @@ def _step_tangents(poles, tangents, steps):
     return out
 
 
-def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
-                          vertices: Sequence[complex],
-                          tangents: Sequence[Tangent] = ()):
-    """(M, [dM per tangent]): the transport matrix along a polyline in the
-    row convention (see module docstring), whose determinant is the Wronskian
-    and must stay at 1, and its derivatives along ``tangents``.
-
-    ``poles`` lists the (pole, theta/4, m/2) triples of
-    q/2 = sum A/(z-p)^2 + B/(z-p); a tangent lists one (dp, dA, dB) per pole,
-    the velocity of the pole list along a deformation that holds the path
-    fixed.  Each Taylor step reaches at most STEP_RATIO of the distance to
-    the nearest pole and U <- T U accumulates the steps' transfer matrices.
-    With tangents, one ``_step_tangents`` call takes the steps' series
-    records and dU <- dT U + T dU accumulates their derivatives.
-    """
+def _checked(poles, tangents):
+    """The pole list and the tangents as complex tuples; a tangent must give
+    one (dp, dA, dB) per pole, or ValueError."""
     poles = [(complex(p), A, complex(B)) for p, A, B in poles]
     tangents = [[tuple(map(complex, v)) for v in t] for t in tangents]
     if any(len(t) != len(poles) for t in tangents):
         raise ValueError("a tangent needs one (dp, dA, dB) per pole")
+    return poles, tangents
+
+
+#: a polyline's transport U (column convention), the (T, U before the step)
+#: of each of its steps, their series records and the polyline's end point
+_Stem = namedtuple("_Stem", "u steps records end")
+
+
+def _transport(poles, vertices) -> _Stem:
+    """Taylor transport along a polyline, in the column convention: each
+    step reaches at most STEP_RATIO of the distance to the nearest pole and
+    U <- T U accumulates the steps' transfer matrices."""
     verts = [complex(v) for v in vertices]
     u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    steps, records = [], []  # (T, U before the step) and the series records
+    steps, records = [], []
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
         reach = STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
@@ -528,13 +529,43 @@ def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
         if not all(map(cmath.isfinite, u)):
             raise IntegrationError(f"non-finite transport at {z:.6g}")
         z = target
-    du = [(0j, 0j, 0j, 0j)] * len(tangents)
-    if tangents and steps:
-        for (T, before), dT in zip(steps, _step_tangents(poles, tangents, records)):
+    return _Stem(u, steps, records, z)
+
+
+def _stem_tangents(poles, tangents, stems):
+    """[dU per tangent] for each ``_Stem``, column convention: one
+    ``_step_tangents`` call takes the steps of every stem, and along each
+    stem dU <- dT U + T dU accumulates their derivatives."""
+    records = [r for stem in stems for r in stem.records]
+    dts = iter(_step_tangents(poles, tangents, records) if tangents and records else ())
+    out = []
+    for stem in stems:
+        du = [(0j, 0j, 0j, 0j)] * len(tangents)
+        for (T, before), dT in zip(stem.steps, dts):
             du = [_add(mat_mul(d, before), mat_mul(T, w)) for d, w in zip(dT, du)]
         if not all(map(cmath.isfinite, sum(du, ()))):
-            raise IntegrationError(f"non-finite tangent transport at {z:.6g}")
-    return _row(u), [_row(d) for d in du]
+            raise IntegrationError(f"non-finite tangent transport at {stem.end:.6g}")
+        out.append(du)
+    return out
+
+
+def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
+                          vertices: Sequence[complex],
+                          tangents: Sequence[Tangent] = ()):
+    """(M, [dM per tangent]): the transport matrix along a polyline in the
+    row convention (see module docstring), whose determinant is the Wronskian
+    and must stay at 1, and its derivatives along ``tangents``; the one-path
+    case of ``_transport`` and ``_stem_tangents``.
+
+    ``poles`` lists the (pole, theta/4, m/2) triples of
+    q/2 = sum A/(z-p)^2 + B/(z-p); a tangent lists one (dp, dA, dB) per pole,
+    the velocity of the pole list along a deformation that holds the path
+    fixed.
+    """
+    poles, tangents = _checked(poles, tangents)
+    stem = _transport(poles, vertices)
+    (du,) = _stem_tangents(poles, tangents, [stem])
+    return _row(stem.u), [_row(d) for d in du]
 
 
 def _row(u):
@@ -743,23 +774,38 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
 def lasso_monodromy(poles: Sequence[tuple[complex, float, complex]], path: LoopPath,
                     order: Optional[int], tangents: Sequence[Tangent] = ()):
     """(L, [dL per tangent], drift) in the row convention for the lasso
-    ``path`` about a marked point of the given order (None: a cusp):
-    L = S^-1 C S (column convention), where S is the stem's transport and C
-    the exact local monodromy.  S^-1 is the adjugate, so det L = det(S)^2
-    det C keeps the stem's drift.  With X = S^-1 (dS - E S), dL = [L, X]:
-    a part of E that commutes with C drops out, which is why
-    ``_local_monodromy`` may leave it out.  The drift is the worst of the
-    image's, the stem's and the Frobenius Wronskian's."""
-    s, ds = integrate_fundamental(poles, path.stem, tangents)
-    s, ds = _row(s), [_row(d) for d in ds]  # back to the column convention
-    c, es, frob = _local_monodromy(poles, tangents, path, order)
-    sinv = mat_inv_unit(s)
-    lasso = mat_mul(sinv, mat_mul(c, s))
-    dls = []
-    for d, e in zip(ds, es):
-        x = mat_mul(sinv, _sub(d, mat_mul(e, s)))
-        dls.append(_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))))
-    return _row(lasso), dls, nan_max(wronskian_drift(lasso), wronskian_drift(s), frob)
+    ``path`` about a marked point of the given order (None: a cusp): the
+    one-lasso case of ``_lassos``."""
+    return _lassos(poles, [path], [order], tangents)[0]
+
+
+def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
+            tangents: Sequence[Tangent]):
+    """[(L, [dL per tangent], drift)] in the row convention for each lasso
+    of ``paths`` about a marked point of the given order: L = S^-1 C S
+    (column convention), where S is the stem's transport and C the exact
+    local monodromy.  Each lasso's stem and circle run in turn, and then one
+    ``_step_tangents`` call takes the steps of all stems.  S^-1 is the
+    adjugate, so det L = det(S)^2 det C keeps the stem's drift.  With
+    X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes with C drops
+    out, which is why ``_local_monodromy`` may leave it out.  The drift is
+    the worst of the image's, the stem's and the Frobenius Wronskian's."""
+    cpoles, ctangents = _checked(poles, tangents)
+    stems, circles = [], []
+    for path, order in zip(paths, orders):
+        stems.append(_transport(cpoles, path.stem))
+        circles.append(_local_monodromy(poles, tangents, path, order))
+    out = []
+    for stem, ds, (c, es, frob) in zip(stems, _stem_tangents(cpoles, ctangents, stems), circles):
+        s = stem.u
+        sinv = mat_inv_unit(s)
+        lasso = mat_mul(sinv, mat_mul(c, s))
+        dls = []
+        for d, e in zip(ds, es):
+            x = mat_mul(sinv, _sub(d, mat_mul(e, s)))
+            dls.append(_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))))
+        out.append((_row(lasso), dls, nan_max(wronskian_drift(lasso), wronskian_drift(s), frob)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -784,20 +830,20 @@ class MonodromyEngine:
                        relation_tol: float = 1e-5,
                        tangents: Sequence[Tangent] = ()):
         """(rho, Wronskian drift, tangent images) for ``data`` (default: the
-        engine's own) along the frozen lassos: each stem is integrated once
-        and each circle's monodromy is exact (see ``lasso_monodromy``).  The drift is
-        the worst |det - 1| of the lasso images and the stems and of the
-        Frobenius Wronskians against their exact values; a lasso product
-        that misses +-identity by more than ``relation_tol`` (or by NaN)
-        raises OrderingError.  For each tangent of the pole list (see
+        engine's own) along the frozen lassos: each stem is integrated once,
+        each circle's monodromy is exact and one batch takes the tangents of
+        every stem step (see ``_lassos``).  The drift is the worst |det - 1|
+        of the lasso images and the stems and of the Frobenius Wronskians
+        against their exact values; a lasso product that misses +-identity
+        by more than ``relation_tol`` (or by NaN) raises OrderingError.  For each tangent of the pole list (see
         ``potential_tangent``) the tangent images map every generator to
         dm / sqrt(det m) for its monodromy m, scaled as its image in rho is,
         so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""
         from .cocycles import Representation
         data = self.data if data is None else data
         poles = data.half_q_terms()
-        runs = [lasso_monodromy(poles, p, data.order_at(p.target), tangents)
-                for p in self.paths]
+        runs = _lassos(poles, self.paths, [data.order_at(p.target) for p in self.paths],
+                       tangents)
         gens = [f"c{i + 1}" for i in range(len(runs))]
         images = {g: MoebiusMap(*m) for g, (m, _, _) in zip(gens, runs)}
         prod = MoebiusMap.identity()

@@ -86,27 +86,23 @@ class QuadPoly:
 
 class MoebiusMap:
     """PSL(2,C) element: a 2x2 matrix normalized to det 1, identified with its
-    negative.  Construction records |det - 1| before normalization."""
+    negative.  ``normalize=False`` takes the entries as they are: products
+    and inverses of normalized maps."""
 
-    __slots__ = ("a", "b", "c", "d", "det_residual")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex,
                  normalize: bool = True):
-        det = a * d - b * c
         if normalize:
+            det = a * d - b * c
             if abs(det) < 1e-30:
                 raise ValueError("singular matrix cannot define a Moebius map")
-            scale = max(abs(a), abs(b), abs(c), abs(d))
-            residual = abs(det - 1) / max(1.0, scale * scale)
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-        else:
-            residual = abs(det - 1)
         object.__setattr__(self, "a", complex(a))
         object.__setattr__(self, "b", complex(b))
         object.__setattr__(self, "c", complex(c))
         object.__setattr__(self, "d", complex(d))
-        object.__setattr__(self, "det_residual", residual)
 
     def __setattr__(self, *args):
         raise AttributeError("MoebiusMap is immutable")

@@ -6,7 +6,9 @@
 - Developing-map jets: the Taylor recursion of psi'' = -(q/2) psi at an
   ordinary point, whose ratio must have Schwarzian q.
 - Kernel bases of the local systems (Ad rho(gamma) - 1), for the
-  kernel-shift invariance of the orbifold Goldman sum.
+  kernel-shift invariance of the orbifold Goldman sum, and their solution by
+  one numpy ``lstsq`` call per system, to hold the stacked-SVD batch of
+  ``charvar.cocycles.local_coboundaries`` against.
 - The B_0 bracket of quadratics, and random words and quadratics.
 """
 
@@ -140,6 +142,18 @@ def local_kernel_basis(rho: Representation, gamma: FreeWord) -> list[QuadPoly]:
     cutoff = _RCOND * max(float(svals[0]), 1e-30)
     null = vh[svals <= cutoff].conj()
     return [QuadPoly.from_vector(v) for v in null]
+
+
+def lstsq_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord
+                           ) -> tuple[np.ndarray, float, int]:
+    """(P, residual, kernel dimension) of (Ad rho(gamma) - 1) P = chi(gamma)
+    from one ``np.linalg.lstsq`` call at the rank cutoff of
+    ``local_coboundaries``: its minimum-norm solution, |M P - chi(gamma)|
+    and 3 - rank."""
+    M = ad_matrix(rho.image(gamma)) - np.eye(3)
+    rhs = chi(gamma).vector()
+    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=_RCOND)
+    return sol, float(np.linalg.norm(M @ sol - rhs)), 3 - int(rank)
 
 
 def b0_bracket(P1: QuadPoly, P2: QuadPoly) -> complex:

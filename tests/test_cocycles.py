@@ -1,14 +1,19 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from conftest import make_genus2_rep, rand_sl2, thrice_punctured_rep
+from conftest import make_genus2_rep, near_identity_sl2, rand_sl2, thrice_punctured_rep
 from oracles import (BranchJumpError, direction_family, finite_difference_cocycle,
-                     local_kernel_basis, random_quadpoly, random_word)
+                     local_kernel_basis, lstsq_local_coboundary, random_quadpoly,
+                     random_word)
 from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
-                              coboundary, elliptic_trace_targets,
+                              coboundary, elliptic_trace_targets, local_coboundaries,
                               random_parabolic_cocycle, reduce_by_coboundary,
                               relator_extension_matrix, solve_local_coboundary)
-from charvar.sl2 import MoebiusMap, adjoint_action, killing, matrix_to_poly
+from charvar.sl2 import (MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing,
+                         matrix_to_poly)
 from charvar.words import Signature, relator
 
 
@@ -112,7 +117,98 @@ class TestEvaluation:
         assert chi.evaluate_ring(GroupRingElement.zero()).norm() == 0
 
 
+def _local_kinds(rng) -> Representation:
+    """Marked images of every kind a local system meets, each conjugated by a
+    random SL2 matrix: parabolic, elliptic of order 3, loxodromic, and
+    within 1e-4 of the identity (the relator is not needed for local
+    solves)."""
+    def conj(m):
+        h = rand_sl2(rng)
+        return h @ m @ h.inverse()
+    w, lam = cmath.exp(1j * math.pi / 3), 2 * cmath.exp(0.3j)
+    images = {"c1": conj(MoebiusMap(1, 1, 0, 1)),
+              "c2": conj(MoebiusMap(w, 0, 0, 1 / w, normalize=False)),
+              "c3": conj(MoebiusMap(lam, 0, 0, 1 / lam, normalize=False)),
+              "c4": near_identity_sl2(rng, 1e-4)}
+    return Representation(Signature(0, (3,), 3), images)
+
+
 class TestLocalSolve:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_per_solve_lstsq(self, seed):
+        # the stacked SVD against one lstsq per system, for three local
+        # coboundaries and one inconsistent assignment on all four kinds
+        rng = np.random.default_rng(seed)
+        rho = _local_kinds(rng)
+        gens = rho.signature.generators
+        chis = [Cocycle(rho, {g: adjoint_action(rho.images[g], P) - P
+                              for g in gens for P in [random_quadpoly(rng)]})
+                for _ in range(3)]
+        chis.append(Cocycle(rho, {g: random_quadpoly(rng) for g in gens}))
+        words = [rho.signature.gen(g) for g in gens]
+        batch = local_coboundaries(rho, chis, words, tol=1e6)
+        eps = np.finfo(float).eps
+        for chi, row in zip(chis, batch):
+            for gamma, solve in zip(words, row):
+                sol, residual, kernel_dim = lstsq_local_coboundary(rho, chi, gamma)
+                assert np.linalg.norm(solve.poly.vector() - sol) <= 1e-13 * np.linalg.norm(sol)
+                assert solve.kernel_dim == kernel_dim == 1
+                # no larger than the oracle's beyond the rounding of
+                # evaluating M P - chi(gamma): two rounding-level residuals
+                # of equally accurate solutions order at random
+                M = ad_matrix(rho.image(gamma)) - np.eye(3)
+                bound = 8 * eps * np.linalg.norm(M, 2) * np.linalg.norm(sol)
+                assert solve.residual <= residual + bound, (gamma, solve.residual, residual)
+                # a batch entry is bit for bit the batch of one
+                assert solve == solve_local_coboundary(rho, chi, gamma, tol=1e6)
+
+    def test_rank_cutoff_is_lstsq_rcond(self):
+        # a loxodromic image sheared by 10^k: the second singular value of
+        # Ad g - 1 falls through _RCOND x the first (7.7e-9 at k = 4,
+        # 7.7e-11 at k = 5), and the kernel dimensions follow lstsq's
+        sig = Signature(0, (), 3)
+        lam = 2 * cmath.exp(0.3j)
+        D = MoebiusMap(lam, 0, 0, 1 / lam, normalize=False)
+        dims = []
+        for k in range(1, 6):
+            h = MoebiusMap(1, 10 ** k, 0, 1)
+            g = h @ D @ h.inverse()
+            rho = Representation(sig, {"c1": g, "c2": g.inverse(), "c3": MoebiusMap.identity()})
+            chi = Cocycle(rho, {c: QuadPoly(1, 2j, 3) for c in sig.generators})
+            (row,) = local_coboundaries(rho, [chi], [sig.gen("c1")], tol=math.inf)
+            dims.append(row[0].kernel_dim)
+            assert row[0].kernel_dim == lstsq_local_coboundary(rho, chi, sig.gen("c1"))[2]
+        assert dims == [1, 1, 1, 1, 2]
+
+    def test_identity_image_has_full_kernel(self):
+        sig = Signature(0, (), 3)
+        c1 = MoebiusMap(1, 1, 0, 1)
+        rho = Representation(sig, {"c1": c1, "c2": MoebiusMap.identity(), "c3": c1.inverse()})
+        chi = coboundary(rho, QuadPoly(1, 2, 3))
+        (row,) = local_coboundaries(rho, [chi], [sig.gen("c1"), sig.gen("c2")])
+        assert [s.kernel_dim for s in row] == [1, 3]
+        assert row[1].poly == QuadPoly.zero() and row[1].residual == 0.0
+
+    def test_non_finite_system_raises(self, rho_tp):
+        # checked before LAPACK sees any system, so a non-finite one raises
+        # even after a cocycle that is no local coboundary
+        rng = np.random.default_rng(8)
+        sig = rho_tp.signature
+        words = [sig.gen(g) for g in sig.generators]
+        chi = coboundary(rho_tp, random_quadpoly(rng))
+        nan = Cocycle(rho_tp, {**chi.values, "c2": QuadPoly(complex("nan"), 0, 0)})
+        with pytest.raises(ArithmeticError, match="non-finite local system at c2"):
+            local_coboundaries(rho_tp, [chi, nan], words)
+        huge = Representation(sig, {**rho_tp.images,
+                                    "c3": MoebiusMap(1e200, 0, 0, 1e-200, normalize=False)})
+        with pytest.raises(ArithmeticError, match="non-finite local system at c3"):
+            local_coboundaries(huge, [Cocycle(huge, chi.values)], words)
+        bad = Cocycle(rho_tp, {g: random_quadpoly(rng) for g in sig.generators})
+        with pytest.raises(ArithmeticError, match="non-finite local system at c2"):
+            local_coboundaries(rho_tp, [bad, nan], words)
+        with pytest.raises(CocycleNotParabolicError):
+            local_coboundaries(rho_tp, [chi, bad], words)
+
     def test_recovers_coboundary(self, rho_tp):
         rng = np.random.default_rng(4)
         P = random_quadpoly(rng)
@@ -313,14 +409,16 @@ class TestCoboundaryReduction:
         rng = np.random.default_rng(12)
         c1 = random_parabolic_cocycle(orb3_rep, rng)
         c2 = random_parabolic_cocycle(orb3_rep, rng)
-        r1 = reduce_by_coboundary(c1)
+        # one lstsq reduces both; each keeps its class
+        r1, r2 = reduce_by_coboundary(orb3_rep, [c1, c2])
         v_raw = goldman_orbifold(orb3_rep, c1, c2).value
-        v_red = goldman_orbifold(orb3_rep, r1, c2).value
-        assert abs(v_raw - v_red) < 1e-8 * max(1, abs(v_raw))
-        assert _relator_residual(r1) < 1e-8
+        for a, b in ((r1, c2), (c1, r2), (r1, r2)):
+            v_red = goldman_orbifold(orb3_rep, a, b).value
+            assert abs(v_raw - v_red) < 1e-8 * max(1, abs(v_raw))
+        assert _relator_residual(r1) < 1e-8 and _relator_residual(r2) < 1e-8
 
     def test_kills_pure_coboundary(self, orb3_rep):
         rng = np.random.default_rng(13)
         delta = coboundary(orb3_rep, random_quadpoly(rng))
-        red = reduce_by_coboundary(delta)
+        (red,) = reduce_by_coboundary(orb3_rep, [delta])
         assert red.norm() < 1e-10 * max(1, delta.norm())

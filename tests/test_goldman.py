@@ -237,9 +237,12 @@ class TestPrefixScan:
 
 
 class TestMatrix:
-    @pytest.mark.parametrize("which", ["genus2", "orb3"])
-    def test_entries_are_the_one_pair_values(self, which, genus2_rep, orb3_rep):
-        rho = {"genus2": genus2_rep, "orb3": orb3_rep}[which]
+    @pytest.mark.parametrize("which", ["genus2", "orb3", "four_cusp"])
+    def test_entries_are_the_one_pair_values(self, which, genus2_rep, orb3_rep,
+                                             four_cusp_rep):
+        # one frame of R and one batch of local solves for all cocycles give
+        # bit for bit what a pair's own frame and batch give
+        rho = {"genus2": genus2_rep, "orb3": orb3_rep, "four_cusp": four_cusp_rep}[which]
         rng = np.random.default_rng(23)
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
         omega, solves = goldman_matrix(rho, chis)
@@ -249,6 +252,7 @@ class TestMatrix:
                 assert omega[i][j] == rep.value
                 assert {k: s.poly for k, s in solves[j].items()} == rep.p2
                 assert {k: s.residual for k, s in solves[j].items()} == rep.local_residuals
+                assert {k: s.kernel_dim for k, s in solves[j].items()} == rep.kernel_dims
 
     @pytest.mark.parametrize("fixture,rank", [("genus2_rep", 6), ("four_cusp_rep", 2),
                                               ("orb3_rep", 2)])

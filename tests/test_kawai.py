@@ -141,11 +141,12 @@ def test_constant_family_zero_cocycle(four_cusp_rep):
 
 
 def test_grid_point_pairs_each_cocycle_once(monkeypatch):
-    # two cocycles on four marked points: 2 x 4 local solves (not one set per
-    # ordered pair, 16) and one walk of the relator per cocycle
-    import charvar.cocycles as cocycles
+    # two cocycles on four marked points: one batch of 2 x 4 local solves
+    # (not one solve per cocycle and point, 8, nor one set per ordered pair,
+    # 16), one frame of rho's side of the relator and one walk of it per
+    # cocycle
     import charvar.goldman as goldman
-    calls = {"solve": 0, "walk": 0}
+    calls = {"solve": [], "frame": 0, "walk": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -153,10 +154,15 @@ def test_grid_point_pairs_each_cocycle_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    solve = counting("solve", cocycles.solve_local_coboundary)
-    for mod in (cocycles, goldman):
-        monkeypatch.setattr(mod, "solve_local_coboundary", solve)
+    batch = goldman.local_coboundaries
+
+    def solves(rho, chis, gammas, tol=1e-6):
+        calls["solve"].append((len(chis), len(gammas)))
+        return batch(rho, chis, gammas, tol)
+
+    monkeypatch.setattr(goldman, "local_coboundaries", solves)
+    monkeypatch.setattr(goldman, "_frame", counting("frame", goldman._frame))
     monkeypatch.setattr(goldman, "_walk", counting("walk", goldman._walk))
     rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))])
     assert rep.labels == ["c0", "t2"]
-    assert calls == {"solve": 8, "walk": 2}
+    assert calls == {"solve": [(2, 4)], "frame": 1, "walk": 2}

@@ -205,37 +205,38 @@ def test_lasso_traces_are_exact(source):
 
 def _recorded_steps(monkeypatch, run):
     """Every (poles, z0, h) that ``run()`` hands to ``_transfer``, in one
-    (poles, tangents, [(z0, h), ...]) batch per ``integrate_fundamental``
-    call: a path's steps, whose tangents one ``_step_tangents`` call takes."""
+    (poles, tangents, [(z0, h), ...]) batch per
+    ``MonodromyEngine.representation`` call: the steps of all its stems,
+    whose tangents one ``_step_tangents`` call takes."""
     import charvar.monodromy as mono
 
-    batches, integrate, transfer = [], mono.integrate_fundamental, mono._transfer
+    batches, represent, transfer = [], mono.MonodromyEngine.representation, mono._transfer
 
-    def integrated(poles, vertices, tangents=()):
+    def represented(self, data=None, relation_tol=1e-5, tangents=()):
         batches.append((None, [[tuple(map(complex, v)) for v in t] for t in tangents], []))
-        return integrate(poles, vertices, tangents)
+        return represent(self, data, relation_tol, tangents)
 
     def transferred(poles, z0, h):
         _, tangents, steps = batches[-1]
         batches[-1] = (poles, tangents, steps + [(z0, h)])
         return transfer(poles, z0, h)
-    monkeypatch.setattr(mono, "integrate_fundamental", integrated)
+    monkeypatch.setattr(mono.MonodromyEngine, "representation", represented)
     monkeypatch.setattr(mono, "_transfer", transferred)
     run()
-    monkeypatch.setattr(mono, "integrate_fundamental", integrate)
+    monkeypatch.setattr(mono.MonodromyEngine, "representation", represent)
     monkeypatch.setattr(mono, "_transfer", transfer)
     return [batch for batch in batches if batch[2]]
 
 
 def _kawai_steps(monkeypatch, capsys):
-    """The kawai config's steps, one batch per stem: 4 stems per grid point,
-    48 steps in all, each stem carrying both tangents."""
+    """The kawai config's steps, one batch per grid point: 4 stems each,
+    48 steps in all, each batch carrying both tangents."""
     from charvar.cli import main
 
     batches = _recorded_steps(monkeypatch, lambda: main(
         ["kawai", "--input", str(CONFIGS / "kawai-4cusp.json")]))
     capsys.readouterr()
-    assert len(batches) == 12 and sum(len(steps) for _, _, steps in batches) == 48
+    assert len(batches) == 3 and sum(len(steps) for _, _, steps in batches) == 48
     assert all(len(t) == 2 for _, t, _ in batches)
     return batches
 
@@ -278,19 +279,19 @@ def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
 
 
 def _batch_tangents(poles, tangents, steps):
-    """dT per tangent for each (z0, h) of one path, by one ``_step_tangents``
+    """dT per tangent for each (z0, h) of one batch, by one ``_step_tangents``
     call over the steps' series records."""
     return _step_tangents(poles, tangents, [_transfer(poles, z0, h)[1] for z0, h in steps])
 
 
 def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
     # the Gauss-Legendre integral against the differentiated recursion, on
-    # every kawai step, each stem's steps in one batch, and on the worst
+    # every kawai step, each representation's steps in one batch, and on the worst
     # cases the step rule allows
     from taylor_reference import reference_transfer
 
     batches = _kawai_steps(monkeypatch, capsys)
-    # a stem's series differ in length, so the batch pads the shorter ones
+    # a batch's series differ in length, so it pads the shorter ones
     lengths = [{len(_transfer(poles, z0, h)[1][2]) for z0, h in steps}
                for poles, _, steps in batches]
     assert all(len(ls) > 1 for ls in lengths) and min(map(min, lengths)) < max(map(max, lengths))
@@ -607,8 +608,8 @@ class TestRepresentation:
         # NaN compares False with every tolerance, so it must not pass as small
         import charvar.monodromy as mono
         nan = float("nan")
-        monkeypatch.setattr(mono, "integrate_fundamental",
-                            lambda poles, vertices, tangents=(): ((nan, 0, 0, 1), []))
+        monkeypatch.setattr(mono, "_transport",
+                            lambda poles, vertices: mono._Stem((nan, 0, 0, 1), [], [], 0j))
         engine, _ = four_cusp_engine
         with pytest.raises(OrderingError):
             engine.representation()
@@ -629,21 +630,22 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
             return fn(*args, **kwargs)
         monkeypatch.setattr(mono, name, wrapped)
 
-    for name in ("integrate_fundamental", "_transfer", "_step_tangents", "_local_monodromy"):
+    for name in ("_transport", "_transfer", "_step_tangents", "_local_monodromy"):
         counted(name)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
     # the Wronskian drift comes from the same transports, which carry no
     # tangents
-    assert calls.count("integrate_fundamental") == 4
+    assert calls.count("_transport") == 4
     assert calls.count("_step_tangents") == 0
     calls.clear()
     kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
-    # each stem once, carrying both tangents; one local expansion per lasso
-    assert calls.count("integrate_fundamental") == 4
+    # each stem once; one local expansion per lasso
+    assert calls.count("_transport") == 4
     assert calls.count("_local_monodromy") == 4
-    # one batch of step tangents per stem
-    assert calls.count("_step_tangents") == 4
+    # one batch of step tangents per representation: every step of every
+    # stem, carrying both tangents
+    assert calls.count("_step_tangents") == 1
     # series per grid point: 16 Taylor steps on the stems plus 4 Frobenius
     # expansions (84 Taylor steps when the circles were integrated)
     assert calls.count("_transfer") + calls.count("_local_monodromy") == 20
