@@ -54,11 +54,7 @@ class Representation:
             raise ValueError(f"missing generator images: {missing}")
 
     def image(self, w: FreeWord) -> MoebiusMap:
-        out = MoebiusMap.identity()
-        for name, exp in w:
-            m = self.images[name]
-            out = out @ (m if exp == 1 else m.inverse())
-        return out
+        return word_images(self, w)[1][-1]
 
     def relator_residual(self) -> float:
         return self.image(relator(self.signature)).psl_distance(MoebiusMap.identity())
@@ -273,15 +269,13 @@ def relator_extension_matrix(rho: Representation) -> np.ndarray:
     gens = rho.signature.generators
     col = {g: i for i, g in enumerate(gens)}
     T = np.zeros((3, 3 * len(gens)), dtype=complex)
-    prefix = MoebiusMap.identity()
-    for name, exp in relator(rho.signature):
+    letters, prefixes = word_images(rho, relator(rho.signature))
+    for (name, exp, _), before, after in zip(letters, prefixes, prefixes[1:]):
         j = 3 * col[name]
         if exp == 1:
-            T[:, j:j + 3] += ad_matrix(prefix)
-            prefix = prefix @ rho.images[name]
+            T[:, j:j + 3] += ad_matrix(before)
         else:
-            prefix = prefix @ rho.images[name].inverse()
-            T[:, j:j + 3] -= ad_matrix(prefix)
+            T[:, j:j + 3] -= ad_matrix(after)
     return T
 
 
