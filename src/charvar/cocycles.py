@@ -29,9 +29,9 @@ _RCOND = 1e-9
 
 
 class CocycleNotParabolicError(ValueError):
-    def __init__(self, word, residual: float, tol: float):
+    def __init__(self, gen: str, residual: float, tol: float):
         super().__init__(
-            f"cocycle is not a local coboundary at {word}: residual {residual:.3e} > {tol:.3e}")
+            f"cocycle is not a local coboundary at {gen}: residual {residual:.3e} > {tol:.3e}")
         self.residual = residual
 
 
@@ -182,28 +182,34 @@ def _norms(x):
     return np.sqrt(x[..., 0] + x[..., 1] + x[..., 2])
 
 
-def local_coboundaries(rho: Representation, chis, gammas, tol: float = 1e-6
+def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
                        ) -> list[list[LocalSolve]]:
-    """[[LocalSolve per word of ``gammas``] per cocycle of ``chis``]: the
-    minimum-norm P with (Ad rho(gamma) - 1) P = chi(gamma) for every pair.
+    """[[LocalSolve per generator name of ``gens``] per cocycle of ``chis``]:
+    the minimum-norm P with (Ad rho(c) - 1) P = chi(c) for every pair, read
+    from ``rho.images[c]`` and ``chi.values[c]``.  A name the signature
+    does not have raises ValueError.
 
-    The 3x3 systems are singular for parabolic/elliptic rho(gamma) (kernel
-    of dimension >= 1).  One stacked SVD U S V^* of the m matrices serves
+    The 3x3 systems are singular for parabolic/elliptic rho(c) (kernel of
+    dimension >= 1).  One stacked SVD U S V^* of the m matrices serves
     every cocycle: singular values at most _RCOND times a matrix's largest
     count as zero, as under lstsq's ``rcond``, their number is the kernel
-    dimension, and P = V S^+ U^* chi(gamma).  A non-finite system raises
+    dimension, and P = V S^+ U^* chi(c).  A non-finite system raises
     ArithmeticError before any is solved; then, cocycle by cocycle, a
-    residual above ``tol`` x max(1, |chi(gamma)|, |chi|) raises
+    residual above ``tol`` x max(1, |chi(c)|, |chi|) raises
     CocycleNotParabolicError.
     """
-    if not gammas:
+    if not gens:
         return [[] for _ in chis]
-    M = np.array([ad_matrix(rho.image(g)) for g in gammas]) - np.eye(3)
-    rhs = np.array([[chi(g).vector() for g in gammas] for chi in chis]).reshape(-1, len(gammas), 3)
+    sig = rho.signature
+    for c in gens:
+        if c not in sig.generators:
+            raise ValueError(f"unknown generator {c!r} for signature {sig}")
+    M = np.array([ad_matrix(rho.images[c]) for c in gens]) - np.eye(3)
+    rhs = np.array([[chi.values[c].vector() for c in gens] for chi in chis]).reshape(-1, len(gens), 3)
     finite = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=2)
     if not finite.all():  # LAPACK would fail on it and print to stdout
         raise ArithmeticError(
-            f"non-finite local system at {gammas[int(np.argmin(finite)) % len(gammas)]}")
+            f"non-finite local system at {gens[int(np.argmin(finite)) % len(gens)]}")
     u, svals, vh = np.linalg.svd(M)
     keep = svals > _RCOND * svals[:, :1]
     pinv = np.divide(1, svals, out=np.zeros_like(svals), where=keep)
@@ -213,19 +219,19 @@ def local_coboundaries(rho: Representation, chis, gammas, tol: float = 1e-6
     out = []
     for chi, row, res, scale in zip(chis, sol, residuals, _norms(rhs).tolist()):
         solves = []
-        for gamma, p, r, sc, k in zip(gammas, row, res, scale, kernel_dims):
+        for c, p, r, sc, k in zip(gens, row, res, scale, kernel_dims):
             bound = tol * max(1.0, sc, chi.norm())
             if r > bound:
-                raise CocycleNotParabolicError(gamma, r, bound)
+                raise CocycleNotParabolicError(c, r, bound)
             solves.append(LocalSolve(QuadPoly.from_vector(p), r, k))
         out.append(solves)
     return out
 
 
-def solve_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord,
+def solve_local_coboundary(rho: Representation, chi: Cocycle, gen: str,
                            tol: float = 1e-6) -> LocalSolve:
-    """One cocycle and one word of ``local_coboundaries``."""
-    return local_coboundaries(rho, [chi], [gamma], tol)[0][0]
+    """One cocycle and one generator name of ``local_coboundaries``."""
+    return local_coboundaries(rho, [chi], [gen], tol)[0][0]
 
 
 def _dot(*pairs) -> complex:

@@ -10,7 +10,9 @@ and for orbifold signatures two more sums: the marked-generator Fox terms
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
 rho's side of the relator walk (letter and prefix images) is built once per
 pairing call and shared by every cocycle's walk (_walk) and chi(R); the
-local solves of all cocycles at all c_i come from one stacked SVD.
+local solves of all cocycles at all c_i come from one stacked SVD.  The
+marked generators are single letters, so chi(c_i), chi(c_i^-1) and rho(c_i)
+come from their values and images, not from word walks.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -72,21 +74,29 @@ def _frame(rho: Representation) -> _Frame:
     return _Frame(letters, prefixes, [p.inverse() for p in prefixes])
 
 
+def _marked(rho: Representation) -> tuple[str, ...]:
+    """The marked generators c_1, ..., c_(m+n) of rho's signature, which
+    follow its 2g handle generators."""
+    sig = rho.signature
+    return sig.generators[2 * sig.g:]
+
+
 def _walk(chi: Cocycle, frame: _Frame) -> _Walk:
     """Walk R = x_1 ... x_L carrying c_j = chi(P_j) along the prefixes
     P_j of ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
     x_j = x^-1, and chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their #
-    images."""
-    sig = chi.base.signature
-    sharp = {gen: QuadPoly.zero() for gen in sig.generators}
+    images; for a marked c_i, chi(c_i^-1) = -Ad(rho(c_i)^-1) chi(c_i) from
+    the generator's own image and value."""
+    rho = chi.base
+    sharp = {gen: QuadPoly.zero() for gen in rho.signature.generators}
     cs = chi.along(frame.letters, frame.prefixes)
     for j, (name, exp, _) in enumerate(frame.letters):
         if exp == 1:
             sharp[name] = sharp[name] - adjoint_action(frame.inverses[j], cs[j])
         else:
             sharp[name] = sharp[name] + adjoint_action(frame.inverses[j + 1], cs[j + 1])
-    inverses = {f"c{i}": chi(sig.gen(f"c{i}").inverse())
-                for i in range(1, sig.num_marked + 1)}
+    inverses = {c: -1 * adjoint_action(rho.images[c].inverse(), chi.values[c])
+                for c in _marked(rho)}
     return _Walk(sharp, cs[-1], inverses)
 
 
@@ -94,9 +104,8 @@ def _local_solves(rho: Representation, chis: list[Cocycle], local_tol: float
                   ) -> list[dict[str, LocalSolve]]:
     """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i, for
     every cocycle, from one ``local_coboundaries`` batch."""
-    sig = rho.signature
-    names = [f"c{i}" for i in range(1, sig.num_marked + 1)]
-    batch = local_coboundaries(rho, chis, [sig.gen(c) for c in names], tol=local_tol)
+    names = _marked(rho)
+    batch = local_coboundaries(rho, chis, names, tol=local_tol)
     return [dict(zip(names, solves)) for solves in batch]
 
 

@@ -18,9 +18,9 @@ rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
 One recurrence (``_series``) sums the stem steps' Taylor series and the
 circles' Frobenius bases, in pure Python and in a fixed order; the
-quadratures are numpy array operations, one batch for the steps of all
-stems of a representation (``_step_tangents``) and one per circle, over a
-cached table of the nodes' powers.
+quadratures are numpy array operations over cached tables of the nodes'
+powers, one batch for the steps of all stems of a representation
+(``_step_tangents``) and one for all its circles (``_circle_tangents``).
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -350,14 +350,19 @@ def _cubic(coeffs, y):
     return coeffs @ np.concatenate((y, y2, y2 * y), axis=-2)
 
 
-def _dq(poles, tangents):
+def _dq(poles, tangents, moving=None):
     """The coefficients for ``_cubic`` of the variation of
     q/2 = sum A/(z-p)^2 + B/(z-p) along each tangent (one (dp, dA, dB) per
     pole) with z frozen, at y = 1/(z - p):
-        dq = sum y (dB + y (dA + B dp + 2 A dp y))."""
+        dq = sum y (dB + y (dA + B dp + 2 A dp y)),
+    tangents x coefficients.  With ``moving`` (... x tangents: the velocity
+    of a point z moves with) every dp is taken relative to it, one block of
+    rows per leading index."""
     _, a, b = np.array(poles, dtype=complex).reshape(-1, 3).T
     dp, da, db = np.array(tangents, dtype=complex).reshape(len(tangents), -1, 3).transpose(2, 0, 1)
-    return np.concatenate((db, da + b * dp, 2 * a * dp), axis=1)
+    if moving is not None:
+        dp = dp - np.asarray(moving)[..., None]
+    return np.concatenate(np.broadcast_arrays(db, da + b * dp, 2 * a * dp), axis=-1)
 
 
 def _ends(c):
@@ -595,7 +600,7 @@ def _ray_rule(order: Optional[int]):
         log t: mu_0 = -1,       mu_k = (-1)^(k+1) / (k(k+1)).
     The P_k are taken at 2 t_i - 1 of the nodes as rounded, which keeps the
     rule exact to rounding on t^15 (from the unrounded x_i it errs ~k eps on
-    t^k).  The integrands of ``_local_monodromy`` are not polynomials: the
+    t^k).  The integrands of ``_circle_tangents`` are not polynomials: the
     rule is exact to rounding on them because ``build_lassos`` keeps every
     other singularity of dR, A and B at |t| >= 1/MAX_RADIUS_FACTOR (at
     infinity |t| >= 2.4, the big circle's factor).  Computed on first use,
@@ -656,12 +661,18 @@ def _laurent(poles, path: LoopPath, s: complex):
     return (s * poles[j][2],), u, v, r, r, 0
 
 
-def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
-    """(C, [E per tangent], Wronskian drift) for the circle of ``path``
+#: a circle's untangented expansion, for ``_circle_tangents``: its path and
+#: order, s = u(entry), the Frobenius series a and b, and the matrices G,
+#: G^-1, Mh and Mh^-1 of ``_local_monodromy``
+_Circle = namedtuple("_Circle", "path order s a b g ginv mh mh_inv")
+
+
+def _local_monodromy(poles, path: LoopPath, order: Optional[int]):
+    """(C, Wronskian drift, circle record) for the circle of ``path``
     (column convention, row-major 4-tuples): C = Phi N Phi^-1 is the exact
-    monodromy of the loop from the entry point, E = dPhi Phi^-1 along each
-    tangent up to a matrix that commutes with C, and the drift compares the
-    Frobenius Wronskian with its exact value.
+    monodromy of the loop from the entry point, the drift compares the
+    Frobenius Wronskian with its exact value, and the record (``_Circle``)
+    keeps the expansion for ``_circle_tangents``.
 
     In the local coordinate u (see ``_laurent``) the exponents are
     rho = (1 +- 1/e)/2 at an order-e point, and ``_series`` (shifts +-1/e)
@@ -674,46 +685,13 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     sum n a_n s^n) of each basis function, whose determinant is exactly
     rho_- - rho_+ (cusp: 1), and by G, the map from reduced data to
     (psi, psi') at the entry point: diag(1, 1/s), and at infinity
-    [[1/s, 0], [1, -1]] since psi = phi / w.  The series stop on the
-    untangented terms alone.
-
-    A tangent varies R by dR with the entry point frozen; the exponents do
-    not move, so dN = 0 and the lasso reads E only through dC = [E, C].
-    Variation of constants from the marked point along the ray u = s t,
-    t in [0, 1], gives dPhi = Phi int_0^s Phi^-1 dK Phi du with
-    dK = [[0, 0], [-dR, 0]], and of that integral only the entries that do
-    not commute with N are needed.  With A(t) = sum a_n t^n, B(t) =
-    sum b_n t^n and F_xy(t) = t s^2 dR(s t) X(t) Y(t), in the reduced frame
-        elliptic: Eh = [[0, J_bb/W], [-J_aa/W, 0]], W = -1/e,
-                  J_aa = int t^(1/e) F_aa, J_bb = int t^(-1/e) F_bb;
-        cusp:     Eh = [[2 (int log t F_aa + int F_ab), 0], [-int F_aa, 0]]
-    over [0, 1], by the product rules of ``_ray_rule``: the factors u^rho
-    and log u of the Frobenius basis become the weights, and every F is
-    analytic on the ray.  A and B are read at the nodes by one matmul with
-    the ray's power table, and the two nonzero entries of Eh for all
-    tangents by ``_cubic`` and one more matmul.  Then
-    E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite pole the pole moves under the
-    frozen entry point, which adds -dp (psi', -(q/2) psi),
-    K = [[0, 1], [-q/2, 0]].
-
-    dR at a finite pole p_j takes the coefficients of ``_dq`` with every
-    pole's motion taken relative to p_j.  At infinity, per pole and with
-    y = 1/(1 - d w),
-        dR = sum w^-1 [(dA + B dp)(2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
-           = sum w^-1 y [d (dB d + dA + B dp) + y (d (dA + B dp) + 2 A dp y)]:
-    the w^-3 and w^-2 terms, d sum B and d sum (A + B d), vanish by the
-    moment constraints and are left out, since their float residue would
-    meet a factor t^-2 at the marked point.  A tangent thus costs
-    O(nodes x poles), not a differentiated series.
+    [[1/s, 0], [1, -1]] since psi = phi / w.
     """
     entry = path.stem[1]
-    inf = path.target == "inf"
-    if inf:
+    if path.target == "inf":
         s = 1 / (entry - path.centre)
         g, ginv = (1 / s, 0j, 1 + 0j, -1 + 0j), (s, 0j, s, -1 + 0j)
     else:
-        if any(tan[path.target][1] != 0 for tan in tangents):
-            raise ValueError("a tangent may not move the order of a marked point")
         s = entry - poles[path.target][0]
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
     cusp = order is None
@@ -735,40 +713,104 @@ def _local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
     else:
         n_mat = (-cmath.exp(1j * math.pi * dlt), 0j, 0j, -cmath.exp(-1j * math.pi * dlt))
     c = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(n_mat, mh_inv)), ginv))
-    if not tangents:
-        return c, [], drift
+    return c, drift, _Circle(path, order, s, a, b, g, ginv, mh, mh_inv)
 
-    nodes, w1, w2, powers = _ray_rule(order)
-    av, bv = np.array((a, b)) @ powers[:len(a)]  # A and B at the nodes
-    if inf:
-        f = s  # t s^2 dR(s t) = s x the sum in brackets
-        d = np.array([p - path.centre for p, _, _ in poles])
-        y = 1 / (1 - np.multiply.outer(s * d, nodes))
-        db, c2, c3 = np.split(_dq(poles, tangents), 3, axis=1)
-        c2 = c2 * d
-        coeffs = np.concatenate((d * db * d + c2, c2, c3), axis=1)
-    else:
-        f = s * s * nodes
-        p0 = poles[path.target][0]
-        y = 1 / (np.array([p0 - p for p, _, _ in poles])[:, None] + s * nodes)
-        coeffs = _dq(poles, [[(dp - tan[path.target][0], dA, dB) for dp, dA, dB in tan]
-                             for tan in tangents])
-        q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
+
+def _circle_tangents(poles, tangents, circles):
+    """[E per tangent] for each ``_Circle`` record of ``_local_monodromy``,
+    all circles of a representation at once (column convention, row-major
+    4-tuples): E = dPhi Phi^-1 up to a matrix that commutes with C.
+
+    A tangent varies R by dR with the entry point frozen; the exponents do
+    not move (a tangent that moves the order of a circle's marked point is
+    a ValueError), so dN = 0 and the lasso reads E only through dC = [E, C].
+    Variation of constants from the marked point along the ray u = s t,
+    t in [0, 1], gives dPhi = Phi int_0^s Phi^-1 dK Phi du with
+    dK = [[0, 0], [-dR, 0]], and of that integral only the entries that do
+    not commute with N are needed.  With A(t) = sum a_n t^n, B(t) =
+    sum b_n t^n and F_xy(t) = t s^2 dR(s t) X(t) Y(t), in the reduced frame
+        elliptic: Eh = [[0, J_bb/W], [-J_aa/W, 0]], W = -1/e,
+                  J_aa = int t^(1/e) F_aa, J_bb = int t^(-1/e) F_bb;
+        cusp:     Eh = [[2 (int log t F_aa + int F_ab), 0], [-int F_aa, 0]]
+    over [0, 1], by the product rules of ``_ray_rule``: the factors u^rho
+    and log u of the Frobenius basis become the weights, and every F is
+    analytic on the ray.  Then E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite
+    pole the pole moves under the frozen entry point, which adds
+    -dp (psi', -(q/2) psi), K = [[0, 1], [-q/2, 0]].
+
+    dR at a finite pole p_j takes the coefficients of ``_dq`` with every
+    pole's motion taken relative to p_j.  At infinity, per pole and with
+    d = p - c and y = 1/(1 - d w),
+        dR = sum w^-1 [(dA + B dp)(2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
+           = sum w^-1 y [d (dB d + dA + B dp) + y (d (dA + B dp) + 2 A dp y)]:
+    the w^-3 and w^-2 terms, d sum B and d sum (A + B d), vanish by the
+    moment constraints and are left out, since their float residue would
+    meet a factor t^-2 at the marked point.  Both are y = 1/(alpha + beta t)
+    per pole: alpha = p_j - p, beta = s at a finite pole, alpha = 1,
+    beta = -s d at infinity.
+
+    Every ray shares the nodes and their power table (only the weights
+    depend on the order), so one evaluation takes all circles: the series,
+    zero-padded to the longest, are read at the nodes by one matmul; y,
+    the coefficients of dR, the kernel weights and the two nonzero entries
+    of Eh follow as array operations over circles x tangents x nodes, each
+    circle's entries by the same operations as a batch of that circle
+    alone.  A tangent thus costs O(nodes x poles), not a differentiated
+    series.
+    """
+    for cir in circles:
+        j = cir.path.target
+        if j != "inf" and any(tan[j][1] != 0 for tan in tangents):
+            raise ValueError("a tangent may not move the order of a marked point")
+    nodes, _, _, powers = _ray_rule(None)  # every order's nodes and powers
+    rules = [_ray_rule(cir.order) for cir in circles]
+    n = max(len(cir.a) for cir in circles)
+    series = np.zeros((len(circles), 2, n), dtype=complex)
+    for row, cir in zip(series, circles):
+        row[0, :len(cir.a)], row[1, :len(cir.b)] = cir.a, cir.b
+    av, bv = np.moveaxis(series @ powers[:n], 1, 0)  # A and B at the nodes
+    at_inf = [cir.path.target == "inf" for cir in circles]
+    inf = np.array(at_inf)[:, None]
+    cusp = np.array([cir.order is None for cir in circles])[:, None]
+    s = np.array([cir.s for cir in circles])[:, None]
+    w1 = np.array([w for _, w, _, _ in rules])
+    w2 = np.array([w for _, _, w, _ in rules])
+    dlt = np.array([[1.0 if cir.order is None else 1.0 / cir.order] for cir in circles])
+    # t s^2 dR(s t) = s x the sum in brackets at infinity
+    f = np.array([[cir.s if i else cir.s * cir.s] for cir, i in zip(circles, at_inf)])
+    f = f * np.where(inf, 1.0, nodes)
+    centres = [[cir.path.centre if i else poles[cir.path.target][0]]
+               for cir, i in zip(circles, at_inf)]
+    d = np.array([p for p, _, _ in poles]) - np.array(centres)  # p - the circle's centre
+    y = 1 / (np.where(inf, 1, -d)[:, :, None]
+             + np.where(inf, -(s * d), s)[:, :, None] * nodes)  # circles x poles x nodes
+    moving = [[0j if i else tan[cir.path.target][0] for tan in tangents]
+              for cir, i in zip(circles, at_inf)]
+    db, u, c3 = np.split(_dq(poles, tangents, moving), 3, axis=-1)  # circles x tangents x poles
+    ud = u * d[:, None]
+    inf3 = inf[:, :, None]
+    coeffs = np.concatenate((np.where(inf3, d[:, None] * db * d[:, None] + ud, db),
+                             np.where(inf3, ud, u), c3), axis=-1)
     # the weights of dR at the nodes for the two nonzero entries of Eh
-    if cusp:
-        kernel = (2 * f * av * (w2 * av + w1 * bv), -w1 * f * av * av)
-    else:
-        kernel = (-w2 * f * bv * bv / dlt, w1 * f * av * av / dlt)
-    es = []
-    ints = (_cubic(coeffs, y) @ np.stack(kernel, axis=1)).tolist()  # tangents x 2
-    for tan, (x1, x2) in zip(tangents, ints):
-        eh = (x1, 0j, x2, 0j) if cusp else (0j, x1, x2, 0j)
-        e = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(eh, mh_inv)), ginv))
-        if not inf:
-            dp0 = tan[path.target][0]
-            e = _sub(e, (0j, dp0, -q2 * dp0, 0j))
-        es.append(e)
-    return c, es, drift
+    faa = w1 * f * av * av
+    kernel = np.stack((np.where(cusp, 2 * f * av * (w2 * av + w1 * bv), -w2 * f * bv * bv / dlt),
+                       np.where(cusp, -faa, faa / dlt)), axis=-1)
+    ints = (_cubic(coeffs, y) @ kernel).tolist()  # circles x tangents x 2
+    out = []
+    for cir, i, rows in zip(circles, at_inf, ints):
+        if not i:
+            entry = cir.path.stem[1]
+            q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
+        es = []
+        for tan, (x1, x2) in zip(tangents, rows):
+            eh = (x1, 0j, x2, 0j) if cir.order is None else (0j, x1, x2, 0j)
+            e = mat_mul(cir.g, mat_mul(mat_mul(cir.mh, mat_mul(eh, cir.mh_inv)), cir.ginv))
+            if not i:
+                dp0 = tan[cir.path.target][0]
+                e = _sub(e, (0j, dp0, -q2 * dp0, 0j))
+            es.append(e)
+        out.append(es)
+    return out
 
 
 def lasso_monodromy(poles: Sequence[tuple[complex, float, complex]], path: LoopPath,
@@ -785,18 +827,22 @@ def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
     of ``paths`` about a marked point of the given order: L = S^-1 C S
     (column convention), where S is the stem's transport and C the exact
     local monodromy.  Each lasso's stem and circle run in turn, and then one
-    ``_step_tangents`` call takes the steps of all stems.  S^-1 is the
-    adjugate, so det L = det(S)^2 det C keeps the stem's drift.  With
+    ``_step_tangents`` call takes the steps of all stems and one
+    ``_circle_tangents`` call all circles.  S^-1 is the adjugate, so
+    det L = det(S)^2 det C keeps the stem's drift.  With
     X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes with C drops
-    out, which is why ``_local_monodromy`` may leave it out.  The drift is
+    out, which is why ``_circle_tangents`` may leave it out.  The drift is
     the worst of the image's, the stem's and the Frobenius Wronskian's."""
     cpoles, ctangents = _checked(poles, tangents)
     stems, circles = [], []
     for path, order in zip(paths, orders):
         stems.append(_transport(cpoles, path.stem))
-        circles.append(_local_monodromy(poles, tangents, path, order))
+        circles.append(_local_monodromy(poles, path, order))
+    ess = (_circle_tangents(poles, tangents, [rec for _, _, rec in circles]) if tangents
+           else [[] for _ in circles])
     out = []
-    for stem, ds, (c, es, frob) in zip(stems, _stem_tangents(cpoles, ctangents, stems), circles):
+    for stem, ds, (c, frob, _), es in zip(stems, _stem_tangents(cpoles, ctangents, stems),
+                                          circles, ess):
         s = stem.u
         sinv = mat_inv_unit(s)
         lasso = mat_mul(sinv, mat_mul(c, s))
@@ -831,11 +877,12 @@ class MonodromyEngine:
                        tangents: Sequence[Tangent] = ()):
         """(rho, Wronskian drift, tangent images) for ``data`` (default: the
         engine's own) along the frozen lassos: each stem is integrated once,
-        each circle's monodromy is exact and one batch takes the tangents of
-        every stem step (see ``_lassos``).  The drift is the worst |det - 1|
-        of the lasso images and the stems and of the Frobenius Wronskians
-        against their exact values; a lasso product that misses +-identity
-        by more than ``relation_tol`` (or by NaN) raises OrderingError.  For each tangent of the pole list (see
+        each circle's monodromy is exact, one batch takes the tangents of
+        every stem step and one those of every circle (see ``_lassos``).
+        The drift is the worst |det - 1| of the lasso images and the stems
+        and of the Frobenius Wronskians against their exact values; a lasso
+        product that misses +-identity by more than ``relation_tol`` (or by
+        NaN) raises OrderingError.  For each tangent of the pole list (see
         ``potential_tangent``) the tangent images map every generator to
         dm / sqrt(det m) for its monodromy m, scaled as its image in rho is,
         so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""

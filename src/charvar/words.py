@@ -7,6 +7,7 @@ check is a literal free-reduction comparison.  No floating point.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -142,8 +143,9 @@ class Signature:
             return self.marked_orders
         return tuple(self.elliptic_orders) + (None,) * self.cusps
 
-    @property
+    @functools.cached_property
     def generators(self) -> tuple[str, ...]:
+        """a1, b1, ..., ag, bg, c1, ..., c(m+n), built once per signature."""
         gens: list[str] = []
         for k in range(1, self.g + 1):
             gens += [f"a{k}", f"b{k}"]

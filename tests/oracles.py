@@ -144,12 +144,14 @@ def local_kernel_basis(rho: Representation, gamma: FreeWord) -> list[QuadPoly]:
     return [QuadPoly.from_vector(v) for v in null]
 
 
-def lstsq_local_coboundary(rho: Representation, chi: Cocycle, gamma: FreeWord
+def lstsq_local_coboundary(rho: Representation, chi: Cocycle, gen: str
                            ) -> tuple[np.ndarray, float, int]:
-    """(P, residual, kernel dimension) of (Ad rho(gamma) - 1) P = chi(gamma)
-    from one ``np.linalg.lstsq`` call at the rank cutoff of
-    ``local_coboundaries``: its minimum-norm solution, |M P - chi(gamma)|
-    and 3 - rank."""
+    """(P, residual, kernel dimension) of (Ad rho(c) - 1) P = chi(c) for the
+    generator named ``gen`` from one ``np.linalg.lstsq`` call at the rank
+    cutoff of ``local_coboundaries``: its minimum-norm solution,
+    |M P - chi(c)| and 3 - rank.  rho(c) and chi(c) come from walks of the
+    one-letter word c."""
+    gamma = rho.signature.gen(gen)
     M = ad_matrix(rho.image(gamma)) - np.eye(3)
     rhs = chi(gamma).vector()
     sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=_RCOND)

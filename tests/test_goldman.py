@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import (make_closed_rep, make_genus1_rep, make_genus2_rep, near_identity_sl2,
-                      rand_sl2, thrice_punctured_rep)
+from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, make_closed_rep, make_genus1_rep,
+                      make_genus2_rep, near_identity_sl2, rand_sl2, thrice_punctured_rep)
 from oracles import local_kernel_basis, random_quadpoly
 from charvar.cocycles import (Cocycle, coboundary, parabolic_parameter_basis,
                               random_parabolic_cocycle, solve_local_coboundary)
-from charvar.goldman import (CUP_SIGN, _pairing, cup_product_on_chain,
+from charvar.goldman import (CUP_SIGN, _frame, _pairing, _walk, cup_product_on_chain,
                              goldman_closed, goldman_matrix, goldman_orbifold)
-from charvar.sl2 import QuadPoly, adjoint_action, killing
+from charvar.monodromy import MonodromyEngine, build_potential
+from charvar.sl2 import QuadPoly, ad_matrix, adjoint_action, killing
 from charvar.words import fox_derivative, fundamental_class_chain, relator
 
 
@@ -188,7 +189,7 @@ def _fox_reference(rho, chi1, chi2, local_tol=1e-6):
         sharp = fox_derivative(R, gen).anti_involution()
         total -= killing(chi1.evaluate_ring(sharp), chi2(sig.gen(gen)))
         if gen.startswith("c"):
-            solve = solve_local_coboundary(rho, chi2, sig.gen(gen), tol=local_tol)
+            solve = solve_local_coboundary(rho, chi2, gen, tol=local_tol)
             total -= killing(chi1(sig.gen(gen).inverse()), solve.poly)
     return total
 
@@ -210,7 +211,7 @@ class TestPrefixScan:
                 assert rep.relator_residuals == (chi1(R).norm(), chi2(R).norm())
                 for i in range(1, rho.signature.num_marked + 1):
                     gen = f"c{i}"
-                    solve = solve_local_coboundary(rho, chi2, rho.signature.gen(gen))
+                    solve = solve_local_coboundary(rho, chi2, gen)
                     assert rep.p2[gen] == solve.poly
                     assert rep.local_residuals[gen] == solve.residual
                     assert rep.kernel_dims[gen] == solve.kernel_dim
@@ -268,3 +269,43 @@ class TestMatrix:
         omega, _ = goldman_matrix(rho, chis)
         svals = np.linalg.svd(np.array(omega), compute_uv=False)
         assert int(np.sum(svals > 1e-6 * svals[0])) == rank, svals
+
+
+@pytest.fixture(scope="module")
+def elliptic_rep():
+    # every marked point elliptic: orders 2, 3, 4 at the finite points, 6 at
+    # infinity (signature orders 3, 4, 2, 6 in lasso order)
+    data = build_potential([0, 1, FOUR_CUSP_T], [2, 3, 4], 6, [0.2 + 0.1j],
+                           base_point=FOUR_CUSP_ZB)
+    return MonodromyEngine(data).representation()[0]
+
+
+class TestMarkedGenerators:
+    @pytest.mark.parametrize("which", ["orb3", "four_cusp", "elliptic"])
+    def test_terms_are_the_word_walk_values(self, which, orb3_rep, four_cusp_rep,
+                                            elliptic_rep, monkeypatch):
+        # the pairing reads chi(c_i^-1), rho(c_i) and chi(c_i) from each
+        # generator's own image and value; walks of the one-letter words
+        # give the same numbers bit for bit
+        import charvar.cocycles as cocycles
+        rho = {"orb3": orb3_rep, "four_cusp": four_cusp_rep, "elliptic": elliptic_rep}[which]
+        sig = rho.signature
+        marked = [f"c{i}" for i in range(1, sig.num_marked + 1)]
+        rng = np.random.default_rng(24)
+        chis = [random_parabolic_cocycle(rho, rng) for _ in range(2)]
+        frame = _frame(rho)
+        for chi in chis:
+            inverses = _walk(chi, frame).inverses
+            assert list(inverses) == marked
+            for c in marked:
+                assert inverses[c] == chi(sig.gen(c).inverse())
+                assert chi.values[c] == chi(sig.gen(c))  # the local solve's right side
+        images = []
+
+        def recorded(m):
+            images.append(m.tuple())
+            return ad_matrix(m)
+
+        monkeypatch.setattr(cocycles, "ad_matrix", recorded)
+        goldman_matrix(rho, chis)
+        assert images == [rho.image(sig.gen(c)).tuple() for c in marked]

@@ -156,9 +156,9 @@ def test_grid_point_pairs_each_cocycle_once(monkeypatch):
 
     batch = goldman.local_coboundaries
 
-    def solves(rho, chis, gammas, tol=1e-6):
-        calls["solve"].append((len(chis), len(gammas)))
-        return batch(rho, chis, gammas, tol)
+    def solves(rho, chis, gens, tol=1e-6):
+        calls["solve"].append((len(chis), len(gens)))
+        return batch(rho, chis, gens, tol)
 
     monkeypatch.setattr(goldman, "local_coboundaries", solves)
     monkeypatch.setattr(goldman, "_frame", counting("frame", goldman._frame))

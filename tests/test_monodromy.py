@@ -9,8 +9,8 @@ import pytest
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
 from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError, LoopPath,
-                               MonodromyEngine, OrderingError, _gauss_legendre, _local_monodromy, _ray_rule,
-                               _step_tangents, _transfer,
+                               MonodromyEngine, OrderingError, _circle_tangents, _gauss_legendre,
+                               _local_monodromy, _ray_rule, _step_tangents, _transfer,
                                build_lassos, build_potential, integrate_fundamental,
                                lasso_monodromy, potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
@@ -116,7 +116,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: integrate_fundamental([(0, 0.25, 1e200)], [1, 1j]),
                 "Frobenius series at 0":
-                lambda: _local_monodromy([(0, 0.25, 1e200)], [], LoopPath((2, 1), 0, 0), None)}
+                lambda: _local_monodromy([(0, 0.25, 1e200)], LoopPath((2, 1), 0, 0), None)}
         for name, run in runs.items():
             with pytest.raises(IntegrationError, match=re.escape(f"non-finite {name}")):
                 run()
@@ -130,7 +130,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: integrate_fundamental([(0, 0.25, 0.1)], [1, 1.5]),
                 "Frobenius series at 0":
-                lambda: _local_monodromy(poles, [], LoopPath((1j, 0.5), 0, 0), 3)}
+                lambda: _local_monodromy(poles, LoopPath((1j, 0.5), 0, 0), 3)}
         for name, run in runs.items():
             with pytest.raises(IntegrationError,
                                match=re.escape(f"{name} did not converge in 8 terms")):
@@ -340,11 +340,27 @@ def _local_sources():
     return sources
 
 
+def _random_tangents(data, rng, count=2):
+    k = len(data.points)
+    return [potential_tangent(data, rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                              rng.standard_normal(k - 2) + 1j * rng.standard_normal(k - 2))
+            for _ in range(count)]
+
+
+def _circles(data, poles):
+    """(C, drift, record) of ``_local_monodromy`` for every lasso of
+    ``data`` at the largest radius build_lassos accepts, with the orders."""
+    paths = build_lassos(data, MAX_RADIUS_FACTOR)[1]
+    orders = [data.order_at(path.target) for path in paths]
+    return [_local_monodromy(poles, path, o) for path, o in zip(paths, orders)], orders
+
+
 def test_local_tangents_match_the_differentiated_series():
     # the Duhamel integral along the ray from the marked point gives E up to
     # a matrix that commutes with C, so [E, C], the only way a lasso reads E,
     # must match the differentiated Frobenius series of the reference; the
-    # untangented expansion is the reference's, bit for bit.  The circles
+    # untangented expansion is the reference's, bit for bit.  One
+    # ``_circle_tangents`` call takes all circles of a sphere.  The circles
     # take the largest radius build_lassos accepts, MAX_RADIUS_FACTOR, where
     # the ray rule's integrands come closest to a singularity
     from frobenius_reference import reference_local_monodromy
@@ -352,17 +368,15 @@ def test_local_tangents_match_the_differentiated_series():
     rng = np.random.default_rng(9)
     seen = set()
     for data in _local_sources():
-        k = len(data.points)
-        tangents = [potential_tangent(data, rng.standard_normal(k) + 1j * rng.standard_normal(k),
-                                      rng.standard_normal(k - 2) + 1j * rng.standard_normal(k - 2))
-                    for _ in range(2)]
+        tangents = _random_tangents(data, rng)
         poles = data.half_q_terms()
-        for path in build_lassos(data, MAX_RADIUS_FACTOR)[1]:
-            order = data.order_at(path.target)
+        circles, orders = _circles(data, poles)
+        batch = _circle_tangents(poles, tangents, [rec for _, _, rec in circles])
+        assert len(batch) == len(circles)
+        for (c, drift, rec), order, es in zip(circles, orders, batch):
+            path = rec.path
             seen.add((path.target == "inf", order))
-            assert (_local_monodromy(poles, [], path, order)
-                    == reference_local_monodromy(poles, [], path, order))
-            c, es, _ = _local_monodromy(poles, tangents, path, order)
+            assert (c, [], drift) == reference_local_monodromy(poles, [], path, order)
             cr, refs, _ = reference_local_monodromy(poles, tangents, path, order)
             assert len(es) == len(refs) == 2
             for e, ref in zip(es, refs):
@@ -370,6 +384,25 @@ def test_local_tangents_match_the_differentiated_series():
                 scale = max(map(abs, ref)) * max(map(abs, cr))
                 assert gap <= 1e-13 * scale, (data.points, path.target, order)
     assert seen == {(at_inf, o) for at_inf in (False, True) for o in (None, 2, 3, 4, 6)}
+
+
+def test_circle_batch_entries_are_the_one_circle_values():
+    # a circle's E from a batch that mixes finite points and infinity,
+    # cusps and elliptic points, and series of different lengths (so the
+    # zero padding is exercised) is bit for bit its batch of one
+    rng = np.random.default_rng(10)
+    kinds, lengths = set(), set()
+    for data in _local_sources():
+        tangents = _random_tangents(data, rng)
+        poles = data.half_q_terms()
+        records = [rec for _, _, rec in _circles(data, poles)[0]]
+        batch = _circle_tangents(poles, tangents, records)
+        for rec, es in zip(records, batch):
+            kinds.add((rec.path.target == "inf", rec.order is None))
+            assert repr(es) == repr(_circle_tangents(poles, tangents, [rec])[0])
+        lengths.add(len({len(rec.a) for rec in records}) > 1)
+    assert kinds == {(at_inf, cusp) for at_inf in (False, True) for cusp in (False, True)}
+    assert lengths == {True}
 
 
 def test_radius_factor_is_bounded():
@@ -630,7 +663,8 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
             return fn(*args, **kwargs)
         monkeypatch.setattr(mono, name, wrapped)
 
-    for name in ("_transport", "_transfer", "_step_tangents", "_local_monodromy"):
+    for name in ("_transport", "_transfer", "_step_tangents", "_local_monodromy",
+                 "_circle_tangents"):
         counted(name)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
@@ -638,14 +672,16 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
     # tangents
     assert calls.count("_transport") == 4
     assert calls.count("_step_tangents") == 0
+    assert calls.count("_circle_tangents") == 0
     calls.clear()
     kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=[GridOffset()])
     # each stem once; one local expansion per lasso
     assert calls.count("_transport") == 4
     assert calls.count("_local_monodromy") == 4
     # one batch of step tangents per representation: every step of every
-    # stem, carrying both tangents
+    # stem, carrying both tangents; and one batch of circle tangents
     assert calls.count("_step_tangents") == 1
+    assert calls.count("_circle_tangents") == 1
     # series per grid point: 16 Taylor steps on the stems plus 4 Frobenius
     # expansions (84 Taylor steps when the circles were integrated)
     assert calls.count("_transfer") + calls.count("_local_monodromy") == 20
