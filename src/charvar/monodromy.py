@@ -755,8 +755,11 @@ def _circle_tangents(poles, tangents, circles):
     the coefficients of dR, the kernel weights and the two nonzero entries
     of Eh follow as array operations over circles x tangents x nodes, each
     circle's entries by the same operations as a batch of that circle
-    alone.  A tangent thus costs O(nodes x poles), not a differentiated
-    series.
+    alone.  The padding adds exact zeros, so a circle's E is bit for bit
+    its batch of one while the BLAS sums each padded dot product in one
+    pass (OpenBLAS on x86-64 splits them past 128 terms, which moves such
+    a batch at rounding level).  A tangent thus costs O(nodes x poles),
+    not a differentiated series.
     """
     for cir in circles:
         j = cir.path.target
