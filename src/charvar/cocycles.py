@@ -205,7 +205,8 @@ def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
         if c not in sig.generators:
             raise ValueError(f"unknown generator {c!r} for signature {sig}")
     M = np.array([ad_matrix(rho.images[c]) for c in gens]) - np.eye(3)
-    rhs = np.array([[chi.values[c].vector() for c in gens] for chi in chis]).reshape(-1, len(gens), 3)
+    rhs = np.array([[chi.values[c].vector() for c in gens] for chi in chis])
+    rhs = rhs.reshape(-1, len(gens), 3)
     finite = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=2)
     if not finite.all():  # LAPACK would fail on it and print to stdout
         raise ArithmeticError(
