@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .cocycles import CocycleNotParabolicError
-from .goldman import _pairing
+from .goldman import pairing
 from .jets import nan_max
 from .monodromy import IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (QuadratureError, check_identities, exp_provider,
@@ -121,10 +121,10 @@ def _cmd_goldman(args) -> int:
     }
     code = 0
     try:
-        pairing = _pairing(rho, chi1, chi2, local_tol=tols["local"])
-        d = pairing.as_dict()
-        residuals = {"chi1_relator": pairing.relator_residuals[0],
-                     "chi2_relator": pairing.relator_residuals[1]}
+        result = pairing(rho, chi1, chi2, local_tol=tols["local"])
+        d = result.as_dict()
+        residuals = {"chi1_relator": result.relator_residuals[0],
+                     "chi2_relator": result.relator_residuals[1]}
         if rho.signature.num_marked:
             residuals["local"] = d["local_residuals"]
         report.update({"value": d["value"], "residuals": residuals, "p2_list": d["p2_list"]})

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,14 +44,22 @@ def elliptic_trace_targets(order: int) -> list[float]:
             for k in range(1, order) if math.gcd(k, order) == 1]
 
 
+#: rho's side of the walk of the relator R: the letters and prefix images of
+#: ``word_images`` and the prefixes' inverses
+RelatorFrame = namedtuple("RelatorFrame", "letters prefixes inverses")
+
+
 @dataclass(frozen=True)
 class Representation:
-    """Generator-indexed homomorphism of the signature's group into PSL(2,C)."""
+    """Generator-indexed homomorphism of the signature's group into PSL(2,C).
+    ``images`` is a read-only copy of the mapping given, so that what is
+    computed once per representation cannot go stale."""
 
     signature: Signature
-    images: dict[str, MoebiusMap]
+    images: Mapping[str, MoebiusMap]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
         missing = [g for g in self.signature.generators if g not in self.images]
         if missing:
             raise ValueError(f"missing generator images: {missing}")
@@ -56,8 +67,17 @@ class Representation:
     def image(self, w: FreeWord) -> MoebiusMap:
         return word_images(self, w)[1][-1]
 
+    @functools.cached_property
+    def relator_frame(self) -> RelatorFrame:
+        """rho's side of the walk of R (``word_images``) and the prefixes'
+        inverses, built once per representation and read by every walk of
+        R: rho(R), chi(R), the Goldman sums and the relator extension."""
+        letters, prefixes = word_images(self, relator(self.signature))
+        return RelatorFrame(tuple(letters), tuple(prefixes),
+                            tuple(p.inverse() for p in prefixes))
+
     def relator_residual(self) -> float:
-        return self.image(relator(self.signature)).psl_distance(MoebiusMap.identity())
+        return self.relator_frame.prefixes[-1].psl_distance(MoebiusMap.identity())
 
     def trace_residuals(self) -> dict[str, float]:
         """Distance of each marked generator's |trace| from its allowed set
@@ -276,8 +296,9 @@ def relator_extension_matrix(rho: Representation) -> np.ndarray:
     gens = rho.signature.generators
     col = {g: i for i, g in enumerate(gens)}
     T = np.zeros((3, 3 * len(gens)), dtype=complex)
-    letters, prefixes = word_images(rho, relator(rho.signature))
-    for (name, exp, _), before, after in zip(letters, prefixes, prefixes[1:]):
+    frame = rho.relator_frame
+    for (name, exp, _), before, after in zip(frame.letters, frame.prefixes,
+                                             frame.prefixes[1:]):
         j = 3 * col[name]
         if exp == 1:
             T[:, j:j + 3] += ad_matrix(before)

@@ -9,10 +9,11 @@ and for orbifold signatures two more sums: the marked-generator Fox terms
 (dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
 rho's side of the relator walk (letter and prefix images) is built once per
-pairing call and shared by every cocycle's walk (_walk) and chi(R); the
-local solves of all cocycles at all c_i come from one stacked SVD.  The
-marked generators are single letters, so chi(c_i), chi(c_i^-1) and rho(c_i)
-come from their values and images, not from word walks.
+representation (Representation.relator_frame) and shared by every cocycle's
+walk (_walk) and chi(R); the local solves of all cocycles at all c_i come
+from one stacked SVD.  The marked generators are single letters, so
+chi(c_i), chi(c_i^-1) and rho(c_i) come from their values and images, not
+from word walks.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -27,9 +28,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cocycles import Cocycle, LocalSolve, Representation, local_coboundaries, word_images
+from .cocycles import Cocycle, LocalSolve, RelatorFrame, Representation, local_coboundaries
 from .sl2 import QuadPoly, adjoint_action, killing
-from .words import FreeWord, GroupRingElement, relator
+from .words import FreeWord, GroupRingElement
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
 CUP_SIGN = +1
@@ -62,16 +63,6 @@ class PairingReport:
 
 #: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i
 _Walk = namedtuple("_Walk", "sharp relator inverses")
-#: rho's side of the walk of R: the letters and prefix images of
-#: ``word_images`` and the prefixes' inverses
-_Frame = namedtuple("_Frame", "letters prefixes inverses")
-
-
-def _frame(rho: Representation) -> _Frame:
-    """rho's side of the walk of R, built once per pairing call and shared by
-    every cocycle's walk and chi(R)."""
-    letters, prefixes = word_images(rho, relator(rho.signature))
-    return _Frame(letters, prefixes, [p.inverse() for p in prefixes])
 
 
 def _marked(rho: Representation) -> tuple[str, ...]:
@@ -81,9 +72,9 @@ def _marked(rho: Representation) -> tuple[str, ...]:
     return sig.generators[2 * sig.g:]
 
 
-def _walk(chi: Cocycle, frame: _Frame) -> _Walk:
+def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
     """Walk R = x_1 ... x_L carrying c_j = chi(P_j) along the prefixes
-    P_j of ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
+    P_j of rho's ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
     x_j = x^-1, and chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their #
     images; for a marked c_i, chi(c_i^-1) = -Ad(rho(c_i)^-1) chi(c_i) from
     the generator's own image and value."""
@@ -125,13 +116,13 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
                               f"(relator residuals {relator_residuals})")
 
 
-def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
-             local_tol: float = 1e-6) -> PairingReport:
-    """One pair: chi1's walk of R, chi2's local solves and chi2(R), on one
-    frame of R."""
+def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
+            local_tol: float = 1e-6) -> PairingReport:
+    """omega(chi1, chi2) with its correction data, for any signature:
+    chi1's walk of R, chi2's local solves and chi2(R), on rho's frame of R."""
     if rho.visibly_reducible:
-        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=3)
-    frame = _frame(rho)
+        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
+    frame = rho.relator_frame
     walk = _walk(chi1, frame)
     (solves,) = _local_solves(rho, [chi2], local_tol)
     value = _value(walk, chi2, solves)
@@ -146,11 +137,11 @@ def _pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
 def goldman_matrix(rho: Representation, chis: list[Cocycle]
                    ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
     """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
-    from one frame of R, n walks of it and one batch of n*m local solves;
+    from rho's frame of R, n walks of it and one batch of n*m local solves;
     with each cocycle's local solves."""
     if rho.visibly_reducible:
         warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
-    frame = _frame(rho)
+    frame = rho.relator_frame
     walks = [_walk(chi, frame) for chi in chis]
     solves = _local_solves(rho, chis, 1e-6)
     values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]
@@ -163,14 +154,14 @@ def goldman_matrix(rho: Representation, chis: list[Cocycle]
 def goldman_closed(rho: Representation, chi1: Cocycle, chi2: Cocycle) -> complex:
     if rho.signature.num_marked != 0:
         raise ValueError("goldman_closed requires a closed signature (m = n = 0)")
-    return _pairing(rho, chi1, chi2).value
+    return pairing(rho, chi1, chi2).value
 
 
 def goldman_orbifold(rho: Representation, chi1: Cocycle, chi2: Cocycle,
                      local_tol: float = 1e-6) -> PairingReport:
     if rho.signature.num_marked == 0:
         raise ValueError("goldman_orbifold requires marked points; use goldman_closed")
-    return _pairing(rho, chi1, chi2, local_tol=local_tol)
+    return pairing(rho, chi1, chi2, local_tol=local_tol)
 
 
 def cup_product_on_chain(rho: Representation, chi1: Cocycle, chi2: Cocycle,

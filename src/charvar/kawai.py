@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cocycles import reduce_by_coboundary, tangent_cocycle, word_images
+from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrix
 from .monodromy import MonodromyEngine, SphereData, build_potential, potential_tangent
 from .sl2 import Mat2, MoebiusMap
-from .words import relator
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffs
     drifts = {lab: max(_abs_trace_rate(rho.images[g], dimages[g])
                        for g in rho.signature.generators)
               for lab, dimages in zip(labels, derivatives)}
-    walk = word_images(rho, relator(rho.signature))
-    relres = {lab: chi.along(*walk)[-1].norm() / max(1.0, chi.norm())
+    frame = rho.relator_frame
+    relres = {lab: chi.along(frame.letters, frame.prefixes)[-1].norm() / max(1.0, chi.norm())
               for lab, chi in zip(labels, chis)}
     # the classes are unchanged; the pairing sums are far better conditioned
     cocycles = reduce_by_coboundary(rho, chis)

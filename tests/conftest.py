@@ -7,7 +7,7 @@ import pytest
 from charvar.cocycles import Representation
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.sl2 import MoebiusMap
-from charvar.words import Signature
+from charvar.words import Signature, relator
 
 
 def rand_sl2(rng) -> MoebiusMap:
@@ -56,6 +56,22 @@ def make_closed_rep(g, seed=11, draw=rand_sl2) -> Representation:
             rho = Representation(Signature(g), dict(images))
             if rho.relator_residual() < 1e-12:
                 return rho
+
+
+def relator_walks(monkeypatch) -> list:
+    """The representation of every ``word_images`` walk of the relator made
+    from now on, in order."""
+    import charvar.cocycles as cocycles
+    walked = []
+    walk = cocycles.word_images
+
+    def counted(rho, w):
+        if w == relator(rho.signature):
+            walked.append(rho)
+        return walk(rho, w)
+
+    monkeypatch.setattr(cocycles, "word_images", counted)
+    return walked
 
 
 def _closing_handles(W, rng):

@@ -11,7 +11,8 @@ from oracles import (BranchJumpError, direction_family, finite_difference_cocycl
 from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
                               coboundary, elliptic_trace_targets, local_coboundaries,
                               random_parabolic_cocycle, reduce_by_coboundary,
-                              relator_extension_matrix, solve_local_coboundary)
+                              relator_extension_matrix, solve_local_coboundary,
+                              word_images)
 from charvar.sl2 import (MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing,
                          matrix_to_poly)
 from charvar.words import Signature, relator
@@ -52,6 +53,28 @@ class TestRepresentation:
         conj = rho2.conjugated(g)
         assert conj.relator_residual() < 1e-12
         assert conj.images["a1"].psl_distance(g @ rho2.images["a1"] @ g.inverse()) < 1e-12
+
+    def test_images_are_read_only(self, rho2):
+        with pytest.raises(TypeError):
+            rho2.images["a1"] = MoebiusMap.identity()
+        # a copy: the mapping given stays the caller's to change
+        images = dict(rho2.images)
+        rho = Representation(rho2.signature, images)
+        images["a1"] = MoebiusMap.identity()
+        assert rho == rho2 and rho.images["a1"] is rho2.images["a1"]
+
+    def test_relator_frame_is_a_fresh_walk(self, rho2, rho_tp):
+        # bit for bit one walk of R and the inverses of its prefixes, built
+        # once per representation
+        for rho in (rho2, rho_tp):
+            letters, prefixes = word_images(rho, relator(rho.signature))
+            frame = rho.relator_frame
+            assert [(n, e, m.tuple()) for n, e, m in frame.letters] == \
+                [(n, e, m.tuple()) for n, e, m in letters]
+            assert [p.tuple() for p in frame.prefixes] == [p.tuple() for p in prefixes]
+            assert [p.tuple() for p in frame.inverses] == \
+                [p.inverse().tuple() for p in prefixes]
+            assert rho.relator_frame is frame
 
     def test_missing_generator(self):
         with pytest.raises(ValueError):

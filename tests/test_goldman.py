@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, make_closed_rep, make_genus1_rep,
-                      make_genus2_rep, near_identity_sl2, rand_sl2, thrice_punctured_rep)
+                      make_genus2_rep, near_identity_sl2, rand_sl2, relator_walks,
+                      thrice_punctured_rep)
 from oracles import local_kernel_basis, random_quadpoly
 from charvar.cocycles import (Cocycle, coboundary, parabolic_parameter_basis,
                               random_parabolic_cocycle, solve_local_coboundary)
-from charvar.goldman import (CUP_SIGN, _frame, _pairing, _walk, cup_product_on_chain,
-                             goldman_closed, goldman_matrix, goldman_orbifold)
+from charvar.goldman import (CUP_SIGN, _walk, cup_product_on_chain, goldman_closed,
+                             goldman_matrix, goldman_orbifold, pairing)
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.sl2 import QuadPoly, ad_matrix, adjoint_action, killing
 from charvar.words import fox_derivative, fundamental_class_chain, relator
@@ -114,7 +115,7 @@ class TestOrbifold:
         rng = np.random.default_rng(11)
         chi1 = random_parabolic_cocycle(genus2_rep, rng)
         chi2 = random_parabolic_cocycle(genus2_rep, rng)
-        rep = _pairing(genus2_rep, chi1, chi2)
+        rep = pairing(genus2_rep, chi1, chi2)
         assert rep.value == goldman_closed(genus2_rep, chi1, chi2)
         assert rep.p2 == {}
 
@@ -204,7 +205,7 @@ class TestPrefixScan:
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(4)]
         for chi1 in chis:
             for chi2 in chis:
-                rep = _pairing(rho, chi1, chi2)
+                rep = pairing(rho, chi1, chi2)
                 want = _fox_reference(rho, chi1, chi2)
                 assert abs(rep.value - want) <= 1e-12 * _scale(chi1, chi2, want)
                 R = relator(rho.signature)
@@ -249,11 +250,25 @@ class TestMatrix:
         omega, solves = goldman_matrix(rho, chis)
         for i, chi1 in enumerate(chis):
             for j, chi2 in enumerate(chis):
-                rep = _pairing(rho, chi1, chi2)
+                rep = pairing(rho, chi1, chi2)
                 assert omega[i][j] == rep.value
                 assert {k: s.poly for k, s in solves[j].items()} == rep.p2
                 assert {k: s.residual for k, s in solves[j].items()} == rep.local_residuals
                 assert {k: s.kernel_dim for k, s in solves[j].items()} == rep.kernel_dims
+
+    def test_one_relator_walk_per_representation(self, monkeypatch):
+        # the matrix, n^2 one-pair calls, rho(R) and the relator extension
+        # all read the frame of R that rho's first walk of it built
+        walked = relator_walks(monkeypatch)
+        rho = make_closed_rep(3, 5)
+        rng = np.random.default_rng(25)
+        chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
+        goldman_matrix(rho, chis)
+        for chi1 in chis:
+            for chi2 in chis:
+                goldman_closed(rho, chi1, chi2)
+        rho.relator_residual()
+        assert sum(r is rho for r in walked) == 1
 
     @pytest.mark.parametrize("fixture,rank", [("genus2_rep", 6), ("four_cusp_rep", 2),
                                               ("orb3_rep", 2)])
@@ -293,7 +308,7 @@ class TestMarkedGenerators:
         marked = [f"c{i}" for i in range(1, sig.num_marked + 1)]
         rng = np.random.default_rng(24)
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(2)]
-        frame = _frame(rho)
+        frame = rho.relator_frame
         for chi in chis:
             inverses = _walk(chi, frame).inverses
             assert list(inverses) == marked

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data
+from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, relator_walks
 from oracles import direction_family, finite_difference_cocycle
 from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
@@ -143,10 +143,12 @@ def test_constant_family_zero_cocycle(four_cusp_rep):
 def test_grid_point_pairs_each_cocycle_once(monkeypatch):
     # two cocycles on four marked points: one batch of 2 x 4 local solves
     # (not one solve per cocycle and point, 8, nor one set per ordered pair,
-    # 16), one frame of rho's side of the relator and one walk of it per
+    # 16), one walk of the relator on rho's side, for the pairing, the
+    # cocycles' relator residuals and rho's alike, and one walk of it per
     # cocycle
     import charvar.goldman as goldman
-    calls = {"solve": [], "frame": 0, "walk": 0}
+    calls = {"solve": [], "walk": 0}
+    walked = relator_walks(monkeypatch)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -161,8 +163,8 @@ def test_grid_point_pairs_each_cocycle_once(monkeypatch):
         return batch(rho, chis, gens, tol)
 
     monkeypatch.setattr(goldman, "local_coboundaries", solves)
-    monkeypatch.setattr(goldman, "_frame", counting("frame", goldman._frame))
     monkeypatch.setattr(goldman, "_walk", counting("walk", goldman._walk))
     rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))])
     assert rep.labels == ["c0", "t2"]
-    assert calls == {"solve": [(2, 4)], "frame": 1, "walk": 2}
+    assert calls == {"solve": [(2, 4)], "walk": 2}
+    assert len(walked) == 1
