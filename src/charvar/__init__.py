@@ -13,7 +13,7 @@ from .cocycles import (Cocycle, Representation, coboundary,
                        random_parabolic_cocycle, reduce_by_coboundary,
                        solve_local_coboundary)
 from .goldman import (CUP_SIGN, PairingReport, cup_product_on_chain,
-                      goldman_closed, goldman_matrix, goldman_orbifold)
+                      goldman_closed, goldman_matrix, goldman_orbifold, pairing)
 from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda_report)
