@@ -3,10 +3,9 @@ surface groups, with a Schwarzian-ODE monodromy engine for marked spheres."""
 
 __version__ = "0.1.0"
 
-from .words import (FreeWord, GroupRingElement, Signature, anti_involution,
-                    dual_generators, fox_derivative, fundamental_class_chain,
-                    parse_word, prefix_products, relator,
-                    verify_presentation_identities)
+from .words import (FreeWord, GroupRingElement, Signature, dual_generators,
+                    fox_derivative, fundamental_class_chain, parse_word,
+                    prefix_products, relator, verify_presentation_identities)
 from .sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, ad_matrix,
                   adjoint_action, killing, matrix_to_poly, poly_to_matrix)
 from .cocycles import (Cocycle, Representation, coboundary,

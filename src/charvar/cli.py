@@ -2,8 +2,8 @@
 
 Subcommands: fox, identities, goldman, lambda-check, monodromy, kawai.
 Exit codes: 0 success, 2 tolerance or numerical failure (report still
-emitted), 1 input error.  All reports embed the resolved tolerance set and
-the version.
+emitted), 1 input error, a usage error included.  All reports embed the
+resolved tolerance set and the version.
 """
 
 from __future__ import annotations
@@ -25,11 +25,19 @@ from .serialize import (cocycle_in, complex_in, dumps_deterministic, int_in,
                         moebius_in, representation_in, representation_out,
                         signature_in, sphere_in, sphere_out)
 from .sl2 import MoebiusMap, QuadPoly
-from .words import fox_derivative, parse_word, verify_presentation_identities
+from .words import fox_derivative, parse_word, relator, verify_presentation_identities
 
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: ``main`` reports it as JSON with exit
+    code 1.  Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _load_json(args) -> dict:
@@ -84,10 +92,7 @@ def _cmd_fox(args) -> int:
     sig = _parse_sig(args.sig)
     if args.gen not in sig.generators:
         raise InputError(f"unknown generator {args.gen!r} for signature {sig}")
-    word = parse_word(args.word, sig) if args.word != "R" else None
-    if word is None:
-        from .words import relator
-        word = relator(sig)
+    word = relator(sig) if args.word == "R" else parse_word(args.word, sig)
     deriv = fox_derivative(word, args.gen)
     report = {
         "config": {"sig": args.sig, "word": args.word, "gen": args.gen},
@@ -231,7 +236,7 @@ def _cmd_kawai(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand parser, built once per process: parsing leaves it as
     it was."""
-    ap = argparse.ArgumentParser(prog="charvar", description=__doc__)
+    ap = _Parser(prog="charvar", description=__doc__)
     ap.add_argument("--version", action="version", version=f"charvar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -241,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a tolerance (repeatable)")
 
     p = sub.add_parser("fox", help="Fox derivative of a word")
-    p.add_argument("--sig", required=True, help='signature JSON, e.g. {"g":2,"elliptic":[],"cusps":0}')
+    p.add_argument("--sig", required=True,
+                   help='signature JSON, e.g. {"g":2,"elliptic":[],"cusps":0}')
     p.add_argument("--word", required=True, help='word text, or "R" for the relator')
     p.add_argument("--gen", required=True)
     common(p)
@@ -267,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as e:  # InputError included
         print(dumps_deterministic({"error": str(e), "version": __version__}))

@@ -83,9 +83,8 @@ class Representation:
         """Distance of each marked generator's |trace| from its allowed set
         (2 for parabolic, 2cos(pi k/e) with gcd(k,e)=1 for order e)."""
         out: dict[str, float] = {}
-        orders = self.signature.order_sequence()
-        for i, order in enumerate(orders, start=1):
-            name = f"c{i}"
+        sig = self.signature
+        for name, order in zip(sig.marked_generators, sig.order_sequence()):
             t = abs(self.images[name].trace())
             if order is None:
                 out[name] = abs(t - 2.0)
@@ -202,6 +201,14 @@ def _norms(x):
     return np.sqrt(x[..., 0] + x[..., 1] + x[..., 2])
 
 
+def _ad_minus_one(rho: Representation, gens) -> np.ndarray:
+    """The stack of the 3x3 matrices Ad rho(g) - 1 over the generator names
+    of ``gens``: the local system at each marked generator, and the
+    coboundary map delta P(g) = (Ad rho(g) - 1) P at every generator."""
+    stack = np.array([ad_matrix(rho.images[g]) for g in gens], dtype=complex)
+    return stack.reshape(-1, 3, 3) - np.eye(3)
+
+
 def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
                        ) -> list[list[LocalSolve]]:
     """[[LocalSolve per generator name of ``gens``] per cocycle of ``chis``]:
@@ -224,7 +231,7 @@ def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
     for c in gens:
         if c not in sig.generators:
             raise ValueError(f"unknown generator {c!r} for signature {sig}")
-    M = np.array([ad_matrix(rho.images[c]) for c in gens]) - np.eye(3)
+    M = _ad_minus_one(rho, gens)
     rhs = np.array([[chi.values[c].vector() for c in gens] for chi in chis])
     rhs = rhs.reshape(-1, len(gens), 3)
     finite = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=2)
@@ -311,16 +318,11 @@ def _parabolic_parametrization(rho: Representation) -> np.ndarray:
     """Block map sending free parameters to generator values: identity blocks
     on handle generators, (Ad rho(c_i) - 1) on marked ones (which makes local
     solvability automatic)."""
-    gens = rho.signature.generators
-    blocks = []
-    for g in gens:
-        if g.startswith("c"):
-            blocks.append(ad_matrix(rho.images[g]) - np.eye(3))
-        else:
-            blocks.append(np.eye(3, dtype=complex))
-    P = np.zeros((3 * len(gens), 3 * len(gens)), dtype=complex)
-    for i, B in enumerate(blocks):
-        P[3 * i:3 * i + 3, 3 * i:3 * i + 3] = B
+    gens, marked = rho.signature.generators, rho.signature.marked_generators
+    P = np.eye(3 * len(gens), dtype=complex)
+    for c, B in zip(marked, _ad_minus_one(rho, marked)):
+        i = 3 * gens.index(c)
+        P[i:i + 3, i:i + 3] = B
     return P
 
 
@@ -358,11 +360,7 @@ def random_parabolic_cocycle(rho: Representation, rng) -> Cocycle:
 
 def coboundary_matrix(rho: Representation) -> np.ndarray:
     """Map C^3 -> generator values of the coboundary delta P."""
-    gens = rho.signature.generators
-    D = np.zeros((3 * len(gens), 3), dtype=complex)
-    for i, g in enumerate(gens):
-        D[3 * i:3 * i + 3, :] = ad_matrix(rho.images[g]) - np.eye(3)
-    return D
+    return _ad_minus_one(rho, rho.signature.generators).reshape(-1, 3)
 
 
 def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:

@@ -65,13 +65,6 @@ class PairingReport:
 _Walk = namedtuple("_Walk", "sharp relator inverses")
 
 
-def _marked(rho: Representation) -> tuple[str, ...]:
-    """The marked generators c_1, ..., c_(m+n) of rho's signature, which
-    follow its 2g handle generators."""
-    sig = rho.signature
-    return sig.generators[2 * sig.g:]
-
-
 def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
     """Walk R = x_1 ... x_L carrying c_j = chi(P_j) along the prefixes
     P_j of rho's ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
@@ -87,7 +80,7 @@ def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
         else:
             sharp[name] = sharp[name] + adjoint_action(frame.inverses[j + 1], cs[j + 1])
     inverses = {c: -1 * adjoint_action(rho.images[c].inverse(), chi.values[c])
-                for c in _marked(rho)}
+                for c in rho.signature.marked_generators}
     return _Walk(sharp, cs[-1], inverses)
 
 
@@ -95,7 +88,7 @@ def _local_solves(rho: Representation, chis: list[Cocycle], local_tol: float
                   ) -> list[dict[str, LocalSolve]]:
     """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i, for
     every cocycle, from one ``local_coboundaries`` batch."""
-    names = _marked(rho)
+    names = rho.signature.marked_generators
     batch = local_coboundaries(rho, chis, names, tol=local_tol)
     return [dict(zip(names, solves)) for solves in batch]
 
@@ -116,13 +109,19 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
                               f"(relator residuals {relator_residuals})")
 
 
+def _prologue(rho: Representation) -> RelatorFrame:
+    """The prologue of ``pairing`` and ``goldman_matrix``: warn, at their
+    caller, if rho is visibly reducible; then rho's frame of R."""
+    if rho.visibly_reducible:
+        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=3)
+    return rho.relator_frame
+
+
 def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
             local_tol: float = 1e-6) -> PairingReport:
     """omega(chi1, chi2) with its correction data, for any signature:
     chi1's walk of R, chi2's local solves and chi2(R), on rho's frame of R."""
-    if rho.visibly_reducible:
-        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
-    frame = rho.relator_frame
+    frame = _prologue(rho)
     walk = _walk(chi1, frame)
     (solves,) = _local_solves(rho, [chi2], local_tol)
     value = _value(walk, chi2, solves)
@@ -139,9 +138,7 @@ def goldman_matrix(rho: Representation, chis: list[Cocycle]
     """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
     from rho's frame of R, n walks of it and one batch of n*m local solves;
     with each cocycle's local solves."""
-    if rho.visibly_reducible:
-        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=2)
-    frame = rho.relator_frame
+    frame = _prologue(rho)
     walks = [_walk(chi, frame) for chi in chis]
     solves = _local_solves(rho, chis, 1e-6)
     values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]

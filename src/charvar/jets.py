@@ -132,9 +132,10 @@ class Jet:
             out[k] = -acc / c0
         return Jet(self.base, out)
 
-    def compose(self, inner: "Jet", tol: float = 1e-8) -> "Jet":
-        """self o inner; requires inner's value to sit at self's base point."""
-        if abs(inner.value - self.base) > tol * max(1.0, abs(self.base)):
+    def compose(self, inner: "Jet") -> "Jet":
+        """self o inner; requires inner's value to sit at self's base point
+        (within 1e-8 relative)."""
+        if abs(inner.value - self.base) > 1e-8 * max(1.0, abs(self.base)):
             raise ValueError(
                 f"composition mismatch: inner value {inner.value} vs outer base {self.base}")
         n = min(self.order, inner.order)

@@ -61,6 +61,12 @@ def theta_of(order: Optional[int]) -> float:
     return 1.0 - 1.0 / (order * order)
 
 
+def _moment_target(order_infinity: Optional[int], thetas: Sequence[float]) -> float:
+    """(theta_inf - sum theta) / 2, the right side of the second moment
+    constraint sum m_j p_j that makes infinity a marked point."""
+    return (theta_of(order_infinity) - sum(thetas)) / 2.0
+
+
 @dataclass(frozen=True)
 class SphereData:
     """Marked sphere with orders, residues and ODE base point; q is determined
@@ -100,7 +106,7 @@ class SphereData:
 
     def moment_residuals(self) -> tuple[float, float]:
         s1 = sum(self.residues)
-        target = (theta_of(self.order_infinity) - sum(self.thetas)) / 2.0
+        target = _moment_target(self.order_infinity, self.thetas)
         s2 = sum(m * p for m, p in zip(self.residues, self.points)) - target
         return (abs(s1), abs(s2))
 
@@ -140,8 +146,7 @@ def build_potential(points: Sequence[complex],
     points = tuple(complex(p) for p in points)
     if len(accessory) != len(points) - 2:
         raise ValueError(f"expected {len(points) - 2} accessory values, got {len(accessory)}")
-    thetas = [theta_of(o) for o in orders]
-    target = (theta_of(order_infinity) - sum(thetas)) / 2.0
+    target = _moment_target(order_infinity, [theta_of(o) for o in orders])
     s1 = -sum(accessory)
     s2 = target - sum(m * p for m, p in zip(accessory, points[2:]))
     p0, p1 = points[0], points[1]
@@ -170,7 +175,7 @@ def potential_tangent(data: SphereData, point_velocity: Sequence[complex],
     w = [complex(x) for x in accessory_velocity]
     if len(v) != len(pts) or len(w) != len(acc):
         raise ValueError(f"expected {len(pts)} point and {len(acc)} accessory velocities")
-    target = (theta_of(data.order_infinity) - sum(data.thetas)) / 2.0
+    target = _moment_target(data.order_infinity, data.thetas)
     s1, ds1 = -sum(acc), -sum(w)
     s2 = target - sum(m * p for m, p in zip(acc, pts[2:]))
     ds2 = -sum(dm * p + m * dp for m, dm, p, dp in zip(acc, w, pts[2:], v[2:]))
@@ -222,25 +227,20 @@ _BIG_RADIUS_FACTOR = 2.4
 #: every stem keeps at least this fraction of the smallest point gap from
 #: every marked point but its own, or OrderingError
 _CLEARANCE_FACTOR = 0.05
-#: the largest circle radius, as a fraction of min(gap, |p - z_b|), that
-#: ``build_lassos`` accepts: it keeps every other singularity of a circle's
+#: the circle radius of ``build_lassos``, as a fraction of
+#: min(gap, |p - z_b|): it keeps every other singularity of a circle's
 #: Frobenius data at |t| >= 1/0.3 on the ray of ``_ray_rule``, where the 16
 #: nodes integrate the tangents exactly to rounding ([E, C] within ~3e-15
 #: |E||C| of the differentiated series at 0.3, 1e-13 at 0.4, 2e-11 at 0.5)
 MAX_RADIUS_FACTOR = 0.3
 
 
-def build_lassos(data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR
-                 ) -> tuple[list, list[LoopPath]]:
+def build_lassos(data: SphereData) -> tuple[list, list[LoopPath]]:
     """Lassos in base-point ordering: finite points by increasing argument of
     p - z_b, then infinity through the largest angular gap.  A finite point's
-    circle has radius ``radius_factor`` x min(gap, |p - z_b|), so its
-    Frobenius series converge at least like radius_factor^n; a factor
-    outside (0, MAX_RADIUS_FACTOR] raises ValueError, since the ray rule of
-    the circle's tangents is exact only up to it.  Paths are frozen objects;
-    families reuse them unchanged."""
-    if not 0 < radius_factor <= MAX_RADIUS_FACTOR:
-        raise ValueError(f"radius_factor {radius_factor} outside (0, {MAX_RADIUS_FACTOR}]")
+    circle has radius MAX_RADIUS_FACTOR x min(gap, |p - z_b|), so its
+    Frobenius series converge at least like MAX_RADIUS_FACTOR^n.  Paths are
+    frozen objects; families reuse them unchanged."""
     zb = data.base_point
     gap = data.min_gap()
     order = sorted(range(len(data.points)),
@@ -253,7 +253,7 @@ def build_lassos(data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR
     paths: list[LoopPath] = []
     for i in order:
         p = data.points[i]
-        r = radius_factor * min(gap, abs(p - zb))
+        r = MAX_RADIUS_FACTOR * min(gap, abs(p - zb))
         entry = p + r * cmath.exp(1j * cmath.phase(zb - p))
         paths.append(LoopPath((zb, entry), p, i))
 
@@ -840,8 +840,8 @@ def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
     stems, circles = [], []
     for path, order in zip(paths, orders):
         stems.append(_transport(cpoles, path.stem))
-        circles.append(_local_monodromy(poles, path, order))
-    ess = (_circle_tangents(poles, tangents, [rec for _, _, rec in circles]) if tangents
+        circles.append(_local_monodromy(cpoles, path, order))
+    ess = (_circle_tangents(cpoles, ctangents, [rec for _, _, rec in circles]) if tangents
            else [[] for _ in circles])
     out = []
     for stem, ds, (c, frob, _), es in zip(stems, _stem_tangents(cpoles, ctangents, stems),
@@ -865,9 +865,9 @@ class MonodromyEngine:
     """Monodromy with paths frozen at construction, so that representation
     families over perturbed data compare identical homotopy classes."""
 
-    def __init__(self, data: SphereData, radius_factor: float = MAX_RADIUS_FACTOR):
+    def __init__(self, data: SphereData):
         self.data = data
-        self.order, self.paths = build_lassos(data, radius_factor=radius_factor)
+        self.order, self.paths = build_lassos(data)
         self.signature = self._signature(data)
 
     def _signature(self, data: SphereData) -> Signature:
@@ -894,7 +894,7 @@ class MonodromyEngine:
         poles = data.half_q_terms()
         runs = _lassos(poles, self.paths, [data.order_at(p.target) for p in self.paths],
                        tangents)
-        gens = [f"c{i + 1}" for i in range(len(runs))]
+        gens = self.signature.marked_generators
         images = {g: MoebiusMap(*m) for g, (m, _, _) in zip(gens, runs)}
         prod = MoebiusMap.identity()
         for image in images.values():

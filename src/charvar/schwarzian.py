@@ -89,7 +89,6 @@ class InvariantPotential:
     gamma: MoebiusMap
     sigma: MoebiusMap
     kind: str                 # "parabolic" (q0 = e^{2 pi i w}) or "generic" (q0 = 1/w^2)
-    amplitude: complex = 1.0
 
     def jet(self, z0: complex, order: int = DEFAULT_ORDER) -> Jet:
         s = moebius_jet(self.sigma, z0, order + 2)
@@ -98,7 +97,7 @@ class InvariantPotential:
             out = ds * ds * (s * s).reciprocal()
         else:
             out = jet_exp(s * (2j * math.pi)) * ds * ds
-        return (out * self.amplitude).truncate(order)
+        return out.truncate(order)
 
     def __call__(self, z: complex) -> complex:
         return self.jet(z, 2).value
@@ -112,7 +111,7 @@ class InvariantPotential:
         return self.sigma.inverse() @ neg @ self.sigma
 
 
-def invariant_potential(gamma: MoebiusMap, amplitude: complex = 1.0) -> InvariantPotential:
+def invariant_potential(gamma: MoebiusMap) -> InvariantPotential:
     if gamma.is_identity(1e-12):
         raise ValueError("identity map has no normal form")
     fixed = gamma.fixed_points()
@@ -127,7 +126,7 @@ def invariant_potential(gamma: MoebiusMap, amplitude: complex = 1.0) -> Invarian
             T = MoebiusMap(0, 1, 1, -p)
             tau = T(gamma("inf"))
             sigma = MoebiusMap(1, 0, 0, tau) @ T
-        pot = InvariantPotential(gamma, sigma, "parabolic", amplitude)
+        pot = InvariantPotential(gamma, sigma, "parabolic")
         _check_translation_form(sigma, gamma)
         return pot
     p1, p2 = fixed[0], fixed[1]
@@ -137,7 +136,7 @@ def invariant_potential(gamma: MoebiusMap, amplitude: complex = 1.0) -> Invarian
         sigma = MoebiusMap(1, -p1, 0, 1)
     else:
         sigma = MoebiusMap(1, -p1, 1, -p2)
-    return InvariantPotential(gamma, sigma, "generic", amplitude)
+    return InvariantPotential(gamma, sigma, "generic")
 
 
 def _close_pts(a, b) -> bool:
@@ -174,6 +173,19 @@ def _sym_equivariant_jet(F0: JetProvider, iota: MoebiusMap, z0: complex, order: 
 
 def _rel(diff: float, *scales: float) -> float:
     return diff / max(1.0, *scales)
+
+
+def _jet_rel(lhs: Jet, rhs: Jet, *scales: float) -> float:
+    """|lhs - rhs| through their common order, relative to |lhs|, |rhs| and
+    any further scales."""
+    n = min(lhs.order, rhs.order)
+    return _rel((lhs.truncate(n) - rhs.truncate(n)).norm(), lhs.norm(), rhs.norm(), *scales)
+
+
+def _pullback(F: Jet, g: Jet, order: int) -> Jet:
+    """(F o g) / g' to the given order, for F's jet at g's value and g's jet
+    of one order more."""
+    return F.compose(g.truncate(order)) * g.derivative().truncate(order).reciprocal()
 
 
 def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
@@ -235,24 +247,18 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         lhs = lambda_apply(qj.truncate(Hf.order - 3), Hf)
         h3 = hj.derivative().derivative().derivative()
         rhs = h3.compose(fj.truncate(h3.order)) * fj.derivative() * fj.derivative()
-        n = min(lhs.order, rhs.order)
-        res["lambda2"] = nan_max(res["lambda2"],
-                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                      lhs.norm(), rhs.norm()))
+        res["lambda2"] = nan_max(res["lambda2"], _jet_rel(lhs, rhs))
 
         # Lambda3: Lambda_q((F o gamma)/gamma') = Lambda_q(F) o gamma (gamma')^2
         gj = moebius_jet(gamma, zs, order + 1)
         dg = gj.derivative()
         qz = pot.jet(zs, order)
-        Fg = Jet.from_polynomial(F_coeffs, gj.value, order).compose(gj.truncate(order))
-        lhs = lambda_apply(qz, Fg * dg.truncate(order).reciprocal())
+        Fg = Jet.from_polynomial(F_coeffs, gj.value, order)
+        lhs = lambda_apply(qz, _pullback(Fg, gj, order))
         qw = pot.jet(gj.value, order)
-        LF = lambda_apply(qw, Jet.from_polynomial(F_coeffs, gj.value, order))
+        LF = lambda_apply(qw, Fg)
         rhs = LF.compose(gj.truncate(LF.order)) * dg * dg
-        n = min(lhs.order, rhs.order)
-        res["lambda3"] = nan_max(res["lambda3"],
-                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                      lhs.norm(), rhs.norm()))
+        res["lambda3"] = nan_max(res["lambda3"], _jet_rel(lhs, rhs))
 
         # Lambda5: (B_q[F,G])' = Lambda_q(F) G + F Lambda_q(G)
         qp = Jet.from_polynomial(q_coeffs, zs, order)
@@ -261,10 +267,7 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         lhs = b_apply(qp, Fp, Gp).derivative()
         rhs = lambda_apply(qp, Fp) * Gp.truncate(order - 3) \
             + Fp.truncate(order - 3) * lambda_apply(qp, Gp)
-        n = min(lhs.order, rhs.order)
-        res["lambda5"] = nan_max(res["lambda5"],
-                                 _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                      lhs.norm(), rhs.norm()))
+        res["lambda5"] = nan_max(res["lambda5"], _jet_rel(lhs, rhs))
 
         # B1: B_{S(f1)}[F,G] o f2 = B_{S(f1 o f2)}[(F o f2)/f2', (G o f2)/f2']
         f2j = Jet.from_polynomial(f2_coeffs, zs, order)
@@ -275,29 +278,17 @@ def check_identities(f: JetProvider, P: QuadPoly, gamma: MoebiusMap,
         B_at_w = b_apply(schwarzian(f1j), Fw, Gw)
         lhs = B_at_w.compose(f2j.truncate(B_at_w.order))
         comp = f1j.compose(f2j)
-        df2 = f2j.derivative()
-        Fc = Fw.compose(f2j.truncate(order)) * df2.truncate(order).reciprocal()
-        Gc = Gw.compose(f2j.truncate(order)) * df2.truncate(order).reciprocal()
-        rhs = b_apply(schwarzian(comp), Fc, Gc)
-        n = min(lhs.order, rhs.order)
+        rhs = b_apply(schwarzian(comp), _pullback(Fw, f2j, order), _pullback(Gw, f2j, order))
         # relative to the operand that feeds the composition: that is where
         # the cancellation happens for steep outer maps
-        res["b1"] = nan_max(res["b1"],
-                            _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                 lhs.norm(), rhs.norm(), B_at_w.norm()))
+        res["b1"] = nan_max(res["b1"], _jet_rel(lhs, rhs, B_at_w.norm()))
 
         # B2: B_q[F,G] o gamma = B_q[(F o gamma)/gamma', (G o gamma)/gamma']
-        Fw = Jet.from_polynomial(F_coeffs, gj.value, order)
-        Gw = Jet.from_polynomial(G_coeffs, gj.value, order)
-        B_at_w = b_apply(qw, Fw, Gw)
-        lhs = B_at_w.compose(gj.truncate(B_at_w.order))
-        Fc = Fw.compose(gj.truncate(order)) * dg.truncate(order).reciprocal()
-        Gc = Gw.compose(gj.truncate(order)) * dg.truncate(order).reciprocal()
-        rhs = b_apply(qz, Fc, Gc)
-        n = min(lhs.order, rhs.order)
-        res["b2"] = nan_max(res["b2"],
-                            _rel((lhs.truncate(n) - rhs.truncate(n)).norm(),
-                                 lhs.norm(), rhs.norm()))
+        Gg = Jet.from_polynomial(G_coeffs, gj.value, order)
+        B_at_g = b_apply(qw, Fg, Gg)
+        lhs = B_at_g.compose(gj.truncate(B_at_g.order))
+        rhs = b_apply(qz, _pullback(Fg, gj, order), _pullback(Gg, gj, order))
+        res["b2"] = nan_max(res["b2"], _jet_rel(lhs, rhs))
 
         # B3 (pointwise): B[F,G] - B[F,G] o iota conj(iota') = B[F, H]
         res["b3"] = nan_max(res["b3"], _b3_residual(iota_pot, iota, F_coeffs, G_coeffs,
@@ -327,8 +318,7 @@ def _b3_residual(pot: InvariantPotential, iota: MoebiusMap,
     qj = pot.jet(zs, order)
     Fj = _sym_equivariant_jet(F0, iota, zs, order)
     Gj = Jet.from_polynomial(G_coeffs, zs, order)
-    Gcomp = Jet.from_polynomial(G_coeffs, ws, order).compose(ij.truncate(order))
-    Hj = Gj - Gcomp * dij.truncate(order).reciprocal()
+    Hj = Gj - _pullback(Jet.from_polynomial(G_coeffs, ws, order), ij, order)
     rhs = b_apply(qj, Fj, Hj).value
     return _rel(abs(lhs - rhs), abs(lhs), abs(rhs), Fj.norm() * Gj.norm())
 
@@ -358,9 +348,10 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
-                      rel_tol: float, max_levels: int) -> tuple[np.ndarray, int, float]:
+                      max_levels: int) -> tuple[np.ndarray, int, float]:
     """J_k = int_{z0}^{z1} f(u)^k Q(u)/f'(u) du, k = 0,1,2, straight segment,
-    32-point Gauss-Legendre per panel with dyadic refinement.  A critical
+    32-point Gauss-Legendre per panel with dyadic refinement until two levels
+    agree to 1e-10 relative (or max_levels runs out).  A critical
     point of f at either end makes 1/f' singular there, which no refinement
     resolves: QuadratureError at once."""
     for end in (z0, z1):
@@ -396,15 +387,17 @@ def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
         err = float(np.max(np.abs(cur - prev)))
         scale = float(np.max(np.abs(cur))) + 1e-30
         prev = cur
-        if err <= rel_tol * max(scale, 1.0):
+        if err <= 1e-10 * max(scale, 1.0):
             return cur, panels, err
     raise QuadratureError(
         f"quadrature did not converge: {panels} panels still disagree by {err:.3e}")
 
 
-def _dft_jet(Q, z1: complex, radius: float, order: int, n_samples: int = 24) -> Jet:
-    """Jet of an analytic Q at z1 from equally spaced samples on a circle;
-    aliasing error is O((radius/r_sing)^{n_samples}) per coefficient."""
+def _dft_jet(Q, z1: complex, radius: float, order: int) -> Jet:
+    """Jet of an analytic Q at z1 from n_samples = 24 equally spaced samples
+    on a circle; aliasing error is O((radius/r_sing)^{n_samples}) per
+    coefficient."""
+    n_samples = 24
     vals = [Q(z1 + radius * cmath.exp(2j * math.pi * j / n_samples))
             for j in range(n_samples)]
     coeffs = []
@@ -418,7 +411,7 @@ def _dft_jet(Q, z1: complex, radius: float, order: int, n_samples: int = 24) -> 
 
 def solve_lambda_report(f: JetProvider, Q, z0: complex, z1: complex,
                         abc: tuple[complex, complex, complex] = (0, 0, 0),
-                        rel_tol: float = 1e-10, max_levels: int = 10) -> LambdaSolveResult:
+                        max_levels: int = 10) -> LambdaSolveResult:
     """G(z1) for the general solution
 
         G(z) = 1/2 int_{z0}^{z} (f(z)-f(u))^2 / (f'(z) f'(u)) Q(u) du
@@ -430,7 +423,7 @@ def solve_lambda_report(f: JetProvider, Q, z0: complex, z1: complex,
     a circle of radius 0.25 max(|z1 - z0|, 1) around z1), then
     differentiated exactly.
     """
-    J, panels, quad_err = _moment_integrals(f, Q, z0, z1, rel_tol, max_levels)
+    J, panels, quad_err = _moment_integrals(f, Q, z0, z1, max_levels)
     a, b, c = abc
     n = DEFAULT_ORDER
     fj = f(z1, n)

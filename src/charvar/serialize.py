@@ -12,7 +12,7 @@ import json
 import math
 
 from .cocycles import Cocycle, Representation
-from .monodromy import SphereData, build_potential
+from .monodromy import SphereData, build_potential, default_base_point
 from .sl2 import MoebiusMap, QuadPoly
 from .words import Signature
 
@@ -115,7 +115,6 @@ def sphere_in(d: dict) -> SphereData:
     o_inf = _order_in(d.get("order_infinity"))
     base = complex_in(d["base_point"]) if "base_point" in d else None
     if "residues" in d:
-        from .monodromy import default_base_point
         residues = tuple(complex_in(m) for m in d["residues"])
         zb = base if base is not None else default_base_point(points)
         return SphereData(tuple(points), tuple(orders), o_inf, residues, zb)

@@ -144,13 +144,16 @@ class Signature:
         return tuple(self.elliptic_orders) + (None,) * self.cusps
 
     @functools.cached_property
+    def marked_generators(self) -> tuple[str, ...]:
+        """c1, ..., c(m+n), the generators that follow the 2g handle ones,
+        built once per signature."""
+        return tuple(f"c{i}" for i in range(1, self.num_marked + 1))
+
+    @functools.cached_property
     def generators(self) -> tuple[str, ...]:
         """a1, b1, ..., ag, bg, c1, ..., c(m+n), built once per signature."""
-        gens: list[str] = []
-        for k in range(1, self.g + 1):
-            gens += [f"a{k}", f"b{k}"]
-        gens += [f"c{i}" for i in range(1, self.num_marked + 1)]
-        return tuple(gens)
+        handles = (x for k in range(1, self.g + 1) for x in (f"a{k}", f"b{k}"))
+        return (*handles, *self.marked_generators)
 
     def gen(self, name: str) -> FreeWord:
         if name not in self.generators:
@@ -270,10 +273,6 @@ class GroupRingElement:
         return f"GroupRingElement({self})"
 
 
-def anti_involution(x: GroupRingElement) -> GroupRingElement:
-    return x.anti_involution()
-
-
 def fox_derivative(w: FreeWord, gen: str) -> GroupRingElement:
     """Fox free derivative d(w)/d(gen).
 
@@ -306,8 +305,8 @@ def prefix_products(sig: Signature) -> list[FreeWord]:
     out = [FreeWord()]
     for k in range(1, sig.g + 1):
         out.append(out[-1] * commutator(sig.gen(f"a{k}"), sig.gen(f"b{k}")))
-    for i in range(1, sig.num_marked + 1):
-        out.append(out[-1] * sig.gen(f"c{i}"))
+    for c in sig.marked_generators:
+        out.append(out[-1] * sig.gen(c))
     return out
 
 
@@ -468,6 +467,4 @@ def fundamental_class_chain(sig: Signature) -> tuple[tuple[GroupRingElement, str
     a_k, b_k, then c_i; for a closed signature this is exactly the
     group-homology 2-cycle realizing the fundamental class."""
     Rword = relator(sig)
-    gens = [x for k in range(1, sig.g + 1) for x in (f"a{k}", f"b{k}")]
-    gens += [f"c{i}" for i in range(1, sig.num_marked + 1)]
-    return tuple((fox_derivative(Rword, x), x) for x in gens)
+    return tuple((fox_derivative(Rword, x), x) for x in sig.generators)

@@ -85,6 +85,25 @@ def test_monodromy_tolerance_failure_exit_2(capsys, tmp_path):
     assert rep["tolerances"]["wronskian"] == 1e-18
 
 
+@pytest.mark.parametrize("argv", [[], ["kawai", "--bogus"], ["no-such-command"],
+                                  ["fox", "--sig", SIG2]])
+def test_usage_error_is_input_error(capsys, argv):
+    # a usage error is bad input like any other: a JSON report and exit 1,
+    # not argparse's usage text and exit 2
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"].startswith("charvar")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["kawai", "--help"]])
+def test_version_and_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_missing_kawai_config(capsys):
     code, rep = run_cli(capsys, "kawai", "--config", "missing.json")
     assert code == 1

@@ -65,7 +65,8 @@ class TestClosed:
         t1 = Cocycle(rho_g, {k: adjoint_action(g, p) for k, p in chi1.values.items()})
         t2 = Cocycle(rho_g, {k: adjoint_action(g, p) for k, p in chi2.values.items()})
         vg = goldman_closed(rho_g, t1, t2)
-        assert abs(v - vg) < 1e-8 * _scale(chi1, chi2, v) * max(1, max(abs(e) for e in g.tuple())) ** 2
+        g_size = max(1, max(abs(e) for e in g.tuple()))
+        assert abs(v - vg) < 1e-8 * _scale(chi1, chi2, v) * g_size ** 2
 
     def test_rejects_orbifold_signature(self, orb3_rep):
         rng = np.random.default_rng(7)
@@ -168,6 +169,18 @@ class TestOrbifold:
         chi = random_parabolic_cocycle(rho, rng)
         with pytest.warns(RuntimeWarning, match="visibly reducible"):
             goldman_closed(rho, chi, chi)
+
+    @pytest.mark.parametrize("call", [lambda rho, chi: pairing(rho, chi, chi),
+                                      lambda rho, chi: goldman_matrix(rho, [chi, chi])])
+    def test_reducible_warning_points_at_the_caller(self, call):
+        # pairing and goldman_matrix share one prologue: one warning per
+        # call, attributed to the line that called them
+        rho = make_genus1_rep(3)
+        chi = random_parabolic_cocycle(rho, np.random.default_rng(16))
+        with pytest.warns(RuntimeWarning, match="visibly reducible") as record:
+            call(rho, chi)
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     def test_report_fields(self, orb3_rep):
         rng = np.random.default_rng(15)

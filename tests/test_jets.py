@@ -70,7 +70,8 @@ def test_arithmetic_exact_on_polynomials():
         assert max(abs(x - y) for x, y in zip(jm.coeffs, want.coeffs)) < 1e-12 * want.norm()
         jd = ja.derivative()
         wantd = _jet_of(_poly_der(a), z0, 5)
-        assert max(abs(x - y) for x, y in zip(jd.coeffs, wantd.coeffs)) < 1e-12 * max(1, wantd.norm())
+        assert max(abs(x - y) for x, y in zip(jd.coeffs, wantd.coeffs)) \
+            < 1e-12 * max(1, wantd.norm())
         js = ja + jb
         assert abs(js.value - (_poly_eval(a, z0) + _poly_eval(b, z0))) < 1e-12 * max(1, js.norm())
 

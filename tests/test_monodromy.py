@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
 from oracles import q_jet
-from charvar.monodromy import (_MAX_TERMS, MAX_RADIUS_FACTOR, IntegrationError, LoopPath,
+from charvar.monodromy import (_MAX_TERMS, IntegrationError, LoopPath,
                                MonodromyEngine, OrderingError, _circle_tangents, _gauss_legendre,
                                _local_monodromy, _ray_rule, _step_tangents, _transfer,
                                build_lassos, build_potential, integrate_fundamental,
@@ -349,8 +349,8 @@ def _random_tangents(data, rng, count=2):
 
 def _circles(data, poles):
     """(C, drift, record) of ``_local_monodromy`` for every lasso of
-    ``data`` at the largest radius build_lassos accepts, with the orders."""
-    paths = build_lassos(data, MAX_RADIUS_FACTOR)[1]
+    ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the orders."""
+    paths = build_lassos(data)[1]
     orders = [data.order_at(path.target) for path in paths]
     return [_local_monodromy(poles, path, o) for path, o in zip(paths, orders)], orders
 
@@ -361,8 +361,8 @@ def test_local_tangents_match_the_differentiated_series():
     # must match the differentiated Frobenius series of the reference; the
     # untangented expansion is the reference's, bit for bit.  One
     # ``_circle_tangents`` call takes all circles of a sphere.  The circles
-    # take the largest radius build_lassos accepts, MAX_RADIUS_FACTOR, where
-    # the ray rule's integrands come closest to a singularity
+    # take build_lassos' radius, MAX_RADIUS_FACTOR, where the ray rule's
+    # integrands come closest to a singularity
     from frobenius_reference import reference_local_monodromy
 
     rng = np.random.default_rng(9)
@@ -403,16 +403,6 @@ def test_circle_batch_entries_are_the_one_circle_values():
         lengths.add(len({len(rec.a) for rec in records}) > 1)
     assert kinds == {(at_inf, cusp) for at_inf in (False, True) for cusp in (False, True)}
     assert lengths == {True}
-
-
-def test_radius_factor_is_bounded():
-    # past MAX_RADIUS_FACTOR the ray rule would lose digits of [E, C] without
-    # any report, so a larger circle is refused where it is asked for
-    data = _sphere("kawai-4cusp.json")
-    for factor in (0.0, -0.1, 0.31, 0.5):
-        with pytest.raises(ValueError, match="radius_factor"):
-            MonodromyEngine(data, radius_factor=factor)
-    assert len(build_lassos(data, MAX_RADIUS_FACTOR)[1]) == 4
 
 
 def test_ray_rule_is_exact_on_polynomials():
@@ -555,7 +545,7 @@ def test_row_convention_is_a_homomorphism():
 class TestLassos:
     def test_order_and_clearance(self):
         data = four_cusp_data()
-        order, paths = build_lassos(data, radius_factor=0.3)
+        order, paths = build_lassos(data)
         assert order == [1, 2, 0, "inf"]
         gap = data.min_gap()
         for path in paths:
@@ -604,10 +594,15 @@ class TestRepresentation:
             prod = prod @ rho.images[f"c{i}"]
         assert prod.psl_distance(MoebiusMap.identity()) < 1e-6
 
-    def test_homotopy_invariance(self):
+    def test_homotopy_invariance(self, monkeypatch):
+        # circles of two radii: MAX_RADIUS_FACTOR = 0.3 and a smaller 0.22
+        import charvar.monodromy as mono
         data = four_cusp_data()
-        r1, _, _ = MonodromyEngine(data, radius_factor=0.3).representation()
-        r2, _, _ = MonodromyEngine(data, radius_factor=0.22).representation()
+        e1 = MonodromyEngine(data)
+        monkeypatch.setattr(mono, "MAX_RADIUS_FACTOR", 0.22)
+        e2 = MonodromyEngine(data)
+        assert e1.paths[0].stem[1] != e2.paths[0].stem[1]
+        r1, r2 = e1.representation()[0], e2.representation()[0]
         worst = max(r1.images[g].psl_distance(r2.images[g])
                     for g in r1.signature.generators)
         assert worst < 1e-8

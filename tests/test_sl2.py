@@ -93,7 +93,8 @@ def test_b0_examples_and_relation():
     for _ in range(50):
         P1 = QuadPoly(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         P2 = QuadPoly(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-        assert abs(killing(P1, P2) + 0.5 * b0_bracket(P1, P2)) < 1e-13 * max(1, P1.norm() * P2.norm())
+        assert abs(killing(P1, P2) + 0.5 * b0_bracket(P1, P2)) \
+            < 1e-13 * max(1, P1.norm() * P2.norm())
 
 
 def test_b0_z_independence_symbolic():

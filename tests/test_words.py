@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import random_word
-from charvar.words import (FreeWord, GroupRingElement, Signature, anti_involution,
-                           commutator, dual_generators, fox_derivative,
-                           fundamental_class_chain, parse_word, prefix_products,
-                           relator, verify_presentation_identities)
+from charvar.words import (FreeWord, GroupRingElement, Signature, commutator,
+                           dual_generators, fox_derivative, fundamental_class_chain,
+                           parse_word, prefix_products, relator,
+                           verify_presentation_identities)
 
 
 SIG2 = Signature(2)
@@ -77,15 +77,15 @@ class TestGroupRing:
         for _ in range(100):
             word = random_word(SIG111, int(rng.integers(0, 6)), rng)
             x = GroupRingElement.from_word(word, 3)
-            assert anti_involution(x) == GroupRingElement.from_word(word.inverse(), 3)
+            assert x.anti_involution() == GroupRingElement.from_word(word.inverse(), 3)
         for _ in range(30):
             x = GroupRingElement.from_word(random_word(SIG111, 4, rng), 2) \
                 + GroupRingElement.from_word(random_word(SIG111, 3, rng), -1)
-            assert anti_involution(anti_involution(x)) == x
+            assert x.anti_involution().anti_involution() == x
         # anti-multiplicative on single words
         u = GroupRingElement.from_word(random_word(SIG111, 4, rng))
         v = GroupRingElement.from_word(random_word(SIG111, 4, rng))
-        assert anti_involution(u * v) == anti_involution(v) * anti_involution(u)
+        assert (u * v).anti_involution() == v.anti_involution() * u.anti_involution()
 
 
 class TestFox:
@@ -220,3 +220,13 @@ class TestSignature:
 
     def test_generator_order(self):
         assert SIG111.generators == ("a1", "b1", "c1", "c2")
+
+    @pytest.mark.parametrize("sig, names", [
+        (SIG2, ()), (SIG111, ("c1", "c2")), (Signature(0, (2, 3), 1), ("c1", "c2", "c3")),
+        (Signature(0, (3,), 3, marked_orders=(None, None, 3, None)), ("c1", "c2", "c3", "c4")),
+        (Signature(2, (4,), 2, marked_orders=(None, 4, None)), ("c1", "c2", "c3"))])
+    def test_marked_generators_follow_the_handles(self, sig, names):
+        # the one definition of the c_i names: what every marked-generator
+        # site reads, for closed, orbifold and interleaved signatures
+        assert sig.marked_generators == names == sig.generators[2 * sig.g:]
+        assert sig.marked_generators is sig.marked_generators
