@@ -6,17 +6,14 @@ __version__ = "0.1.0"
 from .words import (FreeWord, GroupRingElement, Signature, dual_generators,
                     fox_derivative, fundamental_class_chain, parse_word,
                     prefix_products, relator, verify_presentation_identities)
-from .sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, ad_matrix,
-                  adjoint_action, killing, matrix_to_poly, poly_to_matrix)
-from .cocycles import (Cocycle, Representation, coboundary,
-                       random_parabolic_cocycle, reduce_by_coboundary,
-                       solve_local_coboundary)
+from .sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
+from .cocycles import (Cocycle, Representation, random_parabolic_cocycle,
+                       reduce_by_coboundary)
 from .goldman import (CUP_SIGN, PairingReport, cup_product_on_chain,
-                      goldman_closed, goldman_matrix, goldman_orbifold, pairing)
+                      goldman_closed, goldman_matrix, pairing)
 from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda_report)
-from .monodromy import (MonodromyEngine, SphereData, build_potential,
-                        integrate_fundamental)
+from .monodromy import MonodromyEngine, SphereData, build_potential
 from .kawai import (AccessoryDirection, GridOffset, KawaiReport,
                     PointDirection, kawai_experiment)

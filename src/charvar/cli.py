@@ -18,6 +18,7 @@ from . import __version__
 from .cocycles import CocycleNotParabolicError
 from .goldman import pairing
 from .jets import nan_max
+from .kawai import AccessoryDirection, GridOffset, PointDirection, kawai_experiment
 from .monodromy import IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (QuadratureError, check_identities, exp_provider,
                          moebius_provider, poly_provider, solve_lambda_report)
@@ -73,8 +74,8 @@ def _tolerances(args, defaults: dict) -> dict:
         if k not in tols:
             raise InputError(f"unknown tolerance {k!r}; known: {sorted(tols)}")
         tols[k] = float(v)
-        if not math.isfinite(tols[k]):
-            raise InputError(f"tolerance {k} must be finite, got {v!r}")
+        if not (math.isfinite(tols[k]) and tols[k] >= 0):
+            raise InputError(f"tolerance {k} must be finite and >= 0, got {v!r}")
     return tols
 
 
@@ -208,7 +209,6 @@ def _cmd_monodromy(args) -> int:
 def _cmd_kawai(args) -> int:
     cfg = _load_json(args)
     tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": 1e-5})
-    from .kawai import AccessoryDirection, GridOffset, PointDirection, kawai_experiment
     try:
         base = sphere_in(cfg["sphere"])
         t_dirs = [PointDirection(tuple(complex_in(v) for v in d["velocities"]))

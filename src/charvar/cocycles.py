@@ -26,7 +26,7 @@ from .sl2 import (
     mat_inv_unit,
     mat_mul,
 )
-from .words import FreeWord, GroupRingElement, Signature, relator
+from .words import FreeWord, Signature, relator
 
 _RCOND = 1e-9
 
@@ -106,11 +106,6 @@ class Representation:
                 return True
         return False
 
-    def conjugated(self, g: MoebiusMap) -> "Representation":
-        gi = g.inverse()
-        return Representation(self.signature,
-                              {k: g @ m @ gi for k, m in self.images.items()})
-
 
 def _fixes(m: MoebiusMap, p) -> bool:
     q = m(p)
@@ -155,12 +150,6 @@ class Cocycle:
             out.append(total)
         return out
 
-    def evaluate_ring(self, x: GroupRingElement) -> QuadPoly:
-        total = QuadPoly.zero()
-        for w, c in x.terms.items():
-            total = total + c * self(w)
-        return total
-
     def norm(self) -> float:
         return max((v.norm() for v in self.values.values()), default=0.0)
 
@@ -173,12 +162,6 @@ class Cocycle:
         return Cocycle(self.base, {k: v * s for k, v in self.values.items()})
 
     __rmul__ = __mul__
-
-
-def coboundary(rho: Representation, P: QuadPoly) -> Cocycle:
-    """delta P: gamma -> rho(gamma).P - P."""
-    return Cocycle(rho, {g: adjoint_action(rho.images[g], P) - P
-                         for g in rho.signature.generators})
 
 
 @dataclass(frozen=True)
@@ -256,12 +239,6 @@ def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
     return out
 
 
-def solve_local_coboundary(rho: Representation, chi: Cocycle, gen: str,
-                           tol: float = 1e-6) -> LocalSolve:
-    """One cocycle and one generator name of ``local_coboundaries``."""
-    return local_coboundaries(rho, [chi], [gen], tol)[0][0]
-
-
 def _dot(*pairs) -> complex:
     """sum a b over the complex pairs (a, b), the real products of each part
     summed exactly and rounded once (``math.fsum``)."""
@@ -286,7 +263,7 @@ def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycl
     values: dict[str, QuadPoly] = {}
     for gen in rho.signature.generators:
         d, m = derivatives[gen], rho.images[gen].tuple()
-        # matrix_to_poly of the traceless part: -x01, x11 - x00, x10
+        # the traceless part as a QuadPoly: -x01, x11 - x00, x10
         values[gen] = QuadPoly(-_dot((d[1], m[0]), (-d[0], m[1])),
                                _dot((d[3], m[0]), (-d[2], m[1]), (-d[0], m[3]), (d[1], m[2])),
                                _dot((d[2], m[3]), (-d[3], m[2])))
@@ -358,14 +335,9 @@ def random_parabolic_cocycle(rho: Representation, rng) -> Cocycle:
     raise RuntimeError("failed to sample a nonzero cocycle")
 
 
-def coboundary_matrix(rho: Representation) -> np.ndarray:
-    """Map C^3 -> generator values of the coboundary delta P."""
-    return _ad_minus_one(rho, rho.signature.generators).reshape(-1, 3)
-
-
 def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:
     """Each cocycle of ``chis`` over ``rho`` less its least-squares-best
-    coboundary, all from one ``lstsq`` on ``coboundary_matrix(rho)``.
+    coboundary, all from one ``lstsq`` on the coboundary map (``_ad_minus_one``).
 
     The cohomology class (hence every Goldman pairing) is unchanged; what this
     buys is conditioning: tangent cocycles of monodromy families carry a
@@ -382,17 +354,17 @@ def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:
         raise ValueError("cannot reduce cocycles over a different representation")
     gens = rho.signature.generators
     V = np.array([np.concatenate([chi.values[g].vector() for g in gens]) for chi in chis]).T
-    Ps, *_ = np.linalg.lstsq(coboundary_matrix(rho), V, rcond=None)
+    Ps, *_ = np.linalg.lstsq(_ad_minus_one(rho, gens).reshape(-1, 3), V, rcond=None)
     images = [rho.images[g].tuple() for g in gens]
     out = []
     for chi, P in zip(chis, Ps.T.tolist()):
         p0, p1, p2 = P
-        pm = (-p1 / 2, -p0, p2, p1 / 2)  # poly_to_matrix(P)
+        pm = (-p1 / 2, -p0, p2, p1 / 2)  # P as a traceless matrix
         values = {}
         for g, m in zip(gens, images):
             conj = mat_mul(mat_mul(m, pm), mat_inv_unit(m))
             x = chi.values[g]
             y = [a - (b - p) for a, b, p in zip((-x.p1 / 2, -x.p0, x.p2, x.p1 / 2), conj, pm)]
-            values[g] = QuadPoly(-y[1], y[3] - y[0], y[2])  # matrix_to_poly of the traceless part
+            values[g] = QuadPoly(-y[1], y[3] - y[0], y[2])  # the traceless part as a QuadPoly
         out.append(Cocycle(rho, values))
     return out

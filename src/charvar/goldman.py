@@ -23,6 +23,7 @@ the conventions here the two paths agree with global sign +1 (CUP_SIGN):
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -110,10 +111,14 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
 
 
 def _prologue(rho: Representation) -> RelatorFrame:
-    """The prologue of ``pairing`` and ``goldman_matrix``: warn, at their
-    caller, if rho is visibly reducible; then rho's frame of R."""
+    """The prologue of ``pairing`` and ``goldman_matrix``: warn, at the
+    first frame outside this module, if rho is visibly reducible; then rho's
+    frame of R."""
     if rho.visibly_reducible:
-        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=3)
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=level)
     return rho.relator_frame
 
 
@@ -152,13 +157,6 @@ def goldman_closed(rho: Representation, chi1: Cocycle, chi2: Cocycle) -> complex
     if rho.signature.num_marked != 0:
         raise ValueError("goldman_closed requires a closed signature (m = n = 0)")
     return pairing(rho, chi1, chi2).value
-
-
-def goldman_orbifold(rho: Representation, chi1: Cocycle, chi2: Cocycle,
-                     local_tol: float = 1e-6) -> PairingReport:
-    if rho.signature.num_marked == 0:
-        raise ValueError("goldman_orbifold requires marked points; use goldman_closed")
-    return pairing(rho, chi1, chi2, local_tol=local_tol)
 
 
 def cup_product_on_chain(rho: Representation, chi1: Cocycle, chi2: Cocycle,

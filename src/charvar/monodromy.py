@@ -9,7 +9,7 @@ the accessory parameters.  Frobenius exponents at a marked point are
 
 A lasso is a stem from the base point to an entry point near its marked point
 and a circle about that point through the entry.  The stem is transported by
-Taylor steps (``integrate_fundamental``), once per lasso; the circle is not
+Taylor steps (``_transport``), once per lasso; the circle is not
 integrated at all: its monodromy is exact from the Frobenius basis at the
 marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
 2016).  Both carry derivatives along deformations of the potential, both by
@@ -306,25 +306,26 @@ def _sub(x, y):
     return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
 
-#: nodes of the Gauss-Legendre rule for a step's tangent integral
+#: nodes of the Gauss-Legendre rule for the tangent integrals of a step and a ray
 _QUAD_NODES = 16
 
 
-def _powers(nodes):
+@functools.lru_cache(maxsize=None)
+def _powers(nodes: tuple):
     """The table t_i^n of the nodes, n = 0, ..., _MAX_TERMS + 1 by rows, as
     long as a series of ``_series`` can get (at most two leading terms and
     _MAX_TERMS new ones): the values of padded coefficient rows c at the
-    nodes are c @ table."""
+    nodes are c @ table (``_at_nodes``).  Computed once per node tuple."""
     return np.power(np.array(nodes), np.arange(_MAX_TERMS + 2)[:, None]).astype(complex)
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre():
-    """(nodes, weights, powers) of the _QUAD_NODES-point Gauss-Legendre rule
-    on [-1, 1], nodes in pairs (t, -t) of equal weight, with the nodes'
-    power table (``_powers``).  Newton's method on P_m from the usual cosine
-    guesses; computed on first use."""
-    m = _QUAD_NODES
+def _gauss_legendre(m: int):
+    """(nodes, weights) of the m-point Gauss-Legendre rule on [-1, 1], m
+    even, as tuples with the nodes in pairs (t, -t) of equal weight.
+    Newton's method on P_m from the usual cosine guesses; computed on first
+    use, once per m: _QUAD_NODES for the Taylor steps and the rays, 32 for
+    the Lambda4 solver of ``schwarzian``."""
     nodes, weights = [], []
     for i in range(m // 2):
         t = math.cos(math.pi * (i + 0.75) / (m + 0.5))
@@ -339,7 +340,18 @@ def _gauss_legendre():
                 break
         nodes += (t, -t)
         weights += [2 / ((1 - t * t) * dp * dp)] * 2
-    return nodes, weights, _powers(nodes)
+    return tuple(nodes), tuple(weights)
+
+
+def _at_nodes(pairs, powers):
+    """(a, b) at the nodes of a power table (``_powers``), pairs x nodes
+    each, for every pair (a, b) of coefficient lists of equal length: the
+    lists are zero-padded to the longest and read by one matmul."""
+    n = max(len(a) for a, _ in pairs)
+    coeffs = np.zeros((len(pairs), 2, n), dtype=complex)
+    for row, (a, b) in zip(coeffs, pairs):
+        row[0, :len(a)], row[1, :len(b)] = a, b
+    return np.moveaxis(coeffs @ powers[:n], 1, 0)
 
 
 def _cubic(coeffs, y):
@@ -463,12 +475,8 @@ def _step_tangents(poles, tangents, steps):
     integrals follow as array operations over steps x tangents x nodes, so
     a tangent costs O(nodes x poles) per step, not a second series.
     """
-    nodes, weights, powers = _gauss_legendre()
-    n = max(len(a) for _, _, a, _, _, _ in steps)
-    coeffs = np.zeros((len(steps), 2, n), dtype=complex)
-    for row, (_, _, a, b, _, _) in zip(coeffs, steps):
-        row[0, :len(a)], row[1, :len(b)] = a, b
-    av, bv = np.moveaxis(coeffs @ powers[:n], 1, 0)  # a and b at the nodes
+    nodes, weights = _gauss_legendre(_QUAD_NODES)
+    av, bv = _at_nodes([st[2:4] for st in steps], _powers(nodes))  # a and b at the nodes
     kernel = np.stack((av * bv, bv * bv, av * av), axis=-1) * np.array(weights)[:, None]
     gs = np.array([st[1] for st in steps])
     mids = np.array([st[0] for st in steps]) + gs
@@ -482,16 +490,6 @@ def _step_tangents(poles, tangents, steps):
         out.append([mat_mul(splus, mat_mul((g2 * iab, g2 * g * ibb, -g * iaa, -g2 * iab), inv))
                     for iab, ibb, iaa in step])
     return out
-
-
-def _checked(poles, tangents):
-    """The pole list and the tangents as complex tuples; a tangent must give
-    one (dp, dA, dB) per pole, or ValueError."""
-    poles = [(complex(p), A, complex(B)) for p, A, B in poles]
-    tangents = [[tuple(map(complex, v)) for v in t] for t in tangents]
-    if any(len(t) != len(poles) for t in tangents):
-        raise ValueError("a tangent needs one (dp, dA, dB) per pole")
-    return poles, tangents
 
 
 #: a polyline's transport U (column convention), the (T, U before the step)
@@ -554,25 +552,6 @@ def _stem_tangents(poles, tangents, stems):
     return out
 
 
-def integrate_fundamental(poles: Sequence[tuple[complex, float, complex]],
-                          vertices: Sequence[complex],
-                          tangents: Sequence[Tangent] = ()):
-    """(M, [dM per tangent]): the transport matrix along a polyline in the
-    row convention (see module docstring), whose determinant is the Wronskian
-    and must stay at 1, and its derivatives along ``tangents``; the one-path
-    case of ``_transport`` and ``_stem_tangents``.
-
-    ``poles`` lists the (pole, theta/4, m/2) triples of
-    q/2 = sum A/(z-p)^2 + B/(z-p); a tangent lists one (dp, dA, dB) per pole,
-    the velocity of the pole list along a deformation that holds the path
-    fixed.
-    """
-    poles, tangents = _checked(poles, tangents)
-    stem = _transport(poles, vertices)
-    (du,) = _stem_tangents(poles, tangents, [stem])
-    return _row(stem.u), [_row(d) for d in du]
-
-
 def _row(u):
     return (u[0], u[2], u[1], u[3])  # transpose: column convention -> row
 
@@ -605,9 +584,9 @@ def _ray_rule(order: Optional[int]):
     other singularity of dR, A and B at |t| >= 1/MAX_RADIUS_FACTOR (at
     infinity |t| >= 2.4, the big circle's factor).  Computed on first use,
     once per order."""
-    xs, ws, _ = _gauss_legendre()
+    xs, ws = _gauss_legendre(_QUAD_NODES)
     m = len(xs)
-    nodes = [(1 + x) / 2 for x in xs]
+    nodes = tuple((1 + x) / 2 for x in xs)
     legendre = []  # P_0(x_i), ..., P_(m-1)(x_i) per node, at x_i = 2 t_i - 1
     for x in (2 * t - 1 for t in nodes):
         row = [1.0, x]
@@ -767,11 +746,7 @@ def _circle_tangents(poles, tangents, circles):
             raise ValueError("a tangent may not move the order of a marked point")
     nodes, _, _, powers = _ray_rule(None)  # every order's nodes and powers
     rules = [_ray_rule(cir.order) for cir in circles]
-    n = max(len(cir.a) for cir in circles)
-    series = np.zeros((len(circles), 2, n), dtype=complex)
-    for row, cir in zip(series, circles):
-        row[0, :len(cir.a)], row[1, :len(cir.b)] = cir.a, cir.b
-    av, bv = np.moveaxis(series @ powers[:n], 1, 0)  # A and B at the nodes
+    av, bv = _at_nodes([(cir.a, cir.b) for cir in circles], powers)  # A and B at the nodes
     at_inf = [cir.path.target == "inf" for cir in circles]
     inf = np.array(at_inf)[:, None]
     cusp = np.array([cir.order is None for cir in circles])[:, None]
@@ -816,14 +791,6 @@ def _circle_tangents(poles, tangents, circles):
     return out
 
 
-def lasso_monodromy(poles: Sequence[tuple[complex, float, complex]], path: LoopPath,
-                    order: Optional[int], tangents: Sequence[Tangent] = ()):
-    """(L, [dL per tangent], drift) in the row convention for the lasso
-    ``path`` about a marked point of the given order (None: a cusp): the
-    one-lasso case of ``_lassos``."""
-    return _lassos(poles, [path], [order], tangents)[0]
-
-
 def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
             tangents: Sequence[Tangent]):
     """[(L, [dL per tangent], drift)] in the row convention for each lasso
@@ -835,16 +802,18 @@ def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
     det L = det(S)^2 det C keeps the stem's drift.  With
     X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes with C drops
     out, which is why ``_circle_tangents`` may leave it out.  The drift is
-    the worst of the image's, the stem's and the Frobenius Wronskian's."""
-    cpoles, ctangents = _checked(poles, tangents)
+    the worst of the image's, the stem's and the Frobenius Wronskian's.
+    ``poles`` lists the (pole, theta/4, m/2) triples of
+    ``SphereData.half_q_terms`` and a tangent one (dp, dA, dB) per pole
+    (``potential_tangent``)."""
     stems, circles = [], []
     for path, order in zip(paths, orders):
-        stems.append(_transport(cpoles, path.stem))
-        circles.append(_local_monodromy(cpoles, path, order))
-    ess = (_circle_tangents(cpoles, ctangents, [rec for _, _, rec in circles]) if tangents
+        stems.append(_transport(poles, path.stem))
+        circles.append(_local_monodromy(poles, path, order))
+    ess = (_circle_tangents(poles, tangents, [rec for _, _, rec in circles]) if tangents
            else [[] for _ in circles])
     out = []
-    for stem, ds, (c, frob, _), es in zip(stems, _stem_tangents(cpoles, ctangents, stems),
+    for stem, ds, (c, frob, _), es in zip(stems, _stem_tangents(poles, tangents, stems),
                                           circles, ess):
         s = stem.u
         sinv = mat_inv_unit(s)

@@ -9,7 +9,6 @@ derivatives and finite differencing would eat the entire tolerance budget.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .jets import DEFAULT_ORDER, Jet, jet_exp, moebius_jet, nan_max
+from .monodromy import _gauss_legendre
 from .sl2 import MoebiusMap, QuadPoly
 
 JetProvider = Callable[[complex, int], Jet]
@@ -339,14 +339,6 @@ class LambdaSolveResult:
     quad_error: float
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """32-point Gauss-Legendre nodes and weights, computed on first use: only
-    the Lambda4 solver integrates, and the eigensolve behind them pulls in
-    LAPACK."""
-    return np.polynomial.legendre.leggauss(32)
-
-
 def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
                       max_levels: int) -> tuple[np.ndarray, int, float]:
     """J_k = int_{z0}^{z1} f(u)^k Q(u)/f'(u) du, k = 0,1,2, straight segment,
@@ -359,7 +351,7 @@ def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
             raise QuadratureError(f"quadrature did not converge: f' vanishes at the "
                                   f"endpoint {end}, a critical point of f")
     dz = z1 - z0
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_legendre(32)
 
     def level(n_panels: int) -> np.ndarray:
         total = np.zeros(3, dtype=complex)

@@ -33,10 +33,6 @@ def mat_inv_unit(x: Mat2) -> Mat2:
     return (x[3], -x[1], -x[2], x[0])
 
 
-def mat_norm(x: Mat2) -> float:
-    return max(abs(e) for e in x)
-
-
 def frobenius(x: Mat2) -> float:
     return (abs(x[0]) ** 2 + abs(x[1]) ** 2 + abs(x[2]) ** 2 + abs(x[3]) ** 2) ** 0.5
 
@@ -157,31 +153,10 @@ class MoebiusMap:
         return f"MoebiusMap({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
 
 
-def matrix_to_poly(X) -> QuadPoly:
-    """Traceless (a, b; c, -a) -> c z^2 - 2 a z - b."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    x = (X[0, 0], X[0, 1], X[1, 0], X[1, 1])
-    scale = max(mat_norm(x), 1e-300)
-    if abs(x[0] + x[3]) > 1e-10 * scale:
-        raise ValueError(f"matrix is not traceless: trace = {x[0] + x[3]}")
-    return QuadPoly(-x[1], -2 * x[0], x[2])
-
-
-def poly_to_matrix(P: QuadPoly) -> np.ndarray:
-    return np.array([[-P.p1 / 2, -P.p0], [P.p2, P.p1 / 2]], dtype=complex)
-
-
-def project_traceless(X) -> np.ndarray:
-    X = np.asarray(X, dtype=complex)
-    t = (X[0, 0] + X[1, 1]) / 2
-    return X - t * np.eye(2)
-
-
 def adjoint_action(g: MoebiusMap, P: QuadPoly) -> QuadPoly:
     """(g . P)(z) = P(g^-1 z) / (g^-1)'(z) in closed form; equals the matrix
-    conjugation g X g^-1 of X = poly_to_matrix(P) (checked in the tests)."""
+    conjugation g X g^-1 of X = (-p1/2, -p0; p2, p1/2) (checked in the
+    tests)."""
     a, b, c, d = g.tuple()
     q0 = P.p0 * a * a - P.p1 * a * b + P.p2 * b * b
     q1 = -2 * P.p0 * a * c + P.p1 * (a * d + b * c) - 2 * P.p2 * b * d
@@ -200,9 +175,6 @@ def ad_matrix(g: MoebiusMap) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-KILLING_MATRIX = np.array([[0, 0, -1], [0, 0.5, 0], [-1, 0, 0]], dtype=complex)
 
 
 def killing(P1: QuadPoly, P2: QuadPoly) -> complex:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charvar.cocycles import Representation
-from charvar.monodromy import MonodromyEngine, build_potential
+from charvar.monodromy import MonodromyEngine, _row, _stem_tangents, _transport, build_potential
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
 
@@ -124,6 +124,14 @@ def lasso_polyline(path, arc_segments=16):
     circle = [path.centre + radius * cmath.exp(1j * (start + sgn * 2 * math.pi * k / n))
               for k in range(1, n + 1)]
     return [zb, entry] + circle + [zb]
+
+
+def transport(poles, vertices, tangents=()):
+    """(M, [dM per tangent]) along a polyline in the row convention: the
+    transport of one stem (``_transport``) and its tangents."""
+    stem = _transport(poles, vertices)
+    (du,) = _stem_tangents(poles, tangents, [stem])
+    return _row(stem.u), [_row(d) for d in du]
 
 
 def thrice_punctured_rep() -> Representation:

@@ -1,7 +1,7 @@
 """Independent transport oracle: adaptive Dormand-Prince 5(4) over a
 polyline, for the tests to hold the Taylor transport against.
 
-Same ODE and conventions as ``charvar.monodromy.integrate_fundamental``
+Same ODE and conventions as ``conftest.transport``, the Taylor transport
 (psi'' = -(q/2) psi, q/2 given as (pole, theta/4, m/2) triples, row-convention
 result), but a Runge-Kutta method with error control instead of series.
 """

@@ -9,6 +9,9 @@
   kernel-shift invariance of the orbifold Goldman sum, and their solution by
   one numpy ``lstsq`` call per system, to hold the stacked-SVD batch of
   ``charvar.cocycles.local_coboundaries`` against.
+- The sl(2) dictionary between traceless matrices and quadratics, the
+  Killing matrix, coboundaries, group-ring evaluation and conjugated
+  representations: references the package computes in closed form.
 - The B_0 bracket of quadratics, and random words and quadratics.
 """
 
@@ -22,9 +25,8 @@ from charvar.cocycles import _RCOND, Cocycle, Representation
 from charvar.jets import Jet
 from charvar.kawai import Direction, displace
 from charvar.monodromy import MonodromyEngine, SphereData
-from charvar.sl2 import (QuadPoly, ad_matrix, mat_inv_unit, mat_norm, matrix_to_poly,
-                         project_traceless)
-from charvar.words import FreeWord, Signature
+from charvar.sl2 import Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_inv_unit
+from charvar.words import FreeWord, GroupRingElement, Signature
 
 DEFAULT_FD_STEP = 1e-3
 _BRANCH_TOL = 0.5  # largest lift jump, relative to the lift, taken as a sign flip
@@ -134,9 +136,59 @@ def developing_jet(data: SphereData, z0: complex, order: int) -> Jet:
 # sl(2) helpers and samplers
 # ---------------------------------------------------------------------------
 
+#: the Killing pairing on the basis (1, z, z^2): <P1, P2> = coeffs(P1)^T C coeffs(P2)
+KILLING_MATRIX = np.array([[0, 0, -1], [0, 0.5, 0], [-1, 0, 0]], dtype=complex)
+
+
+def mat_norm(x: Mat2) -> float:
+    return max(abs(e) for e in x)
+
+
+def matrix_to_poly(X) -> QuadPoly:
+    """Traceless (a, b; c, -a) -> c z^2 - 2 a z - b."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    x = (X[0, 0], X[0, 1], X[1, 0], X[1, 1])
+    scale = max(mat_norm(x), 1e-300)
+    if abs(x[0] + x[3]) > 1e-10 * scale:
+        raise ValueError(f"matrix is not traceless: trace = {x[0] + x[3]}")
+    return QuadPoly(-x[1], -2 * x[0], x[2])
+
+
+def poly_to_matrix(P: QuadPoly) -> np.ndarray:
+    return np.array([[-P.p1 / 2, -P.p0], [P.p2, P.p1 / 2]], dtype=complex)
+
+
+def project_traceless(X) -> np.ndarray:
+    X = np.asarray(X, dtype=complex)
+    t = (X[0, 0] + X[1, 1]) / 2
+    return X - t * np.eye(2)
+
+
+def coboundary(rho: Representation, P: QuadPoly) -> Cocycle:
+    """delta P: gamma -> rho(gamma).P - P."""
+    return Cocycle(rho, {g: adjoint_action(rho.images[g], P) - P
+                         for g in rho.signature.generators})
+
+
+def evaluate_ring(chi: Cocycle, x: GroupRingElement) -> QuadPoly:
+    """chi extended Z-linearly to the group ring: sum n chi(w) over x's terms n.w."""
+    total = QuadPoly.zero()
+    for w, c in x.terms.items():
+        total = total + c * chi(w)
+    return total
+
+
+def conjugated(rho: Representation, g: MoebiusMap) -> Representation:
+    """g rho g^-1, generator by generator."""
+    gi = g.inverse()
+    return Representation(rho.signature, {k: g @ m @ gi for k, m in rho.images.items()})
+
+
 def local_kernel_basis(rho: Representation, gamma: FreeWord) -> list[QuadPoly]:
     """Basis of ker(Ad rho(gamma) - 1), at the rank cutoff of
-    ``solve_local_coboundary``."""
+    ``local_coboundaries``."""
     M = ad_matrix(rho.image(gamma)) - np.eye(3)
     _, svals, vh = np.linalg.svd(M)
     cutoff = _RCOND * max(float(svals[0]), 1e-30)

@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, make_genus1_rep, make_genus2_rep
-from oracles import (b0_bracket, direction_family, finite_difference_cocycle,
-                     local_kernel_basis, random_quadpoly)
-from charvar.cocycles import coboundary, random_parabolic_cocycle
-from charvar.goldman import (CUP_SIGN, cup_product_on_chain, goldman_closed,
-                             goldman_orbifold)
+from oracles import (KILLING_MATRIX, b0_bracket, coboundary, direction_family,
+                     finite_difference_cocycle, local_kernel_basis, random_quadpoly)
+from charvar.cocycles import random_parabolic_cocycle
+from charvar.goldman import CUP_SIGN, cup_product_on_chain, goldman_closed, pairing
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
                            kawai_experiment)
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.schwarzian import (check_identities, exp_provider, poly_provider,
                                 solve_lambda_report)
-from charvar.sl2 import KILLING_MATRIX, MoebiusMap, QuadPoly, killing
+from charvar.sl2 import MoebiusMap, QuadPoly, killing
 from charvar.words import (GroupRingElement, Signature, dual_generators,
                            fox_derivative, fundamental_class_chain,
                            prefix_products, verify_presentation_identities)
@@ -121,7 +120,7 @@ def test_criterion_3_goldman_well_definedness():
                          "50 random combinations (genus 2 and (0; inf,inf,3,inf))"):
         rng = np.random.default_rng(101)
         reps = [(make_genus2_rep(101), goldman_closed, False),
-                (_orb3_rep(), lambda r, c1, c2: goldman_orbifold(r, c1, c2).value, True)]
+                (_orb3_rep(), lambda r, c1, c2: pairing(r, c1, c2).value, True)]
         for rho, pair, orbifold in reps:
             for _ in range(25):
                 chi1 = random_parabolic_cocycle(rho, rng)

@@ -135,8 +135,8 @@ def test_goldman_subcommand_roundtrip(capsys, tmp_path, orb3_rep):
     path.write_text(dumps_deterministic(bundle))
     code, rep = run_cli(capsys, "goldman", "--input", str(path))
     assert code == 0
-    from charvar.goldman import goldman_orbifold
-    want = goldman_orbifold(orb3_rep, chi1, chi2).value
+    from charvar.goldman import pairing
+    want = pairing(orb3_rep, chi1, chi2).value
     got = complex(rep["value"][0], rep["value"][1])
     # JSON roundtrip of the representation loses a little precision
     assert abs(got - want) < 1e-7 * max(1, abs(want))
@@ -324,11 +324,13 @@ def test_goldman_non_finite_local_system_is_reported(capfd, tmp_path, orb3_rep):
 
 
 def test_nan_tolerance_is_input_error(capsys, tmp_path, genus2_rep):
-    # local=nan would pass every local residual (residual > nan is False)
+    # local=nan would pass every local residual (residual > nan is False),
+    # and local=-1 would fail every one
     path, _ = _bundle_path(tmp_path, genus2_rep, 4)
-    code, rep = run_cli(capsys, "goldman", "--input", str(path), "--tol", "local=nan")
-    assert code == 1
-    assert "must be finite" in rep["error"]
+    for value in ("nan", "-1"):
+        code, rep = run_cli(capsys, "goldman", "--input", str(path), "--tol", f"local={value}")
+        assert code == 1
+        assert "tolerance local must be finite and >= 0" in rep["error"]
 
 
 SPHERE = {"points": [[0, 0], [1, 0], [0.3, 0.4]], "orders": [None, None, None],

@@ -1,3 +1,5 @@
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,3 +16,29 @@ def test_lines_fit_the_width(folder):
             for n, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > WIDTH]
     assert not long, f"lines over {WIDTH} columns: {long}"
+
+
+def _importable(module: str, name: str) -> bool:
+    """Whether ``from module import name`` succeeds: an attribute of the
+    module, or a submodule of the package."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_perfbench_imports_resolve():
+    # the benchmark imports these names from the package: deleting one
+    # breaks every benchmark run, so each must resolve
+    names = [(node.module, alias.name)
+             for path in sorted((ROOT / "perfbench").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             and (node.module or "").split(".")[0] == "charvar"
+             for alias in node.names]
+    assert ("charvar.goldman", "goldman_closed") in names
+    missing = [f"{mod}.{name}" for mod, name in names if not _importable(mod, name)]
+    assert not missing, f"perfbench imports names the package lacks: {missing}"

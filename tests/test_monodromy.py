@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline
+from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline, transport
 from oracles import q_jet
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, LoopPath,
                                MonodromyEngine, OrderingError, _circle_tangents, _gauss_legendre,
-                               _local_monodromy, _ray_rule, _step_tangents, _transfer,
-                               build_lassos, build_potential, integrate_fundamental,
-                               lasso_monodromy, potential_tangent, theta_of, wronskian_drift)
+                               _lassos, _local_monodromy, _powers, _ray_rule, _step_tangents,
+                               _transfer, build_lassos, build_potential, potential_tangent,
+                               theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, mat_mul
 
@@ -90,12 +90,12 @@ def _euler_transport(order):
 class TestTransport:
     def test_flat_case(self):
         # q = 0: transport over 0 -> 1 in the row convention is [[1,0],[1,1]]
-        m, _ = integrate_fundamental([], [0, 1])
+        m, _ = transport([], [0, 1])
         assert max(abs(x - y) for x, y in zip(m, (1, 0, 1, 1))) < 1e-12
 
     def test_euler_transport_closed_form(self):
         for order in (2, 3, 6, None):
-            m, _ = integrate_fundamental([(0, theta_of(order) / 4, 0)], [1, 2])
+            m, _ = transport([(0, theta_of(order) / 4, 0)], [1, 2])
             want = _euler_transport(order)
             assert max(abs(x - y) for x, y in zip(m, want)) < 1e-12, order
             assert wronskian_drift(m) < 1e-12
@@ -108,13 +108,13 @@ class TestTransport:
     def test_step_underflow_near_pole(self):
         data = four_cusp_data()
         with pytest.raises(IntegrationError, match="runs into a pole"):
-            integrate_fundamental(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0])
+            transport(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0])
 
     def test_non_finite_series_raises(self):
         # a residue of 1e200 overflows the Taylor coefficients of a step from
         # 1 and the Frobenius coefficients at the cusp 0
         runs = {"Taylor series at 1+0j":
-                lambda: integrate_fundamental([(0, 0.25, 1e200)], [1, 1j]),
+                lambda: transport([(0, 0.25, 1e200)], [1, 1j]),
                 "Frobenius series at 0":
                 lambda: _local_monodromy([(0, 0.25, 1e200)], LoopPath((2, 1), 0, 0), None)}
         for name, run in runs.items():
@@ -128,7 +128,7 @@ class TestTransport:
         monkeypatch.setattr(mono, "_MAX_TERMS", 8)
         poles = [(0, theta_of(3) / 4, 0.1), (2, 0.25, -0.1)]
         runs = {"Taylor series at 1+0j":
-                lambda: integrate_fundamental([(0, 0.25, 0.1)], [1, 1.5]),
+                lambda: transport([(0, 0.25, 0.1)], [1, 1.5]),
                 "Frobenius series at 0":
                 lambda: _local_monodromy(poles, LoopPath((1j, 0.5), 0, 0), 3)}
         for name, run in runs.items():
@@ -139,11 +139,7 @@ class TestTransport:
     def test_huge_residue_raises(self):
         # finite, but the solutions grow like exp(1e3): the transport overflows
         with pytest.raises(IntegrationError):
-            integrate_fundamental([(0, 0.25, 1e6)], [1, 1j])
-
-    def test_tangent_length_checked(self):
-        with pytest.raises(ValueError):
-            integrate_fundamental([(0, 0.25, 0)], [1, 2], [[]])
+            transport([(0, 0.25, 1e6)], [1, 1j])
 
 
 def test_euler_loop_traces():
@@ -151,7 +147,7 @@ def test_euler_loop_traces():
     # trace -2 cos(pi/o), and -2 at a cusp
     square = [1, 1j, -1, -1j, 1]
     for order in (2, 3, 6, None):
-        m, _ = integrate_fundamental([(0, theta_of(order) / 4, 0)], square)
+        m, _ = transport([(0, theta_of(order) / 4, 0)], square)
         want = -2 * math.cos(math.pi / order) if order else -2.0
         assert abs(m[0] + m[3] - want) < 1e-12, order
 
@@ -181,8 +177,8 @@ def test_transport_against_dp5_oracle():
         for path in build_lassos(data)[1]:
             ref = dp5_transport(poles, lasso_polyline(path))
             scale = max(abs(x) for x in ref)
-            m, _ = integrate_fundamental(poles, lasso_polyline(path))
-            image, _, _ = lasso_monodromy(poles, path, data.order_at(path.target))
+            m, _ = transport(poles, lasso_polyline(path))
+            image, _, _ = _lassos(poles, [path], [data.order_at(path.target)], ())[0]
             for got in (m, image):
                 assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-11 * scale, \
                     (config, path.target)
@@ -197,7 +193,7 @@ def test_lasso_traces_are_exact(source):
     poles = data.half_q_terms()
     for path in build_lassos(data)[1]:
         order = data.order_at(path.target)
-        m, _, _ = lasso_monodromy(poles, path, order)
+        m, _, _ = _lassos(poles, [path], [order], ())[0]
         want = -2 * math.cos(math.pi / order) if order else -2.0
         bound = 1e-14 * max(1.0, max(abs(x) for x in m)) ** 2
         assert abs(m[0] + m[3] - want) <= bound, (source, path.target)
@@ -305,14 +301,15 @@ def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
 
 
 def test_gauss_legendre_rule_is_exact_on_polynomials():
-    nodes, weights, powers = _gauss_legendre()
-    m = len(nodes)
-    assert m == 16 and len(set(nodes)) == m and all(-1 < t < 1 for t in nodes)
-    assert nodes[1::2] == [-t for t in nodes[::2]] and weights[1::2] == weights[::2]
-    for k in range(2 * m):
-        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(sum(w * t ** k for t, w in zip(nodes, weights)) - exact) <= 1e-15, k
-    _assert_power_table(nodes, powers)
+    # the Taylor steps' and rays' 16 nodes and the Lambda4 solver's 32
+    for m in (16, 32):
+        nodes, weights = _gauss_legendre(m)
+        assert len(nodes) == len(set(nodes)) == m and all(-1 < t < 1 for t in nodes)
+        assert nodes[1::2] == tuple(-t for t in nodes[::2]) and weights[1::2] == weights[::2]
+        for k in range(2 * m):
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(sum(w * t ** k for t, w in zip(nodes, weights)) - exact) <= 1e-15, (m, k)
+    _assert_power_table(_gauss_legendre(16)[0], _powers(_gauss_legendre(16)[0]))
 
 
 def _assert_power_table(nodes, powers):
@@ -499,9 +496,8 @@ def test_tangents_match_difference_quotients():
     data = four_cusp_data()
     vertices = lasso_polyline(build_lassos(data)[1][0])
     for v, w in (((0, 0, 0), (1,)), ((0, 0, 1), (0,))):
-        _, (dm,) = integrate_fundamental(data.half_q_terms(), vertices,
-                                         [potential_tangent(data, v, w)])
-        fd = _stencil(lambda s: integrate_fundamental(
+        _, (dm,) = transport(data.half_q_terms(), vertices, [potential_tangent(data, v, w)])
+        fd = _stencil(lambda s: transport(
             _moved(data, v, w, s).half_q_terms(), vertices)[0])
         scale = max(abs(x) for x in dm)
         assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale
@@ -520,9 +516,9 @@ def test_lasso_tangents_match_difference_quotients(config):
         tangent = potential_tangent(data, v, w)
         for path in paths:
             order = data.order_at(path.target)
-            _, (dm,), _ = lasso_monodromy(data.half_q_terms(), path, order, [tangent])
-            fd = _stencil(lambda s: lasso_monodromy(
-                _moved(data, v, w, s).half_q_terms(), path, order)[0])
+            _, (dm,), _ = _lassos(data.half_q_terms(), [path], [order], [tangent])[0]
+            fd = _stencil(lambda s: _lassos(
+                _moved(data, v, w, s).half_q_terms(), [path], [order], ())[0][0])
             scale = max(abs(x) for x in dm)
             assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale, (v, path.target)
 
@@ -534,9 +530,9 @@ def test_row_convention_is_a_homomorphism():
     _, paths = build_lassos(data)
     va, vb = lasso_polyline(paths[0]), lasso_polyline(paths[1])
     poles = data.half_q_terms()
-    ma, _ = integrate_fundamental(poles, va)
-    mb, _ = integrate_fundamental(poles, vb)
-    mab, _ = integrate_fundamental(poles, va + vb)
+    ma, _ = transport(poles, va)
+    mb, _ = transport(poles, vb)
+    mab, _ = transport(poles, va + vb)
     prod = mat_mul(ma, mb)
     scale = max(abs(x) for x in prod)
     assert max(abs(x - y) for x, y in zip(mab, prod)) < 1e-9 * scale
@@ -614,7 +610,7 @@ class TestRepresentation:
                                 [0.2 + 0.1j], base_point=zb2)
         r1, _, _ = MonodromyEngine(data).representation()
         r2, _, _ = MonodromyEngine(data2).representation()
-        M = MoebiusMap(*integrate_fundamental(data.half_q_terms(), [zb2, FOUR_CUSP_ZB])[0])
+        M = MoebiusMap(*transport(data.half_q_terms(), [zb2, FOUR_CUSP_ZB])[0])
         worst = max(r2.images[g].psl_distance(M @ r1.images[g] @ M.inverse())
                     for g in r1.signature.generators)
         assert worst < 1e-8
@@ -709,4 +705,4 @@ def test_tangent_may_not_move_an_order():
     path = build_lassos(data)[1][0]
     tangent = [(0j, 0.01 if i == path.target else 0.0, 0j) for i in range(3)]
     with pytest.raises(ValueError, match="order"):
-        lasso_monodromy(data.half_q_terms(), path, None, [tangent])
+        _lassos(data.half_q_terms(), [path], [None], [tangent])

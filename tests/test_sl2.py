@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_sl2
-from oracles import b0_bracket
-from charvar.sl2 import (KILLING_MATRIX, MoebiusMap, QuadPoly, ad_matrix,
-                         adjoint_action, killing, matrix_to_poly, poly_to_matrix,
-                         project_traceless)
+from oracles import (KILLING_MATRIX, b0_bracket, matrix_to_poly, poly_to_matrix,
+                     project_traceless)
+from charvar.sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
 
 BASIS = [QuadPoly(1, 0, 0), QuadPoly(0, 1, 0), QuadPoly(0, 0, 1)]
 
