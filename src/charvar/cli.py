@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -274,8 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and let the exit
+        # flush of what is still buffered go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
+    """The subcommand's exit code; an error it raises is reported as JSON."""
+    try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (OSError, ValueError) as e:  # InputError included
         print(dumps_deterministic({"error": str(e), "version": __version__}))
         return 1

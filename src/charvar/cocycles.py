@@ -9,6 +9,7 @@ generator images.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Mapping
@@ -192,50 +193,57 @@ def _ad_minus_one(rho: Representation, gens) -> np.ndarray:
     return stack.reshape(-1, 3, 3) - np.eye(3)
 
 
-def local_coboundaries(rho: Representation, chis, gens, tol: float = 1e-6
-                       ) -> list[list[LocalSolve]]:
-    """[[LocalSolve per generator name of ``gens``] per cocycle of ``chis``]:
-    the minimum-norm P with (Ad rho(c) - 1) P = chi(c) for every pair, read
-    from ``rho.images[c]`` and ``chi.values[c]``.  A name the signature
-    does not have raises ValueError.
+def local_coboundaries(systems, tol: float = 1e-6) -> list[list[list[LocalSolve]]]:
+    """[[[LocalSolve per generator name of gens] per cocycle of chis] per
+    system (rho, chis, gens) of ``systems``]: the minimum-norm P with
+    (Ad rho(c) - 1) P = chi(c) for every pair, read from ``rho.images[c]``
+    and ``chi.values[c]``.  A name the signature does not have raises
+    ValueError.
 
     The 3x3 systems are singular for parabolic/elliptic rho(c) (kernel of
-    dimension >= 1).  One stacked SVD U S V^* of the m matrices serves
-    every cocycle: singular values at most _RCOND times a matrix's largest
-    count as zero, as under lstsq's ``rcond``, their number is the kernel
-    dimension, and P = V S^+ U^* chi(c).  A non-finite system raises
-    ArithmeticError before any is solved; then, cocycle by cocycle, a
-    residual above ``tol`` x max(1, |chi(c)|, |chi|) raises
-    CocycleNotParabolicError.
+    dimension >= 1).  One stacked SVD U S V^* of the matrices of every
+    system (``_ad_minus_one``, once per system) serves every cocycle:
+    singular values at most _RCOND times a matrix's largest count as zero,
+    as under lstsq's ``rcond``, their number is the kernel dimension, and
+    P = V S^+ U^* chi(c), each solve by elementwise operations, so bit for
+    bit its batch of one.  A non-finite system raises ArithmeticError before
+    any is solved; then, system by system and cocycle by cocycle, a residual
+    above ``tol`` x max(1, |chi(c)|, |chi|) raises CocycleNotParabolicError.
     """
-    if not gens:
-        return [[] for _ in chis]
-    sig = rho.signature
-    for c in gens:
-        if c not in sig.generators:
-            raise ValueError(f"unknown generator {c!r} for signature {sig}")
-    M = _ad_minus_one(rho, gens)
-    rhs = np.array([[chi.values[c].vector() for c in gens] for chi in chis])
-    rhs = rhs.reshape(-1, len(gens), 3)
-    finite = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=2)
+    for rho, _, gens in systems:
+        for c in gens:
+            if c not in rho.signature.generators:
+                raise ValueError(f"unknown generator {c!r} for signature {rho.signature}")
+    out = [[[] for _ in chis] for _, chis, _ in systems]
+    solved = [(k, rho, chis, gens) for k, (rho, chis, gens) in enumerate(systems) if chis and gens]
+    if not solved:
+        return out
+    M = np.concatenate([_ad_minus_one(rho, gens) for _, rho, _, gens in solved])
+    which, first = [], 0  # the matrix of each (system, cocycle, generator) row
+    for _, _, chis, gens in solved:
+        which += list(range(first, first + len(gens))) * len(chis)
+        first += len(gens)
+    names = [c for _, _, chis, gens in solved for _ in chis for c in gens]
+    rhs = np.array([chi.values[c].vector()
+                    for _, _, chis, gens in solved for chi in chis for c in gens])
+    finite = np.isfinite(M).all(axis=(1, 2))[which] & np.isfinite(rhs).all(axis=1)
     if not finite.all():  # LAPACK would fail on it and print to stdout
-        raise ArithmeticError(
-            f"non-finite local system at {gens[int(np.argmin(finite)) % len(gens)]}")
+        raise ArithmeticError(f"non-finite local system at {names[int(np.argmin(finite))]}")
     u, svals, vh = np.linalg.svd(M)
     keep = svals > _RCOND * svals[:, :1]
     pinv = np.divide(1, svals, out=np.zeros_like(svals), where=keep)
-    sol = _matvec(vh.conj().swapaxes(1, 2), _matvec(u.conj().swapaxes(1, 2), rhs) * pinv)
-    residuals = _norms(_matvec(M, sol) - rhs).tolist()
-    kernel_dims = (3 - keep.sum(axis=1)).tolist()
-    out = []
-    for chi, row, res, scale in zip(chis, sol, residuals, _norms(rhs).tolist()):
-        solves = []
-        for c, p, r, sc, k in zip(gens, row, res, scale, kernel_dims):
-            bound = tol * max(1.0, sc, chi.norm())
-            if r > bound:
-                raise CocycleNotParabolicError(c, r, bound)
-            solves.append(LocalSolve(QuadPoly.from_vector(p), r, k))
-        out.append(solves)
+    sol = _matvec(vh.conj().swapaxes(1, 2)[which],
+                  _matvec(u.conj().swapaxes(1, 2)[which], rhs) * pinv[which])
+    rows = zip(names, sol, _norms(_matvec(M[which], sol) - rhs).tolist(),
+               _norms(rhs).tolist(), (3 - keep.sum(axis=1))[which].tolist())
+    for k, _, chis, gens in solved:
+        for chi, solves in zip(chis, out[k]):
+            norm = chi.norm()
+            for c, p, r, sc, dim in itertools.islice(rows, len(gens)):
+                bound = tol * max(1.0, sc, norm)
+                if r > bound:
+                    raise CocycleNotParabolicError(c, r, bound)
+                solves.append(LocalSolve(QuadPoly.from_vector(p), r, dim))
     return out
 
 

@@ -10,8 +10,9 @@ and for orbifold signatures two more sums: the marked-generator Fox terms
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
 rho's side of the relator walk (letter and prefix images) is built once per
 representation (Representation.relator_frame) and shared by every cocycle's
-walk (_walk) and chi(R); the local solves of all cocycles at all c_i come
-from one stacked SVD.  The marked generators are single letters, so
+walk (_walk) and chi(R); the local solves of all cocycles at all c_i, of
+one representation or of several (goldman_matrices), come from one stacked
+SVD.  The marked generators are single letters, so
 chi(c_i), chi(c_i^-1) and rho(c_i) come from their values and images, not
 from word walks.
 
@@ -85,13 +86,14 @@ def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
     return _Walk(sharp, cs[-1], inverses)
 
 
-def _local_solves(rho: Representation, chis: list[Cocycle], local_tol: float
-                  ) -> list[dict[str, LocalSolve]]:
+def _local_solves(rhos: list[Representation], chis: list[list[Cocycle]], local_tol: float
+                  ) -> list[list[dict[str, LocalSolve]]]:
     """P_2i with (Ad rho(c_i) - 1) P_2i = chi(c_i) at every marked c_i, for
-    every cocycle, from one ``local_coboundaries`` batch."""
-    names = rho.signature.marked_generators
-    batch = local_coboundaries(rho, chis, names, tol=local_tol)
-    return [dict(zip(names, solves)) for solves in batch]
+    every cocycle ``chis[k]`` of every representation ``rhos[k]``, from one
+    ``local_coboundaries``."""
+    names = [rho.signature.marked_generators for rho in rhos]
+    batch = local_coboundaries(list(zip(rhos, chis, names)), tol=local_tol)
+    return [[dict(zip(gens, solves)) for solves in rows] for gens, rows in zip(names, batch)]
 
 
 def _value(walk: _Walk, chi2: Cocycle, solves2: dict[str, LocalSolve]) -> complex:
@@ -128,7 +130,7 @@ def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
     chi1's walk of R, chi2's local solves and chi2(R), on rho's frame of R."""
     frame = _prologue(rho)
     walk = _walk(chi1, frame)
-    (solves,) = _local_solves(rho, [chi2], local_tol)
+    ((solves,),) = _local_solves([rho], [[chi2]], local_tol)
     value = _value(walk, chi2, solves)
     residuals = (walk.relator.norm(), chi2.along(frame.letters, frame.prefixes)[-1].norm())
     _check_finite(value, residuals)
@@ -141,16 +143,26 @@ def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
 def goldman_matrix(rho: Representation, chis: list[Cocycle]
                    ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
     """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
-    from rho's frame of R, n walks of it and one batch of n*m local solves;
-    with each cocycle's local solves."""
-    frame = _prologue(rho)
-    walks = [_walk(chi, frame) for chi in chis]
-    solves = _local_solves(rho, chis, 1e-6)
-    values = [[_value(w, chi2, s2) for chi2, s2 in zip(chis, solves)] for w in walks]
-    for row, w1 in zip(values, walks):
-        for v, w2 in zip(row, walks):
-            _check_finite(v, (w1.relator.norm(), w2.relator.norm()))
-    return values, solves
+    with each cocycle's local solves: the one-representation case of
+    ``goldman_matrices``."""
+    return goldman_matrices([rho], [chis])[0]
+
+
+def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]]
+                     ) -> list[tuple[list[list[complex]], list[dict[str, LocalSolve]]]]:
+    """``goldman_matrix`` of each representation ``rhos[k]`` and its
+    cocycles ``chis[k]``: from each rho's frame of R and n walks of it, and
+    one batch of local solves for every cocycle of every representation."""
+    frames = [_prologue(rho) for rho in rhos]
+    out = []
+    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, 1e-6)):
+        walks = [_walk(chi, frame) for chi in cs]
+        values = [[_value(w, chi2, s2) for chi2, s2 in zip(cs, solves)] for w in walks]
+        for row, w1 in zip(values, walks):
+            for v, w2 in zip(row, walks):
+                _check_finite(v, (w1.relator.norm(), w2.relator.norm()))
+        out.append((values, solves))
+    return out
 
 
 def goldman_closed(rho: Representation, chi1: Cocycle, chi2: Cocycle) -> complex:

@@ -150,14 +150,6 @@ class Jet:
             return self
         return Jet(self.base, self.coeffs[: order + 1])
 
-    def eval(self, z: complex) -> complex:
-        """Evaluate the truncated series at z (no remainder control)."""
-        dz = z - self.base
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * dz + c
-        return acc
-
     def norm(self) -> float:
         return nan_max(*(abs(c) for c in self.coeffs))
 

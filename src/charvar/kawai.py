@@ -6,6 +6,11 @@ directions pair to ~0 with one another, the fiber-base pairing is constant
 along the fiber coordinate, and the full pairing matrix is antisymmetric.
 The absolute normalization against the canonical cotangent form is not
 asserted (it lives in out-of-scope quasiconformal pairings).
+
+An experiment transports every grid point first and then differentiates
+them all in one derivative stage (``monodromy.tangent_images``) and solves
+all their local systems in one batch (``goldman.goldman_matrices``); each
+grid point's report is bit for bit that of its offset run alone.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cocycles import reduce_by_coboundary, tangent_cocycle
-from .goldman import goldman_matrix
-from .monodromy import MonodromyEngine, SphereData, build_potential, potential_tangent
+from .goldman import goldman_matrices
+from .monodromy import (MonodromyEngine, SphereData, Transport, build_potential,
+                        potential_tangent, tangent_images)
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -147,37 +153,30 @@ class KawaiReport:
         }
 
 
-def _grid_point(base: SphereData, t_directions, acc_directions, offset: GridOffset,
-                relation_tol: float) -> GridResult:
+def _displaced(base: SphereData, t_directions, acc_directions, offset: GridOffset
+               ) -> SphereData:
     data = base
     for off, d in zip(offset.t, t_directions):
         data = displace(data, d, off)
     for off, d in zip(offset.c, acc_directions):
         data = displace(data, d, off)
+    return data
 
-    directions = list(acc_directions) + list(t_directions)
-    labels = [d.label() for d in directions]
-    tangents = [potential_tangent(data, *d.velocity(data)) for d in directions]
-    rho, drift, derivatives = MonodromyEngine(data).representation(
-        relation_tol=relation_tol, tangents=tangents)
 
-    chis = [tangent_cocycle(rho, dimages) for dimages in derivatives]
+def _grid_result(offset: GridOffset, labels: list[str], transport: Transport, derivatives,
+                 chis, omega, solves) -> GridResult:
+    rho = transport.rho
     drifts = {lab: max(_abs_trace_rate(rho.images[g], dimages[g])
                        for g in rho.signature.generators)
               for lab, dimages in zip(labels, derivatives)}
     frame = rho.relator_frame
     relres = {lab: chi.along(frame.letters, frame.prefixes)[-1].norm() / max(1.0, chi.norm())
               for lab, chi in zip(labels, chis)}
-    # the classes are unchanged; the pairing sums are far better conditioned
-    cocycles = reduce_by_coboundary(rho, chis)
-
-    omega, solves = goldman_matrix(rho, cocycles)  # the diagonal is a self-pairing null check
     local = {k: max(s[k].residual for s in solves) for k in solves[0]}
     kdims = {k: s.kernel_dim for k, s in solves[0].items()}  # rho's alone
-
     return GridResult(offset, labels, omega,
                       relation_residual=rho.relator_residual(),
-                      wronskian_drift=drift,
+                      wronskian_drift=transport.drift,
                       trace_drifts=drifts,
                       cocycle_relator_residuals=relres,
                       local_residuals=local, kernel_dims=kdims)
@@ -190,9 +189,14 @@ def kawai_experiment(base: SphereData,
                      relation_tol: float = 1e-5) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
-    Paths and homotopy classes are frozen per grid point; each lasso's stem
-    is transported once and its circle's monodromy is exact, both carrying
-    the derivative along every direction.
+    Paths and homotopy classes are frozen per grid point.  Every grid point
+    is transported first (``MonodromyEngine.transport``: each lasso's stem
+    once, each circle's monodromy exact), and then one derivative stage
+    takes the tangents of every direction at every grid point
+    (``tangent_images``: one quadrature batch over all stem steps and one
+    over all circles).  The Goldman matrices share one batch of local solves
+    (``goldman_matrices``).  Each grid point's report is bit for bit that of
+    its offset run alone.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
@@ -202,7 +206,21 @@ def kawai_experiment(base: SphereData,
         if len(offset.t) > len(t_directions) or len(offset.c) > len(accessory_directions):
             raise ValueError(f"grid offsets {offset} exceed the {len(t_directions)} t and "
                              f"{len(accessory_directions)} accessory directions")
-    labels = [d.label() for d in list(accessory_directions) + list(t_directions)]
-    results = [_grid_point(base, t_directions, accessory_directions, offset, relation_tol)
-               for offset in grid]
+    directions = list(accessory_directions) + list(t_directions)
+    labels = [d.label() for d in directions]
+    points = [_displaced(base, t_directions, accessory_directions, offset) for offset in grid]
+    tangents = [[potential_tangent(data, *d.velocity(data)) for d in directions]
+                for data in points]
+    transports = [MonodromyEngine(data).transport(relation_tol=relation_tol) for data in points]
+    derivatives = tangent_images(transports, tangents)
+    rhos = [tr.rho for tr in transports]
+    chis = [[tangent_cocycle(rho, dimages) for dimages in ders]
+            for rho, ders in zip(rhos, derivatives)]
+    # the classes are unchanged; the pairing sums are far better conditioned
+    matrices = goldman_matrices(rhos, [reduce_by_coboundary(rho, cs)
+                                       for rho, cs in zip(rhos, chis)])
+    # the diagonal of each matrix is a self-pairing null check
+    results = [_grid_result(offset, labels, tr, ders, cs, omega, solves)
+               for offset, tr, ders, cs, (omega, solves)
+               in zip(grid, transports, derivatives, chis, matrices)]
     return KawaiReport(base, labels, results)

@@ -17,10 +17,15 @@ variation of constants over the series they already sum: a Gauss-Legendre
 rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
 One recurrence (``_series``) sums the stem steps' Taylor series and the
-circles' Frobenius bases, in pure Python and in a fixed order; the
+circles' Frobenius bases, in pure Python and in a fixed order.  The
+untangented transport of a representation (``MonodromyEngine.transport``,
+all of ``charvar monodromy``) is that and nothing more.  The derivatives are
+a separate stage (``tangent_images``) that takes the transports of any
+number of representations, each with its own poles and tangents: its
 quadratures are numpy array operations over cached tables of the nodes'
-powers, one batch for the steps of all stems of a representation
-(``_step_tangents``) and one for all its circles (``_circle_tangents``).
+powers, one batch for every step of every stem (``_step_tangents``) and one
+for every circle (``_circle_tangents``), and each representation's
+derivatives are bit for bit those of a stage of its own.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -92,23 +98,10 @@ class SphereData:
     def thetas(self) -> tuple[float, ...]:
         return tuple(theta_of(o) for o in self.orders)
 
-    def q(self, z: complex) -> complex:
-        total = 0j
-        for p, th, m in zip(self.points, self.thetas, self.residues):
-            w = z - p
-            total += th / (2 * w * w) + m / w
-        return total
-
     def half_q_terms(self) -> list[tuple[complex, float, complex]]:
         """(pole, theta/4, m/2) triples: q(z)/2 = sum A/(z-p)^2 + B/(z-p)."""
         return [(p, th / 4.0, m / 2.0)
                 for p, th, m in zip(self.points, self.thetas, self.residues)]
-
-    def moment_residuals(self) -> tuple[float, float]:
-        s1 = sum(self.residues)
-        target = _moment_target(self.order_infinity, self.thetas)
-        s2 = sum(m * p for m, p in zip(self.residues, self.points)) - target
-        return (abs(s1), abs(s2))
 
     def accessory(self) -> tuple[complex, ...]:
         """Free residues: everything past the first two listed points."""
@@ -343,15 +336,27 @@ def _gauss_legendre(m: int):
     return tuple(nodes), tuple(weights)
 
 
+#: the longest dot product that OpenBLAS (x86-64) sums in one pass; past it
+#: the order, and so the rounding, depends on the length
+_DOT_CHUNK = 128
+
+
 def _at_nodes(pairs, powers):
     """(a, b) at the nodes of a power table (``_powers``), pairs x nodes
     each, for every pair (a, b) of coefficient lists of equal length: the
-    lists are zero-padded to the longest and read by one matmul."""
-    n = max(len(a) for a, _ in pairs)
+    lists are zero-padded to the longest and read by one matmul per
+    _DOT_CHUNK terms.  Each chunk sums in one pass, so the padding adds
+    exact zeros and a pair's values do not depend on the other pairs."""
+    lists = [c for pair in pairs for c in pair]
+    lengths = np.array([len(c) for c in lists])
+    n = lengths.max()
     coeffs = np.zeros((len(pairs), 2, n), dtype=complex)
-    for row, (a, b) in zip(coeffs, pairs):
-        row[0, :len(a)], row[1, :len(b)] = a, b
-    return np.moveaxis(coeffs @ powers[:n], 1, 0)
+    coeffs[np.arange(n) < lengths.reshape(-1, 2, 1)] = list(itertools.chain.from_iterable(lists))
+    coeffs = coeffs.reshape(-1, n)
+    values = coeffs[:, :_DOT_CHUNK] @ powers[:min(n, _DOT_CHUNK)]
+    for k in range(_DOT_CHUNK, n, _DOT_CHUNK):
+        values = values + coeffs[:, k:k + _DOT_CHUNK] @ powers[k:min(n, k + _DOT_CHUNK)]
+    return values.reshape(len(pairs), 2, -1).swapaxes(0, 1)
 
 
 def _cubic(coeffs, y):
@@ -367,14 +372,23 @@ def _dq(poles, tangents, moving=None):
     q/2 = sum A/(z-p)^2 + B/(z-p) along each tangent (one (dp, dA, dB) per
     pole) with z frozen, at y = 1/(z - p):
         dq = sum y (dB + y (dA + B dp + 2 A dp y)),
-    tangents x coefficients.  With ``moving`` (... x tangents: the velocity
-    of a point z moves with) every dp is taken relative to it, one block of
-    rows per leading index."""
-    _, a, b = np.array(poles, dtype=complex).reshape(-1, 3).T
-    dp, da, db = np.array(tangents, dtype=complex).reshape(len(tangents), -1, 3).transpose(2, 0, 1)
+    rows x tangents x coefficients, for each row's own poles (rows x poles
+    x 3) and tangents (rows x tangents x poles x 3).  With ``moving`` (rows x
+    tangents: the velocity of a point z moves with) every dp is taken
+    relative to it."""
+    a, b = poles[:, None, :, 1], poles[:, None, :, 2]
+    dp, da, db = np.moveaxis(tangents, -1, 0)
     if moving is not None:
-        dp = dp - np.asarray(moving)[..., None]
-    return np.concatenate(np.broadcast_arrays(db, da + b * dp, 2 * a * dp), axis=-1)
+        dp = dp - moving[..., None]
+    return np.concatenate((db, da + b * dp, 2 * a * dp), axis=-1)
+
+
+def _rows(poles, tangents, reps):
+    """The poles and tangents of representation i (``poles[i]``,
+    ``tangents[i]``) for each index i of ``reps``: rows x poles x 3 and
+    rows x tangents x poles x 3."""
+    return (np.asarray(poles, dtype=complex)[reps],
+            np.asarray(tangents, dtype=complex)[reps])
 
 
 def _ends(c):
@@ -458,8 +472,11 @@ def _transfer(poles, z0: complex, h: complex):
 
 
 def _step_tangents(poles, tangents, steps):
-    """[dT per tangent] for each step record of ``_transfer``, all steps of
-    a path at once.
+    """[dT per tangent] for each step of ``steps``, column convention: a
+    step is a pair (i, record), the series record of a ``_transfer`` on the
+    poles ``poles[i]`` of representation i, whose tangents are
+    ``tangents[i]``.  Every representation has as many poles and as many
+    tangents, as the grid points of a kawai experiment do.
 
     A tangent (dp, dA, dB) per pole varies Q with the step frozen by
         dQ = g^2 sum (dA + B dp)/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
@@ -470,21 +487,23 @@ def _step_tangents(poles, tangents, steps):
     STEP_RATIO = 1/2 of the distance to the nearest pole), so the integrand
     is analytic well outside [-1, 1] and 16 nodes reach rounding (12 leave
     ~3e-14, 8 leave ~1e-8 on a pole straight ahead with |B| = 20).  The
-    steps' series, zero-padded to the longest, are read at the nodes by one
-    matmul with the power table; y = 1/(z - p), dQ and the three kernel
-    integrals follow as array operations over steps x tangents x nodes, so
-    a tangent costs O(nodes x poles) per step, not a second series.
+    steps' series, zero-padded to the longest, are read at the nodes by
+    ``_at_nodes``; y = 1/(z - p), dQ and the three kernel integrals follow
+    as array operations over steps x tangents x nodes with each step's own
+    poles and tangents, so a tangent costs O(nodes x poles) per step, not a
+    second series, and every step is bit for bit its batch of one.
     """
+    reps, records = zip(*steps)
+    pole_rows, tangent_rows = _rows(poles, tangents, list(reps))
     nodes, weights = _gauss_legendre(_QUAD_NODES)
-    av, bv = _at_nodes([st[2:4] for st in steps], _powers(nodes))  # a and b at the nodes
+    av, bv = _at_nodes([st[2:4] for st in records], _powers(nodes))  # a and b at the nodes
     kernel = np.stack((av * bv, bv * bv, av * av), axis=-1) * np.array(weights)[:, None]
-    gs = np.array([st[1] for st in steps])
-    mids = np.array([st[0] for st in steps]) + gs
-    y = 1 / ((mids[:, None] - np.array([p for p, _, _ in poles]))[:, :, None]
+    z0, gs = np.array([st[:2] for st in records]).T
+    y = 1 / ((z0[:, None] + gs[:, None] - pole_rows[..., 0])[:, :, None]
              + (gs[:, None] * np.array(nodes))[:, None])  # 1/(z-p): steps x poles x nodes
-    ints = (_cubic(_dq(poles, tangents), y) @ kernel).tolist()  # steps x tangents x 3
+    ints = _cubic(_dq(pole_rows, tangent_rows), y) @ kernel  # steps x tangents x 3
     out = []
-    for (_, g, _, _, splus, inv), step in zip(steps, ints):
+    for (_, g, _, _, splus, inv), step in zip(records, ints.tolist()):
         g2 = g * g
         # the tau-data kernel g^2 [[iab, ibb], [-iaa, -iab]] in z data
         out.append([mat_mul(splus, mat_mul((g2 * iab, g2 * g * ibb, -g * iaa, -g2 * iab), inv))
@@ -536,14 +555,15 @@ def _transport(poles, vertices) -> _Stem:
 
 
 def _stem_tangents(poles, tangents, stems):
-    """[dU per tangent] for each ``_Stem``, column convention: one
-    ``_step_tangents`` call takes the steps of every stem, and along each
-    stem dU <- dT U + T dU accumulates their derivatives."""
-    records = [r for stem in stems for r in stem.records]
-    dts = iter(_step_tangents(poles, tangents, records) if tangents and records else ())
+    """[dU per tangent] for each stem of ``stems``, column convention: a stem
+    is a pair (i, ``_Stem``) of representation i (see ``_step_tangents``).
+    One ``_step_tangents`` call takes every step of every stem, and along
+    each stem dU <- dT U + T dU accumulates their derivatives."""
+    steps = [(i, r) for i, stem in stems for r in stem.records]
+    dts = iter(_step_tangents(poles, tangents, steps) if steps else ())
     out = []
-    for stem in stems:
-        du = [(0j, 0j, 0j, 0j)] * len(tangents)
+    for _, stem in stems:
+        du = [(0j, 0j, 0j, 0j)] * len(tangents[0])
         for (T, before), dT in zip(stem.steps, dts):
             du = [_add(mat_mul(d, before), mat_mul(T, w)) for d, w in zip(dT, du)]
         if not all(map(cmath.isfinite, sum(du, ()))):
@@ -696,9 +716,10 @@ def _local_monodromy(poles, path: LoopPath, order: Optional[int]):
 
 
 def _circle_tangents(poles, tangents, circles):
-    """[E per tangent] for each ``_Circle`` record of ``_local_monodromy``,
-    all circles of a representation at once (column convention, row-major
-    4-tuples): E = dPhi Phi^-1 up to a matrix that commutes with C.
+    """[E per tangent] for each circle of ``circles`` (column convention,
+    row-major 4-tuples): a circle is a pair (i, ``_Circle`` record of
+    ``_local_monodromy``) of representation i (see ``_step_tangents``).
+    E = dPhi Phi^-1 up to a matrix that commutes with C.
 
     A tangent varies R by dR with the entry point frozen; the exponents do
     not move (a tangent that moves the order of a circle's marked point is
@@ -729,26 +750,26 @@ def _circle_tangents(poles, tangents, circles):
     beta = -s d at infinity.
 
     Every ray shares the nodes and their power table (only the weights
-    depend on the order), so one evaluation takes all circles: the series,
-    zero-padded to the longest, are read at the nodes by one matmul; y,
-    the coefficients of dR, the kernel weights and the two nonzero entries
-    of Eh follow as array operations over circles x tangents x nodes, each
-    circle's entries by the same operations as a batch of that circle
-    alone.  The padding adds exact zeros, so a circle's E is bit for bit
-    its batch of one while the BLAS sums each padded dot product in one
-    pass (OpenBLAS on x86-64 splits them past 128 terms, which moves such
-    a batch at rounding level).  A tangent thus costs O(nodes x poles),
-    not a differentiated series.
+    depend on the order), so one evaluation takes all circles of any number
+    of representations: the series, zero-padded to the longest, are read at
+    the nodes by ``_at_nodes``; y, the coefficients of dR, the kernel
+    weights and the two nonzero entries of Eh follow as array operations
+    over circles x tangents x nodes with each circle's own poles and
+    tangents, each circle's entries by the same operations as a batch of
+    that circle alone, so a circle's E is bit for bit its batch of one.  A
+    tangent thus costs O(nodes x poles), not a differentiated series.
     """
-    for cir in circles:
-        j = cir.path.target
-        if j != "inf" and any(tan[j][1] != 0 for tan in tangents):
-            raise ValueError("a tangent may not move the order of a marked point")
+    reps, circles = zip(*circles)
+    pole_rows, tangent_rows = _rows(poles, tangents, list(reps))
+    at_inf = [cir.path.target == "inf" for cir in circles]
+    inf = np.array(at_inf)[:, None]
+    own = tangent_rows[np.arange(len(circles)), :,
+                       [0 if i else cir.path.target for cir, i in zip(circles, at_inf)]]
+    if np.any((own[..., 1] != 0) & ~inf):  # the dA of a circle's own pole
+        raise ValueError("a tangent may not move the order of a marked point")
     nodes, _, _, powers = _ray_rule(None)  # every order's nodes and powers
     rules = [_ray_rule(cir.order) for cir in circles]
     av, bv = _at_nodes([(cir.a, cir.b) for cir in circles], powers)  # A and B at the nodes
-    at_inf = [cir.path.target == "inf" for cir in circles]
-    inf = np.array(at_inf)[:, None]
     cusp = np.array([cir.order is None for cir in circles])[:, None]
     s = np.array([cir.s for cir in circles])[:, None]
     w1 = np.array([w for _, w, _, _ in rules])
@@ -757,14 +778,15 @@ def _circle_tangents(poles, tangents, circles):
     # t s^2 dR(s t) = s x the sum in brackets at infinity
     f = np.array([[cir.s if i else cir.s * cir.s] for cir, i in zip(circles, at_inf)])
     f = f * np.where(inf, 1.0, nodes)
-    centres = [[cir.path.centre if i else poles[cir.path.target][0]]
-               for cir, i in zip(circles, at_inf)]
-    d = np.array([p for p, _, _ in poles]) - np.array(centres)  # p - the circle's centre
+    pole_lists = pole_rows.tolist()
+    centres = [[cir.path.centre if i else ps[cir.path.target][0]]
+               for cir, i, ps in zip(circles, at_inf, pole_lists)]
+    d = pole_rows[..., 0] - np.array(centres)  # p - the circle's centre
     y = 1 / (np.where(inf, 1, -d)[:, :, None]
              + np.where(inf, -(s * d), s)[:, :, None] * nodes)  # circles x poles x nodes
-    moving = [[0j if i else tan[cir.path.target][0] for tan in tangents]
-              for cir, i in zip(circles, at_inf)]
-    db, u, c3 = np.split(_dq(poles, tangents, moving), 3, axis=-1)  # circles x tangents x poles
+    moving = np.where(inf, 0j, own[..., 0])
+    # circles x tangents x poles each
+    db, u, c3 = np.split(_dq(pole_rows, tangent_rows, moving), 3, axis=-1)
     ud = u * d[:, None]
     inf3 = inf[:, :, None]
     coeffs = np.concatenate((np.where(inf3, d[:, None] * db * d[:, None] + ud, db),
@@ -775,60 +797,81 @@ def _circle_tangents(poles, tangents, circles):
                        np.where(cusp, -faa, faa / dlt)), axis=-1)
     ints = (_cubic(coeffs, y) @ kernel).tolist()  # circles x tangents x 2
     out = []
-    for cir, i, rows in zip(circles, at_inf, ints):
+    for cir, i, ps, rows, dps in zip(circles, at_inf, pole_lists, ints, moving.tolist()):
         if not i:
             entry = cir.path.stem[1]
-            q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in poles)
+            q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in ps)
         es = []
-        for tan, (x1, x2) in zip(tangents, rows):
+        for (x1, x2), dp0 in zip(rows, dps):
             eh = (x1, 0j, x2, 0j) if cir.order is None else (0j, x1, x2, 0j)
             e = mat_mul(cir.g, mat_mul(mat_mul(cir.mh, mat_mul(eh, cir.mh_inv)), cir.ginv))
-            if not i:
-                dp0 = tan[cir.path.target][0]
+            if not i:  # a finite pole moves under the frozen entry point: -dp (psi', -(q/2) psi)
                 e = _sub(e, (0j, dp0, -q2 * dp0, 0j))
             es.append(e)
         out.append(es)
     return out
 
 
-def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]],
-            tangents: Sequence[Tangent]):
-    """[(L, [dL per tangent], drift)] in the row convention for each lasso
-    of ``paths`` about a marked point of the given order: L = S^-1 C S
-    (column convention), where S is the stem's transport and C the exact
-    local monodromy.  Each lasso's stem and circle run in turn, and then one
-    ``_step_tangents`` call takes the steps of all stems and one
-    ``_circle_tangents`` call all circles.  S^-1 is the adjugate, so
-    det L = det(S)^2 det C keeps the stem's drift.  With
-    X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes with C drops
-    out, which is why ``_circle_tangents`` may leave it out.  The drift is
-    the worst of the image's, the stem's and the Frobenius Wronskian's.
-    ``poles`` lists the (pole, theta/4, m/2) triples of
-    ``SphereData.half_q_terms`` and a tangent one (dp, dA, dB) per pole
-    (``potential_tangent``)."""
-    stems, circles = [], []
+#: one representation's lassos without tangents (``_lassos``): its poles and,
+#: per lasso, the stem (``_Stem``), the circle record (``_Circle``), the image
+#: L and S^-1 (column convention) and the drift
+_Lassos = namedtuple("_Lassos", "poles stems circles images sinvs drifts")
+
+
+def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]]) -> _Lassos:
+    """The untangented transport of one representation, for each lasso of
+    ``paths`` about a marked point of the given order: L = S^-1 C S (column
+    convention), where S is the stem's transport and C the exact local
+    monodromy, each lasso's stem and circle in turn.  S^-1 is the adjugate,
+    so det L = det(S)^2 det C keeps the stem's drift.  The drift is the worst
+    of the image's, the stem's and the Frobenius Wronskian's.  ``poles``
+    lists the (pole, theta/4, m/2) triples of ``SphereData.half_q_terms``."""
+    stems, circles, images, sinvs, drifts = [], [], [], [], []
     for path, order in zip(paths, orders):
-        stems.append(_transport(poles, path.stem))
-        circles.append(_local_monodromy(poles, path, order))
-    ess = (_circle_tangents(poles, tangents, [rec for _, _, rec in circles]) if tangents
-           else [[] for _ in circles])
+        stem = _transport(poles, path.stem)
+        c, frob, circle = _local_monodromy(poles, path, order)
+        sinv = mat_inv_unit(stem.u)
+        lasso = mat_mul(sinv, mat_mul(c, stem.u))
+        stems.append(stem)
+        circles.append(circle)
+        images.append(lasso)
+        sinvs.append(sinv)
+        drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(stem.u), frob))
+    return _Lassos(poles, stems, circles, images, sinvs, drifts)
+
+
+def _lasso_tangents(lassos: Sequence[_Lassos], tangents) -> list[list[list[Mat2]]]:
+    """[[dL per tangent] per lasso] (row convention) for each representation
+    of ``lassos``, along its tangents ``tangents[i]``: one (dp, dA, dB) per
+    pole (``potential_tangent``).  One ``_circle_tangents`` call takes every
+    circle of every representation and one ``_stem_tangents`` call every
+    stem.  With X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes
+    with C drops out, which is why ``_circle_tangents`` may leave it out."""
+    poles = np.array([las.poles for las in lassos], dtype=complex)
+    tangents = np.array(tangents, dtype=complex)
+    ess = iter(_circle_tangents(poles, tangents, [(i, c) for i, las in enumerate(lassos)
+                                                  for c in las.circles]))
+    dss = iter(_stem_tangents(poles, tangents, [(i, s) for i, las in enumerate(lassos)
+                                                for s in las.stems]))
     out = []
-    for stem, ds, (c, frob, _), es in zip(stems, _stem_tangents(poles, tangents, stems),
-                                          circles, ess):
-        s = stem.u
-        sinv = mat_inv_unit(s)
-        lasso = mat_mul(sinv, mat_mul(c, s))
+    for las in lassos:
         dls = []
-        for d, e in zip(ds, es):
-            x = mat_mul(sinv, _sub(d, mat_mul(e, s)))
-            dls.append(_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))))
-        out.append((_row(lasso), dls, nan_max(wronskian_drift(lasso), wronskian_drift(s), frob)))
+        for stem, ds, es, lasso, sinv in zip(las.stems, dss, ess, las.images, las.sinvs):
+            xs = [mat_mul(sinv, _sub(d, mat_mul(e, stem.u))) for d, e in zip(ds, es)]
+            dls.append([_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))) for x in xs])
+        out.append(dls)
     return out
 
 
 # ---------------------------------------------------------------------------
 # representations from lasso monodromies
 # ---------------------------------------------------------------------------
+
+#: one representation's monodromy without tangents
+#: (``MonodromyEngine.transport``): rho, the Wronskian drift, and the lassos
+#: (``_Lassos``) that ``tangent_images`` differentiates
+Transport = namedtuple("Transport", "rho drift lassos")
+
 
 class MonodromyEngine:
     """Monodromy with paths frozen at construction, so that representation
@@ -844,27 +887,21 @@ class MonodromyEngine:
         elliptic = tuple(o for o in seq if o is not None)
         return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
 
-    def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = 1e-5,
-                       tangents: Sequence[Tangent] = ()):
-        """(rho, Wronskian drift, tangent images) for ``data`` (default: the
-        engine's own) along the frozen lassos: each stem is integrated once,
-        each circle's monodromy is exact, one batch takes the tangents of
-        every stem step and one those of every circle (see ``_lassos``).
-        The drift is the worst |det - 1| of the lasso images and the stems
-        and of the Frobenius Wronskians against their exact values; a lasso
-        product that misses +-identity by more than ``relation_tol`` (or by
-        NaN) raises OrderingError.  For each tangent of the pole list (see
-        ``potential_tangent``) the tangent images map every generator to
-        dm / sqrt(det m) for its monodromy m, scaled as its image in rho is,
-        so that dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1."""
+    def transport(self, data: Optional[SphereData] = None,
+                  relation_tol: float = 1e-5) -> Transport:
+        """rho and its Wronskian drift for ``data`` (default: the engine's
+        own) along the frozen lassos: each stem is integrated once and each
+        circle's monodromy is exact (``_lassos``).  The drift is the worst
+        |det - 1| of the lasso images and the stems and of the Frobenius
+        Wronskians against their exact values; a lasso product that misses
+        +-identity by more than ``relation_tol`` (or by NaN) raises
+        OrderingError."""
         from .cocycles import Representation
         data = self.data if data is None else data
-        poles = data.half_q_terms()
-        runs = _lassos(poles, self.paths, [data.order_at(p.target) for p in self.paths],
-                       tangents)
-        gens = self.signature.marked_generators
-        images = {g: MoebiusMap(*m) for g, (m, _, _) in zip(gens, runs)}
+        lassos = _lassos(data.half_q_terms(), self.paths,
+                         [data.order_at(p.target) for p in self.paths])
+        images = {g: MoebiusMap(*_row(m))
+                  for g, m in zip(self.signature.marked_generators, lassos.images)}
         prod = MoebiusMap.identity()
         for image in images.values():
             prod = prod @ image
@@ -873,10 +910,38 @@ class MonodromyEngine:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        scales = [cmath.sqrt(mat_det(m)) for m, _, _ in runs]
-        dimages = [{g: tuple(x / s for x in dms[t])
-                    for g, s, (_, dms, _) in zip(gens, scales, runs)}
-                   for t in range(len(tangents))]
-        return (Representation(self.signature, images),
-                nan_max(*(drift for _, _, drift in runs)), dimages)
+        return Transport(Representation(self.signature, images), nan_max(*lassos.drifts),
+                         lassos)
 
+    def representation(self, data: Optional[SphereData] = None,
+                       relation_tol: float = 1e-5,
+                       tangents: Sequence[Tangent] = ()):
+        """(rho, Wronskian drift, tangent images): ``transport`` and the
+        one-representation case of ``tangent_images``."""
+        transport = self.transport(data, relation_tol)
+        return transport.rho, transport.drift, tangent_images([transport], [tangents])[0]
+
+
+def tangent_images(transports: Sequence[Transport], tangents: Sequence[Sequence[Tangent]]
+                   ) -> list[list[dict[str, Mat2]]]:
+    """For each transport of ``transports`` (``MonodromyEngine.transport``)
+    and each of its tangents ``tangents[i]`` (see ``potential_tangent``), the
+    tangent images: every generator maps to dm / sqrt(det m) for its
+    monodromy m, scaled as its image in rho is, so that
+    dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
+
+    One derivative stage takes them all (``_lasso_tangents``): one
+    quadrature batch for every stem step and one for every circle of every
+    representation.  Each representation's images are bit for bit its stage
+    of one.  Every representation has as many poles and as many tangents,
+    as the grid points of a kawai experiment do."""
+    if not any(tangents):
+        return [[] for _ in transports]
+    out = []
+    for tr, tans, dms in zip(transports, tangents,
+                             _lasso_tangents([tr.lassos for tr in transports], tangents)):
+        scales = [cmath.sqrt(mat_det(_row(m))) for m in tr.lassos.images]
+        out.append([{g: tuple(x / s for x in dm[t])
+                     for g, s, dm in zip(tr.rho.signature.marked_generators, scales, dms)}
+                    for t in range(len(tans))])
+    return out

@@ -132,11 +132,6 @@ class Signature:
     def dimension(self) -> int:
         return 3 * self.g - 3 + self.m + self.n
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        area = 2 * self.g - 2 + self.n + sum(1 - 1.0 / e for e in self.elliptic_orders)
-        return area > 0
-
     def order_sequence(self) -> tuple[Optional[int], ...]:
         """Orders of c_1..c_{m+n} in generator order (None = cusp)."""
         if self.marked_orders is not None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from charvar.cocycles import Representation
+from charvar.cocycles import Representation, local_coboundaries
 from charvar.monodromy import MonodromyEngine, _row, _stem_tangents, _transport, build_potential
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
@@ -130,8 +130,16 @@ def transport(poles, vertices, tangents=()):
     """(M, [dM per tangent]) along a polyline in the row convention: the
     transport of one stem (``_transport``) and its tangents."""
     stem = _transport(poles, vertices)
-    (du,) = _stem_tangents(poles, tangents, [stem])
+    if not tangents:
+        return _row(stem.u), []
+    (du,) = _stem_tangents([poles], [tangents], [(0, stem)])
     return _row(stem.u), [_row(d) for d in du]
+
+
+def local_solves(rho, chis, gens, tol=1e-6):
+    """[[LocalSolve per generator name of ``gens``] per cocycle of ``chis``]:
+    ``local_coboundaries`` of the one system (rho, chis, gens)."""
+    return local_coboundaries([(rho, chis, gens)], tol)[0]
 
 
 def thrice_punctured_rep() -> Representation:

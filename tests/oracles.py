@@ -3,6 +3,8 @@
 - Finite-difference cocycles: 4th-order central differences of sign-aligned
   SL(2,C) lifts along a representation family, to hold the exact tangent
   cocycles (``charvar.cocycles.tangent_cocycle``) against.
+- Closed forms of a sphere's potential q and its moment residuals, of the
+  hyperbolicity of a signature, and the value of a truncated jet.
 - Developing-map jets: the Taylor recursion of psi'' = -(q/2) psi at an
   ordinary point, whose ratio must have Schwarzian q.
 - Kernel bases of the local systems (Ad rho(gamma) - 1), for the
@@ -24,7 +26,7 @@ import numpy as np
 from charvar.cocycles import _RCOND, Cocycle, Representation
 from charvar.jets import Jet
 from charvar.kawai import Direction, displace
-from charvar.monodromy import MonodromyEngine, SphereData
+from charvar.monodromy import MonodromyEngine, SphereData, _moment_target
 from charvar.sl2 import Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_inv_unit
 from charvar.words import FreeWord, GroupRingElement, Signature
 
@@ -97,8 +99,46 @@ def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direc
 
 
 # ---------------------------------------------------------------------------
+# closed forms of the sphere data and the signature
+# ---------------------------------------------------------------------------
+
+def q(data: SphereData, z: complex) -> complex:
+    """The potential q(z) = sum theta/(2 (z-p)^2) + m/(z-p) of a sphere."""
+    total = 0j
+    for p, th, m in zip(data.points, data.thetas, data.residues):
+        w = z - p
+        total += th / (2 * w * w) + m / w
+    return total
+
+
+def moment_residuals(data: SphereData) -> tuple[float, float]:
+    """|sum m_j| and |sum m_j p_j - (theta_inf - sum theta)/2|: how far the
+    residues miss the two moment constraints that make infinity marked."""
+    s1 = sum(data.residues)
+    target = _moment_target(data.order_infinity, data.thetas)
+    s2 = sum(m * p for m, p in zip(data.residues, data.points)) - target
+    return (abs(s1), abs(s2))
+
+
+def is_hyperbolic(sig: Signature) -> bool:
+    """Whether the orbifold has negative Euler characteristic:
+    2g - 2 + n + sum (1 - 1/e) > 0."""
+    area = 2 * sig.g - 2 + sig.n + sum(1 - 1.0 / e for e in sig.elliptic_orders)
+    return area > 0
+
+
+# ---------------------------------------------------------------------------
 # local solution jets: developing map data for the Schwarzian checks
 # ---------------------------------------------------------------------------
+
+def jet_eval(jet: Jet, z: complex) -> complex:
+    """The truncated series of ``jet`` at z (no remainder control)."""
+    dz = z - jet.base
+    acc = 0j
+    for c in reversed(jet.coeffs):
+        acc = acc * dz + c
+    return acc
+
 
 def q_jet(data: SphereData, z0: complex, order: int) -> Jet:
     """Jet of the sphere's potential q at z0."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -176,6 +177,36 @@ def test_kawai_stdout_is_independent_of_blas_threads():
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
     assert outs[0] == outs[1] and b'"omega"' in outs[0]
+
+
+@pytest.mark.parametrize("config, digest", [("sphere-4cusp.json", "1bfe356468bd8c5a"),
+                                            ("sphere-elliptic3.json", "49e5e12ea5a7567b")])
+def test_monodromy_report_bytes_are_pinned(capsys, config, digest):
+    # the monodromy report comes from pure Python summed in a fixed order
+    # (the series recurrence, the stem transports, the exact local
+    # monodromy), so its bytes are pinned: a change that moves them updates
+    # the pin and says why
+    root = Path(__file__).resolve().parents[1]
+    code = main(["monodromy", "--input", str(root / "configs" / config)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that closes at once (`charvar kawai ... | true`): exit 1, with
+    # no traceback from a second write to the closed pipe and no "Exception
+    # ignored" from the interpreter's exit flush
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.Popen([sys.executable, "-m", "charvar.cli", "kawai", "--input",
+                            str(root / "configs" / "kawai-4cusp.json")],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=root,
+                           env=dict(os.environ, PYTHONPATH=path))
+    run.stdout.close()
+    stderr = run.stderr.read()
+    assert run.wait(timeout=120) == 1
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr, stderr
 
 
 def test_tolerance_override_unknown_rejected(capsys):

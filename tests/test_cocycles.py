@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_genus2_rep, near_identity_sl2, rand_sl2, thrice_punctured_rep
+from conftest import (local_solves, make_genus2_rep, near_identity_sl2, rand_sl2,
+                      thrice_punctured_rep)
 from oracles import (BranchJumpError, coboundary, conjugated, direction_family,
                      evaluate_ring, finite_difference_cocycle, local_kernel_basis,
                      lstsq_local_coboundary, matrix_to_poly, random_quadpoly, random_word)
@@ -166,7 +167,7 @@ class TestLocalSolve:
                               for g in gens for P in [random_quadpoly(rng)]})
                 for _ in range(3)]
         chis.append(Cocycle(rho, {g: random_quadpoly(rng) for g in gens}))
-        batch = local_coboundaries(rho, chis, gens, tol=1e6)
+        batch = local_solves(rho, chis, gens, tol=1e6)
         eps = np.finfo(float).eps
         for chi, row in zip(chis, batch):
             for gamma, solve in zip(gens, row):
@@ -180,7 +181,14 @@ class TestLocalSolve:
                 bound = 8 * eps * np.linalg.norm(M, 2) * np.linalg.norm(sol)
                 assert solve.residual <= residual + bound, (gamma, solve.residual, residual)
                 # a batch entry is bit for bit the batch of one
-                assert solve == local_coboundaries(rho, [chi], [gamma], tol=1e6)[0][0]
+                assert solve == local_solves(rho, [chi], [gamma], tol=1e6)[0][0]
+        # and a system is bit for bit itself in a batch of several
+        # representations' systems
+        other = _local_kinds(np.random.default_rng(seed + 10))
+        systems = [(other, [Cocycle(other, chi.values) for chi in chis[:2]], gens[::-1]),
+                   (rho, chis, gens)]
+        assert local_coboundaries(systems, tol=1e6) == [
+            local_solves(r, cs, gs, tol=1e6) for r, cs, gs in systems]
 
     def test_rank_cutoff_is_lstsq_rcond(self):
         # a loxodromic image sheared by 10^k: the second singular value of
@@ -195,7 +203,7 @@ class TestLocalSolve:
             g = h @ D @ h.inverse()
             rho = Representation(sig, {"c1": g, "c2": g.inverse(), "c3": MoebiusMap.identity()})
             chi = Cocycle(rho, {c: QuadPoly(1, 2j, 3) for c in sig.generators})
-            (row,) = local_coboundaries(rho, [chi], ["c1"], tol=math.inf)
+            (row,) = local_solves(rho, [chi], ["c1"], tol=math.inf)
             dims.append(row[0].kernel_dim)
             assert row[0].kernel_dim == lstsq_local_coboundary(rho, chi, "c1")[2]
         assert dims == [1, 1, 1, 1, 2]
@@ -205,7 +213,7 @@ class TestLocalSolve:
         c1 = MoebiusMap(1, 1, 0, 1)
         rho = Representation(sig, {"c1": c1, "c2": MoebiusMap.identity(), "c3": c1.inverse()})
         chi = coboundary(rho, QuadPoly(1, 2, 3))
-        (row,) = local_coboundaries(rho, [chi], ["c1", "c2"])
+        (row,) = local_solves(rho, [chi], ["c1", "c2"])
         assert [s.kernel_dim for s in row] == [1, 3]
         assert row[1].poly == QuadPoly.zero() and row[1].residual == 0.0
 
@@ -218,23 +226,23 @@ class TestLocalSolve:
         chi = coboundary(rho_tp, random_quadpoly(rng))
         nan = Cocycle(rho_tp, {**chi.values, "c2": QuadPoly(complex("nan"), 0, 0)})
         with pytest.raises(ArithmeticError, match="non-finite local system at c2"):
-            local_coboundaries(rho_tp, [chi, nan], words)
+            local_solves(rho_tp, [chi, nan], words)
         huge = Representation(sig, {**rho_tp.images,
                                     "c3": MoebiusMap(1e200, 0, 0, 1e-200, normalize=False)})
         with pytest.raises(ArithmeticError, match="non-finite local system at c3"):
-            local_coboundaries(huge, [Cocycle(huge, chi.values)], words)
+            local_solves(huge, [Cocycle(huge, chi.values)], words)
         bad = Cocycle(rho_tp, {g: random_quadpoly(rng) for g in sig.generators})
         with pytest.raises(ArithmeticError, match="non-finite local system at c2"):
-            local_coboundaries(rho_tp, [bad, nan], words)
+            local_solves(rho_tp, [bad, nan], words)
         with pytest.raises(CocycleNotParabolicError):
-            local_coboundaries(rho_tp, [chi, bad], words)
+            local_solves(rho_tp, [chi, bad], words)
 
     def test_unknown_generator_is_named(self, orb3_rep):
         # as sig.gen does, a name the signature lacks is a ValueError naming it
         chi = random_parabolic_cocycle(orb3_rep, np.random.default_rng(25))
         for name in ("c5", "a1", "x"):
-            for run in (lambda: local_coboundaries(orb3_rep, [chi], [name]),
-                        lambda: local_coboundaries(orb3_rep, [chi], ["c1", name]),
+            for run in (lambda: local_solves(orb3_rep, [chi], [name]),
+                        lambda: local_solves(orb3_rep, [chi], ["c1", name]),
                         lambda: orb3_rep.signature.gen(name)):
                 with pytest.raises(ValueError, match=f"unknown generator '{name}'"):
                     run()
@@ -244,7 +252,7 @@ class TestLocalSolve:
         P = random_quadpoly(rng)
         chi = coboundary(rho_tp, P)
         for gen in rho_tp.signature.generators:
-            sol = local_coboundaries(rho_tp, [chi], [gen])[0][0]
+            sol = local_solves(rho_tp, [chi], [gen])[0][0]
             assert sol.residual < 1e-12
             # solution may differ from P by a kernel element only
             diff = (sol.poly - P).vector()
@@ -276,7 +284,7 @@ class TestLocalSolve:
         for _ in range(10):
             chi = random_parabolic_cocycle(orb3_rep, rng)
             for gen in ("c1", "c2", "c3", "c4"):
-                sol = local_coboundaries(orb3_rep, [chi], [gen])[0][0]
+                sol = local_solves(orb3_rep, [chi], [gen])[0][0]
                 assert sol.residual < 1e-9
                 assert sol.kernel_dim == 1
 
@@ -307,7 +315,7 @@ class TestLocalSolve:
         bad = Cocycle(rho_tp, {g: random_quadpoly(rng) for g in rho_tp.signature.generators})
         with pytest.raises(CocycleNotParabolicError):
             for gen in rho_tp.signature.generators:
-                local_coboundaries(rho_tp, [bad], [gen])
+                local_solves(rho_tp, [bad], [gen])
 
     def test_kernel_orthogonality(self, rho_tp):
         # <(Ad rho(g) - 1) X, K> = 0 for K in the kernel (Killing invariance)
@@ -332,7 +340,7 @@ def _local_residuals(rho, chi):
     out = {}
     for i in range(1, rho.signature.num_marked + 1):
         try:
-            out[f"c{i}"] = local_coboundaries(rho, [chi], [f"c{i}"])[0][0].residual
+            out[f"c{i}"] = local_solves(rho, [chi], [f"c{i}"])[0][0].residual
         except CocycleNotParabolicError:
             out[f"c{i}"] = None
     return out

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, make_closed_rep, make_genus1_rep,
-                      make_genus2_rep, near_identity_sl2, rand_sl2, relator_walks,
-                      thrice_punctured_rep)
+from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, local_solves, make_closed_rep,
+                      make_genus1_rep, make_genus2_rep, near_identity_sl2, rand_sl2,
+                      relator_walks, thrice_punctured_rep)
 from oracles import coboundary, conjugated, evaluate_ring, local_kernel_basis, random_quadpoly
-from charvar.cocycles import (Cocycle, local_coboundaries, parabolic_parameter_basis,
-                              random_parabolic_cocycle)
+from charvar.cocycles import Cocycle, parabolic_parameter_basis, random_parabolic_cocycle
 from charvar.goldman import (CUP_SIGN, _walk, cup_product_on_chain, goldman_closed,
                              goldman_matrix, pairing)
 from charvar.monodromy import MonodromyEngine, build_potential
@@ -199,7 +198,7 @@ def _fox_reference(rho, chi1, chi2, local_tol=1e-6):
         sharp = fox_derivative(R, gen).anti_involution()
         total -= killing(evaluate_ring(chi1, sharp), chi2(sig.gen(gen)))
         if gen.startswith("c"):
-            solve = local_coboundaries(rho, [chi2], [gen], local_tol)[0][0]
+            solve = local_solves(rho, [chi2], [gen], local_tol)[0][0]
             total -= killing(chi1(sig.gen(gen).inverse()), solve.poly)
     return total
 
@@ -221,7 +220,7 @@ class TestPrefixScan:
                 assert rep.relator_residuals == (chi1(R).norm(), chi2(R).norm())
                 for i in range(1, rho.signature.num_marked + 1):
                     gen = f"c{i}"
-                    solve = local_coboundaries(rho, [chi2], [gen])[0][0]
+                    solve = local_solves(rho, [chi2], [gen])[0][0]
                     assert rep.p2[gen] == solve.poly
                     assert rep.local_residuals[gen] == solve.residual
                     assert rep.kernel_dims[gen] == solve.kernel_dim

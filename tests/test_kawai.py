@@ -7,14 +7,30 @@ import numpy as np
 import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, relator_walks
-from oracles import direction_family, finite_difference_cocycle
+from oracles import direction_family, finite_difference_cocycle, moment_residuals
 from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
                            _abs_trace_rate, displace, kawai_experiment)
 from charvar.monodromy import build_potential, potential_tangent
-from charvar.serialize import complex_in, sphere_in
+from charvar.serialize import complex_in, dumps_deterministic, int_in, sphere_in
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DIRECTIONS = (AccessoryDirection(0), PointDirection((0, 0, 1)))
+
+
+def _experiment(config):
+    """(base, t directions, grid, accessory directions) of a kawai config,
+    read as ``charvar kawai`` reads it."""
+    cfg = json.loads((CONFIGS / config).read_text())
+    t_dirs = [PointDirection(tuple(map(complex_in, d["velocities"])))
+              for d in cfg.get("t_directions", [])]
+    acc = None
+    if "accessory_directions" in cfg:
+        acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
+               for d in cfg["accessory_directions"]]
+    grid = [GridOffset(tuple(map(complex_in, g.get("t", []))),
+                       tuple(map(complex_in, g.get("c", [])))) for g in cfg.get("grid", [{}])]
+    return sphere_in(cfg["sphere"]), t_dirs, grid, acc
 
 
 def _tangents(data):
@@ -25,7 +41,7 @@ def test_displace_accessory_resolves_dependents():
     data = four_cusp_data(0.2 + 0.1j)
     moved = displace(data, AccessoryDirection(0), 0.05)
     assert moved.accessory()[0] == pytest.approx(0.25 + 0.1j)
-    assert max(moved.moment_residuals()) < 1e-13
+    assert max(moment_residuals(moved)) < 1e-13
     assert moved.points == data.points
 
 
@@ -34,7 +50,7 @@ def test_displace_point_keeps_accessory():
     moved = displace(data, PointDirection((0, 0, 1)), 0.01)
     assert moved.points[2] == pytest.approx(FOUR_CUSP_T + 0.01)
     assert moved.accessory() == data.accessory()
-    assert max(moved.moment_residuals()) < 1e-13
+    assert max(moment_residuals(moved)) < 1e-13
 
 
 def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
@@ -88,14 +104,11 @@ def test_reduced_cocycles_keep_omega_accurate():
     # offsets about it, omega(c0, t2) = pi*i to ~2e-11 (subtracting the
     # coboundary through the 3x3 adjoint matrix read 3e-11 to 4e-11 in the
     # median and up to 1e-10 on the grid)
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                      / "kawai-4cusp.json").read_text())
-    grid = [GridOffset(tuple(map(complex_in, g["t"])), tuple(map(complex_in, g["c"])))
-            for g in cfg["grid"]]
+    base, t_dirs, grid, _ = _experiment("kawai-4cusp.json")
     rng = np.random.default_rng(1)
     grid += [GridOffset(t=(complex(*0.06 * rng.standard_normal(2)),),
                         c=(complex(*0.06 * rng.standard_normal(2)),)) for _ in range(40)]
-    rep = kawai_experiment(sphere_in(cfg["sphere"]), [PointDirection((0, 0, 1))], grid=grid)
+    rep = kawai_experiment(base, t_dirs, grid=grid)
     errs = [abs(r.pairing("c0", "t2") / (math.pi * 1j) - 1) for r in rep.results]
     assert max(errs[:3]) <= 5e-11, errs[:3]
     assert statistics.median(errs[3:]) <= 2.5e-11
@@ -111,6 +124,35 @@ def test_omega_is_pi_i_on_orbifolds(orders):
     res = kawai_experiment(base, [PointDirection((0, 0, 1))]).results[0]
     assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-7
     assert res.antisymmetry_defect <= 1e-8 * res.scale
+
+
+@pytest.mark.parametrize("config", ["kawai-4cusp.json", "kawai-5point.json"])
+def test_grid_points_are_independent(config, monkeypatch):
+    # one derivative stage and one batch of local solves take every grid
+    # point; each grid point's report (omega and every residual) must be bit
+    # for bit that of its offset run alone.  kawai-5point mixes cusps and
+    # elliptic points (order 3, and 2 at infinity) and circles and stem
+    # steps whose series differ in length within one batch
+    import charvar.monodromy as mono
+    batches = []
+    circle_tangents = mono._circle_tangents
+
+    def recorded(poles, tangents, circles):
+        batches.append(circles)
+        return circle_tangents(poles, tangents, circles)
+
+    monkeypatch.setattr(mono, "_circle_tangents", recorded)
+    base, t_dirs, grid, acc = _experiment(config)
+    rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
+    assert len(grid) == 3 and len(batches) == 1
+    assert sorted({i for i, _ in batches[0]}) == [0, 1, 2]
+    assert len({len(cir.a) for _, cir in batches[0]}) > 1
+    if config == "kawai-5point.json":
+        assert {cir.order for _, cir in batches[0]} == {None, 2, 3}
+    for offset, point in zip(grid, rep.results):
+        alone = kawai_experiment(base, t_dirs, grid=[offset], accessory_directions=acc)
+        assert dumps_deterministic(point.as_dict()) == dumps_deterministic(
+            alone.results[0].as_dict()), offset
 
 
 def test_grid_offsets_and_report_shape():
@@ -141,30 +183,31 @@ def test_constant_family_zero_cocycle(four_cusp_rep):
 
 
 def test_grid_point_pairs_each_cocycle_once(monkeypatch):
-    # two cocycles on four marked points: one batch of 2 x 4 local solves
-    # (not one solve per cocycle and point, 8, nor one set per ordered pair,
-    # 16), one walk of the relator on rho's side, for the pairing, the
-    # cocycles' relator residuals and rho's alike, and one walk of it per
-    # cocycle
+    # two cocycles on four marked points at each grid point: one batch of
+    # local solves for every grid point, 2 x 4 systems each (not one solve
+    # per cocycle and point, nor one set per ordered pair, nor one batch per
+    # grid point), one walk of the relator on rho's side per grid point, for
+    # the pairing, the cocycles' relator residuals and rho's alike, and one
+    # walk of it per cocycle
     import charvar.goldman as goldman
     calls = {"solve": [], "walk": 0}
     walked = relator_walks(monkeypatch)
+    batch, walk = goldman.local_coboundaries, goldman._walk
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def solves(systems, tol=1e-6):
+        calls["solve"].append([(len(chis), len(gens)) for _, chis, gens in systems])
+        return batch(systems, tol)
 
-    batch = goldman.local_coboundaries
-
-    def solves(rho, chis, gens, tol=1e-6):
-        calls["solve"].append((len(chis), len(gens)))
-        return batch(rho, chis, gens, tol)
+    def walks(chi, frame):
+        calls["walk"] += 1
+        return walk(chi, frame)
 
     monkeypatch.setattr(goldman, "local_coboundaries", solves)
-    monkeypatch.setattr(goldman, "_walk", counting("walk", goldman._walk))
-    rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))])
-    assert rep.labels == ["c0", "t2"]
-    assert calls == {"solve": [(2, 4)], "walk": 2}
-    assert len(walked) == 1
+    monkeypatch.setattr(goldman, "_walk", walks)
+    for grid in ([GridOffset()], [GridOffset(), GridOffset(t=(0.02,)), GridOffset(c=(0.01,))]):
+        calls.update(solve=[], walk=0)
+        walked.clear()
+        rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=grid)
+        assert rep.labels == ["c0", "t2"]
+        assert calls == {"solve": [[(2, 4)] * len(grid)], "walk": 2 * len(grid)}
+        assert len(walked) == len(grid)
