@@ -7,7 +7,8 @@ along the fiber coordinate, and the full pairing matrix is antisymmetric.
 The absolute normalization against the canonical cotangent form is not
 asserted (it lives in out-of-scope quasiconformal pairings).
 
-An experiment transports every grid point first and then differentiates
+An experiment transports every grid point first, every series of every grid
+point in one lockstep batch (``monodromy.transport``), then differentiates
 them all in one derivative stage (``monodromy.tangent_images``) and solves
 all their local systems in one batch (``goldman.goldman_matrices``); each
 grid point's report is bit for bit that of its offset run alone.
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
 from .monodromy import (MonodromyEngine, SphereData, Transport, build_potential,
-                        potential_tangent, tangent_images)
+                        potential_tangent, tangent_images, transport)
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -163,9 +164,9 @@ def _displaced(base: SphereData, t_directions, acc_directions, offset: GridOffse
     return data
 
 
-def _grid_result(offset: GridOffset, labels: list[str], transport: Transport, derivatives,
+def _grid_result(offset: GridOffset, labels: list[str], tr: Transport, derivatives,
                  chis, omega, solves) -> GridResult:
-    rho = transport.rho
+    rho = tr.rho
     drifts = {lab: max(_abs_trace_rate(rho.images[g], dimages[g])
                        for g in rho.signature.generators)
               for lab, dimages in zip(labels, derivatives)}
@@ -176,7 +177,7 @@ def _grid_result(offset: GridOffset, labels: list[str], transport: Transport, de
     kdims = {k: s.kernel_dim for k, s in solves[0].items()}  # rho's alone
     return GridResult(offset, labels, omega,
                       relation_residual=rho.relator_residual(),
-                      wronskian_drift=transport.drift,
+                      wronskian_drift=tr.drift,
                       trace_drifts=drifts,
                       cocycle_relator_residuals=relres,
                       local_residuals=local, kernel_dims=kdims)
@@ -190,13 +191,14 @@ def kawai_experiment(base: SphereData,
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
     Paths and homotopy classes are frozen per grid point.  Every grid point
-    is transported first (``MonodromyEngine.transport``: each lasso's stem
-    once, each circle's monodromy exact), and then one derivative stage
-    takes the tangents of every direction at every grid point
-    (``tangent_images``: one quadrature batch over all stem steps and one
-    over all circles).  The Goldman matrices share one batch of local solves
-    (``goldman_matrices``).  Each grid point's report is bit for bit that of
-    its offset run alone.
+    is transported first (``transport``: each lasso's stem once, each
+    circle's monodromy exact, every series of every grid point in one
+    lockstep batch, the engines built as it draws them), and then one
+    derivative stage takes the tangents of every direction at every grid
+    point (``tangent_images``: one quadrature batch over all stem steps and
+    one over all circles).  The Goldman matrices share one batch of local
+    solves (``goldman_matrices``).  Each grid point's report is bit for bit
+    that of its offset run alone.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
@@ -211,7 +213,7 @@ def kawai_experiment(base: SphereData,
     points = [_displaced(base, t_directions, accessory_directions, offset) for offset in grid]
     tangents = [[potential_tangent(data, *d.velocity(data)) for d in directions]
                 for data in points]
-    transports = [MonodromyEngine(data).transport(relation_tol=relation_tol) for data in points]
+    transports = transport(((MonodromyEngine(data), data) for data in points), relation_tol)
     derivatives = tangent_images(transports, tangents)
     rhos = [tr.rho for tr in transports]
     chis = [[tangent_cocycle(rho, dimages) for dimages in ders]

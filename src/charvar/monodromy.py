@@ -9,23 +9,28 @@ the accessory parameters.  Frobenius exponents at a marked point are
 
 A lasso is a stem from the base point to an entry point near its marked point
 and a circle about that point through the entry.  The stem is transported by
-Taylor steps (``_transport``), once per lasso; the circle is not
+Taylor steps (``_transport`` plans them), once per lasso; the circle is not
 integrated at all: its monodromy is exact from the Frobenius basis at the
 marked point (``_local_monodromy``, after van der Hoeven 2001 and Mezzarobba
 2016).  Both carry derivatives along deformations of the potential, both by
 variation of constants over the series they already sum: a Gauss-Legendre
 rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
-One recurrence (``_series``) sums the stem steps' Taylor series and the
-circles' Frobenius bases, in pure Python and in a fixed order.  The
-untangented transport of a representation (``MonodromyEngine.transport``,
-all of ``charvar monodromy``) is that and nothing more.  The derivatives are
-a separate stage (``tangent_images``) that takes the transports of any
-number of representations, each with its own poles and tangents: its
-quadratures are numpy array operations over cached tables of the nodes'
-powers, one batch for every step of every stem (``_step_tangents``) and one
-for every circle (``_circle_tangents``), and each representation's
-derivatives are bit for bit those of a stage of its own.
+One recurrence sums the stem steps' Taylor series and the circles' Frobenius
+bases: a lockstep numpy batch (``_lockstep``) that takes every series of
+every representation of a call one term index at a time, with Python's
+rounding (complex products from rounded real products, sums term after
+term) and no BLAS, so that each series is bit for bit the scalar recurrence
+summed alone.  The untangented transport of any number of representations
+(``transport``, all of ``charvar monodromy``) plans every step first, since
+the steps depend only on the poles and the vertices, sums that one batch,
+and assembles each representation in turn.  The derivatives are a separate
+stage (``tangent_images``) that takes the transports of any number of
+representations, each with its own poles and tangents: its quadratures are
+numpy array operations over cached tables of the nodes' powers, one batch
+for every step of every stem (``_step_tangents``) and one for every circle
+(``_circle_tangents``), and each representation's derivatives are bit for
+bit those of a stage of its own.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -37,11 +42,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +60,12 @@ class IntegrationError(RuntimeError):
 
 class OrderingError(RuntimeError):
     """Lasso ordering/clearance failure (relation does not close)."""
+
+
+#: the errors that building and transporting a sphere's lassos can raise: a
+#: batch that plans ahead keeps them and raises the first where a walk job
+#: by job, lasso by lasso and step by step would meet it (``transport``)
+_FAILURES = (IntegrationError, OrderingError, ArithmeticError, ValueError)
 
 
 def theta_of(order: Optional[int]) -> float:
@@ -306,7 +315,7 @@ _QUAD_NODES = 16
 @functools.lru_cache(maxsize=None)
 def _powers(nodes: tuple):
     """The table t_i^n of the nodes, n = 0, ..., _MAX_TERMS + 1 by rows, as
-    long as a series of ``_series`` can get (at most two leading terms and
+    long as a series of ``_lockstep`` can get (at most two leading terms and
     _MAX_TERMS new ones): the values of padded coefficient rows c at the
     nodes are c @ table (``_at_nodes``).  Computed once per node tuple."""
     return np.power(np.array(nodes), np.arange(_MAX_TERMS + 2)[:, None]).astype(complex)
@@ -351,7 +360,7 @@ def _at_nodes(pairs, powers):
     lengths = np.array([len(c) for c in lists])
     n = lengths.max()
     coeffs = np.zeros((len(pairs), 2, n), dtype=complex)
-    coeffs[np.arange(n) < lengths.reshape(-1, 2, 1)] = list(itertools.chain.from_iterable(lists))
+    coeffs[np.arange(n) < lengths.reshape(-1, 2, 1)] = np.concatenate(lists)
     coeffs = coeffs.reshape(-1, n)
     values = coeffs[:, :_DOT_CHUNK] @ powers[:min(n, _DOT_CHUNK)]
     for k in range(_DOT_CHUNK, n, _DOT_CHUNK):
@@ -391,83 +400,190 @@ def _rows(poles, tangents, reps):
             np.asarray(tangents, dtype=complex)[reps])
 
 
-def _ends(c):
-    """Value and tau-slope of sum c_n tau^n at tau = +1, then at tau = -1."""
-    even, odd = c[0::2], c[1::2]
-    e, o = sum(even), sum(odd)
-    de = sum(map(mul, range(0, 2 * len(even), 2), even))
-    do = sum(map(mul, range(1, 2 * len(odd), 2), odd))
-    return e + o, de + do, e - o, do - de
+#: a series of the lockstep recurrence (``_lockstep``): a Taylor step
+#: (``_step_row``) or a circle's Frobenius basis (``_circle_row``).  With the
+#: coefficients P_i of its scaled potential, the j-th new term of each list
+#: c = a, b is, with n = j + 1,
+#:     c_new = -(sum_(i<=j) P_i c[j-i] [+ 2 n a_new]) / (n (n + e)),
+#: e = shifts[0] for a and shifts[1] for b, the bracket for b only if ``log``
+#: (the log solution at a cusp); a and b hold the leading terms (two for a
+#: Taylor step, one for a circle).  ``laurent`` = (head, u, v, r, pw, k)
+#: gives the P_i: ``head`` lists the leading ones (none or one), and every
+#: later one is
+#:     P_i = (i + k) sum u pw + sum v pw,  then pw <- pw r,
+#: summed over the poles.
+_Row = namedtuple("_Row", "laurent a b shifts log")
+
+#: the lockstep recurrence grows its tables by this many terms at a time
+_CHUNK = 32
 
 
-def _series(laurent, a, b, shifts, log: bool, name: str):
-    """(a, b): the coefficient lists a and b of two solutions, extended in
-    place by the one recurrence of the Taylor steps and the Frobenius bases
-    until both settle.
+def _cmul(x, y):
+    """x y for complex arrays, rounded as CPython rounds a complex product:
+    re = xr yr - xi yi and im = xr yi + xi yr, each real product rounded on
+    its own (numpy's complex multiply may fuse them).  A real factor f is
+    complex(f, 0.0), so its zero imaginary part enters as 0.0 yi and
+    0.0 yr."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    xr, xi = np.real(x), np.imag(x)
+    out.real = xr * y.real - xi * y.imag
+    out.imag = xr * y.imag + xi * y.real
+    return out
 
-    With the coefficients P_i of the scaled potential, the j-th new term of
-    each list c = a, b is, with n = j + 1,
-        c_new = -(sum_(i<=j) P_i c[j-i] [+ 2 n a_new]) / (n (n + e)),
-    e = shifts[0] for a and shifts[1] for b, the bracket for b only if
-    ``log`` (the log solution at a cusp).  ``laurent`` = (head, u, v, r, pw,
-    k) gives the P_i: ``head`` lists the leading ones, and every later one is
-        P_i = (i + k) sum u pw + sum v pw,  then pw <- pw r.
-    A term's size is (|a_new| + |b_new|)(j + 2); the series stop after two
-    consecutive sizes below _TAIL of the largest, and a non-finite size or
-    _MAX_TERMS new terms raise IntegrationError naming the series ``name``.
-    The arithmetic keeps one fixed order, so the sums are bit-reproducible.
+
+def _sum(x):
+    """Python's sum() over axis 0: left to right from 0.  The other axes
+    must hold at least two numbers: numpy then adds along axis 0 one slice
+    after the other, where for a single column it would sum pairwise."""
+    return np.add.reduce(x, axis=0, initial=0j)
+
+
+#: the summed rows of a ``_lockstep`` batch: per row its coefficient lists a
+#: and b (``coeffs[row]``, 2 x terms, exact zeros past ``lengths[row]``), its
+#: status (None when it settled, else the failure ``_settled`` raises), and
+#: per list the sums ``_transfer`` and ``_local_monodromy`` read: over the
+#: even terms, the even terms times n, the odd terms, the odd terms times n,
+#: all terms and all terms times n (``sums[row][list]``); ``most`` is the
+#: term cap it ran with
+_Series = namedtuple("_Series", "coeffs lengths status sums most")
+
+
+def _lockstep(rows) -> _Series:
+    """Sum the series of ``rows`` (``_Row``) in lockstep, one term index at
+    a time for all rows.  A term's size is (|a_new| + |b_new|)(j + 2); a row
+    settles after two consecutive sizes below _TAIL of its largest, and
+    fails on a non-finite size or after _MAX_TERMS new terms (both read at
+    call time).
+
+    Each row is bit for bit the scalar recurrence summed alone: complex
+    products are formed from rounded real products (``_cmul``), sums add
+    term after term from 0 (``_sum``), sizes are ``np.hypot`` as ``abs`` is,
+    and no matmul or BLAS takes part.  The coefficients grow downward in
+    memory, so that c_j, ..., c_0 of every row is one slice for the
+    convolution with P_0, ..., P_j; the arrays grow by _CHUNK terms.
+    Zero-padded poles add exact zeros to sums that start from +0.0.  Rows
+    that stopped are computed on, under ``np.errstate``, and zeroed past
+    their stop at the end.
     """
-    head, u, v, r, pw, k = laurent
-    P = list(head)
-    ea, eb = shifts
-    ar: list[complex] = []  # a[j], ..., a[0], the convolution's other factor
-    br: list[complex] = []
-    big, quiet = 1.0, 0
-    for j in range(_MAX_TERMS):
-        if j == len(P):
-            P.append((j + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)))
-            pw = list(map(mul, pw, r))
-        n = j + 1
-        ar.insert(0, a[j])
-        br.insert(0, b[j])
-        a.append(-1.0 / (n * (n + ea)) * sum(map(mul, P, ar)))
-        sb = sum(map(mul, P, br))
-        b.append(-1.0 / (n * (n + eb)) * (sb + 2 * n * a[-1] if log else sb))
-        size = abs(a[-1]) + abs(b[-1])
-        size *= j + 2
-        if not math.isfinite(size):
-            raise IntegrationError(f"non-finite {name}")
-        big = max(big, size)
-        quiet = quiet + 1 if size <= _TAIL * big else 0
-        if quiet == 2:
-            return a, b
-    raise IntegrationError(f"{name} did not converge in {_MAX_TERMS} terms")
+    tail, most = _TAIL, _MAX_TERMS
+    count = len(rows)
+    width = max(len(row.laurent[1]) for row in rows)  # poles, zero-padded
+
+    def padded(x, n=width):
+        return [*x, *[0j] * (n - len(x))]
+
+    data = np.array([padded(row.laurent[1]) + padded(row.laurent[2]) + padded(row.laurent[3])
+                     + padded(row.laurent[4]) + padded(row.a, 2) + padded(row.b, 2)
+                     + padded(row.laurent[0], 1) for row in rows], dtype=complex).T
+    uv = data[:2 * width].reshape(2, width, count).swapaxes(0, 1)  # poles x (u, v) x rows
+    r, pw = data[2 * width:4 * width].reshape(2, width, count)
+    k, ea, eb, log, heads, lead = np.array([(row.laurent[5], *row.shifts, row.log,
+                                             bool(row.laurent[0]), len(row.a)) for row in rows],
+                                           dtype=float).T
+    log, heads, lead = log.astype(bool), heads.astype(bool), lead.astype(int)
+    c = np.zeros((_CHUNK, 2, count), dtype=complex)  # term c_t of lists a, b at base - t
+    base = _CHUNK - 1
+    c[base - 1:] = data[4 * width:4 * width + 4].reshape(2, 2, count).swapaxes(0, 1)[::-1]
+    p = np.zeros((_CHUNK, 1, count), dtype=complex)  # P_j of each row
+    big, quiet = np.ones(count), np.zeros(count)
+    active, last = np.ones(count, dtype=bool), np.full(count, most - 1)
+    status = [None] * count
+    cols = np.arange(count)
+    with np.errstate(all="ignore"):
+        for j in range(most):
+            if base < j + 2:
+                c = np.concatenate((np.zeros((_CHUNK, 2, count), dtype=complex), c))
+                p = np.concatenate((p, np.zeros((_CHUNK, 1, count), dtype=complex)))
+                base += _CHUNK
+            su, sv = _sum(_cmul(pw[:, None], uv))  # over the poles
+            pj = _cmul(j + k, su) + sv
+            step = _cmul(pw, r)
+            if j == 0:  # a row with a head takes P_0 from it and does not advance pw
+                pj, pw = np.where(heads, data[-1], pj), np.where(heads, pw, step)
+            else:
+                pw = step
+            p[j, 0] = pj
+            n = j + 1
+            conv = _sum(_cmul(p[:n], c[base - j:base + 1]))  # P_0 c_j + ... + P_j c_0
+            a = _cmul(-1.0 / (n * (n + ea)), conv[0])
+            sb = np.where(log, conv[1] + _cmul(2.0 * n, a), conv[1])
+            new = np.array([a, _cmul(-1.0 / (n * (n + eb)), sb)])
+            c[base - j - lead, :, cols] = new.T
+            mod = np.hypot(new.real, new.imag)
+            size = (mod[0] + mod[1]) * (j + 2)
+            big = np.maximum(big, size)
+            quiet = np.where(size <= tail * big, quiet + 1, 0)
+            finite = np.isfinite(size)
+            stop = active & ((quiet == 2) | ~finite)
+            if stop.any():
+                for i in np.flatnonzero(stop & ~finite):
+                    # abs() of a complex with finite parts raises when hypot overflows
+                    parts = np.isfinite(new[:, i].real) & np.isfinite(new[:, i].imag)
+                    status[i] = "overflow" if (parts & np.isinf(mod[:, i])).any() else "non-finite"
+                last[stop] = j
+                active &= ~stop
+                if not active.any():
+                    break
+        for i in np.flatnonzero(active):
+            status[i] = "diverged"
+        lengths = last + lead + 1
+        terms = lengths.max()
+        asc = np.where(np.arange(terms)[:, None, None] < lengths,
+                       c[base - terms + 1:base + 1][::-1], 0)
+        weighted = _cmul(np.arange(terms, dtype=float)[:, None, None], asc)  # n c_n
+        sums = [_sum(x) for x in (asc[0::2], weighted[0::2], asc[1::2], weighted[1::2], asc,
+                                  weighted)]
+    return _Series(asc.transpose(2, 1, 0), lengths.tolist(), status,
+                   np.array(sums).transpose(2, 1, 0).tolist(), most)
 
 
-def _transfer(poles, z0: complex, h: complex):
-    """Transfer matrix T from z0 to z0 + h (column convention, row-major
-    4-tuple: data at z0 + h = T data at z0) from one Taylor expansion at the
-    midpoint z0 + h/2, and the step's series record
-    (z0, g, a, b, Phi(1), Phi(-1)^-1) for ``_step_tangents``.
+def _settled(series: _Series, row: int, name):
+    """The coefficient lists (a, b) of a row of ``series``, or the error its
+    series met, naming the series ``name()`` (formatted only on a raise)."""
+    status = series.status[row]
+    if status == "overflow":
+        raise OverflowError("absolute value too large")
+    if status == "non-finite":
+        raise IntegrationError(f"non-finite {name()}")
+    if status == "diverged":
+        raise IntegrationError(f"{name()} did not converge in {series.most} terms")
+    a, b = series.coeffs[row, :, :series.lengths[row]]
+    return a, b
+
+
+def _step_row(poles, z0: complex, h: complex, rows) -> int:
+    """Append to ``rows`` the series of a Taylor step from z0 to z0 + h
+    (``_Row``), expanded at the midpoint z0 + h/2, and return its index.
 
     With g = h/2, z = z0 + g + g tau and, per pole, x = g / (p - z0 - g),
     q/2 = sum A/(z-p)^2 + B/(z-p) expands by geometric series as
     g^-2 sum_k P_k tau^k with P_k = (k+1) sum A x^(k+2) - g sum B x^(k+1),
-    and ``_series`` sums the canonical solutions a, b (identity data in tau
-    at the midpoint; shifts 1).  They make Phi = [[a, b], [a', b']],
-    det Phi = 1, and T = Phi(1) Phi(-1)^-1 in tau data, conjugated by
-    diag(1, 1/g) into z data.
-    """
+    and the row's a and b are the canonical solutions (identity data in tau
+    at the midpoint; shifts 1)."""
     g = h / 2
     xs = [g / (p - z0 - g) for p, _, _ in poles]
-    laurent = ((), [A * x for (_, A, _), x in zip(poles, xs)],
-               [-(B * g) for _, _, B in poles], xs, xs, 1)
-    a, b = _series(laurent, [1.0 + 0j, 0j], [0j, 1.0 + 0j],  # psi_a and psi_b / g
-                   (1, 1), False, f"Taylor series at {z0:.6g}")
-    va, sa, wa, ta = _ends(a)
-    vb, sb, wb, tb = _ends(b)
-    splus = (va, g * vb, sa / g, sb)  # column matrices of (psi_a, psi_b) at z0 + h
-    inv = mat_inv_unit((wa, g * wb, ta / g, tb))  # and at z0; the Wronskian is 1
+    rows.append(_Row(((), [A * x for (_, A, _), x in zip(poles, xs)],
+                      [-(B * g) for _, _, B in poles], xs, xs, 1),
+                     (1.0 + 0j, 0j), (0j, 1.0 + 0j), (1, 1), False))  # psi_a and psi_b / g
+    return len(rows) - 1
+
+
+def _transfer(z0: complex, h: complex, series: _Series, row: int):
+    """Transfer matrix T from z0 to z0 + h (column convention, row-major
+    4-tuple: data at z0 + h = T data at z0) from the step's summed series
+    (``_step_row``, row ``row`` of ``series``), and the step's series record
+    (z0, g, a, b, Phi(1), Phi(-1)^-1) for ``_step_tangents``.
+
+    The canonical solutions a, b make Phi = [[a, b], [a', b']], det Phi = 1,
+    and T = Phi(1) Phi(-1)^-1 in tau data, conjugated by diag(1, 1/g) into
+    z data; Phi(+-1) take the sums of the even and the odd terms.
+    """
+    g = h / 2
+    a, b = _settled(series, row, lambda: f"Taylor series at {z0:.6g}")
+    (ea, dea, oa, doa, _, _), (eb, deb, ob, dob, _, _) = series.sums[row]
+    # the column matrices of (psi_a, psi_b) at z0 + h, and at z0 (Wronskian 1)
+    splus = (ea + oa, g * (eb + ob), (dea + doa) / g, deb + dob)
+    inv = mat_inv_unit((ea - oa, g * (eb - ob), (doa - dea) / g, dob - deb))
     return mat_mul(splus, inv), (z0, g, a, b, splus, inv)
 
 
@@ -516,13 +632,13 @@ def _step_tangents(poles, tangents, steps):
 _Stem = namedtuple("_Stem", "u steps records end")
 
 
-def _transport(poles, vertices) -> _Stem:
-    """Taylor transport along a polyline, in the column convention: each
-    step reaches at most STEP_RATIO of the distance to the nearest pole and
-    U <- T U accumulates the steps' transfer matrices."""
+def _transport(poles, vertices, rows, steps):
+    """Plan the Taylor transport along a polyline: each step reaches at most
+    STEP_RATIO of the distance to the nearest pole.  Appends the series of
+    every step to ``rows`` (``_step_row``) and its (z0, h, row) to
+    ``steps``, in order, and raises IntegrationError where a step would
+    underflow.  The steps depend only on the poles and the vertices."""
     verts = [complex(v) for v in vertices]
-    u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    steps, records = [], []
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
         reach = STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
@@ -544,14 +660,24 @@ def _transport(poles, vertices) -> _Stem:
                                        f"near {z:.6g}")
         if target == z:
             continue
-        T, record = _transfer(poles, z, target - z)
-        steps.append((T, u))
+        steps.append((z, target - z, _step_row(poles, z, target - z, rows)))
+        z = target
+
+
+def _stem(steps, series: _Series, end: complex) -> _Stem:
+    """The transport of a planned polyline (``_transport``) in the column
+    convention: U <- T U accumulates the transfer matrices of its summed
+    steps, each step's series error raised before it is used."""
+    u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    pairs, records = [], []
+    for z0, h, row in steps:
+        T, record = _transfer(z0, h, series, row)
+        pairs.append((T, u))
         records.append(record)
         u = mat_mul(T, u)
         if not all(map(cmath.isfinite, u)):
-            raise IntegrationError(f"non-finite transport at {z:.6g}")
-        z = target
-    return _Stem(u, steps, records, z)
+            raise IntegrationError(f"non-finite transport at {z0:.6g}")
+    return _Stem(u, pairs, records, end)
 
 
 def _stem_tangents(poles, tangents, stems):
@@ -633,7 +759,7 @@ def _ray_rule(order: Optional[int]):
 
 
 def _laurent(poles, path: LoopPath, s: complex):
-    """(head, u, v, r, pw, k) of ``_series`` for the Laurent coefficients of
+    """(head, u, v, r, pw, k) of a ``_Row`` for the Laurent coefficients of
     the potential R(u) = sum R_m u^(m-2) about a marked point in its local
     coordinate u, scaled to the entry point as P_(m-1) = R_m s^m,
     s = u(entry).  R_0 = theta/4 enters through the exponents.
@@ -666,26 +792,14 @@ def _laurent(poles, path: LoopPath, s: complex):
 _Circle = namedtuple("_Circle", "path order s a b g ginv mh mh_inv")
 
 
-def _local_monodromy(poles, path: LoopPath, order: Optional[int]):
-    """(C, Wronskian drift, circle record) for the circle of ``path``
-    (column convention, row-major 4-tuples): C = Phi N Phi^-1 is the exact
-    monodromy of the loop from the entry point, the drift compares the
-    Frobenius Wronskian with its exact value, and the record (``_Circle``)
-    keeps the expansion for ``_circle_tangents``.
-
-    In the local coordinate u (see ``_laurent``) the exponents are
-    rho = (1 +- 1/e)/2 at an order-e point, and ``_series`` (shifts +-1/e)
-    sums the basis u^rho sum a_n u^n, which the loop multiplies by
-    exp(2 pi i rho): N = diag(exp(2 pi i rho)).  At a cusp rho = 1/2 is
-    double, the second solution is phi_1 log u + u^(1/2) sum b_n u^n
-    (shifts 0, with the log term), and N = [[-1, -2 pi i], [0, -1]].  The
-    powers u^rho and the log commute with N, so Phi is replaced by the
-    matrix Mh of the reduced data (sum a_n s^n, rho sum a_n s^n +
-    sum n a_n s^n) of each basis function, whose determinant is exactly
-    rho_- - rho_+ (cusp: 1), and by G, the map from reduced data to
-    (psi, psi') at the entry point: diag(1, 1/s), and at infinity
-    [[1/s, 0], [1, -1]] since psi = phi / w.
-    """
+def _circle_row(poles, path: LoopPath, order: Optional[int], rows):
+    """Append to ``rows`` the Frobenius series of the circle of ``path``
+    about a marked point of the given order (``_Row``) and return (s, G,
+    G^-1, its index) for ``_local_monodromy``: s = u(entry) in the local
+    coordinate u of ``_laurent``, and G maps reduced data to (psi, psi') at
+    the entry point: diag(1, 1/s), and at infinity [[1/s, 0], [1, -1]] since
+    psi = phi / w.  The shifts are +-1/e at an order-e point, and 0 with the
+    log term at a cusp."""
     entry = path.stem[1]
     if path.target == "inf":
         s = 1 / (entry - path.centre)
@@ -695,11 +809,36 @@ def _local_monodromy(poles, path: LoopPath, order: Optional[int]):
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
     cusp = order is None
     dlt = 0.0 if cusp else 1.0 / order
-    a, b = _series(_laurent(poles, path, s), [1.0 + 0j], [0j if cusp else 1.0 + 0j],
-                   (dlt, -dlt), cusp, f"Frobenius series at {path.target}")
-    sa, sb = sum(a), sum(b)
-    ta = sum(map(mul, range(len(a)), a))
-    tb = sum(map(mul, range(len(b)), b))
+    rows.append(_Row(_laurent(poles, path, s), (1.0 + 0j,), (0j if cusp else 1.0 + 0j,),
+                     (dlt, -dlt), cusp))
+    return s, g, ginv, len(rows) - 1
+
+
+def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Series):
+    """(C, Wronskian drift, circle record) for the circle of ``path``
+    (column convention, row-major 4-tuples) from its summed Frobenius series
+    (``circle`` = (s, G, G^-1, row) of ``_circle_row``, row ``row`` of
+    ``series``): C = Phi N Phi^-1 is the exact monodromy of the loop from
+    the entry point, the drift compares the Frobenius Wronskian with its
+    exact value, and the record (``_Circle``) keeps the expansion for
+    ``_circle_tangents``.
+
+    In the local coordinate u (see ``_laurent``) the exponents are
+    rho = (1 +- 1/e)/2 at an order-e point, and the series (shifts +-1/e)
+    are the basis u^rho sum a_n u^n, which the loop multiplies by
+    exp(2 pi i rho): N = diag(exp(2 pi i rho)).  At a cusp rho = 1/2 is
+    double, the second solution is phi_1 log u + u^(1/2) sum b_n u^n
+    (shifts 0, with the log term), and N = [[-1, -2 pi i], [0, -1]].  The
+    powers u^rho and the log commute with N, so Phi is replaced by the
+    matrix Mh of the reduced data (sum a_n s^n, rho sum a_n s^n +
+    sum n a_n s^n) of each basis function, whose determinant is exactly
+    rho_- - rho_+ (cusp: 1), and by G.
+    """
+    s, g, ginv, row = circle
+    a, b = _settled(series, row, lambda: f"Frobenius series at {path.target}")
+    (*_, sa, ta), (*_, sb, tb) = series.sums[row]
+    cusp = order is None
+    dlt = 0.0 if cusp else 1.0 / order
     if cusp:
         mh = (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
     else:
@@ -818,26 +957,66 @@ def _circle_tangents(poles, tangents, circles):
 _Lassos = namedtuple("_Lassos", "poles stems circles images sinvs drifts")
 
 
-def _lassos(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]]) -> _Lassos:
-    """The untangented transport of one representation, for each lasso of
-    ``paths`` about a marked point of the given order: L = S^-1 C S (column
-    convention), where S is the stem's transport and C the exact local
-    monodromy, each lasso's stem and circle in turn.  S^-1 is the adjugate,
-    so det L = det(S)^2 det C keeps the stem's drift.  The drift is the worst
-    of the image's, the stem's and the Frobenius Wronskian's.  ``poles``
-    lists the (pole, theta/4, m/2) triples of ``SphereData.half_q_terms``."""
+def _plan(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]], rows):
+    """The plan of one representation's lassos, in order: per lasso its
+    path, order, stem steps (``_transport``) and circle (``_circle_row``),
+    their series appended to ``rows``; and the error that stopped the plan,
+    or None.  The plan stops at the first error, and the lasso it stopped in
+    has no circle: ``_assemble`` raises the error there, after the steps
+    before it, where a walk lasso by lasso, step by step meets it."""
+    plan = []
+    try:
+        for path, order in zip(paths, orders):
+            steps = []
+            plan.append((path, order, steps, None))
+            _transport(poles, path.stem, rows, steps)
+            plan[-1] = (path, order, steps, _circle_row(poles, path, order, rows))
+    except _FAILURES as exc:  # raised in its place by _assemble
+        return plan, exc
+    return plan, None
+
+
+def _assemble(poles, plan, error, series: _Series) -> _Lassos:
+    """The lassos of one planned representation (``_plan``) from its summed
+    series: L = S^-1 C S (column convention) per lasso, where S is the
+    stem's transport and C the exact local monodromy, each lasso's stem and
+    circle in turn.  S^-1 is the adjugate, so det L = det(S)^2 det C keeps
+    the stem's drift.  The drift is the worst of the image's, the stem's and
+    the Frobenius Wronskian's."""
     stems, circles, images, sinvs, drifts = [], [], [], [], []
-    for path, order in zip(paths, orders):
-        stem = _transport(poles, path.stem)
-        c, frob, circle = _local_monodromy(poles, path, order)
+    for path, order, steps, circle in plan:
+        stem = _stem(steps, series, path.stem[1])
+        if circle is None:
+            raise error
+        c, frob, record = _local_monodromy(path, order, circle, series)
         sinv = mat_inv_unit(stem.u)
         lasso = mat_mul(sinv, mat_mul(c, stem.u))
         stems.append(stem)
-        circles.append(circle)
+        circles.append(record)
         images.append(lasso)
         sinvs.append(sinv)
         drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(stem.u), frob))
     return _Lassos(poles, stems, circles, images, sinvs, drifts)
+
+
+def _lassos(jobs):
+    """The untangented transport of the lassos of each job (poles, paths,
+    orders) of ``jobs``, one representation each, as a ``_Lassos`` per job
+    in order (a generator).  ``poles`` lists the (pole, theta/4, m/2)
+    triples of ``SphereData.half_q_terms``.
+
+    Every job is planned first (``_plan``), then one ``_lockstep`` batch
+    sums the series of every Taylor step and every circle of every job,
+    and each job is assembled from it when its turn comes
+    (``_assemble``).  Each row rounds as it would alone, so the results
+    are bit for bit those of each job walked on its own, and the first
+    error raised is the one that walk meets first."""
+    rows, plans = [], []
+    for poles, paths, orders in jobs:
+        plans.append((poles, *_plan(poles, paths, orders, rows)))
+    series = _lockstep(rows) if rows else None
+    for poles, plan, error in plans:
+        yield _assemble(poles, plan, error, series)
 
 
 def _lasso_tangents(lassos: Sequence[_Lassos], tangents) -> list[list[list[Mat2]]]:
@@ -867,9 +1046,9 @@ def _lasso_tangents(lassos: Sequence[_Lassos], tangents) -> list[list[list[Mat2]
 # representations from lasso monodromies
 # ---------------------------------------------------------------------------
 
-#: one representation's monodromy without tangents
-#: (``MonodromyEngine.transport``): rho, the Wronskian drift, and the lassos
-#: (``_Lassos``) that ``tangent_images`` differentiates
+#: one representation's monodromy without tangents (``transport``): rho, the
+#: Wronskian drift, and the lassos (``_Lassos``) that ``tangent_images``
+#: differentiates
 Transport = namedtuple("Transport", "rho drift lassos")
 
 
@@ -887,21 +1066,42 @@ class MonodromyEngine:
         elliptic = tuple(o for o in seq if o is not None)
         return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
 
-    def transport(self, data: Optional[SphereData] = None,
-                  relation_tol: float = 1e-5) -> Transport:
-        """rho and its Wronskian drift for ``data`` (default: the engine's
-        own) along the frozen lassos: each stem is integrated once and each
-        circle's monodromy is exact (``_lassos``).  The drift is the worst
-        |det - 1| of the lasso images and the stems and of the Frobenius
-        Wronskians against their exact values; a lasso product that misses
-        +-identity by more than ``relation_tol`` (or by NaN) raises
-        OrderingError."""
-        from .cocycles import Representation
-        data = self.data if data is None else data
-        lassos = _lassos(data.half_q_terms(), self.paths,
-                         [data.order_at(p.target) for p in self.paths])
+    def representation(self, data: Optional[SphereData] = None,
+                       relation_tol: float = 1e-5,
+                       tangents: Sequence[Tangent] = ()):
+        """(rho, Wronskian drift, tangent images) for ``data`` (default: the
+        engine's own) along the frozen lassos: ``transport`` and
+        ``tangent_images`` of this one representation."""
+        (tr,) = transport([(self, self.data if data is None else data)], relation_tol)
+        return tr.rho, tr.drift, tangent_images([tr], [tangents])[0]
+
+
+def transport(jobs, relation_tol: float = 1e-5) -> list[Transport]:
+    """rho and its Wronskian drift for each job (engine, data) of ``jobs``,
+    along the engine's frozen lassos (``_lassos``: every stem step and
+    every circle of every job summed in one lockstep batch; each circle's
+    monodromy is exact).  The drift is the worst |det - 1| of the lasso
+    images and the stems and of the Frobenius Wronskians against their
+    exact values; a lasso product that misses +-identity by more than
+    ``relation_tol`` (or by NaN) raises OrderingError.
+
+    The results and the first error are those of transporting job after
+    job: a job's errors are raised after the jobs before it are checked,
+    and an error in drawing the next job (``jobs`` may be a generator that
+    builds each engine) after every job drawn before it."""
+    from .cocycles import Representation
+    built, late = [], None
+    try:
+        for engine, data in jobs:
+            built.append((engine, data))
+    except _FAILURES as exc:  # raised once the jobs before it are done
+        late = exc
+    out = []
+    lassos = _lassos([(data.half_q_terms(), engine.paths,
+                       [data.order_at(p.target) for p in engine.paths]) for engine, data in built])
+    for (engine, data), las in zip(built, lassos):
         images = {g: MoebiusMap(*_row(m))
-                  for g, m in zip(self.signature.marked_generators, lassos.images)}
+                  for g, m in zip(engine.signature.marked_generators, las.images)}
         prod = MoebiusMap.identity()
         for image in images.values():
             prod = prod @ image
@@ -910,16 +1110,10 @@ class MonodromyEngine:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        return Transport(Representation(self.signature, images), nan_max(*lassos.drifts),
-                         lassos)
-
-    def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = 1e-5,
-                       tangents: Sequence[Tangent] = ()):
-        """(rho, Wronskian drift, tangent images): ``transport`` and the
-        one-representation case of ``tangent_images``."""
-        transport = self.transport(data, relation_tol)
-        return transport.rho, transport.drift, tangent_images([transport], [tangents])[0]
+        out.append(Transport(Representation(engine.signature, images), nan_max(*las.drifts), las))
+    if late is not None:
+        raise late
+    return out
 
 
 def tangent_images(transports: Sequence[Transport], tangents: Sequence[Sequence[Tangent]]

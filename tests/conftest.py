@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from charvar.cocycles import Representation, local_coboundaries
-from charvar.monodromy import MonodromyEngine, _row, _stem_tangents, _transport, build_potential
+from charvar.monodromy import (MonodromyEngine, _circle_row, _lassos, _local_monodromy, _lockstep,
+                               _row, _stem, _stem_tangents, _step_row, _transfer, _transport,
+                               build_potential)
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
 
@@ -128,12 +130,42 @@ def lasso_polyline(path, arc_segments=16):
 
 def transport(poles, vertices, tangents=()):
     """(M, [dM per tangent]) along a polyline in the row convention: the
-    transport of one stem (``_transport``) and its tangents."""
-    stem = _transport(poles, vertices)
+    transport of one stem, planned (``_transport``), summed in one batch and
+    accumulated (``_stem``), and its tangents."""
+    rows, steps = [], []
+    _transport(poles, vertices, rows, steps)
+    stem = _stem(steps, _lockstep(rows) if rows else None, complex(vertices[-1]))
     if not tangents:
         return _row(stem.u), []
     (du,) = _stem_tangents([poles], [tangents], [(0, stem)])
     return _row(stem.u), [_row(d) for d in du]
+
+
+def transfers(poles, steps):
+    """(T, series record) of ``_transfer`` for each step (z0, h) of
+    ``steps``, their series summed in one batch."""
+    rows = []
+    planned = [(z0, h, _step_row(poles, z0, h, rows)) for z0, h in steps]
+    series = _lockstep(rows)
+    return [_transfer(z0, h, series, row) for z0, h, row in planned]
+
+
+def local_monodromies(poles, paths, orders):
+    """(C, drift, circle record) of ``_local_monodromy`` for the circle of
+    each of ``paths`` about a point of the given order, their Frobenius
+    series summed in one batch."""
+    rows = []
+    circles = [_circle_row(poles, path, order, rows) for path, order in zip(paths, orders)]
+    series = _lockstep(rows)
+    return [_local_monodromy(path, order, circle, series)
+            for path, order, circle in zip(paths, orders, circles)]
+
+
+def lassos(poles, paths, orders):
+    """The untangented lassos (``_Lassos``) of one representation: the
+    ``_lassos`` batch of this one job."""
+    (las,) = _lassos([(poles, paths, orders)])
+    return las
 
 
 def local_solves(rho, chis, gens, tol=1e-6):

@@ -15,19 +15,30 @@
   Killing matrix, coboundaries, group-ring evaluation and conjugated
   representations: references the package computes in closed form.
 - The B_0 bracket of quadratics, and random words and quadratics.
+- The scalar series recurrence, one series at a time in pure Python, and
+  the transport that walks job after job, lasso after lasso and step after
+  step with it: the order and the rounding the lockstep batch of
+  ``charvar.monodromy._lockstep`` must reproduce bit for bit, errors
+  included.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
+import charvar.monodromy as mono
+
 from charvar.cocycles import _RCOND, Cocycle, Representation
-from charvar.jets import Jet
+from charvar.jets import Jet, nan_max
 from charvar.kawai import Direction, displace
 from charvar.monodromy import MonodromyEngine, SphereData, _moment_target
-from charvar.sl2 import Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_inv_unit
+from charvar.sl2 import (Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_det,
+                         mat_inv_unit, mat_mul)
 from charvar.words import FreeWord, GroupRingElement, Signature
 
 DEFAULT_FD_STEP = 1e-3
@@ -267,3 +278,156 @@ def random_word(sig: Signature, length: int, rng) -> FreeWord:
 
 def random_quadpoly(rng) -> QuadPoly:
     return QuadPoly.from_vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+# ---------------------------------------------------------------------------
+# the scalar series recurrence and the transport it was walked in
+# ---------------------------------------------------------------------------
+
+def scalar_series(laurent, a, b, shifts, log: bool, name: str):
+    """(a, b): the coefficient lists a and b of two solutions, extended in
+    place by the recurrence of a ``charvar.monodromy._Row`` until both
+    settle, one term at a time in pure Python.  A term's size is
+    (|a_new| + |b_new|)(j + 2); the series stop after two consecutive sizes
+    below _TAIL of the largest, and a non-finite size or _MAX_TERMS new
+    terms raise IntegrationError naming the series ``name`` (both read
+    from ``charvar.monodromy`` at call time).  ``sum()`` adds from 0, left
+    to right (CPython 3.11 has no compensated complex sum)."""
+    head, u, v, r, pw, k = laurent
+    P = list(head)
+    ea, eb = shifts
+    ar: list[complex] = []  # a[j], ..., a[0], the convolution's other factor
+    br: list[complex] = []
+    big, quiet = 1.0, 0
+    for j in range(mono._MAX_TERMS):
+        if j == len(P):
+            P.append((j + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)))
+            pw = list(map(mul, pw, r))
+        n = j + 1
+        ar.insert(0, a[j])
+        br.insert(0, b[j])
+        a.append(-1.0 / (n * (n + ea)) * sum(map(mul, P, ar)))
+        sb = sum(map(mul, P, br))
+        b.append(-1.0 / (n * (n + eb)) * (sb + 2 * n * a[-1] if log else sb))
+        size = abs(a[-1]) + abs(b[-1])
+        size *= j + 2
+        if not math.isfinite(size):
+            raise mono.IntegrationError(f"non-finite {name}")
+        big = max(big, size)
+        quiet = quiet + 1 if size <= mono._TAIL * big else 0
+        if quiet == 2:
+            return a, b
+    raise mono.IntegrationError(f"{name} did not converge in {mono._MAX_TERMS} terms")
+
+
+def _scalar_ends(c):
+    """Value and tau-slope of sum c_n tau^n at tau = +1, then at tau = -1."""
+    even, odd = c[0::2], c[1::2]
+    e, o = sum(even), sum(odd)
+    de = sum(map(mul, range(0, 2 * len(even), 2), even))
+    do = sum(map(mul, range(1, 2 * len(odd), 2), odd))
+    return e + o, de + do, e - o, do - de
+
+
+def scalar_transfer(poles, z0: complex, h: complex) -> Mat2:
+    """T from z0 to z0 + h (column convention) from the step's series at
+    the midpoint (see ``charvar.monodromy._step_row``) summed alone."""
+    g = h / 2
+    xs = [g / (p - z0 - g) for p, _, _ in poles]
+    laurent = ((), [A * x for (_, A, _), x in zip(poles, xs)],
+               [-(B * g) for _, _, B in poles], xs, xs, 1)
+    a, b = scalar_series(laurent, [1.0 + 0j, 0j], [0j, 1.0 + 0j], (1, 1), False,
+                         f"Taylor series at {z0:.6g}")
+    va, sa, wa, ta = _scalar_ends(a)
+    vb, sb, wb, tb = _scalar_ends(b)
+    return mat_mul((va, g * vb, sa / g, sb), mat_inv_unit((wa, g * wb, ta / g, tb)))
+
+
+def scalar_stem(poles, vertices) -> Mat2:
+    """The transport U of a polyline (column convention), each step planned
+    as ``charvar.monodromy._transport`` plans it and summed before the
+    next."""
+    verts = [complex(v) for v in vertices]
+    u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    z, i, last = verts[0], 0, len(verts) - 1
+    while i < last:
+        reach = mono.STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
+        prev, k = z, i + 1
+        while k <= last and abs(verts[k] - z) <= reach:
+            prev, k = verts[k], k + 1
+        if k > last:
+            target, i = verts[last], last
+        else:
+            d, a = verts[k] - prev, prev - z
+            dd = abs(d) ** 2
+            beta = (a * d.conjugate()).real
+            t = (math.sqrt(beta * beta + dd * (reach * reach - abs(a) ** 2)) - beta) / dd
+            target, i = prev + t * d, k - 1
+            if reach <= mono._MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
+                raise mono.IntegrationError(f"step underflow: the path runs into a pole "
+                                            f"near {z:.6g}")
+        if target == z:
+            continue
+        u = mat_mul(scalar_transfer(poles, z, target - z), u)
+        if not all(map(cmath.isfinite, u)):
+            raise mono.IntegrationError(f"non-finite transport at {z:.6g}")
+        z = target
+    return u
+
+
+def scalar_local_monodromy(poles, path, order):
+    """(C, Wronskian drift) of the circle of ``path`` (see
+    ``charvar.monodromy._local_monodromy``) from its Frobenius series summed
+    alone."""
+    entry = path.stem[1]
+    if path.target == "inf":
+        s = 1 / (entry - path.centre)
+        g, ginv = (1 / s, 0j, 1 + 0j, -1 + 0j), (s, 0j, s, -1 + 0j)
+    else:
+        s = entry - poles[path.target][0]
+        g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
+    cusp = order is None
+    dlt = 0.0 if cusp else 1.0 / order
+    a, b = scalar_series(mono._laurent(poles, path, s), [1.0 + 0j], [0j if cusp else 1.0 + 0j],
+                         (dlt, -dlt), cusp, f"Frobenius series at {path.target}")
+    sa, sb = sum(a), sum(b)
+    ta = sum(map(mul, range(len(a)), a))
+    tb = sum(map(mul, range(len(b)), b))
+    if cusp:
+        mh = (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
+    else:
+        mh = (sa, sb, (1 + dlt) / 2 * sa + ta, (1 - dlt) / 2 * sb + tb)
+    det = mat_det(mh)
+    drift = abs(det / (1.0 if cusp else -dlt) - 1.0)
+    mh_inv = tuple(x / det for x in mat_inv_unit(mh))
+    if cusp:
+        n_mat = (-1.0 + 0j, -2j * math.pi, 0j, -1.0 + 0j)
+    else:
+        n_mat = (-cmath.exp(1j * math.pi * dlt), 0j, 0j, -cmath.exp(-1j * math.pi * dlt))
+    return mat_mul(g, mat_mul(mat_mul(mh, mat_mul(n_mat, mh_inv)), ginv)), drift
+
+
+def scalar_transport(jobs, relation_tol: float = 1e-5):
+    """[(lasso images, drift)] (column convention) of each job (engine,
+    data) of ``jobs``, walked job after job, lasso after lasso and step
+    after step, each series summed alone: the results and the first error
+    that ``charvar.monodromy.transport`` must give."""
+    out = []
+    for engine, data in jobs:
+        poles = data.half_q_terms()
+        images, drifts = [], []
+        for path in engine.paths:
+            u = scalar_stem(poles, path.stem)
+            c, frob = scalar_local_monodromy(poles, path, data.order_at(path.target))
+            lasso = mat_mul(mat_inv_unit(u), mat_mul(c, u))
+            images.append(lasso)
+            drifts.append(nan_max(mono.wronskian_drift(lasso), mono.wronskian_drift(u), frob))
+        prod = MoebiusMap.identity()
+        for m in images:
+            prod = prod @ MoebiusMap(*mono._row(m))
+        resid = prod.psl_distance(MoebiusMap.identity())
+        if not resid <= relation_tol:
+            raise mono.OrderingError(f"lasso product misses +-identity by {resid:.3e} "
+                                     "(ordering/clearance failure)")
+        out.append((images, nan_max(*drifts)))
+    return out

@@ -182,12 +182,28 @@ def test_kawai_stdout_is_independent_of_blas_threads():
 @pytest.mark.parametrize("config, digest", [("sphere-4cusp.json", "1bfe356468bd8c5a"),
                                             ("sphere-elliptic3.json", "49e5e12ea5a7567b")])
 def test_monodromy_report_bytes_are_pinned(capsys, config, digest):
-    # the monodromy report comes from pure Python summed in a fixed order
-    # (the series recurrence, the stem transports, the exact local
-    # monodromy), so its bytes are pinned: a change that moves them updates
-    # the pin and says why
+    # the monodromy report comes from a lockstep numpy recurrence that
+    # rounds as Python's scalar one does, with no BLAS, and from the stem
+    # transports and the exact local monodromy in Python in a fixed order,
+    # so its bytes are pinned: a change that moves them updates the pin and
+    # says why
     root = Path(__file__).resolve().parents[1]
     code = main(["monodromy", "--input", str(root / "configs" / config)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("config, digest", [("kawai-4cusp.json", "2d1bb99cfc4eac60"),
+                                            ("kawai-5point.json", "893c75fd0f94130c")])
+def test_kawai_report_bytes_are_pinned(capsys, config, digest):
+    # the kawai report takes the same transports, and its derivative stage
+    # reads the series at the quadrature nodes by matmuls of at most 128
+    # terms, which OpenBLAS sums in one pass: its bytes are pinned too (on
+    # this numpy and BLAS), and a change that moves them updates the pin and
+    # says why
+    root = Path(__file__).resolve().parents[1]
+    code = main(["kawai", "--input", str(root / "configs" / config)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -1,18 +1,22 @@
+import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline, transport
+from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline, lassos,
+                      local_monodromies, transfers, transport)
 from oracles import moment_residuals, q, q_jet
+import charvar.monodromy as mono
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, LoopPath, MonodromyEngine,
-                               OrderingError, _at_nodes, _circle_tangents, _gauss_legendre,
-                               _lasso_tangents, _lassos, _local_monodromy, _powers, _ray_rule,
-                               _row, _step_tangents, _transfer, build_lassos, build_potential,
-                               potential_tangent, theta_of, wronskian_drift)
+                               OrderingError, _at_nodes, _circle_row, _circle_tangents,
+                               _gauss_legendre, _lasso_tangents, _lockstep, _powers, _ray_rule,
+                               _row, _step_row, _step_tangents, _transport, build_lassos,
+                               build_potential, potential_tangent, theta_of, wronskian_drift)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, mat_mul
 
@@ -116,7 +120,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: transport([(0, 0.25, 1e200)], [1, 1j]),
                 "Frobenius series at 0":
-                lambda: _local_monodromy([(0, 0.25, 1e200)], LoopPath((2, 1), 0, 0), None)}
+                lambda: local_monodromies([(0, 0.25, 1e200)], [LoopPath((2, 1), 0, 0)], [None])}
         for name, run in runs.items():
             with pytest.raises(IntegrationError, match=re.escape(f"non-finite {name}")):
                 run()
@@ -130,7 +134,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: transport([(0, 0.25, 0.1)], [1, 1.5]),
                 "Frobenius series at 0":
-                lambda: _local_monodromy(poles, LoopPath((1j, 0.5), 0, 0), 3)}
+                lambda: local_monodromies(poles, [LoopPath((1j, 0.5), 0, 0)], [3])}
         for name, run in runs.items():
             with pytest.raises(IntegrationError,
                                match=re.escape(f"{name} did not converge in 8 terms")):
@@ -178,7 +182,7 @@ def test_transport_against_dp5_oracle():
             ref = dp5_transport(poles, lasso_polyline(path))
             scale = max(abs(x) for x in ref)
             m, _ = transport(poles, lasso_polyline(path))
-            image = _row(_lassos(poles, [path], [data.order_at(path.target)]).images[0])
+            image = _row(lassos(poles, [path], [data.order_at(path.target)]).images[0])
             for got in (m, image):
                 assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-11 * scale, \
                     (config, path.target)
@@ -193,43 +197,44 @@ def test_lasso_traces_are_exact(source):
     poles = data.half_q_terms()
     for path in build_lassos(data)[1]:
         order = data.order_at(path.target)
-        m = _row(_lassos(poles, [path], [order]).images[0])
+        m = _row(lassos(poles, [path], [order]).images[0])
         want = -2 * math.cos(math.pi / order) if order else -2.0
         bound = 1e-14 * max(1.0, max(abs(x) for x in m)) ** 2
         assert abs(m[0] + m[3] - want) <= bound, (source, path.target)
 
 
 def _recorded_steps(monkeypatch, run):
-    """Every (poles, z0, h) that ``run()`` hands to ``_transfer``, in one
-    (poles, tangents, [(z0, h), ...]) batch per ``MonodromyEngine.transport``
-    call: the steps of all its stems, with the tangents the derivative stage
-    (``_lasso_tangents``) takes for that representation."""
+    """Every step (z0, h) that ``run()`` transports and the T its transport
+    took from the lockstep batch, in one (poles, tangents, [(z0, h), ...],
+    [T, ...]) batch per representation: the steps of all its stems, with the
+    tangents the derivative stage (``_lasso_tangents``) takes for it."""
     import charvar.monodromy as mono
 
     batches = []
-    transport, transfer, lasso_tangents = (mono.MonodromyEngine.transport, mono._transfer,
-                                           mono._lasso_tangents)
+    lassos, transfer, lasso_tangents = mono._lassos, mono._transfer, mono._lasso_tangents
 
-    def transported(self, data=None, relation_tol=1e-5):
-        batches.append((None, [], []))
-        return transport(self, data, relation_tol)
+    def assembled(jobs):  # one batch per job, filled as the job is assembled
+        jobs = list(jobs)
+        each = lassos(jobs)
+        for poles, _, _ in jobs:
+            batches.append((poles, [], [], []))
+            yield next(each)
 
-    def transferred(poles, z0, h):
-        _, tangents, steps = batches[-1]
-        batches[-1] = (poles, tangents, steps + [(z0, h)])
-        return transfer(poles, z0, h)
+    def transferred(z0, h, series, row):
+        T, record = transfer(z0, h, series, row)
+        batches[-1][2].append((z0, h))
+        batches[-1][3].append(T)
+        return T, record
 
-    def differentiated(lassos, tangents):
-        first = len(batches) - len(lassos)
-        for k, tans in enumerate(tangents, first):
-            batches[k] = (batches[k][0], [[tuple(map(complex, v)) for v in t] for t in tans],
-                          batches[k][2])
-        return lasso_tangents(lassos, tangents)
-    monkeypatch.setattr(mono.MonodromyEngine, "transport", transported)
+    def differentiated(las, tangents):
+        for batch, tans in zip(batches[len(batches) - len(las):], tangents):
+            batch[1].extend([tuple(map(complex, v)) for v in t] for t in tans)
+        return lasso_tangents(las, tangents)
+    monkeypatch.setattr(mono, "_lassos", assembled)
     monkeypatch.setattr(mono, "_transfer", transferred)
     monkeypatch.setattr(mono, "_lasso_tangents", differentiated)
     run()
-    monkeypatch.setattr(mono.MonodromyEngine, "transport", transport)
+    monkeypatch.setattr(mono, "_lassos", lassos)
     monkeypatch.setattr(mono, "_transfer", transfer)
     monkeypatch.setattr(mono, "_lasso_tangents", lasso_tangents)
     return [batch for batch in batches if batch[2]]
@@ -243,13 +248,20 @@ def _kawai_steps(monkeypatch, capsys):
     batches = _recorded_steps(monkeypatch, lambda: main(
         ["kawai", "--input", str(CONFIGS / "kawai-4cusp.json")]))
     capsys.readouterr()
-    assert len(batches) == 3 and sum(len(steps) for _, _, steps in batches) == 48
-    assert all(len(t) == 2 for _, t, _ in batches)
+    assert len(batches) == 3 and sum(len(steps) for _, _, steps, _ in batches) == 48
+    assert all(len(t) == 2 for _, t, _, _ in batches)
     return batches
 
 
 def _flat(batches):
-    return [(poles, z0, h) for poles, _, steps in batches for z0, h in steps]
+    return [(poles, z0, h, T) for poles, _, steps, ts in batches
+            for (z0, h), T in zip(steps, ts, strict=True)]
+
+
+def _bits(values):
+    """The bit patterns of complex numbers: equal only if equal bit for bit,
+    signed zeros included."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64).tolist()
 
 
 #: worst cases of the step rule: z0 = 0, h = 1/2 and a pole straight ahead at
@@ -271,9 +283,11 @@ def _relative_gap(got, ref):
 
 
 def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
-    # T comes from the same recursion summed in the same order as the
-    # differentiated-series reference: equal, not close, on every step of
-    # the kawai config and of three seeded 5-point spheres
+    # a planned step's T, summed in the lockstep batch of every step and
+    # circle of its transport, is bit for bit that of the differentiated-
+    # series reference, which sums the same recursion in the same order, one
+    # series alone: on every step of the kawai config (one batch for its
+    # three grid points) and of three seeded 5-point spheres
     from taylor_reference import reference_transfer
 
     steps = _flat(_kawai_steps(monkeypatch, capsys))
@@ -281,15 +295,15 @@ def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
         steps += _flat(_recorded_steps(monkeypatch,
                                        lambda: MonodromyEngine(_sphere(seed)).representation()))
     assert len(steps) > 100
-    for poles, z0, h in steps:
-        assert (_transfer(poles, z0, h)[0], []) == reference_transfer(poles, [], z0, h)
+    for poles, z0, h, T in steps:
+        ref, dts = reference_transfer(poles, [], z0, h)
+        assert _bits(T) == _bits(ref) and dts == []
 
 
 def _batch_tangents(poles, tangents, steps):
     """dT per tangent for each (z0, h) of one batch, by one ``_step_tangents``
     call over the steps' series records."""
-    return _step_tangents([poles], [tangents],
-                          [(0, _transfer(poles, z0, h)[1]) for z0, h in steps])
+    return _step_tangents([poles], [tangents], [(0, rec) for _, rec in transfers(poles, steps)])
 
 
 def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
@@ -298,10 +312,10 @@ def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
     # cases the step rule allows
     from taylor_reference import reference_transfer
 
-    batches = _kawai_steps(monkeypatch, capsys)
+    batches = [(poles, tangents, steps) for poles, tangents, steps, _
+               in _kawai_steps(monkeypatch, capsys)]
     # a batch's series differ in length, so it pads the shorter ones
-    lengths = [{len(_transfer(poles, z0, h)[1][2]) for z0, h in steps}
-               for poles, _, steps in batches]
+    lengths = [{len(rec[2]) for _, rec in transfers(poles, steps)} for poles, _, steps in batches]
     assert all(len(ls) > 1 for ls in lengths) and min(map(min, lengths)) < max(map(max, lengths))
     batches += [(poles, WORST_TANGENTS, [(0j, 0.5 + 0j)]) for poles in WORST_STEPS]
     for poles, tangents, steps in batches:
@@ -378,7 +392,7 @@ def _circles(data, poles):
     ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the orders."""
     paths = build_lassos(data)[1]
     orders = [data.order_at(path.target) for path in paths]
-    return [_local_monodromy(poles, path, o) for path, o in zip(paths, orders)], orders
+    return local_monodromies(poles, paths, orders), orders
 
 
 def test_local_tangents_match_the_differentiated_series():
@@ -545,9 +559,9 @@ def test_lasso_tangents_match_difference_quotients(config):
         tangent = potential_tangent(data, v, w)
         for path in paths:
             order = data.order_at(path.target)
-            lassos = _lassos(data.half_q_terms(), [path], [order])
-            ((dm,),) = _lasso_tangents([lassos], [[tangent]])[0]
-            fd = _stencil(lambda s: _row(_lassos(
+            las = lassos(data.half_q_terms(), [path], [order])
+            ((dm,),) = _lasso_tangents([las], [[tangent]])[0]
+            fd = _stencil(lambda s: _row(lassos(
                 _moved(data, v, w, s).half_q_terms(), [path], [order]).images[0]))
             scale = max(abs(x) for x in dm)
             assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale, (v, path.target)
@@ -662,8 +676,8 @@ class TestRepresentation:
         # NaN compares False with every tolerance, so it must not pass as small
         import charvar.monodromy as mono
         nan = float("nan")
-        monkeypatch.setattr(mono, "_transport",
-                            lambda poles, vertices: mono._Stem((nan, 0, 0, 1), [], [], 0j))
+        monkeypatch.setattr(mono, "_stem",
+                            lambda steps, series, end: mono._Stem((nan, 0, 0, 1), [], [], 0j))
         engine, _ = four_cusp_engine
         with pytest.raises(OrderingError):
             engine.representation()
@@ -674,24 +688,27 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
     from charvar.cli import main
     from charvar.kawai import GridOffset, PointDirection, kawai_experiment
 
-    calls = []
+    calls, rows = [], []
 
     def counted(name):
         fn = getattr(mono, name)
 
         def wrapped(*args, **kwargs):
             calls.append(name)
+            if name == "_lockstep":
+                rows.append(len(args[0]))
             return fn(*args, **kwargs)
         monkeypatch.setattr(mono, name, wrapped)
 
-    for name in ("_transport", "_transfer", "_step_tangents", "_local_monodromy",
+    for name in ("_transport", "_transfer", "_lockstep", "_step_tangents", "_local_monodromy",
                  "_circle_tangents"):
         counted(name)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 0
     capsys.readouterr()
     # the Wronskian drift comes from the same transports, which carry no
-    # tangents
+    # tangents; one batch sums every series of the representation
     assert calls.count("_transport") == 4
+    assert calls.count("_lockstep") == 1
     assert calls.count("_step_tangents") == 0
     assert calls.count("_circle_tangents") == 0
     calls.clear()
@@ -704,25 +721,42 @@ def test_one_integration_per_lasso(monkeypatch, capsys):
     assert calls.count("_step_tangents") == 1
     assert calls.count("_circle_tangents") == 1
     # series per grid point: 16 Taylor steps on the stems plus 4 Frobenius
-    # expansions (84 Taylor steps when the circles were integrated)
+    # expansions (84 Taylor steps when the circles were integrated), all in
+    # one lockstep batch
     assert calls.count("_transfer") + calls.count("_local_monodromy") == 20
+    assert calls.count("_lockstep") == 1 and rows[-1] == 20
+    calls.clear()
+    kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))],
+                     grid=[GridOffset(), GridOffset(t=(0.01,)), GridOffset(t=(-0.01j,))])
+    # and one batch for every grid point
+    assert calls.count("_lockstep") == 1 and rows[-1] == 60
 
 
 def test_truncated_local_series_exits_2(capsys, monkeypatch):
     # a Frobenius series stopped early shows in its Wronskian, which the
-    # drift compares with the exact value, so the subcommand exits 2
+    # drift compares with the exact value, so the subcommand exits 2: every
+    # circle is summed again alone, with a tail that stops it early
     import charvar.monodromy as mono
     from charvar.cli import main
 
-    local, tail = mono._local_monodromy, mono._TAIL
+    lockstep, local, tail = mono._lockstep, mono._local_monodromy, mono._TAIL
+    batches = []
 
-    def truncated(*args):
+    def recorded(rows):
+        batches.append(rows)
+        return lockstep(rows)
+
+    def truncated(path, order, circle, series):
+        *head, row = circle
         monkeypatch.setattr(mono, "_TAIL", 2.0 ** -22)
         try:
-            return local(*args)
+            short = lockstep([batches[-1][row]])
         finally:
             monkeypatch.setattr(mono, "_TAIL", tail)
+        assert short.lengths[0] < series.lengths[row]
+        return local(path, order, (*head, 0), short)
 
+    monkeypatch.setattr(mono, "_lockstep", recorded)
     monkeypatch.setattr(mono, "_local_monodromy", truncated)
     assert main(["monodromy", "--input", str(CONFIGS / "sphere-4cusp.json")]) == 2
     rep = json.loads(capsys.readouterr().out)
@@ -735,4 +769,157 @@ def test_tangent_may_not_move_an_order():
     path = build_lassos(data)[1][0]
     tangent = [(0j, 0.01 if i == path.target else 0.0, 0j) for i in range(3)]
     with pytest.raises(ValueError, match="order"):
-        _lasso_tangents([_lassos(data.half_q_terms(), [path], [None])], [[tangent]])
+        _lasso_tangents([lassos(data.half_q_terms(), [path], [None])], [[tangent]])
+
+
+def _rows_of_every_kind():
+    """One batch's rows (``_Row``): the Taylor steps and circles of every
+    lasso of four spheres with 3 to 5 finite points (so 2 to 5 poles per
+    row), with heads at the finite points, rows at infinity, cusp log rows
+    and the +-1/e shifts of orders 2 to 6, and a Taylor step 0.9 of the way
+    to a pole, whose series runs past 128 terms."""
+    rows = []
+    for data in (_sphere("sphere-elliptic3.json"), _sphere("sphere-4cusp.json"), _sphere(1),
+                 _sphere(4)):
+        poles = data.half_q_terms()
+        for path in build_lassos(data)[1]:
+            _transport(poles, path.stem, rows, [])
+            _circle_row(poles, path, data.order_at(path.target), rows)
+    _step_row([(1.0 + 0j, 0.25, 0.3 - 0.2j)], 0j, 0.9 + 0j, rows)
+    return rows
+
+
+def test_lockstep_is_the_scalar_series_bit_for_bit():
+    # every row of one batch, whatever its kind, length and pole count, is
+    # bit for bit the scalar recurrence summed alone, zeros past its end,
+    # and so are the sums its transfer matrix or local monodromy reads;
+    # rows that stopped are computed on quietly, under np.errstate
+    from operator import mul
+
+    from oracles import scalar_series
+
+    rows = _rows_of_every_kind()
+    kinds = {(len(row.a), bool(row.laurent[0]), row.log, row.shifts[0]) for row in rows}
+    assert {(2, False, False, 1)} < kinds  # Taylor steps, and the circles:
+    assert {(1, True, True, 0.0), (1, False, True, 0.0)} < kinds  # cusps, finite and infinity
+    assert {e for _, _, log, e in kinds if not log} >= {1, 1 / 2, 1 / 3, 1 / 4, 1 / 6}
+    assert len({len(row.laurent[1]) for row in rows}) >= 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = _lockstep(rows)
+    assert max(series.lengths) > 128
+    for i, row in enumerate(rows):
+        a, b = scalar_series(row.laurent, list(row.a), list(row.b), row.shifts, row.log, "")
+        n = series.lengths[i]
+        assert series.status[i] is None and n == len(a) == len(b), i
+        assert _bits(series.coeffs[i, :, :n]) == _bits([a, b]), i
+        assert not series.coeffs[i, :, n:].any()
+        for c, sums in zip((a, b), series.sums[i]):
+            even, odd = c[0::2], c[1::2]
+            assert _bits(sums) == _bits(
+                [sum(even), sum(map(mul, range(0, n, 2), even)), sum(odd),
+                 sum(map(mul, range(1, n, 2), odd)), sum(c), sum(map(mul, range(n), c))]), i
+
+
+def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
+    # a non-finite term, a term cap, and abs() of a term whose finite parts
+    # overflow hypot: each row fails as the scalar recurrence does, beside
+    # rows that settle
+    from oracles import scalar_series
+
+    rows = [mono._Row(((-1.3e308 * (1 + 1j),), [], [], [], [], 0), (1.0 + 0j,), (1.0 + 0j,),
+                      (0.0, 0.0), False),  # a_1 = -P_0: finite parts, |a_1| > 1.8e308
+            mono._Row(((), [0.25 * 3.0], [-1e300], [3.0], [3.0], 1), (1.0 + 0j, 0j),
+                      (0j, 1.0 + 0j), (1, 1), False),  # grows past the largest float
+            _rows_of_every_kind()[0]]
+
+    def failure(run):
+        try:
+            run()
+        except (IntegrationError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    for cap in (400, 8):
+        monkeypatch.setattr(mono, "_MAX_TERMS", cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = _lockstep(rows)
+        for i, row in enumerate(rows):
+            assert failure(lambda: mono._settled(series, i, lambda: "the row")) == failure(
+                lambda: scalar_series(row.laurent, list(row.a), list(row.b), row.shifts,
+                                      row.log, "the row")), (cap, i)
+    assert series.status == ["overflow", "non-finite", "diverged"]
+
+
+def _scaled(data, scale):
+    return dataclasses.replace(data, residues=tuple(scale * m for m in data.residues))
+
+
+def _onto_stem(data, lasso, point):
+    """``data`` with ``point`` moved to the middle of the stem of lasso
+    ``lasso`` of its own lassos."""
+    zb, entry = build_lassos(data)[1][lasso].stem
+    points = list(data.points)
+    points[point] = (zb + entry) / 2
+    return dataclasses.replace(data, points=tuple(points))
+
+
+def _outcome(run):
+    """The lasso images and drift of each job, bit for bit, or the error
+    raised (type and message)."""
+    try:
+        return [(_bits(images), _bits([drift])) for images, drift in run()]
+    except (IntegrationError, OrderingError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
+    # all jobs are planned, summed in one batch and assembled in order; the
+    # results, or the first error, are those of the scalar walk job after
+    # job, lasso after lasso, step after step: across the grid points of
+    # the kawai config (each job an engine's frozen lassos at some data) and
+    # of seeded spheres, with a lowered term cap and with a residue that
+    # overflows
+    from charvar.kawai import AccessoryDirection, PointDirection, displace
+    from charvar.monodromy import transport
+    from oracles import scalar_transport
+
+    base = four_cusp_data()
+    p0, p1, p2 = (base, displace(base, PointDirection((0, 0, 1)), 0.04),
+                  displace(base, AccessoryDirection(0), 0.05 + 0.02j))
+    tie = build_potential([0, 1j], [None, None], None, [], base_point=-2j)
+    moments = dataclasses.replace(p1, residues=tuple(m + 0.3 for m in p1.residues))
+    scenarios = [
+        [p0, p1, p2],
+        [p0, (p1, _onto_stem(p1, 1, 0)), (p2, _scaled(p2, 1e200))],  # a pole on a stem
+        [p0, (p1, _scaled(p1, 1e200)), (p2, _onto_stem(p2, 1, 0))],  # non-finite series
+        [p0, (p1, _scaled(_onto_stem(p1, 0, 0), 1e200))],  # the series before the pole
+        [p0, (p1, moments), (p2, _scaled(p2, 1e200))],  # the relation misses
+        [(p0, _scaled(p0, 3e5)), (p1, _scaled(p1, 1e200))],  # non-finite transport
+        [p0, (p1, _onto_stem(p1, 2, 1)), (p2, _scaled(p2, 1e200))],  # a Frobenius series
+        [p0, tie, (p2, _scaled(p2, 1e200))],  # an engine that cannot be built
+        [p0, (p1, _scaled(p1, 1e200)), tie],
+    ]
+    spheres = [_sphere(seed) for seed in (2, 3, 5)] + [p0, p1, p2]
+    runs = [(400, pairs) for pairs in scenarios] + [(cap, spheres) for cap in range(14, 40, 2)]
+    errors, transported = [], 0
+    for cap, pairs in runs:
+        monkeypatch.setattr(mono, "_MAX_TERMS", cap)
+        pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
+
+        def jobs():  # engines built as the jobs are drawn
+            return ((MonodromyEngine(paths), data) for paths, data in pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: [(tr.lassos.images, tr.drift) for tr in transport(jobs())])
+        want = _outcome(lambda: scalar_transport(jobs()))
+        assert got == want, (cap, want)
+        if isinstance(want, list):
+            transported += 1
+        else:
+            errors.append(want[1])
+    assert transported
+    for kind in ("non-finite Taylor series", "runs into a pole", "lasso product misses",
+                 "non-finite transport", "Frobenius series at", "did not converge",
+                 "argument tie"):
+        assert any(kind in error for error in errors), kind
