@@ -25,7 +25,8 @@ def _ends(c):
 
 
 def reference_transfer(poles, tangents, z0: complex, h: complex):
-    """(T, [dT per tangent]) from z0 to z0 + h as ``_transfer`` returns them.
+    """(T, [dT per tangent]) from z0 to z0 + h as ``_transfer`` and
+    ``_step_tangents`` compute them.
 
     With g = h/2, z = z0 + g + g tau and, per pole, x = g / (p - z0 - g),
     q/2 expands as g^-2 sum_k P_k tau^k with
