@@ -218,9 +218,11 @@ def _cmd_kawai(args) -> int:
         if "accessory_directions" in cfg:
             acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
                    for d in cfg["accessory_directions"]]
+        grid = cfg.get("grid", [{}])
+        if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
+            raise TypeError(f"grid must be a list of objects, got {grid!r}")
         grid = [GridOffset(tuple(complex_in(v) for v in g.get("t", [])),
-                           tuple(complex_in(v) for v in g.get("c", [])))
-                for g in cfg.get("grid", [{}])]
+                           tuple(complex_in(v) for v in g.get("c", []))) for g in grid]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad kawai config: {e}")
     try:

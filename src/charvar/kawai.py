@@ -7,11 +7,11 @@ along the fiber coordinate, and the full pairing matrix is antisymmetric.
 The absolute normalization against the canonical cotangent form is not
 asserted (it lives in out-of-scope quasiconformal pairings).
 
-An experiment transports every grid point first, every series of every grid
-point in one lockstep batch (``monodromy.transport``), then differentiates
-them all in one derivative stage (``monodromy.tangent_images``) and solves
-all their local systems in one batch (``goldman.goldman_matrices``); each
-grid point's report is bit for bit that of its offset run alone.
+An experiment transports and differentiates every grid point in one call
+(``monodromy.transport``: every series of every grid point in one lockstep
+batch, then one quadrature per kind for every tangent) and solves all their
+local systems in one batch (``goldman.goldman_matrices``); each grid point's
+report is bit for bit that of its offset run alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
 from .monodromy import (MonodromyEngine, SphereData, Transport, build_potential,
-                        potential_tangent, tangent_images, transport)
+                        potential_tangent, transport)
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -164,12 +164,12 @@ def _displaced(base: SphereData, t_directions, acc_directions, offset: GridOffse
     return data
 
 
-def _grid_result(offset: GridOffset, labels: list[str], tr: Transport, derivatives,
-                 chis, omega, solves) -> GridResult:
+def _grid_result(offset: GridOffset, labels: list[str], tr: Transport, chis, omega,
+                 solves) -> GridResult:
     rho = tr.rho
     drifts = {lab: max(_abs_trace_rate(rho.images[g], dimages[g])
                        for g in rho.signature.generators)
-              for lab, dimages in zip(labels, derivatives)}
+              for lab, dimages in zip(labels, tr.images)}
     frame = rho.relator_frame
     relres = {lab: chi.along(frame.letters, frame.prefixes)[-1].norm() / max(1.0, chi.norm())
               for lab, chi in zip(labels, chis)}
@@ -190,20 +190,22 @@ def kawai_experiment(base: SphereData,
                      relation_tol: float = 1e-5) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
-    Paths and homotopy classes are frozen per grid point.  Every grid point
-    is transported first (``transport``: each lasso's stem once, each
-    circle's monodromy exact, every series of every grid point in one
-    lockstep batch, the engines built as it draws them), and then one
-    derivative stage takes the tangents of every direction at every grid
-    point (``tangent_images``: one quadrature batch over all stem steps and
-    one over all circles).  The Goldman matrices share one batch of local
-    solves (``goldman_matrices``).  Each grid point's report is bit for bit
-    that of its offset run alone.
+    Paths and homotopy classes are frozen per grid point.  One ``transport``
+    call takes every grid point with the tangents of every direction there:
+    each lasso's stem once, each circle's monodromy exact, every series of
+    every grid point in one lockstep batch (the engines built as it draws
+    them), one quadrature over all stem steps and one over all circles.
+    The Goldman matrices share one batch of local solves
+    (``goldman_matrices``).  Each grid point's report is bit for bit that of
+    its offset run alone.  An empty grid, or no direction at all, is a
+    ValueError.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
     if not accessory_directions and not t_directions:
         raise ValueError("a kawai experiment needs at least one direction")
+    if not grid:
+        raise ValueError("a kawai experiment needs at least one grid point")
     for offset in grid:
         if len(offset.t) > len(t_directions) or len(offset.c) > len(accessory_directions):
             raise ValueError(f"grid offsets {offset} exceed the {len(t_directions)} t and "
@@ -213,16 +215,14 @@ def kawai_experiment(base: SphereData,
     points = [_displaced(base, t_directions, accessory_directions, offset) for offset in grid]
     tangents = [[potential_tangent(data, *d.velocity(data)) for d in directions]
                 for data in points]
-    transports = transport(((MonodromyEngine(data), data) for data in points), relation_tol)
-    derivatives = tangent_images(transports, tangents)
+    transports = transport(((MonodromyEngine(data), data) for data in points), relation_tol,
+                           tangents)
     rhos = [tr.rho for tr in transports]
-    chis = [[tangent_cocycle(rho, dimages) for dimages in ders]
-            for rho, ders in zip(rhos, derivatives)]
+    chis = [[tangent_cocycle(tr.rho, dimages) for dimages in tr.images] for tr in transports]
     # the classes are unchanged; the pairing sums are far better conditioned
     matrices = goldman_matrices(rhos, [reduce_by_coboundary(rho, cs)
                                        for rho, cs in zip(rhos, chis)])
     # the diagonal of each matrix is a self-pairing null check
-    results = [_grid_result(offset, labels, tr, ders, cs, omega, solves)
-               for offset, tr, ders, cs, (omega, solves)
-               in zip(grid, transports, derivatives, chis, matrices)]
+    results = [_grid_result(offset, labels, tr, cs, omega, solves)
+               for offset, tr, cs, (omega, solves) in zip(grid, transports, chis, matrices)]
     return KawaiReport(base, labels, results)

@@ -21,16 +21,15 @@ bases: a lockstep numpy batch (``_lockstep``) that takes every series of
 every representation of a call one term index at a time, with Python's
 rounding (complex products from rounded real products, sums term after
 term) and no BLAS, so that each series is bit for bit the scalar recurrence
-summed alone.  The untangented transport of any number of representations
-(``transport``, all of ``charvar monodromy``) plans every step first, since
-the steps depend only on the poles and the vertices, sums that one batch,
-and assembles each representation in turn.  The derivatives are a separate
-stage (``tangent_images``) that takes the transports of any number of
-representations, each with its own poles and tangents: its quadratures are
-numpy array operations over cached tables of the nodes' powers, one batch
-for every step of every stem (``_step_tangents``) and one for every circle
-(``_circle_tangents``), and each representation's derivatives are bit for
-bit those of a stage of its own.
+summed alone.  One call (``transport``) takes any number of
+representations, each with its own poles and tangents: it plans every step
+first, since the steps depend only on the poles and the vertices, and sums
+that one batch.  With tangents, two quadratures then read the batch's
+coefficient array in place, numpy array operations over cached tables of
+the nodes' powers: one over every step of every stem (``_step_tangents``)
+and one over every circle (``_circle_tangents``).  Each representation is
+then assembled in turn, its lasso images and their derivatives in one loop,
+bit for bit those of a call of its own.
 
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
@@ -316,13 +315,13 @@ _QUAD_NODES = 16
 def _powers(nodes: tuple):
     """The table t_i^n of the nodes, n = 0, ..., _MAX_TERMS + 1 by rows, as
     long as a series of ``_lockstep`` can get (at most two leading terms and
-    _MAX_TERMS new ones): the values of padded coefficient rows c at the
-    nodes are c @ table (``_at_nodes``).  Computed once per node tuple."""
+    _MAX_TERMS new ones): the values of zero-padded coefficient rows c at
+    the nodes are c @ table (``_at_nodes``).  Computed once per node tuple."""
     return np.power(np.array(nodes), np.arange(_MAX_TERMS + 2)[:, None]).astype(complex)
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(m: int):
+def gauss_legendre(m: int):
     """(nodes, weights) of the m-point Gauss-Legendre rule on [-1, 1], m
     even, as tuples with the nodes in pairs (t, -t) of equal weight.
     Newton's method on P_m from the usual cosine guesses; computed on first
@@ -350,22 +349,19 @@ def _gauss_legendre(m: int):
 _DOT_CHUNK = 128
 
 
-def _at_nodes(pairs, powers):
-    """(a, b) at the nodes of a power table (``_powers``), pairs x nodes
-    each, for every pair (a, b) of coefficient lists of equal length: the
-    lists are zero-padded to the longest and read by one matmul per
-    _DOT_CHUNK terms.  Each chunk sums in one pass, so the padding adds
-    exact zeros and a pair's values do not depend on the other pairs."""
-    lists = [c for pair in pairs for c in pair]
-    lengths = np.array([len(c) for c in lists])
-    n = lengths.max()
-    coeffs = np.zeros((len(pairs), 2, n), dtype=complex)
-    coeffs[np.arange(n) < lengths.reshape(-1, 2, 1)] = np.concatenate(lists)
-    coeffs = coeffs.reshape(-1, n)
+def _at_nodes(series, rows, powers):
+    """(a, b) at the nodes of a power table (``_powers``), rows x nodes
+    each, for the series of ``rows`` of a ``_lockstep`` batch ``series``:
+    its coefficient array is read in place, up to the longest of these
+    rows, by one matmul per _DOT_CHUNK terms.  Each chunk sums in one pass,
+    so the zeros past a shorter row's end add exact zeros and a row's
+    values do not depend on the other rows."""
+    n = max(series.lengths[row] for row in rows)
+    coeffs = series.coeffs[rows, :, :n].reshape(-1, n)
     values = coeffs[:, :_DOT_CHUNK] @ powers[:min(n, _DOT_CHUNK)]
     for k in range(_DOT_CHUNK, n, _DOT_CHUNK):
         values = values + coeffs[:, k:k + _DOT_CHUNK] @ powers[k:min(n, k + _DOT_CHUNK)]
-    return values.reshape(len(pairs), 2, -1).swapaxes(0, 1)
+    return values.reshape(len(rows), 2, -1).swapaxes(0, 1)
 
 
 def _cubic(coeffs, y):
@@ -390,14 +386,6 @@ def _dq(poles, tangents, moving=None):
     if moving is not None:
         dp = dp - moving[..., None]
     return np.concatenate((db, da + b * dp, 2 * a * dp), axis=-1)
-
-
-def _rows(poles, tangents, reps):
-    """The poles and tangents of representation i (``poles[i]``,
-    ``tangents[i]``) for each index i of ``reps``: rows x poles x 3 and
-    rows x tangents x poles x 3."""
-    return (np.asarray(poles, dtype=complex)[reps],
-            np.asarray(tangents, dtype=complex)[reps])
 
 
 #: a series of the lockstep recurrence (``_lockstep``): a Taylor step
@@ -538,8 +526,8 @@ def _lockstep(rows) -> _Series:
 
 
 def _settled(series: _Series, row: int, name):
-    """The coefficient lists (a, b) of a row of ``series``, or the error its
-    series met, naming the series ``name()`` (formatted only on a raise)."""
+    """Raise the error that row ``row`` of ``series`` met, if any, naming
+    the series ``name()`` (formatted only on a raise)."""
     status = series.status[row]
     if status == "overflow":
         raise OverflowError("absolute value too large")
@@ -547,8 +535,6 @@ def _settled(series: _Series, row: int, name):
         raise IntegrationError(f"non-finite {name()}")
     if status == "diverged":
         raise IntegrationError(f"{name()} did not converge in {series.most} terms")
-    a, b = series.coeffs[row, :, :series.lengths[row]]
-    return a, b
 
 
 def _step_row(poles, z0: complex, h: complex, rows) -> int:
@@ -568,31 +554,36 @@ def _step_row(poles, z0: complex, h: complex, rows) -> int:
     return len(rows) - 1
 
 
-def _transfer(z0: complex, h: complex, series: _Series, row: int):
-    """Transfer matrix T from z0 to z0 + h (column convention, row-major
-    4-tuple: data at z0 + h = T data at z0) from the step's summed series
-    (``_step_row``, row ``row`` of ``series``), and the step's series record
-    (z0, g, a, b, Phi(1), Phi(-1)^-1) for ``_step_tangents``.
+def _transfer(z0: complex, h: complex, series: _Series, row: int, ints):
+    """(T, [dT per tangent]) from z0 to z0 + h (column convention, row-major
+    4-tuples: data at z0 + h = T data at z0) from the step's summed series
+    (``_step_row``, row ``row`` of ``series``) and its kernel integrals
+    (iab, ibb, iaa) per tangent (``_step_tangents``; none without tangents).
 
     The canonical solutions a, b make Phi = [[a, b], [a', b']], det Phi = 1,
     and T = Phi(1) Phi(-1)^-1 in tau data, conjugated by diag(1, 1/g) into
-    z data; Phi(+-1) take the sums of the even and the odd terms.
+    z data; Phi(+-1) take the sums of the even and the odd terms.  The
+    tau-data kernel g^2 [[iab, ibb], [-iaa, -iab]] in z data, between
+    Phi(1) and Phi(-1)^-1, is dT.
     """
     g = h / 2
-    a, b = _settled(series, row, lambda: f"Taylor series at {z0:.6g}")
+    _settled(series, row, lambda: f"Taylor series at {z0:.6g}")
     (ea, dea, oa, doa, _, _), (eb, deb, ob, dob, _, _) = series.sums[row]
     # the column matrices of (psi_a, psi_b) at z0 + h, and at z0 (Wronskian 1)
     splus = (ea + oa, g * (eb + ob), (dea + doa) / g, deb + dob)
     inv = mat_inv_unit((ea - oa, g * (eb - ob), (doa - dea) / g, dob - deb))
-    return mat_mul(splus, inv), (z0, g, a, b, splus, inv)
+    g2 = g * g
+    return mat_mul(splus, inv), [
+        mat_mul(splus, mat_mul((g2 * iab, g2 * g * ibb, -g * iaa, -g2 * iab), inv))
+        for iab, ibb, iaa in ints]
 
 
-def _step_tangents(poles, tangents, steps):
-    """[dT per tangent] for each step of ``steps``, column convention: a
-    step is a pair (i, record), the series record of a ``_transfer`` on the
-    poles ``poles[i]`` of representation i, whose tangents are
-    ``tangents[i]``.  Every representation has as many poles and as many
-    tangents, as the grid points of a kawai experiment do.
+def _step_tangents(series: _Series, steps, poles, tangents):
+    """[(iab, ibb, iaa) per tangent] for each step (i, z0, h, row) of
+    ``steps``, the kernel integrals ``_transfer`` turns into dT: the step's
+    series is row ``row`` of ``series``, its poles ``poles[i]`` and its
+    tangents ``tangents[i]``, those of representation i (arrays of
+    representations x poles x 3 and representations x tangents x poles x 3).
 
     A tangent (dp, dA, dB) per pole varies Q with the step frozen by
         dQ = g^2 sum (dA + B dp)/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
@@ -603,33 +594,21 @@ def _step_tangents(poles, tangents, steps):
     STEP_RATIO = 1/2 of the distance to the nearest pole), so the integrand
     is analytic well outside [-1, 1] and 16 nodes reach rounding (12 leave
     ~3e-14, 8 leave ~1e-8 on a pole straight ahead with |B| = 20).  The
-    steps' series, zero-padded to the longest, are read at the nodes by
-    ``_at_nodes``; y = 1/(z - p), dQ and the three kernel integrals follow
+    steps' series are read at the nodes in the batch's coefficient array
+    (``_at_nodes``); y = 1/(z - p), dQ and the three kernel integrals follow
     as array operations over steps x tangents x nodes with each step's own
     poles and tangents, so a tangent costs O(nodes x poles) per step, not a
     second series, and every step is bit for bit its batch of one.
     """
-    reps, records = zip(*steps)
-    pole_rows, tangent_rows = _rows(poles, tangents, list(reps))
-    nodes, weights = _gauss_legendre(_QUAD_NODES)
-    av, bv = _at_nodes([st[2:4] for st in records], _powers(nodes))  # a and b at the nodes
+    reps, z0, gs, rows = zip(*[(i, z, h / 2, row) for i, z, h, row in steps])
+    pole_rows, tangent_rows = poles[list(reps)], tangents[list(reps)]
+    nodes, weights = gauss_legendre(_QUAD_NODES)
+    av, bv = _at_nodes(series, list(rows), _powers(nodes))  # a and b at the nodes
     kernel = np.stack((av * bv, bv * bv, av * av), axis=-1) * np.array(weights)[:, None]
-    z0, gs = np.array([st[:2] for st in records]).T
+    z0, gs = np.array(z0), np.array(gs)
     y = 1 / ((z0[:, None] + gs[:, None] - pole_rows[..., 0])[:, :, None]
              + (gs[:, None] * np.array(nodes))[:, None])  # 1/(z-p): steps x poles x nodes
-    ints = _cubic(_dq(pole_rows, tangent_rows), y) @ kernel  # steps x tangents x 3
-    out = []
-    for (_, g, _, _, splus, inv), step in zip(records, ints.tolist()):
-        g2 = g * g
-        # the tau-data kernel g^2 [[iab, ibb], [-iaa, -iab]] in z data
-        out.append([mat_mul(splus, mat_mul((g2 * iab, g2 * g * ibb, -g * iaa, -g2 * iab), inv))
-                    for iab, ibb, iaa in step])
-    return out
-
-
-#: a polyline's transport U (column convention), the (T, U before the step)
-#: of each of its steps, their series records and the polyline's end point
-_Stem = namedtuple("_Stem", "u steps records end")
+    return (_cubic(_dq(pole_rows, tangent_rows), y) @ kernel).tolist()  # steps x tangents x 3
 
 
 def _transport(poles, vertices, rows, steps):
@@ -664,38 +643,20 @@ def _transport(poles, vertices, rows, steps):
         z = target
 
 
-def _stem(steps, series: _Series, end: complex) -> _Stem:
-    """The transport of a planned polyline (``_transport``) in the column
-    convention: U <- T U accumulates the transfer matrices of its summed
-    steps, each step's series error raised before it is used."""
-    u = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    pairs, records = [], []
+def _stem(steps, series: _Series, ints, count: int):
+    """(U, [dU per tangent]) of a planned polyline (``_transport``) in the
+    column convention, for ``count`` tangents: U <- T U and
+    dU <- dT U + T dU accumulate its summed steps (``_transfer``, with the
+    kernel integrals ``ints[row]`` of each step's row), each step's series
+    error raised before it is used."""
+    u, du = (1.0 + 0j, 0j, 0j, 1.0 + 0j), [(0j, 0j, 0j, 0j)] * count
     for z0, h, row in steps:
-        T, record = _transfer(z0, h, series, row)
-        pairs.append((T, u))
-        records.append(record)
+        T, dts = _transfer(z0, h, series, row, ints[row])
+        du = [_add(mat_mul(d, u), mat_mul(T, w)) for d, w in zip(dts, du)]
         u = mat_mul(T, u)
         if not all(map(cmath.isfinite, u)):
             raise IntegrationError(f"non-finite transport at {z0:.6g}")
-    return _Stem(u, pairs, records, end)
-
-
-def _stem_tangents(poles, tangents, stems):
-    """[dU per tangent] for each stem of ``stems``, column convention: a stem
-    is a pair (i, ``_Stem``) of representation i (see ``_step_tangents``).
-    One ``_step_tangents`` call takes every step of every stem, and along
-    each stem dU <- dT U + T dU accumulates their derivatives."""
-    steps = [(i, r) for i, stem in stems for r in stem.records]
-    dts = iter(_step_tangents(poles, tangents, steps) if steps else ())
-    out = []
-    for _, stem in stems:
-        du = [(0j, 0j, 0j, 0j)] * len(tangents[0])
-        for (T, before), dT in zip(stem.steps, dts):
-            du = [_add(mat_mul(d, before), mat_mul(T, w)) for d, w in zip(dT, du)]
-        if not all(map(cmath.isfinite, sum(du, ()))):
-            raise IntegrationError(f"non-finite tangent transport at {stem.end:.6g}")
-        out.append(du)
-    return out
+    return u, du
 
 
 def _row(u):
@@ -730,7 +691,7 @@ def _ray_rule(order: Optional[int]):
     other singularity of dR, A and B at |t| >= 1/MAX_RADIUS_FACTOR (at
     infinity |t| >= 2.4, the big circle's factor).  Computed on first use,
     once per order."""
-    xs, ws = _gauss_legendre(_QUAD_NODES)
+    xs, ws = gauss_legendre(_QUAD_NODES)
     m = len(xs)
     nodes = tuple((1 + x) / 2 for x in xs)
     legendre = []  # P_0(x_i), ..., P_(m-1)(x_i) per node, at x_i = 2 t_i - 1
@@ -786,20 +747,14 @@ def _laurent(poles, path: LoopPath, s: complex):
     return (s * poles[j][2],), u, v, r, r, 0
 
 
-#: a circle's untangented expansion, for ``_circle_tangents``: its path and
-#: order, s = u(entry), the Frobenius series a and b, and the matrices G,
-#: G^-1, Mh and Mh^-1 of ``_local_monodromy``
-_Circle = namedtuple("_Circle", "path order s a b g ginv mh mh_inv")
-
-
 def _circle_row(poles, path: LoopPath, order: Optional[int], rows):
     """Append to ``rows`` the Frobenius series of the circle of ``path``
     about a marked point of the given order (``_Row``) and return (s, G,
-    G^-1, its index) for ``_local_monodromy``: s = u(entry) in the local
-    coordinate u of ``_laurent``, and G maps reduced data to (psi, psi') at
-    the entry point: diag(1, 1/s), and at infinity [[1/s, 0], [1, -1]] since
-    psi = phi / w.  The shifts are +-1/e at an order-e point, and 0 with the
-    log term at a cusp."""
+    G^-1, its index) for ``_circle_tangents`` and ``_local_monodromy``:
+    s = u(entry) in the local coordinate u of ``_laurent``, and G maps
+    reduced data to (psi, psi') at the entry point: diag(1, 1/s), and at
+    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  The shifts are +-1/e
+    at an order-e point, and 0 with the log term at a cusp."""
     entry = path.stem[1]
     if path.target == "inf":
         s = 1 / (entry - path.centre)
@@ -814,14 +769,14 @@ def _circle_row(poles, path: LoopPath, order: Optional[int], rows):
     return s, g, ginv, len(rows) - 1
 
 
-def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Series):
-    """(C, Wronskian drift, circle record) for the circle of ``path``
+def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Series, ints):
+    """(C, Wronskian drift, [E per tangent]) for the circle of ``path``
     (column convention, row-major 4-tuples) from its summed Frobenius series
     (``circle`` = (s, G, G^-1, row) of ``_circle_row``, row ``row`` of
-    ``series``): C = Phi N Phi^-1 is the exact monodromy of the loop from
-    the entry point, the drift compares the Frobenius Wronskian with its
-    exact value, and the record (``_Circle``) keeps the expansion for
-    ``_circle_tangents``.
+    ``series``) and its ray integrals per tangent (``_circle_tangents``;
+    none without tangents): C = Phi N Phi^-1 is the exact monodromy of the
+    loop from the entry point, the drift compares the Frobenius Wronskian
+    with its exact value, and E = G Mh Eh Mh^-1 G^-1 - dp K.
 
     In the local coordinate u (see ``_laurent``) the exponents are
     rho = (1 +- 1/e)/2 at an order-e point, and the series (shifts +-1/e)
@@ -834,8 +789,8 @@ def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Seri
     sum n a_n s^n) of each basis function, whose determinant is exactly
     rho_- - rho_+ (cusp: 1), and by G.
     """
-    s, g, ginv, row = circle
-    a, b = _settled(series, row, lambda: f"Frobenius series at {path.target}")
+    _, g, ginv, row = circle
+    _settled(series, row, lambda: f"Frobenius series at {path.target}")
     (*_, sa, ta), (*_, sb, tb) = series.sums[row]
     cusp = order is None
     dlt = 0.0 if cusp else 1.0 / order
@@ -850,19 +805,27 @@ def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Seri
         n_mat = (-1.0 + 0j, -2j * math.pi, 0j, -1.0 + 0j)
     else:
         n_mat = (-cmath.exp(1j * math.pi * dlt), 0j, 0j, -cmath.exp(-1j * math.pi * dlt))
-    c = mat_mul(g, mat_mul(mat_mul(mh, mat_mul(n_mat, mh_inv)), ginv))
-    return c, drift, _Circle(path, order, s, a, b, g, ginv, mh, mh_inv)
+
+    def framed(m):  # G Mh m Mh^-1 G^-1
+        return mat_mul(g, mat_mul(mat_mul(mh, mat_mul(m, mh_inv)), ginv))
+    es = [_sub(framed((x1, 0j, x2, 0j) if cusp else (0j, x1, x2, 0j)), (0j, k1, k2, 0j))
+          for x1, x2, k1, k2 in ints]
+    return framed(n_mat), drift, es
 
 
-def _circle_tangents(poles, tangents, circles):
-    """[E per tangent] for each circle of ``circles`` (column convention,
-    row-major 4-tuples): a circle is a pair (i, ``_Circle`` record of
-    ``_local_monodromy``) of representation i (see ``_step_tangents``).
-    E = dPhi Phi^-1 up to a matrix that commutes with C.
+def _circle_tangents(series: _Series, circles, poles, tangents):
+    """[(x1, x2, k1, k2) per tangent] for each circle (i, path, order, s,
+    row) of ``circles`` about a marked point of the given order, whose
+    series is row ``row`` of ``series`` (s = u(entry), see ``_circle_row``)
+    and whose poles and tangents are those of representation i (see
+    ``_step_tangents``): the two nonzero entries x1, x2 of Eh and the
+    entries k1, k2 of dp K, for ``_local_monodromy`` to form
+    E = G Mh Eh Mh^-1 G^-1 - dp K: E = dPhi Phi^-1 up to a matrix that
+    commutes with C.
 
     A tangent varies R by dR with the entry point frozen; the exponents do
-    not move (a tangent that moves the order of a circle's marked point is
-    a ValueError), so dN = 0 and the lasso reads E only through dC = [E, C].
+    not move (``transport`` rejects a tangent that moves the order of a
+    marked point), so dN = 0 and the lasso reads E only through dC = [E, C].
     Variation of constants from the marked point along the ray u = s t,
     t in [0, 1], gives dPhi = Phi int_0^s Phi^-1 dK Phi du with
     dK = [[0, 0], [-dR, 0]], and of that integral only the entries that do
@@ -873,9 +836,9 @@ def _circle_tangents(poles, tangents, circles):
         cusp:     Eh = [[2 (int log t F_aa + int F_ab), 0], [-int F_aa, 0]]
     over [0, 1], by the product rules of ``_ray_rule``: the factors u^rho
     and log u of the Frobenius basis become the weights, and every F is
-    analytic on the ray.  Then E = G Mh Eh Mh^-1 G^-1 - dp K: at a finite
-    pole the pole moves under the frozen entry point, which adds
-    -dp (psi', -(q/2) psi), K = [[0, 1], [-q/2, 0]].
+    analytic on the ray.  At a finite pole the pole moves under the frozen
+    entry point, which adds -dp (psi', -(q/2) psi), K = [[0, 1], [-q/2, 0]];
+    at infinity k1 = k2 = 0.
 
     dR at a finite pole p_j takes the coefficients of ``_dq`` with every
     pole's motion taken relative to p_j.  At infinity, per pole and with
@@ -890,36 +853,34 @@ def _circle_tangents(poles, tangents, circles):
 
     Every ray shares the nodes and their power table (only the weights
     depend on the order), so one evaluation takes all circles of any number
-    of representations: the series, zero-padded to the longest, are read at
-    the nodes by ``_at_nodes``; y, the coefficients of dR, the kernel
+    of representations: the series are read at the nodes in the batch's
+    coefficient array (``_at_nodes``); y, the coefficients of dR, the kernel
     weights and the two nonzero entries of Eh follow as array operations
     over circles x tangents x nodes with each circle's own poles and
     tangents, each circle's entries by the same operations as a batch of
     that circle alone, so a circle's E is bit for bit its batch of one.  A
     tangent thus costs O(nodes x poles), not a differentiated series.
     """
-    reps, circles = zip(*circles)
-    pole_rows, tangent_rows = _rows(poles, tangents, list(reps))
-    at_inf = [cir.path.target == "inf" for cir in circles]
+    reps, paths, orders, ss, rows = zip(*circles)
+    pole_rows, tangent_rows = poles[list(reps)], tangents[list(reps)]
+    at_inf = [path.target == "inf" for path in paths]
     inf = np.array(at_inf)[:, None]
     own = tangent_rows[np.arange(len(circles)), :,
-                       [0 if i else cir.path.target for cir, i in zip(circles, at_inf)]]
-    if np.any((own[..., 1] != 0) & ~inf):  # the dA of a circle's own pole
-        raise ValueError("a tangent may not move the order of a marked point")
+                       [0 if i else path.target for path, i in zip(paths, at_inf)]]
     nodes, _, _, powers = _ray_rule(None)  # every order's nodes and powers
-    rules = [_ray_rule(cir.order) for cir in circles]
-    av, bv = _at_nodes([(cir.a, cir.b) for cir in circles], powers)  # A and B at the nodes
-    cusp = np.array([cir.order is None for cir in circles])[:, None]
-    s = np.array([cir.s for cir in circles])[:, None]
+    rules = [_ray_rule(order) for order in orders]
+    av, bv = _at_nodes(series, list(rows), powers)  # A and B at the nodes
+    cusp = np.array([order is None for order in orders])[:, None]
+    s = np.array(ss)[:, None]
     w1 = np.array([w for _, w, _, _ in rules])
     w2 = np.array([w for _, _, w, _ in rules])
-    dlt = np.array([[1.0 if cir.order is None else 1.0 / cir.order] for cir in circles])
+    dlt = np.array([[1.0 if order is None else 1.0 / order] for order in orders])
     # t s^2 dR(s t) = s x the sum in brackets at infinity
-    f = np.array([[cir.s if i else cir.s * cir.s] for cir, i in zip(circles, at_inf)])
+    f = np.array([[x if i else x * x] for x, i in zip(ss, at_inf)])
     f = f * np.where(inf, 1.0, nodes)
     pole_lists = pole_rows.tolist()
-    centres = [[cir.path.centre if i else ps[cir.path.target][0]]
-               for cir, i, ps in zip(circles, at_inf, pole_lists)]
+    centres = [[path.centre if i else ps[path.target][0]]
+               for path, i, ps in zip(paths, at_inf, pole_lists)]
     d = pole_rows[..., 0] - np.array(centres)  # p - the circle's centre
     y = 1 / (np.where(inf, 1, -d)[:, :, None]
              + np.where(inf, -(s * d), s)[:, :, None] * nodes)  # circles x poles x nodes
@@ -936,25 +897,20 @@ def _circle_tangents(poles, tangents, circles):
                        np.where(cusp, -faa, faa / dlt)), axis=-1)
     ints = (_cubic(coeffs, y) @ kernel).tolist()  # circles x tangents x 2
     out = []
-    for cir, i, ps, rows, dps in zip(circles, at_inf, pole_lists, ints, moving.tolist()):
-        if not i:
-            entry = cir.path.stem[1]
-            q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in ps)
-        es = []
-        for (x1, x2), dp0 in zip(rows, dps):
-            eh = (x1, 0j, x2, 0j) if cir.order is None else (0j, x1, x2, 0j)
-            e = mat_mul(cir.g, mat_mul(mat_mul(cir.mh, mat_mul(eh, cir.mh_inv)), cir.ginv))
-            if not i:  # a finite pole moves under the frozen entry point: -dp (psi', -(q/2) psi)
-                e = _sub(e, (0j, dp0, -q2 * dp0, 0j))
-            es.append(e)
-        out.append(es)
+    for path, i, ps, xs, dps in zip(paths, at_inf, pole_lists, ints, moving.tolist()):
+        if i:
+            out.append([(x1, x2, 0j, 0j) for x1, x2 in xs])
+            continue
+        entry = path.stem[1]
+        q2 = sum(A / (entry - p) ** 2 + B / (entry - p) for p, A, B in ps)
+        out.append([(x1, x2, dp0, -q2 * dp0) for (x1, x2), dp0 in zip(xs, dps)])
     return out
 
 
-#: one representation's lassos without tangents (``_lassos``): its poles and,
-#: per lasso, the stem (``_Stem``), the circle record (``_Circle``), the image
-#: L and S^-1 (column convention) and the drift
-_Lassos = namedtuple("_Lassos", "poles stems circles images sinvs drifts")
+#: one representation's lassos (``_lassos``): per lasso the image L (column
+#: convention) and [dL per tangent] (row convention), the worst drift, and
+#: the IntegrationError of its first non-finite tangent transport, or None
+_Lassos = namedtuple("_Lassos", "images drift tangents fault")
 
 
 def _plan(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]], rows):
@@ -976,80 +932,80 @@ def _plan(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]], row
     return plan, None
 
 
-def _assemble(poles, plan, error, series: _Series) -> _Lassos:
+def _assemble(plan, error, series: _Series, ints, count: int) -> _Lassos:
     """The lassos of one planned representation (``_plan``) from its summed
-    series: L = S^-1 C S (column convention) per lasso, where S is the
+    series and the quadratures' integrals ``ints[row]`` for ``count``
+    tangents: L = S^-1 C S (column convention) per lasso, where S is the
     stem's transport and C the exact local monodromy, each lasso's stem and
-    circle in turn.  S^-1 is the adjugate, so det L = det(S)^2 det C keeps
-    the stem's drift.  The drift is the worst of the image's, the stem's and
-    the Frobenius Wronskian's."""
-    stems, circles, images, sinvs, drifts = [], [], [], [], []
+    circle in turn, and per tangent dL = [L, X] with X = S^-1 (dS - E S): a
+    part of E that commutes with C drops out, which is why
+    ``_circle_tangents`` may leave it out.  S^-1 is the adjugate, so
+    det L = det(S)^2 det C keeps the stem's drift.  The drift is the worst
+    of the image's, the stem's and the Frobenius Wronskian's."""
+    images, dls, drifts, fault = [], [], [], None
     for path, order, steps, circle in plan:
-        stem = _stem(steps, series, path.stem[1])
+        u, du = _stem(steps, series, ints, count)
         if circle is None:
             raise error
-        c, frob, record = _local_monodromy(path, order, circle, series)
-        sinv = mat_inv_unit(stem.u)
-        lasso = mat_mul(sinv, mat_mul(c, stem.u))
-        stems.append(stem)
-        circles.append(record)
+        if fault is None and not all(map(cmath.isfinite, sum(du, ()))):
+            fault = IntegrationError(f"non-finite tangent transport at {path.stem[1]:.6g}")
+        c, frob, es = _local_monodromy(path, order, circle, series, ints[circle[-1]])
+        sinv = mat_inv_unit(u)
+        lasso = mat_mul(sinv, mat_mul(c, u))
+        xs = [mat_mul(sinv, _sub(d, mat_mul(e, u))) for d, e in zip(du, es)]
         images.append(lasso)
-        sinvs.append(sinv)
-        drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(stem.u), frob))
-    return _Lassos(poles, stems, circles, images, sinvs, drifts)
+        dls.append([_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))) for x in xs])
+        drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(u), frob))
+    return _Lassos(images, nan_max(*drifts), dls, fault)
 
 
-def _lassos(jobs):
-    """The untangented transport of the lassos of each job (poles, paths,
-    orders) of ``jobs``, one representation each, as a ``_Lassos`` per job
-    in order (a generator).  ``poles`` lists the (pole, theta/4, m/2)
-    triples of ``SphereData.half_q_terms``.
+def _lassos(jobs, tangents=()):
+    """The lassos of each job (poles, paths, orders) of the list ``jobs``,
+    one representation each, with their derivatives along the job's
+    tangents ``tangents[i]`` (none without tangents), as a ``_Lassos`` per
+    job in order (a generator).  ``poles`` lists the (pole, theta/4, m/2)
+    triples of ``SphereData.half_q_terms``, a tangent one (dp, dA, dB) per
+    pole (``potential_tangent``); every job with tangents has as many poles
+    and as many tangents, as the grid points of a kawai experiment do.
 
     Every job is planned first (``_plan``), then one ``_lockstep`` batch
-    sums the series of every Taylor step and every circle of every job,
-    and each job is assembled from it when its turn comes
-    (``_assemble``).  Each row rounds as it would alone, so the results
-    are bit for bit those of each job walked on its own, and the first
-    error raised is the one that walk meets first."""
+    sums the series of every Taylor step and every circle of every job; with
+    tangents, one ``_step_tangents`` and one ``_circle_tangents`` call read
+    every step's and every circle's series in the batch.  Each job is
+    assembled from them when its turn comes (``_assemble``).  Each row
+    rounds as it would alone, so the results are bit for bit those of each
+    job walked on its own, and the first error raised is the one that walk
+    meets first."""
     rows, plans = [], []
     for poles, paths, orders in jobs:
-        plans.append((poles, *_plan(poles, paths, orders, rows)))
+        plans.append(_plan(poles, paths, orders, rows))
     series = _lockstep(rows) if rows else None
-    for poles, plan, error in plans:
-        yield _assemble(poles, plan, error, series)
-
-
-def _lasso_tangents(lassos: Sequence[_Lassos], tangents) -> list[list[list[Mat2]]]:
-    """[[dL per tangent] per lasso] (row convention) for each representation
-    of ``lassos``, along its tangents ``tangents[i]``: one (dp, dA, dB) per
-    pole (``potential_tangent``).  One ``_circle_tangents`` call takes every
-    circle of every representation and one ``_stem_tangents`` call every
-    stem.  With X = S^-1 (dS - E S), dL = [L, X]: a part of E that commutes
-    with C drops out, which is why ``_circle_tangents`` may leave it out."""
-    poles = np.array([las.poles for las in lassos], dtype=complex)
-    tangents = np.array(tangents, dtype=complex)
-    ess = iter(_circle_tangents(poles, tangents, [(i, c) for i, las in enumerate(lassos)
-                                                  for c in las.circles]))
-    dss = iter(_stem_tangents(poles, tangents, [(i, s) for i, las in enumerate(lassos)
-                                                for s in las.stems]))
-    out = []
-    for las in lassos:
-        dls = []
-        for stem, ds, es, lasso, sinv in zip(las.stems, dss, ess, las.images, las.sinvs):
-            xs = [mat_mul(sinv, _sub(d, mat_mul(e, stem.u))) for d, e in zip(ds, es)]
-            dls.append([_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))) for x in xs])
-        out.append(dls)
-    return out
+    count = len(tangents[0]) if any(tangents) else 0
+    ints = [()] * len(rows)  # the quadratures' integrals per tangent, by row
+    if count and rows:
+        poles = np.array([job[0] for job in jobs], dtype=complex)
+        tangents = np.array(tangents, dtype=complex)
+        planned = [(i, lasso) for i, (plan, _) in enumerate(plans) for lasso in plan]
+        steps = [(i, *step) for i, (_, _, stem, _) in planned for step in stem]
+        circles = [(i, path, order, circle[0], circle[-1])
+                   for i, (path, order, _, circle) in planned if circle is not None]
+        # the rows of a job whose transport fails are summed on and never read
+        with np.errstate(all="ignore"):
+            for quadrature, items in ((_step_tangents, steps), (_circle_tangents, circles)):
+                for item, x in zip(items, quadrature(series, items, poles, tangents)
+                                   if items else ()):
+                    ints[item[-1]] = x
+    for plan, error in plans:
+        yield _assemble(plan, error, series, ints, count)
 
 
 # ---------------------------------------------------------------------------
 # representations from lasso monodromies
 # ---------------------------------------------------------------------------
 
-#: one representation's monodromy without tangents (``transport``): rho, the
-#: Wronskian drift, and the lassos (``_Lassos``) that ``tangent_images``
-#: differentiates
-Transport = namedtuple("Transport", "rho drift lassos")
+#: one representation's monodromy (``transport``): rho, the Wronskian drift,
+#: and the tangent images per tangent
+Transport = namedtuple("Transport", "rho drift images")
 
 
 class MonodromyEngine:
@@ -1068,40 +1024,53 @@ class MonodromyEngine:
 
     def representation(self, data: Optional[SphereData] = None,
                        relation_tol: float = 1e-5,
-                       tangents: Sequence[Tangent] = ()):
+                       tangents: Sequence[Tangent] = ()) -> Transport:
         """(rho, Wronskian drift, tangent images) for ``data`` (default: the
-        engine's own) along the frozen lassos: ``transport`` and
-        ``tangent_images`` of this one representation."""
-        (tr,) = transport([(self, self.data if data is None else data)], relation_tol)
-        return tr.rho, tr.drift, tangent_images([tr], [tangents])[0]
+        engine's own) along the frozen lassos: ``transport`` of this one
+        representation."""
+        (tr,) = transport([(self, self.data if data is None else data)], relation_tol,
+                          [tangents])
+        return tr
 
 
-def transport(jobs, relation_tol: float = 1e-5) -> list[Transport]:
-    """rho and its Wronskian drift for each job (engine, data) of ``jobs``,
-    along the engine's frozen lassos (``_lassos``: every stem step and
-    every circle of every job summed in one lockstep batch; each circle's
-    monodromy is exact).  The drift is the worst |det - 1| of the lasso
-    images and the stems and of the Frobenius Wronskians against their
-    exact values; a lasso product that misses +-identity by more than
-    ``relation_tol`` (or by NaN) raises OrderingError.
+def transport(jobs, relation_tol: float = 1e-5,
+              tangents: Sequence[Sequence[Tangent]] = ()) -> list[Transport]:
+    """rho, its Wronskian drift and its tangent images for each job
+    (engine, data) of ``jobs``, along the engine's frozen lassos and along
+    the job's tangents ``tangents[i]`` (see ``potential_tangent``; none
+    without).  ``_lassos`` takes every job: every stem step and every circle
+    summed in one lockstep batch, each circle's monodromy exact, and one
+    quadrature per kind for every tangent.  The drift is the worst
+    |det - 1| of the lasso images and the stems and of the Frobenius
+    Wronskians against their exact values; a lasso product that misses
+    +-identity by more than ``relation_tol`` (or by NaN) raises
+    OrderingError.  A tangent image maps every generator to dm / sqrt(det m)
+    for its monodromy m, scaled as its image in rho is, so that
+    dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
 
-    The results and the first error are those of transporting job after
-    job: a job's errors are raised after the jobs before it are checked,
-    and an error in drawing the next job (``jobs`` may be a generator that
-    builds each engine) after every job drawn before it."""
+    A tangent that moves the order of a marked point (a nonzero dA) is a
+    ValueError, raised before any job is drawn.  Otherwise the results and
+    the first error are those of transporting job after job and then
+    differentiating: a job's errors are raised after the jobs before it are
+    checked, an error in drawing the next job (``jobs`` may be a generator
+    that builds each engine) after every job drawn before it, and a
+    non-finite tangent transport after every job's transport."""
     from .cocycles import Representation
+    if any(tangents) and np.any(np.array(tangents, dtype=complex)[..., 1]):
+        raise ValueError("a tangent may not move the order of a marked point")
     built, late = [], None
     try:
         for engine, data in jobs:
             built.append((engine, data))
     except _FAILURES as exc:  # raised once the jobs before it are done
         late = exc
-    out = []
+    out, fault = [], None
     lassos = _lassos([(data.half_q_terms(), engine.paths,
-                       [data.order_at(p.target) for p in engine.paths]) for engine, data in built])
+                       [data.order_at(p.target) for p in engine.paths]) for engine, data in built],
+                     tangents)
     for (engine, data), las in zip(built, lassos):
-        images = {g: MoebiusMap(*_row(m))
-                  for g, m in zip(engine.signature.marked_generators, las.images)}
+        gens = engine.signature.marked_generators
+        images = {g: MoebiusMap(*_row(m)) for g, m in zip(gens, las.images)}
         prod = MoebiusMap.identity()
         for image in images.values():
             prod = prod @ image
@@ -1110,32 +1079,12 @@ def transport(jobs, relation_tol: float = 1e-5) -> list[Transport]:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        out.append(Transport(Representation(engine.signature, images), nan_max(*las.drifts), las))
-    if late is not None:
-        raise late
-    return out
-
-
-def tangent_images(transports: Sequence[Transport], tangents: Sequence[Sequence[Tangent]]
-                   ) -> list[list[dict[str, Mat2]]]:
-    """For each transport of ``transports`` (``MonodromyEngine.transport``)
-    and each of its tangents ``tangents[i]`` (see ``potential_tangent``), the
-    tangent images: every generator maps to dm / sqrt(det m) for its
-    monodromy m, scaled as its image in rho is, so that
-    dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
-
-    One derivative stage takes them all (``_lasso_tangents``): one
-    quadrature batch for every stem step and one for every circle of every
-    representation.  Each representation's images are bit for bit its stage
-    of one.  Every representation has as many poles and as many tangents,
-    as the grid points of a kawai experiment do."""
-    if not any(tangents):
-        return [[] for _ in transports]
-    out = []
-    for tr, tans, dms in zip(transports, tangents,
-                             _lasso_tangents([tr.lassos for tr in transports], tangents)):
-        scales = [cmath.sqrt(mat_det(_row(m))) for m in tr.lassos.images]
-        out.append([{g: tuple(x / s for x in dm[t])
-                     for g, s, dm in zip(tr.rho.signature.marked_generators, scales, dms)}
-                    for t in range(len(tans))])
+        fault = fault or las.fault
+        scales = [cmath.sqrt(mat_det(_row(m))) for m in las.images]
+        out.append(Transport(Representation(engine.signature, images), las.drift,
+                             [{g: tuple(x / s for x in dm) for g, s, dm in zip(gens, scales, dms)}
+                              for dms in zip(*las.tangents)]))
+    for exc in (late, fault):
+        if exc is not None:
+            raise exc
     return out

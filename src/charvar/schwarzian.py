@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .jets import DEFAULT_ORDER, Jet, jet_exp, moebius_jet, nan_max
-from .monodromy import _gauss_legendre
+from .monodromy import gauss_legendre
 from .sl2 import MoebiusMap, QuadPoly
 
 JetProvider = Callable[[complex, int], Jet]
@@ -351,7 +351,7 @@ def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
             raise QuadratureError(f"quadrature did not converge: f' vanishes at the "
                                   f"endpoint {end}, a critical point of f")
     dz = z1 - z0
-    nodes, weights = _gauss_legendre(32)
+    nodes, weights = gauss_legendre(32)
 
     def level(n_panels: int) -> np.ndarray:
         total = np.zeros(3, dtype=complex)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from charvar.cocycles import Representation, local_coboundaries
-from charvar.monodromy import (MonodromyEngine, _circle_row, _lassos, _local_monodromy, _lockstep,
-                               _row, _stem, _stem_tangents, _step_row, _transfer, _transport,
-                               build_potential)
+from charvar.monodromy import (MonodromyEngine, _circle_row, _circle_tangents, _lassos,
+                               _local_monodromy, _lockstep, _row, _stem, _step_row,
+                               _step_tangents, _transfer, _transport, build_potential)
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
 
@@ -128,43 +128,65 @@ def lasso_polyline(path, arc_segments=16):
     return [zb, entry] + circle + [zb]
 
 
+def _integrals(quadrature, series, items, poles, tangents, count):
+    """The integrals per tangent of one ``quadrature`` call over ``items``
+    of one representation, by row of its batch of ``count`` rows: the
+    ``ints`` that ``_assemble`` reads (all empty without tangents)."""
+    ints = [()] * count
+    if tangents:
+        for item, x in zip(items, quadrature(series, items, np.array([poles], dtype=complex),
+                                             np.array([tangents], dtype=complex))):
+            ints[item[-1]] = x
+    return ints
+
+
 def transport(poles, vertices, tangents=()):
     """(M, [dM per tangent]) along a polyline in the row convention: the
-    transport of one stem, planned (``_transport``), summed in one batch and
-    accumulated (``_stem``), and its tangents."""
+    transport of one stem, planned (``_transport``), summed in one batch,
+    its tangents integrated by one ``_step_tangents`` call and accumulated
+    (``_stem``)."""
     rows, steps = [], []
     _transport(poles, vertices, rows, steps)
-    stem = _stem(steps, _lockstep(rows) if rows else None, complex(vertices[-1]))
-    if not tangents:
-        return _row(stem.u), []
-    (du,) = _stem_tangents([poles], [tangents], [(0, stem)])
-    return _row(stem.u), [_row(d) for d in du]
+    series = _lockstep(rows) if rows else None
+    ints = _integrals(_step_tangents, series, [(0, *step) for step in steps], poles, tangents,
+                      len(rows))
+    u, du = _stem(steps, series, ints, len(tangents))
+    return _row(u), [_row(d) for d in du]
 
 
-def transfers(poles, steps):
-    """(T, series record) of ``_transfer`` for each step (z0, h) of
-    ``steps``, their series summed in one batch."""
+def transfers(poles, steps, tangents=()):
+    """(T, [dT per tangent], series length) of ``_transfer`` for each step
+    (z0, h) of ``steps``, their series summed in one batch and their
+    tangents integrated by one ``_step_tangents`` call."""
     rows = []
     planned = [(z0, h, _step_row(poles, z0, h, rows)) for z0, h in steps]
     series = _lockstep(rows)
-    return [_transfer(z0, h, series, row) for z0, h, row in planned]
+    ints = _integrals(_step_tangents, series, [(0, *step) for step in planned], poles, tangents,
+                      len(rows))
+    return [(*_transfer(z0, h, series, row, ints[row]), series.lengths[row])
+            for z0, h, row in planned]
 
 
-def local_monodromies(poles, paths, orders):
-    """(C, drift, circle record) of ``_local_monodromy`` for the circle of
+def local_monodromies(poles, paths, orders, tangents=()):
+    """(C, drift, [E per tangent]) of ``_local_monodromy`` for the circle of
     each of ``paths`` about a point of the given order, their Frobenius
-    series summed in one batch."""
+    series summed in one batch and their tangents integrated by one
+    ``_circle_tangents`` call."""
     rows = []
     circles = [_circle_row(poles, path, order, rows) for path, order in zip(paths, orders)]
     series = _lockstep(rows)
-    return [_local_monodromy(path, order, circle, series)
+    ints = _integrals(_circle_tangents, series,
+                      [(0, path, order, circle[0], circle[-1])
+                       for path, order, circle in zip(paths, orders, circles)],
+                      poles, tangents, len(rows))
+    return [_local_monodromy(path, order, circle, series, ints[circle[-1]])
             for path, order, circle in zip(paths, orders, circles)]
 
 
-def lassos(poles, paths, orders):
-    """The untangented lassos (``_Lassos``) of one representation: the
-    ``_lassos`` batch of this one job."""
-    (las,) = _lassos([(poles, paths, orders)])
+def lassos(poles, paths, orders, tangents=()):
+    """The lassos (``_Lassos``) of one representation with their derivatives
+    along ``tangents``: the ``_lassos`` batch of this one job."""
+    (las,) = _lassos([(poles, paths, orders)], [tangents])
     return las
 
 

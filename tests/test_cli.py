@@ -505,7 +505,15 @@ def test_goldman_representation_generators_are_checked(capsys, tmp_path, genus2_
       "grid": [{"t": [[0, 0], [5, 5]], "c": [[0, 0], [7, 7]]}]}, "exceed"),
     ({"sphere": SPHERE, "t_directions": [], "accessory_directions": []},
      "at least one direction"),
-], ids=["offsets-beyond-directions", "no-directions"])
+    ({"sphere": SPHERE, "t_directions": VELOCITY, "grid": []}, "at least one grid point"),
+    # a grid that is an object, or that holds a non-object, used to end in
+    # an AttributeError traceback
+    ({"sphere": SPHERE, "t_directions": VELOCITY, "grid": {"t": [0.1]}},
+     "bad kawai config: grid must be a list of objects"),
+    ({"sphere": SPHERE, "t_directions": VELOCITY, "grid": [5]},
+     "bad kawai config: grid must be a list of objects"),
+], ids=["offsets-beyond-directions", "no-directions", "empty-grid", "grid-object",
+        "grid-non-object"])
 def test_kawai_grid_must_fit_the_directions(capsys, cfg, message):
     code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
     assert code == 1

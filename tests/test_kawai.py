@@ -133,13 +133,17 @@ def test_grid_points_are_independent(config, monkeypatch):
     # for bit that of its offset run alone.  kawai-5point mixes cusps and
     # elliptic points (order 3, and 2 at infinity) and circles and stem
     # steps whose series differ in length within one batch
+    from collections import namedtuple
+
     import charvar.monodromy as mono
     batches = []
     circle_tangents = mono._circle_tangents
+    Circle = namedtuple("Circle", "order a")
 
-    def recorded(poles, tangents, circles):
-        batches.append(circles)
-        return circle_tangents(poles, tangents, circles)
+    def recorded(series, circles, poles, tangents):
+        batches.append([(i, Circle(order, series.coeffs[row, 0, :series.lengths[row]]))
+                        for i, _, order, _, row in circles])
+        return circle_tangents(series, circles, poles, tangents)
 
     monkeypatch.setattr(mono, "_circle_tangents", recorded)
     base, t_dirs, grid, acc = _experiment(config)

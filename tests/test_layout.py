@@ -42,3 +42,16 @@ def test_perfbench_imports_resolve():
     assert ("charvar.goldman", "goldman_closed") in names
     missing = [f"{mod}.{name}" for mod, name in names if not _importable(mod, name)]
     assert not missing, f"perfbench imports names the package lacks: {missing}"
+
+
+def test_no_module_imports_a_private_name():
+    # a name with a leading underscore (a dunder such as __version__ aside)
+    # is private to its module: no module of the package imports one from
+    # another
+    private = [f"{path.relative_to(ROOT)}: {node.module} {alias.name}"
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, f"private names imported across modules: {private}"

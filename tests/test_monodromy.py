@@ -13,10 +13,10 @@ from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline,
 from oracles import moment_residuals, q, q_jet
 import charvar.monodromy as mono
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, LoopPath, MonodromyEngine,
-                               OrderingError, _at_nodes, _circle_row, _circle_tangents,
-                               _gauss_legendre, _lasso_tangents, _lockstep, _powers, _ray_rule,
-                               _row, _step_row, _step_tangents, _transport, build_lassos,
-                               build_potential, potential_tangent, theta_of, wronskian_drift)
+                               OrderingError, _at_nodes, _circle_row, _lockstep, _powers,
+                               _ray_rule, _row, _step_row, _transport, build_lassos,
+                               build_potential, gauss_legendre, potential_tangent, theta_of,
+                               wronskian_drift)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, mat_mul
 
@@ -207,36 +207,29 @@ def _recorded_steps(monkeypatch, run):
     """Every step (z0, h) that ``run()`` transports and the T its transport
     took from the lockstep batch, in one (poles, tangents, [(z0, h), ...],
     [T, ...]) batch per representation: the steps of all its stems, with the
-    tangents the derivative stage (``_lasso_tangents``) takes for it."""
+    tangents its call (``_lassos``) takes for it."""
     import charvar.monodromy as mono
 
     batches = []
-    lassos, transfer, lasso_tangents = mono._lassos, mono._transfer, mono._lasso_tangents
+    lassos, transfer = mono._lassos, mono._transfer
 
-    def assembled(jobs):  # one batch per job, filled as the job is assembled
-        jobs = list(jobs)
-        each = lassos(jobs)
-        for poles, _, _ in jobs:
-            batches.append((poles, [], [], []))
+    def assembled(jobs, tangents=()):  # one batch per job, filled as the job is assembled
+        each = lassos(jobs, tangents)
+        for i, (poles, _, _) in enumerate(jobs):
+            tans = tangents[i] if any(tangents) else []
+            batches.append((poles, [[tuple(map(complex, v)) for v in t] for t in tans], [], []))
             yield next(each)
 
-    def transferred(z0, h, series, row):
-        T, record = transfer(z0, h, series, row)
+    def transferred(z0, h, series, row, ints):
+        T, dts = transfer(z0, h, series, row, ints)
         batches[-1][2].append((z0, h))
         batches[-1][3].append(T)
-        return T, record
-
-    def differentiated(las, tangents):
-        for batch, tans in zip(batches[len(batches) - len(las):], tangents):
-            batch[1].extend([tuple(map(complex, v)) for v in t] for t in tans)
-        return lasso_tangents(las, tangents)
+        return T, dts
     monkeypatch.setattr(mono, "_lassos", assembled)
     monkeypatch.setattr(mono, "_transfer", transferred)
-    monkeypatch.setattr(mono, "_lasso_tangents", differentiated)
     run()
     monkeypatch.setattr(mono, "_lassos", lassos)
     monkeypatch.setattr(mono, "_transfer", transfer)
-    monkeypatch.setattr(mono, "_lasso_tangents", lasso_tangents)
     return [batch for batch in batches if batch[2]]
 
 
@@ -302,8 +295,8 @@ def test_untangented_step_is_bit_identical_to_the_series(monkeypatch, capsys):
 
 def _batch_tangents(poles, tangents, steps):
     """dT per tangent for each (z0, h) of one batch, by one ``_step_tangents``
-    call over the steps' series records."""
-    return _step_tangents([poles], [tangents], [(0, rec) for _, rec in transfers(poles, steps)])
+    call over the steps' summed series."""
+    return [dts for _, dts, _ in transfers(poles, steps, tangents)]
 
 
 def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
@@ -315,7 +308,7 @@ def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
     batches = [(poles, tangents, steps) for poles, tangents, steps, _
                in _kawai_steps(monkeypatch, capsys)]
     # a batch's series differ in length, so it pads the shorter ones
-    lengths = [{len(rec[2]) for _, rec in transfers(poles, steps)} for poles, _, steps in batches]
+    lengths = [{n for *_, n in transfers(poles, steps)} for poles, _, steps in batches]
     assert all(len(ls) > 1 for ls in lengths) and min(map(min, lengths)) < max(map(max, lengths))
     batches += [(poles, WORST_TANGENTS, [(0j, 0.5 + 0j)]) for poles in WORST_STEPS]
     for poles, tangents, steps in batches:
@@ -329,13 +322,13 @@ def test_step_tangents_match_the_differentiated_series(monkeypatch, capsys):
 def test_gauss_legendre_rule_is_exact_on_polynomials():
     # the Taylor steps' and rays' 16 nodes and the Lambda4 solver's 32
     for m in (16, 32):
-        nodes, weights = _gauss_legendre(m)
+        nodes, weights = gauss_legendre(m)
         assert len(nodes) == len(set(nodes)) == m and all(-1 < t < 1 for t in nodes)
         assert nodes[1::2] == tuple(-t for t in nodes[::2]) and weights[1::2] == weights[::2]
         for k in range(2 * m):
             exact = 2 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(sum(w * t ** k for t, w in zip(nodes, weights)) - exact) <= 1e-15, (m, k)
-    _assert_power_table(_gauss_legendre(16)[0], _powers(_gauss_legendre(16)[0]))
+    _assert_power_table(gauss_legendre(16)[0], _powers(gauss_legendre(16)[0]))
 
 
 def test_node_values_do_not_depend_on_the_batch():
@@ -344,15 +337,18 @@ def test_node_values_do_not_depend_on_the_batch():
     # once the longest passes 128 terms, where OpenBLAS sums a dot product in
     # blocks whose bounds move with the length
     rng = np.random.default_rng(12)
-    nodes, _ = _gauss_legendre(16)
+    nodes, _ = gauss_legendre(16)
     powers = _powers(nodes)
-    pairs = [tuple(list(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in "ab")
-             for n in (20, 60, 100, 128, 140, 300)]
-    alone = [_at_nodes([pair], powers) for pair in pairs]
-    for batch in (pairs[:5], pairs):
-        together = _at_nodes(batch, powers)
-        for k, values in enumerate(alone[:len(batch)]):
-            assert together[:, k].tolist() == values[:, 0].tolist(), len(pairs[k][0])
+    lengths = [20, 60, 100, 128, 140, 300]
+    coeffs = np.zeros((len(lengths), 2, max(lengths)), dtype=complex)
+    for k, n in enumerate(lengths):
+        coeffs[k, :, :n] = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    series = mono._Series(coeffs, lengths, [None] * len(lengths), [], _MAX_TERMS)
+    alone = [_at_nodes(series, [k], powers) for k in range(len(lengths))]
+    for count in (5, 6):
+        together = _at_nodes(series, list(range(count)), powers)
+        for k, values in enumerate(alone[:count]):
+            assert together[:, k].tolist() == values[:, 0].tolist(), lengths[k]
 
 
 def _assert_power_table(nodes, powers):
@@ -387,12 +383,13 @@ def _random_tangents(data, rng, count=2):
             for _ in range(count)]
 
 
-def _circles(data, poles):
-    """(C, drift, record) of ``_local_monodromy`` for every lasso of
-    ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the orders."""
+def _circles(data, poles, tangents=()):
+    """(C, drift, [E per tangent]) of ``_local_monodromy`` for every lasso of
+    ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the paths and
+    the orders."""
     paths = build_lassos(data)[1]
     orders = [data.order_at(path.target) for path in paths]
-    return local_monodromies(poles, paths, orders), orders
+    return local_monodromies(poles, paths, orders, tangents), paths, orders
 
 
 def test_local_tangents_match_the_differentiated_series():
@@ -410,11 +407,9 @@ def test_local_tangents_match_the_differentiated_series():
     for data in _local_sources():
         tangents = _random_tangents(data, rng)
         poles = data.half_q_terms()
-        circles, orders = _circles(data, poles)
-        batch = _circle_tangents([poles], [tangents], [(0, rec) for _, _, rec in circles])
-        assert len(batch) == len(circles)
-        for (c, drift, rec), order, es in zip(circles, orders, batch):
-            path = rec.path
+        circles, paths, orders = _circles(data, poles, tangents)
+        assert len(circles) == len(paths)
+        for (c, drift, es), path, order in zip(circles, paths, orders):
             seen.add((path.target == "inf", order))
             assert (c, [], drift) == reference_local_monodromy(poles, [], path, order)
             cr, refs, _ = reference_local_monodromy(poles, tangents, path, order)
@@ -430,17 +425,22 @@ def test_circle_batch_entries_are_the_one_circle_values():
     # a circle's E from a batch that mixes finite points and infinity,
     # cusps and elliptic points, and series of different lengths (so the
     # zero padding is exercised) is bit for bit its batch of one
+    from conftest import local_monodromies
+
     rng = np.random.default_rng(10)
     kinds, lengths = set(), set()
     for data in _local_sources():
         tangents = _random_tangents(data, rng)
         poles = data.half_q_terms()
-        records = [rec for _, _, rec in _circles(data, poles)[0]]
-        batch = _circle_tangents([poles], [tangents], [(0, rec) for rec in records])
-        for rec, es in zip(records, batch):
-            kinds.add((rec.path.target == "inf", rec.order is None))
-            assert repr(es) == repr(_circle_tangents([poles], [tangents], [(0, rec)])[0])
-        lengths.add(len({len(rec.a) for rec in records}) > 1)
+        batch, paths, orders = _circles(data, poles, tangents)
+        for (_, _, es), path, order in zip(batch, paths, orders):
+            kinds.add((path.target == "inf", order is None))
+            (alone,) = local_monodromies(poles, [path], [order], tangents)
+            assert repr(es) == repr(alone[2])
+        rows = []
+        for path, order in zip(paths, orders):
+            _circle_row(poles, path, order, rows)
+        lengths.add(len(set(_lockstep(rows).lengths)) > 1)
     assert kinds == {(at_inf, cusp) for at_inf in (False, True) for cusp in (False, True)}
     assert lengths == {True}
 
@@ -559,8 +559,7 @@ def test_lasso_tangents_match_difference_quotients(config):
         tangent = potential_tangent(data, v, w)
         for path in paths:
             order = data.order_at(path.target)
-            las = lassos(data.half_q_terms(), [path], [order])
-            ((dm,),) = _lasso_tangents([las], [[tangent]])[0]
+            ((dm,),) = lassos(data.half_q_terms(), [path], [order], [tangent]).tangents
             fd = _stencil(lambda s: _row(lassos(
                 _moved(data, v, w, s).half_q_terms(), [path], [order]).images[0]))
             scale = max(abs(x) for x in dm)
@@ -676,8 +675,7 @@ class TestRepresentation:
         # NaN compares False with every tolerance, so it must not pass as small
         import charvar.monodromy as mono
         nan = float("nan")
-        monkeypatch.setattr(mono, "_stem",
-                            lambda steps, series, end: mono._Stem((nan, 0, 0, 1), [], [], 0j))
+        monkeypatch.setattr(mono, "_stem", lambda steps, series, ints, count: ((nan, 0, 0, 1), []))
         engine, _ = four_cusp_engine
         with pytest.raises(OrderingError):
             engine.representation()
@@ -746,7 +744,7 @@ def test_truncated_local_series_exits_2(capsys, monkeypatch):
         batches.append(rows)
         return lockstep(rows)
 
-    def truncated(path, order, circle, series):
+    def truncated(path, order, circle, series, ints):
         *head, row = circle
         monkeypatch.setattr(mono, "_TAIL", 2.0 ** -22)
         try:
@@ -754,7 +752,7 @@ def test_truncated_local_series_exits_2(capsys, monkeypatch):
         finally:
             monkeypatch.setattr(mono, "_TAIL", tail)
         assert short.lengths[0] < series.lengths[row]
-        return local(path, order, (*head, 0), short)
+        return local(path, order, (*head, 0), short, ints)
 
     monkeypatch.setattr(mono, "_lockstep", recorded)
     monkeypatch.setattr(mono, "_local_monodromy", truncated)
@@ -769,7 +767,7 @@ def test_tangent_may_not_move_an_order():
     path = build_lassos(data)[1][0]
     tangent = [(0j, 0.01 if i == path.target else 0.0, 0j) for i in range(3)]
     with pytest.raises(ValueError, match="order"):
-        _lasso_tangents([lassos(data.half_q_terms(), [path], [None])], [[tangent]])
+        MonodromyEngine(data).representation(tangents=[tangent])
 
 
 def _rows_of_every_kind():
@@ -902,7 +900,18 @@ def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
     ]
     spheres = [_sphere(seed) for seed in (2, 3, 5)] + [p0, p1, p2]
     runs = [(400, pairs) for pairs in scenarios] + [(cap, spheres) for cap in range(14, 40, 2)]
-    errors, transported = [], 0
+    errors, transported, images = [], 0, []
+    lassos = mono._lassos
+
+    def recorded(jobs, tangents=()):  # the lasso images of each job, as it is assembled
+        for las in lassos(jobs, tangents):
+            images.append(las.images)
+            yield las
+
+    def transported_images(jobs):
+        images.clear()
+        return [(im, tr.drift) for tr, im in zip(transport(jobs), images, strict=True)]
+    monkeypatch.setattr(mono, "_lassos", recorded)
     for cap, pairs in runs:
         monkeypatch.setattr(mono, "_MAX_TERMS", cap)
         pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
@@ -911,7 +920,7 @@ def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
             return ((MonodromyEngine(paths), data) for paths, data in pairs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(lambda: [(tr.lassos.images, tr.drift) for tr in transport(jobs())])
+            got = _outcome(lambda: transported_images(jobs()))
         want = _outcome(lambda: scalar_transport(jobs()))
         assert got == want, (cap, want)
         if isinstance(want, list):
@@ -923,3 +932,46 @@ def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
                  "non-finite transport", "Frobenius series at", "did not converge",
                  "argument tie"):
         assert any(kind in error for error in errors), kind
+
+
+def _transport_bits(transports):
+    return [(_bits([x for m in tr.rho.images.values() for x in (m.a, m.b, m.c, m.d)]),
+             _bits([tr.drift])) for tr in transports]
+
+
+@pytest.mark.parametrize("sources", [(1, 2, 3), ("kawai-4cusp.json", "sphere-4cusp.json")])
+def test_tangents_leave_the_transport_bit_for_bit(sources):
+    # the quadratures read the batch and change nothing else: one call with
+    # tangents gives the rho and the drift of the same call without
+    from charvar.monodromy import transport
+
+    rng = np.random.default_rng(13)
+    spheres = [_sphere(source) for source in sources]
+    tangents = [_random_tangents(data, rng) for data in spheres]
+
+    def jobs():
+        return [(MonodromyEngine(data), data) for data in spheres]
+    with_tangents = transport(jobs(), tangents=tangents)
+    assert all(len(tr.images) == 2 for tr in with_tangents)
+    assert _transport_bits(with_tangents) == _transport_bits(transport(jobs()))
+
+
+def test_a_transport_error_outranks_an_earlier_tangent_error():
+    # a job whose tangent transport is non-finite (velocities of 1e308)
+    # fails only after every job's transport: a later job's transport error
+    # is the one raised, as a walk that transports every job before it
+    # differentiates any meets it
+    from charvar.monodromy import transport
+
+    base = four_cusp_data()
+    huge = potential_tangent(base, [1e308] * 3, [1e308])
+    blocked = _onto_stem(base, 1, 0)
+
+    def run(second):
+        return transport([(MonodromyEngine(base), base), (MonodromyEngine(base), second)],
+                         tangents=[[huge], [potential_tangent(second, [0, 0, 1], [0])]])
+    with pytest.raises(IntegrationError, match="non-finite tangent transport"):
+        run(base)
+    with pytest.raises(IntegrationError, match="runs into a pole"):
+        run(blocked)
+
