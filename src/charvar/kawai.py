@@ -193,12 +193,11 @@ def kawai_experiment(base: SphereData,
     Paths and homotopy classes are frozen per grid point.  One ``transport``
     call takes every grid point with the tangents of every direction there:
     each lasso's stem once, each circle's monodromy exact, every series of
-    every grid point in one lockstep batch (the engines built as it draws
-    them), one quadrature over all stem steps and one over all circles.
-    The Goldman matrices share one batch of local solves
-    (``goldman_matrices``).  Each grid point's report is bit for bit that of
-    its offset run alone.  An empty grid, or no direction at all, is a
-    ValueError.
+    every grid point in one lockstep batch, one quadrature over all stem
+    steps and one over all circles.  The Goldman matrices share one batch of
+    local solves (``goldman_matrices``).  Each grid point's report is bit for
+    bit that of its offset run alone.  An empty grid, or no direction at
+    all, is a ValueError.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
@@ -215,7 +214,7 @@ def kawai_experiment(base: SphereData,
     points = [_displaced(base, t_directions, accessory_directions, offset) for offset in grid]
     tangents = [[potential_tangent(data, *d.velocity(data)) for d in directions]
                 for data in points]
-    transports = transport(((MonodromyEngine(data), data) for data in points), relation_tol,
+    transports = transport([(MonodromyEngine(data), data) for data in points], relation_tol,
                            tangents)
     rhos = [tr.rho for tr in transports]
     chis = [[tangent_cocycle(tr.rho, dimages) for dimages in tr.images] for tr in transports]

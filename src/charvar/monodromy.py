@@ -31,6 +31,10 @@ and one over every circle (``_circle_tangents``).  Each representation is
 then assembled in turn, its lasso images and their derivatives in one loop,
 bit for bit those of a call of its own.
 
+A call raises each fault where the batch meets it, in three phases: while
+planning every job, then job after job while assembling its lassos and in
+its relation check (``transport``).
+
 Transport matrices are returned in the row convention: (psi, psi') as a row
 vector maps by right multiplication, so chronological concatenation of paths
 is matrix multiplication in reading order and the lasso product in base-point
@@ -59,12 +63,6 @@ class IntegrationError(RuntimeError):
 
 class OrderingError(RuntimeError):
     """Lasso ordering/clearance failure (relation does not close)."""
-
-
-#: the errors that building and transporting a sphere's lassos can raise: a
-#: batch that plans ahead keeps them and raises the first where a walk job
-#: by job, lasso by lasso and step by step would meet it (``transport``)
-_FAILURES = (IntegrationError, OrderingError, ArithmeticError, ValueError)
 
 
 def theta_of(order: Optional[int]) -> float:
@@ -101,6 +99,9 @@ class SphereData:
             for q in self.points[i + 1:]:
                 if abs(p - q) < 1e-12:
                     raise ValueError("marked points must be distinct")
+        # residues solved from finite input may still overflow
+        if not all(map(cmath.isfinite, (*self.points, *self.residues, self.base_point))):
+            raise ValueError("points, residues and base point must be finite")
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -475,7 +476,7 @@ def _lockstep(rows) -> _Series:
     p = np.zeros((_CHUNK, 1, count), dtype=complex)  # P_j of each row
     big, quiet = np.ones(count), np.zeros(count)
     active, last = np.ones(count, dtype=bool), np.full(count, most - 1)
-    status = [None] * count
+    failed = np.zeros(count, dtype=bool)
     cols = np.arange(count)
     with np.errstate(all="ignore"):
         for j in range(most):
@@ -504,16 +505,13 @@ def _lockstep(rows) -> _Series:
             finite = np.isfinite(size)
             stop = active & ((quiet == 2) | ~finite)
             if stop.any():
-                for i in np.flatnonzero(stop & ~finite):
-                    # abs() of a complex with finite parts raises when hypot overflows
-                    parts = np.isfinite(new[:, i].real) & np.isfinite(new[:, i].imag)
-                    status[i] = "overflow" if (parts & np.isinf(mod[:, i])).any() else "non-finite"
+                failed |= stop & ~finite
                 last[stop] = j
                 active &= ~stop
                 if not active.any():
                     break
-        for i in np.flatnonzero(active):
-            status[i] = "diverged"
+        status = ["diverged" if a else "non-finite" if f else None
+                  for a, f in zip(active, failed)]
         lengths = last + lead + 1
         terms = lengths.max()
         asc = np.where(np.arange(terms)[:, None, None] < lengths,
@@ -529,8 +527,6 @@ def _settled(series: _Series, row: int, name):
     """Raise the error that row ``row`` of ``series`` met, if any, naming
     the series ``name()`` (formatted only on a raise)."""
     status = series.status[row]
-    if status == "overflow":
-        raise OverflowError("absolute value too large")
     if status == "non-finite":
         raise IntegrationError(f"non-finite {name()}")
     if status == "diverged":
@@ -908,47 +904,26 @@ def _circle_tangents(series: _Series, circles, poles, tangents):
 
 
 #: one representation's lassos (``_lassos``): per lasso the image L (column
-#: convention) and [dL per tangent] (row convention), the worst drift, and
-#: the IntegrationError of its first non-finite tangent transport, or None
-_Lassos = namedtuple("_Lassos", "images drift tangents fault")
+#: convention) and [dL per tangent] (row convention), and the worst drift
+_Lassos = namedtuple("_Lassos", "images drift tangents")
 
 
-def _plan(poles, paths: Sequence[LoopPath], orders: Sequence[Optional[int]], rows):
-    """The plan of one representation's lassos, in order: per lasso its
-    path, order, stem steps (``_transport``) and circle (``_circle_row``),
-    their series appended to ``rows``; and the error that stopped the plan,
-    or None.  The plan stops at the first error, and the lasso it stopped in
-    has no circle: ``_assemble`` raises the error there, after the steps
-    before it, where a walk lasso by lasso, step by step meets it."""
-    plan = []
-    try:
-        for path, order in zip(paths, orders):
-            steps = []
-            plan.append((path, order, steps, None))
-            _transport(poles, path.stem, rows, steps)
-            plan[-1] = (path, order, steps, _circle_row(poles, path, order, rows))
-    except _FAILURES as exc:  # raised in its place by _assemble
-        return plan, exc
-    return plan, None
-
-
-def _assemble(plan, error, series: _Series, ints, count: int) -> _Lassos:
-    """The lassos of one planned representation (``_plan``) from its summed
-    series and the quadratures' integrals ``ints[row]`` for ``count``
-    tangents: L = S^-1 C S (column convention) per lasso, where S is the
-    stem's transport and C the exact local monodromy, each lasso's stem and
-    circle in turn, and per tangent dL = [L, X] with X = S^-1 (dS - E S): a
-    part of E that commutes with C drops out, which is why
-    ``_circle_tangents`` may leave it out.  S^-1 is the adjugate, so
-    det L = det(S)^2 det C keeps the stem's drift.  The drift is the worst
-    of the image's, the stem's and the Frobenius Wronskian's."""
-    images, dls, drifts, fault = [], [], [], None
+def _assemble(plan, series: _Series, ints, count: int) -> _Lassos:
+    """The lassos of one job planned by ``_lassos`` from its summed series
+    and the quadratures' integrals ``ints[row]`` for ``count`` tangents:
+    L = S^-1 C S (column convention) per lasso, where S is the stem's
+    transport and C the exact local monodromy, each lasso's stem and circle
+    in turn, and per tangent dL = [L, X] with X = S^-1 (dS - E S): a part of
+    E that commutes with C drops out, which is why ``_circle_tangents`` may
+    leave it out.  S^-1 is the adjugate, so det L = det(S)^2 det C keeps the
+    stem's drift.  The drift is the worst of the image's, the stem's and the
+    Frobenius Wronskian's.  A failed series and a non-finite transport or
+    tangent transport raise IntegrationError where they are met."""
+    images, dls, drifts = [], [], []
     for path, order, steps, circle in plan:
         u, du = _stem(steps, series, ints, count)
-        if circle is None:
-            raise error
-        if fault is None and not all(map(cmath.isfinite, sum(du, ()))):
-            fault = IntegrationError(f"non-finite tangent transport at {path.stem[1]:.6g}")
+        if not all(map(cmath.isfinite, sum(du, ()))):
+            raise IntegrationError(f"non-finite tangent transport at {path.stem[1]:.6g}")
         c, frob, es = _local_monodromy(path, order, circle, series, ints[circle[-1]])
         sinv = mat_inv_unit(u)
         lasso = mat_mul(sinv, mat_mul(c, u))
@@ -956,7 +931,7 @@ def _assemble(plan, error, series: _Series, ints, count: int) -> _Lassos:
         images.append(lasso)
         dls.append([_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))) for x in xs])
         drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(u), frob))
-    return _Lassos(images, nan_max(*drifts), dls, fault)
+    return _Lassos(images, nan_max(*drifts), dls)
 
 
 def _lassos(jobs, tangents=()):
@@ -968,35 +943,40 @@ def _lassos(jobs, tangents=()):
     pole (``potential_tangent``); every job with tangents has as many poles
     and as many tangents, as the grid points of a kawai experiment do.
 
-    Every job is planned first (``_plan``), then one ``_lockstep`` batch
-    sums the series of every Taylor step and every circle of every job; with
-    tangents, one ``_step_tangents`` and one ``_circle_tangents`` call read
-    every step's and every circle's series in the batch.  Each job is
-    assembled from them when its turn comes (``_assemble``).  Each row
-    rounds as it would alone, so the results are bit for bit those of each
-    job walked on its own, and the first error raised is the one that walk
-    meets first."""
+    Every lasso of every job is planned first, its stem's steps
+    (``_transport``) and its circle (``_circle_row``); a step that runs into
+    a pole raises there.  Then one ``_lockstep`` batch sums the series of
+    every Taylor step and every circle of every job; with tangents, one
+    ``_step_tangents`` and one ``_circle_tangents`` call read every step's
+    and every circle's series in the batch.  Each job is assembled from them
+    when its turn comes (``_assemble``).  Each row rounds as it would alone,
+    so the results are bit for bit those of each job walked on its own."""
     rows, plans = [], []
     for poles, paths, orders in jobs:
-        plans.append(_plan(poles, paths, orders, rows))
+        plan = []
+        for path, order in zip(paths, orders):
+            steps = []
+            _transport(poles, path.stem, rows, steps)
+            plan.append((path, order, steps, _circle_row(poles, path, order, rows)))
+        plans.append(plan)
     series = _lockstep(rows) if rows else None
     count = len(tangents[0]) if any(tangents) else 0
     ints = [()] * len(rows)  # the quadratures' integrals per tangent, by row
     if count and rows:
         poles = np.array([job[0] for job in jobs], dtype=complex)
         tangents = np.array(tangents, dtype=complex)
-        planned = [(i, lasso) for i, (plan, _) in enumerate(plans) for lasso in plan]
+        planned = [(i, lasso) for i, plan in enumerate(plans) for lasso in plan]
         steps = [(i, *step) for i, (_, _, stem, _) in planned for step in stem]
         circles = [(i, path, order, circle[0], circle[-1])
-                   for i, (path, order, _, circle) in planned if circle is not None]
-        # the rows of a job whose transport fails are summed on and never read
+                   for i, (path, order, _, circle) in planned]
+        # a failed series is read on here and raised by the assembly
         with np.errstate(all="ignore"):
             for quadrature, items in ((_step_tangents, steps), (_circle_tangents, circles)):
                 for item, x in zip(items, quadrature(series, items, poles, tangents)
                                    if items else ()):
                     ints[item[-1]] = x
-    for plan, error in plans:
-        yield _assemble(plan, error, series, ints, count)
+    for plan in plans:
+        yield _assemble(plan, series, ints, count)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,26 +1029,20 @@ def transport(jobs, relation_tol: float = 1e-5,
     dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
 
     A tangent that moves the order of a marked point (a nonzero dA) is a
-    ValueError, raised before any job is drawn.  Otherwise the results and
-    the first error are those of transporting job after job and then
-    differentiating: a job's errors are raised after the jobs before it are
-    checked, an error in drawing the next job (``jobs`` may be a generator
-    that builds each engine) after every job drawn before it, and a
-    non-finite tangent transport after every job's transport."""
+    ValueError, raised before anything is planned.  Otherwise each fault is
+    raised where the batch meets it, in three phases: planning every job
+    (a step that runs into a pole, or arithmetic that fails); then, job
+    after job, assembling its lassos in turn (a failed series, a non-finite
+    transport or tangent transport) and checking its relation.  ``jobs`` is
+    a list: the caller builds every engine first, and raises its errors."""
     from .cocycles import Representation
     if any(tangents) and np.any(np.array(tangents, dtype=complex)[..., 1]):
         raise ValueError("a tangent may not move the order of a marked point")
-    built, late = [], None
-    try:
-        for engine, data in jobs:
-            built.append((engine, data))
-    except _FAILURES as exc:  # raised once the jobs before it are done
-        late = exc
-    out, fault = [], None
+    out = []
     lassos = _lassos([(data.half_q_terms(), engine.paths,
-                       [data.order_at(p.target) for p in engine.paths]) for engine, data in built],
+                       [data.order_at(p.target) for p in engine.paths]) for engine, data in jobs],
                      tangents)
-    for (engine, data), las in zip(built, lassos):
+    for (engine, data), las in zip(jobs, lassos):
         gens = engine.signature.marked_generators
         images = {g: MoebiusMap(*_row(m)) for g, m in zip(gens, las.images)}
         prod = MoebiusMap.identity()
@@ -1079,12 +1053,8 @@ def transport(jobs, relation_tol: float = 1e-5,
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        fault = fault or las.fault
         scales = [cmath.sqrt(mat_det(_row(m))) for m in las.images]
         out.append(Transport(Representation(engine.signature, images), las.drift,
                              [{g: tuple(x / s for x in dm) for g, s, dm in zip(gens, scales, dms)}
                               for dms in zip(*las.tangents)]))
-    for exc in (late, fault):
-        if exc is not None:
-            raise exc
     return out

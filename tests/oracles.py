@@ -17,9 +17,9 @@
 - The B_0 bracket of quadratics, and random words and quadratics.
 - The scalar series recurrence, one series at a time in pure Python, and
   the transport that walks job after job, lasso after lasso and step after
-  step with it: the order and the rounding the lockstep batch of
-  ``charvar.monodromy._lockstep`` must reproduce bit for bit, errors
-  included.
+  step with it: the rounding the lockstep batch of
+  ``charvar.monodromy._lockstep`` must reproduce bit for bit, and the
+  error of a call that meets faults of one phase only.
 """
 
 from __future__ import annotations
@@ -410,8 +410,9 @@ def scalar_local_monodromy(poles, path, order):
 def scalar_transport(jobs, relation_tol: float = 1e-5):
     """[(lasso images, drift)] (column convention) of each job (engine,
     data) of ``jobs``, walked job after job, lasso after lasso and step
-    after step, each series summed alone: the results and the first error
-    that ``charvar.monodromy.transport`` must give."""
+    after step, each series summed alone: the results that
+    ``charvar.monodromy.transport`` must give, and its error when every
+    fault is met in one phase (see ``transport``)."""
     out = []
     for engine, data in jobs:
         poles = data.half_q_terms()

@@ -419,6 +419,23 @@ def test_non_integer_input_is_input_error(capsys, argv):
     assert "expected an integer" in rep["error"]
 
 
+#: finite input whose two dependent residues solve to -inf
+OVERFLOWING = {"points": [[0, 0], [1, 0], [0, 1]], "orders": [None, None, None],
+               "order_infinity": None, "accessory": [[1.7e308, 1.7e308]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--json", json.dumps(OVERFLOWING)],
+    ["kawai", "--json", json.dumps({"sphere": OVERFLOWING, "t_directions": VELOCITY})],
+], ids=["monodromy", "kawai"])
+def test_overflowing_residues_are_input_error(capsys, argv):
+    # the sphere is rejected as it is built, not transported into a
+    # "non-finite Taylor series" report that echoes residues of -inf
+    code, rep = run_cli(capsys, *argv)
+    assert code == 1
+    assert "must be finite" in rep["error"]
+
+
 def test_lambda_check_nan_residual_fails(capsys):
     # some samples' lambda3/b2 residuals come out NaN; max() used to drop them
     code, rep = run_cli(capsys, "lambda-check", "--json",

@@ -55,3 +55,34 @@ def test_no_module_imports_a_private_name():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, f"private names imported across modules: {private}"
+
+
+#: the names of perfbench's ``tracer.TARGETS`` that the package no longer
+#: defines; their per-layer metrics read 0 until the benchmark drops them
+GONE_TARGETS = {"cocycles.finite_difference_cocycle", "cocycles.verify_cocycle",
+                "cocycles.solve_local_coboundary", "cocycles.Cocycle.evaluate_ring",
+                "goldman.goldman_orbifold", "monodromy.integrate_fundamental",
+                "monodromy.MonodromyEngine.max_wronskian_drift", "kawai.trace_drift"}
+
+
+def _traced(module: str, qualname: str) -> bool:
+    """Whether the tracer can wrap ``qualname`` of ``charvar.<module>``: the
+    last part defined in the namespace of the module or class before it."""
+    owner, _, attr = qualname.rpartition(".")
+    holder = importlib.import_module(f"charvar.{module}")
+    for part in owner.split(".") if owner else ():
+        holder = getattr(holder, part, None)
+    return attr in getattr(holder, "__dict__", {})
+
+
+def test_perfbench_traced_names_resolve():
+    # the benchmark times each layer by wrapping these names; deleting one
+    # silently zeroes its per-layer metric, so each must resolve but the
+    # ones already gone
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    missing = {f"{module}.{qual}" for module, qual in targets if not _traced(module, qual)}
+    assert len(targets) - len(missing) >= 12
+    assert not missing - GONE_TARGETS, f"traced names the package lacks: {missing - GONE_TARGETS}"

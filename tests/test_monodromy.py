@@ -820,9 +820,10 @@ def test_lockstep_is_the_scalar_series_bit_for_bit():
 
 
 def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
-    # a non-finite term, a term cap, and abs() of a term whose finite parts
-    # overflow hypot: each row fails as the scalar recurrence does, beside
-    # rows that settle
+    # a non-finite term and a term cap: each row fails as the scalar
+    # recurrence does, beside rows that settle.  A term whose finite parts
+    # overflow hypot is non-finite too, where the scalar recurrence's abs()
+    # raises OverflowError
     from oracles import scalar_series
 
     rows = [mono._Row(((-1.3e308 * (1 + 1j),), [], [], [], [], 0), (1.0 + 0j,), (1.0 + 0j,),
@@ -837,16 +838,21 @@ def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
         except (IntegrationError, OverflowError) as exc:
             return type(exc), str(exc)
 
+    def scalar(row):
+        return failure(lambda: scalar_series(row.laurent, list(row.a), list(row.b), row.shifts,
+                                             row.log, "the row"))
+
     for cap in (400, 8):
         monkeypatch.setattr(mono, "_MAX_TERMS", cap)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             series = _lockstep(rows)
-        for i, row in enumerate(rows):
-            assert failure(lambda: mono._settled(series, i, lambda: "the row")) == failure(
-                lambda: scalar_series(row.laurent, list(row.a), list(row.b), row.shifts,
-                                      row.log, "the row")), (cap, i)
-    assert series.status == ["overflow", "non-finite", "diverged"]
+        got = [failure(lambda: mono._settled(series, i, lambda: "the row"))
+               for i in range(len(rows))]
+        assert got[0] == (IntegrationError, "non-finite the row"), cap
+        assert scalar(rows[0])[0] is OverflowError
+        assert got[1:] == [scalar(row) for row in rows[1:]], cap
+    assert series.status == ["non-finite", "non-finite", "diverged"]
 
 
 def _scaled(data, scale):
@@ -871,32 +877,55 @@ def _outcome(run):
         return type(exc).__name__, str(exc)
 
 
-def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
-    # all jobs are planned, summed in one batch and assembled in order; the
-    # results, or the first error, are those of the scalar walk job after
-    # job, lasso after lasso, step after step: across the grid points of
-    # the kawai config (each job an engine's frozen lassos at some data) and
-    # of seeded spheres, with a lowered term cap and with a residue that
-    # overflows
+def _toward(data, point, other, share):
+    """``data`` with ``point`` moved ``share`` of the way to point ``other``."""
+    points = list(data.points)
+    points[point] += share * (points[other] - points[point])
+    return dataclasses.replace(data, points=tuple(points))
+
+
+def _fault_data():
+    """The kawai config's three grid points p0, p1, p2, a sphere whose
+    engine cannot be built (an argument tie), and p1 with residues that
+    break its relation."""
     from charvar.kawai import AccessoryDirection, PointDirection, displace
-    from charvar.monodromy import transport
-    from oracles import scalar_transport
 
     base = four_cusp_data()
     p0, p1, p2 = (base, displace(base, PointDirection((0, 0, 1)), 0.04),
                   displace(base, AccessoryDirection(0), 0.05 + 0.02j))
     tie = build_potential([0, 1j], [None, None], None, [], base_point=-2j)
     moments = dataclasses.replace(p1, residues=tuple(m + 0.3 for m in p1.residues))
+    return p0, p1, p2, tie, moments
+
+
+def _jobs(pairs):
+    """(engine, data) per entry of ``pairs``: a sphere, or a pair (the
+    sphere whose lassos the engine freezes, the data transported along
+    them), each engine built here, before any transport."""
+    pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
+    return [(MonodromyEngine(paths), data) for paths, data in pairs]
+
+
+def test_transport_is_the_scalar_walk_on_one_fault(monkeypatch):
+    # all jobs are planned, summed in one batch and assembled in order; with
+    # no fault, or with faults that only planning or only the assembly and
+    # relation checks meet, the results or the error are those of the
+    # scalar walk job after job, lasso after lasso, step after step:
+    # across the grid points of the kawai config (each job an engine's
+    # frozen lassos at some data) and of seeded spheres, with a lowered term
+    # cap and with a fault of every kind
+    from charvar.monodromy import transport
+    from oracles import scalar_transport
+
+    p0, p1, p2, tie, moments = _fault_data()
     scenarios = [
         [p0, p1, p2],
-        [p0, (p1, _onto_stem(p1, 1, 0)), (p2, _scaled(p2, 1e200))],  # a pole on a stem
-        [p0, (p1, _scaled(p1, 1e200)), (p2, _onto_stem(p2, 1, 0))],  # non-finite series
-        [p0, (p1, _scaled(_onto_stem(p1, 0, 0), 1e200))],  # the series before the pole
-        [p0, (p1, moments), (p2, _scaled(p2, 1e200))],  # the relation misses
-        [(p0, _scaled(p0, 3e5)), (p1, _scaled(p1, 1e200))],  # non-finite transport
-        [p0, (p1, _onto_stem(p1, 2, 1)), (p2, _scaled(p2, 1e200))],  # a Frobenius series
-        [p0, tie, (p2, _scaled(p2, 1e200))],  # an engine that cannot be built
-        [p0, (p1, _scaled(p1, 1e200)), tie],
+        [p0, (p1, _onto_stem(p1, 1, 0))],  # a pole on a stem
+        [p0, (p1, _scaled(p1, 1e200))],  # non-finite series
+        [p0, (p1, moments)],  # the relation misses
+        [(p0, _scaled(p0, 3e5)), p1],  # non-finite transport
+        [p0, (p1, _toward(p1, 1, 2, 0.5))],  # a Frobenius series diverges
+        [p0, tie],  # an engine that cannot be built
     ]
     spheres = [_sphere(seed) for seed in (2, 3, 5)] + [p0, p1, p2]
     runs = [(400, pairs) for pairs in scenarios] + [(cap, spheres) for cap in range(14, 40, 2)]
@@ -914,14 +943,10 @@ def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
     monkeypatch.setattr(mono, "_lassos", recorded)
     for cap, pairs in runs:
         monkeypatch.setattr(mono, "_MAX_TERMS", cap)
-        pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
-
-        def jobs():  # engines built as the jobs are drawn
-            return ((MonodromyEngine(paths), data) for paths, data in pairs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(lambda: transported_images(jobs()))
-        want = _outcome(lambda: scalar_transport(jobs()))
+            got = _outcome(lambda: transported_images(_jobs(pairs)))
+        want = _outcome(lambda: scalar_transport(_jobs(pairs)))
         assert got == want, (cap, want)
         if isinstance(want, list):
             transported += 1
@@ -932,6 +957,49 @@ def test_transport_raises_what_the_scalar_walk_meets_first(monkeypatch):
                  "non-finite transport", "Frobenius series at", "did not converge",
                  "argument tie"):
         assert any(kind in error for error in errors), kind
+
+
+def test_transport_raises_faults_by_phase():
+    # a call plans every job, then assembles and checks job after job: a
+    # step that runs into a pole, anywhere in the call, outranks an earlier
+    # job's or lasso's series fault, which the scalar walk meets first; an
+    # earlier job's assembly fault or relation miss outranks a later job's;
+    # an engine that cannot be built is raised by the caller, before the call
+    from charvar.monodromy import transport
+    from oracles import scalar_transport
+
+    p0, p1, p2, tie, moments = _fault_data()
+    cases = [  # (jobs, the error the call raises, the error the walk meets first)
+        ([p0, (p1, _scaled(p1, 1e200)), (p2, _onto_stem(p2, 1, 0))], "runs into a pole",
+         "non-finite Taylor series"),
+        ([p0, (p1, _scaled(_onto_stem(p1, 0, 0), 1e200))], "runs into a pole",
+         "non-finite Taylor series"),
+        ([p0, (p1, _onto_stem(p1, 2, 1)), (p2, _scaled(p2, 1e200))], "runs into a pole",
+         "Frobenius series at 1"),
+        ([p0, (p1, _onto_stem(p1, 1, 0)), (p2, _scaled(p2, 1e200))], "runs into a pole",
+         "runs into a pole"),
+        ([(p0, _scaled(p0, 3e5)), (p1, _scaled(p1, 1e200))], "non-finite transport",
+         "non-finite transport"),
+        ([p0, (p1, moments), (p2, _scaled(p2, 1e200))], "lasso product misses",
+         "lasso product misses"),
+        ([p0, tie, (p2, _scaled(p2, 1e200))], "argument tie", "argument tie"),
+        ([p0, (p1, _scaled(p1, 1e200)), tie], "argument tie", "argument tie"),
+    ]
+    for pairs, raised, walked in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: transport(_jobs(pairs)))
+        assert raised in got[1], (got, raised)
+        assert walked in _outcome(lambda: scalar_transport(_jobs(pairs)))[1], walked
+    # an earlier job's non-finite tangent transport (velocities of 1e308)
+    # outranks a later job's relation miss, and not the other way round
+    huge = [potential_tangent(p0, [1e308] * 3, [1e308])]
+    tame = [potential_tangent(moments, [0, 0, 1], [0])]
+    jobs = _jobs([p0, (p1, moments)])
+    with pytest.raises(IntegrationError, match="non-finite tangent transport"):
+        transport(jobs, tangents=[huge, tame])
+    with pytest.raises(OrderingError, match="lasso product misses"):
+        transport(jobs[::-1], tangents=[tame, huge])
 
 
 def _transport_bits(transports):
@@ -958,9 +1026,8 @@ def test_tangents_leave_the_transport_bit_for_bit(sources):
 
 def test_a_transport_error_outranks_an_earlier_tangent_error():
     # a job whose tangent transport is non-finite (velocities of 1e308)
-    # fails only after every job's transport: a later job's transport error
-    # is the one raised, as a walk that transports every job before it
-    # differentiates any meets it
+    # fails when it is assembled, after every job is planned: a later job's
+    # step that runs into a pole is the one raised
     from charvar.monodromy import transport
 
     base = four_cusp_data()
