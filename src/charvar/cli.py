@@ -186,7 +186,6 @@ def _cmd_monodromy(args) -> int:
         data = sphere_in(cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sphere data: {e}")
-    code = 0
     report: dict = {"config": sphere_out(data), "tolerances": tols}
     try:
         engine = MonodromyEngine(data)
@@ -202,9 +201,8 @@ def _cmd_monodromy(args) -> int:
         "trace_residuals": traces,
         "wronskian_drift": wdrift,
     })
-    if not (max(traces.values()) <= tols["trace"] and wdrift <= tols["wronskian"]):
-        code = 2
-    return _emit(report, args, code)
+    ok = max(traces.values()) <= tols["trace"] and wdrift <= tols["wronskian"]
+    return _emit(report, args, 0 if ok else 2)
 
 
 def _cmd_kawai(args) -> int:

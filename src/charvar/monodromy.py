@@ -408,22 +408,21 @@ _CHUNK = 32
 
 
 def _cmul(x, y):
-    """x y for complex arrays, rounded as CPython rounds a complex product:
+    """x y for a complex array y, rounded as CPython rounds a complex product:
     re = xr yr - xi yi and im = xr yi + xi yr, each real product rounded on
-    its own (numpy's complex multiply may fuse them).  A real factor f is
-    complex(f, 0.0), so its zero imaginary part enters as 0.0 yi and
-    0.0 yr."""
-    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
-    xr, xi = np.real(x), np.imag(x)
-    out.real = xr * y.real - xi * y.imag
-    out.imag = xr * y.imag + xi * y.real
+    its own (numpy's complex multiply may fuse them).  A real factor f (a
+    float array or a Python float) is complex(f, 0.0): its 0.0 yi and 0.0 yr
+    stay.  x broadcasts against y, to a product in C order (see ``_sum``)."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    out = (xr * yr - xi * yi).astype(complex, order="C")  # (re, 0.0)
+    out.imag = xr * yi + xi * yr
     return out
 
 
 def _sum(x):
-    """Python's sum() over axis 0: left to right from 0.  The other axes
-    must hold at least two numbers: numpy then adds along axis 0 one slice
-    after the other, where for a single column it would sum pairwise."""
+    """Python's sum() over axis 0: left to right from 0, for x in C order with
+    two or more numbers on its other axes (along a single column, or along
+    axis 0 innermost in memory, numpy would sum pairwise)."""
     return np.add.reduce(x, axis=0, initial=0j)
 
 
@@ -612,7 +611,7 @@ def _transport(poles, vertices, rows, steps):
     STEP_RATIO of the distance to the nearest pole.  Appends the series of
     every step to ``rows`` (``_step_row``) and its (z0, h, row) to
     ``steps``, in order, and raises IntegrationError where a step would
-    underflow.  The steps depend only on the poles and the vertices."""
+    underflow or overflow.  The steps depend only on the poles and vertices."""
     verts = [complex(v) for v in vertices]
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
@@ -626,9 +625,12 @@ def _transport(poles, vertices, rows, steps):
             target, i = verts[last], last
         else:
             d, a = verts[k] - prev, prev - z
-            dd = abs(d) ** 2
             beta = (a * d.conjugate()).real
-            t = (math.sqrt(beta * beta + dd * (reach * reach - abs(a) ** 2)) - beta) / dd
+            try:  # a float ** raises OverflowError where * would give inf
+                dd = abs(d) ** 2
+                t = (math.sqrt(beta * beta + dd * (reach * reach - abs(a) ** 2)) - beta) / dd
+            except OverflowError:
+                raise IntegrationError(f"step overflow on the path to {verts[k]:.6g}") from None
             target, i = prev + t * d, k - 1
             if reach <= _MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
                 raise IntegrationError(f"step underflow: the path runs into a pole "
@@ -951,6 +953,10 @@ def _lassos(jobs, tangents=()):
     and every circle's series in the batch.  Each job is assembled from them
     when its turn comes (``_assemble``).  Each row rounds as it would alone,
     so the results are bit for bit those of each job walked on its own."""
+    count = len(tangents[0]) if any(tangents) else 0
+    tangents = np.array(tangents, dtype=complex)
+    if count and tangents[..., 1].any():
+        raise ValueError("a tangent may not move the order of a marked point")
     rows, plans = [], []
     for poles, paths, orders in jobs:
         plan = []
@@ -960,11 +966,9 @@ def _lassos(jobs, tangents=()):
             plan.append((path, order, steps, _circle_row(poles, path, order, rows)))
         plans.append(plan)
     series = _lockstep(rows) if rows else None
-    count = len(tangents[0]) if any(tangents) else 0
     ints = [()] * len(rows)  # the quadratures' integrals per tangent, by row
     if count and rows:
         poles = np.array([job[0] for job in jobs], dtype=complex)
-        tangents = np.array(tangents, dtype=complex)
         planned = [(i, lasso) for i, plan in enumerate(plans) for lasso in plan]
         steps = [(i, *step) for i, (_, _, stem, _) in planned for step in stem]
         circles = [(i, path, order, circle[0], circle[-1])
@@ -1036,8 +1040,6 @@ def transport(jobs, relation_tol: float = 1e-5,
     transport or tangent transport) and checking its relation.  ``jobs`` is
     a list: the caller builds every engine first, and raises its errors."""
     from .cocycles import Representation
-    if any(tangents) and np.any(np.array(tangents, dtype=complex)[..., 1]):
-        raise ValueError("a tangent may not move the order of a marked point")
     out = []
     lassos = _lassos([(data.half_q_terms(), engine.paths,
                        [data.order_at(p.target) for p in engine.paths]) for engine, data in jobs],

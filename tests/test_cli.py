@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,34 @@ def test_monodromy_report_bytes_are_pinned(capsys, config, digest):
     # says why
     root = Path(__file__).resolve().parents[1]
     code = main(["monodromy", "--input", str(root / "configs" / config)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _random_sphere(seed):
+    """A seeded sphere as the benchmark's monodromy scan draws them: 4 or 5
+    finite points (by the parity of the seed) uniform in [-1, 1]^2, orders
+    from {cusp, 2, 3, 4, 6} at every point and at infinity, and accessory
+    residues 0.2 N(0, 1), with the default base point."""
+    rng = random.Random(seed)
+    k = 4 + seed % 2
+    points = [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(k)]
+    orders = [rng.choice([None, 2, 3, 4, 6]) for _ in range(k + 1)]
+    accessory = [[0.2 * rng.gauss(0, 1), 0.2 * rng.gauss(0, 1)] for _ in range(k - 2)]
+    return {"points": points, "orders": orders[:k], "order_infinity": orders[k],
+            "accessory": accessory}
+
+
+@pytest.mark.parametrize("seed, digest", [(2, "1527bbfe1def408a"), (3, "029603a70b994fd0"),
+                                          (4, "ddf35f4d5f9642fb"), (5, "963f69ae07d4440d"),
+                                          (6, "2230bec872b15f34"), (7, "5dbd616ab59361e9")])
+def test_random_sphere_report_bytes_are_pinned(capsys, seed, digest):
+    # the scan's path: a drawn sphere through `monodromy --json`, every
+    # lockstep product and sum in Python's rounding, so its bytes are pinned
+    # as the committed configs' are; the draws cover 4 and 5 points and a
+    # cusp or an elliptic point at infinity
+    code = main(["monodromy", "--json", json.dumps(_random_sphere(seed))])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
@@ -535,3 +564,18 @@ def test_kawai_grid_must_fit_the_directions(capsys, cfg, message):
     code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
     assert code == 1
     assert message in rep["error"]
+
+
+@pytest.mark.parametrize("offset, end", [([1e160, 0], "1e+160+0.4j"), ([1e200, 0], "1e+200+0.4j"),
+                                         ([0, -1e200], "0.3-1e+200j"), ([1e308, 0], "1e+308+0.4j")])
+def test_kawai_huge_grid_offset_is_a_named_failure(capsys, offset, end):
+    # the displaced point is finite, but the squared length of its stem is
+    # not: exit 2 with an IntegrationError that gives the stem's end, where a
+    # float ** used to end in "OverflowError: (34, 'Numerical result out of
+    # range')"
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "kawai-4cusp.json").read_text())
+    cfg["grid"] = [{"t": [offset]}]
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
+    assert code == 2
+    assert rep["error"] == f"step overflow on the path to {end}"

@@ -114,6 +114,14 @@ class TestTransport:
         with pytest.raises(IntegrationError, match="runs into a pole"):
             transport(data.half_q_terms(), [FOUR_CUSP_ZB, 0.0])
 
+    @pytest.mark.parametrize("end", [1e160, -1e200j, 1e308])
+    def test_squared_length_overflow_raises(self, end):
+        # a finite vertex whose squared distance overflows: a named
+        # IntegrationError that gives the vertex, not an OverflowError
+        with pytest.raises(IntegrationError, match=re.escape(f"step overflow on the path to "
+                                                             f"{complex(end):.6g}")):
+            transport([(0, 0.25, 0.1)], [1, end])
+
     def test_non_finite_series_raises(self):
         # a residue of 1e200 overflows the Taylor coefficients of a step from
         # 1 and the Frobenius coefficients at the cusp 0
@@ -269,6 +277,47 @@ WORST_TANGENTS = [[(0.7 - 0.4j, 0j, 0j), (0j,) * 3, (0j,) * 3],
                   [(0j, 0j, 1 - 2j), (0j,) * 3, (0j,) * 3],
                   [(0.3 + 0.1j, 0.02 + 0j, -2j), (1j, 0j, 0.5 + 0j),
                    (-0.2 + 0j, 0.01 + 0j, 1 + 0j)]]
+
+
+#: real and imaginary parts for the complex-product grid: signed zeros,
+#: infinities, a NaN, subnormals, the ends of the range and plain numbers
+PRODUCT_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1e-300,
+                 1.5, -3.25]
+
+
+def test_cmul_is_the_cpython_complex_product():
+    # _cmul rounds every product as CPython's complex product does, bit for
+    # bit (signed zeros, infinities and NaNs included): complex factors, and
+    # real factors as complex(f, 0.0), given as a float array or as a Python
+    # float, in the broadcasts of the lockstep; its factors may be strided
+    # views, and the product comes out in C order, as _sum needs
+    from charvar.monodromy import _cmul
+
+    zs = np.array([complex(a, b) for a in PRODUCT_PARTS for b in PRODUCT_PARTS])
+    reals = np.array(PRODUCT_PARTS)
+    n, r = len(zs), len(reals)
+
+    def strided(values, shape):  # a non-contiguous view, as the lockstep's pw and uv are
+        return np.broadcast_to(values, shape).copy().T.copy().T
+
+    cases = [
+        (strided(zs.reshape(n, 1, 1), (n, 1, n)),  # (w,1,n) x (w,2,n): every pair
+         strided(np.stack((zs, zs[::-1])).reshape(1, 2, n), (n, 2, n))),
+        (zs, np.stack((zs, np.roll(zs, 5)))),  # (n,) x (2,n)
+        (zs[:120].reshape(3, 1, 40),  # (k,1,n) x (k,2,n)
+         strided(zs[:80].reshape(1, 2, 40), (3, 2, 40))),
+        (np.resize(reals, n), np.stack((zs, zs[::-1]))),  # real: -1/(n(n+e)), j + k
+        (reals.reshape(r, 1, 1), strided(zs, (r, 2, n))),  # real: n c_n
+        (strided(reals.reshape(r, 1, 1), (r, 1, n)), strided(zs, (r, 2, n))),
+        *[(f, np.stack((zs, zs[::-1]))) for f in PRODUCT_PARTS],  # a Python float: 2.0 n
+    ]
+    for x, y in cases:
+        with np.errstate(all="ignore"):
+            got = _cmul(x, y)
+        xs, ys = np.broadcast_arrays(x, y)
+        assert got.shape == xs.shape and got.flags.c_contiguous
+        want = [complex(a) * complex(b) for a, b in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+        assert _bits(got.ravel()) == _bits(want), (np.shape(x), y.shape)
 
 
 def _relative_gap(got, ref):
