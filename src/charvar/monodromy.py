@@ -18,10 +18,10 @@ rule over each Taylor step, and product-integration rules for the singular
 factors u^rho and log u along the ray from the marked point to the entry.
 One recurrence sums the stem steps' Taylor series and the circles' Frobenius
 bases: a lockstep numpy batch (``_lockstep``) that takes every series of
-every representation of a call one term index at a time, with Python's
-rounding (complex products from rounded real products, sums term after
-term) and no BLAS, so that each series is bit for bit the scalar recurrence
-summed alone.  One call (``transport``) takes any number of
+every representation of a call one term index at a time, on float64 planes
+of real and imaginary parts with the rows innermost, rounding as Python
+does (the rules are stated there), so that each series is bit for bit the
+scalar recurrence summed alone.  One call (``transport``) takes any number of
 representations, each with its own poles and tangents: it plans every step
 first, since the steps depend only on the poles and the vertices, and sums
 that one batch.  With tangents, two quadratures then read the batch's
@@ -99,6 +99,9 @@ class SphereData:
             for q in self.points[i + 1:]:
                 if abs(p - q) < 1e-12:
                     raise ValueError("marked points must be distinct")
+            if abs(p - self.base_point) < 1e-12:
+                raise ValueError(f"base point {self.base_point:.6g} lies on marked point {i} "
+                                 f"at {p:.6g}")
         # residues solved from finite input may still overflow
         if not all(map(cmath.isfinite, (*self.points, *self.residues, self.base_point))):
             raise ValueError("points, residues and base point must be finite")
@@ -121,11 +124,16 @@ class SphereData:
         return self.order_infinity if target == "inf" else self.orders[target]
 
     def min_gap(self) -> float:
-        pts = self.points
-        return min(abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        return _min_gap(self.points)
 
     def free_dimension(self) -> int:
         return len(self.points) - 2
+
+
+def _min_gap(points: Sequence[complex]) -> float:
+    """The smallest distance between two of ``points`` (inf for one)."""
+    return min((abs(p - q) for i, p in enumerate(points) for q in points[i + 1:]),
+               default=math.inf)
 
 
 def default_base_point(points: Sequence[complex]) -> complex:
@@ -295,8 +303,9 @@ _TAIL = 2.0 ** -56
 #: a series that has not settled after this many new terms raises
 #: IntegrationError
 _MAX_TERMS = 400
-#: a step shorter than this fraction of its segment means the path runs into
-#: a pole
+#: a step shorter than this fraction of its segment underflows: the path
+#: runs into a pole where the reach is below _CLEARANCE_FACTOR of the
+#: smallest gap between poles, else the segment is too long for its steps
 _MIN_STEP = 1e-13
 
 
@@ -407,23 +416,13 @@ _Row = namedtuple("_Row", "laurent a b shifts log")
 _CHUNK = 32
 
 
-def _cmul(x, y):
-    """x y for a complex array y, rounded as CPython rounds a complex product:
-    re = xr yr - xi yi and im = xr yi + xi yr, each real product rounded on
-    its own (numpy's complex multiply may fuse them).  A real factor f (a
-    float array or a Python float) is complex(f, 0.0): its 0.0 yi and 0.0 yr
-    stay.  x broadcasts against y, to a product in C order (see ``_sum``)."""
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    out = (xr * yr - xi * yi).astype(complex, order="C")  # (re, 0.0)
-    out.imag = xr * yi + xi * yr
-    return out
-
-
-def _sum(x):
-    """Python's sum() over axis 0: left to right from 0, for x in C order with
-    two or more numbers on its other axes (along a single column, or along
-    axis 0 innermost in memory, numpy would sum pairwise)."""
-    return np.add.reduce(x, axis=0, initial=0j)
+def _pmul(xr, xi, yr, yi):
+    """(re, im) of x y from the real and imaginary planes of x and y, rounded
+    as CPython rounds a complex product: re = xr yr - xi yi and
+    im = xr yi + xi yr, each real product rounded on its own (numpy's complex
+    multiply may fuse them).  A real factor f (a float array or a Python
+    float) is (f, 0.0): its 0.0 yi and 0.0 yr stay.  The planes broadcast."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 #: the summed rows of a ``_lockstep`` batch: per row its coefficient lists a
@@ -443,15 +442,21 @@ def _lockstep(rows) -> _Series:
     fails on a non-finite size or after _MAX_TERMS new terms (both read at
     call time).
 
-    Each row is bit for bit the scalar recurrence summed alone: complex
-    products are formed from rounded real products (``_cmul``), sums add
-    term after term from 0 (``_sum``), sizes are ``np.hypot`` as ``abs`` is,
-    and no matmul or BLAS takes part.  The coefficients grow downward in
-    memory, so that c_j, ..., c_0 of every row is one slice for the
-    convolution with P_0, ..., P_j; the arrays grow by _CHUNK terms.
-    Zero-padded poles add exact zeros to sums that start from +0.0.  Rows
-    that stopped are computed on, under ``np.errstate``, and zeroed past
-    their stop at the end.
+    Each row is bit for bit the scalar recurrence summed alone, with
+    Python's rounding.  Every complex number is held as two float64 planes,
+    its real and imaginary parts, with the rows innermost: complex products
+    are formed from rounded real products (``_pmul``), and a complex sum
+    from 0j is the sum of each plane from +0.0 along a non-innermost axis,
+    which np.add.reduce adds term after term (along the innermost axis it
+    would sum pairwise).  Sizes are ``np.hypot`` as ``abs`` is, the
+    factors -1/(n (n + e)) come from a table that rounds them as the scalar
+    recurrence does, and no matmul or BLAS takes part.  The coefficients
+    grow downward in memory, so that c_j, ..., c_0 of every row is one slice
+    for the convolution with P_0, ..., P_j, which is stored for both lists;
+    the arrays and the table grow by _CHUNK terms.  Zero-padded poles add
+    exact zeros to sums that start from +0.0.  Rows that stopped are
+    computed on, under ``np.errstate``, and zeroed past their stop at the
+    end.
     """
     tail, most = _TAIL, _MAX_TERMS
     count = len(rows)
@@ -462,17 +467,29 @@ def _lockstep(rows) -> _Series:
 
     data = np.array([padded(row.laurent[1]) + padded(row.laurent[2]) + padded(row.laurent[3])
                      + padded(row.laurent[4]) + padded(row.a, 2) + padded(row.b, 2)
-                     + padded(row.laurent[0], 1) for row in rows], dtype=complex).T
-    uv = data[:2 * width].reshape(2, width, count).swapaxes(0, 1)  # poles x (u, v) x rows
-    r, pw = data[2 * width:4 * width].reshape(2, width, count)
+                     + padded(row.laurent[0], 1) for row in rows], dtype=complex)
+    re, im = np.ascontiguousarray(data.real.T), np.ascontiguousarray(data.imag.T)
+    # per pole (u, v), r and pw, and the leading terms c_1, c_0 of a and b
+    uvr, uvi = (np.ascontiguousarray(x[:2 * width].reshape(2, width, count).swapaxes(0, 1))
+                for x in (re, im))
+    rr, ri = re[2 * width:3 * width], im[2 * width:3 * width]
+    pwr, pwi = re[3 * width:4 * width], im[3 * width:4 * width]
     k, ea, eb, log, heads, lead = np.array([(row.laurent[5], *row.shifts, row.log,
                                              bool(row.laurent[0]), len(row.a)) for row in rows],
                                            dtype=float).T
     log, heads, lead = log.astype(bool), heads.astype(bool), lead.astype(int)
-    c = np.zeros((_CHUNK, 2, count), dtype=complex)  # term c_t of lists a, b at base - t
+    shifts, cusps = np.array([ea, eb]), log.any()
+
+    def scales(j):  # -1/(n (n + e)) of lists a, b at n = j + 1, ..., j + _CHUNK
+        ns = np.arange(j + 1, j + _CHUNK + 1, dtype=float)[:, None, None]
+        return -1.0 / (ns * (ns + shifts))
+
+    scale = scales(0)
+    c = np.zeros((2, _CHUNK, 2, count))  # (re, im) of term c_t of lists a, b at base - t
     base = _CHUNK - 1
-    c[base - 1:] = data[4 * width:4 * width + 4].reshape(2, 2, count).swapaxes(0, 1)[::-1]
-    p = np.zeros((_CHUNK, 1, count), dtype=complex)  # P_j of each row
+    for plane, x in zip(c, (re, im)):
+        plane[base - 1:] = x[4 * width:4 * width + 4].reshape(2, 2, count).swapaxes(0, 1)[::-1]
+    p = np.zeros((2, _CHUNK, 2, count))  # (re, im) of P_j of each row, for both lists
     big, quiet = np.ones(count), np.zeros(count)
     active, last = np.ones(count, dtype=bool), np.full(count, most - 1)
     failed = np.zeros(count, dtype=bool)
@@ -480,24 +497,33 @@ def _lockstep(rows) -> _Series:
     with np.errstate(all="ignore"):
         for j in range(most):
             if base < j + 2:
-                c = np.concatenate((np.zeros((_CHUNK, 2, count), dtype=complex), c))
-                p = np.concatenate((p, np.zeros((_CHUNK, 1, count), dtype=complex)))
+                c = np.concatenate((np.zeros((2, _CHUNK, 2, count)), c), axis=1)
+                p = np.concatenate((p, np.zeros((2, _CHUNK, 2, count))), axis=1)
+                scale = np.concatenate((scale, scales(len(scale))))
                 base += _CHUNK
-            su, sv = _sum(_cmul(pw[:, None], uv))  # over the poles
-            pj = _cmul(j + k, su) + sv
-            step = _cmul(pw, r)
+            sr, si = _pmul(pwr[:, None], pwi[:, None], uvr, uvi)
+            (sur, svr), (sui, svi) = (np.add.reduce(x, axis=0, initial=0.0)  # over the poles
+                                      for x in (sr, si))
+            pjr, pji = _pmul(j + k, 0.0, sur, sui)
+            pjr, pji = pjr + svr, pji + svi
+            step = _pmul(pwr, pwi, rr, ri)
             if j == 0:  # a row with a head takes P_0 from it and does not advance pw
-                pj, pw = np.where(heads, data[-1], pj), np.where(heads, pw, step)
+                pjr, pji = np.where(heads, re[-1], pjr), np.where(heads, im[-1], pji)
+                pwr, pwi = (np.where(heads, x, y) for x, y in zip((pwr, pwi), step))
             else:
-                pw = step
-            p[j, 0] = pj
+                pwr, pwi = step
+            p[0, j], p[1, j] = pjr, pji
             n = j + 1
-            conv = _sum(_cmul(p[:n], c[base - j:base + 1]))  # P_0 c_j + ... + P_j c_0
-            a = _cmul(-1.0 / (n * (n + ea)), conv[0])
-            sb = np.where(log, conv[1] + _cmul(2.0 * n, a), conv[1])
-            new = np.array([a, _cmul(-1.0 / (n * (n + eb)), sb)])
-            c[base - j - lead, :, cols] = new.T
-            mod = np.hypot(new.real, new.imag)
+            cr, ci = _pmul(p[0, :n], p[1, :n], c[0, base - j:base + 1], c[1, base - j:base + 1])
+            convr, convi = (np.add.reduce(x, axis=0, initial=0.0)  # P_0 c_j + ... + P_j c_0
+                            for x in (cr, ci))
+            if cusps:  # b's log term 2 n a_new where ``log``
+                ar, ai = _pmul(2.0 * n, 0.0, *_pmul(scale[j, 0], 0.0, convr[0], convi[0]))
+                np.add(convr[1], ar, out=convr[1], where=log)
+                np.add(convi[1], ai, out=convi[1], where=log)
+            newr, newi = _pmul(scale[j], 0.0, convr, convi)
+            c[0, base - j - lead, :, cols], c[1, base - j - lead, :, cols] = newr.T, newi.T
+            mod = np.hypot(newr, newi)
             size = (mod[0] + mod[1]) * (j + 2)
             big = np.maximum(big, size)
             quiet = np.where(size <= tail * big, quiet + 1, 0)
@@ -513,13 +539,19 @@ def _lockstep(rows) -> _Series:
                   for a, f in zip(active, failed)]
         lengths = last + lead + 1
         terms = lengths.max()
-        asc = np.where(np.arange(terms)[:, None, None] < lengths,
-                       c[base - terms + 1:base + 1][::-1], 0)
-        weighted = _cmul(np.arange(terms, dtype=float)[:, None, None], asc)  # n c_n
-        sums = [_sum(x) for x in (asc[0::2], weighted[0::2], asc[1::2], weighted[1::2], asc,
-                                  weighted)]
-    return _Series(asc.transpose(2, 1, 0), lengths.tolist(), status,
-                   np.array(sums).transpose(2, 1, 0).tolist(), most)
+        ascr, asci = np.where(np.arange(terms)[:, None, None] < lengths,
+                              c[:, base - terms + 1:base + 1][:, ::-1], 0.0)
+        wr, wi = _pmul(np.arange(terms, dtype=float)[:, None, None], 0.0, ascr, asci)  # n c_n
+        coeffs = np.empty((terms, 2, count), dtype=complex)
+        coeffs.real, coeffs.imag = ascr, asci  # a sum with 1j would turn -0.0 into +0.0
+        sums = np.empty((6, 2, count), dtype=complex)
+        for i, (pick, (xr, xi)) in enumerate(
+                (pick, x) for pick in (slice(0, None, 2), slice(1, None, 2), slice(None))
+                for x in ((ascr, asci), (wr, wi))):
+            sums[i].real = np.add.reduce(xr[pick], axis=0, initial=0.0)
+            sums[i].imag = np.add.reduce(xi[pick], axis=0, initial=0.0)
+    return _Series(coeffs.transpose(2, 1, 0), lengths.tolist(), status,
+                   sums.transpose(2, 1, 0).tolist(), most)
 
 
 def _settled(series: _Series, row: int, name):
@@ -611,7 +643,10 @@ def _transport(poles, vertices, rows, steps):
     STEP_RATIO of the distance to the nearest pole.  Appends the series of
     every step to ``rows`` (``_step_row``) and its (z0, h, row) to
     ``steps``, in order, and raises IntegrationError where a step would
-    underflow or overflow.  The steps depend only on the poles and vertices."""
+    underflow or overflow; an underflow blames a pole only when the path
+    comes near one against the smallest gap of the poles, not when a
+    segment is long against the reach.  The steps depend only on the poles
+    and vertices."""
     verts = [complex(v) for v in vertices]
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
@@ -633,8 +668,10 @@ def _transport(poles, vertices, rows, steps):
                 raise IntegrationError(f"step overflow on the path to {verts[k]:.6g}") from None
             target, i = prev + t * d, k - 1
             if reach <= _MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
-                raise IntegrationError(f"step underflow: the path runs into a pole "
-                                       f"near {z:.6g}")
+                if reach < _CLEARANCE_FACTOR * _min_gap([p for p, _, _ in poles]):
+                    raise IntegrationError(f"step underflow: the path runs into a pole "
+                                           f"near {z:.6g}")
+                raise IntegrationError(f"step underflow on the path to {verts[k]:.6g}")
         if target == z:
             continue
         steps.append((z, target - z, _step_row(poles, z, target - z, rows)))

@@ -364,8 +364,10 @@ def scalar_stem(poles, vertices) -> Mat2:
             t = (math.sqrt(beta * beta + dd * (reach * reach - abs(a) ** 2)) - beta) / dd
             target, i = prev + t * d, k - 1
             if reach <= mono._MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
-                raise mono.IntegrationError(f"step underflow: the path runs into a pole "
-                                            f"near {z:.6g}")
+                if reach < mono._CLEARANCE_FACTOR * mono._min_gap([p for p, _, _ in poles]):
+                    raise mono.IntegrationError(f"step underflow: the path runs into a pole "
+                                                f"near {z:.6g}")
+                raise mono.IntegrationError(f"step underflow on the path to {verts[k]:.6g}")
         if target == z:
             continue
         u = mat_mul(scalar_transfer(poles, z, target - z), u)

@@ -579,3 +579,41 @@ def test_kawai_huge_grid_offset_is_a_named_failure(capsys, offset, end):
     code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
     assert code == 2
     assert rep["error"] == f"step overflow on the path to {end}"
+
+
+@pytest.mark.parametrize("offset, end", [([1e100, 0], "1e+100+0.4j"),
+                                         ([1e150, 0], "1e+150+0.4j")])
+def test_kawai_long_stem_underflow_names_the_path_not_a_pole(capsys, offset, end):
+    # the stem to the displaced point is finite and its squared length too,
+    # but its steps near the base point reach 0.79 against a segment of
+    # 1e100: exit 2 naming the stem's end, where the report used to blame a
+    # pole near the base point, 1.6 from the nearest one
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "kawai-4cusp.json").read_text())
+    cfg["grid"] = [{"t": [offset]}]
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
+    assert code == 2
+    assert rep["error"] == f"step underflow on the path to {end}"
+
+
+@pytest.mark.parametrize("base, named", [
+    ([0, 0], "base point 0+0j lies on marked point 0 at 0+0j"),
+    ([0, 1], "base point 0+1j lies on marked point 2 at 0+1j")])
+def test_monodromy_base_point_on_a_marked_point_is_bad_input(capsys, base, named):
+    # exit 1 naming the point, where the lassos used to fail as a numerical
+    # exit 2 ("argument tie", or a stem that clears the point by 0)
+    cfg = {"points": [[0, 0], [1, 0], [0, 1]], "orders": [None, None, None],
+           "accessory": [[0.1, 0]], "base_point": base}
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code == 1
+    assert rep["error"] == f"bad sphere data: {named}"
+
+
+def test_kawai_base_point_on_a_marked_point_is_bad_input(capsys):
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "kawai-4cusp.json").read_text())
+    cfg["sphere"]["base_point"] = [0.3, 0.4]
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(cfg))
+    assert code == 1
+    assert rep["error"] == ("bad kawai config: base point 0.3+0.4j lies on marked point 2 "
+                            "at 0.3+0.4j")

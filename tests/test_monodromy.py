@@ -285,19 +285,19 @@ PRODUCT_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e
                  1.5, -3.25]
 
 
-def test_cmul_is_the_cpython_complex_product():
-    # _cmul rounds every product as CPython's complex product does, bit for
-    # bit (signed zeros, infinities and NaNs included): complex factors, and
-    # real factors as complex(f, 0.0), given as a float array or as a Python
-    # float, in the broadcasts of the lockstep; its factors may be strided
-    # views, and the product comes out in C order, as _sum needs
-    from charvar.monodromy import _cmul
+def test_pmul_is_the_cpython_complex_product():
+    # _pmul rounds every product as CPython's complex product does, bit for
+    # bit (signed zeros, infinities and NaNs included): complex factors as
+    # (re, im) planes, and real factors as (f, 0.0), f a float array or a
+    # Python float, in the broadcasts of the lockstep; its planes may be
+    # strided views, as the real and imaginary parts of a complex array are
+    from charvar.monodromy import _pmul
 
     zs = np.array([complex(a, b) for a in PRODUCT_PARTS for b in PRODUCT_PARTS])
     reals = np.array(PRODUCT_PARTS)
     n, r = len(zs), len(reals)
 
-    def strided(values, shape):  # a non-contiguous view, as the lockstep's pw and uv are
+    def strided(values, shape):  # a non-contiguous view
         return np.broadcast_to(values, shape).copy().T.copy().T
 
     cases = [
@@ -306,16 +306,20 @@ def test_cmul_is_the_cpython_complex_product():
         (zs, np.stack((zs, np.roll(zs, 5)))),  # (n,) x (2,n)
         (zs[:120].reshape(3, 1, 40),  # (k,1,n) x (k,2,n)
          strided(zs[:80].reshape(1, 2, 40), (3, 2, 40))),
-        (np.resize(reals, n), np.stack((zs, zs[::-1]))),  # real: -1/(n(n+e)), j + k
+        (np.resize(reals, n), np.stack((zs, zs[::-1]))),  # real: j + k
+        (np.resize(reals, (2, n)), np.stack((zs, zs[::-1]))),  # real: -1/(n(n+e))
         (reals.reshape(r, 1, 1), strided(zs, (r, 2, n))),  # real: n c_n
         (strided(reals.reshape(r, 1, 1), (r, 1, n)), strided(zs, (r, 2, n))),
         *[(f, np.stack((zs, zs[::-1]))) for f in PRODUCT_PARTS],  # a Python float: 2.0 n
     ]
     for x, y in cases:
+        xr, xi = (x.real, x.imag) if np.iscomplexobj(x) else (x, 0.0)
         with np.errstate(all="ignore"):
-            got = _cmul(x, y)
+            re, im = _pmul(xr, xi, y.real, y.imag)
         xs, ys = np.broadcast_arrays(x, y)
-        assert got.shape == xs.shape and got.flags.c_contiguous
+        assert re.shape == im.shape == xs.shape
+        got = np.empty(xs.shape, dtype=complex)
+        got.real, got.imag = re, im
         want = [complex(a) * complex(b) for a, b in zip(xs.ravel().tolist(), ys.ravel().tolist())]
         assert _bits(got.ravel()) == _bits(want), (np.shape(x), y.shape)
 
