@@ -10,7 +10,7 @@ from .sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
 from .cocycles import (Cocycle, Representation, random_parabolic_cocycle,
                        reduce_by_coboundary)
 from .goldman import (CUP_SIGN, PairingReport, cup_product_on_chain,
-                      goldman_closed, goldman_matrix, pairing)
+                      goldman_closed, pairing)
 from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda_report)

@@ -16,11 +16,11 @@ import os
 import sys
 
 from . import __version__
-from .cocycles import CocycleNotParabolicError
+from .cocycles import LOCAL_TOL, CocycleNotParabolicError
 from .goldman import pairing
 from .jets import nan_max
 from .kawai import AccessoryDirection, GridOffset, PointDirection, kawai_experiment
-from .monodromy import IntegrationError, MonodromyEngine, OrderingError
+from .monodromy import RELATION_TOL, IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (QuadratureError, check_identities, exp_provider,
                          moebius_provider, poly_provider, solve_lambda_report)
 from .serialize import (cocycle_in, complex_in, dumps_deterministic, int_in,
@@ -114,7 +114,7 @@ def _cmd_identities(args) -> int:
 
 def _cmd_goldman(args) -> int:
     bundle = _load_json(args)
-    tols = _tolerances(args, {"local": 1e-6})
+    tols = _tolerances(args, {"local": LOCAL_TOL})
     try:
         rho = representation_in(bundle["representation"])
         chi1 = cocycle_in(bundle["cocycle1"], rho)
@@ -173,15 +173,16 @@ def _cmd_lambda_check(args) -> int:
     except QuadratureError as e:
         report["error"] = str(e)
         return _emit(report, args, 2)
+    worst = nan_max(*residuals.values())  # lambda1 ... b3, each held to identity
     residuals["lambda4_solver"] = solve.residual
-    worst = nan_max(*residuals.values())
-    report["max_residual"] = worst
-    return _emit(report, args, 0 if worst <= max(tols.values()) else 2)
+    report["max_residual"] = nan_max(worst, solve.residual)
+    ok = worst <= tols["identity"] and solve.residual <= tols["solver"]
+    return _emit(report, args, 0 if ok else 2)
 
 
 def _cmd_monodromy(args) -> int:
     cfg = _load_json(args)
-    tols = _tolerances(args, {"trace": 1e-6, "relation": 1e-5, "wronskian": 1e-9})
+    tols = _tolerances(args, {"trace": 1e-6, "relation": RELATION_TOL, "wronskian": 1e-9})
     try:
         data = sphere_in(cfg)
     except (KeyError, TypeError, ValueError) as e:
@@ -207,7 +208,7 @@ def _cmd_monodromy(args) -> int:
 
 def _cmd_kawai(args) -> int:
     cfg = _load_json(args)
-    tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": 1e-5})
+    tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": RELATION_TOL})
     try:
         base = sphere_in(cfg["sphere"])
         t_dirs = [PointDirection(tuple(complex_in(v) for v in d["velocities"]))
@@ -229,7 +230,7 @@ def _cmd_kawai(args) -> int:
     except (OrderingError, IntegrationError, CocycleNotParabolicError) as e:
         return _emit({"config": cfg, "tolerances": tols, "error": str(e)}, args, 2)
     report = {"config": cfg, "tolerances": tols, **rep.as_dict()}
-    ok = rep.max_antisymmetry_defect <= tols["antisymmetry"] * max(rep.scale, 1e-30)
+    ok = rep.max_antisymmetry_defect <= tols["antisymmetry"] * max(rep.scale, 1.0)
     return _emit(report, args, 0 if ok else 2)
 
 

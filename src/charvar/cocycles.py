@@ -30,6 +30,9 @@ from .sl2 import (
 from .words import FreeWord, Signature, relator
 
 _RCOND = 1e-9
+#: the default bound, relative to max(1, |chi(c)|, |chi|), on the residual of
+#: a local solve (Ad rho(c) - 1) P = chi(c) (``local_coboundaries``)
+LOCAL_TOL = 1e-6
 
 
 class CocycleNotParabolicError(ValueError):
@@ -193,7 +196,7 @@ def _ad_minus_one(rho: Representation, gens) -> np.ndarray:
     return stack.reshape(-1, 3, 3) - np.eye(3)
 
 
-def local_coboundaries(systems, tol: float = 1e-6) -> list[list[list[LocalSolve]]]:
+def local_coboundaries(systems, tol: float = LOCAL_TOL) -> list[list[list[LocalSolve]]]:
     """[[[LocalSolve per generator name of gens] per cocycle of chis] per
     system (rho, chis, gens) of ``systems``]: the minimum-norm P with
     (Ad rho(c) - 1) P = chi(c) for every pair, read from ``rho.images[c]``

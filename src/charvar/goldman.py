@@ -30,7 +30,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cocycles import Cocycle, LocalSolve, RelatorFrame, Representation, local_coboundaries
+from .cocycles import (LOCAL_TOL, Cocycle, LocalSolve, RelatorFrame, Representation,
+                       local_coboundaries)
 from .sl2 import QuadPoly, adjoint_action, killing
 from .words import FreeWord, GroupRingElement
 
@@ -113,7 +114,7 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
 
 
 def _prologue(rho: Representation) -> RelatorFrame:
-    """The prologue of ``pairing`` and ``goldman_matrix``: warn, at the
+    """The prologue of ``pairing`` and ``goldman_matrices``: warn, at the
     first frame outside this module, if rho is visibly reducible; then rho's
     frame of R."""
     if rho.visibly_reducible:
@@ -125,7 +126,7 @@ def _prologue(rho: Representation) -> RelatorFrame:
 
 
 def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
-            local_tol: float = 1e-6) -> PairingReport:
+            local_tol: float = LOCAL_TOL) -> PairingReport:
     """omega(chi1, chi2) with its correction data, for any signature:
     chi1's walk of R, chi2's local solves and chi2(R), on rho's frame of R."""
     frame = _prologue(rho)
@@ -140,22 +141,15 @@ def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
                          residuals)
 
 
-def goldman_matrix(rho: Representation, chis: list[Cocycle]
-                   ) -> tuple[list[list[complex]], list[dict[str, LocalSolve]]]:
-    """omega(chis[i], chis[j]) for all i, j, bit for bit the one-pair values,
-    with each cocycle's local solves: the one-representation case of
-    ``goldman_matrices``."""
-    return goldman_matrices([rho], [chis])[0]
-
-
 def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]]
                      ) -> list[tuple[list[list[complex]], list[dict[str, LocalSolve]]]]:
-    """``goldman_matrix`` of each representation ``rhos[k]`` and its
-    cocycles ``chis[k]``: from each rho's frame of R and n walks of it, and
-    one batch of local solves for every cocycle of every representation."""
+    """omega(chis[k][i], chis[k][j]) for all i, j of each representation
+    ``rhos[k]``, bit for bit the one-pair values, with each cocycle's local
+    solves: from each rho's frame of R and n walks of it, and one batch of
+    local solves for every cocycle of every representation."""
     frames = [_prologue(rho) for rho in rhos]
     out = []
-    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, 1e-6)):
+    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, LOCAL_TOL)):
         walks = [_walk(chi, frame) for chi in cs]
         values = [[_value(w, chi2, s2) for chi2, s2 in zip(cs, solves)] for w in walks]
         for row, w1 in zip(values, walks):

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
-from .monodromy import (MonodromyEngine, SphereData, Transport, build_potential,
-                        potential_tangent, transport)
+from .monodromy import (RELATION_TOL, MonodromyEngine, SphereData, Transport,
+                        build_potential, potential_tangent, transport)
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -133,7 +133,6 @@ class GridResult:
 
 @dataclass
 class KawaiReport:
-    base: SphereData
     labels: list[str]
     results: list[GridResult]
 
@@ -187,7 +186,7 @@ def kawai_experiment(base: SphereData,
                      t_directions: Sequence[PointDirection],
                      grid: Sequence[GridOffset] = (GridOffset(),),
                      accessory_directions: Optional[Sequence[AccessoryDirection]] = None,
-                     relation_tol: float = 1e-5) -> KawaiReport:
+                     relation_tol: float = RELATION_TOL) -> KawaiReport:
     """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
 
     Paths and homotopy classes are frozen per grid point.  One ``transport``
@@ -224,4 +223,4 @@ def kawai_experiment(base: SphereData,
     # the diagonal of each matrix is a self-pairing null check
     results = [_grid_result(offset, labels, tr, cs, omega, solves)
                for offset, tr, cs, (omega, solves) in zip(grid, transports, chis, matrices)]
-    return KawaiReport(base, labels, results)
+    return KawaiReport(labels, results)

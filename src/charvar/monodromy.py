@@ -52,9 +52,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cocycles import Representation
 from .jets import nan_max
 from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
 from .words import Signature
+
+#: the default bound on how far the lasso relation c1 ... cn may miss
+#: +-identity (``Representation.relator_residual``)
+RELATION_TOL = 1e-5
 
 
 class IntegrationError(RuntimeError):
@@ -1036,15 +1041,12 @@ class MonodromyEngine:
     def __init__(self, data: SphereData):
         self.data = data
         self.order, self.paths = build_lassos(data)
-        self.signature = self._signature(data)
-
-    def _signature(self, data: SphereData) -> Signature:
         seq = [data.order_at(tgt) for tgt in self.order]
-        elliptic = tuple(o for o in seq if o is not None)
-        return Signature(0, elliptic, seq.count(None), marked_orders=tuple(seq))
+        self.signature = Signature(0, tuple(o for o in seq if o is not None), seq.count(None),
+                                   marked_orders=tuple(seq))
 
     def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = 1e-5,
+                       relation_tol: float = RELATION_TOL,
                        tangents: Sequence[Tangent] = ()) -> Transport:
         """(rho, Wronskian drift, tangent images) for ``data`` (default: the
         engine's own) along the frozen lassos: ``transport`` of this one
@@ -1054,7 +1056,7 @@ class MonodromyEngine:
         return tr
 
 
-def transport(jobs, relation_tol: float = 1e-5,
+def transport(jobs, relation_tol: float = RELATION_TOL,
               tangents: Sequence[Sequence[Tangent]] = ()) -> list[Transport]:
     """rho, its Wronskian drift and its tangent images for each job
     (engine, data) of ``jobs``, along the engine's frozen lassos and along
@@ -1063,8 +1065,9 @@ def transport(jobs, relation_tol: float = 1e-5,
     summed in one lockstep batch, each circle's monodromy exact, and one
     quadrature per kind for every tangent.  The drift is the worst
     |det - 1| of the lasso images and the stems and of the Frobenius
-    Wronskians against their exact values; a lasso product that misses
-    +-identity by more than ``relation_tol`` (or by NaN) raises
+    Wronskians against their exact values; a rho whose lasso relation
+    c1 ... cn misses +-identity by more than ``relation_tol`` (or by NaN),
+    read on its relator frame (``Representation.relator_residual``), raises
     OrderingError.  A tangent image maps every generator to dm / sqrt(det m)
     for its monodromy m, scaled as its image in rho is, so that
     dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
@@ -1076,24 +1079,21 @@ def transport(jobs, relation_tol: float = 1e-5,
     after job, assembling its lassos in turn (a failed series, a non-finite
     transport or tangent transport) and checking its relation.  ``jobs`` is
     a list: the caller builds every engine first, and raises its errors."""
-    from .cocycles import Representation
     out = []
     lassos = _lassos([(data.half_q_terms(), engine.paths,
                        [data.order_at(p.target) for p in engine.paths]) for engine, data in jobs],
                      tangents)
     for (engine, data), las in zip(jobs, lassos):
         gens = engine.signature.marked_generators
-        images = {g: MoebiusMap(*_row(m)) for g, m in zip(gens, las.images)}
-        prod = MoebiusMap.identity()
-        for image in images.values():
-            prod = prod @ image
-        resid = prod.psl_distance(MoebiusMap.identity())
+        rho = Representation(engine.signature,
+                             {g: MoebiusMap(*_row(m)) for g, m in zip(gens, las.images)})
+        resid = rho.relator_residual()
         if not resid <= relation_tol:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
         scales = [cmath.sqrt(mat_det(_row(m))) for m in las.images]
-        out.append(Transport(Representation(engine.signature, images), las.drift,
+        out.append(Transport(rho, las.drift,
                              [{g: tuple(x / s for x in dm) for g, s, dm in zip(gens, scales, dms)}
                               for dms in zip(*las.tangents)]))
     return out

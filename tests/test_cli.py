@@ -153,6 +153,18 @@ def test_lambda_check_subcommand(capsys):
                                      "b1", "b2", "b3", "lambda4_solver"}
 
 
+@pytest.mark.parametrize("name", ["identity", "solver"])
+def test_lambda_check_holds_each_residual_to_its_own_tolerance(capsys, name):
+    # lambda1 ... b3 answer to identity and lambda4_solver to solver: a
+    # tightened tolerance fails its own residuals though the other one is
+    # the looser, where the worst residual was held to the loosest tolerance
+    code, rep = run_cli(capsys, "lambda-check", "--tol", f"{name}=1e-30")
+    assert code == 2
+    assert rep["tolerances"][name] == 1e-30
+    held = [v for k, v in rep["residuals"].items() if (k == "lambda4_solver") == (name == "solver")]
+    assert 0 < max(held) <= 1e-8
+
+
 def test_determinism_byte_identical(capsys):
     code1 = main(["identities", "--sig", SIG2])
     out1 = capsys.readouterr().out
@@ -617,3 +629,64 @@ def test_kawai_base_point_on_a_marked_point_is_bad_input(capsys):
     assert code == 1
     assert rep["error"] == ("bad kawai config: base point 0.3+0.4j lies on marked point 2 "
                             "at 0.3+0.4j")
+
+
+def _fiber_config(name):
+    """The committed kawai config ``name`` restricted to its accessory
+    directions: no t direction, and only the c offsets of its grid."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / f"{name}.json").read_text())
+    cfg["t_directions"] = []
+    cfg["grid"] = [{"c": g["c"]} for g in cfg["grid"]]
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["kawai-4cusp", "kawai-5point"])
+def test_kawai_fiber_pairings_at_noise_level_pass(capsys, monkeypatch, name):
+    # the fiber pairs to ~0 with itself, so every pairing and the scale are
+    # rounding noise (1e-11 .. 1e-9): the antisymmetry bound is relative to
+    # the scale floored at 1, where a noise scale used to fail the run
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(_fiber_config(name)))
+    assert code == 0
+    assert rep["scale"] < 1e-8 and rep["max_antisymmetry_defect"] < 1e-8
+    # a pairing made asymmetric by 1e-6 still fails
+    import charvar.cli as cli
+    experiment = cli.kawai_experiment
+
+    def skewed(*args, **kwargs):
+        rep = experiment(*args, **kwargs)
+        for result in rep.results:
+            result.omega[-1][0] += 1e-6
+        return rep
+
+    monkeypatch.setattr(cli, "kawai_experiment", skewed)
+    code, rep = run_cli(capsys, "kawai", "--json", json.dumps(_fiber_config(name)))
+    assert code == 2
+    assert rep["max_antisymmetry_defect"] > 1e-7
+
+
+def test_repeated_calls_leave_no_traced_memory(capsys):
+    # no array or cache of the package outlives a call: after a warm-up,
+    # 30 in-process kawai and monodromy runs leave under 64 KB of growth in
+    # what tracemalloc traces
+    import gc
+    import tracemalloc
+    root = Path(__file__).resolve().parents[1]
+    argvs = [["kawai", "--input", str(root / "configs" / "kawai-4cusp.json")],
+             ["monodromy", "--input", str(root / "configs" / "sphere-4cusp.json")]]
+
+    def run(times):
+        for _ in range(times):
+            for argv in argvs:
+                assert main(argv) == 0
+                capsys.readouterr()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        before = run(3)
+        growth = run(30) - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024, growth

@@ -7,7 +7,7 @@ from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, local_solves, make_closed_rep,
 from oracles import coboundary, conjugated, evaluate_ring, local_kernel_basis, random_quadpoly
 from charvar.cocycles import Cocycle, parabolic_parameter_basis, random_parabolic_cocycle
 from charvar.goldman import (CUP_SIGN, _walk, cup_product_on_chain, goldman_closed,
-                             goldman_matrix, pairing)
+                             goldman_matrices, pairing)
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.sl2 import QuadPoly, ad_matrix, adjoint_action, killing
 from charvar.words import fox_derivative, fundamental_class_chain, relator
@@ -164,10 +164,10 @@ class TestOrbifold:
             goldman_closed(rho, chi, chi)
 
     @pytest.mark.parametrize("call", [lambda rho, chi: pairing(rho, chi, chi),
-                                      lambda rho, chi: goldman_matrix(rho, [chi, chi]),
+                                      lambda rho, chi: goldman_matrices([rho], [[chi, chi]]),
                                       lambda rho, chi: goldman_closed(rho, chi, chi)])
     def test_reducible_warning_points_at_the_caller(self, call):
-        # pairing and goldman_matrix share one prologue: one warning per
+        # pairing and goldman_matrices share one prologue: one warning per
         # call, attributed to the line that called them, also through
         # goldman_closed
         rho = make_genus1_rep(3)
@@ -255,7 +255,7 @@ class TestMatrix:
         rho = {"genus2": genus2_rep, "orb3": orb3_rep, "four_cusp": four_cusp_rep}[which]
         rng = np.random.default_rng(23)
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
-        omega, solves = goldman_matrix(rho, chis)
+        omega, solves = goldman_matrices([rho], [chis])[0]
         for i, chi1 in enumerate(chis):
             for j, chi2 in enumerate(chis):
                 rep = pairing(rho, chi1, chi2)
@@ -271,7 +271,7 @@ class TestMatrix:
         rho = make_closed_rep(3, 5)
         rng = np.random.default_rng(25)
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
-        goldman_matrix(rho, chis)
+        goldman_matrices([rho], [chis])
         for chi1 in chis:
             for chi2 in chis:
                 goldman_closed(rho, chi1, chi2)
@@ -289,7 +289,7 @@ class TestMatrix:
         gens = rho.signature.generators
         chis = [Cocycle(rho, {g: QuadPoly.from_vector(v[3 * i:3 * i + 3])
                               for i, g in enumerate(gens)}) for v in (P @ N).T]
-        omega, _ = goldman_matrix(rho, chis)
+        omega, _ = goldman_matrices([rho], [chis])[0]
         svals = np.linalg.svd(np.array(omega), compute_uv=False)
         assert int(np.sum(svals > 1e-6 * svals[0])) == rank, svals
 
@@ -330,5 +330,5 @@ class TestMarkedGenerators:
             return ad_matrix(m)
 
         monkeypatch.setattr(cocycles, "ad_matrix", recorded)
-        goldman_matrix(rho, chis)
+        goldman_matrices([rho], [chis])
         assert images == [rho.image(sig.gen(c)).tuple() for c in marked]

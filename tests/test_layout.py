@@ -86,3 +86,37 @@ def test_perfbench_traced_names_resolve():
     missing = {f"{module}.{qual}" for module, qual in targets if not _traced(module, qual)}
     assert len(targets) - len(missing) >= 12
     assert not missing - GONE_TARGETS, f"traced names the package lacks: {missing - GONE_TARGETS}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_helper_is_used():
+    # a private name defined at module level, or a private method, that no
+    # code of the package reads is a leftover: a module-level one must be
+    # read in its own module (no module imports another's private names),
+    # a method anywhere in the package
+    defined, loaded, attrs = [], {}, set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = str(path.relative_to(ROOT))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, False) for name in names if _private(name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{sub.name}", True) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and _private(sub.name)]
+        loaded[module] = {n.id for n in ast.walk(tree)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert ("src/charvar/monodromy.py", "_lockstep", False) in defined
+    unused = [f"{module}: {name}" for module, name, method in defined
+              if not (name.rpartition(".")[2] in attrs if method else name in loaded[module])]
+    assert not unused, f"private names nothing in src/ reads: {unused}"
