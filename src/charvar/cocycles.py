@@ -42,10 +42,22 @@ class CocycleNotParabolicError(ValueError):
         self.residual = residual
 
 
-def elliptic_trace_targets(order: int) -> list[float]:
-    """|trace| values compatible with an elliptic generator of the given order."""
-    return [abs(2 * math.cos(math.pi * k / order))
-            for k in range(1, order) if math.gcd(k, order) == 1]
+def elliptic_trace_residual(t: float, order: int) -> float:
+    """The distance of a |trace| t from the values |2 cos(pi k / order)|,
+    0 < k < order with gcd(k, order) = 1, that an elliptic generator of the
+    order may take: bit for bit the minimum over every such k, taken over
+    the two nearest k coprime to the order on each side of the two
+    solutions x = arccos(t/2) order / pi and order - x of
+    |2 cos(pi k / order)| = t (k = 1 when t > 2).  Each half of (0, order)
+    is monotone in k, so one nearest k on each side would do; the second
+    covers rounding.  The cost does not grow with the order."""
+    x = math.acos(t / 2) / math.pi * order if t <= 2 else 0.0
+    near = set()
+    for centre in (math.floor(x), math.floor(order - x)):
+        for ks in (range(centre, 0, -1), range(centre + 1, order)):
+            coprime = (k for k in ks if math.gcd(k, order) == 1)
+            near.update(itertools.islice(coprime, 2))
+    return min(abs(t - abs(2 * math.cos(math.pi * k / order))) for k in sorted(near))
 
 
 #: rho's side of the walk of the relator R: the letters and prefix images of
@@ -93,7 +105,7 @@ class Representation:
             if order is None:
                 out[name] = abs(t - 2.0)
             else:
-                out[name] = min(abs(t - target) for target in elliptic_trace_targets(order))
+                out[name] = elliptic_trace_residual(t, order)
         return out
 
     @functools.cached_property

@@ -21,7 +21,11 @@ bases: a lockstep numpy batch (``_lockstep``) that takes every series of
 every representation of a call one term index at a time, on float64 planes
 of real and imaginary parts with the rows innermost, rounding as Python
 does (the rules are stated there), so that each series is bit for bit the
-scalar recurrence summed alone.  One call (``transport``) takes any number of
+scalar recurrence summed alone.  The batch orders its rows by kind, Taylor
+steps first and the cusp circles' log rows last, so that each new term is
+written by slices; a product with a real factor f is f x + x[::-1]
+(-0.0, +0.0) on the stacked planes, CPython's (f, 0.0) x in three numpy
+calls (``_rmul``).  One call (``transport``) takes any number of
 representations, each with its own poles and tangents: it plans every step
 first, since the steps depend only on the poles and the vertices, and sums
 that one batch.  With tangents, two quadratures then read the batch's
@@ -421,13 +425,31 @@ _Row = namedtuple("_Row", "laurent a b shifts log")
 _CHUNK = 32
 
 
-def _pmul(xr, xi, yr, yi):
-    """(re, im) of x y from the real and imaginary planes of x and y, rounded
-    as CPython rounds a complex product: re = xr yr - xi yi and
-    im = xr yi + xi yr, each real product rounded on its own (numpy's complex
-    multiply may fuse them).  A real factor f (a float array or a Python
-    float) is (f, 0.0): its 0.0 yi and 0.0 yr stay.  The planes broadcast."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
+def _pmul(x, yr, yi, out):
+    """x y into ``out``, for x and ``out`` held as stacked planes (re, im) on
+    axis 0 and y as its planes yr and yi, rounded as CPython rounds a
+    complex product: re = xr yr - xi yi and im = xr yi + xi yr, each real
+    product rounded on its own (numpy's complex multiply may fuse them).
+    x yr and x yi hold the four products.  The planes broadcast to
+    ``out[0]``."""
+    a, b = x * yr, x * yi
+    np.subtract(a[0], b[1], out=out[0])
+    np.add(b[0], a[1], out=out[1])
+    return out
+
+
+#: (-0.0, +0.0) on the plane axis of a 3-d stacked complex array (``_rmul``)
+_ZEROS = np.array([-0.0, 0.0])[:, None, None]
+
+
+def _rmul(f, x):
+    """f x for a real factor f (a float array or a Python float) and a
+    complex x held as a 3-d array of stacked planes (re, im) on axis 0,
+    rounded as CPython rounds (f, 0.0) times x: re = f xr - 0.0 xi and
+    im = f xi + 0.0 xr, the 0.0 terms kept (they decide signed zeros and
+    make 0 inf a NaN).  f x + x[::-1] (-0.0, +0.0) forms both planes in
+    three calls; a + (-0.0 b) is a - 0.0 b bit for bit, NaNs included."""
+    return f * x + x[::-1] * _ZEROS
 
 
 #: the summed rows of a ``_lockstep`` batch: per row its coefficient lists a
@@ -449,114 +471,125 @@ def _lockstep(rows) -> _Series:
 
     Each row is bit for bit the scalar recurrence summed alone, with
     Python's rounding.  Every complex number is held as two float64 planes,
-    its real and imaginary parts, with the rows innermost: complex products
-    are formed from rounded real products (``_pmul``), and a complex sum
-    from 0j is the sum of each plane from +0.0 along a non-innermost axis,
-    which np.add.reduce adds term after term (along the innermost axis it
-    would sum pairwise).  Sizes are ``np.hypot`` as ``abs`` is, the
-    factors -1/(n (n + e)) come from a table that rounds them as the scalar
-    recurrence does, and no matmul or BLAS takes part.  The coefficients
-    grow downward in memory, so that c_j, ..., c_0 of every row is one slice
-    for the convolution with P_0, ..., P_j, which is stored for both lists;
-    the arrays and the table grow by _CHUNK terms.  Zero-padded poles add
-    exact zeros to sums that start from +0.0.  Rows that stopped are
-    computed on, under ``np.errstate``, and zeroed past their stop at the
-    end.
+    its real and imaginary parts, with the rows innermost: a complex product
+    is formed from rounded real products (``_pmul``), a product with a real
+    factor (j + k, -1/(n (n + e)), 2 n and n) on the planes stacked on axis
+    0 (``_rmul``), and a complex sum from 0j is the sum of each plane from
+    +0.0 along a non-innermost axis, which np.add.reduce adds term after
+    term (along the innermost axis it would sum pairwise).  Sizes are
+    ``np.hypot`` as ``abs`` is, the factors -1/(n (n + e)) come from a
+    table that rounds them as the scalar recurrence does, and no matmul or
+    BLAS takes part.
+
+    The batch orders its rows by their count of leading terms, two (Taylor
+    steps) before one (circles), and the log rows last (a log row is a cusp
+    circle's, with one leading term): every new term of a kind is then one
+    slice of the coefficient array, and b's log term is computed on the log
+    rows' slice alone.  The results are returned in the order of ``rows``.
+    Per pole, pw u, pw v and pw r are one product.  The coefficients grow
+    downward in memory, so that c_j, ..., c_0 of every row is one slice for
+    the convolution with P_0, ..., P_j, which is stored for both lists; the
+    arrays and the table grow by _CHUNK terms.  Zero-padded poles add exact
+    zeros to sums that start from +0.0.  Rows that stopped are computed on,
+    under ``np.errstate``, and zeroed past their stop at the end.
     """
     tail, most = _TAIL, _MAX_TERMS
     count = len(rows)
+    keys = [(len(row.a), not row.log) for row in rows]  # a log row has one leading term
+    order = sorted(range(count), key=keys.__getitem__, reverse=True)
+    rows = [rows[i] for i in order]
+    # rows [0, two) have two leading terms, and rows [logs, count) are the log rows
+    two, logs = keys.count((2, True)), count - keys.count((1, False))
     width = max(len(row.laurent[1]) for row in rows)  # poles, zero-padded
+    pad = [0j] * max(width, 2)
+    data = np.array([[*u, *pad[len(u):width], *v, *pad[len(v):width], *r, *pad[len(r):width],
+                      *pw, *pad[len(pw):width], *a, *pad[:2 - len(a)], *b, *pad[:2 - len(b)],
+                      *head, *pad[:1 - len(head)]]
+                     for (head, u, v, r, pw, _), a, b, _, _ in rows], dtype=complex).T
+    planes = np.stack((data.real, data.imag))  # (re, im) x entries x rows
+    # per pole (u, v, r) and pw, the leading terms of a and b, and the heads
+    ur, ui = np.ascontiguousarray(planes[:, :3 * width].reshape(2, 3, width, count).swapaxes(1, 2))
+    pw = planes[:, 3 * width:4 * width, None]
+    leading = planes[:, 4 * width:4 * width + 4].reshape(2, 2, 2, count)  # (re, im) x lists x t
+    k, ea, eb = np.array([(row.laurent[5], *row.shifts) for row in rows], dtype=float).T
+    heads = np.array([bool(row.laurent[0]) for row in rows])
+    shifts = np.array([ea, eb])
 
-    def padded(x, n=width):
-        return [*x, *[0j] * (n - len(x))]
-
-    data = np.array([padded(row.laurent[1]) + padded(row.laurent[2]) + padded(row.laurent[3])
-                     + padded(row.laurent[4]) + padded(row.a, 2) + padded(row.b, 2)
-                     + padded(row.laurent[0], 1) for row in rows], dtype=complex)
-    re, im = np.ascontiguousarray(data.real.T), np.ascontiguousarray(data.imag.T)
-    # per pole (u, v), r and pw, and the leading terms c_1, c_0 of a and b
-    uvr, uvi = (np.ascontiguousarray(x[:2 * width].reshape(2, width, count).swapaxes(0, 1))
-                for x in (re, im))
-    rr, ri = re[2 * width:3 * width], im[2 * width:3 * width]
-    pwr, pwi = re[3 * width:4 * width], im[3 * width:4 * width]
-    k, ea, eb, log, heads, lead = np.array([(row.laurent[5], *row.shifts, row.log,
-                                             bool(row.laurent[0]), len(row.a)) for row in rows],
-                                           dtype=float).T
-    log, heads, lead = log.astype(bool), heads.astype(bool), lead.astype(int)
-    shifts, cusps = np.array([ea, eb]), log.any()
-
-    def scales(j):  # -1/(n (n + e)) of lists a, b at n = j + 1, ..., j + _CHUNK
+    def tables(j):  # j + k, and -1/(n (n + e)) of lists a, b, at n = j + 1, ..., j + _CHUNK
         ns = np.arange(j + 1, j + _CHUNK + 1, dtype=float)[:, None, None]
-        return -1.0 / (ns * (ns + shifts))
+        return ns[:, 0] - 1 + k, -1.0 / (ns * (ns + shifts))
 
-    scale = scales(0)
+    jk, scale = tables(0)
     c = np.zeros((2, _CHUNK, 2, count))  # (re, im) of term c_t of lists a, b at base - t
     base = _CHUNK - 1
-    for plane, x in zip(c, (re, im)):
-        plane[base - 1:] = x[4 * width:4 * width + 4].reshape(2, 2, count).swapaxes(0, 1)[::-1]
+    c[:, base - 1:] = leading.swapaxes(1, 2)[:, ::-1]  # c_1, c_0
     p = np.zeros((2, _CHUNK, 2, count))  # (re, im) of P_j of each row, for both lists
-    big, quiet = np.ones(count), np.zeros(count)
+    prods = np.empty((2, _CHUNK, 2, count))  # (re, im) of P_i c_(j-i)
+    poles = np.empty((2, width, 3, count))  # (re, im) of pw u, pw v and pw r per pole
+    sums, conv = np.empty((2, 2, count)), np.empty((2, 2, count))  # (re, im) x lists x rows
+    # a row's largest size, NaN once it stopped (so that no size is small
+    # against it), and whether its last size was small
+    big, small = np.ones(count), np.zeros(count, dtype=bool)
     active, last = np.ones(count, dtype=bool), np.full(count, most - 1)
     failed = np.zeros(count, dtype=bool)
-    cols = np.arange(count)
     with np.errstate(all="ignore"):
         for j in range(most):
             if base < j + 2:
                 c = np.concatenate((np.zeros((2, _CHUNK, 2, count)), c), axis=1)
                 p = np.concatenate((p, np.zeros((2, _CHUNK, 2, count))), axis=1)
-                scale = np.concatenate((scale, scales(len(scale))))
+                prods = np.empty(p.shape)
+                jk, scale = (np.concatenate(x) for x in zip((jk, scale), tables(len(scale))))
                 base += _CHUNK
-            sr, si = _pmul(pwr[:, None], pwi[:, None], uvr, uvi)
-            (sur, svr), (sui, svi) = (np.add.reduce(x, axis=0, initial=0.0)  # over the poles
-                                      for x in (sr, si))
-            pjr, pji = _pmul(j + k, 0.0, sur, sui)
-            pjr, pji = pjr + svr, pji + svi
-            step = _pmul(pwr, pwi, rr, ri)
+            _pmul(pw, ur, ui, poles)
+            np.add.reduce(poles[:, :, :2], axis=1, initial=0.0, out=sums)  # over the poles
+            np.add(_rmul(jk[j], sums[:, :1]), sums[:, 1:], out=p[:, j])
             if j == 0:  # a row with a head takes P_0 from it and does not advance pw
-                pjr, pji = np.where(heads, re[-1], pjr), np.where(heads, im[-1], pji)
-                pwr, pwi = (np.where(heads, x, y) for x, y in zip((pwr, pwi), step))
+                p[:, 0] = np.where(heads, planes[:, -1:], p[:, 0])
+                pw = np.where(heads, pw, poles[:, :, 2:])
             else:
-                pwr, pwi = step
-            p[0, j], p[1, j] = pjr, pji
+                pw = poles[:, :, 2:]
             n = j + 1
-            cr, ci = _pmul(p[0, :n], p[1, :n], c[0, base - j:base + 1], c[1, base - j:base + 1])
-            convr, convi = (np.add.reduce(x, axis=0, initial=0.0)  # P_0 c_j + ... + P_j c_0
-                            for x in (cr, ci))
-            if cusps:  # b's log term 2 n a_new where ``log``
-                ar, ai = _pmul(2.0 * n, 0.0, *_pmul(scale[j, 0], 0.0, convr[0], convi[0]))
-                np.add(convr[1], ar, out=convr[1], where=log)
-                np.add(convi[1], ai, out=convi[1], where=log)
-            newr, newi = _pmul(scale[j], 0.0, convr, convi)
-            c[0, base - j - lead, :, cols], c[1, base - j - lead, :, cols] = newr.T, newi.T
-            mod = np.hypot(newr, newi)
+            np.add.reduce(_pmul(p[:, :n], *c[:, base - j:base + 1], prods[:, :n]), axis=1,
+                          initial=0.0, out=conv)  # P_0 c_j + ... + P_j c_0
+            new = _rmul(scale[j], conv)
+            if logs < count:  # b's log term 2 n a_new, then b_new again
+                conv[:, 1:, logs:] += _rmul(2.0 * n, new[:, :1, logs:])
+                new[:, 1:, logs:] = _rmul(scale[j, 1:, logs:], conv[:, 1:, logs:])
+            c[:, base - j - 2, :, :two] = new[..., :two]
+            c[:, base - j - 1, :, two:] = new[..., two:]
+            mod = np.hypot(new[0], new[1])
             size = (mod[0] + mod[1]) * (j + 2)
-            big = np.maximum(big, size)
-            quiet = np.where(size <= tail * big, quiet + 1, 0)
+            np.maximum(big, size, out=big)
+            settled = small & (small := size <= tail * big)
             finite = np.isfinite(size)
-            stop = active & ((quiet == 2) | ~finite)
-            if stop.any():
+            if settled.any() or not finite.all():
+                stop = active & (settled | ~finite)
                 failed |= stop & ~finite
                 last[stop] = j
+                big[stop] = np.nan
                 active &= ~stop
                 if not active.any():
                     break
+        back = np.argsort(order)  # the results in the order of ``rows``
         status = ["diverged" if a else "non-finite" if f else None
-                  for a, f in zip(active, failed)]
-        lengths = last + lead + 1
+                  for a, f in zip(active[back], failed[back])]
+        lengths = (last + np.where(np.arange(count) < two, 3, 2))[back]
         terms = lengths.max()
-        ascr, asci = np.where(np.arange(terms)[:, None, None] < lengths,
-                              c[:, base - terms + 1:base + 1][:, ::-1], 0.0)
-        wr, wi = _pmul(np.arange(terms, dtype=float)[:, None, None], 0.0, ascr, asci)  # n c_n
-        coeffs = np.empty((terms, 2, count), dtype=complex)
-        coeffs.real, coeffs.imag = ascr, asci  # a sum with 1j would turn -0.0 into +0.0
-        sums = np.empty((6, 2, count), dtype=complex)
-        for i, (pick, (xr, xi)) in enumerate(
-                (pick, x) for pick in (slice(0, None, 2), slice(1, None, 2), slice(None))
-                for x in ((ascr, asci), (wr, wi))):
-            sums[i].real = np.add.reduce(xr[pick], axis=0, initial=0.0)
-            sums[i].imag = np.add.reduce(xi[pick], axis=0, initial=0.0)
+        # (re, im) x terms x (c_n, n c_n) x (lists x rows), zeros past each row's end
+        xs = np.zeros((2, terms, 2, 2 * count))
+        np.copyto(xs[:, :, 0], c[:, base - terms + 1:base + 1, :, back][:, ::-1]
+                  .reshape(2, terms, 2 * count),
+                  where=np.arange(terms)[:, None] < np.concatenate((lengths, lengths)))
+        xs[:, :, 1] = _rmul(np.arange(terms, dtype=float)[:, None], xs[:, :, 0])
+        picks = np.empty((3, 2, 2, 2, count))  # even, odd, all terms of xs
+        for out, pick in zip(picks, (slice(0, None, 2), slice(1, None, 2), slice(None))):
+            np.add.reduce(xs[:, pick], axis=1, initial=0.0, out=out.reshape(2, 2, 2 * count))
+    coeffs = np.empty((terms, 2, count), dtype=complex)
+    coeffs.real, coeffs.imag = xs[:, :, 0].reshape(2, terms, 2, count)
+    sums = np.empty((count, 2, 3, 2), dtype=complex)  # rows x lists x picks x (c_n, n c_n)
+    sums.real, sums.imag = picks.transpose(1, 4, 3, 0, 2)
     return _Series(coeffs.transpose(2, 1, 0), lengths.tolist(), status,
-                   sums.transpose(2, 1, 0).tolist(), most)
+                   sums.reshape(count, 2, 6).tolist(), most)
 
 
 def _settled(series: _Series, row: int, name):
@@ -579,9 +612,13 @@ def _step_row(poles, z0: complex, h: complex, rows) -> int:
     and the row's a and b are the canonical solutions (identity data in tau
     at the midpoint; shifts 1)."""
     g = h / 2
-    xs = [g / (p - z0 - g) for p, _, _ in poles]
-    rows.append(_Row(((), [A * x for (_, A, _), x in zip(poles, xs)],
-                      [-(B * g) for _, _, B in poles], xs, xs, 1),
+    xs, us, vs = [], [], []
+    for p, A, B in poles:
+        x = g / (p - z0 - g)
+        xs.append(x)
+        us.append(A * x)
+        vs.append(-(B * g))
+    rows.append(_Row(((), us, vs, xs, xs, 1),
                      (1.0 + 0j, 0j), (0j, 1.0 + 0j), (1, 1), False))  # psi_a and psi_b / g
     return len(rows) - 1
 
@@ -653,9 +690,10 @@ def _transport(poles, vertices, rows, steps):
     segment is long against the reach.  The steps depend only on the poles
     and vertices."""
     verts = [complex(v) for v in vertices]
+    spots = [p for p, _, _ in poles]
     z, i, last = verts[0], 0, len(verts) - 1  # z lies on the segment from verts[i]
     while i < last:
-        reach = STEP_RATIO * min((abs(z - p) for p, _, _ in poles), default=math.inf)
+        reach = STEP_RATIO * min([abs(z - p) for p in spots], default=math.inf)
         # farthest point of the polyline that stays within reach of z: the
         # chord to it is homotopic to the polyline in the pole-free disc
         prev, k = z, i + 1
@@ -673,14 +711,14 @@ def _transport(poles, vertices, rows, steps):
                 raise IntegrationError(f"step overflow on the path to {verts[k]:.6g}") from None
             target, i = prev + t * d, k - 1
             if reach <= _MIN_STEP * abs(verts[k] - verts[k - 1]) or target == z:
-                if reach < _CLEARANCE_FACTOR * _min_gap([p for p, _, _ in poles]):
+                if reach < _CLEARANCE_FACTOR * _min_gap(spots):
                     raise IntegrationError(f"step underflow: the path runs into a pole "
                                            f"near {z:.6g}")
                 raise IntegrationError(f"step underflow on the path to {verts[k]:.6g}")
-        if target == z:
-            continue
-        steps.append((z, target - z, _step_row(poles, z, target - z, rows)))
-        z = target
+        if target != z:
+            h = target - z
+            steps.append((z, h, _step_row(poles, z, h, rows)))
+            z = target
 
 
 def _stem(steps, series: _Series, ints, count: int):
@@ -692,7 +730,8 @@ def _stem(steps, series: _Series, ints, count: int):
     u, du = (1.0 + 0j, 0j, 0j, 1.0 + 0j), [(0j, 0j, 0j, 0j)] * count
     for z0, h, row in steps:
         T, dts = _transfer(z0, h, series, row, ints[row])
-        du = [_add(mat_mul(d, u), mat_mul(T, w)) for d, w in zip(dts, du)]
+        if count:
+            du = [_add(mat_mul(d, u), mat_mul(T, w)) for d, w in zip(dts, du)]
         u = mat_mul(T, u)
         if not all(map(cmath.isfinite, u)):
             raise IntegrationError(f"non-finite transport at {z0:.6g}")

@@ -47,8 +47,20 @@ class FreeWord:
     def identity(cls) -> "FreeWord":
         return cls()
 
+    @classmethod
+    def _reduced(cls, letters: tuple[Letter, ...]) -> "FreeWord":
+        """The word of ``letters``, which must be freely reduced already."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
+        # both factors are reduced, so letters cancel only at the junction
+        a, b = self.letters, other.letters
+        n, k = len(a), 0
+        while k < min(n, len(b)) and a[n - 1 - k][0] == b[k][0] and a[n - 1 - k][1] == -b[k][1]:
+            k += 1
+        return FreeWord._reduced(a[:n - k] + b[k:])
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -275,19 +287,14 @@ def fox_derivative(w: FreeWord, gen: str) -> GroupRingElement:
     product rule d(uv)/dx = du/dx + u dv/dx.
     """
     terms: dict[FreeWord, int] = {}
-    prefix = FreeWord()
-    for name, exp in w:
+    letters = w.letters  # reduced, so each prefix is a slice, reduced too
+    for i, (name, exp) in enumerate(letters):
         if name == gen:
-            if exp == 1:
-                t = prefix
-                c = 1
-            else:
-                t = prefix * FreeWord.generator(name, -1)
-                c = -1
-            terms[t] = terms.get(t, 0) + c
+            # the prefix before x, or the prefix through x^-1
+            t = FreeWord._reduced(letters[:i] if exp == 1 else letters[:i + 1])
+            terms[t] = terms.get(t, 0) + exp
             if terms[t] == 0:
                 del terms[t]
-        prefix = prefix * FreeWord(((name, exp),))
     return GroupRingElement(terms)
 
 

@@ -4,7 +4,8 @@
   SL(2,C) lifts along a representation family, to hold the exact tangent
   cocycles (``charvar.cocycles.tangent_cocycle``) against.
 - Closed forms of a sphere's potential q and its moment residuals, of the
-  hyperbolicity of a signature, and the value of a truncated jet.
+  hyperbolicity of a signature, and the value of a truncated jet; every
+  trace an elliptic generator of a given order may have.
 - Developing-map jets: the Taylor recursion of psi'' = -(q/2) psi at an
   ordinary point, whose ratio must have Schwarzian q.
 - Kernel bases of the local systems (Ad rho(gamma) - 1), for the
@@ -129,6 +130,14 @@ def moment_residuals(data: SphereData) -> tuple[float, float]:
     target = _moment_target(data.order_infinity, data.thetas)
     s2 = sum(m * p for m, p in zip(data.residues, data.points)) - target
     return (abs(s1), abs(s2))
+
+
+def elliptic_trace_targets(order: int) -> list[float]:
+    """|trace| values compatible with an elliptic generator of the given
+    order, every k enumerated: the reference for
+    ``charvar.cocycles.elliptic_trace_residual``."""
+    return [abs(2 * math.cos(math.pi * k / order))
+            for k in range(1, order) if math.gcd(k, order) == 1]
 
 
 def is_hyperbolic(sig: Signature) -> bool:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,21 @@ def test_fox_matches_closed_form(capsys):
     # dR/da_1 = R_0 - R_1 b_1 = 1 - a1 b1 a1^-1
     terms = {t["word"]: t["coeff"] for t in rep["derivative"]}
     assert terms == {"1": 1, "a1 b1 a1^-1": -1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--sig", '{"g": 200}'],
+    ["fox", "--sig", '{"g": 2000}', "--word", "R", "--gen", "a2000"],
+], ids=["identities-g200", "fox-g2000"])
+def test_word_layer_at_a_large_genus_ends_promptly(capsys, argv):
+    # a product cancels only where its two reduced factors meet, and a Fox
+    # derivative reads its prefixes as slices, so neither is cubic in the
+    # genus (25 s and 18 s before)
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert rep.get("all_pass", True) is True
 
 
 def test_fox_explicit_word(capsys):
@@ -475,6 +491,29 @@ def test_overflowing_residues_are_input_error(capsys, argv):
     code, rep = run_cli(capsys, *argv)
     assert code == 1
     assert "must be finite" in rep["error"]
+
+
+def test_lambda_check_order_above_the_maximum_is_input_error(capsys):
+    # the jet arithmetic's cost grows with the order, so an order past the
+    # stated maximum is refused at once, naming the maximum
+    from charvar.cli import MAX_JET_ORDER
+
+    code, rep = run_cli(capsys, "lambda-check", "--json",
+                        json.dumps({"order": MAX_JET_ORDER + 1}))
+    assert code == 1
+    assert f"maximum {MAX_JET_ORDER}" in rep["error"]
+
+
+def test_monodromy_with_an_order_1e8_point_ends_promptly(capsys):
+    # the trace residual of an order-e point reads only the k near the
+    # trace, so an order of 1e8 costs what a small one does (it enumerated
+    # every k < e, 32 s at 1e8)
+    cfg = dict(SPHERE, orders=[10 ** 8, None, None])
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2)
+    assert set(rep["trace_residuals"]) == {"c1", "c2", "c3", "c4"}
 
 
 def test_lambda_check_nan_residual_fails(capsys):

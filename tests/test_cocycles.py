@@ -7,10 +7,11 @@ import pytest
 from conftest import (local_solves, make_genus2_rep, near_identity_sl2, rand_sl2,
                       thrice_punctured_rep)
 from oracles import (BranchJumpError, coboundary, conjugated, direction_family,
-                     evaluate_ring, finite_difference_cocycle, local_kernel_basis,
-                     lstsq_local_coboundary, matrix_to_poly, random_quadpoly, random_word)
+                     elliptic_trace_targets, evaluate_ring, finite_difference_cocycle,
+                     local_kernel_basis, lstsq_local_coboundary, matrix_to_poly,
+                     random_quadpoly, random_word)
 from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
-                              elliptic_trace_targets, local_coboundaries,
+                              elliptic_trace_residual, local_coboundaries,
                               random_parabolic_cocycle, reduce_by_coboundary,
                               relator_extension_matrix, word_images)
 from charvar.sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
@@ -27,6 +28,12 @@ def rho_tp():
     return thrice_punctured_rep()
 
 
+def _float_bits(x: float) -> int:
+    """The bit pattern of a float: equal only if equal bit for bit, NaNs
+    included."""
+    return int(np.float64(x).view(np.uint64))
+
+
 class TestRepresentation:
     def test_relator_and_traces(self, rho_tp):
         assert rho_tp.relator_residual() < 1e-14
@@ -39,6 +46,21 @@ class TestRepresentation:
         assert sorted(set(round(t, 12) for t in elliptic_trace_targets(5))) == \
             pytest.approx(sorted({round(2 * np.cos(2 * np.pi / 5), 12),
                                   round(2 * np.cos(np.pi / 5), 12)}))
+
+    def test_elliptic_trace_residual_is_the_minimum_over_every_k(self):
+        # the distance from the nearest k is the minimum over every k bit for
+        # bit, for every order up to 200: traces on and between the targets,
+        # at 0 and 2, past 2, and infinite or NaN
+        rng = np.random.default_rng(12)
+        spread = [0.0, 1e-300, 2.0, 2.0 + 1e-15, 2.5, 1e300, math.inf, math.nan,
+                  *rng.uniform(0.0, 2.0, 6).tolist()]
+        for order in range(2, 201):
+            targets = elliptic_trace_targets(order)
+            near = [targets[i] for i in (0, len(targets) // 3, -1)]
+            for t in spread + near + [x + d for x in near for d in (-1e-12, 3e-16)]:
+                want = min(abs(t - target) for target in targets)
+                assert _float_bits(elliptic_trace_residual(t, order)) == _float_bits(want), \
+                    (order, t)
 
     def test_visibly_reducible(self):
         d1 = MoebiusMap(2, 0, 0, 0.5, normalize=False)

@@ -286,12 +286,13 @@ PRODUCT_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e
 
 
 def test_pmul_is_the_cpython_complex_product():
-    # _pmul rounds every product as CPython's complex product does, bit for
-    # bit (signed zeros, infinities and NaNs included): complex factors as
-    # (re, im) planes, and real factors as (f, 0.0), f a float array or a
-    # Python float, in the broadcasts of the lockstep; its planes may be
-    # strided views, as the real and imaginary parts of a complex array are
-    from charvar.monodromy import _pmul
+    # the lockstep's two product forms round every product as CPython does,
+    # bit for bit (signed zeros, infinities and NaN bits included), in the
+    # broadcasts of the lockstep and on planes that may be strided views:
+    # _pmul, a complex x held as stacked (re, im) planes times a complex y
+    # given as its two planes, and _rmul, a real factor f (a float array or
+    # a Python float) times a stacked x, which CPython takes as (f, 0.0) x
+    from charvar.monodromy import _pmul, _rmul
 
     zs = np.array([complex(a, b) for a in PRODUCT_PARTS for b in PRODUCT_PARTS])
     reals = np.array(PRODUCT_PARTS)
@@ -300,28 +301,38 @@ def test_pmul_is_the_cpython_complex_product():
     def strided(values, shape):  # a non-contiguous view
         return np.broadcast_to(values, shape).copy().T.copy().T
 
-    cases = [
-        (strided(zs.reshape(n, 1, 1), (n, 1, n)),  # (w,1,n) x (w,2,n): every pair
-         strided(np.stack((zs, zs[::-1])).reshape(1, 2, n), (n, 2, n))),
-        (zs, np.stack((zs, np.roll(zs, 5)))),  # (n,) x (2,n)
-        (zs[:120].reshape(3, 1, 40),  # (k,1,n) x (k,2,n)
-         strided(zs[:80].reshape(1, 2, 40), (3, 2, 40))),
-        (np.resize(reals, n), np.stack((zs, zs[::-1]))),  # real: j + k
-        (np.resize(reals, (2, n)), np.stack((zs, zs[::-1]))),  # real: -1/(n(n+e))
-        (reals.reshape(r, 1, 1), strided(zs, (r, 2, n))),  # real: n c_n
-        (strided(reals.reshape(r, 1, 1), (r, 1, n)), strided(zs, (r, 2, n))),
-        *[(f, np.stack((zs, zs[::-1]))) for f in PRODUCT_PARTS],  # a Python float: 2.0 n
-    ]
-    for x, y in cases:
-        xr, xi = (x.real, x.imag) if np.iscomplexobj(x) else (x, 0.0)
-        with np.errstate(all="ignore"):
-            re, im = _pmul(xr, xi, y.real, y.imag)
-        xs, ys = np.broadcast_arrays(x, y)
-        assert re.shape == im.shape == xs.shape
-        got = np.empty(xs.shape, dtype=complex)
-        got.real, got.imag = re, im
+    def planes(x):  # stacked (re, im) planes on a new axis 0, a strided view
+        return strided(np.stack((x.real, x.imag)), (2, *x.shape))
+
+    def cpython(xs, ys, got):
+        xs, ys = np.broadcast_arrays(xs, ys)
+        assert got.shape == (2, *xs.shape)
+        values = np.empty(xs.shape, dtype=complex)
+        values.real, values.imag = got
         want = [complex(a) * complex(b) for a, b in zip(xs.ravel().tolist(), ys.ravel().tolist())]
-        assert _bits(got.ravel()) == _bits(want), (np.shape(x), y.shape)
+        assert _bits(values.ravel()) == _bits(want), (np.shape(xs), np.shape(ys))
+
+    complex_cases = [
+        # pw (poles x 1 x rows) times (u, v, r) (poles x 3 x rows): every pair
+        (strided(zs.reshape(n, 1, 1), (n, 1, n)),
+         np.stack((strided(zs, (n, n)), strided(zs[::-1], (n, n)),
+                   np.roll(strided(zs, (n, n)), 3, axis=1)), axis=1)),
+        # P_0, ..., P_j (terms x lists x rows) times c_j, ..., c_0
+        (zs[:120].reshape(3, 2, 20), strided(zs[::-1][:120].reshape(3, 2, 20), (3, 2, 20))),
+    ]
+    with np.errstate(all="ignore"):
+        for x, y in complex_cases:
+            out = np.empty((2, *np.broadcast_shapes(x.shape, y.shape)))
+            cpython(x, y, _pmul(planes(x), y.real, y.imag, out))
+        real_cases = [
+            (np.repeat(reals, n), np.tile(zs, r).reshape(1, -1)),  # j + k, rows
+            (np.stack((np.repeat(reals, n), np.repeat(reals[::-1], n))),  # -1/(n(n+e)),
+             np.stack((np.tile(zs, r), np.tile(zs[::-1], r)))),  # lists x rows
+            (reals[:, None], strided(zs, (r, n))),  # n, terms x (lists x rows)
+            *[(f, zs.reshape(1, n)) for f in PRODUCT_PARTS],  # a Python float: 2.0 n
+        ]
+        for f, x in real_cases:
+            cpython(f, x, _rmul(f, planes(x)))
 
 
 def _relative_gap(got, ref):
@@ -872,6 +883,32 @@ def test_lockstep_is_the_scalar_series_bit_for_bit():
                  sum(map(mul, range(1, n, 2), odd)), sum(c), sum(map(mul, range(n), c))]), i
 
 
+def _failing_rows():
+    """Two rows (``_Row``) whose series turn non-finite: a circle's and a
+    Taylor step's."""
+    return [mono._Row(((-1.3e308 * (1 + 1j),), [], [], [], [], 0), (1.0 + 0j,), (1.0 + 0j,),
+                      (0.0, 0.0), False),  # a_1 = -P_0: finite parts, |a_1| > 1.8e308
+            mono._Row(((), [0.25 * 3.0], [-1e300], [3.0], [3.0], 1), (1.0 + 0j, 0j),
+                      (0j, 1.0 + 0j), (1, 1), False)]  # grows past the largest float
+
+
+def test_lockstep_rows_do_not_depend_on_their_order():
+    # the batch orders its rows by kind and returns them in the order given:
+    # reversed or shuffled, every row's coefficients, length, status and
+    # sums are the same bits, failed rows included
+    rows = [*_rows_of_every_kind(), *_failing_rows()]
+    series = _lockstep(rows)
+    assert series.status[-2:] == ["non-finite"] * 2
+    shuffled = np.random.default_rng(26).permutation(len(rows)).tolist()
+    for order in (list(range(len(rows)))[::-1], shuffled):
+        other = _lockstep([rows[i] for i in order])
+        for i, row in enumerate(order):
+            assert other.lengths[i] == series.lengths[row], (i, row)
+            assert other.status[i] == series.status[row], (i, row)
+            assert _bits(other.coeffs[i]) == _bits(series.coeffs[row]), (i, row)
+            assert _bits(other.sums[i]) == _bits(series.sums[row]), (i, row)
+
+
 def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
     # a non-finite term and a term cap: each row fails as the scalar
     # recurrence does, beside rows that settle.  A term whose finite parts
@@ -879,11 +916,7 @@ def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
     # raises OverflowError
     from oracles import scalar_series
 
-    rows = [mono._Row(((-1.3e308 * (1 + 1j),), [], [], [], [], 0), (1.0 + 0j,), (1.0 + 0j,),
-                      (0.0, 0.0), False),  # a_1 = -P_0: finite parts, |a_1| > 1.8e308
-            mono._Row(((), [0.25 * 3.0], [-1e300], [3.0], [3.0], 1), (1.0 + 0j, 0j),
-                      (0j, 1.0 + 0j), (1, 1), False),  # grows past the largest float
-            _rows_of_every_kind()[0]]
+    rows = [*_failing_rows(), _rows_of_every_kind()[0]]
 
     def failure(run):
         try:

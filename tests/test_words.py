@@ -47,6 +47,22 @@ class TestFreeWords:
             assert FreeWord(word.letters) == word  # already reduced
             assert (word * word.inverse()).is_identity()
 
+    def test_product_cancels_at_the_junction(self):
+        # both factors are reduced, so only the letters where they meet
+        # cancel: partly, wholly (the identity), or not at all; each product
+        # is the free reduction of the concatenation
+        rng = np.random.default_rng(11)
+        u, v = w("a1 b1 c1 a1"), w("a1^-1 c1^-1 b1")
+        assert (u * v).letters == (("a1", 1), ("b1", 1), ("b1", 1))
+        assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
+        assert (u * w("c2")).letters == u.letters + (("c2", 1),)
+        assert (FreeWord() * u) == u == (u * FreeWord())
+        for _ in range(1000):
+            x, y = (random_word(SIG111, int(rng.integers(0, 12)), rng) for _ in "xy")
+            tail = y.letters[:int(rng.integers(0, len(y) + 1))]
+            for z in (y, FreeWord(x.inverse().letters[:len(tail)] + tail)):
+                assert x * z == FreeWord(x.letters + z.letters)
+
     def test_pow(self):
         a = SIG2.gen("a1")
         assert a ** 3 == parse_word("a1^3", SIG2)
