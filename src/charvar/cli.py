@@ -23,10 +23,10 @@ from .kawai import AccessoryDirection, GridOffset, PointDirection, kawai_experim
 from .monodromy import RELATION_TOL, IntegrationError, MonodromyEngine, OrderingError
 from .schwarzian import (QuadratureError, check_identities, exp_provider,
                          moebius_provider, poly_provider, solve_lambda_report)
-from .serialize import (cocycle_in, complex_in, dumps_deterministic, int_in,
-                        moebius_in, representation_in, representation_out,
-                        signature_in, sphere_in, sphere_out)
-from .sl2 import MoebiusMap, QuadPoly
+from .serialize import (cocycle_in, complex_in, complex_out, dumps_deterministic, int_in,
+                        moebius_in, poly_in, poly_out, representation_in,
+                        representation_out, signature_in, sphere_in, sphere_out)
+from .sl2 import MoebiusMap
 from .words import fox_derivative, parse_word, relator, verify_presentation_identities
 
 
@@ -129,12 +129,12 @@ def _cmd_goldman(args) -> int:
     code = 0
     try:
         result = pairing(rho, chi1, chi2, local_tol=tols["local"])
-        d = result.as_dict()
         residuals = {"chi1_relator": result.relator_residuals[0],
                      "chi2_relator": result.relator_residuals[1]}
         if rho.signature.num_marked:
-            residuals["local"] = d["local_residuals"]
-        report.update({"value": d["value"], "residuals": residuals, "p2_list": d["p2_list"]})
+            residuals["local"] = result.local_residuals
+        report.update({"value": complex_out(result.value), "residuals": residuals,
+                       "p2_list": {k: poly_out(p) for k, p in result.p2.items()}})
     except CocycleNotParabolicError as e:
         report["error"] = str(e)
         code = 2
@@ -161,7 +161,7 @@ def _cmd_lambda_check(args) -> int:
             raise ValueError(f"unknown f {f_cfg!r}")
         f = _F_KINDS[f_cfg["kind"]](f_cfg)
         gamma = moebius_in(cfg["gamma"]) if "gamma" in cfg else MoebiusMap(1, 1, 1, 2)
-        P = QuadPoly(*(complex_in(c) for c in cfg.get("P", [1, 0.5, -0.25])))
+        P = poly_in(cfg.get("P", [1, 0.5, -0.25]))
         samples = [complex_in(z) for z in cfg.get("samples",
                    [[0.1, 0.2], [0.4, -0.3], [-0.2, 0.5], [0.7, 0.1]])]
         if not samples:

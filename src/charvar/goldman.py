@@ -52,17 +52,6 @@ class PairingReport:
     kernel_dims: dict[str, int]
     relator_residuals: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        from .serialize import complex_out, poly_out
-        return {
-            "value": complex_out(self.value),
-            "p2_list": {k: poly_out(v) for k, v in self.p2.items()},
-            "local_residuals": dict(self.local_residuals),
-            "kernel_dims": dict(self.kernel_dims),
-            "relator_residuals": list(self.relator_residuals),
-            "cup_sign": CUP_SIGN,
-        }
-
 
 #: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i
 _Walk = namedtuple("_Walk", "sharp relator inverses")

@@ -23,6 +23,7 @@ from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
 from .monodromy import (RELATION_TOL, MonodromyEngine, SphereData, Transport,
                         build_potential, potential_tangent, transport)
+from .serialize import complex_out
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -114,7 +115,6 @@ class GridResult:
         return self.omega[self.labels.index(label1)][self.labels.index(label2)]
 
     def as_dict(self) -> dict:
-        from .serialize import complex_out
         return {
             "t_offsets": [complex_out(v) for v in self.offset.t],
             "c_offsets": [complex_out(v) for v in self.offset.c],

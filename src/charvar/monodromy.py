@@ -179,16 +179,17 @@ def build_potential(points: Sequence[complex],
                       (m0, m1) + tuple(complex(a) for a in accessory), zb)
 
 
-#: velocity (dp, dA, dB) of each (pole, A, B) triple of q/2 along a deformation
-Tangent = Sequence[tuple[complex, float, complex]]
+#: velocity (dp, dB) of each (pole, A, B) triple of q/2 along a deformation:
+#: A = theta/4 is fixed by the order, and dB = dm/2 for the residue m
+Tangent = Sequence[tuple[complex, complex]]
 
 
 def potential_tangent(data: SphereData, point_velocity: Sequence[complex],
                       accessory_velocity: Sequence[complex]) -> Tangent:
-    """Velocity (dp, dA, dB) of ``data.half_q_terms()`` along the family
+    """Velocity (dp, dB) of ``data.half_q_terms()`` along the family
     build_potential(points + s v, ..., accessory + s w) at s = 0: the points
-    move with v, the accessory residues with w, the two dependent residues
-    re-solve and the orders (so every A) stay fixed."""
+    move with v, the accessory residues with w and the two dependent residues
+    re-solve; the orders, so every A, stay fixed."""
     pts, acc = data.points, data.accessory()
     v = [complex(x) for x in point_velocity]
     w = [complex(x) for x in accessory_velocity]
@@ -202,7 +203,7 @@ def potential_tangent(data: SphereData, point_velocity: Sequence[complex],
     m1 = (s2 - pts[0] * s1) / det
     dm1 = (ds2 - v[0] * s1 - pts[0] * ds1 - m1 * (v[1] - v[0])) / det
     dm = [ds1 - dm1, dm1] + w
-    return [(dp, 0.0, d / 2.0) for dp, d in zip(v, dm)]
+    return [(dp, d / 2.0) for dp, d in zip(v, dm)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,13 @@ _CLEARANCE_FACTOR = 0.05
 MAX_RADIUS_FACTOR = 0.3
 
 
-def build_lassos(data: SphereData) -> tuple[list, list[LoopPath]]:
-    """Lassos in base-point ordering: finite points by increasing argument of
-    p - z_b, then infinity through the largest angular gap.  A finite point's
-    circle has radius MAX_RADIUS_FACTOR x min(gap, |p - z_b|), so its
-    Frobenius series converge at least like MAX_RADIUS_FACTOR^n.  Paths are
-    frozen objects; families reuse them unchanged."""
+def build_lassos(data: SphereData) -> list[LoopPath]:
+    """Lassos in base-point ordering, each naming its marked point
+    (``target``): finite points by increasing argument of p - z_b, then
+    infinity through the largest angular gap.  A finite point's circle has
+    radius MAX_RADIUS_FACTOR x min(gap, |p - z_b|), so its Frobenius series
+    converge at least like MAX_RADIUS_FACTOR^n.  Paths are frozen objects;
+    families reuse them unchanged."""
     zb = data.base_point
     gap = data.min_gap()
     order = sorted(range(len(data.points)),
@@ -296,7 +298,7 @@ def build_lassos(data: SphereData) -> tuple[list, list[LoopPath]]:
         if c < min_clear:
             raise OrderingError(
                 f"lasso for {path.target} clears only {c:.3g} < {min_clear:.3g}")
-    return list(order) + ["inf"], paths
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +395,18 @@ def _cubic(coeffs, y):
 
 def _dq(poles, tangents, moving=None):
     """The coefficients for ``_cubic`` of the variation of
-    q/2 = sum A/(z-p)^2 + B/(z-p) along each tangent (one (dp, dA, dB) per
+    q/2 = sum A/(z-p)^2 + B/(z-p) along each tangent (one (dp, dB) per
     pole) with z frozen, at y = 1/(z - p):
-        dq = sum y (dB + y (dA + B dp + 2 A dp y)),
+        dq = sum y (dB + y (B dp + 2 A dp y)),
     rows x tangents x coefficients, for each row's own poles (rows x poles
-    x 3) and tangents (rows x tangents x poles x 3).  With ``moving`` (rows x
+    x 3) and tangents (rows x tangents x poles x 2).  With ``moving`` (rows x
     tangents: the velocity of a point z moves with) every dp is taken
     relative to it."""
     a, b = poles[:, None, :, 1], poles[:, None, :, 2]
-    dp, da, db = np.moveaxis(tangents, -1, 0)
+    dp, db = np.moveaxis(tangents, -1, 0)
     if moving is not None:
         dp = dp - moving[..., None]
-    return np.concatenate((db, da + b * dp, 2 * a * dp), axis=-1)
+    return np.concatenate((db, b * dp, 2 * a * dp), axis=-1)
 
 
 #: a series of the lockstep recurrence (``_lockstep``): a Taylor step
@@ -652,10 +654,10 @@ def _step_tangents(series: _Series, steps, poles, tangents):
     ``steps``, the kernel integrals ``_transfer`` turns into dT: the step's
     series is row ``row`` of ``series``, its poles ``poles[i]`` and its
     tangents ``tangents[i]``, those of representation i (arrays of
-    representations x poles x 3 and representations x tangents x poles x 3).
+    representations x poles x 3 and representations x tangents x poles x 2).
 
-    A tangent (dp, dA, dB) per pole varies Q with the step frozen by
-        dQ = g^2 sum (dA + B dp)/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
+    A tangent (dp, dB) per pole varies Q with the step frozen by
+        dQ = g^2 sum B dp/(z-p)^2 + 2 A dp/(z-p)^3 + dB/(z-p),
     and variation of constants (Duhamel) gives
         dT = Phi(1) [int_-1^1 dQ [[ab, b^2], [-a^2, -ab]] dtau] Phi(-1)^-1.
     The integral takes the _QUAD_NODES-point Gauss-Legendre rule: every
@@ -903,8 +905,8 @@ def _circle_tangents(series: _Series, circles, poles, tangents):
     commutes with C.
 
     A tangent varies R by dR with the entry point frozen; the exponents do
-    not move (``transport`` rejects a tangent that moves the order of a
-    marked point), so dN = 0 and the lasso reads E only through dC = [E, C].
+    not move (a tangent keeps every order, see ``Tangent``), so dN = 0 and
+    the lasso reads E only through dC = [E, C].
     Variation of constants from the marked point along the ray u = s t,
     t in [0, 1], gives dPhi = Phi int_0^s Phi^-1 dK Phi du with
     dK = [[0, 0], [-dR, 0]], and of that integral only the entries that do
@@ -922,8 +924,8 @@ def _circle_tangents(series: _Series, circles, poles, tangents):
     dR at a finite pole p_j takes the coefficients of ``_dq`` with every
     pole's motion taken relative to p_j.  At infinity, per pole and with
     d = p - c and y = 1/(1 - d w),
-        dR = sum w^-1 [(dA + B dp)(2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
-           = sum w^-1 y [d (dB d + dA + B dp) + y (d (dA + B dp) + 2 A dp y)]:
+        dR = sum w^-1 [B dp (2 d - d^2 w) y^2 + 2 A dp y^3 + dB d^2 y]
+           = sum w^-1 y [d (dB d + B dp) + y (d B dp + 2 A dp y)]:
     the w^-3 and w^-2 terms, d sum B and d sum (A + B d), vanish by the
     moment constraints and are left out, since their float residue would
     meet a factor t^-2 at the marked point.  Both are y = 1/(alpha + beta t)
@@ -986,22 +988,19 @@ def _circle_tangents(series: _Series, circles, poles, tangents):
     return out
 
 
-#: one representation's lassos (``_lassos``): per lasso the image L (column
-#: convention) and [dL per tangent] (row convention), and the worst drift
-_Lassos = namedtuple("_Lassos", "images drift tangents")
-
-
-def _assemble(plan, series: _Series, ints, count: int) -> _Lassos:
-    """The lassos of one job planned by ``_lassos`` from its summed series
-    and the quadratures' integrals ``ints[row]`` for ``count`` tangents:
-    L = S^-1 C S (column convention) per lasso, where S is the stem's
-    transport and C the exact local monodromy, each lasso's stem and circle
-    in turn, and per tangent dL = [L, X] with X = S^-1 (dS - E S): a part of
-    E that commutes with C drops out, which is why ``_circle_tangents`` may
-    leave it out.  S^-1 is the adjugate, so det L = det(S)^2 det C keeps the
-    stem's drift.  The drift is the worst of the image's, the stem's and the
-    Frobenius Wronskian's.  A failed series and a non-finite transport or
-    tangent transport raise IntegrationError where they are met."""
+def _assemble(plan, series: _Series, ints, count: int):
+    """(images, drift, tangents) of the lassos of one job planned by
+    ``_lassos``, from its summed series and the quadratures' integrals
+    ``ints[row]`` for ``count`` tangents: per lasso the image
+    L = S^-1 C S (column convention), where S is the stem's transport and C
+    the exact local monodromy, each lasso's stem and circle in turn, and
+    per tangent dL = [L, X] (row convention) with X = S^-1 (dS - E S): a
+    part of E that commutes with C drops out, which is why
+    ``_circle_tangents`` may leave it out.  S^-1 is the adjugate, so
+    det L = det(S)^2 det C keeps the stem's drift.  The drift is the worst
+    of the images', the stems' and the Frobenius Wronskians'.  A failed
+    series and a non-finite transport or tangent transport raise
+    IntegrationError where they are met."""
     images, dls, drifts = [], [], []
     for path, order, steps, circle in plan:
         u, du = _stem(steps, series, ints, count)
@@ -1014,30 +1013,27 @@ def _assemble(plan, series: _Series, ints, count: int) -> _Lassos:
         images.append(lasso)
         dls.append([_row(_sub(mat_mul(lasso, x), mat_mul(x, lasso))) for x in xs])
         drifts.append(nan_max(wronskian_drift(lasso), wronskian_drift(u), frob))
-    return _Lassos(images, nan_max(*drifts), dls)
+    return images, nan_max(*drifts), dls
 
 
 def _lassos(jobs, tangents=()):
-    """The lassos of each job (poles, paths, orders) of the list ``jobs``,
-    one representation each, with their derivatives along the job's
-    tangents ``tangents[i]`` (none without tangents), as a ``_Lassos`` per
-    job in order (a generator).  ``poles`` lists the (pole, theta/4, m/2)
-    triples of ``SphereData.half_q_terms``, a tangent one (dp, dA, dB) per
-    pole (``potential_tangent``); every job with tangents has as many poles
-    and as many tangents, as the grid points of a kawai experiment do.
+    """(plans, series, ints): the lassos of each job (poles, paths, orders)
+    of the list ``jobs``, one representation each, planned and summed, with
+    the integrals of their derivatives along the job's tangents
+    ``tangents[i]`` (none without tangents), for ``_assemble`` to assemble
+    each job's plan ``plans[i]``.  ``poles`` lists the (pole, theta/4, m/2)
+    triples of ``SphereData.half_q_terms``, a tangent one (dp, dB) per pole
+    (``potential_tangent``); every job with tangents has as many poles and
+    as many tangents, as the grid points of a kawai experiment do.
 
     Every lasso of every job is planned first, its stem's steps
     (``_transport``) and its circle (``_circle_row``); a step that runs into
     a pole raises there.  Then one ``_lockstep`` batch sums the series of
     every Taylor step and every circle of every job; with tangents, one
     ``_step_tangents`` and one ``_circle_tangents`` call read every step's
-    and every circle's series in the batch.  Each job is assembled from them
-    when its turn comes (``_assemble``).  Each row rounds as it would alone,
-    so the results are bit for bit those of each job walked on its own."""
-    count = len(tangents[0]) if any(tangents) else 0
-    tangents = np.array(tangents, dtype=complex)
-    if count and tangents[..., 1].any():
-        raise ValueError("a tangent may not move the order of a marked point")
+    and every circle's series in the batch, and ``ints[row]`` holds a row's
+    integrals per tangent.  Each row rounds as it would alone, so the
+    results are bit for bit those of each job walked on its own."""
     rows, plans = [], []
     for poles, paths, orders in jobs:
         plan = []
@@ -1048,8 +1044,9 @@ def _lassos(jobs, tangents=()):
         plans.append(plan)
     series = _lockstep(rows) if rows else None
     ints = [()] * len(rows)  # the quadratures' integrals per tangent, by row
-    if count and rows:
+    if any(tangents) and rows:
         poles = np.array([job[0] for job in jobs], dtype=complex)
+        tangents = np.array(tangents, dtype=complex)
         planned = [(i, lasso) for i, plan in enumerate(plans) for lasso in plan]
         steps = [(i, *step) for i, (_, _, stem, _) in planned for step in stem]
         circles = [(i, path, order, circle[0], circle[-1])
@@ -1060,8 +1057,7 @@ def _lassos(jobs, tangents=()):
                 for item, x in zip(items, quadrature(series, items, poles, tangents)
                                    if items else ()):
                     ints[item[-1]] = x
-    for plan in plans:
-        yield _assemble(plan, series, ints, count)
+    return plans, series, ints
 
 
 # ---------------------------------------------------------------------------
@@ -1079,19 +1075,16 @@ class MonodromyEngine:
 
     def __init__(self, data: SphereData):
         self.data = data
-        self.order, self.paths = build_lassos(data)
+        self.paths = build_lassos(data)
+        self.order = [path.target for path in self.paths]
         seq = [data.order_at(tgt) for tgt in self.order]
         self.signature = Signature(0, tuple(o for o in seq if o is not None), seq.count(None),
                                    marked_orders=tuple(seq))
 
-    def representation(self, data: Optional[SphereData] = None,
-                       relation_tol: float = RELATION_TOL,
-                       tangents: Sequence[Tangent] = ()) -> Transport:
-        """(rho, Wronskian drift, tangent images) for ``data`` (default: the
-        engine's own) along the frozen lassos: ``transport`` of this one
-        representation."""
-        (tr,) = transport([(self, self.data if data is None else data)], relation_tol,
-                          [tangents])
+    def representation(self, relation_tol: float = RELATION_TOL) -> Transport:
+        """(rho, Wronskian drift, no tangent images) of the engine's own data
+        along its lassos: ``transport`` of this one representation."""
+        (tr,) = transport([(self, self.data)], relation_tol)
         return tr
 
 
@@ -1111,28 +1104,29 @@ def transport(jobs, relation_tol: float = RELATION_TOL,
     for its monodromy m, scaled as its image in rho is, so that
     dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
 
-    A tangent that moves the order of a marked point (a nonzero dA) is a
-    ValueError, raised before anything is planned.  Otherwise each fault is
-    raised where the batch meets it, in three phases: planning every job
-    (a step that runs into a pole, or arithmetic that fails); then, job
-    after job, assembling its lassos in turn (a failed series, a non-finite
-    transport or tangent transport) and checking its relation.  ``jobs`` is
-    a list: the caller builds every engine first, and raises its errors."""
+    Each fault is raised where the batch meets it, in three phases:
+    planning every job (a step that runs into a pole, or arithmetic that
+    fails); then, job after job, assembling its lassos in turn
+    (``_assemble``: a failed series, a non-finite transport or tangent
+    transport) and checking its relation.  ``jobs`` is a list: the caller
+    builds every engine first, and raises its errors."""
+    count = len(tangents[0]) if any(tangents) else 0
+    plans, series, ints = _lassos([(data.half_q_terms(), engine.paths,
+                                    [data.order_at(p.target) for p in engine.paths])
+                                   for engine, data in jobs], tangents)
     out = []
-    lassos = _lassos([(data.half_q_terms(), engine.paths,
-                       [data.order_at(p.target) for p in engine.paths]) for engine, data in jobs],
-                     tangents)
-    for (engine, data), las in zip(jobs, lassos):
+    for (engine, _), plan in zip(jobs, plans):
+        images, drift, dls = _assemble(plan, series, ints, count)
         gens = engine.signature.marked_generators
         rho = Representation(engine.signature,
-                             {g: MoebiusMap(*_row(m)) for g, m in zip(gens, las.images)})
+                             {g: MoebiusMap(*_row(m)) for g, m in zip(gens, images)})
         resid = rho.relator_residual()
         if not resid <= relation_tol:
             raise OrderingError(
                 f"lasso product misses +-identity by {resid:.3e} "
                 "(ordering/clearance failure)")
-        scales = [cmath.sqrt(mat_det(_row(m))) for m in las.images]
-        out.append(Transport(rho, las.drift,
+        scales = [cmath.sqrt(mat_det(_row(m))) for m in images]
+        out.append(Transport(rho, drift,
                              [{g: tuple(x / s for x in dm) for g, s, dm in zip(gens, scales, dms)}
-                              for dms in zip(*las.tangents)]))
+                              for dms in zip(*dls)]))
     return out

@@ -22,10 +22,22 @@ def complex_out(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def complex_in(v) -> complex:
-    """The one entry point of every number read from JSON; NaN and infinity
-    are input errors."""
-    z = complex(v) if isinstance(v, (int, float)) else complex(float(v[0]), float(v[1]))
+    """The one entry point of every number read from JSON: a number, or a
+    list [re, im] of exactly two numbers.  A boolean, a string, a list of
+    another length, NaN, infinity and an integer too large for a float are
+    input errors."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if not all(map(_is_number, parts)):
+        raise ValueError(f"expected a number or a pair [re, im] of numbers, got {v!r}")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise ValueError(f"number out of range {v!r}") from None
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite number {v!r}")
     return z
@@ -35,8 +47,7 @@ def int_in(v) -> int:
     """The one entry point of every integer read from JSON: an integral
     number; NaN, infinity, a fraction, a boolean or a string is an input
     error."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) \
-            or not math.isfinite(v) or v != int(v):
+    if not _is_number(v) or not math.isfinite(v) or v != int(v):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 
@@ -46,7 +57,10 @@ def poly_out(p: QuadPoly) -> list[list[float]]:
 
 
 def poly_in(v) -> QuadPoly:
-    return QuadPoly(*(complex_in(c) for c in v))
+    """p0 + p1 z + p2 z^2 from exactly three coefficients [p0, p1, p2]."""
+    if not isinstance(v, list) or len(v) != 3:
+        raise ValueError(f"expected three coefficients [p0, p1, p2], got {v!r}")
+    return QuadPoly(*map(complex_in, v))
 
 
 def moebius_out(m: MoebiusMap) -> list[list[float]]:
@@ -82,10 +96,6 @@ def representation_in(d: dict) -> Representation:
     if set(images) != set(sig.generators):
         raise ValueError(f"representation generators {list(images)} are not {sig.generators}")
     return Representation(sig, {g: moebius_in(v) for g, v in images.items()})
-
-
-def cocycle_out(chi: Cocycle) -> dict:
-    return {"values": {g: poly_out(p) for g, p in chi.values.items()}}
 
 
 def cocycle_in(d: dict, rho: Representation) -> Cocycle:
@@ -147,8 +157,6 @@ def _emit(obj, out: list[str]) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
-    elif isinstance(obj, complex):
-        _emit([obj.real, obj.imag], out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

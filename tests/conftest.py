@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from charvar.cocycles import Representation, local_coboundaries
-from charvar.monodromy import (MonodromyEngine, _circle_row, _circle_tangents, _lassos,
-                               _local_monodromy, _lockstep, _row, _stem, _step_row,
+from charvar.monodromy import (MonodromyEngine, _assemble, _circle_row, _circle_tangents,
+                               _lassos, _local_monodromy, _lockstep, _row, _stem, _step_row,
                                _step_tangents, _transfer, _transport, build_potential)
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
@@ -184,10 +184,11 @@ def local_monodromies(poles, paths, orders, tangents=()):
 
 
 def lassos(poles, paths, orders, tangents=()):
-    """The lassos (``_Lassos``) of one representation with their derivatives
-    along ``tangents``: the ``_lassos`` batch of this one job."""
-    (las,) = _lassos([(poles, paths, orders)], [tangents])
-    return las
+    """(images, drift, [dL per tangent] per lasso) of one representation
+    with its derivatives along ``tangents``: the ``_lassos`` batch of this
+    one job, assembled (``_assemble``)."""
+    (plan,), series, ints = _lassos([(poles, paths, orders)], [tangents])
+    return _assemble(plan, series, ints, len(tangents))
 
 
 def local_solves(rho, chis, gens, tol=1e-6):

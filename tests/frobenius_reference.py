@@ -42,23 +42,23 @@ def reference_laurent(poles, tangents, path: LoopPath, s: complex):
         r = [s * x for x in d]
         u = [A * x for (_, A, _), x in zip(poles, r)]
         v = [B * y * x for (_, _, B), y, x in zip(poles, d, r)]
-        rows = [([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(poles, tan, r)],
-                 [A * s * dp for (_, A, _), (dp, _, _) in zip(poles, tan)],
-                 [dB * y * x for (_, _, dB), y, x in zip(tan, d, r)]) for tan in tangents]
+        rows = [([B * dp * x for (_, _, B), (dp, _), x in zip(poles, tan, r)],
+                 [A * s * dp for (_, A, _), (dp, _) in zip(poles, tan)],
+                 [dB * y * x for (_, dB), y, x in zip(tan, d, r)]) for tan in tangents]
         m, k, pw = 1, 1, [1.0] * len(poles)  # pw = r^(m-1)
     else:
         j = path.target
-        yield s * poles[j][2], [s * tan[j][2] for tan in tangents]
+        yield s * poles[j][2], [s * tan[j][1] for tan in tangents]
         others = [poles[i] for i in range(len(poles)) if i != j]
         r = [s / (p - poles[j][0]) for p, _, _ in others]
         u = [A * x for (_, A, _), x in zip(others, r)]
         v = [-B * s for _, _, B in others]
         rows = []
         for tan in tangents:
-            rel = [(dp - tan[j][0], dA, dB) for i, (dp, dA, dB) in enumerate(tan) if i != j]
-            rows.append(([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(others, rel, r)],
-                         [-A * x * x * dp / s for (_, A, _), (dp, _, _), x in zip(others, rel, r)],
-                         [-dB * s for _, _, dB in rel]))
+            rel = [(dp - tan[j][0], dB) for i, (dp, dB) in enumerate(tan) if i != j]
+            rows.append(([B * dp * x for (_, _, B), (dp, _), x in zip(others, rel, r)],
+                         [-A * x * x * dp / s for (_, A, _), (dp, _), x in zip(others, rel, r)],
+                         [-dB * s for _, dB in rel]))
         m, k, pw = 2, -1, r
     while True:
         yield ((m + k) * sum(map(mul, pw, u)) + sum(map(mul, pw, v)),
@@ -98,8 +98,6 @@ def reference_local_monodromy(poles, tangents, path: LoopPath, order: Optional[i
         s = 1 / (entry - path.centre)
         g, ginv = (1 / s, 0j, 1 + 0j, -1 + 0j), (s, 0j, s, -1 + 0j)
     else:
-        if any(tan[path.target][1] != 0 for tan in tangents):
-            raise ValueError("a tangent may not move the order of a marked point")
         s = entry - poles[path.target][0]
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
     cusp = order is None

@@ -14,7 +14,8 @@
   ``charvar.cocycles.local_coboundaries`` against.
 - The sl(2) dictionary between traceless matrices and quadratics, the
   Killing matrix, coboundaries, group-ring evaluation and conjugated
-  representations: references the package computes in closed form.
+  representations: references the package computes in closed form; and a
+  cocycle's JSON, which only the tests write (the CLI reads it).
 - The B_0 bracket of quadratics, and random words and quadratics.
 - The scalar series recurrence, one series at a time in pure Python, and
   the transport that walks job after job, lasso after lasso and step after
@@ -37,7 +38,8 @@ import charvar.monodromy as mono
 from charvar.cocycles import _RCOND, Cocycle, Representation
 from charvar.jets import Jet, nan_max
 from charvar.kawai import Direction, displace
-from charvar.monodromy import MonodromyEngine, SphereData, _moment_target
+from charvar.monodromy import MonodromyEngine, SphereData, _moment_target, transport
+from charvar.serialize import poly_out
 from charvar.sl2 import (Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_det,
                          mat_inv_unit, mat_mul)
 from charvar.words import FreeWord, GroupRingElement, Signature
@@ -104,7 +106,7 @@ def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direc
 
     def family(s: float) -> Representation:
         if s not in cache:
-            cache[s] = engine.representation(displace(base, direction, s))[0]
+            cache[s] = transport([(engine, displace(base, direction, s))])[0].rho
         return cache[s]
 
     return family
@@ -230,6 +232,12 @@ def coboundary(rho: Representation, P: QuadPoly) -> Cocycle:
     """delta P: gamma -> rho(gamma).P - P."""
     return Cocycle(rho, {g: adjoint_action(rho.images[g], P) - P
                          for g in rho.signature.generators})
+
+
+def cocycle_out(chi: Cocycle) -> dict:
+    """chi as a goldman bundle carries it, which ``serialize.cocycle_in``
+    reads back: each generator's polynomial as [[re, im] x 3]."""
+    return {"values": {g: poly_out(p) for g, p in chi.values.items()}}
 
 
 def evaluate_ring(chi: Cocycle, x: GroupRingElement) -> QuadPoly:

@@ -32,8 +32,8 @@ def reference_transfer(poles, tangents, z0: complex, h: complex):
     q/2 expands as g^-2 sum_k P_k tau^k with
         P_k = (k+1) sum A x^(k+2) - g sum B x^(k+1),
     and psi = sum c_n tau^n obeys (n+2)(n+1) c_(n+2) = -sum_j P_j c_(n-j).
-    A tangent (dp, dA, dB) per pole differentiates P_k with the step frozen:
-        dP_k = (k+1) sum (dA + B dp) x^(k+2) - (k+1)(k+2)/g sum A dp x^(k+3)
+    A tangent (dp, dB) per pole differentiates P_k with the step frozen:
+        dP_k = (k+1) sum B dp x^(k+2) - (k+1)(k+2)/g sum A dp x^(k+3)
                - g sum dB x^(k+1),
     and the differentiated recursion, from zero initial data, adds
     -sum_j dP_j c_(n-j) to the right-hand side.  The tangent terms also enter
@@ -43,9 +43,9 @@ def reference_transfer(poles, tangents, z0: complex, h: complex):
     xs = [g / (p - z0 - g) for p, _, _ in poles]
     ax = [A * x for (_, A, _), x in zip(poles, xs)]
     bg = [B * g for _, _, B in poles]
-    rows = [([(dA + B * dp) * x for (_, _, B), (dp, dA, _), x in zip(poles, tan, xs)],
-             [A * dp * x * x / g for (_, A, _), (dp, _, _), x in zip(poles, tan, xs)],
-             [dB * g for _, _, dB in tan]) for tan in tangents]
+    rows = [([B * dp * x for (_, _, B), (dp, _), x in zip(poles, tan, xs)],
+             [A * dp * x * x / g for (_, A, _), (dp, _), x in zip(poles, tan, xs)],
+             [dB * g for _, dB in tan]) for tan in tangents]
     pw = list(xs)  # x^(k+1)
     P: list[complex] = []
     dP: list[list[complex]] = [[] for _ in tangents]

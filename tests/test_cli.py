@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import orb3_data
+from oracles import cocycle_out
 from charvar.cli import main
 from charvar.cocycles import random_parabolic_cocycle
-from charvar.serialize import (cocycle_out, dumps_deterministic, representation_in,
-                               representation_out, sphere_in, sphere_out)
+from charvar.serialize import (dumps_deterministic, representation_in, representation_out,
+                               sphere_in, sphere_out)
 
 
 def run_cli(capsys, *argv):
@@ -474,6 +475,85 @@ def test_non_integer_input_is_input_error(capsys, argv):
     code, rep = run_cli(capsys, *argv)
     assert code == 1
     assert "expected an integer" in rep["error"]
+
+
+#: every shape of a number that is not one: a number is a JSON number or a
+#: list [re, im] of exactly two, never a boolean or a string
+BAD_NUMBERS = {"one": [0], "empty": [], "three": [0.2, 0.1, 99], "string": "00",
+               "bool": True, "bool-part": [True, 0], "nested": [[0, 0], 0], "null": None,
+               "huge-int": 10 ** 400}
+LAMBDA = {"f": {"kind": "exp", "scale": 1.0}, "gamma": [[1, 0], [1, 0], [1, 0], [2, 0]],
+          "P": [1, 0.5, -0.25], "samples": [[0.1, 0.2]]}
+KAWAI = {"sphere": SPHERE, "t_directions": VELOCITY, "grid": [{"c": [[0, 0]]}]}
+#: (subcommand, its input, the path of one number in it); None is the
+#: goldman bundle of ``_bundle_path``
+NUMBER_SITES = {
+    "monodromy-point": ("monodromy", SPHERE, ["points", 2]),
+    "monodromy-accessory": ("monodromy", SPHERE, ["accessory", 0]),
+    "monodromy-base": ("monodromy", SPHERE, ["base_point"]),
+    "kawai-offset": ("kawai", KAWAI, ["grid", 0, "c", 0]),
+    "kawai-velocity": ("kawai", KAWAI, ["t_directions", 0, "velocities", 2]),
+    "goldman-image": ("goldman", None, ["representation", "images", "a1", 0]),
+    "goldman-cocycle": ("goldman", None, ["cocycle1", "values", "b2", 2]),
+    "lambda-scale": ("lambda-check", LAMBDA, ["f", "scale"]),
+    "lambda-gamma": ("lambda-check", LAMBDA, ["gamma", 0]),
+    "lambda-P": ("lambda-check", LAMBDA, ["P", 1]),
+    "lambda-sample": ("lambda-check", LAMBDA, ["samples", 0]),
+}
+
+
+def _site_input(site, tmp_path, rho, value):
+    """The argv of ``site``'s subcommand with ``value`` at its number."""
+    command, doc, path = NUMBER_SITES[site]
+    doc = _bundle_path(tmp_path, rho, 4)[1] if doc is None else doc
+    return [command, "--json", _set(doc, path, value)]
+
+
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_every_number_site_takes_a_number_and_a_pair(capsys, tmp_path, genus2_rep, site):
+    # the sites of the table below, each given a plain number and a pair
+    for value in (1.25, [1.25, -0.5]):
+        code, rep = run_cli(capsys, *_site_input(site, tmp_path, genus2_rep, value))
+        assert code in (0, 2) and "version" in rep, (value, rep.get("error"))
+
+
+@pytest.mark.parametrize("shape", BAD_NUMBERS)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_malformed_number_is_input_error(capsys, tmp_path, genus2_rep, site, shape):
+    # every number of every subcommand goes through serialize.complex_in,
+    # so each shape that is not a number ends in a JSON report and exit 1,
+    # not in a traceback nor in a silent acceptance
+    code, rep = run_cli(capsys, *_site_input(site, tmp_path, genus2_rep, BAD_NUMBERS[shape]))
+    assert code == 1
+    assert "number" in rep["error"]
+
+
+@pytest.mark.parametrize("site", ["lambda-P", "goldman-cocycle"])
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_polynomial_needs_three_coefficients(capsys, tmp_path, genus2_rep, site, count):
+    command, _, path = NUMBER_SITES[site]
+    text = _site_input(site, tmp_path, genus2_rep, 0.5)[-1]
+    code, rep = run_cli(capsys, command, "--json",
+                        _set(json.loads(text), path[:-1], [[1, 0]] * count))
+    assert code == 1
+    assert "three coefficients" in rep["error"]
+
+
+def test_fox_word_above_the_maximum_is_input_error(capsys):
+    # the Fox derivative of a1^n has n terms of up to n letters, so the
+    # letters are counted from the exponents and a longer word is refused
+    # at once, naming the maximum; a word of the maximum still answers
+    from charvar.words import MAX_WORD_LETTERS
+
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "fox", "--sig", SIG2, "--word", "a1^99999999", "--gen", "a1")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert f"maximum {MAX_WORD_LETTERS}" in rep["error"]
+    code, rep = run_cli(capsys, "fox", "--sig", SIG2, "--word",
+                        f"b1 a1^{MAX_WORD_LETTERS - 2} b1^-1", "--gen", "a1")
+    assert code == 0
+    assert len(rep["derivative"]) == MAX_WORD_LETTERS - 2
 
 
 #: finite input whose two dependent residues solve to -inf

@@ -11,7 +11,7 @@ from oracles import direction_family, finite_difference_cocycle, moment_residual
 from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
                            _abs_trace_rate, displace, kawai_experiment)
-from charvar.monodromy import build_potential, potential_tangent
+from charvar.monodromy import build_potential, potential_tangent, transport
 from charvar.serialize import complex_in, dumps_deterministic, int_in, sphere_in
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -57,7 +57,7 @@ def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
     # exact d|tr|/ds from the tangents, and the 4th-order stencil of |tr| along
     # the displaced families as the independent check
     engine, data = four_cusp_engine
-    rho, _, derivatives = engine.representation(tangents=_tangents(data))
+    ((rho, _, derivatives),) = transport([(engine, data)], tangents=[_tangents(data)])
     h = 1e-3
     for d, dimages in zip(DIRECTIONS, derivatives):
         exact = max(_abs_trace_rate(rho.images[g], dimages[g])
@@ -73,7 +73,7 @@ def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
 def test_tangent_cocycles_match_finite_differences(fixture, request):
     engine, data = request.getfixturevalue(f"{fixture}_engine")
     rho = request.getfixturevalue(f"{fixture}_rep")
-    _, _, derivatives = engine.representation(tangents=_tangents(data))
+    ((_, _, derivatives),) = transport([(engine, data)], tangents=[_tangents(data)])
     for d, dimages in zip(DIRECTIONS, derivatives):
         chi = tangent_cocycle(rho, dimages)
         fd = finite_difference_cocycle(direction_family(engine, data, d, rho), 0, 1e-3)

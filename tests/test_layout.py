@@ -57,6 +57,18 @@ def test_no_module_imports_a_private_name():
     assert not private, f"private names imported across modules: {private}"
 
 
+def test_no_module_imports_inside_a_function():
+    # every import of the package sits at the top level of its module: an
+    # import in a function body is how an import cycle gets worked around,
+    # and the modules have none
+    nested = [f"{path.relative_to(ROOT)}:{node.lineno}"
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside a function: {nested}"
+
+
 #: the names of perfbench's ``tracer.TARGETS`` that the package no longer
 #: defines; their per-layer metrics read 0 until the benchmark drops them
 GONE_TARGETS = {"cocycles.finite_difference_cocycle", "cocycles.verify_cocycle",

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from charvar.cli import main
 from charvar.cocycles import tangent_cocycle
-from charvar.monodromy import IntegrationError, MonodromyEngine, OrderingError, potential_tangent
+from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
+                               potential_tangent, transport)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
 from charvar.words import (FreeWord, GroupRingElement, Signature, fox_derivative, relator,
@@ -115,8 +116,8 @@ def test_tangent_cocycles_kill_the_relator(cfg, draw):
     velocity = [[complex(draw.draw(unit), draw.draw(unit)) for _ in range(n)]
                 for n in (len(data.points), data.free_dimension())]
     try:
-        rho, drift, (dimages,) = MonodromyEngine(data).representation(
-            tangents=[potential_tangent(data, *velocity)])
+        ((rho, drift, (dimages,)),) = transport([(MonodromyEngine(data), data)],
+                                                tangents=[[potential_tangent(data, *velocity)]])
     except (OrderingError, IntegrationError):
         return  # the monodromy subcommand's exit-2 reports
     if not drift <= 1e-9:
