@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fox, identities, goldman, lambda-check, monodromy, kawai.
-Exit codes: 0 success, 2 tolerance or numerical failure (report still
-emitted), 1 input error, a usage error included.  All reports embed the
-resolved tolerance set and the version.
+Exit codes: 0 success; 2 a tolerance failure or a numerical failure (an
+ArithmeticError), the report still emitted with its config and tolerances;
+1 an input error (a ValueError), a usage error included.  All reports embed
+the resolved tolerance set and the version.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import os
 import sys
 
 from . import __version__
-from .cocycles import LOCAL_TOL, CocycleNotParabolicError
+from .cocycles import LOCAL_TOL
 from .goldman import pairing
 from .jets import nan_max
-from .kawai import AccessoryDirection, GridOffset, PointDirection, kawai_experiment
-from .monodromy import RELATION_TOL, IntegrationError, MonodromyEngine, OrderingError
-from .schwarzian import (QuadratureError, check_identities, exp_provider,
-                         moebius_provider, poly_provider, solve_lambda_report)
+from .kawai import (AccessoryDirection, GridOffset, GridResult, PointDirection,
+                    kawai_experiment)
+from .monodromy import RELATION_TOL, MonodromyEngine
+from .schwarzian import (check_identities, exp_provider, moebius_provider, poly_provider,
+                         solve_lambda_report)
 from .serialize import (cocycle_in, complex_in, complex_out, dumps_deterministic, int_in,
                         moebius_in, poly_in, poly_out, representation_in,
-                        representation_out, signature_in, sphere_in, sphere_out)
-from .sl2 import MoebiusMap
+                        representation_out, signature_in, signature_out, sphere_in,
+                        sphere_out)
+from .sl2 import MoebiusMap, NumericalError
 from .words import fox_derivative, parse_word, relator, verify_presentation_identities
 
 
@@ -35,8 +38,8 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is an input error: ``main`` reports it as JSON with exit
-    code 1.  Subcommand parsers are of this class too."""
+    """A usage error is an input error: ``_dispatch`` reports it as JSON with
+    exit code 1.  Subcommand parsers are of this class too."""
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
@@ -90,29 +93,38 @@ def _emit(report: dict, args, code: int) -> int:
     return code
 
 
-def _cmd_fox(args) -> int:
+def _cmd_fox(args, report: dict) -> int:
     sig = _parse_sig(args.sig)
     if args.gen not in sig.generators:
         raise InputError(f"unknown generator {args.gen!r} for signature {sig}")
     word = relator(sig) if args.word == "R" else parse_word(args.word, sig)
     deriv = fox_derivative(word, args.gen)
-    report = {
+    report.update({
         "config": {"sig": args.sig, "word": args.word, "gen": args.gen},
         "tolerances": {},
         "word": str(word),
         "derivative": [{"coeff": c, "word": str(w)} for w, c in deriv.sorted_terms(sig)],
-    }
-    return _emit(report, args, 0)
+    })
+    return 0
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args, report: dict) -> int:
     sig = _parse_sig(args.sig)
     rep = verify_presentation_identities(sig)
-    report = {"config": {"sig": args.sig}, "tolerances": {}, **rep.as_dict()}
-    return _emit(report, args, 0 if rep.all_pass else 2)
+    report.update({
+        "config": {"sig": args.sig},
+        "tolerances": {},
+        "signature": signature_out(sig),
+        "alpha_convention": rep.alpha_convention,
+        "beta_sign": rep.beta_sign,
+        "all_pass": rep.all_pass,
+        "checks": [{"identity": c.identity, "status": c.status, "witness": c.witness}
+                   for c in rep.checks],
+    })
+    return 0 if rep.all_pass else 2
 
 
-def _cmd_goldman(args) -> int:
+def _cmd_goldman(args, report: dict) -> int:
     bundle = _load_json(args)
     tols = _tolerances(args, {"local": LOCAL_TOL})
     try:
@@ -121,36 +133,34 @@ def _cmd_goldman(args) -> int:
         chi2 = cocycle_in(bundle["cocycle2"], rho)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad goldman bundle: {e}")
-    report: dict = {
+    report.update({
         "config": {"signature": bundle["representation"]["signature"]},
         "tolerances": tols,
         "representation_relator_residual": rho.relator_residual(),
-    }
-    code = 0
-    try:
-        result = pairing(rho, chi1, chi2, local_tol=tols["local"])
-        residuals = {"chi1_relator": result.relator_residuals[0],
-                     "chi2_relator": result.relator_residuals[1]}
-        if rho.signature.num_marked:
-            residuals["local"] = result.local_residuals
-        report.update({"value": complex_out(result.value), "residuals": residuals,
-                       "p2_list": {k: poly_out(p) for k, p in result.p2.items()}})
-    except CocycleNotParabolicError as e:
-        report["error"] = str(e)
-        code = 2
-    return _emit(report, args, code)
+    })
+    result = pairing(rho, chi1, chi2, local_tol=tols["local"])
+    residuals = {"chi1_relator": result.relator_residuals[0],
+                 "chi2_relator": result.relator_residuals[1]}
+    if rho.signature.num_marked:
+        residuals["local"] = result.local_residuals
+    report.update({"value": complex_out(result.value), "residuals": residuals,
+                   "p2_list": {k: poly_out(p) for k, p in result.p2.items()}})
+    return 0
 
 
 _F_KINDS = {"exp": lambda cfg: exp_provider(complex_in(cfg.get("scale", 1.0))),
             "poly": lambda cfg: poly_provider([complex_in(c) for c in cfg["coeffs"]]),
             "moebius": lambda cfg: moebius_provider(moebius_in(cfg["matrix"]))}
+#: the smallest jet order lambda-check takes: ``schwarzian.schwarzian`` needs
+#: the jet of f to order 4
+MIN_JET_ORDER = 4
 #: the largest jet order lambda-check takes: its cost grows with the order
 #: (1.3 s at 64, 4.5 s at 128), and past about 30 the identities' residuals
 #: already exceed the default tolerance
 MAX_JET_ORDER = 64
 
 
-def _cmd_lambda_check(args) -> int:
+def _cmd_lambda_check(args, report: dict) -> int:
     cfg = _load_json(args) if (args.input or args.json) else {}
     tols = _tolerances(args, {"identity": 1e-8, "solver": 1e-8})
     try:
@@ -167,39 +177,33 @@ def _cmd_lambda_check(args) -> int:
         if not samples:
             raise ValueError("samples must list at least one point")
         order, seed = int_in(cfg.get("order", 8)), int_in(cfg.get("seed", 7))
+        if order < MIN_JET_ORDER:
+            raise ValueError(f"order {order} is below the minimum {MIN_JET_ORDER}")
         if order > MAX_JET_ORDER:
             raise ValueError(f"order {order} is above the maximum {MAX_JET_ORDER}")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad lambda-check config: {e}")
+    report.update({"config": cfg, "tolerances": tols})
     residuals = check_identities(f, P, gamma, samples, order=order, seed=seed)
-    report = {"config": cfg, "tolerances": tols, "residuals": residuals}
-    try:
-        solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),
-                                    (0, 0, 0))
-    except QuadratureError as e:
-        report["error"] = str(e)
-        return _emit(report, args, 2)
+    report["residuals"] = residuals
+    solve = solve_lambda_report(f, lambda z: 6.0 + 0j, complex(0), complex(0.8, 0.3),
+                                (0, 0, 0))
     worst = nan_max(*residuals.values())  # lambda1 ... b3, each held to identity
     residuals["lambda4_solver"] = solve.residual
     report["max_residual"] = nan_max(worst, solve.residual)
-    ok = worst <= tols["identity"] and solve.residual <= tols["solver"]
-    return _emit(report, args, 0 if ok else 2)
+    return 0 if worst <= tols["identity"] and solve.residual <= tols["solver"] else 2
 
 
-def _cmd_monodromy(args) -> int:
+def _cmd_monodromy(args, report: dict) -> int:
     cfg = _load_json(args)
     tols = _tolerances(args, {"trace": 1e-6, "relation": RELATION_TOL, "wronskian": 1e-9})
     try:
         data = sphere_in(cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sphere data: {e}")
-    report: dict = {"config": sphere_out(data), "tolerances": tols}
-    try:
-        engine = MonodromyEngine(data)
-        rho, wdrift, _ = engine.representation(relation_tol=tols["relation"])
-    except (OrderingError, IntegrationError) as e:
-        report["error"] = str(e)
-        return _emit(report, args, 2)
+    report.update({"config": sphere_out(data), "tolerances": tols})
+    engine = MonodromyEngine(data)
+    rho, wdrift, _ = engine.representation(relation_tol=tols["relation"])
     traces = rho.trace_residuals()
     report.update({
         "representation": representation_out(rho),
@@ -208,11 +212,28 @@ def _cmd_monodromy(args) -> int:
         "trace_residuals": traces,
         "wronskian_drift": wdrift,
     })
-    ok = max(traces.values()) <= tols["trace"] and wdrift <= tols["wronskian"]
-    return _emit(report, args, 0 if ok else 2)
+    return 0 if max(traces.values()) <= tols["trace"] and wdrift <= tols["wronskian"] else 2
 
 
-def _cmd_kawai(args) -> int:
+def _grid_out(r: GridResult) -> dict:
+    """One grid point of the kawai report."""
+    return {
+        "t_offsets": [complex_out(v) for v in r.offset.t],
+        "c_offsets": [complex_out(v) for v in r.offset.c],
+        "labels": r.labels,
+        "omega": [[complex_out(v) for v in row] for row in r.omega],
+        "scale": r.scale,
+        "antisymmetry_defect": r.antisymmetry_defect,
+        "relation_residual": r.relation_residual,
+        "wronskian_drift": r.wronskian_drift,
+        "trace_drifts": r.trace_drifts,
+        "cocycle_relator_residuals": r.cocycle_relator_residuals,
+        "local_residuals": r.local_residuals,
+        "kernel_dims": r.kernel_dims,
+    }
+
+
+def _cmd_kawai(args, report: dict) -> int:
     cfg = _load_json(args)
     tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": RELATION_TOL})
     try:
@@ -230,14 +251,13 @@ def _cmd_kawai(args) -> int:
                            tuple(complex_in(v) for v in g.get("c", []))) for g in grid]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad kawai config: {e}")
-    try:
-        rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
-                               relation_tol=tols["relation"])
-    except (OrderingError, IntegrationError, CocycleNotParabolicError) as e:
-        return _emit({"config": cfg, "tolerances": tols, "error": str(e)}, args, 2)
-    report = {"config": cfg, "tolerances": tols, **rep.as_dict()}
-    ok = rep.max_antisymmetry_defect <= tols["antisymmetry"] * max(rep.scale, 1.0)
-    return _emit(report, args, 0 if ok else 2)
+    report.update({"config": cfg, "tolerances": tols})
+    rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
+                           relation_tol=tols["relation"])
+    report.update({"labels": rep.labels, "scale": rep.scale,
+                   "max_antisymmetry_defect": rep.max_antisymmetry_defect,
+                   "grid": [_grid_out(r) for r in rep.results]})
+    return 0 if rep.max_antisymmetry_defect <= tols["antisymmetry"] * max(rep.scale, 1.0) else 2
 
 
 @functools.cache
@@ -293,19 +313,28 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    """The subcommand's exit code; an error it raises is reported as JSON."""
+    """Run one subcommand and emit its report.  A subcommand fills ``report``
+    in place, config and tolerances first, and returns its exit code.  An
+    input error (a ValueError, InputError included, or an OSError) is a
+    report of the error alone, exit 1.  A numerical failure (an
+    ArithmeticError) ends the report the subcommand has built so far with
+    the error, exit 2: a NumericalError by its message, any other as
+    ``Type: message``."""
+    report: dict = {}
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            code = args.func(args, report)
+        except ArithmeticError as e:
+            own = isinstance(e, NumericalError)
+            report["error"] = str(e) if own else f"{type(e).__name__}: {e}"
+            code = 2
+        return _emit(report, args, code)
     except BrokenPipeError:
         raise
     except (OSError, ValueError) as e:  # InputError included
         print(dumps_deterministic({"error": str(e), "version": __version__}))
         return 1
-    except ArithmeticError as e:
-        # numerical failure (a non-finite pairing, division by zero): exit 2
-        print(dumps_deterministic({"error": f"{type(e).__name__}: {e}", "version": __version__}))
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,15 +18,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .sl2 import (
-    Mat2,
-    MoebiusMap,
-    QuadPoly,
-    ad_matrix,
-    adjoint_action,
-    mat_inv_unit,
-    mat_mul,
-)
+from .sl2 import (Mat2, MoebiusMap, NumericalError, QuadPoly, ad_matrix, adjoint_action,
+                  mat_inv_unit, mat_mul)
 from .words import FreeWord, Signature, relator
 
 _RCOND = 1e-9
@@ -35,7 +28,7 @@ _RCOND = 1e-9
 LOCAL_TOL = 1e-6
 
 
-class CocycleNotParabolicError(ValueError):
+class CocycleNotParabolicError(NumericalError):
     def __init__(self, gen: str, residual: float, tol: float):
         super().__init__(
             f"cocycle is not a local coboundary at {gen}: residual {residual:.3e} > {tol:.3e}")
@@ -221,7 +214,7 @@ def local_coboundaries(systems, tol: float = LOCAL_TOL) -> list[list[list[LocalS
     singular values at most _RCOND times a matrix's largest count as zero,
     as under lstsq's ``rcond``, their number is the kernel dimension, and
     P = V S^+ U^* chi(c), each solve by elementwise operations, so bit for
-    bit its batch of one.  A non-finite system raises ArithmeticError before
+    bit its batch of one.  A non-finite system raises NumericalError before
     any is solved; then, system by system and cocycle by cocycle, a residual
     above ``tol`` x max(1, |chi(c)|, |chi|) raises CocycleNotParabolicError.
     """
@@ -243,7 +236,7 @@ def local_coboundaries(systems, tol: float = LOCAL_TOL) -> list[list[list[LocalS
                     for _, _, chis, gens in solved for chi in chis for c in gens])
     finite = np.isfinite(M).all(axis=(1, 2))[which] & np.isfinite(rhs).all(axis=1)
     if not finite.all():  # LAPACK would fail on it and print to stdout
-        raise ArithmeticError(f"non-finite local system at {names[int(np.argmin(finite))]}")
+        raise NumericalError(f"non-finite local system at {names[int(np.argmin(finite))]}")
     u, svals, vh = np.linalg.svd(M)
     keep = svals > _RCOND * svals[:, :1]
     pinv = np.divide(1, svals, out=np.zeros_like(svals), where=keep)
@@ -355,7 +348,7 @@ def random_parabolic_cocycle(rho: Representation, rng) -> Cocycle:
         nrm = chi.norm()
         if nrm > 1e-8:
             return chi * (1.0 / nrm)
-    raise RuntimeError("failed to sample a nonzero cocycle")
+    raise NumericalError("failed to sample a nonzero cocycle")
 
 
 def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:

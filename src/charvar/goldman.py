@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .cocycles import (LOCAL_TOL, Cocycle, LocalSolve, RelatorFrame, Representation,
                        local_coboundaries)
-from .sl2 import QuadPoly, adjoint_action, killing
+from .sl2 import NumericalError, QuadPoly, adjoint_action, killing
 from .words import FreeWord, GroupRingElement
 
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
@@ -98,8 +98,8 @@ def _value(walk: _Walk, chi2: Cocycle, solves2: dict[str, LocalSolve]) -> comple
 
 def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> None:
     if not all(map(math.isfinite, (value.real, value.imag, *relator_residuals))):
-        raise ArithmeticError(f"non-finite Goldman pairing {value} "
-                              f"(relator residuals {relator_residuals})")
+        raise NumericalError(f"non-finite Goldman pairing {value} "
+                             f"(relator residuals {relator_residuals})")
 
 
 def _prologue(rho: Representation) -> RelatorFrame:

@@ -23,7 +23,6 @@ from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
 from .monodromy import (RELATION_TOL, MonodromyEngine, SphereData, Transport,
                         build_potential, potential_tangent, transport)
-from .serialize import complex_out
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -114,22 +113,6 @@ class GridResult:
     def pairing(self, label1: str, label2: str) -> complex:
         return self.omega[self.labels.index(label1)][self.labels.index(label2)]
 
-    def as_dict(self) -> dict:
-        return {
-            "t_offsets": [complex_out(v) for v in self.offset.t],
-            "c_offsets": [complex_out(v) for v in self.offset.c],
-            "labels": list(self.labels),
-            "omega": [[complex_out(v) for v in row] for row in self.omega],
-            "scale": self.scale,
-            "antisymmetry_defect": self.antisymmetry_defect,
-            "relation_residual": self.relation_residual,
-            "wronskian_drift": self.wronskian_drift,
-            "trace_drifts": dict(self.trace_drifts),
-            "cocycle_relator_residuals": dict(self.cocycle_relator_residuals),
-            "local_residuals": dict(self.local_residuals),
-            "kernel_dims": dict(self.kernel_dims),
-        }
-
 
 @dataclass
 class KawaiReport:
@@ -143,14 +126,6 @@ class KawaiReport:
     @property
     def max_antisymmetry_defect(self) -> float:
         return max(r.antisymmetry_defect for r in self.results)
-
-    def as_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "scale": self.scale,
-            "max_antisymmetry_defect": self.max_antisymmetry_defect,
-            "grid": [r.as_dict() for r in self.results],
-        }
 
 
 def _displaced(base: SphereData, t_directions, acc_directions, offset: GridOffset

@@ -58,7 +58,7 @@ import numpy as np
 
 from .cocycles import Representation
 from .jets import nan_max
-from .sl2 import Mat2, MoebiusMap, mat_det, mat_inv_unit, mat_mul
+from .sl2 import Mat2, MoebiusMap, NumericalError, mat_det, mat_inv_unit, mat_mul
 from .words import Signature
 
 #: the default bound on how far the lasso relation c1 ... cn may miss
@@ -66,11 +66,11 @@ from .words import Signature
 RELATION_TOL = 1e-5
 
 
-class IntegrationError(RuntimeError):
-    pass
+class IntegrationError(NumericalError):
+    """A transport that does not converge or leaves the floats."""
 
 
-class OrderingError(RuntimeError):
+class OrderingError(NumericalError):
     """Lasso ordering/clearance failure (relation does not close)."""
 
 

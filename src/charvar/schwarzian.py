@@ -17,7 +17,7 @@ import numpy as np
 
 from .jets import DEFAULT_ORDER, Jet, jet_exp, moebius_jet, nan_max
 from .monodromy import gauss_legendre
-from .sl2 import MoebiusMap, QuadPoly
+from .sl2 import MoebiusMap, NumericalError, QuadPoly
 
 JetProvider = Callable[[complex, int], Jet]
 
@@ -148,7 +148,7 @@ def _close_pts(a, b) -> bool:
 def _check_translation_form(sigma, gamma):
     nf = sigma @ gamma @ sigma.inverse()
     if nf.psl_distance(MoebiusMap(1, 1, 0, 1)) > 1e-6:
-        raise ArithmeticError("conjugation to the unit translation failed")
+        raise NumericalError("conjugation to the unit translation failed")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _b3_residual(pot: InvariantPotential, iota: MoebiusMap,
 # Lambda4: general solution of Lambda_q(G) = Q with q = S(f)
 # ---------------------------------------------------------------------------
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Dyadic refinement exhausted without the two finest levels agreeing."""
 
 
@@ -365,7 +365,8 @@ def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,
                 fu = f(u, 1)
                 fp = fu.derivative().value
                 if abs(fp) < 1e-300:
-                    raise ZeroDivisionError("critical point of f on integration path")
+                    raise QuadratureError(f"quadrature did not converge: f' vanishes at {u} "
+                                          f"on the path, a critical point of f")
                 base = Q(u) / fp
                 fv = fu.value
                 total += (w * half) * np.array([base, fv * base, fv * fv * base])

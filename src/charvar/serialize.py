@@ -10,11 +10,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 
 from .cocycles import Cocycle, Representation
 from .monodromy import SphereData, build_potential, default_base_point
 from .sl2 import MoebiusMap, QuadPoly
-from .words import Signature
+from .words import MAX_RELATOR_LETTERS, Signature
 
 
 def complex_out(z: complex) -> list[float]:
@@ -45,11 +46,22 @@ def complex_in(v) -> complex:
 
 def int_in(v) -> int:
     """The one entry point of every integer read from JSON: an integral
-    number; NaN, infinity, a fraction, a boolean or a string is an input
-    error."""
-    if not _is_number(v) or not math.isfinite(v) or v != int(v):
+    number, an int taken as it is with no float conversion.  NaN, infinity,
+    a fraction, a boolean, a string and an integer too large for a float are
+    input errors."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
         raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
+    if abs(v) > sys.float_info.max:
+        raise ValueError(f"integer out of range {v!r}")
+    return v
+
+
+def _order_in(o):
+    """A marked point's order: an integer, or null for a cusp (its one
+    spelling)."""
+    return None if o is None else int_in(o)
 
 
 def poly_out(p: QuadPoly) -> list[list[float]]:
@@ -80,9 +92,15 @@ def signature_out(sig: Signature) -> dict:
 
 
 def signature_in(d: dict) -> Signature:
-    marked = tuple(d["orders"]) if "orders" in d else None
-    return Signature(int_in(d["g"]), tuple(d.get("elliptic", ())), int_in(d.get("cusps", 0)),
-                     marked_orders=marked)
+    """A signature whose relator has at most MAX_RELATOR_LETTERS letters,
+    counted before any generator name is built."""
+    g, cusps = int_in(d["g"]), int_in(d.get("cusps", 0))
+    elliptic = tuple(map(int_in, d.get("elliptic", ())))
+    size = 4 * g + len(elliptic) + cusps
+    if size > MAX_RELATOR_LETTERS:
+        raise ValueError(f"relator of {size} letters is above the maximum {MAX_RELATOR_LETTERS}")
+    marked = tuple(map(_order_in, d["orders"])) if "orders" in d else None
+    return Signature(g, elliptic, cusps, marked_orders=marked)
 
 
 def representation_out(rho: Representation) -> dict:
@@ -103,10 +121,6 @@ def cocycle_in(d: dict, rho: Representation) -> Cocycle:
     if set(values) != set(rho.signature.generators):
         raise ValueError(f"cocycle generators {list(values)} are not {rho.signature.generators}")
     return Cocycle(rho, {g: poly_in(v) for g, v in values.items()})
-
-
-def _order_in(o):
-    return None if o in (None, "inf", "cusp") else int_in(o)
 
 
 def sphere_out(data: SphereData) -> dict:

@@ -15,6 +15,11 @@ import numpy as np
 Mat2 = tuple[complex, complex, complex, complex]  # row-major (a, b, c, d)
 
 
+class NumericalError(ArithmeticError):
+    """A failure the program detects in its own numerics; the CLI ends in
+    an exit-2 report naming it by its message."""
+
+
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
     return (
         x[0] * y[0] + x[1] * y[2],

@@ -28,6 +28,14 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _inverse_letter(letter: Letter) -> Letter:
+    """x -> x^-1, one tuple per letter that every inverse word shares.  Every
+    signature names its generators a1, b1, ..., c1, ..., so the cache holds
+    two letters per generator of the largest signature inverted."""
+    return letter[0], -letter[1]
+
+
 class FreeWord:
     """A freely reduced word in abstract generators.  Immutable."""
 
@@ -63,7 +71,8 @@ class FreeWord:
         return FreeWord._reduced(a[:n - k] + b[k:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        # the inverse of a reduced word is reduced
+        return FreeWord._reduced(tuple(map(_inverse_letter, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "FreeWord":
         if n < 0:
@@ -179,6 +188,12 @@ _TOKEN = re.compile(r"\s*([abc]\d+)\s*(?:\^\s*(-?\d+))?\s*\*?")
 #: a1^n has n terms of up to n letters, and at this length `charvar fox`
 #: answers in 0.7 s with 180 MB (a 2-core x86-64 host, Python 3.11)
 MAX_WORD_LETTERS = 2000
+
+#: the most letters the relator of a signature read as input may have, 4g +
+#: m + n (``serialize.signature_in``): `charvar identities` at this length
+#: (g = 2048) answers in 56 s with 442 MB, and `charvar fox --word R` in
+#: 0.4 s (a 2-core x86-64 host, Python 3.11)
+MAX_RELATOR_LETTERS = 8192
 
 
 def parse_word(text: str, sig: Signature) -> FreeWord:
@@ -355,9 +370,6 @@ class IdentityCheck:
     status: bool
     witness: str = ""
 
-    def as_dict(self) -> dict:
-        return {"identity": self.identity, "status": self.status, "witness": self.witness}
-
 
 @dataclass
 class PresentationReport:
@@ -377,19 +389,6 @@ class PresentationReport:
     @property
     def all_pass(self) -> bool:
         return all(c.status for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "signature": {
-                "g": self.signature.g,
-                "elliptic": list(self.signature.elliptic_orders),
-                "cusps": self.signature.cusps,
-            },
-            "alpha_convention": self.alpha_convention,
-            "beta_sign": self.beta_sign,
-            "all_pass": self.all_pass,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
 
 def _ring_one_minus(w: FreeWord) -> GroupRingElement:

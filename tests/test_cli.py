@@ -12,10 +12,13 @@ import pytest
 
 from conftest import orb3_data
 from oracles import cocycle_out
+from charvar import cli
 from charvar.cli import main
 from charvar.cocycles import random_parabolic_cocycle
 from charvar.serialize import (dumps_deterministic, representation_in, representation_out,
                                sphere_in, sphere_out)
+from charvar.sl2 import NumericalError
+from charvar.words import MAX_RELATOR_LETTERS
 
 
 def run_cli(capsys, *argv):
@@ -401,7 +404,7 @@ def test_goldman_non_finite_pairing_is_reported(capsys, tmp_path, genus2_rep):
     code, rep = run_cli(capsys, "goldman", "--json",
                         _set(bundle, ["cocycle1", "values", "a1", 0], [1e308, 0]))
     assert code == 2
-    assert rep["error"].startswith("ArithmeticError: non-finite Goldman pairing")
+    assert rep["error"].startswith("non-finite Goldman pairing")
 
 
 @pytest.mark.parametrize("path, value", [
@@ -425,7 +428,7 @@ def test_goldman_non_finite_local_system_is_reported(capfd, tmp_path, orb3_rep):
                  _set(bundle, ["representation", "images", "c1", 0], [1e308, 0])])
     rep = json.loads(capfd.readouterr().out)
     assert code == 2
-    assert rep["error"] == "ArithmeticError: non-finite local system at c1"
+    assert rep["error"] == "non-finite local system at c1"
 
 
 def test_nan_tolerance_is_input_error(capsys, tmp_path, genus2_rep):
@@ -467,8 +470,12 @@ def test_nan_input_is_input_error(capsys, argv):
     ["monodromy", "--json", json.dumps(dict(SPHERE, order_infinity=True))],
     ["fox", "--sig", '{"g": Infinity}', "--word", "R", "--gen", "a1"],
     ["fox", "--sig", '{"g": 0, "cusps": 3.5}', "--word", "R", "--gen", "c1"],
+    ["fox", "--sig", '{"g": 0, "elliptic": [2.5], "cusps": 2}', "--word", "R", "--gen", "c1"],
+    ["fox", "--sig", '{"g": 0, "elliptic": [2], "cusps": 1, "orders": [null, "2"]}',
+     "--word", "R", "--gen", "c1"],
 ], ids=["lambda-order", "lambda-seed", "lambda-order-fraction", "kawai-index",
-        "monodromy-order", "monodromy-order-bool", "signature-g", "signature-cusps"])
+        "monodromy-order", "monodromy-order-bool", "signature-g", "signature-cusps",
+        "signature-elliptic", "signature-orders"])
 def test_non_integer_input_is_input_error(capsys, argv):
     # every JSON integer goes through serialize.int_in, so infinity is an
     # input error (exit 1), not an OverflowError from int() (exit 2)
@@ -575,13 +582,88 @@ def test_overflowing_residues_are_input_error(capsys, argv):
 
 def test_lambda_check_order_above_the_maximum_is_input_error(capsys):
     # the jet arithmetic's cost grows with the order, so an order past the
-    # stated maximum is refused at once, naming the maximum
-    from charvar.cli import MAX_JET_ORDER
+    # stated maximum is refused at once, naming the maximum; an order below
+    # what the Schwarzian needs is refused naming the minimum
+    from charvar.cli import MAX_JET_ORDER, MIN_JET_ORDER
 
-    code, rep = run_cli(capsys, "lambda-check", "--json",
-                        json.dumps({"order": MAX_JET_ORDER + 1}))
+    for order, bound in ((MAX_JET_ORDER + 1, f"maximum {MAX_JET_ORDER}"),
+                         (MIN_JET_ORDER - 1, f"minimum {MIN_JET_ORDER}"),
+                         (-3, f"minimum {MIN_JET_ORDER}")):
+        code, rep = run_cli(capsys, "lambda-check", "--json", json.dumps({"order": order}))
+        assert code == 1
+        assert bound in rep["error"], order
+    code, rep = run_cli(capsys, "lambda-check", "--json", json.dumps({"order": MIN_JET_ORDER}))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-check", "--json", json.dumps({"order": 10 ** 400})],
+    ["identities", "--sig", json.dumps({"g": 10 ** 400})],
+], ids=["lambda-order", "signature-g"])
+def test_huge_integer_is_input_error(capsys, argv):
+    # an int is read with no float conversion, so a 401-digit one is an
+    # input error, not an OverflowError from math.isfinite (exit 2)
+    code, rep = run_cli(capsys, *argv)
     assert code == 1
-    assert f"maximum {MAX_JET_ORDER}" in rep["error"]
+    assert "integer out of range" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--sig", json.dumps({"g": MAX_RELATOR_LETTERS // 4, "cusps": 1})],
+    ["fox", "--sig", json.dumps({"g": 10 ** 9}), "--word", "R", "--gen", "a1"],
+    ["goldman", "--json", json.dumps({"representation": {"signature": {"g": 10 ** 9},
+                                                         "images": {}},
+                                      "cocycle1": {}, "cocycle2": {}})],
+], ids=["identities", "fox", "goldman"])
+def test_signature_above_the_relator_maximum_is_input_error(capsys, argv):
+    # the relator's 4g + m + n letters are counted before any generator name
+    # is built, so a signature of genus 1e9 is refused at once
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert f"maximum {MAX_RELATOR_LETTERS}" in rep["error"]
+
+
+@pytest.mark.parametrize("spelling", ["cusp", "inf"])
+def test_a_cusp_is_spelled_null(capsys, spelling):
+    # null is the one spelling of a cusp, at a point and at infinity
+    for cfg in (dict(SPHERE, orders=[spelling, None, None]),
+                dict(SPHERE, order_infinity=spelling)):
+        code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+        assert code == 1
+        assert "expected an integer" in rep["error"]
+
+
+def _raising(exc):
+    def call(*args, **kwargs):
+        raise exc
+    return call
+
+
+#: per subcommand, the library call a failure is injected into and the
+#: input; None is the goldman bundle of ``_bundle_path``
+FAILING_CALLS = {"goldman": ("pairing", None),
+                 "lambda-check": ("check_identities", LAMBDA),
+                 "monodromy": ("MonodromyEngine", SPHERE),
+                 "kawai": ("kawai_experiment", KAWAI)}
+
+
+@pytest.mark.parametrize("command", FAILING_CALLS)
+def test_numerical_failure_ends_the_report_with_exit_2(capsys, monkeypatch, tmp_path,
+                                                       genus2_rep, command):
+    # the dispatcher alone turns an ArithmeticError into exit 2 and ends the
+    # report the subcommand has built so far: a NumericalError is named by
+    # its message, any other ArithmeticError as "Type: message"
+    name, doc = FAILING_CALLS[command]
+    doc = _bundle_path(tmp_path, genus2_rep, 4)[1] if doc is None else doc
+    for exc, message in ((NumericalError("lost"), "lost"),
+                         (ZeroDivisionError("lost"), "ZeroDivisionError: lost")):
+        monkeypatch.setattr(cli, name, _raising(exc))
+        code, rep = run_cli(capsys, command, "--json", json.dumps(doc))
+        assert code == 2
+        assert {"config", "tolerances", "error"} <= set(rep)
+        assert rep["error"] == message
 
 
 def test_monodromy_with_an_order_1e8_point_ends_promptly(capsys):
@@ -615,8 +697,9 @@ def test_lambda_check_quadrature_error_is_reported(capsys):
 
 
 def test_lambda_check_zero_division_is_reported(capsys, monkeypatch):
-    # a critical point of f exactly on a quadrature node: injected (the
-    # package's ``schwarzian`` attribute is the function, not the module)
+    # an ArithmeticError that is not the program's own, raised inside the
+    # solver: injected (the package's ``schwarzian`` attribute is the
+    # function, not the module)
     import importlib
     schwarzian = importlib.import_module("charvar.schwarzian")
 

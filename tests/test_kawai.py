@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, relator_walks
 from oracles import direction_family, finite_difference_cocycle, moment_residuals
+from charvar.cli import _grid_out
 from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
                            _abs_trace_rate, displace, kawai_experiment)
@@ -155,8 +156,8 @@ def test_grid_points_are_independent(config, monkeypatch):
         assert {cir.order for _, cir in batches[0]} == {None, 2, 3}
     for offset, point in zip(grid, rep.results):
         alone = kawai_experiment(base, t_dirs, grid=[offset], accessory_directions=acc)
-        assert dumps_deterministic(point.as_dict()) == dumps_deterministic(
-            alone.results[0].as_dict()), offset
+        assert dumps_deterministic(_grid_out(point)) == dumps_deterministic(
+            _grid_out(alone.results[0])), offset
 
 
 def test_grid_offsets_and_report_shape():
@@ -164,9 +165,8 @@ def test_grid_offsets_and_report_shape():
     grid = [GridOffset(t=(0.0,), c=(0.0,)), GridOffset(t=(0.02,), c=(0.01 + 0.005j,))]
     rep = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid)
     assert len(rep.results) == 2
-    d = rep.as_dict()
-    assert len(d["grid"]) == 2
-    assert d["labels"] == ["c0", "t2"]
+    assert [_grid_out(r)["labels"] for r in rep.results] == [["c0", "t2"]] * 2
+    assert rep.labels == ["c0", "t2"]
     assert rep.scale > 1.0
 
 

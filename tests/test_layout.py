@@ -132,3 +132,48 @@ def test_every_private_helper_is_used():
     unused = [f"{module}: {name}" for module, name, method in defined
               if not (name.rpartition(".")[2] in attrs if method else name in loaded[module])]
     assert not unused, f"private names nothing in src/ reads: {unused}"
+
+
+def _src_trees():
+    """(path relative to the root, module tree) of every module of the
+    package."""
+    return [(str(path.relative_to(ROOT)), ast.parse(path.read_text()))
+            for path in sorted((ROOT / "src").rglob("*.py"))]
+
+
+def test_no_exception_class_derives_from_runtime_error():
+    # a failure the program detects derives from sl2.NumericalError, an
+    # ArithmeticError, which the CLI answers with exit 2; a RuntimeError
+    # would escape that handler
+    runtime = [f"{module}: {node.name}" for module, tree in _src_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               if any(getattr(base, "id", getattr(base, "attr", None)) == "RuntimeError"
+                      for base in node.bases)]
+    assert not runtime, f"exception classes deriving from RuntimeError: {runtime}"
+
+
+def _imports_serialize(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(name.split(".")[-1] == "serialize" for name in names)
+
+
+def test_only_the_cli_imports_serialize():
+    # the CLI reads every input and shapes every report; the library
+    # modules know no JSON
+    importers = [f"{module}:{node.lineno}" for module, tree in _src_trees()
+                 if not module.endswith("cli.py")
+                 for node in ast.walk(tree) if _imports_serialize(node)]
+    assert not importers, f"modules importing serialize: {importers}"
+
+
+def test_no_module_defines_as_dict():
+    # a report's JSON shape is written once, in cli.py
+    defining = [f"{module}:{node.lineno}" for module, tree in _src_trees()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "as_dict"]
+    assert not defining, f"as_dict defined in src/: {defining}"

@@ -174,9 +174,19 @@ class TestSolveLambda:
         from charvar.schwarzian import QuadratureError
         # f = z^2 has f'(0) = 0 inside the segment; the 1/f' pole defeats the
         # refinement (the symmetric path -1 -> 1 would cancel it by parity)
-        with pytest.raises((QuadratureError, ZeroDivisionError)):
+        with pytest.raises(QuadratureError):
             solve_lambda_report(poly_provider([0, 0, 1]), lambda z: 1.0 + 0j, -1, 1.3,
                                 max_levels=6).value
+
+    def test_critical_point_on_a_node(self):
+        from charvar.monodromy import gauss_legendre
+        from charvar.schwarzian import QuadratureError
+        # f = (z - c)^2 with c a Gauss node of the one-panel level on [0, 1]:
+        # f' is exactly 0 there, the same failure as at an endpoint
+        nodes, _ = gauss_legendre(32)
+        c = 0.5 + 0.5 * nodes[3]
+        with pytest.raises(QuadratureError, match="f' vanishes at .* on the path"):
+            solve_lambda_report(poly_provider([c * c, -2 * c, 1]), lambda z: 1.0 + 0j, 0j, 1)
 
 
 class TestMonodromyIntegration:
