@@ -15,5 +15,5 @@ from .jets import Jet
 from .schwarzian import (b_apply, check_identities, invariant_potential,
                          lambda_apply, schwarzian, solve_lambda_report)
 from .monodromy import MonodromyEngine, SphereData, build_potential
-from .kawai import (AccessoryDirection, GridOffset, KawaiReport,
-                    PointDirection, kawai_experiment)
+from .kawai import (AccessoryDirection, GridOffset, PointDirection,
+                    kawai_experiment)

@@ -71,7 +71,7 @@ def _parse_sig(text: str):
 
 def _tolerances(args, defaults: dict) -> dict:
     tols = dict(defaults)
-    for item in getattr(args, "tol", None) or []:
+    for item in args.tol or []:
         if "=" not in item:
             raise InputError(f"--tol expects name=value, got {item!r}")
         k, v = item.split("=", 1)
@@ -83,12 +83,17 @@ def _tolerances(args, defaults: dict) -> dict:
     return tols
 
 
-def _emit(report: dict, args, code: int) -> int:
+def _emit(report: dict, out, code: int) -> int:
+    """Print the report, and write it to the path ``out`` first if one is
+    given; a failure to write it is an input error, reported alone."""
     report["version"] = __version__
     text = dumps_deterministic(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    if out:
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            return _emit({"error": f"cannot write {out}: {e}"}, None, 1)
     print(text)
     return code
 
@@ -142,9 +147,9 @@ def _cmd_goldman(args, report: dict) -> int:
     residuals = {"chi1_relator": result.relator_residuals[0],
                  "chi2_relator": result.relator_residuals[1]}
     if rho.signature.num_marked:
-        residuals["local"] = result.local_residuals
+        residuals["local"] = {k: s.residual for k, s in result.solves.items()}
     report.update({"value": complex_out(result.value), "residuals": residuals,
-                   "p2_list": {k: poly_out(p) for k, p in result.p2.items()}})
+                   "p2_list": {k: poly_out(s.poly) for k, s in result.solves.items()}})
     return 0
 
 
@@ -207,7 +212,7 @@ def _cmd_monodromy(args, report: dict) -> int:
     traces = rho.trace_residuals()
     report.update({
         "representation": representation_out(rho),
-        "lasso_order": [str(t) for t in engine.order],
+        "lasso_order": [str(path.target) for path in engine.paths],
         "relation_residual": rho.relator_residual(),
         "trace_residuals": traces,
         "wronskian_drift": wdrift,
@@ -252,12 +257,14 @@ def _cmd_kawai(args, report: dict) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad kawai config: {e}")
     report.update({"config": cfg, "tolerances": tols})
-    rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
-                           relation_tol=tols["relation"])
-    report.update({"labels": rep.labels, "scale": rep.scale,
-                   "max_antisymmetry_defect": rep.max_antisymmetry_defect,
-                   "grid": [_grid_out(r) for r in rep.results]})
-    return 0 if rep.max_antisymmetry_defect <= tols["antisymmetry"] * max(rep.scale, 1.0) else 2
+    results = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
+                               relation_tol=tols["relation"])
+    scale = max(r.scale for r in results)
+    defect = max(r.antisymmetry_defect for r in results)
+    report.update({"labels": results[0].labels, "scale": scale,
+                   "max_antisymmetry_defect": defect,
+                   "grid": [_grid_out(r) for r in results]})
+    return 0 if defect <= tols["antisymmetry"] * max(scale, 1.0) else 2
 
 
 @functools.cache
@@ -268,22 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"charvar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="also write the JSON report to this path")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a tolerance (repeatable)")
-
     p = sub.add_parser("fox", help="Fox derivative of a word")
     p.add_argument("--sig", required=True,
                    help='signature JSON, e.g. {"g":2,"elliptic":[],"cusps":0}')
     p.add_argument("--word", required=True, help='word text, or "R" for the relator')
     p.add_argument("--gen", required=True)
-    common(p)
     p.set_defaults(func=_cmd_fox)
 
     p = sub.add_parser("identities", help="exact presentation-identity suite")
     p.add_argument("--sig", required=True)
-    common(p)
     p.set_defaults(func=_cmd_identities)
 
     for name, fn, desc in (
@@ -292,10 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("monodromy", _cmd_monodromy, "lasso monodromy representation"),
             ("kawai", _cmd_kawai, "pullback experiment over a (t,c) grid")):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--input", "--config", dest="input", help="path to JSON input")
+        p.add_argument("--input", help="path to JSON input")
         p.add_argument("--json", help="inline JSON input")
-        common(p)
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="override a tolerance (repeatable)")
         p.set_defaults(func=fn)
+    for p in sub.choices.values():
+        p.add_argument("--out", help="also write the JSON report to this path")
 
     return ap
 
@@ -313,28 +316,27 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    """Run one subcommand and emit its report.  A subcommand fills ``report``
-    in place, config and tolerances first, and returns its exit code.  An
-    input error (a ValueError, InputError included, or an OSError) is a
-    report of the error alone, exit 1.  A numerical failure (an
-    ArithmeticError) ends the report the subcommand has built so far with
-    the error, exit 2: a NumericalError by its message, any other as
-    ``Type: message``."""
-    report: dict = {}
+    """Run one subcommand and emit its report (``_emit``), to ``--out`` too
+    once the options are parsed.  A subcommand fills ``report`` in place,
+    config and tolerances first, and returns its exit code.  An input error
+    (a ValueError, a usage error included, or an OSError) is a report of the
+    error alone, exit 1.  A numerical failure (an ArithmeticError) ends the
+    report the subcommand has built so far with the error, exit 2: a
+    NumericalError by its message, any other as ``Type: message``."""
     try:
         args = build_parser().parse_args(argv)
-        try:
-            code = args.func(args, report)
-        except ArithmeticError as e:
-            own = isinstance(e, NumericalError)
-            report["error"] = str(e) if own else f"{type(e).__name__}: {e}"
-            code = 2
-        return _emit(report, args, code)
-    except BrokenPipeError:
-        raise
+    except InputError as e:
+        return _emit({"error": str(e)}, None, 1)
+    report: dict = {}
+    try:
+        code = args.func(args, report)
+    except ArithmeticError as e:
+        own = isinstance(e, NumericalError)
+        report["error"] = str(e) if own else f"{type(e).__name__}: {e}"
+        code = 2
     except (OSError, ValueError) as e:  # InputError included
-        print(dumps_deterministic({"error": str(e), "version": __version__}))
-        return 1
+        report, code = {"error": str(e)}, 1
+    return _emit(report, args.out, code)
 
 
 if __name__ == "__main__":

@@ -44,12 +44,12 @@ _REDUCIBLE = ("representation is visibly reducible (common fixed point); "
 
 @dataclass
 class PairingReport:
-    """Value of the pairing together with the correction data that entered it."""
+    """Value of the pairing together with the correction data that entered
+    it: chi2's local solve at each marked generator, and the relator
+    residuals of chi1 and chi2."""
 
     value: complex
-    p2: dict[str, QuadPoly]
-    local_residuals: dict[str, float]
-    kernel_dims: dict[str, int]
+    solves: dict[str, LocalSolve]
     relator_residuals: tuple[float, float]
 
 
@@ -124,10 +124,7 @@ def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
     value = _value(walk, chi2, solves)
     residuals = (walk.relator.norm(), chi2.along(frame.letters, frame.prefixes)[-1].norm())
     _check_finite(value, residuals)
-    return PairingReport(value, {k: s.poly for k, s in solves.items()},
-                         {k: s.residual for k, s in solves.items()},
-                         {k: s.kernel_dim for k, s in solves.items()},
-                         residuals)
+    return PairingReport(value, solves, residuals)
 
 
 def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]]

@@ -16,7 +16,7 @@ report is bit for bit that of its offset run alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cocycles import reduce_by_coboundary, tangent_cocycle
@@ -94,8 +94,8 @@ class GridResult:
     wronskian_drift: float
     trace_drifts: dict[str, float]
     cocycle_relator_residuals: dict[str, float]
-    local_residuals: dict[str, float] = field(default_factory=dict)
-    kernel_dims: dict[str, int] = field(default_factory=dict)
+    local_residuals: dict[str, float]
+    kernel_dims: dict[str, int]
 
     @property
     def scale(self) -> float:
@@ -112,20 +112,6 @@ class GridResult:
 
     def pairing(self, label1: str, label2: str) -> complex:
         return self.omega[self.labels.index(label1)][self.labels.index(label2)]
-
-
-@dataclass
-class KawaiReport:
-    labels: list[str]
-    results: list[GridResult]
-
-    @property
-    def scale(self) -> float:
-        return max(r.scale for r in self.results)
-
-    @property
-    def max_antisymmetry_defect(self) -> float:
-        return max(r.antisymmetry_defect for r in self.results)
 
 
 def _displaced(base: SphereData, t_directions, acc_directions, offset: GridOffset
@@ -161,8 +147,9 @@ def kawai_experiment(base: SphereData,
                      t_directions: Sequence[PointDirection],
                      grid: Sequence[GridOffset] = (GridOffset(),),
                      accessory_directions: Optional[Sequence[AccessoryDirection]] = None,
-                     relation_tol: float = RELATION_TOL) -> KawaiReport:
-    """Pairing matrices of all direction pairs over a grid of (t, c) offsets.
+                     relation_tol: float = RELATION_TOL) -> list[GridResult]:
+    """Pairing matrices of all direction pairs at each of a grid of (t, c)
+    offsets, one ``GridResult`` per grid point, in the order of ``grid``.
 
     Paths and homotopy classes are frozen per grid point.  One ``transport``
     call takes every grid point with the tangents of every direction there:
@@ -196,6 +183,5 @@ def kawai_experiment(base: SphereData,
     matrices = goldman_matrices(rhos, [reduce_by_coboundary(rho, cs)
                                        for rho, cs in zip(rhos, chis)])
     # the diagonal of each matrix is a self-pairing null check
-    results = [_grid_result(offset, labels, tr, cs, omega, solves)
-               for offset, tr, cs, (omega, solves) in zip(grid, transports, chis, matrices)]
-    return KawaiReport(labels, results)
+    return [_grid_result(offset, labels, tr, cs, omega, solves)
+            for offset, tr, cs, (omega, solves) in zip(grid, transports, chis, matrices)]

@@ -74,11 +74,19 @@ class OrderingError(NumericalError):
     """Lasso ordering/clearance failure (relation does not close)."""
 
 
+#: the largest order of a marked point: above 2^27 (about 1.34e8),
+#: theta = 1 - 1/o^2 rounds to a cusp's 1.0, and from 1e8 on the lasso
+#: images already miss the default Wronskian tolerance
+MAX_ORDER = 10 ** 8
+
+
 def theta_of(order: Optional[int]) -> float:
     if order is None:
         return 1.0
     if not isinstance(order, int) or order < 2:
         raise ValueError(f"marked-point order must be an integer >= 2 or None, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"marked-point order {order} is above the maximum {MAX_ORDER}")
     return 1.0 - 1.0 / (order * order)
 
 
@@ -114,6 +122,8 @@ class SphereData:
         # residues solved from finite input may still overflow
         if not all(map(cmath.isfinite, (*self.points, *self.residues, self.base_point))):
             raise ValueError("points, residues and base point must be finite")
+        for order in (*self.orders, self.order_infinity):
+            theta_of(order)  # raises on an order out of range
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -127,10 +137,6 @@ class SphereData:
     def accessory(self) -> tuple[complex, ...]:
         """Free residues: everything past the first two listed points."""
         return self.residues[2:]
-
-    def order_at(self, target) -> Optional[int]:
-        """Order of a marked point: an index into ``points``, or "inf"."""
-        return self.order_infinity if target == "inf" else self.orders[target]
 
     def min_gap(self) -> float:
         return _min_gap(self.points)
@@ -226,11 +232,12 @@ class LoopPath:
     point, the circle about ``centre`` through the entry counterclockwise (for
     infinity: clockwise, i.e. ccw in the chart w = 1/(z - centre)), and the
     stem back.  Only the stem is integrated; the circle's monodromy is exact
-    (see ``_local_monodromy``)."""
+    (see ``_local_monodromy``) from the marked point's ``order``."""
 
     stem: tuple[complex, complex]
     centre: complex
     target: object  # index into points, or "inf"
+    order: Optional[int]  # None at a cusp
 
     def min_clearance(self, points: Sequence[complex]) -> float:
         """Closest approach of the stem to a marked point other than its own.
@@ -257,11 +264,11 @@ MAX_RADIUS_FACTOR = 0.3
 
 def build_lassos(data: SphereData) -> list[LoopPath]:
     """Lassos in base-point ordering, each naming its marked point
-    (``target``): finite points by increasing argument of p - z_b, then
-    infinity through the largest angular gap.  A finite point's circle has
-    radius MAX_RADIUS_FACTOR x min(gap, |p - z_b|), so its Frobenius series
-    converge at least like MAX_RADIUS_FACTOR^n.  Paths are frozen objects;
-    families reuse them unchanged."""
+    (``target``) and its order: finite points by increasing argument of
+    p - z_b, then infinity through the largest angular gap.  A finite
+    point's circle has radius MAX_RADIUS_FACTOR x min(gap, |p - z_b|), so
+    its Frobenius series converge at least like MAX_RADIUS_FACTOR^n.  Paths
+    are frozen objects; families reuse them unchanged."""
     zb = data.base_point
     gap = data.min_gap()
     order = sorted(range(len(data.points)),
@@ -276,7 +283,7 @@ def build_lassos(data: SphereData) -> list[LoopPath]:
         p = data.points[i]
         r = MAX_RADIUS_FACTOR * min(gap, abs(p - zb))
         entry = p + r * cmath.exp(1j * cmath.phase(zb - p))
-        paths.append(LoopPath((zb, entry), p, i))
+        paths.append(LoopPath((zb, entry), p, i, data.orders[i]))
 
     centre = sum(data.points) / len(data.points)
     rbig = _BIG_RADIUS_FACTOR * max(max(abs(p - centre) for p in data.points),
@@ -290,7 +297,7 @@ def build_lassos(data: SphereData) -> list[LoopPath]:
             lo = mid
         else:
             hi = mid
-    paths.append(LoopPath((zb, zb + hi * exit_dir), centre, "inf"))
+    paths.append(LoopPath((zb, zb + hi * exit_dir), centre, "inf", data.order_infinity))
 
     min_clear = _CLEARANCE_FACTOR * gap
     for path in paths:
@@ -828,14 +835,14 @@ def _laurent(poles, path: LoopPath, s: complex):
     return (s * poles[j][2],), u, v, r, r, 0
 
 
-def _circle_row(poles, path: LoopPath, order: Optional[int], rows):
+def _circle_row(poles, path: LoopPath, rows):
     """Append to ``rows`` the Frobenius series of the circle of ``path``
-    about a marked point of the given order (``_Row``) and return (s, G,
-    G^-1, its index) for ``_circle_tangents`` and ``_local_monodromy``:
-    s = u(entry) in the local coordinate u of ``_laurent``, and G maps
-    reduced data to (psi, psi') at the entry point: diag(1, 1/s), and at
-    infinity [[1/s, 0], [1, -1]] since psi = phi / w.  The shifts are +-1/e
-    at an order-e point, and 0 with the log term at a cusp."""
+    (``_Row``) and return (s, G, G^-1, its index) for ``_circle_tangents``
+    and ``_local_monodromy``: s = u(entry) in the local coordinate u of
+    ``_laurent``, and G maps reduced data to (psi, psi') at the entry point:
+    diag(1, 1/s), and at infinity [[1/s, 0], [1, -1]] since psi = phi / w.
+    The shifts are +-1/e at an order-e point, and 0 with the log term at a
+    cusp."""
     entry = path.stem[1]
     if path.target == "inf":
         s = 1 / (entry - path.centre)
@@ -843,14 +850,14 @@ def _circle_row(poles, path: LoopPath, order: Optional[int], rows):
     else:
         s = entry - poles[path.target][0]
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
-    cusp = order is None
-    dlt = 0.0 if cusp else 1.0 / order
+    cusp = path.order is None
+    dlt = 0.0 if cusp else 1.0 / path.order
     rows.append(_Row(_laurent(poles, path, s), (1.0 + 0j,), (0j if cusp else 1.0 + 0j,),
                      (dlt, -dlt), cusp))
     return s, g, ginv, len(rows) - 1
 
 
-def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Series, ints):
+def _local_monodromy(path: LoopPath, circle, series: _Series, ints):
     """(C, Wronskian drift, [E per tangent]) for the circle of ``path``
     (column convention, row-major 4-tuples) from its summed Frobenius series
     (``circle`` = (s, G, G^-1, row) of ``_circle_row``, row ``row`` of
@@ -873,8 +880,8 @@ def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Seri
     _, g, ginv, row = circle
     _settled(series, row, lambda: f"Frobenius series at {path.target}")
     (*_, sa, ta), (*_, sb, tb) = series.sums[row]
-    cusp = order is None
-    dlt = 0.0 if cusp else 1.0 / order
+    cusp = path.order is None
+    dlt = 0.0 if cusp else 1.0 / path.order
     if cusp:
         mh = (sa, sb, sa / 2 + ta, sb / 2 + tb + sa)
     else:
@@ -895,13 +902,12 @@ def _local_monodromy(path: LoopPath, order: Optional[int], circle, series: _Seri
 
 
 def _circle_tangents(series: _Series, circles, poles, tangents):
-    """[(x1, x2, k1, k2) per tangent] for each circle (i, path, order, s,
-    row) of ``circles`` about a marked point of the given order, whose
-    series is row ``row`` of ``series`` (s = u(entry), see ``_circle_row``)
-    and whose poles and tangents are those of representation i (see
-    ``_step_tangents``): the two nonzero entries x1, x2 of Eh and the
-    entries k1, k2 of dp K, for ``_local_monodromy`` to form
-    E = G Mh Eh Mh^-1 G^-1 - dp K: E = dPhi Phi^-1 up to a matrix that
+    """[(x1, x2, k1, k2) per tangent] for each circle (i, path, s, row) of
+    ``circles``, whose series is row ``row`` of ``series`` (s = u(entry),
+    see ``_circle_row``) and whose poles and tangents are those of
+    representation i (see ``_step_tangents``): the two nonzero entries x1,
+    x2 of Eh and the entries k1, k2 of dp K, for ``_local_monodromy`` to
+    form E = G Mh Eh Mh^-1 G^-1 - dp K: E = dPhi Phi^-1 up to a matrix that
     commutes with C.
 
     A tangent varies R by dR with the entry point frozen; the exponents do
@@ -942,7 +948,8 @@ def _circle_tangents(series: _Series, circles, poles, tangents):
     that circle alone, so a circle's E is bit for bit its batch of one.  A
     tangent thus costs O(nodes x poles), not a differentiated series.
     """
-    reps, paths, orders, ss, rows = zip(*circles)
+    reps, paths, ss, rows = zip(*circles)
+    orders = [path.order for path in paths]
     pole_rows, tangent_rows = poles[list(reps)], tangents[list(reps)]
     at_inf = [path.target == "inf" for path in paths]
     inf = np.array(at_inf)[:, None]
@@ -1002,11 +1009,11 @@ def _assemble(plan, series: _Series, ints, count: int):
     series and a non-finite transport or tangent transport raise
     IntegrationError where they are met."""
     images, dls, drifts = [], [], []
-    for path, order, steps, circle in plan:
+    for path, steps, circle in plan:
         u, du = _stem(steps, series, ints, count)
         if not all(map(cmath.isfinite, sum(du, ()))):
             raise IntegrationError(f"non-finite tangent transport at {path.stem[1]:.6g}")
-        c, frob, es = _local_monodromy(path, order, circle, series, ints[circle[-1]])
+        c, frob, es = _local_monodromy(path, circle, series, ints[circle[-1]])
         sinv = mat_inv_unit(u)
         lasso = mat_mul(sinv, mat_mul(c, u))
         xs = [mat_mul(sinv, _sub(d, mat_mul(e, u))) for d, e in zip(du, es)]
@@ -1017,8 +1024,8 @@ def _assemble(plan, series: _Series, ints, count: int):
 
 
 def _lassos(jobs, tangents=()):
-    """(plans, series, ints): the lassos of each job (poles, paths, orders)
-    of the list ``jobs``, one representation each, planned and summed, with
+    """(plans, series, ints): the lassos of each job (poles, paths) of the
+    list ``jobs``, one representation each, planned and summed, with
     the integrals of their derivatives along the job's tangents
     ``tangents[i]`` (none without tangents), for ``_assemble`` to assemble
     each job's plan ``plans[i]``.  ``poles`` lists the (pole, theta/4, m/2)
@@ -1035,12 +1042,12 @@ def _lassos(jobs, tangents=()):
     integrals per tangent.  Each row rounds as it would alone, so the
     results are bit for bit those of each job walked on its own."""
     rows, plans = [], []
-    for poles, paths, orders in jobs:
+    for poles, paths in jobs:
         plan = []
-        for path, order in zip(paths, orders):
+        for path in paths:
             steps = []
             _transport(poles, path.stem, rows, steps)
-            plan.append((path, order, steps, _circle_row(poles, path, order, rows)))
+            plan.append((path, steps, _circle_row(poles, path, rows)))
         plans.append(plan)
     series = _lockstep(rows) if rows else None
     ints = [()] * len(rows)  # the quadratures' integrals per tangent, by row
@@ -1048,9 +1055,8 @@ def _lassos(jobs, tangents=()):
         poles = np.array([job[0] for job in jobs], dtype=complex)
         tangents = np.array(tangents, dtype=complex)
         planned = [(i, lasso) for i, plan in enumerate(plans) for lasso in plan]
-        steps = [(i, *step) for i, (_, _, stem, _) in planned for step in stem]
-        circles = [(i, path, order, circle[0], circle[-1])
-                   for i, (path, order, _, circle) in planned]
+        steps = [(i, *step) for i, (_, stem, _) in planned for step in stem]
+        circles = [(i, path, circle[0], circle[-1]) for i, (path, _, circle) in planned]
         # a failed series is read on here and raised by the assembly
         with np.errstate(all="ignore"):
             for quadrature, items in ((_step_tangents, steps), (_circle_tangents, circles)):
@@ -1076,8 +1082,7 @@ class MonodromyEngine:
     def __init__(self, data: SphereData):
         self.data = data
         self.paths = build_lassos(data)
-        self.order = [path.target for path in self.paths]
-        seq = [data.order_at(tgt) for tgt in self.order]
+        seq = [path.order for path in self.paths]
         self.signature = Signature(0, tuple(o for o in seq if o is not None), seq.count(None),
                                    marked_orders=tuple(seq))
 
@@ -1091,11 +1096,11 @@ class MonodromyEngine:
 def transport(jobs, relation_tol: float = RELATION_TOL,
               tangents: Sequence[Sequence[Tangent]] = ()) -> list[Transport]:
     """rho, its Wronskian drift and its tangent images for each job
-    (engine, data) of ``jobs``, along the engine's frozen lassos and along
-    the job's tangents ``tangents[i]`` (see ``potential_tangent``; none
-    without).  ``_lassos`` takes every job: every stem step and every circle
-    summed in one lockstep batch, each circle's monodromy exact, and one
-    quadrature per kind for every tangent.  The drift is the worst
+    (engine, data) of ``jobs``, along the engine's frozen lassos (their
+    orders are the data's) and along the job's tangents ``tangents[i]``
+    (see ``potential_tangent``; none without).  ``_lassos`` takes every job:
+    every stem step and every circle summed in one lockstep batch, each
+    circle's monodromy exact, and one quadrature per kind for every tangent.  The drift is the worst
     |det - 1| of the lasso images and the stems and of the Frobenius
     Wronskians against their exact values; a rho whose lasso relation
     c1 ... cn misses +-identity by more than ``relation_tol`` (or by NaN),
@@ -1111,8 +1116,7 @@ def transport(jobs, relation_tol: float = RELATION_TOL,
     transport) and checking its relation.  ``jobs`` is a list: the caller
     builds every engine first, and raises its errors."""
     count = len(tangents[0]) if any(tangents) else 0
-    plans, series, ints = _lassos([(data.half_q_terms(), engine.paths,
-                                    [data.order_at(p.target) for p in engine.paths])
+    plans, series, ints = _lassos([(data.half_q_terms(), engine.paths)
                                    for engine, data in jobs], tangents)
     out = []
     for (engine, _), plan in zip(jobs, plans):

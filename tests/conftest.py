@@ -167,27 +167,26 @@ def transfers(poles, steps, tangents=()):
             for z0, h, row in planned]
 
 
-def local_monodromies(poles, paths, orders, tangents=()):
+def local_monodromies(poles, paths, tangents=()):
     """(C, drift, [E per tangent]) of ``_local_monodromy`` for the circle of
-    each of ``paths`` about a point of the given order, their Frobenius
+    each of ``paths``, their Frobenius
     series summed in one batch and their tangents integrated by one
     ``_circle_tangents`` call."""
     rows = []
-    circles = [_circle_row(poles, path, order, rows) for path, order in zip(paths, orders)]
+    circles = [_circle_row(poles, path, rows) for path in paths]
     series = _lockstep(rows)
     ints = _integrals(_circle_tangents, series,
-                      [(0, path, order, circle[0], circle[-1])
-                       for path, order, circle in zip(paths, orders, circles)],
+                      [(0, path, circle[0], circle[-1]) for path, circle in zip(paths, circles)],
                       poles, tangents, len(rows))
-    return [_local_monodromy(path, order, circle, series, ints[circle[-1]])
-            for path, order, circle in zip(paths, orders, circles)]
+    return [_local_monodromy(path, circle, series, ints[circle[-1]])
+            for path, circle in zip(paths, circles)]
 
 
-def lassos(poles, paths, orders, tangents=()):
+def lassos(poles, paths, tangents=()):
     """(images, drift, [dL per tangent] per lasso) of one representation
     with its derivatives along ``tangents``: the ``_lassos`` batch of this
     one job, assembled (``_assemble``)."""
-    (plan,), series, ints = _lassos([(poles, paths, orders)], [tangents])
+    (plan,), series, ints = _lassos([(poles, paths)], [tangents])
     return _assemble(plan, series, ints, len(tangents))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import Optional
 
 from charvar.monodromy import _MAX_TERMS, _TAIL, IntegrationError, LoopPath, _sub
 from charvar.sl2 import mat_det, mat_inv_unit, mat_mul
@@ -68,7 +67,7 @@ def reference_laurent(poles, tangents, path: LoopPath, s: complex):
         m += 1
 
 
-def reference_local_monodromy(poles, tangents, path: LoopPath, order: Optional[int]):
+def reference_local_monodromy(poles, tangents, path: LoopPath):
     """(C, [E per tangent], Wronskian drift) for the circle of ``path``
     (column convention, row-major 4-tuples): C = Phi N Phi^-1 is the exact
     monodromy of the loop from the entry point, E = dPhi Phi^-1 along each
@@ -100,8 +99,8 @@ def reference_local_monodromy(poles, tangents, path: LoopPath, order: Optional[i
     else:
         s = entry - poles[path.target][0]
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
-    cusp = order is None
-    dlt = 0.0 if cusp else 1.0 / order
+    cusp = path.order is None
+    dlt = 0.0 if cusp else 1.0 / path.order
     coeffs = reference_laurent(poles, tangents, path, s)
     P: list[complex] = []
     dP: list[list[complex]] = [[] for _ in tangents]

@@ -394,7 +394,7 @@ def scalar_stem(poles, vertices) -> Mat2:
     return u
 
 
-def scalar_local_monodromy(poles, path, order):
+def scalar_local_monodromy(poles, path):
     """(C, Wronskian drift) of the circle of ``path`` (see
     ``charvar.monodromy._local_monodromy``) from its Frobenius series summed
     alone."""
@@ -405,8 +405,8 @@ def scalar_local_monodromy(poles, path, order):
     else:
         s = entry - poles[path.target][0]
         g, ginv = (1 + 0j, 0j, 0j, 1 / s), (1 + 0j, 0j, 0j, s)
-    cusp = order is None
-    dlt = 0.0 if cusp else 1.0 / order
+    cusp = path.order is None
+    dlt = 0.0 if cusp else 1.0 / path.order
     a, b = scalar_series(mono._laurent(poles, path, s), [1.0 + 0j], [0j if cusp else 1.0 + 0j],
                          (dlt, -dlt), cusp, f"Frobenius series at {path.target}")
     sa, sb = sum(a), sum(b)
@@ -438,7 +438,7 @@ def scalar_transport(jobs, relation_tol: float = 1e-5):
         images, drifts = [], []
         for path in engine.paths:
             u = scalar_stem(poles, path.stem)
-            c, frob = scalar_local_monodromy(poles, path, data.order_at(path.target))
+            c, frob = scalar_local_monodromy(poles, path)
             lasso = mat_mul(mat_inv_unit(u), mat_mul(c, u))
             images.append(lasso)
             drifts.append(nan_max(mono.wronskian_drift(lasso), mono.wronskian_drift(u), frob))

@@ -220,9 +220,8 @@ def test_criterion_7_kawai_pullback_consequences():
         # (a) five marked points, two accessory directions
         base5 = build_potential([0, 1, 2.2 + 0.4j, -0.9 + 0.9j], [None] * 4, None,
                                 [0.15 + 0.05j, -0.1 + 0.2j], base_point=0.35 - 1.3j)
-        rep5 = kawai_experiment(base5, [PointDirection((0, 0, 1, 0))], grid=[GridOffset()])
-        res5 = rep5.results[0]
-        tlab = rep5.labels[-1]
+        (res5,) = kawai_experiment(base5, [PointDirection((0, 0, 1, 0))], grid=[GridOffset()])
+        tlab = res5.labels[-1]
         fiber_fiber = abs(res5.pairing("c0", "c1"))
         base_fiber = max(abs(res5.pairing("c0", tlab)), abs(res5.pairing("c1", tlab)))
         assert fiber_fiber <= 1e-4 * base_fiber
@@ -234,9 +233,9 @@ def test_criterion_7_kawai_pullback_consequences():
         grid = [GridOffset(t=(dt,), c=(dc,))
                 for dt in (0, 0.035 + 0.02j, 0.07 - 0.01j)
                 for dc in (0, 0.06 + 0.03j, 0.12 - 0.04j)]
-        rep4 = kawai_experiment(base4, [PointDirection((0, 0, 1))], grid=grid)
+        results4 = kawai_experiment(base4, [PointDirection((0, 0, 1))], grid=grid)
         by_t = {}
-        for res in rep4.results:
+        for res in results4:
             by_t.setdefault(res.offset.t, []).append(res.pairing("c0", "t2"))
         assert len(by_t) == 3
         for t_off, vals in by_t.items():
@@ -246,16 +245,14 @@ def test_criterion_7_kawai_pullback_consequences():
             assert spread <= 1e-3 * abs(centre), (t_off, vals)
 
         # (c) antisymmetry of every pairing matrix on the grid
-        scale = max(rep4.scale, rep5.scale)
-        assert rep4.max_antisymmetry_defect <= 1e-8 * scale
-        assert rep5.max_antisymmetry_defect <= 1e-8 * scale
+        scale = max(res.scale for res in (*results4, res5))
+        for res in (*results4, res5):
+            assert res.antisymmetry_defect <= 1e-8 * scale
 
-        # hygiene thresholds along the way
-        for rep in (rep4, rep5):
-            for res in rep.results:
-                assert res.relation_residual <= 1e-5
-                assert res.wronskian_drift <= 1e-9
-                assert max(res.trace_drifts.values()) <= 1e-6
+            # hygiene thresholds along the way
+            assert res.relation_residual <= 1e-5
+            assert res.wronskian_drift <= 1e-9
+            assert max(res.trace_drifts.values()) <= 1e-6
 
 
 def test_criterion_8_finite_difference_hygiene():

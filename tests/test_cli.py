@@ -15,6 +15,7 @@ from oracles import cocycle_out
 from charvar import cli
 from charvar.cli import main
 from charvar.cocycles import random_parabolic_cocycle
+from charvar.monodromy import MAX_ORDER
 from charvar.serialize import (dumps_deterministic, representation_in, representation_out,
                                sphere_in, sphere_out)
 from charvar.sl2 import NumericalError
@@ -127,7 +128,7 @@ def test_version_and_help_exit_0(capsys, argv):
 
 
 def test_missing_kawai_config(capsys):
-    code, rep = run_cli(capsys, "kawai", "--config", "missing.json")
+    code, rep = run_cli(capsys, "kawai", "--input", "missing.json")
     assert code == 1
     assert "error" in rep
     code, rep = run_cli(capsys, "kawai", "--input", "/no/such/file.json")
@@ -678,6 +679,97 @@ def test_monodromy_with_an_order_1e8_point_ends_promptly(capsys):
     assert set(rep["trace_residuals"]) == {"c1", "c2", "c3", "c4"}
 
 
+@pytest.mark.parametrize("order", [10 ** 10, 10 ** 17, 10 ** 300],
+                         ids=["1e10", "1e17", "1e300"])
+@pytest.mark.parametrize("site", ["orders", "order_infinity"])
+@pytest.mark.parametrize("free", ["accessory", "residues"])
+def test_order_above_the_maximum_is_input_error(capsys, order, site, free):
+    # above MAX_ORDER, theta = 1 - 1/o^2 is a cusp's to rounding, and an
+    # order of 1e17 divided by zero, 10^300 overflowed the float conversion:
+    # any order above it is refused, naming the maximum, at a point or at
+    # infinity, with the residues solved or given
+    cfg = dict(SPHERE, **{site: [order, None, None] if site == "orders" else order})
+    if free == "residues":
+        del cfg["accessory"]
+        cfg["residues"] = [[0.1, 0], [0.2, 0], [-0.3, 0]]
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code == 1
+    assert f"maximum {MAX_ORDER}" in rep["error"]
+    assert set(rep) == {"error", "version"}
+
+
+@pytest.mark.parametrize("site", ["orders", "order_infinity"])
+def test_order_at_the_maximum_ends_in_a_report(capsys, site):
+    cfg = dict(SPHERE, **{site: [MAX_ORDER, None, None] if site == "orders" else MAX_ORDER})
+    code, rep = run_cli(capsys, "monodromy", "--json", json.dumps(cfg))
+    assert code in (0, 2)
+    assert rep["config"][site] == cfg[site]
+    assert "wronskian_drift" in rep
+
+
+def _out_runs(tmp_path, rho):
+    """Per subcommand, the arguments of an exit-0 run, of an exit-1 run
+    whose options parse, and of an exit-2 run (None where no input provokes
+    one)."""
+    bundle = str(_bundle_path(tmp_path, rho, 4)[0])
+    sphere, kawai = json.dumps(SPHERE), json.dumps(KAWAI)
+    return {
+        "fox": (["--sig", SIG2, "--word", "R", "--gen", "a1"],
+                ["--sig", SIG2, "--word", "R", "--gen", "c9"], None),
+        "identities": (["--sig", SIG2], ["--sig", "not json"], None),
+        "goldman": (["--input", bundle], ["--input", "/no/such/file.json"],
+                    ["--input", bundle, "--tol", "local=0"]),
+        "lambda-check": ([], ["--json", '{"order": 3}'], ["--tol", "identity=0"]),
+        "monodromy": (["--json", sphere], ["--json", json.dumps(NAN_POINT)],
+                      ["--json", sphere, "--tol", "wronskian=1e-18"]),
+        "kawai": (["--json", kawai], ["--input", "/no/such/file.json"],
+                  ["--json", kawai, "--tol", "antisymmetry=0"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["fox", "identities", "goldman", "lambda-check",
+                                     "monodromy", "kawai"])
+def test_out_receives_every_parsed_report(capsys, tmp_path, orb3_rep, command):
+    # every report printed once the options parse is the file's content,
+    # byte for byte, whatever the exit code; a stale file is overwritten
+    out = tmp_path / "report.json"
+    for code, args in enumerate(_out_runs(tmp_path, orb3_rep)[command]):
+        if args is None:
+            continue
+        out.write_text("stale")
+        assert main([command, *args, "--out", str(out)]) == code, args
+        assert out.read_text() == capsys.readouterr().out, args
+
+
+def test_out_is_not_written_on_a_usage_error(capsys, tmp_path):
+    # a usage error parsed no --out: it only prints
+    out = tmp_path / "report.json"
+    out.write_text("stale")
+    assert main(["kawai", "--bogus", "--out", str(out)]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert out.read_text() == "stale"
+
+
+def test_out_write_failure_is_one_report(capsys, tmp_path):
+    # a path that cannot be written is an input error: one report on stdout
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["identities", "--sig", SIG2, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(f"cannot write {out}")
+
+
+@pytest.mark.parametrize("command", ["fox", "identities", "goldman", "lambda-check",
+                                     "monodromy", "kawai"])
+def test_unknown_tolerance_is_input_error(capsys, tmp_path, orb3_rep, command):
+    # fox and identities check nothing, so --tol is no option of theirs (a
+    # usage error); the others know no tolerance x
+    args = _out_runs(tmp_path, orb3_rep)[command][0]
+    code, rep = run_cli(capsys, command, *args, "--tol", "x=1")
+    assert code == 1
+    assert set(rep) == {"error", "version"}
+
+
 def test_lambda_check_nan_residual_fails(capsys):
     # some samples' lambda3/b2 residuals come out NaN; max() used to drop them
     code, rep = run_cli(capsys, "lambda-check", "--json",
@@ -856,10 +948,10 @@ def test_kawai_fiber_pairings_at_noise_level_pass(capsys, monkeypatch, name):
     experiment = cli.kawai_experiment
 
     def skewed(*args, **kwargs):
-        rep = experiment(*args, **kwargs)
-        for result in rep.results:
+        results = experiment(*args, **kwargs)
+        for result in results:
             result.omega[-1][0] += 1e-6
-        return rep
+        return results
 
     monkeypatch.setattr(cli, "kawai_experiment", skewed)
     code, rep = run_cli(capsys, "kawai", "--json", json.dumps(_fiber_config(name)))

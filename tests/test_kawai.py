@@ -84,9 +84,8 @@ def test_tangent_cocycles_match_finite_differences(fixture, request):
 
 def test_single_grid_point_experiment():
     base = four_cusp_data()
-    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=[GridOffset()])
-    assert rep.labels == ["c0", "t2"]
-    res = rep.results[0]
+    (res,) = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=[GridOffset()])
+    assert res.labels == ["c0", "t2"]
     assert res.antisymmetry_defect <= 1e-8 * res.scale
     assert res.relation_residual < 1e-6
     assert res.wronskian_drift < 1e-9
@@ -109,8 +108,8 @@ def test_reduced_cocycles_keep_omega_accurate():
     rng = np.random.default_rng(1)
     grid += [GridOffset(t=(complex(*0.06 * rng.standard_normal(2)),),
                         c=(complex(*0.06 * rng.standard_normal(2)),)) for _ in range(40)]
-    rep = kawai_experiment(base, t_dirs, grid=grid)
-    errs = [abs(r.pairing("c0", "t2") / (math.pi * 1j) - 1) for r in rep.results]
+    results = kawai_experiment(base, t_dirs, grid=grid)
+    errs = [abs(r.pairing("c0", "t2") / (math.pi * 1j) - 1) for r in results]
     assert max(errs[:3]) <= 5e-11, errs[:3]
     assert statistics.median(errs[3:]) <= 2.5e-11
 
@@ -122,7 +121,7 @@ def test_omega_is_pi_i_on_orbifolds(orders):
     # an elliptic point of order 2 or 3 at the point 0 or at t
     base = build_potential([0, 1, FOUR_CUSP_T], orders, None, [0.2 + 0.1j],
                            base_point=FOUR_CUSP_ZB)
-    res = kawai_experiment(base, [PointDirection((0, 0, 1))]).results[0]
+    (res,) = kawai_experiment(base, [PointDirection((0, 0, 1))])
     assert abs(res.pairing("c0", "t2") / (math.pi * 1j) - 1) <= 1e-7
     assert res.antisymmetry_defect <= 1e-8 * res.scale
 
@@ -142,32 +141,31 @@ def test_grid_points_are_independent(config, monkeypatch):
     Circle = namedtuple("Circle", "order a")
 
     def recorded(series, circles, poles, tangents):
-        batches.append([(i, Circle(order, series.coeffs[row, 0, :series.lengths[row]]))
-                        for i, _, order, _, row in circles])
+        batches.append([(i, Circle(path.order, series.coeffs[row, 0, :series.lengths[row]]))
+                        for i, path, _, row in circles])
         return circle_tangents(series, circles, poles, tangents)
 
     monkeypatch.setattr(mono, "_circle_tangents", recorded)
     base, t_dirs, grid, acc = _experiment(config)
-    rep = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
+    results = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
     assert len(grid) == 3 and len(batches) == 1
     assert sorted({i for i, _ in batches[0]}) == [0, 1, 2]
     assert len({len(cir.a) for _, cir in batches[0]}) > 1
     if config == "kawai-5point.json":
         assert {cir.order for _, cir in batches[0]} == {None, 2, 3}
-    for offset, point in zip(grid, rep.results):
-        alone = kawai_experiment(base, t_dirs, grid=[offset], accessory_directions=acc)
+    for offset, point in zip(grid, results):
+        (alone,) = kawai_experiment(base, t_dirs, grid=[offset], accessory_directions=acc)
         assert dumps_deterministic(_grid_out(point)) == dumps_deterministic(
-            _grid_out(alone.results[0])), offset
+            _grid_out(alone)), offset
 
 
 def test_grid_offsets_and_report_shape():
     base = four_cusp_data()
     grid = [GridOffset(t=(0.0,), c=(0.0,)), GridOffset(t=(0.02,), c=(0.01 + 0.005j,))]
-    rep = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid)
-    assert len(rep.results) == 2
-    assert [_grid_out(r)["labels"] for r in rep.results] == [["c0", "t2"]] * 2
-    assert rep.labels == ["c0", "t2"]
-    assert rep.scale > 1.0
+    results = kawai_experiment(base, [PointDirection((0, 0, 1))], grid=grid)
+    assert [r.offset for r in results] == grid
+    assert [_grid_out(r)["labels"] for r in results] == [["c0", "t2"]] * 2
+    assert max(r.scale for r in results) > 1.0
 
 
 def test_fd_step_doubling_stability(four_cusp_engine, four_cusp_rep):
@@ -211,7 +209,7 @@ def test_grid_point_pairs_each_cocycle_once(monkeypatch):
     for grid in ([GridOffset()], [GridOffset(), GridOffset(t=(0.02,)), GridOffset(c=(0.01,))]):
         calls.update(solve=[], walk=0)
         walked.clear()
-        rep = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=grid)
-        assert rep.labels == ["c0", "t2"]
+        results = kawai_experiment(four_cusp_data(), [PointDirection((0, 0, 1))], grid=grid)
+        assert [r.labels for r in results] == [["c0", "t2"]] * len(grid)
         assert calls == {"solve": [[(2, 4)] * len(grid)], "walk": 2 * len(grid)}
         assert len(walked) == len(grid)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -177,3 +178,21 @@ def test_no_module_defines_as_dict():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "as_dict"]
     assert not defining, f"as_dict defined in src/: {defining}"
+
+
+#: a bound as the README writes it: "`module.NAME` = value", the value an
+#: integer or a power such as 10^8
+_README_BOUND = re.compile(r"`(\w+)\.([A-Z][A-Z_]*)` = (\d+)(?:\^(\d+))?")
+
+
+def test_readme_bounds_are_the_constants():
+    # each bound the README states by name must be the constant's value
+    stated = {(module, name): int(base) ** int(power or 1)
+              for module, name, base, power in _README_BOUND.findall(
+                  (ROOT / "README.md").read_text())}
+    assert {("words", "MAX_WORD_LETTERS"), ("words", "MAX_RELATOR_LETTERS"),
+            ("cli", "MIN_JET_ORDER"), ("cli", "MAX_JET_ORDER"),
+            ("monodromy", "MAX_ORDER")} <= set(stated)
+    wrong = {f"{module}.{name}": value for (module, name), value in stated.items()
+             if getattr(importlib.import_module(f"charvar.{module}"), name) != value}
+    assert not wrong, f"README bounds that are not the constants: {wrong}"

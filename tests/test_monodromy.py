@@ -128,7 +128,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: transport([(0, 0.25, 1e200)], [1, 1j]),
                 "Frobenius series at 0":
-                lambda: local_monodromies([(0, 0.25, 1e200)], [LoopPath((2, 1), 0, 0)], [None])}
+                lambda: local_monodromies([(0, 0.25, 1e200)], [LoopPath((2, 1), 0, 0, None)])}
         for name, run in runs.items():
             with pytest.raises(IntegrationError, match=re.escape(f"non-finite {name}")):
                 run()
@@ -142,7 +142,7 @@ class TestTransport:
         runs = {"Taylor series at 1+0j":
                 lambda: transport([(0, 0.25, 0.1)], [1, 1.5]),
                 "Frobenius series at 0":
-                lambda: local_monodromies(poles, [LoopPath((1j, 0.5), 0, 0)], [3])}
+                lambda: local_monodromies(poles, [LoopPath((1j, 0.5), 0, 0, 3)])}
         for name, run in runs.items():
             with pytest.raises(IntegrationError,
                                match=re.escape(f"{name} did not converge in 8 terms")):
@@ -190,7 +190,7 @@ def test_transport_against_dp5_oracle():
             ref = dp5_transport(poles, lasso_polyline(path))
             scale = max(abs(x) for x in ref)
             m, _ = transport(poles, lasso_polyline(path))
-            image = _row(lassos(poles, [path], [data.order_at(path.target)])[0][0])
+            image = _row(lassos(poles, [path])[0][0])
             for got in (m, image):
                 assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-11 * scale, \
                     (config, path.target)
@@ -204,9 +204,8 @@ def test_lasso_traces_are_exact(source):
     data = _sphere(source)
     poles = data.half_q_terms()
     for path in build_lassos(data):
-        order = data.order_at(path.target)
-        m = _row(lassos(poles, [path], [order])[0][0])
-        want = -2 * math.cos(math.pi / order) if order else -2.0
+        m = _row(lassos(poles, [path])[0][0])
+        want = -2 * math.cos(math.pi / path.order) if path.order else -2.0
         bound = 1e-14 * max(1.0, max(abs(x) for x in m)) ** 2
         assert abs(m[0] + m[3] - want) <= bound, (source, path.target)
 
@@ -222,7 +221,7 @@ def _recorded_steps(monkeypatch, run):
     def planned(calls, tangents=()):  # the poles and tangents of a call's jobs
         jobs[:] = [(poles, [[tuple(map(complex, v)) for v in t]
                             for t in (tangents[i] if any(tangents) else [])])
-                   for i, (poles, _, _) in enumerate(calls)]
+                   for i, (poles, _) in enumerate(calls)]
         return lassos(calls, tangents)
 
     def assembled(plan, series, ints, count):  # one batch per job, filled as it is assembled
@@ -448,11 +447,9 @@ def _random_tangents(data, rng, count=2):
 
 def _circles(data, poles, tangents=()):
     """(C, drift, [E per tangent]) of ``_local_monodromy`` for every lasso of
-    ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the paths and
-    the orders."""
+    ``data`` at build_lassos' radius, MAX_RADIUS_FACTOR, with the paths."""
     paths = build_lassos(data)
-    orders = [data.order_at(path.target) for path in paths]
-    return local_monodromies(poles, paths, orders, tangents), paths, orders
+    return local_monodromies(poles, paths, tangents), paths
 
 
 def test_local_tangents_match_the_differentiated_series():
@@ -470,17 +467,17 @@ def test_local_tangents_match_the_differentiated_series():
     for data in _local_sources():
         tangents = _random_tangents(data, rng)
         poles = data.half_q_terms()
-        circles, paths, orders = _circles(data, poles, tangents)
+        circles, paths = _circles(data, poles, tangents)
         assert len(circles) == len(paths)
-        for (c, drift, es), path, order in zip(circles, paths, orders):
-            seen.add((path.target == "inf", order))
-            assert (c, [], drift) == reference_local_monodromy(poles, [], path, order)
-            cr, refs, _ = reference_local_monodromy(poles, tangents, path, order)
+        for (c, drift, es), path in zip(circles, paths):
+            seen.add((path.target == "inf", path.order))
+            assert (c, [], drift) == reference_local_monodromy(poles, [], path)
+            cr, refs, _ = reference_local_monodromy(poles, tangents, path)
             assert len(es) == len(refs) == 2
             for e, ref in zip(es, refs):
                 gap = max(abs(x - y) for x, y in zip(_commutator(e, c), _commutator(ref, cr)))
                 scale = max(map(abs, ref)) * max(map(abs, cr))
-                assert gap <= 1e-13 * scale, (data.points, path.target, order)
+                assert gap <= 1e-13 * scale, (data.points, path.target, path.order)
     assert seen == {(at_inf, o) for at_inf in (False, True) for o in (None, 2, 3, 4, 6)}
 
 
@@ -495,14 +492,14 @@ def test_circle_batch_entries_are_the_one_circle_values():
     for data in _local_sources():
         tangents = _random_tangents(data, rng)
         poles = data.half_q_terms()
-        batch, paths, orders = _circles(data, poles, tangents)
-        for (_, _, es), path, order in zip(batch, paths, orders):
-            kinds.add((path.target == "inf", order is None))
-            (alone,) = local_monodromies(poles, [path], [order], tangents)
+        batch, paths = _circles(data, poles, tangents)
+        for (_, _, es), path in zip(batch, paths):
+            kinds.add((path.target == "inf", path.order is None))
+            (alone,) = local_monodromies(poles, [path], tangents)
             assert repr(es) == repr(alone[2])
         rows = []
-        for path, order in zip(paths, orders):
-            _circle_row(poles, path, order, rows)
+        for path in paths:
+            _circle_row(poles, path, rows)
         lengths.add(len(set(_lockstep(rows).lengths)) > 1)
     assert kinds == {(at_inf, cusp) for at_inf in (False, True) for cusp in (False, True)}
     assert lengths == {True}
@@ -621,10 +618,9 @@ def test_lasso_tangents_match_difference_quotients(config):
     for v, w in directions:
         tangent = potential_tangent(data, v, w)
         for path in paths:
-            order = data.order_at(path.target)
-            ((dm,),) = lassos(data.half_q_terms(), [path], [order], [tangent])[2]
+            ((dm,),) = lassos(data.half_q_terms(), [path], [tangent])[2]
             fd = _stencil(lambda s: _row(lassos(
-                _moved(data, v, w, s).half_q_terms(), [path], [order])[0][0]))
+                _moved(data, v, w, s).half_q_terms(), [path])[0][0]))
             scale = max(abs(x) for x in dm)
             assert max(abs(x - y) for x, y in zip(dm, fd)) < 1e-9 * scale, (v, path.target)
 
@@ -807,7 +803,7 @@ def test_truncated_local_series_exits_2(capsys, monkeypatch):
         batches.append(rows)
         return lockstep(rows)
 
-    def truncated(path, order, circle, series, ints):
+    def truncated(path, circle, series, ints):
         *head, row = circle
         monkeypatch.setattr(mono, "_TAIL", 2.0 ** -22)
         try:
@@ -815,7 +811,7 @@ def test_truncated_local_series_exits_2(capsys, monkeypatch):
         finally:
             monkeypatch.setattr(mono, "_TAIL", tail)
         assert short.lengths[0] < series.lengths[row]
-        return local(path, order, (*head, 0), short, ints)
+        return local(path, (*head, 0), short, ints)
 
     monkeypatch.setattr(mono, "_lockstep", recorded)
     monkeypatch.setattr(mono, "_local_monodromy", truncated)
@@ -836,7 +832,7 @@ def _rows_of_every_kind():
         poles = data.half_q_terms()
         for path in build_lassos(data):
             _transport(poles, path.stem, rows, [])
-            _circle_row(poles, path, data.order_at(path.target), rows)
+            _circle_row(poles, path, rows)
     _step_row([(1.0 + 0j, 0.25, 0.3 - 0.2j)], 0j, 0.9 + 0j, rows)
     return rows
 
