@@ -39,7 +39,11 @@ class InputError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: ``_dispatch`` reports it as JSON with
-    exit code 1.  Subcommand parsers are of this class too."""
+    exit code 1.  Subcommand parsers are of this class too.  An option is
+    taken only as spelled in full: a prefix of one is a usage error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")

@@ -13,7 +13,6 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -58,20 +57,20 @@ def elliptic_trace_residual(t: float, order: int) -> float:
 RelatorFrame = namedtuple("RelatorFrame", "letters prefixes inverses")
 
 
-@dataclass(frozen=True)
 class Representation:
     """Generator-indexed homomorphism of the signature's group into PSL(2,C).
     ``images`` is a read-only copy of the mapping given, so that what is
     computed once per representation cannot go stale."""
 
-    signature: Signature
-    images: Mapping[str, MoebiusMap]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
+    def __init__(self, signature: Signature, images: Mapping[str, MoebiusMap]):
+        self.signature, self.images = signature, MappingProxyType(dict(images))
         missing = [g for g in self.signature.generators if g not in self.images]
         if missing:
             raise ValueError(f"missing generator images: {missing}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Representation) and \
+            (self.signature, self.images) == (other.signature, other.images)
 
     def image(self, w: FreeWord) -> MoebiusMap:
         return word_images(self, w)[1][-1]
@@ -137,13 +136,18 @@ def word_images(rho: Representation, w: FreeWord):
     return letters, prefixes
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """Map Gamma -> P2 satisfying chi(g1 g2) = chi(g1) + rho(g1).chi(g2),
     stored on generators."""
 
-    base: Representation
-    values: dict[str, QuadPoly]
+    __slots__ = ("base", "values")
+
+    def __init__(self, base: Representation, values: dict[str, QuadPoly]):
+        self.base, self.values = base, values
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cocycle) and \
+            (self.base, self.values) == (other.base, other.values)
 
     def __call__(self, w: FreeWord) -> QuadPoly:
         return self.along(*word_images(self.base, w))[-1]
@@ -173,11 +177,9 @@ class Cocycle:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class LocalSolve:
-    poly: QuadPoly
-    residual: float
-    kernel_dim: int
+#: one local solve of ``local_coboundaries``: P as a QuadPoly, its residual
+#: and the kernel dimension of its system
+LocalSolve = namedtuple("LocalSolve", "poly residual kernel_dim")
 
 
 def _matvec(a, x):

@@ -27,7 +27,6 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cocycles import (LOCAL_TOL, Cocycle, LocalSolve, RelatorFrame, Representation,
@@ -42,15 +41,10 @@ _REDUCIBLE = ("representation is visibly reducible (common fixed point); "
               "the pairing may be degenerate")
 
 
-@dataclass
-class PairingReport:
-    """Value of the pairing together with the correction data that entered
-    it: chi2's local solve at each marked generator, and the relator
-    residuals of chi1 and chi2."""
-
-    value: complex
-    solves: dict[str, LocalSolve]
-    relator_residuals: tuple[float, float]
+#: value of the pairing together with the correction data that entered it:
+#: chi2's ``LocalSolve`` per marked generator name, and the relator
+#: residuals (chi1, chi2)
+PairingReport = namedtuple("PairingReport", "value solves relator_residuals")
 
 
 #: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i

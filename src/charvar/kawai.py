@@ -16,7 +16,7 @@ report is bit for bit that of its offset run alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .cocycles import reduce_by_coboundary, tangent_cocycle
@@ -26,11 +26,10 @@ from .monodromy import (RELATION_TOL, MonodromyEngine, SphereData, Transport,
 from .sl2 import Mat2, MoebiusMap
 
 
-@dataclass(frozen=True)
-class AccessoryDirection:
-    """Perturb one free residue; the two dependent residues re-solve."""
-    index: int
-    scale: complex = 1.0
+class AccessoryDirection(namedtuple("AccessoryDirection", "index scale", defaults=(1.0,))):
+    """Perturb free residue ``index`` at rate ``scale``; the two dependent
+    residues re-solve."""
+    __slots__ = ()
 
     def label(self) -> str:
         return f"c{self.index}"
@@ -44,10 +43,9 @@ class AccessoryDirection:
         return (0j,) * len(data.points), tuple(acc)
 
 
-@dataclass(frozen=True)
-class PointDirection:
-    """Move finite marked points with the given velocities (frozen paths)."""
-    velocities: tuple[complex, ...]
+class PointDirection(namedtuple("PointDirection", "velocities")):
+    """Move finite marked points with the given ``velocities`` (frozen paths)."""
+    __slots__ = ()
 
     def label(self) -> str:
         moving = [i for i, v in enumerate(self.velocities) if v != 0]
@@ -79,23 +77,16 @@ def _abs_trace_rate(image: MoebiusMap, derivative: Mat2) -> float:
     return abs((t.conjugate() * dt).real) / max(abs(t), 1e-300)
 
 
-@dataclass(frozen=True)
-class GridOffset:
-    t: tuple[complex, ...] = ()
-    c: tuple[complex, ...] = ()
+#: one grid point of a kawai experiment: the offsets along the t and the
+#: accessory directions, as tuples of complex numbers
+GridOffset = namedtuple("GridOffset", "t c", defaults=((), ()))
 
 
-@dataclass
-class GridResult:
-    offset: GridOffset
-    labels: list[str]
-    omega: list[list[complex]]
-    relation_residual: float
-    wronskian_drift: float
-    trace_drifts: dict[str, float]
-    cocycle_relator_residuals: dict[str, float]
-    local_residuals: dict[str, float]
-    kernel_dims: dict[str, int]
+class GridResult(namedtuple("GridResult", "offset labels omega relation_residual wronskian_drift "
+                            "trace_drifts cocycle_relator_residuals local_residuals kernel_dims")):
+    """One grid point's report: its ``GridOffset``, the direction labels, the
+    pairing matrix omega over them, and the residuals of its checks."""
+    __slots__ = ()
 
     @property
     def scale(self) -> float:

@@ -51,7 +51,6 @@ import cmath
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,18 +95,17 @@ def _moment_target(order_infinity: Optional[int], thetas: Sequence[float]) -> fl
     return (theta_of(order_infinity) - sum(thetas)) / 2.0
 
 
-@dataclass(frozen=True)
 class SphereData:
     """Marked sphere with orders, residues and ODE base point; q is determined
     by these fields, infinity is always marked."""
 
-    points: tuple[complex, ...]
-    orders: tuple[Optional[int], ...]
-    order_infinity: Optional[int]
-    residues: tuple[complex, ...]
-    base_point: complex
+    __slots__ = ("points", "orders", "order_infinity", "residues", "base_point")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[complex, ...], orders: tuple[Optional[int], ...],
+                 order_infinity: Optional[int], residues: tuple[complex, ...],
+                 base_point: complex):
+        self.points, self.orders, self.order_infinity = points, orders, order_infinity
+        self.residues, self.base_point = residues, base_point
         if len(self.points) != len(self.orders) or len(self.points) != len(self.residues):
             raise ValueError("points/orders/residues length mismatch")
         if len(self.points) + 1 < 3:
@@ -124,6 +122,20 @@ class SphereData:
             raise ValueError("points, residues and base point must be finite")
         for order in (*self.orders, self.order_infinity):
             theta_of(order)  # raises on an order out of range
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SphereData) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def replace(self, **changes) -> SphereData:
+        """This sphere with the fields named in ``changes`` changed, validated
+        as construction is."""
+        return SphereData(**dict(zip(self.__slots__, self._key()), **changes))
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -226,18 +238,15 @@ def _seg_point_distance(a: complex, b: complex, p: complex) -> float:
     return abs(p - (a + t * d))
 
 
-@dataclass(frozen=True)
-class LoopPath:
-    """Lasso about one marked point: the stem from the base point to the entry
-    point, the circle about ``centre`` through the entry counterclockwise (for
-    infinity: clockwise, i.e. ccw in the chart w = 1/(z - centre)), and the
-    stem back.  Only the stem is integrated; the circle's monodromy is exact
-    (see ``_local_monodromy``) from the marked point's ``order``."""
-
-    stem: tuple[complex, complex]
-    centre: complex
-    target: object  # index into points, or "inf"
-    order: Optional[int]  # None at a cusp
+class LoopPath(namedtuple("LoopPath", "stem centre target order")):
+    """Lasso about one marked point ``target`` (an index into the points, or
+    "inf"): the ``stem`` (base point, entry point), the circle about
+    ``centre`` through the entry counterclockwise (for infinity: clockwise,
+    i.e. ccw in the chart w = 1/(z - centre)), and the stem back.  Only the
+    stem is integrated; the circle's monodromy is exact (see
+    ``_local_monodromy``) from the marked point's ``order`` (None at a
+    cusp)."""
+    __slots__ = ()
 
     def min_clearance(self, points: Sequence[complex]) -> float:
         """Closest approach of the stem to a marked point other than its own.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,15 +80,12 @@ def quadpoly_jet(P: QuadPoly, z0: complex, order: int) -> Jet:
 # exactly gamma-invariant potentials, q o gamma (gamma')^2 = q
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InvariantPotential:
+class InvariantPotential(namedtuple("InvariantPotential", "gamma sigma kind")):
     """q = (normal-form invariant) pulled back by the conjugator sigma that
     sends gamma to its normal form; invariance is exact by functoriality of
-    the quadratic-differential pullback."""
-
-    gamma: MoebiusMap
-    sigma: MoebiusMap
-    kind: str                 # "parabolic" (q0 = e^{2 pi i w}) or "generic" (q0 = 1/w^2)
+    the quadratic-differential pullback.  ``kind`` is "parabolic" (q0 =
+    e^{2 pi i w}) or "generic" (q0 = 1/w^2)."""
+    __slots__ = ()
 
     def jet(self, z0: complex, order: int = DEFAULT_ORDER) -> Jet:
         s = moebius_jet(self.sigma, z0, order + 2)
@@ -331,12 +328,9 @@ class QuadratureError(NumericalError):
     """Dyadic refinement exhausted without the two finest levels agreeing."""
 
 
-@dataclass
-class LambdaSolveResult:
-    value: complex
-    residual: float
-    panels: int
-    quad_error: float
+#: ``solve_lambda_report``'s value, its residual, its panel count and the
+#: quadrature's error estimate
+LambdaSolveResult = namedtuple("LambdaSolveResult", "value residual panels quad_error")
 
 
 def _moment_integrals(f: JetProvider, Q, z0: complex, z1: complex,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Optional
 
 Letter = tuple[str, int]
@@ -106,7 +106,6 @@ class FreeWord:
         return f"FreeWord({self})"
 
 
-@dataclass(frozen=True)
 class Signature:
     """Orbifold signature (g; n, e_1..e_m) with the standard presentation
 
@@ -118,24 +117,29 @@ class Signature:
     argument, not by type.
     """
 
-    g: int
-    elliptic_orders: tuple[int, ...] = ()
-    cusps: int = 0
-    marked_orders: Optional[tuple[Optional[int], ...]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "elliptic_orders", tuple(self.elliptic_orders))
-        if self.g < 0 or self.cusps < 0:
+    def __init__(self, g: int, elliptic_orders: tuple[int, ...] = (), cusps: int = 0,
+                 marked_orders: Optional[tuple[Optional[int], ...]] = None):
+        self.g, self.elliptic_orders, self.cusps = g, tuple(elliptic_orders), cusps
+        self.marked_orders = marked_orders
+        if g < 0 or cusps < 0:
             raise ValueError("genus and cusp count must be non-negative")
         for e in self.elliptic_orders:
             if not isinstance(e, int) or e < 2:
                 raise ValueError(f"elliptic order must be an integer >= 2, got {e}")
-        if self.marked_orders is not None:
-            mo = tuple(self.marked_orders)
-            object.__setattr__(self, "marked_orders", mo)
+        if marked_orders is not None:
+            self.marked_orders = mo = tuple(marked_orders)
             finite = sorted(o for o in mo if o is not None)
-            if finite != sorted(self.elliptic_orders) or mo.count(None) != self.cusps:
+            if finite != sorted(self.elliptic_orders) or mo.count(None) != cusps:
                 raise ValueError("marked_orders inconsistent with elliptic_orders/cusps")
+
+    def _key(self) -> tuple:
+        return (self.g, self.elliptic_orders, self.cusps, self.marked_orders)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Signature) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:
@@ -180,7 +184,9 @@ class Signature:
         return f"(g={self.g}; elliptic={list(self.elliptic_orders)}, cusps={self.cusps})"
 
 
-_TOKEN = re.compile(r"\s*([abc]\d+)\s*(?:\^\s*(-?\d+))?\s*\*?")
+#: one letter of a word as text; ``parse_word`` compiles it (``re`` caches
+#: the result), so that importing the package compiles no pattern
+_TOKEN = r"\s*([abc]\d+)\s*(?:\^\s*(-?\d+))?\s*\*?"
 
 
 #: the most letters a word given as text may have (``parse_word``), counted
@@ -199,14 +205,14 @@ MAX_RELATOR_LETTERS = 8192
 def parse_word(text: str, sig: Signature) -> FreeWord:
     """Parse expressions like ``"a1 b1^-1 c2^3"`` into a reduced FreeWord of
     at most MAX_WORD_LETTERS letters before reduction."""
-    gens = set(sig.generators)
+    gens, token = set(sig.generators), re.compile(_TOKEN)
     pos = 0
     tokens: list[tuple[str, int]] = []
     text = text.strip()
     if text in ("", "1"):
         return FreeWord()
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             raise ValueError(f"malformed word near {text[pos:pos + 12]!r}")
         name, exp_s = m.group(1), m.group(2)
@@ -340,13 +346,10 @@ def relator(sig: Signature) -> FreeWord:
     return prefix_products(sig)[-1]
 
 
-@dataclass(frozen=True)
-class DualGenerators:
-    """Weil dual generators from the canonical fundamental domain's edge pairing."""
-
-    alphas: tuple[FreeWord, ...]   # alpha_k = R_{k-1} b_k^-1 R_k^-1
-    betas: tuple[FreeWord, ...]    # beta_k  = R_k a_k^-1 R_{k-1}^-1
-    gammas: tuple[FreeWord, ...]   # gamma_i = R_{g+i-1} c_i^-1 R_{g+i-1}^-1
+#: Weil dual generators from the canonical fundamental domain's edge
+#: pairing, tuples of words: alpha_k = R_{k-1} b_k^-1 R_k^-1, beta_k = R_k
+#: a_k^-1 R_{k-1}^-1 and gamma_i = R_{g+i-1} c_i^-1 R_{g+i-1}^-1
+DualGenerators = namedtuple("DualGenerators", "alphas betas gammas")
 
 
 def dual_generators(sig: Signature) -> DualGenerators:
@@ -364,14 +367,10 @@ def dual_generators(sig: Signature) -> DualGenerators:
     return DualGenerators(alphas, betas, gammas)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    status: bool
-    witness: str = ""
+#: one identity of the suite, whether it holds, and a witness string
+IdentityCheck = namedtuple("IdentityCheck", "identity status witness", defaults=("",))
 
 
-@dataclass
 class PresentationReport:
     """Outcome of the exact word-identity suite for one signature.
 
@@ -381,10 +380,16 @@ class PresentationReport:
     reduction, not assumed.
     """
 
-    signature: Signature
-    checks: list[IdentityCheck] = field(default_factory=list)
-    alpha_convention: Optional[str] = None
-    beta_sign: Optional[int] = None
+    __slots__ = ("signature", "checks", "alpha_convention", "beta_sign")
+
+    def __init__(self, signature: Signature, checks: Optional[list[IdentityCheck]] = None,
+                 alpha_convention: Optional[str] = None, beta_sign: Optional[int] = None):
+        self.signature, self.checks = signature, [] if checks is None else checks
+        self.alpha_convention, self.beta_sign = alpha_convention, beta_sign
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PresentationReport) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def all_pass(self) -> bool:

@@ -750,6 +750,34 @@ def test_out_is_not_written_on_a_usage_error(capsys, tmp_path):
     assert out.read_text() == "stale"
 
 
+@pytest.mark.parametrize("command, config, tol", [("monodromy", "sphere-4cusp.json", "trace=1"),
+                                                 ("kawai", "kawai-4cusp.json", "relation=1e-5")])
+@pytest.mark.parametrize("prefix", ["--inp", "--ou", "--to"])
+def test_an_option_prefix_is_a_usage_error(capsys, tmp_path, command, config, tol, prefix):
+    # an option is taken only as spelled in full: argparse's default would
+    # take --inp, --ou and --to for --input, --out and --tol and exit 0
+    path = str(Path(__file__).resolve().parents[1] / "configs" / config)
+    out = tmp_path / "report.json"
+    value = {"--inp": path, "--ou": str(out), "--to": tol}[prefix]
+    argv = [command, *([] if prefix == "--inp" else ["--input", path]), prefix, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == dumps_deterministic(
+        {"error": f"charvar: unrecognized arguments: {prefix} {value}",
+         "version": cli.__version__}) + "\n"
+    assert not out.exists()
+
+
+def test_grid_offsets_beyond_the_directions_are_one_report(capsys):
+    # the offset is named by its record's repr, byte for byte
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "kawai-4cusp.json").read_text())
+    cfg["grid"] = [{"t": [[0, 0], [0.1, 0]]}]
+    assert main(["kawai", "--json", json.dumps(cfg)]) == 1
+    assert capsys.readouterr().out == (
+        '{"error":"grid offsets GridOffset(t=(0j, (0.1+0j)), c=()) exceed the 1 t and 1 '
+        'accessory directions","version":"0.1.0"}\n')
+
+
 def test_out_write_failure_is_one_report(capsys, tmp_path):
     # a path that cannot be written is an input error: one report on stdout
     out = tmp_path / "no-such-dir" / "report.json"

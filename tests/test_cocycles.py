@@ -477,6 +477,24 @@ class TestCoboundaryReduction:
             assert abs(v_raw - v_red) < 1e-8 * max(1, abs(v_raw))
         assert _relator_residual(r1) < 1e-8 and _relator_residual(r2) < 1e-8
 
+    def test_representation_is_compared_by_value(self, orb3_rep):
+        # reduction and addition take a representation rebuilt from the same
+        # images as the cocycles' own, and refuse one with another image
+        rng = np.random.default_rng(14)
+        chi = random_parabolic_cocycle(orb3_rep, rng)
+        rebuilt = Representation(orb3_rep.signature, dict(orb3_rep.images))
+        assert rebuilt is not orb3_rep and rebuilt == orb3_rep
+        (red,) = reduce_by_coboundary(rebuilt, [chi])
+        assert red.base is rebuilt
+        assert (chi + Cocycle(rebuilt, chi.values)).values["c1"] == 2 * chi.values["c1"]
+        images = dict(orb3_rep.images, a1=MoebiusMap(1, 1e-9, 0, 1))
+        other = Representation(orb3_rep.signature, images)
+        assert other != orb3_rep
+        with pytest.raises(ValueError, match="different representation"):
+            reduce_by_coboundary(other, [chi])
+        with pytest.raises(ValueError, match="different representations"):
+            chi + Cocycle(other, chi.values)
+
     def test_kills_pure_coboundary(self, orb3_rep):
         rng = np.random.default_rng(13)
         delta = coboundary(orb3_rep, random_quadpoly(rng))

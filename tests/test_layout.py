@@ -196,3 +196,38 @@ def test_readme_bounds_are_the_constants():
     wrong = {f"{module}.{name}": value for (module, name), value in stated.items()
              if getattr(importlib.import_module(f"charvar.{module}"), name) != value}
     assert not wrong, f"README bounds that are not the constants: {wrong}"
+
+
+#: the classes of the package that stay dataclasses, each with its reason;
+#: every other record is a namedtuple or a plain class
+DATACLASSES = {"sl2.QuadPoly": "goldman-g8 RSS until ROADMAP item 1"}
+
+
+def test_no_module_uses_dataclass_but_the_allowlist():
+    # every `charvar` command imports the whole package afresh, and each
+    # @dataclass generates and execs its methods then (about 0.5 ms a class
+    # on a 2-core x86-64 host): a class is a dataclass only by the
+    # allowlist, and no other code touches the dataclasses module
+    classes, uses = [], []
+    for path in sorted((ROOT / "src" / "charvar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    if "dataclass" in ast.unparse(dec):
+                        classes.append(f"{path.stem}.{node.name}")
+                        decorators.update(id(n) for n in ast.walk(dec))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                uses += [f"{path.stem}: from dataclasses import {a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                uses += [f"{path.stem}: import {a.name}" for a in node.names
+                         if a.name == "dataclasses"]
+            elif isinstance(node, ast.Name) and node.id == "dataclass" \
+                    and id(node) not in decorators:
+                uses.append(f"{path.stem}:{node.lineno}: {node.id}")
+    assert classes == list(DATACLASSES), f"dataclasses off the allowlist: {classes}"
+    allowed = sorted({f"{name.split('.')[0]}: from dataclasses import dataclass"
+                      for name in DATACLASSES})
+    assert uses == allowed, f"uses of the dataclasses module: {uses}"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -59,6 +58,24 @@ class TestPotential:
             build_potential([0, 0], [None, None], None, [])
         with pytest.raises(ValueError):
             build_potential([0], [None], None, [])
+
+    def test_replace_validates_as_construction(self):
+        # a sphere is a value: a replaced copy is a new sphere, equal and of
+        # equal hash where no field changed, and checked as a new one is
+        data = four_cusp_data()
+        same = data.replace()
+        assert same is not data and same == data and hash(same) == hash(data)
+        moved = data.replace(points=(0, 1, 0.5 + 0.5j))
+        assert moved.points == (0, 1, 0.5 + 0.5j) and moved.residues == data.residues
+        assert moved != data
+        for bad, message in ((dict(points=(0, 0, 1)), "distinct"),
+                             (dict(base_point=data.points[2]), "lies on marked point 2"),
+                             (dict(residues=data.residues[:2]), "length mismatch"),
+                             (dict(orders=(None, None, 10 ** 9)), "maximum")):
+            with pytest.raises(ValueError, match=message):
+                data.replace(**bad)
+        with pytest.raises(TypeError):
+            data.replace(accessory=(0.1,))
 
     def test_q_jet_matches_values(self):
         data = four_cusp_data()
@@ -928,7 +945,7 @@ def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
 
 
 def _scaled(data, scale):
-    return dataclasses.replace(data, residues=tuple(scale * m for m in data.residues))
+    return data.replace(residues=tuple(scale * m for m in data.residues))
 
 
 def _onto_stem(data, lasso, point):
@@ -937,7 +954,7 @@ def _onto_stem(data, lasso, point):
     zb, entry = build_lassos(data)[lasso].stem
     points = list(data.points)
     points[point] = (zb + entry) / 2
-    return dataclasses.replace(data, points=tuple(points))
+    return data.replace(points=tuple(points))
 
 
 def _outcome(run):
@@ -953,7 +970,7 @@ def _toward(data, point, other, share):
     """``data`` with ``point`` moved ``share`` of the way to point ``other``."""
     points = list(data.points)
     points[point] += share * (points[other] - points[point])
-    return dataclasses.replace(data, points=tuple(points))
+    return data.replace(points=tuple(points))
 
 
 def _fault_data():
@@ -966,7 +983,7 @@ def _fault_data():
     p0, p1, p2 = (base, displace(base, PointDirection((0, 0, 1)), 0.04),
                   displace(base, AccessoryDirection(0), 0.05 + 0.02j))
     tie = build_potential([0, 1j], [None, None], None, [], base_point=-2j)
-    moments = dataclasses.replace(p1, residues=tuple(m + 0.3 for m in p1.residues))
+    moments = p1.replace(residues=tuple(m + 0.3 for m in p1.residues))
     return p0, p1, p2, tie, moments
 
 

@@ -237,6 +237,19 @@ class TestSignature:
     def test_generator_order(self):
         assert SIG111.generators == ("a1", "b1", "c1", "c2")
 
+    def test_equal_by_fields_and_hashable(self):
+        # a signature is a value: equal to one built from the same fields in
+        # any sequence type, with the same hash, and unequal to a tuple of
+        # its fields or to one that differs in any field
+        sig = Signature(1, (2, 3), 1, marked_orders=(3, None, 2))
+        same = Signature(1, [2, 3], 1, marked_orders=[3, None, 2])
+        assert sig == same and hash(sig) == hash(same) and {sig: 1}[same] == 1
+        assert sig != (1, (2, 3), 1, (3, None, 2))
+        for other in (Signature(2, (2, 3), 1), Signature(1, (2, 4), 1), Signature(1, (2, 3), 2),
+                      Signature(1, (2, 3), 1), Signature(1, (2, 3), 1, marked_orders=(2, 3, None))):
+            assert sig != other
+        assert len({sig, same, Signature(1, (2, 3), 1)}) == 2
+
     @pytest.mark.parametrize("sig, names", [
         (SIG2, ()), (SIG111, ("c1", "c2")), (Signature(0, (2, 3), 1), ("c1", "c2", "c3")),
         (Signature(0, (3,), 3, marked_orders=(None, None, 3, None)), ("c1", "c2", "c3", "c4")),
