@@ -92,7 +92,7 @@ class Representation:
         (2 for parabolic, 2cos(pi k/e) with gcd(k,e)=1 for order e)."""
         out: dict[str, float] = {}
         sig = self.signature
-        for name, order in zip(sig.marked_generators, sig.order_sequence()):
+        for name, order in zip(sig.marked_generators, sig.orders):
             t = abs(self.images[name].trace())
             if order is None:
                 out[name] = abs(t - 2.0)

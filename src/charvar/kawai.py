@@ -7,11 +7,12 @@ along the fiber coordinate, and the full pairing matrix is antisymmetric.
 The absolute normalization against the canonical cotangent form is not
 asserted (it lives in out-of-scope quasiconformal pairings).
 
-An experiment transports and differentiates every grid point in one call
-(``monodromy.transport``: every series of every grid point in one lockstep
-batch, then one quadrature per kind for every tangent) and solves all their
-local systems in one batch (``goldman.goldman_matrices``); each grid point's
-report is bit for bit that of its offset run alone.
+An experiment transports and differentiates every grid point, each along
+its own lassos, in one call (``monodromy.transport``: every series of every
+grid point in one lockstep batch, then one quadrature per kind for every
+tangent) and solves all their local systems in one batch
+(``goldman.goldman_matrices``); each grid point's report is bit for bit that
+of its offset run alone.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 
 from .cocycles import reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
-from .monodromy import (RELATION_TOL, MonodromyEngine, SphereData, Transport,
-                        build_potential, potential_tangent, transport)
+from .monodromy import (RELATION_TOL, SphereData, Transport, build_lassos, build_potential,
+                        potential_tangent, transport)
 from .sl2 import Mat2, MoebiusMap
 
 
@@ -143,7 +144,8 @@ def kawai_experiment(base: SphereData,
     offsets, one ``GridResult`` per grid point, in the order of ``grid``.
 
     Paths and homotopy classes are frozen per grid point.  One ``transport``
-    call takes every grid point with the tangents of every direction there:
+    call takes every grid point, a job (its lassos, its data), with the
+    tangents of every direction there:
     each lasso's stem once, each circle's monodromy exact, every series of
     every grid point in one lockstep batch, one quadrature over all stem
     steps and one over all circles.  The Goldman matrices share one batch of
@@ -166,7 +168,7 @@ def kawai_experiment(base: SphereData,
     points = [_displaced(base, t_directions, accessory_directions, offset) for offset in grid]
     tangents = [[potential_tangent(data, *d.velocity(data)) for d in directions]
                 for data in points]
-    transports = transport([(MonodromyEngine(data), data) for data in points], relation_tol,
+    transports = transport([(build_lassos(data), data) for data in points], relation_tol,
                            tangents)
     rhos = [tr.rho for tr in transports]
     chis = [[tangent_cocycle(tr.rho, dimages) for dimages in tr.images] for tr in transports]

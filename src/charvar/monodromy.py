@@ -1085,54 +1085,54 @@ Transport = namedtuple("Transport", "rho drift images")
 
 
 class MonodromyEngine:
-    """Monodromy with paths frozen at construction, so that representation
-    families over perturbed data compare identical homotopy classes."""
+    """A sphere's data and its lassos, built once, so that representation
+    families over perturbed data compare identical homotopy classes: the job
+    (``paths``, ``data``) of ``transport``."""
 
     def __init__(self, data: SphereData):
         self.data = data
         self.paths = build_lassos(data)
-        seq = [path.order for path in self.paths]
-        self.signature = Signature(0, tuple(o for o in seq if o is not None), seq.count(None),
-                                   marked_orders=tuple(seq))
 
     def representation(self, relation_tol: float = RELATION_TOL) -> Transport:
         """(rho, Wronskian drift, no tangent images) of the engine's own data
         along its lassos: ``transport`` of this one representation."""
-        (tr,) = transport([(self, self.data)], relation_tol)
+        (tr,) = transport([(self.paths, self.data)], relation_tol)
         return tr
 
 
 def transport(jobs, relation_tol: float = RELATION_TOL,
               tangents: Sequence[Sequence[Tangent]] = ()) -> list[Transport]:
     """rho, its Wronskian drift and its tangent images for each job
-    (engine, data) of ``jobs``, along the engine's frozen lassos (their
-    orders are the data's) and along the job's tangents ``tangents[i]``
-    (see ``potential_tangent``; none without).  ``_lassos`` takes every job:
+    (paths, data) of ``jobs``, along the lassos ``paths`` (``build_lassos``;
+    their orders are the data's, and rho's signature is Signature(0, their
+    orders)) and along the job's tangents ``tangents[i]`` (see
+    ``potential_tangent``; none without).  ``_lassos`` takes every job:
     every stem step and every circle summed in one lockstep batch, each
-    circle's monodromy exact, and one quadrature per kind for every tangent.  The drift is the worst
-    |det - 1| of the lasso images and the stems and of the Frobenius
-    Wronskians against their exact values; a rho whose lasso relation
-    c1 ... cn misses +-identity by more than ``relation_tol`` (or by NaN),
-    read on its relator frame (``Representation.relator_residual``), raises
-    OrderingError.  A tangent image maps every generator to dm / sqrt(det m)
-    for its monodromy m, scaled as its image in rho is, so that
-    dm m^-1 = (dm / sqrt(det m)) rho(gen)^-1.
+    circle's monodromy exact, and one quadrature per kind for every
+    tangent.  The drift is the worst |det - 1| of the lasso images and the
+    stems and of the Frobenius Wronskians against their exact values; a rho
+    whose lasso relation c1 ... cn misses +-identity by more than
+    ``relation_tol`` (or by NaN), read on its relator frame
+    (``Representation.relator_residual``), raises OrderingError.  A tangent
+    image maps every generator to dm / sqrt(det m) for its monodromy m,
+    scaled as its image in rho is, so that dm m^-1 = (dm / sqrt(det m))
+    rho(gen)^-1.
 
     Each fault is raised where the batch meets it, in three phases:
     planning every job (a step that runs into a pole, or arithmetic that
     fails); then, job after job, assembling its lassos in turn
     (``_assemble``: a failed series, a non-finite transport or tangent
     transport) and checking its relation.  ``jobs`` is a list: the caller
-    builds every engine first, and raises its errors."""
+    builds every job's lassos first, and raises their errors."""
     count = len(tangents[0]) if any(tangents) else 0
-    plans, series, ints = _lassos([(data.half_q_terms(), engine.paths)
-                                   for engine, data in jobs], tangents)
+    plans, series, ints = _lassos([(data.half_q_terms(), paths) for paths, data in jobs],
+                                  tangents)
     out = []
-    for (engine, _), plan in zip(jobs, plans):
+    for (paths, _), plan in zip(jobs, plans):
         images, drift, dls = _assemble(plan, series, ints, count)
-        gens = engine.signature.marked_generators
-        rho = Representation(engine.signature,
-                             {g: MoebiusMap(*_row(m)) for g, m in zip(gens, images)})
+        sig = Signature(0, tuple(path.order for path in paths))
+        gens = sig.marked_generators
+        rho = Representation(sig, {g: MoebiusMap(*_row(m)) for g, m in zip(gens, images)})
         resid = rho.relator_residual()
         if not resid <= relation_tol:
             raise OrderingError(

@@ -85,22 +85,28 @@ def moebius_in(v) -> MoebiusMap:
 
 def signature_out(sig: Signature) -> dict:
     out = {"g": sig.g, "elliptic": list(sig.elliptic_orders), "cusps": sig.cusps}
-    canonical = tuple(sig.elliptic_orders) + (None,) * sig.cusps
-    if sig.order_sequence() != canonical:
-        out["orders"] = list(sig.order_sequence())
+    if sig.orders != sig.elliptic_orders + (None,) * sig.cusps:
+        out["orders"] = list(sig.orders)
     return out
 
 
 def signature_in(d: dict) -> Signature:
     """A signature whose relator has at most MAX_RELATOR_LETTERS letters,
-    counted before any generator name is built."""
+    counted before any generator name is built.  Its orders are the
+    elliptic ones, then the cusps, unless ``"orders"`` lists them in another
+    generator order: the same orders and as many cusps, or a ValueError."""
     g, cusps = int_in(d["g"]), int_in(d.get("cusps", 0))
     elliptic = tuple(map(int_in, d.get("elliptic", ())))
     size = 4 * g + len(elliptic) + cusps
     if size > MAX_RELATOR_LETTERS:
         raise ValueError(f"relator of {size} letters is above the maximum {MAX_RELATOR_LETTERS}")
-    marked = tuple(map(_order_in, d["orders"])) if "orders" in d else None
-    return Signature(g, elliptic, cusps, marked_orders=marked)
+    orders = tuple(map(_order_in, d["orders"])) if "orders" in d else elliptic + (None,) * cusps
+    if g < 0 or cusps < 0:
+        raise ValueError("genus and cusp count must be non-negative")
+    finite = sorted(o for o in orders if o is not None)
+    if finite != sorted(elliptic) or orders.count(None) != cusps:
+        raise ValueError("orders inconsistent with elliptic/cusps")
+    return Signature(g, orders)
 
 
 def representation_out(rho: Representation) -> dict:
@@ -117,7 +123,9 @@ def representation_in(d: dict) -> Representation:
 
 
 def cocycle_in(d: dict, rho: Representation) -> Cocycle:
-    values = d.get("values", d)  # accept the bare generator -> poly map too
+    values = d.get("values", d) if isinstance(d, dict) else d  # or a bare generator map
+    if not isinstance(values, dict):
+        raise ValueError(f"a cocycle's values are a JSON object, got {values!r}")
     if set(values) != set(rho.signature.generators):
         raise ValueError(f"cocycle generators {list(values)} are not {rho.signature.generators}")
     return Cocycle(rho, {g: poly_in(v) for g, v in values.items()})

@@ -107,61 +107,45 @@ class FreeWord:
 
 
 class Signature:
-    """Orbifold signature (g; n, e_1..e_m) with the standard presentation
+    """Orbifold signature (g; e_1..e_m; n cusps) with the standard presentation
 
         a_1 b_1 a_1^-1 b_1^-1 ... a_g b_g a_g^-1 b_g^-1 c_1 ... c_{m+n} = 1.
 
-    ``marked_orders`` optionally fixes the per-generator order of c_1..c_{m+n}
-    (``None`` = cusp); by default elliptic generators come first.  Monodromy
-    representations use the interleaved form because lassos are ordered by
-    argument, not by type.
+    ``orders`` is the order of each marked generator c_1..c_{m+n}, in
+    generator order (``None`` = cusp), so elliptic and parabolic generators
+    may interleave, as they do for monodromy representations ordered by lasso
+    angle.  Two signatures are equal when their genus and orders are.
     """
 
-    def __init__(self, g: int, elliptic_orders: tuple[int, ...] = (), cusps: int = 0,
-                 marked_orders: Optional[tuple[Optional[int], ...]] = None):
-        self.g, self.elliptic_orders, self.cusps = g, tuple(elliptic_orders), cusps
-        self.marked_orders = marked_orders
-        if g < 0 or cusps < 0:
-            raise ValueError("genus and cusp count must be non-negative")
-        for e in self.elliptic_orders:
-            if not isinstance(e, int) or e < 2:
+    def __init__(self, g: int, orders: tuple[Optional[int], ...] = ()):
+        self.g, self.orders = g, tuple(orders)
+        if g < 0:
+            raise ValueError("genus must be non-negative")
+        for e in self.orders:
+            if e is not None and (not isinstance(e, int) or e < 2):
                 raise ValueError(f"elliptic order must be an integer >= 2, got {e}")
-        if marked_orders is not None:
-            self.marked_orders = mo = tuple(marked_orders)
-            finite = sorted(o for o in mo if o is not None)
-            if finite != sorted(self.elliptic_orders) or mo.count(None) != cusps:
-                raise ValueError("marked_orders inconsistent with elliptic_orders/cusps")
-
-    def _key(self) -> tuple:
-        return (self.g, self.elliptic_orders, self.cusps, self.marked_orders)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and self._key() == other._key()
+        return isinstance(other, Signature) and (self.g, self.orders) == (other.g, other.orders)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.g, self.orders))
 
     @property
-    def m(self) -> int:
-        return len(self.elliptic_orders)
+    def elliptic_orders(self) -> tuple[int, ...]:
+        return tuple(o for o in self.orders if o is not None)
 
     @property
-    def n(self) -> int:
-        return self.cusps
+    def cusps(self) -> int:
+        return self.orders.count(None)
 
     @property
     def num_marked(self) -> int:
-        return self.m + self.n
+        return len(self.orders)
 
     @property
     def dimension(self) -> int:
-        return 3 * self.g - 3 + self.m + self.n
-
-    def order_sequence(self) -> tuple[Optional[int], ...]:
-        """Orders of c_1..c_{m+n} in generator order (None = cusp)."""
-        if self.marked_orders is not None:
-            return self.marked_orders
-        return tuple(self.elliptic_orders) + (None,) * self.cusps
+        return 3 * self.g - 3 + self.num_marked
 
     @functools.cached_property
     def marked_generators(self) -> tuple[str, ...]:

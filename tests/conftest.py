@@ -201,7 +201,7 @@ def thrice_punctured_rep() -> Representation:
     c1 = MoebiusMap(1, 2, 0, 1, normalize=False)
     c2 = MoebiusMap(1, 0, -2, 1, normalize=False)
     c3 = (c1 @ c2).inverse()
-    sig = Signature(0, (), 3)
+    sig = Signature(0, (None,) * 3)
     return Representation(sig, {"c1": c1, "c2": c2, "c3": c3})
 
 

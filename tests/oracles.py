@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ import charvar.monodromy as mono
 from charvar.cocycles import _RCOND, Cocycle, Representation
 from charvar.jets import Jet, nan_max
 from charvar.kawai import Direction, displace
-from charvar.monodromy import MonodromyEngine, SphereData, _moment_target, transport
+from charvar.monodromy import LoopPath, SphereData, _moment_target, transport
 from charvar.serialize import poly_out
 from charvar.sl2 import (Mat2, MoebiusMap, QuadPoly, ad_matrix, adjoint_action, mat_det,
                          mat_inv_unit, mat_mul)
@@ -98,15 +98,16 @@ def finite_difference_cocycle(family: Callable[[float], Representation],
     return Cocycle(base, values)
 
 
-def direction_family(engine: MonodromyEngine, base: SphereData, direction: Direction,
+def direction_family(paths: Sequence[LoopPath], base: SphereData, direction: Direction,
                      rho: Representation):
-    """s -> Representation along one kawai deformation direction, memoized.
-    ``rho`` is the representation at s = 0 and seeds the memo."""
+    """s -> Representation along one kawai deformation direction, memoized,
+    every s transported along the lassos ``paths`` frozen at s = 0.  ``rho``
+    is the representation at s = 0 and seeds the memo."""
     cache: dict[float, Representation] = {0.0: rho}
 
     def family(s: float) -> Representation:
         if s not in cache:
-            cache[s] = transport([(engine, displace(base, direction, s))])[0].rho
+            cache[s] = transport([(paths, displace(base, direction, s))])[0].rho
         return cache[s]
 
     return family
@@ -145,7 +146,7 @@ def elliptic_trace_targets(order: int) -> list[float]:
 def is_hyperbolic(sig: Signature) -> bool:
     """Whether the orbifold has negative Euler characteristic:
     2g - 2 + n + sum (1 - 1/e) > 0."""
-    area = 2 * sig.g - 2 + sig.n + sum(1 - 1.0 / e for e in sig.elliptic_orders)
+    area = 2 * sig.g - 2 + sig.cusps + sum(1 - 1.0 / e for e in sig.elliptic_orders)
     return area > 0
 
 
@@ -427,16 +428,16 @@ def scalar_local_monodromy(poles, path):
 
 
 def scalar_transport(jobs, relation_tol: float = 1e-5):
-    """[(lasso images, drift)] (column convention) of each job (engine,
+    """[(lasso images, drift)] (column convention) of each job (paths,
     data) of ``jobs``, walked job after job, lasso after lasso and step
     after step, each series summed alone: the results that
     ``charvar.monodromy.transport`` must give, and its error when every
     fault is met in one phase (see ``transport``)."""
     out = []
-    for engine, data in jobs:
+    for paths, data in jobs:
         poles = data.half_q_terms()
         images, drifts = [], []
-        for path in engine.paths:
+        for path in paths:
             u = scalar_stem(poles, path.stem)
             c, frob = scalar_local_monodromy(poles, path)
             lasso = mat_mul(mat_inv_unit(u), mat_mul(c, u))

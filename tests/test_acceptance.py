@@ -63,7 +63,7 @@ def _criterion2_signatures():
         for mn in range(5):
             for elliptic in splits[mn]:
                 cusps = mn - len(elliptic)
-                yield Signature(g, elliptic, cusps)
+                yield Signature(g, elliptic + (None,) * cusps)
 
 
 def test_criterion_2_symbolic_identity_suite():
@@ -111,7 +111,7 @@ def _orb3_rep():
     data = build_potential([0, 1, FOUR_CUSP_T], [3, None, None], None,
                            [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
     rho, _, _ = MonodromyEngine(data).representation()
-    assert rho.signature.order_sequence() == (None, None, 3, None)
+    assert rho.signature.orders == (None, None, 3, None)
     return rho
 
 
@@ -263,7 +263,7 @@ def test_criterion_8_finite_difference_hygiene():
         engine = MonodromyEngine(data)
         rho, _, _ = engine.representation()
         for direction in (AccessoryDirection(0), PointDirection((0, 0, 1))):
-            fam = direction_family(engine, data, direction, rho)
+            fam = direction_family(engine.paths, data, direction, rho)
             c_h = finite_difference_cocycle(fam, 0.0, 1e-3)
             c_2h = finite_difference_cocycle(fam, 0.0, 2e-3)
             rel = max((c_h.values[g] - c_2h.values[g]).norm()

@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import orb3_data
+from conftest import make_genus1_rep, orb3_data
 from oracles import cocycle_out
 from charvar import cli
 from charvar.cli import main
 from charvar.cocycles import random_parabolic_cocycle
 from charvar.monodromy import MAX_ORDER
 from charvar.serialize import (dumps_deterministic, representation_in, representation_out,
-                               sphere_in, sphere_out)
+                               signature_in, signature_out, sphere_in, sphere_out)
 from charvar.sl2 import NumericalError
-from charvar.words import MAX_RELATOR_LETTERS
+from charvar.words import MAX_RELATOR_LETTERS, Signature
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +303,87 @@ def test_serialize_roundtrips(orb3_rep):
     assert data2.points == data.points
     assert data2.orders == data.orders
     assert max(abs(a - b) for a, b in zip(data2.residues, data.residues)) < 1e-15
+
+
+@pytest.mark.parametrize("sig", [Signature(2), Signature(1, (2, 3, None)),
+                                 Signature(0, (None, 3, None, 2))],
+                         ids=["closed", "canonical", "interleaved"])
+def test_signature_round_trips(sig):
+    # a signature is its genus and its orders in generator order: it comes
+    # back equal from its JSON, with the same hash
+    back = signature_in(json.loads(dumps_deterministic(signature_out(sig))))
+    assert back == sig and hash(back) == hash(sig)
+
+
+def test_signature_orders_in_canonical_order_are_the_default():
+    # "orders" that list the elliptic orders, then the cusps, name the same
+    # signature as no "orders" at all; other orders must be a rearrangement
+    plain = {"g": 1, "elliptic": [2, 3], "cusps": 1}
+    spelled = signature_in(dict(plain, orders=[2, 3, None]))
+    assert spelled == signature_in(plain) and hash(spelled) == hash(signature_in(plain))
+    assert signature_out(spelled) == plain
+    mixed = signature_in({"g": 0, "elliptic": [3, 2], "cusps": 1, "orders": [2, None, 3]})
+    assert signature_out(mixed) == {"g": 0, "elliptic": [2, 3], "cusps": 1,
+                                    "orders": [2, None, 3]}
+    for orders in ([2, None, 4], [2, 3], [2, 3, None, None]):
+        with pytest.raises(ValueError, match="orders inconsistent"):
+            signature_in(dict(plain, orders=orders))
+
+
+#: `charvar fox` on each signature, word and generator below (every
+#: generator of the signature, and words it may not have): a fixed set whose
+#: reports are pinned together
+FOX_SIGNATURES = ['{"g":0,"elliptic":[2,3],"cusps":1}', '{"g":1,"elliptic":[],"cusps":2}',
+                  '{"g":2,"elliptic":[3],"cusps":0}',
+                  '{"g":1,"elliptic":[3,2],"cusps":1,"orders":[3,null,2]}']
+FOX_WORDS = ["R", "1", "a1 b1^-1 c1^2", "c2^-3 a1 c1", "b1^2 a1^-1 b1 a2"]
+
+
+def test_fox_report_bytes_are_pinned(capsys):
+    # the exact word layer: a change that moves any of these reports updates
+    # the pin and says why
+    digest = hashlib.sha256()
+    for text in FOX_SIGNATURES:
+        for word in FOX_WORDS:
+            for gen in signature_in(json.loads(text)).generators:
+                code = main(["fox", "--sig", text, "--word", word, "--gen", gen])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest()[:16] == "1cf06629b70f95ce"
+
+
+def _json_paths(doc, path=()):
+    """Every path into a JSON document: the root, then each key and index."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, path + (key,))
+
+
+@pytest.mark.filterwarnings("ignore:representation is visibly reducible")
+def test_every_malformed_input_ends_in_one_report(capsys, tmp_path):
+    # each value of each subcommand's input, the whole input included,
+    # replaced by a value of every JSON kind: whatever it breaks, the run
+    # prints one JSON report and exits 0, 1 or 2, never a traceback
+    root = Path(__file__).resolve().parents[1]
+    _, bundle = _bundle_path(tmp_path, make_genus1_rep(), 5)
+    inputs = [("kawai", json.loads((root / "configs" / "kawai-4cusp.json").read_text())),
+              ("monodromy", json.loads((root / "configs" / "sphere-4cusp.json").read_text())),
+              ("goldman", bundle),
+              ("lambda-check", dict(LAMBDA, order=8, seed=7))]
+    faults = []
+    for command, doc in inputs:
+        for path in _json_paths(doc):
+            for value in (None, 5, "x", [], {}):
+                text = _set(doc, list(path), value) if path else json.dumps(value)
+                try:
+                    code = main([command, "--json", text])
+                    out = capsys.readouterr().out
+                    if not (code in (0, 1, 2) and out.count("\n") == 1
+                            and "version" in json.loads(out)):
+                        faults.append((command, path, value, code, out))
+                except Exception as e:  # noqa: BLE001 - every escape is a fault
+                    faults.append((command, path, value, repr(e)))
+    assert not faults, faults
 
 
 def test_deterministic_float_format():

@@ -174,7 +174,7 @@ def _local_kinds(rng) -> Representation:
               "c2": conj(MoebiusMap(w, 0, 0, 1 / w, normalize=False)),
               "c3": conj(MoebiusMap(lam, 0, 0, 1 / lam, normalize=False)),
               "c4": near_identity_sl2(rng, 1e-4)}
-    return Representation(Signature(0, (3,), 3), images)
+    return Representation(Signature(0, (None, None, 3, None)), images)
 
 
 class TestLocalSolve:
@@ -216,7 +216,7 @@ class TestLocalSolve:
         # a loxodromic image sheared by 10^k: the second singular value of
         # Ad g - 1 falls through _RCOND x the first (7.7e-9 at k = 4,
         # 7.7e-11 at k = 5), and the kernel dimensions follow lstsq's
-        sig = Signature(0, (), 3)
+        sig = Signature(0, (None,) * 3)
         lam = 2 * cmath.exp(0.3j)
         D = MoebiusMap(lam, 0, 0, 1 / lam, normalize=False)
         dims = []
@@ -231,7 +231,7 @@ class TestLocalSolve:
         assert dims == [1, 1, 1, 1, 2]
 
     def test_identity_image_has_full_kernel(self):
-        sig = Signature(0, (), 3)
+        sig = Signature(0, (None,) * 3)
         c1 = MoebiusMap(1, 1, 0, 1)
         rho = Representation(sig, {"c1": c1, "c2": MoebiusMap.identity(), "c3": c1.inverse()})
         chi = coboundary(rho, QuadPoly(1, 2, 3))
@@ -284,14 +284,14 @@ class TestLocalSolve:
             assert np.linalg.norm(resid) < 1e-9 * max(1, P.norm())
 
     def test_parabolic_kernel_is_constants(self):
-        sig = Signature(0, (), 3)
+        sig = Signature(0, (None,) * 3)
         rho = thrice_punctured_rep()
         ker = local_kernel_basis(rho, sig.gen("c1"))  # image (1,2;0,1)-conjugate
         assert len(ker) == 1
 
     def test_kernel_of_upper_unipotent(self):
         # rho(gamma) = (1,1;0,1): kernel of (Ad - 1) is the constants
-        sig = Signature(0, (), 3)
+        sig = Signature(0, (None,) * 3)
         c1 = MoebiusMap(1, 1, 0, 1)
         c2 = MoebiusMap(1, 0, 1, 1)
         c3 = (c1 @ c2).inverse()
@@ -457,7 +457,7 @@ class TestFiniteDifferences:
     def test_fd_lands_in_parabolic_space(self, four_cusp_engine, four_cusp_rep):
         from charvar.kawai import AccessoryDirection
         engine, data = four_cusp_engine
-        fam = direction_family(engine, data, AccessoryDirection(0), four_cusp_rep)
+        fam = direction_family(engine.paths, data, AccessoryDirection(0), four_cusp_rep)
         chi = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 1e-3).values)
         assert _relator_residual(chi) < 1e-6 * max(1.0, chi.norm())
         assert None not in _local_residuals(four_cusp_rep, chi).values()

@@ -58,13 +58,13 @@ def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
     # exact d|tr|/ds from the tangents, and the 4th-order stencil of |tr| along
     # the displaced families as the independent check
     engine, data = four_cusp_engine
-    ((rho, _, derivatives),) = transport([(engine, data)], tangents=[_tangents(data)])
+    ((rho, _, derivatives),) = transport([(engine.paths, data)], tangents=[_tangents(data)])
     h = 1e-3
     for d, dimages in zip(DIRECTIONS, derivatives):
         exact = max(_abs_trace_rate(rho.images[g], dimages[g])
                     for g in rho.signature.generators)
         assert exact < 1e-9
-        fam = direction_family(engine, data, d, four_cusp_rep)
+        fam = direction_family(engine.paths, data, d, four_cusp_rep)
         for g in rho.signature.generators:
             t = {k: abs(fam(k * h).images[g].trace()) for k in (-2, -1, 1, 2)}
             assert abs(t[-2] - 8 * t[-1] + 8 * t[1] - t[2]) / (12 * h) < 1e-6
@@ -74,10 +74,10 @@ def test_trace_drift_small_along_families(four_cusp_engine, four_cusp_rep):
 def test_tangent_cocycles_match_finite_differences(fixture, request):
     engine, data = request.getfixturevalue(f"{fixture}_engine")
     rho = request.getfixturevalue(f"{fixture}_rep")
-    ((_, _, derivatives),) = transport([(engine, data)], tangents=[_tangents(data)])
+    ((_, _, derivatives),) = transport([(engine.paths, data)], tangents=[_tangents(data)])
     for d, dimages in zip(DIRECTIONS, derivatives):
         chi = tangent_cocycle(rho, dimages)
-        fd = finite_difference_cocycle(direction_family(engine, data, d, rho), 0, 1e-3)
+        fd = finite_difference_cocycle(direction_family(engine.paths, data, d, rho), 0, 1e-3)
         diff = max((chi.values[g] - fd.values[g]).norm() for g in chi.values)
         assert diff <= 1e-7 * max(1.0, chi.norm()), d
 
@@ -170,7 +170,7 @@ def test_grid_offsets_and_report_shape():
 
 def test_fd_step_doubling_stability(four_cusp_engine, four_cusp_rep):
     engine, data = four_cusp_engine
-    fam = direction_family(engine, data, AccessoryDirection(0), four_cusp_rep)
+    fam = direction_family(engine.paths, data, AccessoryDirection(0), four_cusp_rep)
     c1 = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 1e-3).values)
     c2 = Cocycle(four_cusp_rep, finite_difference_cocycle(fam, 0.0, 2e-3).values)
     rel = max((c1.values[g] - c2.values[g]).norm() for g in c1.values) / c1.norm()

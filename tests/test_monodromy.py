@@ -693,10 +693,9 @@ class TestRepresentation:
     def test_elliptic_variant(self, e):
         data = build_potential([0, 1, FOUR_CUSP_T], [e, None, None], None,
                                [0.2 + 0.1j], base_point=FOUR_CUSP_ZB)
-        engine = MonodromyEngine(data)
-        rho, _, _ = engine.representation()
+        rho, _, _ = MonodromyEngine(data).representation()
         # point 0 is third in lasso order from this base point
-        assert engine.signature.order_sequence() == (None, None, e, None)
+        assert rho.signature.orders == (None, None, e, None)
         got = abs(rho.images["c3"].trace())
         assert abs(got - 2 * math.cos(math.pi / e)) < 1e-6
         assert max(rho.trace_residuals().values()) < 1e-6
@@ -735,7 +734,7 @@ class TestRepresentation:
         assert worst < 1e-8
 
     def test_orb3_signature(self, orb3_rep):
-        assert orb3_rep.signature.order_sequence() == (None, None, 3, None)
+        assert orb3_rep.signature.orders == (None, None, 3, None)
         assert orb3_rep.signature.dimension == 1
         assert orb3_rep.relator_residual() < 1e-6
 
@@ -988,11 +987,11 @@ def _fault_data():
 
 
 def _jobs(pairs):
-    """(engine, data) per entry of ``pairs``: a sphere, or a pair (the
-    sphere whose lassos the engine freezes, the data transported along
-    them), each engine built here, before any transport."""
+    """(paths, data) per entry of ``pairs``: a sphere, or a pair (the
+    sphere whose lassos are frozen, the data transported along them), every
+    job's lassos built here, before any transport."""
     pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
-    return [(MonodromyEngine(paths), data) for paths, data in pairs]
+    return [(build_lassos(frozen), data) for frozen, data in pairs]
 
 
 def test_transport_is_the_scalar_walk_on_one_fault(monkeypatch):
@@ -1107,7 +1106,7 @@ def test_tangents_leave_the_transport_bit_for_bit(sources):
     tangents = [_random_tangents(data, rng) for data in spheres]
 
     def jobs():
-        return [(MonodromyEngine(data), data) for data in spheres]
+        return [(build_lassos(data), data) for data in spheres]
     with_tangents = transport(jobs(), tangents=tangents)
     assert all(len(tr.images) == 2 for tr in with_tangents)
     assert _transport_bits(with_tangents) == _transport_bits(transport(jobs()))
@@ -1124,7 +1123,7 @@ def test_a_transport_error_outranks_an_earlier_tangent_error():
     blocked = _onto_stem(base, 1, 0)
 
     def run(second):
-        return transport([(MonodromyEngine(base), base), (MonodromyEngine(base), second)],
+        return transport([(build_lassos(base), base), (build_lassos(base), second)],
                          tangents=[[huge], [potential_tangent(second, [0, 0, 1], [0])]])
     with pytest.raises(IntegrationError, match="non-finite tangent transport"):
         run(base)

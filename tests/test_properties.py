@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from charvar.cli import main
 from charvar.cocycles import tangent_cocycle
-from charvar.monodromy import (IntegrationError, MonodromyEngine, OrderingError,
+from charvar.monodromy import (IntegrationError, OrderingError, build_lassos,
                                potential_tangent, transport)
 from charvar.serialize import sphere_in
 from charvar.sl2 import MoebiusMap, QuadPoly, adjoint_action, killing
@@ -31,8 +31,7 @@ def signatures(draw):
     g = draw(st.integers(0, 3))
     elliptic = draw(st.lists(st.integers(2, 7), max_size=3))
     cusps = draw(st.integers(0, 3))
-    orders = draw(st.permutations(elliptic + [None] * cusps))
-    return Signature(g, tuple(elliptic), cusps, marked_orders=tuple(orders))
+    return Signature(g, draw(st.permutations(elliptic + [None] * cusps)))
 
 
 @PROPERTY
@@ -116,7 +115,7 @@ def test_tangent_cocycles_kill_the_relator(cfg, draw):
     velocity = [[complex(draw.draw(unit), draw.draw(unit)) for _ in range(n)]
                 for n in (len(data.points), data.free_dimension())]
     try:
-        ((rho, drift, (dimages,)),) = transport([(MonodromyEngine(data), data)],
+        ((rho, drift, (dimages,)),) = transport([(build_lassos(data), data)],
                                                 tangents=[[potential_tangent(data, *velocity)]])
     except (OrderingError, IntegrationError):
         return  # the monodromy subcommand's exit-2 reports

@@ -9,8 +9,8 @@ from charvar.words import (FreeWord, GroupRingElement, Signature, commutator,
 
 
 SIG2 = Signature(2)
-SIG111 = Signature(1, (6,), 1)
-SIG04 = Signature(0, (), 4)
+SIG111 = Signature(1, (6, None))
+SIG04 = Signature(0, (None,) * 4)
 
 
 def w(text, sig=SIG111):
@@ -162,7 +162,7 @@ class TestPrefixAndDuals:
         assert Rk[3] == parse_word("a1 b1 a1^-1 b1^-1 c1 c2", SIG111)
 
     def test_dual_generators_examples(self):
-        sig = Signature(1, (), 1)  # any g=1 signature; alphas only need handles
+        sig = Signature(1, (None,))  # any g=1 signature; alphas only need handles
         duals = dual_generators(sig)
         assert duals.alphas[0] == parse_word("a1 b1^-1 a1^-1", sig)
         assert duals.betas[0] == parse_word("a1 b1 a1^-1 b1^-1 a1^-1", sig)
@@ -188,8 +188,8 @@ class TestPrefixAndDuals:
 class TestPresentationIdentities:
     @pytest.mark.parametrize("sig", [
         Signature(1), Signature(2), Signature(3),
-        Signature(0, (), 3), Signature(0, (2, 3), 2), Signature(1, (6,), 1),
-        Signature(2, (2,), 1), Signature(3, (3, 4), 2),
+        Signature(0, (None,) * 3), Signature(0, (2, 3, None, None)), Signature(1, (6, None)),
+        Signature(2, (2, None)), Signature(3, (3, 4, None, None)),
     ])
     def test_all_identities_pass(self, sig):
         rep = verify_presentation_identities(sig)
@@ -207,7 +207,7 @@ class TestPresentationIdentities:
 
     def test_gamma_telescoping(self):
         # calR_g gamma_1 ... gamma_{m+n} = R^-1 exactly in the free group
-        for sig in (SIG04, SIG111, Signature(2, (5,), 2)):
+        for sig in (SIG04, SIG111, Signature(2, (5, None, None))):
             duals = dual_generators(sig)
             total = prefix_products(sig)[sig.g].inverse()
             for gamma in duals.gammas:
@@ -224,15 +224,21 @@ class TestSignature:
     def test_hyperbolicity(self):
         assert not is_hyperbolic(Signature(1))        # torus: algebra only
         assert is_hyperbolic(Signature(2))
-        assert not is_hyperbolic(Signature(0, (), 2))
-        assert is_hyperbolic(Signature(0, (2, 3), 1))  # 2g-2+n+sum(1-1/e) = 1/6 > 0
-        assert not is_hyperbolic(Signature(0, (2, 2), 1))
+        assert not is_hyperbolic(Signature(0, (None, None)))
+        assert is_hyperbolic(Signature(0, (2, 3, None)))  # 2g-2+n+sum(1-1/e) = 1/6 > 0
+        assert not is_hyperbolic(Signature(0, (2, 2, None)))
 
     def test_marked_orders_interleave(self):
-        sig = Signature(0, (3,), 3, marked_orders=(None, None, 3, None))
-        assert sig.order_sequence() == (None, None, 3, None)
-        with pytest.raises(ValueError):
-            Signature(0, (3,), 3, marked_orders=(None, None, 4, None))
+        # the orders are the signature: elliptic orders and cusps are read
+        # off them in generator order
+        sig = Signature(0, (None, 3, None, 2))
+        assert sig.orders == (None, 3, None, 2)
+        assert (sig.elliptic_orders, sig.cusps, sig.num_marked) == ((3, 2), 2, 4)
+        for bad in ((None, 1), (None, 2.0), (True,)):
+            with pytest.raises(ValueError, match="elliptic order"):
+                Signature(0, bad)
+        with pytest.raises(ValueError, match="genus"):
+            Signature(-1)
 
     def test_generator_order(self):
         assert SIG111.generators == ("a1", "b1", "c1", "c2")
@@ -241,19 +247,19 @@ class TestSignature:
         # a signature is a value: equal to one built from the same fields in
         # any sequence type, with the same hash, and unequal to a tuple of
         # its fields or to one that differs in any field
-        sig = Signature(1, (2, 3), 1, marked_orders=(3, None, 2))
-        same = Signature(1, [2, 3], 1, marked_orders=[3, None, 2])
+        sig = Signature(1, (3, None, 2))
+        same = Signature(1, [3, None, 2])
         assert sig == same and hash(sig) == hash(same) and {sig: 1}[same] == 1
-        assert sig != (1, (2, 3), 1, (3, None, 2))
-        for other in (Signature(2, (2, 3), 1), Signature(1, (2, 4), 1), Signature(1, (2, 3), 2),
-                      Signature(1, (2, 3), 1), Signature(1, (2, 3), 1, marked_orders=(2, 3, None))):
+        assert sig != (1, (3, None, 2))
+        for other in (Signature(2, (3, None, 2)), Signature(1, (3, None, 4)),
+                      Signature(1, (3, None, 2, None)), Signature(1, (2, 3, None))):
             assert sig != other
-        assert len({sig, same, Signature(1, (2, 3), 1)}) == 2
+        assert len({sig, same, Signature(1, (2, 3, None))}) == 2
 
     @pytest.mark.parametrize("sig, names", [
-        (SIG2, ()), (SIG111, ("c1", "c2")), (Signature(0, (2, 3), 1), ("c1", "c2", "c3")),
-        (Signature(0, (3,), 3, marked_orders=(None, None, 3, None)), ("c1", "c2", "c3", "c4")),
-        (Signature(2, (4,), 2, marked_orders=(None, 4, None)), ("c1", "c2", "c3"))])
+        (SIG2, ()), (SIG111, ("c1", "c2")), (Signature(0, (2, 3, None)), ("c1", "c2", "c3")),
+        (Signature(0, (None, None, 3, None)), ("c1", "c2", "c3", "c4")),
+        (Signature(2, (None, 4, None)), ("c1", "c2", "c3"))])
     def test_marked_generators_follow_the_handles(self, sig, names):
         # the one definition of the c_i names: what every marked-generator
         # site reads, for closed, orbifold and interleaved signatures
