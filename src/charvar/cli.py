@@ -26,7 +26,7 @@ from .monodromy import RELATION_TOL, MonodromyEngine
 from .schwarzian import (check_identities, exp_provider, moebius_provider, poly_provider,
                          solve_lambda_report)
 from .serialize import (cocycle_in, complex_in, complex_out, dumps_deterministic, int_in,
-                        moebius_in, poly_in, poly_out, representation_in,
+                        moebius_in, object_in, poly_in, poly_out, representation_in,
                         representation_out, signature_in, signature_out, sphere_in,
                         sphere_out)
 from .sl2 import MoebiusMap, NumericalError
@@ -157,9 +157,11 @@ def _cmd_goldman(args, report: dict) -> int:
     return 0
 
 
-_F_KINDS = {"exp": lambda cfg: exp_provider(complex_in(cfg.get("scale", 1.0))),
-            "poly": lambda cfg: poly_provider([complex_in(c) for c in cfg["coeffs"]]),
-            "moebius": lambda cfg: moebius_provider(moebius_in(cfg["matrix"]))}
+#: lambda-check's kinds of f: the one key each takes besides "kind", and its
+#: provider built from the config of f
+_F_KINDS = {"exp": ("scale", lambda cfg: exp_provider(complex_in(cfg.get("scale", 1.0)))),
+            "poly": ("coeffs", lambda cfg: poly_provider([complex_in(c) for c in cfg["coeffs"]])),
+            "moebius": ("matrix", lambda cfg: moebius_provider(moebius_in(cfg["matrix"])))}
 #: the smallest jet order lambda-check takes: ``schwarzian.schwarzian`` needs
 #: the jet of f to order 4
 MIN_JET_ORDER = 4
@@ -173,12 +175,12 @@ def _cmd_lambda_check(args, report: dict) -> int:
     cfg = _load_json(args) if (args.input or args.json) else {}
     tols = _tolerances(args, {"identity": 1e-8, "solver": 1e-8})
     try:
-        if not isinstance(cfg, dict):
-            raise TypeError(f"expected a JSON object, got {cfg!r}")
+        object_in(cfg, ("f", "gamma", "P", "samples", "order", "seed"))
         f_cfg = cfg.get("f", {"kind": "exp"})
         if not isinstance(f_cfg, dict) or f_cfg.get("kind") not in _F_KINDS:
             raise ValueError(f"unknown f {f_cfg!r}")
-        f = _F_KINDS[f_cfg["kind"]](f_cfg)
+        key, provider = _F_KINDS[f_cfg["kind"]]
+        f = provider(object_in(f_cfg, ("kind", key)))
         gamma = moebius_in(cfg["gamma"]) if "gamma" in cfg else MoebiusMap(1, 1, 1, 2)
         P = poly_in(cfg.get("P", [1, 0.5, -0.25]))
         samples = [complex_in(z) for z in cfg.get("samples",
@@ -246,16 +248,19 @@ def _cmd_kawai(args, report: dict) -> int:
     cfg = _load_json(args)
     tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": RELATION_TOL})
     try:
+        object_in(cfg, ("sphere", "t_directions", "accessory_directions", "grid"))
         base = sphere_in(cfg["sphere"])
-        t_dirs = [PointDirection(tuple(complex_in(v) for v in d["velocities"]))
-                  for d in cfg.get("t_directions", [])]
+        t_dirs = [object_in(d, ("velocities",)) for d in cfg.get("t_directions", [])]
+        t_dirs = [PointDirection(tuple(complex_in(v) for v in d["velocities"])) for d in t_dirs]
         acc = None
         if "accessory_directions" in cfg:
+            acc = [object_in(d, ("index", "scale")) for d in cfg["accessory_directions"]]
             acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
-                   for d in cfg["accessory_directions"]]
+                   for d in acc]
         grid = cfg.get("grid", [{}])
         if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
             raise TypeError(f"grid must be a list of objects, got {grid!r}")
+        grid = [object_in(g, ("t", "c")) for g in grid]
         grid = [GridOffset(tuple(complex_in(v) for v in g.get("t", [])),
                            tuple(complex_in(v) for v in g.get("c", []))) for g in grid]
     except (KeyError, TypeError, ValueError) as e:

@@ -57,20 +57,20 @@ def elliptic_trace_residual(t: float, order: int) -> float:
 RelatorFrame = namedtuple("RelatorFrame", "letters prefixes inverses")
 
 
-class Representation:
-    """Generator-indexed homomorphism of the signature's group into PSL(2,C).
-    ``images`` is a read-only copy of the mapping given, so that what is
-    computed once per representation cannot go stale."""
+class Representation(namedtuple("Representation", "signature images")):
+    """Generator-indexed homomorphism of the signature's group into PSL(2,C),
+    a value: two compare equal when their signatures and generator images
+    do, however each was built.  ``images`` is a read-only copy of the
+    mapping given and neither field can be rebound, so that what is computed
+    once per representation (its ``cached_property``s, kept in the instance
+    ``__dict__``) cannot go stale."""
 
-    def __init__(self, signature: Signature, images: Mapping[str, MoebiusMap]):
-        self.signature, self.images = signature, MappingProxyType(dict(images))
-        missing = [g for g in self.signature.generators if g not in self.images]
+    def __new__(cls, signature: Signature, images: Mapping[str, MoebiusMap]):
+        images = MappingProxyType(dict(images))
+        missing = [g for g in signature.generators if g not in images]
         if missing:
             raise ValueError(f"missing generator images: {missing}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Representation) and \
-            (self.signature, self.images) == (other.signature, other.images)
+        return super().__new__(cls, signature, images)
 
     def image(self, w: FreeWord) -> MoebiusMap:
         return word_images(self, w)[1][-1]
@@ -136,18 +136,11 @@ def word_images(rho: Representation, w: FreeWord):
     return letters, prefixes
 
 
-class Cocycle:
+class Cocycle(namedtuple("Cocycle", "base values")):
     """Map Gamma -> P2 satisfying chi(g1 g2) = chi(g1) + rho(g1).chi(g2),
-    stored on generators."""
+    stored on generators: ``values`` maps each generator name to chi of it."""
 
-    __slots__ = ("base", "values")
-
-    def __init__(self, base: Representation, values: dict[str, QuadPoly]):
-        self.base, self.values = base, values
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cocycle) and \
-            (self.base, self.values) == (other.base, other.values)
+    __slots__ = ()
 
     def __call__(self, w: FreeWord) -> QuadPoly:
         return self.along(*word_images(self.base, w))[-1]
@@ -167,7 +160,7 @@ class Cocycle:
         return max((v.norm() for v in self.values.values()), default=0.0)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
-        if other.base is not self.base and other.base != self.base:
+        if other.base != self.base:
             raise ValueError("cannot add cocycles over different representations")
         return Cocycle(self.base, {k: self.values[k] + other.values[k] for k in self.values})
 
@@ -280,7 +273,7 @@ def tangent_cocycle(rho: Representation, derivatives: dict[str, Mat2]) -> Cocycl
     2x2 product."""
     values: dict[str, QuadPoly] = {}
     for gen in rho.signature.generators:
-        d, m = derivatives[gen], rho.images[gen].tuple()
+        d, m = derivatives[gen], rho.images[gen]
         # the traceless part as a QuadPoly: -x01, x11 - x00, x10
         values[gen] = QuadPoly(-_dot((d[1], m[0]), (-d[0], m[1])),
                                _dot((d[3], m[0]), (-d[2], m[1]), (-d[0], m[3]), (d[1], m[2])),
@@ -368,12 +361,12 @@ def reduce_by_coboundary(rho: Representation, chis) -> list[Cocycle]:
     absorbs far better than that of (Ad rho(g) - 1) P on the 3x3 adjoint
     matrix (omega(c0, t2) on kawai-4cusp errs about half as much).
     """
-    if any(chi.base is not rho and chi.base != rho for chi in chis):
+    if any(chi.base != rho for chi in chis):
         raise ValueError("cannot reduce cocycles over a different representation")
     gens = rho.signature.generators
     V = np.array([np.concatenate([chi.values[g].vector() for g in gens]) for chi in chis]).T
     Ps, *_ = np.linalg.lstsq(_ad_minus_one(rho, gens).reshape(-1, 3), V, rcond=None)
-    images = [rho.images[g].tuple() for g in gens]
+    images = [rho.images[g] for g in gens]
     out = []
     for chi, P in zip(chis, Ps.T.tolist()):
         p0, p1, p2 = P

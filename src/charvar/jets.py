@@ -1,14 +1,16 @@
 """Truncated power-series (jet) arithmetic at a movable base point.
 
-A Jet stores (z0, c0..cN) for sum c_k (z - z0)^k.  Arithmetic is exact on
-polynomials of degree <= N, which is what makes third-derivative identities
-testable at the 1e-12 level without finite differences.
+A Jet is the namedtuple (base, coeffs) = (z0, (c0..cN)) of sum c_k (z - z0)^k.
+Arithmetic is exact on polynomials of degree <= N, which is what makes
+third-derivative identities testable at the 1e-12 level without finite
+differences.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from typing import Sequence
 
 DEFAULT_ORDER = 8
@@ -20,17 +22,13 @@ def nan_max(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-class Jet:
-    __slots__ = ("base", "coeffs")
+class Jet(namedtuple("Jet", "base coeffs")):
+    __slots__ = ()
 
-    def __init__(self, base: complex, coeffs: Sequence[complex]):
+    def __new__(cls, base: complex, coeffs: Sequence[complex]):
         if len(coeffs) == 0:
             raise ValueError("a jet needs at least its value")
-        object.__setattr__(self, "base", complex(base))
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Jet is immutable")
+        return super().__new__(cls, complex(base), tuple(complex(c) for c in coeffs))
 
     # -- constructors -------------------------------------------------------
 
@@ -170,7 +168,7 @@ def jet_exp(j: Jet) -> Jet:
 
 
 def moebius_jet(m, z0: complex, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet of z -> (az + b)/(cz + d) at z0 (m: MoebiusMap or (a,b,c,d))."""
-    a, b, c, d = m.tuple() if hasattr(m, "tuple") else m
+    """Jet of z -> (az + b)/(cz + d) at z0 (m: a Mat2, a MoebiusMap included)."""
+    a, b, c, d = m
     z = Jet.variable(z0, order)
     return (z * a + b) * (z * c + d).reciprocal()

@@ -95,47 +95,37 @@ def _moment_target(order_infinity: Optional[int], thetas: Sequence[float]) -> fl
     return (theta_of(order_infinity) - sum(thetas)) / 2.0
 
 
-class SphereData:
+class SphereData(namedtuple("SphereData", "points orders order_infinity residues base_point")):
     """Marked sphere with orders, residues and ODE base point; q is determined
     by these fields, infinity is always marked."""
 
-    __slots__ = ("points", "orders", "order_infinity", "residues", "base_point")
+    __slots__ = ()
 
-    def __init__(self, points: tuple[complex, ...], orders: tuple[Optional[int], ...],
-                 order_infinity: Optional[int], residues: tuple[complex, ...],
-                 base_point: complex):
-        self.points, self.orders, self.order_infinity = points, orders, order_infinity
-        self.residues, self.base_point = residues, base_point
-        if len(self.points) != len(self.orders) or len(self.points) != len(self.residues):
+    def __new__(cls, points: tuple[complex, ...], orders: tuple[Optional[int], ...],
+                order_infinity: Optional[int], residues: tuple[complex, ...],
+                base_point: complex):
+        if len(points) != len(orders) or len(points) != len(residues):
             raise ValueError("points/orders/residues length mismatch")
-        if len(self.points) + 1 < 3:
+        if len(points) + 1 < 3:
             raise ValueError("need at least 3 marked points counting infinity")
-        for i, p in enumerate(self.points):
-            for q in self.points[i + 1:]:
+        for i, p in enumerate(points):
+            for q in points[i + 1:]:
                 if abs(p - q) < 1e-12:
                     raise ValueError("marked points must be distinct")
-            if abs(p - self.base_point) < 1e-12:
-                raise ValueError(f"base point {self.base_point:.6g} lies on marked point {i} "
+            if abs(p - base_point) < 1e-12:
+                raise ValueError(f"base point {base_point:.6g} lies on marked point {i} "
                                  f"at {p:.6g}")
         # residues solved from finite input may still overflow
-        if not all(map(cmath.isfinite, (*self.points, *self.residues, self.base_point))):
+        if not all(map(cmath.isfinite, (*points, *residues, base_point))):
             raise ValueError("points, residues and base point must be finite")
-        for order in (*self.orders, self.order_infinity):
+        for order in (*orders, order_infinity):
             theta_of(order)  # raises on an order out of range
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SphereData) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return super().__new__(cls, points, orders, order_infinity, residues, base_point)
 
     def replace(self, **changes) -> SphereData:
         """This sphere with the fields named in ``changes`` changed, validated
         as construction is."""
-        return SphereData(**dict(zip(self.__slots__, self._key()), **changes))
+        return SphereData(**dict(self._asdict(), **changes))
 
     @property
     def thetas(self) -> tuple[float, ...]:

@@ -58,6 +58,18 @@ def int_in(v) -> int:
     return v
 
 
+def object_in(v, known) -> dict:
+    """A JSON object whose keys are all among ``known``: where a missing key
+    takes its default, a misspelled one is an input error, not a silent
+    fallback to the default."""
+    if not isinstance(v, dict):
+        raise ValueError(f"expected a JSON object, got {v!r}")
+    unknown = sorted(set(v) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; known: {sorted(known)}")
+    return v
+
+
 def _order_in(o):
     """A marked point's order: an integer, or null for a cusp (its one
     spelling)."""
@@ -76,11 +88,14 @@ def poly_in(v) -> QuadPoly:
 
 
 def moebius_out(m: MoebiusMap) -> list[list[float]]:
-    return [complex_out(c) for c in m.tuple()]
+    return [complex_out(c) for c in m]
 
 
 def moebius_in(v) -> MoebiusMap:
-    return MoebiusMap(*(complex_in(c) for c in v))
+    """The map of exactly four entries [a, b, c, d], row-major."""
+    if not isinstance(v, list) or len(v) != 4:
+        raise ValueError(f"expected four matrix entries [a, b, c, d], got {v!r}")
+    return MoebiusMap(*map(complex_in, v))
 
 
 def signature_out(sig: Signature) -> dict:
@@ -95,6 +110,7 @@ def signature_in(d: dict) -> Signature:
     counted before any generator name is built.  Its orders are the
     elliptic ones, then the cusps, unless ``"orders"`` lists them in another
     generator order: the same orders and as many cusps, or a ValueError."""
+    object_in(d, ("g", "elliptic", "cusps", "orders"))
     g, cusps = int_in(d["g"]), int_in(d.get("cusps", 0))
     elliptic = tuple(map(int_in, d.get("elliptic", ())))
     size = 4 * g + len(elliptic) + cusps
@@ -142,6 +158,11 @@ def sphere_out(data: SphereData) -> dict:
 
 
 def sphere_in(d: dict) -> SphereData:
+    """A sphere with either its ``"residues"`` or its ``"accessory"``
+    parameters (none by default), never both."""
+    object_in(d, ("points", "orders", "order_infinity", "residues", "accessory", "base_point"))
+    if "residues" in d and "accessory" in d:
+        raise ValueError("give either residues or accessory, not both")
     points = [complex_in(p) for p in d["points"]]
     orders = [_order_in(o) for o in d["orders"]]
     o_inf = _order_in(d.get("order_infinity"))

@@ -2,12 +2,15 @@
 
 The dictionary is (a, b; c, -a) <-> (c z^2 - 2 a z - b) d/dz and the pairing is
 normalized so that <x, y> = tr(xy) on traceless matrices, which on the basis
-{1, z, z^2} is the matrix [[0,0,-1],[0,1/2,0],[-1,0,0]].
+{1, z, z^2} is the matrix [[0,0,-1],[0,1/2,0],[-1,0,0]].  A MoebiusMap is
+the namedtuple (a, b, c, d) of its det-1 lift, so it is a ``Mat2`` itself:
+``mat_mul`` and ``mat_inv_unit`` take it as it is, and it unpacks in place.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,38 +88,30 @@ class QuadPoly:
         return np.array(self.coeffs(), dtype=complex)
 
 
-class MoebiusMap:
-    """PSL(2,C) element: a 2x2 matrix normalized to det 1, identified with its
-    negative.  ``normalize=False`` takes the entries as they are: products
-    and inverses of normalized maps."""
+class MoebiusMap(namedtuple("MoebiusMap", "a b c d")):
+    """PSL(2,C) element: its lift, a ``Mat2`` normalized to det 1, with which
+    it compares equal; the negative lift is the same map but another value.
+    ``normalize=False`` takes the entries as they are: products and inverses
+    of normalized maps."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
-    def __init__(self, a: complex, b: complex, c: complex, d: complex,
-                 normalize: bool = True):
+    def __new__(cls, a: complex, b: complex, c: complex, d: complex, *,
+                normalize: bool = True):
         if normalize:
             det = a * d - b * c
             if abs(det) < 1e-30:
                 raise ValueError("singular matrix cannot define a Moebius map")
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-        object.__setattr__(self, "a", complex(a))
-        object.__setattr__(self, "b", complex(b))
-        object.__setattr__(self, "c", complex(c))
-        object.__setattr__(self, "d", complex(d))
-
-    def __setattr__(self, *args):
-        raise AttributeError("MoebiusMap is immutable")
+        return super().__new__(cls, complex(a), complex(b), complex(c), complex(d))
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
         return cls(1, 0, 0, 1, normalize=False)
 
-    def tuple(self) -> Mat2:
-        return (self.a, self.b, self.c, self.d)
-
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(*mat_mul(self.tuple(), other.tuple()), normalize=False)
+        return MoebiusMap(*mat_mul(self, other), normalize=False)
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a, normalize=False)
@@ -135,9 +130,8 @@ class MoebiusMap:
 
     def psl_distance(self, other: "MoebiusMap") -> float:
         """min over signs of the Frobenius distance of SL2 lifts."""
-        s, o = self.tuple(), other.tuple()
-        dplus = frobenius(tuple(x - y for x, y in zip(s, o)))
-        dminus = frobenius(tuple(x + y for x, y in zip(s, o)))
+        dplus = frobenius(tuple(x - y for x, y in zip(self, other)))
+        dminus = frobenius(tuple(x + y for x, y in zip(self, other)))
         return min(dplus, dminus)
 
     def is_identity(self, tol: float = 1e-9) -> bool:
@@ -162,7 +156,7 @@ def adjoint_action(g: MoebiusMap, P: QuadPoly) -> QuadPoly:
     """(g . P)(z) = P(g^-1 z) / (g^-1)'(z) in closed form; equals the matrix
     conjugation g X g^-1 of X = (-p1/2, -p0; p2, p1/2) (checked in the
     tests)."""
-    a, b, c, d = g.tuple()
+    a, b, c, d = g
     q0 = P.p0 * a * a - P.p1 * a * b + P.p2 * b * b
     q1 = -2 * P.p0 * a * c + P.p1 * (a * d + b * c) - 2 * P.p2 * b * d
     q2 = P.p0 * c * c - P.p1 * c * d + P.p2 * d * d
@@ -171,7 +165,7 @@ def adjoint_action(g: MoebiusMap, P: QuadPoly) -> QuadPoly:
 
 def ad_matrix(g: MoebiusMap) -> np.ndarray:
     """Matrix of the adjoint action on the basis (1, z, z^2)."""
-    a, b, c, d = g.tuple()
+    a, b, c, d = g
     return np.array(
         [
             [a * a, -a * b, b * b],

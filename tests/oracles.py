@@ -61,9 +61,9 @@ _FD_OFFSETS = (-2, -1, 0, 1, 2)  # f' ~ (8(f_{+1} - f_{-1}) - (f_{+2} - f_{-2}))
 
 def _aligned_lifts(reps, gen: str):
     """Sign-align one generator's SL2 lifts along consecutive family samples."""
-    lifts = [reps[0].images[gen].tuple()]
+    lifts = [reps[0].images[gen]]
     for rep in reps[1:]:
-        m = rep.images[gen].tuple()
+        m = rep.images[gen]
         prev = lifts[-1]
         dplus = max(abs(x - y) for x, y in zip(m, prev))
         dminus = max(abs(-x - y) for x, y in zip(m, prev))

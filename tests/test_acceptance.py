@@ -270,5 +270,5 @@ def test_criterion_8_finite_difference_hygiene():
                       for g in c_h.values) / max(1.0, c_h.norm())
             assert rel <= 1e-5
         chi0 = finite_difference_cocycle(lambda s: rho, 0.0, 1e-3)
-        scale = max(max(abs(e) for e in m.tuple()) for m in rho.images.values())
+        scale = max(max(abs(e) for e in m) for m in rho.images.values())
         assert chi0.norm() <= 1e-12 * scale

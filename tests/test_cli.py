@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -296,7 +297,7 @@ def test_serialize_roundtrips(orb3_rep):
     rep2 = representation_in(json.loads(dumps_deterministic(representation_out(orb3_rep))))
     assert rep2.signature == orb3_rep.signature
     for g in orb3_rep.signature.generators:
-        scale = max(abs(e) for e in orb3_rep.images[g].tuple())
+        scale = max(abs(e) for e in orb3_rep.images[g])
         assert rep2.images[g].psl_distance(orb3_rep.images[g]) < 1e-12 * scale
     data = orb3_data()
     data2 = sphere_in(json.loads(dumps_deterministic(sphere_out(data))))
@@ -349,6 +350,40 @@ def test_fox_report_bytes_are_pinned(capsys):
                 code = main(["fox", "--sig", text, "--word", word, "--gen", gen])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest()[:16] == "1cf06629b70f95ce"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_lambda_check_report_bytes_are_pinned(capsys):
+    # the default config: jets, the identities' residuals and the solver
+    assert main(["lambda-check"]) == 0
+    assert _digest(capsys.readouterr().out) == "22a69ab31a25c256"
+
+
+@pytest.mark.parametrize("sig, digest", [
+    ('{"g":3,"elliptic":[3],"cusps":2}', "da6fe3121b08f769"),
+    ('{"g":1,"elliptic":[2,3],"cusps":2}', "d673eda82fb296ef")])
+def test_identities_report_bytes_are_pinned(capsys, sig, digest):
+    # the report echoes the --sig text, so each is pinned as typed here
+    assert main(["identities", "--sig", sig]) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("rep, bundle_digest, digest", [
+    ("genus2_rep", "6b5e385bee54a34a", "915d76c7882e8c1c"),
+    ("orb3_rep", "bb75af249f30fa0d", "589f49624ea66940")])
+def test_goldman_report_bytes_are_pinned(capsys, tmp_path, request, rep, bundle_digest,
+                                         digest):
+    # the bundle of ``_bundle_path`` with seed 3 over the fixture ``rep``: the
+    # closed sum, and the orbifold sum with its local solves (LAPACK SVDs,
+    # pinned on this numpy and LAPACK as the kawai reports are); the bundle
+    # is pinned too, so that a moved input is told from a moved pairing
+    path, _ = _bundle_path(tmp_path, request.getfixturevalue(rep), 3)
+    assert _digest(path.read_text()) == bundle_digest
+    assert main(["goldman", "--input", str(path)]) == 0
+    assert _digest(capsys.readouterr().out) == digest
 
 
 def _json_paths(doc, path=()):
@@ -1093,3 +1128,72 @@ def test_repeated_calls_leave_no_traced_memory(capsys):
     finally:
         tracemalloc.stop()
     assert growth < 64 * 1024, growth
+
+
+@pytest.mark.parametrize("site", ["goldman-image", "lambda-gamma"])
+@pytest.mark.parametrize("count", [3, 5])
+def test_matrix_needs_four_entries(capsys, tmp_path, genus2_rep, site, count):
+    # a fifth entry used to pass as ``normalize``: [0, 0] turned the
+    # normalization to det 1 off, and the pairing went on with the raw matrix
+    command, _, path = NUMBER_SITES[site]
+    doc = json.loads(_site_input(site, tmp_path, genus2_rep, 1.0)[-1])
+    entries = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    entries = (entries + [[0, 0]])[:count]
+    code, rep = run_cli(capsys, command, "--json", _set(doc, path[:-1], entries))
+    assert code == 1
+    assert "four matrix entries" in rep["error"]
+
+
+KAWAI_ACCESSORY = dict(KAWAI, accessory_directions=[{"index": 0}])
+#: (subcommand, its input, the path of one JSON object in it whose missing
+#: keys take defaults); None is the goldman bundle of ``_bundle_path``
+OBJECT_SITES = {
+    "monodromy-sphere": ("monodromy", SPHERE, []),
+    "kawai": ("kawai", KAWAI, []),
+    "kawai-sphere": ("kawai", KAWAI, ["sphere"]),
+    "kawai-t-direction": ("kawai", KAWAI, ["t_directions", 0]),
+    "kawai-accessory-direction": ("kawai", KAWAI_ACCESSORY, ["accessory_directions", 0]),
+    "kawai-grid-point": ("kawai", KAWAI, ["grid", 0]),
+    "lambda-check": ("lambda-check", LAMBDA, []),
+    "lambda-f": ("lambda-check", LAMBDA, ["f"]),
+    "goldman-signature": ("goldman", None, ["representation", "signature"]),
+}
+
+
+@pytest.mark.parametrize("site", OBJECT_SITES)
+def test_unknown_key_is_input_error(capsys, tmp_path, genus2_rep, site):
+    # a misspelled key used to fall back silently to the default of the key
+    # meant; the input as it stands runs, and with a stray key it is refused
+    command, doc, path = OBJECT_SITES[site]
+    doc = _bundle_path(tmp_path, genus2_rep, 4)[1] if doc is None else doc
+    code, rep = run_cli(capsys, command, "--json", json.dumps(doc))
+    assert code in (0, 2), rep.get("error")
+    code, rep = run_cli(capsys, command, "--json", _set(doc, path + ["stray"], 1))
+    assert code == 1
+    assert "unknown keys ['stray']" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--json", '{"points":[[0,0],[1,0],[0.3,0.4]],"orders":[3,null,null],'
+     '"order_infnity":2,"accessory":[[0.2,0.1]],"base_pont":[0.5,-1.5]}'],
+    ["identities", "--sig", '{"g":1,"cusp":2}'],
+    ["fox", "--sig", '{"g":1,"cusp":2}', "--word", "R", "--gen", "a1"],
+    ["kawai", "--json", json.dumps({"sphere": SPHERE, "t_directions": VELOCITY,
+                                    "gird": [{"c": [[0, 0]]}, {"c": [[0.1, 0]]}]})],
+], ids=["monodromy", "identities", "fox", "kawai"])
+def test_a_misspelled_key_is_input_error(capsys, argv):
+    # each ran before: another sphere (a cusp at infinity, the default base
+    # point), the closed genus-1 group, one grid point for two
+    code, rep = run_cli(capsys, *argv)
+    assert code == 1
+    assert "unknown keys" in rep["error"]
+
+
+@pytest.mark.parametrize("command, doc", [("monodromy", SPHERE), ("kawai", KAWAI)])
+def test_residues_with_accessory_is_input_error(capsys, command, doc):
+    # the residues used to win silently over the accessory parameters given
+    residues = [[0.1, 0], [0.2, 0], [0.3, 0]]
+    path = ["residues"] if command == "monodromy" else ["sphere", "residues"]
+    code, rep = run_cli(capsys, command, "--json", _set(doc, path, residues))
+    assert code == 1
+    assert "either residues or accessory" in rep["error"]

@@ -1,10 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (local_solves, make_genus2_rep, near_identity_sl2, rand_sl2,
+from conftest import (local_solves, make_genus2_rep, near_identity_sl2, orb3_data, rand_sl2,
                       thrice_punctured_rep)
 from oracles import (BranchJumpError, coboundary, conjugated, direction_family,
                      elliptic_trace_targets, evaluate_ring, finite_difference_cocycle,
@@ -14,6 +15,8 @@ from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
                               elliptic_trace_residual, local_coboundaries,
                               random_parabolic_cocycle, reduce_by_coboundary,
                               relator_extension_matrix, word_images)
+from charvar.jets import Jet
+from charvar.serialize import representation_in, representation_out
 from charvar.sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
 from charvar.words import Signature, relator
 
@@ -90,11 +93,9 @@ class TestRepresentation:
         for rho in (rho2, rho_tp):
             letters, prefixes = word_images(rho, relator(rho.signature))
             frame = rho.relator_frame
-            assert [(n, e, m.tuple()) for n, e, m in frame.letters] == \
-                [(n, e, m.tuple()) for n, e, m in letters]
-            assert [p.tuple() for p in frame.prefixes] == [p.tuple() for p in prefixes]
-            assert [p.tuple() for p in frame.inverses] == \
-                [p.inverse().tuple() for p in prefixes]
+            assert list(frame.letters) == letters
+            assert list(frame.prefixes) == prefixes
+            assert list(frame.inverses) == [p.inverse() for p in prefixes]
             assert rho.relator_frame is frame
 
     def test_missing_generator(self):
@@ -494,9 +495,33 @@ class TestCoboundaryReduction:
             reduce_by_coboundary(other, [chi])
         with pytest.raises(ValueError, match="different representations"):
             chi + Cocycle(other, chi.values)
+        # two parses of one JSON text share no map, and are one
+        # representation: their cocycles reduce and add over either
+        text = json.dumps(representation_out(orb3_rep))
+        rho, rho2 = (representation_in(json.loads(text)) for _ in range(2))
+        assert rho == rho2 and rho.images["c1"] is not rho2.images["c1"]
+        chi, chi2 = (random_parabolic_cocycle(r, np.random.default_rng(15)) for r in (rho, rho2))
+        assert chi == chi2 and chi.base is rho and chi2.base is rho2
+        assert reduce_by_coboundary(rho2, [chi, chi2]) == reduce_by_coboundary(rho, [chi, chi2])
+        assert (chi + chi2).values == (chi * 2).values
 
     def test_kills_pure_coboundary(self, orb3_rep):
         rng = np.random.default_rng(13)
         delta = coboundary(orb3_rep, random_quadpoly(rng))
         (red,) = reduce_by_coboundary(orb3_rep, [delta])
         assert red.norm() < 1e-10 * max(1, delta.norm())
+
+
+def test_values_cannot_be_rebound(orb3_rep):
+    # a rebound field would leave what is cached or validated stale: rho's
+    # relator frame, a sphere's checks
+    rho = Representation(orb3_rep.signature, orb3_rep.images)
+    chi = random_parabolic_cocycle(rho, np.random.default_rng(16))
+    data = orb3_data()
+    rebinds = [(rho, "images", {}), (rho, "signature", Signature(0)), (chi, "values", {}),
+               (chi, "base", orb3_rep), (data, "points", (0, 0, 0)),
+               (Jet(0, (1, 2)), "coeffs", (3,)), (MoebiusMap(2, 1, 1, 1), "a", 1)]
+    for value, field, new in rebinds:
+        with pytest.raises(AttributeError):
+            setattr(value, field, new)
+    assert rho.images == orb3_rep.images and data == orb3_data()

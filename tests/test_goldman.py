@@ -64,7 +64,7 @@ class TestClosed:
         t1 = Cocycle(rho_g, {k: adjoint_action(g, p) for k, p in chi1.values.items()})
         t2 = Cocycle(rho_g, {k: adjoint_action(g, p) for k, p in chi2.values.items()})
         vg = goldman_closed(rho_g, t1, t2)
-        g_size = max(1, max(abs(e) for e in g.tuple()))
+        g_size = max(1, max(abs(e) for e in g))
         assert abs(v - vg) < 1e-8 * _scale(chi1, chi2, v) * g_size ** 2
 
     def test_rejects_orbifold_signature(self, orb3_rep):
@@ -319,9 +319,9 @@ class TestMarkedGenerators:
         images = []
 
         def recorded(m):
-            images.append(m.tuple())
+            images.append(m)
             return ad_matrix(m)
 
         monkeypatch.setattr(cocycles, "ad_matrix", recorded)
         goldman_matrices([rho], [chis])
-        assert images == [rho.image(sig.gen(c)).tuple() for c in marked]
+        assert images == [rho.image(sig.gen(c)) for c in marked]

@@ -179,7 +179,7 @@ def test_fd_step_doubling_stability(four_cusp_engine, four_cusp_rep):
 
 def test_constant_family_zero_cocycle(four_cusp_rep):
     chi = finite_difference_cocycle(lambda s: four_cusp_rep, 0.0, 1e-3)
-    scale = max(max(abs(e) for e in m.tuple()) for m in four_cusp_rep.images.values())
+    scale = max(max(abs(e) for e in m) for m in four_cusp_rep.images.values())
     assert chi.norm() <= 1e-12 * scale
 
 

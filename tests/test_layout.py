@@ -231,3 +231,53 @@ def test_no_module_uses_dataclass_but_the_allowlist():
     allowed = sorted({f"{name.split('.')[0]}: from dataclasses import dataclass"
                       for name in DATACLASSES})
     assert uses == allowed, f"uses of the dataclasses module: {uses}"
+
+
+#: the classes of the package that define __eq__, __hash__ or __setattr__ by
+#: hand, each with its reason; every other immutable value is a namedtuple,
+#: which compares by its fields and whose fields cannot be rebound
+HAND_ROLLED = {
+    "words.Signature": "unequal to the tuple of its fields (tests/test_words.py)",
+    "words.FreeWord": "a tuple's +, *, in and len mean other things for a word",
+    "words.GroupRingElement": "a tuple's +, *, in and len mean other things for a ring element",
+    "words.PresentationReport": "verify_presentation_identities builds it step by step",
+}
+#: the classes whose own methods write their fields past their __setattr__
+SETATTR_WRITERS = {"words.FreeWord", "words.GroupRingElement"}
+_BY_HAND = {"__eq__", "__hash__", "__setattr__"}
+
+
+def _defines(node) -> set:
+    """The names a statement of a class body binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _setattr_bypasses(node) -> list:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and n.attr == "__setattr__" and getattr(n.value, "id", None) == "object"]
+
+
+def test_values_are_namedtuples_but_the_allowlist():
+    # a hand-written __eq__ or __hash__ is where value equality goes missing
+    # (a map compared by identity made two parses of one representation
+    # unequal), and a __setattr__ guard with object.__setattr__ behind it is
+    # what a namedtuple gives for nothing
+    by_hand, stray = [], []
+    for module, tree in _src_trees():
+        stem = Path(module).stem
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                name = f"{stem}.{cls.name}"
+                if any(_defines(node) & _BY_HAND for node in cls.body):
+                    by_hand.append(name)
+                if name in SETATTR_WRITERS:
+                    allowed |= {id(n) for n in _setattr_bypasses(cls)}
+        stray += [f"{module}:{n.lineno}" for n in _setattr_bypasses(tree) if id(n) not in allowed]
+    assert sorted(by_hand) == sorted(HAND_ROLLED), \
+        f"__eq__/__hash__/__setattr__ by hand in {sorted(by_hand)}, not {sorted(HAND_ROLLED)}"
+    assert not stray, f"object.__setattr__ outside {sorted(SETATTR_WRITERS)}: {stray}"

@@ -12,8 +12,8 @@ from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, lasso_polyline,
 from oracles import moment_residuals, q, q_jet
 import charvar.monodromy as mono
 from charvar.monodromy import (_MAX_TERMS, IntegrationError, LoopPath, MonodromyEngine,
-                               OrderingError, _at_nodes, _circle_row, _lockstep, _powers,
-                               _ray_rule, _row, _step_row, _transport, build_lassos,
+                               OrderingError, SphereData, _at_nodes, _circle_row, _lockstep,
+                               _powers, _ray_rule, _row, _step_row, _transport, build_lassos,
                                build_potential, gauss_legendre, potential_tangent, theta_of,
                                wronskian_drift)
 from charvar.serialize import sphere_in
@@ -990,7 +990,7 @@ def _jobs(pairs):
     """(paths, data) per entry of ``pairs``: a sphere, or a pair (the
     sphere whose lassos are frozen, the data transported along them), every
     job's lassos built here, before any transport."""
-    pairs = [pair if isinstance(pair, tuple) else (pair, pair) for pair in pairs]
+    pairs = [(pair, pair) if isinstance(pair, SphereData) else pair for pair in pairs]
     return [(build_lassos(frozen), data) for frozen, data in pairs]
 
 

@@ -138,7 +138,7 @@ def _exp(x) -> MoebiusMap:
 
 
 def _size(m: MoebiusMap) -> float:
-    return max(1.0, max(abs(e) for e in m.tuple()))
+    return max(1.0, max(abs(e) for e in m))
 
 
 @PROPERTY

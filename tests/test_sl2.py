@@ -62,7 +62,7 @@ def test_adjoint_ad_invariance():
         P2 = QuadPoly(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         lhs = killing(adjoint_action(g, P1), adjoint_action(g, P2))
         rhs = killing(P1, P2)
-        scale = max(1.0, abs(rhs), P1.norm() * P2.norm() * max(abs(e) for e in g.tuple()) ** 4)
+        scale = max(1.0, abs(rhs), P1.norm() * P2.norm() * max(abs(e) for e in g) ** 4)
         assert abs(lhs - rhs) < 1e-10 * scale
 
 
@@ -124,6 +124,19 @@ def test_moebius_normalization_and_psl():
         MoebiusMap(1, 1, 1, 1)  # singular
 
 
+def test_moebius_map_is_its_lift():
+    # a map is the value of its det-1 lift: equal to that Mat2 and to any
+    # map built from it, never to the negative lift, and normalize is only
+    # ever a keyword
+    g = MoebiusMap(2, 1, 1, 1)
+    assert g == (2, 1, 1, 1) and hash(g) == hash((2, 1, 1, 1))
+    assert g == MoebiusMap(*g) == MoebiusMap(*g, normalize=False)
+    assert MoebiusMap(4, 2, 2, 2) == g != MoebiusMap(*(-x for x in g), normalize=False)
+    assert (g @ g.inverse()) == MoebiusMap.identity() == (1, 0, 0, 1)
+    with pytest.raises(TypeError):
+        MoebiusMap(2, 1, 1, 1, False)
+
+
 def test_moebius_action_and_fixed_points():
     g = MoebiusMap(1, 1, 0, 1)
     assert g(0) == 1
@@ -156,7 +169,7 @@ def test_adjoint_matches_numpy_conjugation():
         g = rand_sl2(rng) @ MoebiusMap(s, 0, 0, 1 / s, normalize=False) \
             @ MoebiusMap(1, t, 0, 1, normalize=False)
         P = QuadPoly(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-        gn = max(abs(e) for e in g.tuple())
+        gn = max(abs(e) for e in g)
         biggest = max(biggest, gn)
         got = adjoint_action(g, P)
         want = _numpy_conjugation(g, P)
@@ -194,7 +207,7 @@ def test_adjoint_matches_numpy_conjugation_on_production_inputs(run, calls, monk
 
     def checked(g, P):
         got = adjoint_action(g, P)
-        gn = max(abs(e) for e in g.tuple())
+        gn = max(abs(e) for e in g)
         scale = max(got.norm(), P.norm(), 1.0) * max(1.0, gn * gn)
         worst.append((got - _numpy_conjugation(g, P)).norm() / scale)
         return got
