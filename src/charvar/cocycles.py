@@ -65,6 +65,8 @@ class Representation(namedtuple("Representation", "signature images")):
     once per representation (its ``cached_property``s, kept in the instance
     ``__dict__``) cannot go stale."""
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too: both validate
+
     def __new__(cls, signature: Signature, images: Mapping[str, MoebiusMap]):
         images = MappingProxyType(dict(images))
         missing = [g for g in signature.generators if g not in images]
@@ -141,6 +143,7 @@ class Cocycle(namedtuple("Cocycle", "base values")):
     stored on generators: ``values`` maps each generator name to chi of it."""
 
     __slots__ = ()
+    __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__
 
     def __call__(self, w: FreeWord) -> QuadPoly:
         return self.along(*word_images(self.base, w))[-1]

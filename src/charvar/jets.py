@@ -24,6 +24,7 @@ def nan_max(*values: float) -> float:
 
 class Jet(namedtuple("Jet", "base coeffs")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too: both validate
 
     def __new__(cls, base: complex, coeffs: Sequence[complex]):
         if len(coeffs) == 0:

@@ -100,6 +100,7 @@ class SphereData(namedtuple("SphereData", "points orders order_infinity residues
     by these fields, infinity is always marked."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too: both validate
 
     def __new__(cls, points: tuple[complex, ...], orders: tuple[Optional[int], ...],
                 order_infinity: Optional[int], residues: tuple[complex, ...],
@@ -121,11 +122,6 @@ class SphereData(namedtuple("SphereData", "points orders order_infinity residues
         for order in (*orders, order_infinity):
             theta_of(order)  # raises on an order out of range
         return super().__new__(cls, points, orders, order_infinity, residues, base_point)
-
-    def replace(self, **changes) -> SphereData:
-        """This sphere with the fields named in ``changes`` changed, validated
-        as construction is."""
-        return SphereData(**dict(self._asdict(), **changes))
 
     @property
     def thetas(self) -> tuple[float, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,12 @@ def frobenius(x: Mat2) -> float:
     return (abs(x[0]) ** 2 + abs(x[1]) ** 2 + abs(x[2]) ** 2 + abs(x[3]) ** 2) ** 0.5
 
 
-@dataclass(frozen=True)
-class QuadPoly:
-    """Quadratic polynomial p0 + p1 z + p2 z^2 standing for a vector field."""
+class QuadPoly(namedtuple("QuadPoly", "p0 p1 p2", defaults=(0j, 0j, 0j))):
+    """Quadratic polynomial p0 + p1 z + p2 z^2 standing for a vector field;
+    ``+``, ``-`` and ``*`` act on the coefficients, never as a tuple's."""
 
-    p0: complex = 0j
-    p1: complex = 0j
-    p2: complex = 0j
+    __slots__ = ()
+    __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__
 
     def coeffs(self) -> tuple[complex, complex, complex]:
         return (self.p0, self.p1, self.p2)
@@ -95,6 +93,7 @@ class MoebiusMap(namedtuple("MoebiusMap", "a b c d")):
     of normalized maps."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too: both validate
 
     def __new__(cls, a: complex, b: complex, c: complex, d: complex, *,
                 normalize: bool = True):

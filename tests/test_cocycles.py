@@ -102,6 +102,20 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             Representation(Signature(1), {"a1": MoebiusMap.identity()})
 
+    def test_make_and_replace_validate(self, rho2):
+        # namedtuple's _make and _replace go through __new__: no missing
+        # image, and the images are a read-only copy
+        with pytest.raises(ValueError, match="missing generator images"):
+            Representation._make((rho2.signature, {}))
+        with pytest.raises(ValueError, match="missing generator images"):
+            rho2._replace(images={"a1": MoebiusMap.identity()})
+        images = dict(rho2.images)
+        rho = Representation._make((rho2.signature, images))
+        images["a1"] = MoebiusMap.identity()
+        assert rho == rho2 != rho2._replace(images=images)
+        with pytest.raises(TypeError):
+            rho.images["a1"] = MoebiusMap.identity()
+
 
 class TestEvaluation:
     def test_identity_and_inverse(self, rho2):
@@ -160,6 +174,15 @@ class TestEvaluation:
         want = 2 * chi(w1) - 3 * chi(w2)
         assert (got - want).norm() < 1e-12 * max(1, want.norm())
         assert evaluate_ring(chi, GroupRingElement.zero()).norm() == 0
+
+    def test_scalar_multiples_are_cocycles(self, rho2):
+        # s * chi and chi * s scale every value, with an int, a complex or a
+        # numpy scalar as s: a numpy scalar on the left defers to __rmul__
+        chi = random_parabolic_cocycle(rho2, np.random.default_rng(4))
+        for s in (2, 0.5 - 1j, np.complex128(0.5 - 1j), np.float64(2)):
+            for scaled in (s * chi, chi * s):
+                assert type(scaled) is Cocycle and scaled.base == rho2
+                assert scaled.values == {g: v * s for g, v in chi.values.items()}
 
 
 def _local_kinds(rng) -> Representation:

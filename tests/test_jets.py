@@ -135,6 +135,19 @@ def test_moebius_jet_values():
     assert abs(j.derivative().value - 1 / den ** 2) < 1e-12
 
 
+def test_make_and_replace_validate():
+    # namedtuple's _make and _replace go through __new__: a jet keeps at
+    # least its value, and its base and coefficients become complex
+    with pytest.raises(ValueError, match="at least its value"):
+        Jet._make((0, ()))
+    j = Jet._make((1, [2, 3]))
+    assert j == Jet(1, (2, 3)) and type(j.coeffs) is tuple
+    assert all(type(x) is complex for x in (j.base, *j.coeffs))
+    with pytest.raises(ValueError, match="at least its value"):
+        j._replace(coeffs=())
+    assert j._replace(base=0.5) == Jet(0.5, j.coeffs)
+
+
 def test_eval_matches_polynomial():
     coeffs = [1, -2, 0.5, 3j]
     j = Jet.from_polynomial(coeffs, 1.1, 6)

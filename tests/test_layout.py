@@ -198,16 +198,17 @@ def test_readme_bounds_are_the_constants():
     assert not wrong, f"README bounds that are not the constants: {wrong}"
 
 
-#: the classes of the package that stay dataclasses, each with its reason;
-#: every other record is a namedtuple or a plain class
-DATACLASSES = {"sl2.QuadPoly": "goldman-g8 RSS until ROADMAP item 1"}
+#: the classes of the package that stay dataclasses, each with its reason:
+#: none, every record is a namedtuple or a plain class
+DATACLASSES: dict[str, str] = {}
 
 
 def test_no_module_uses_dataclass_but_the_allowlist():
     # every `charvar` command imports the whole package afresh, and each
     # @dataclass generates and execs its methods then (about 0.5 ms a class
-    # on a 2-core x86-64 host): a class is a dataclass only by the
-    # allowlist, and no other code touches the dataclasses module
+    # on a 2-core x86-64 host, and about 1 ms for the dataclasses import): a
+    # class is a dataclass only by the allowlist, now empty, and no module
+    # imports dataclasses unless the allowlist names one of its classes
     classes, uses = [], []
     for path in sorted((ROOT / "src" / "charvar").glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -60,12 +60,13 @@ class TestPotential:
             build_potential([0], [None], None, [])
 
     def test_replace_validates_as_construction(self):
-        # a sphere is a value: a replaced copy is a new sphere, equal and of
-        # equal hash where no field changed, and checked as a new one is
+        # a sphere is a value: a copy by namedtuple's _replace is a new
+        # sphere, equal and of equal hash where no field changed, and checked
+        # as a new one is
         data = four_cusp_data()
-        same = data.replace()
+        same = data._replace()
         assert same is not data and same == data and hash(same) == hash(data)
-        moved = data.replace(points=(0, 1, 0.5 + 0.5j))
+        moved = data._replace(points=(0, 1, 0.5 + 0.5j))
         assert moved.points == (0, 1, 0.5 + 0.5j) and moved.residues == data.residues
         assert moved != data
         for bad, message in ((dict(points=(0, 0, 1)), "distinct"),
@@ -73,9 +74,19 @@ class TestPotential:
                              (dict(residues=data.residues[:2]), "length mismatch"),
                              (dict(orders=(None, None, 10 ** 9)), "maximum")):
             with pytest.raises(ValueError, match=message):
-                data.replace(**bad)
-        with pytest.raises(TypeError):
-            data.replace(accessory=(0.1,))
+                data._replace(**bad)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            data._replace(accessory=(0.1,))
+
+    def test_make_validates_as_construction(self):
+        # namedtuple's _make goes through __new__ as _replace does: no base
+        # point on a marked point
+        data = four_cusp_data()
+        assert SphereData._make(data) == data
+        with pytest.raises(ValueError, match="lies on marked point 0"):
+            SphereData._make((*data[:4], data.points[0]))
+        with pytest.raises(ValueError, match="lies on marked point 0"):
+            data._replace(base_point=data.points[0])
 
     def test_q_jet_matches_values(self):
         data = four_cusp_data()
@@ -944,7 +955,7 @@ def test_lockstep_fails_a_row_as_the_scalar_series_does(monkeypatch):
 
 
 def _scaled(data, scale):
-    return data.replace(residues=tuple(scale * m for m in data.residues))
+    return data._replace(residues=tuple(scale * m for m in data.residues))
 
 
 def _onto_stem(data, lasso, point):
@@ -953,7 +964,7 @@ def _onto_stem(data, lasso, point):
     zb, entry = build_lassos(data)[lasso].stem
     points = list(data.points)
     points[point] = (zb + entry) / 2
-    return data.replace(points=tuple(points))
+    return data._replace(points=tuple(points))
 
 
 def _outcome(run):
@@ -969,7 +980,7 @@ def _toward(data, point, other, share):
     """``data`` with ``point`` moved ``share`` of the way to point ``other``."""
     points = list(data.points)
     points[point] += share * (points[other] - points[point])
-    return data.replace(points=tuple(points))
+    return data._replace(points=tuple(points))
 
 
 def _fault_data():
@@ -982,7 +993,7 @@ def _fault_data():
     p0, p1, p2 = (base, displace(base, PointDirection((0, 0, 1)), 0.04),
                   displace(base, AccessoryDirection(0), 0.05 + 0.02j))
     tie = build_potential([0, 1j], [None, None], None, [], base_point=-2j)
-    moments = p1.replace(residues=tuple(m + 0.3 for m in p1.residues))
+    moments = p1._replace(residues=tuple(m + 0.3 for m in p1.residues))
     return p0, p1, p2, tie, moments
 
 

@@ -137,6 +137,40 @@ def test_moebius_map_is_its_lift():
         MoebiusMap(2, 1, 1, 1, False)
 
 
+def test_moebius_make_and_replace_validate():
+    # namedtuple's _make and _replace go through __new__: no singular map
+    with pytest.raises(ValueError, match="singular"):
+        MoebiusMap._make((0, 0, 0, 0))
+    g = MoebiusMap(2, 1, 1, 1)
+    with pytest.raises(ValueError, match="singular"):
+        g._replace(a=1, b=1, c=1, d=1)
+    assert MoebiusMap._make((4, 2, 2, 2)) == g == g._replace()
+    assert g._replace(b=0) == MoebiusMap(2, 0, 1, 1)
+
+
+def test_quad_poly_is_a_value_with_vector_arithmetic():
+    # +, -, * act on the coefficients, never as a tuple's concatenation or
+    # repetition, with an int, a complex or a numpy scalar on either side
+    P, Q = QuadPoly(1, 2j, -3), QuadPoly(0.5, 1, 1j)
+    s = 2 - 1j
+    for got, want in ((P + Q, (1.5, 1 + 2j, -3 + 1j)), (P - Q, (0.5, -1 + 2j, -3 - 1j)),
+                      (-P, (-1, -2j, 3)), (P * s, (s, 2j * s, -3 * s)),
+                      (s * P, (s, 2j * s, -3 * s)), (-1 * P, (-1, -2j, 3)),
+                      (2 * P, (2, 4j, -6)), (P * 2, (2, 4j, -6)),
+                      (np.complex128(s) * P, (s, 2j * s, -3 * s)),
+                      (np.float64(2) * P, (2, 4j, -6))):
+        assert type(got) is QuadPoly and got.coeffs() == want, (got, want)
+    assert QuadPoly() == QuadPoly.zero() == (0, 0, 0)
+    assert QuadPoly.from_vector(P.vector()) == P and P.vector().dtype == complex
+    # equal values hash equal, and a field cannot be rebound
+    assert P == QuadPoly(1 + 0j, 2j, -3 + 0j) and hash(P) == hash(QuadPoly(1 + 0j, 2j, -3 + 0j))
+    assert len({P, QuadPoly(*P.coeffs()), Q}) == 2
+    with pytest.raises(AttributeError):
+        P.p0 = 0
+    with pytest.raises(AttributeError):
+        P.extra = 0
+
+
 def test_moebius_action_and_fixed_points():
     g = MoebiusMap(1, 1, 0, 1)
     assert g(0) == 1
