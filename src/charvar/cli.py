@@ -133,19 +133,27 @@ def _cmd_identities(args, report: dict) -> int:
     return 0 if rep.all_pass else 2
 
 
+#: goldman's default bound on each cocycle's chi(R) / max(1, |chi|): the
+#: bundles of the test fixtures read at most 1.1e-12, and kawai's tangent
+#: cocycles on the committed configs 5.2e-13
+COCYCLE_TOL = 1e-8
+
+
 def _cmd_goldman(args, report: dict) -> int:
     bundle = _load_json(args)
-    tols = _tolerances(args, {"local": LOCAL_TOL})
+    tols = _tolerances(args, {"local": LOCAL_TOL, "relation": RELATION_TOL,
+                              "cocycle": COCYCLE_TOL})
     try:
         rho = representation_in(bundle["representation"])
         chi1 = cocycle_in(bundle["cocycle1"], rho)
         chi2 = cocycle_in(bundle["cocycle2"], rho)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad goldman bundle: {e}")
+    relation = rho.relator_residual()
     report.update({
         "config": {"signature": bundle["representation"]["signature"]},
         "tolerances": tols,
-        "representation_relator_residual": rho.relator_residual(),
+        "representation_relator_residual": relation,
     })
     result = pairing(rho, chi1, chi2, local_tol=tols["local"])
     residuals = {"chi1_relator": result.relator_residuals[0],
@@ -154,7 +162,9 @@ def _cmd_goldman(args, report: dict) -> int:
         residuals["local"] = {k: s.residual for k, s in result.solves.items()}
     report.update({"value": complex_out(result.value), "residuals": residuals,
                    "p2_list": {k: poly_out(s.poly) for k, s in result.solves.items()}})
-    return 0
+    cocycle = max(r / max(1.0, chi.norm())
+                  for r, chi in zip(result.relator_residuals, (chi1, chi2)))
+    return 0 if relation <= tols["relation"] and cocycle <= tols["cocycle"] else 2
 
 
 #: lambda-check's kinds of f: the one key each takes besides "kind", and its

@@ -52,8 +52,8 @@ def elliptic_trace_residual(t: float, order: int) -> float:
     return min(abs(t - abs(2 * math.cos(math.pi * k / order))) for k in sorted(near))
 
 
-#: rho's side of the walk of the relator R: the letters and prefix images of
-#: ``word_images`` and the prefixes' inverses
+#: rho's side of the walk of the relator R: the letters (name, exp) and prefix
+#: images of ``word_images`` and the prefixes' inverses
 RelatorFrame = namedtuple("RelatorFrame", "letters prefixes inverses")
 
 
@@ -73,6 +73,9 @@ class Representation(namedtuple("Representation", "signature images")):
         if missing:
             raise ValueError(f"missing generator images: {missing}")
         return super().__new__(cls, signature, images)
+
+    def __reduce__(self):  # a read-only mapping does not pickle; a dict does
+        return Representation, (self.signature, dict(self.images))
 
     def image(self, w: FreeWord) -> MoebiusMap:
         return word_images(self, w)[1][-1]
@@ -126,15 +129,14 @@ def _fixes(m: MoebiusMap, p) -> bool:
 
 def word_images(rho: Representation, w: FreeWord):
     """rho's side of a walk of the word w = x_1 ... x_L: (letters, prefixes)
-    with letters[j - 1] = (name, exp, rho(x_j)^exp) and the prefix images
+    with letters[j - 1] = (name, exp) of x_j and the prefix images
     prefixes[j] = rho(x_1 ... x_j), prefixes[0] = 1.  Built once, it serves
     every cocycle's walk of w (``Cocycle.along``)."""
     letters, prefixes = [], [MoebiusMap.identity()]
     for name, exp in w:
         m = rho.images[name]
-        m = m if exp == 1 else m.inverse()
-        letters.append((name, exp, m))
-        prefixes.append(prefixes[-1] @ m)
+        letters.append((name, exp))
+        prefixes.append(prefixes[-1] @ (m if exp == 1 else m.inverse()))
     return letters, prefixes
 
 
@@ -150,12 +152,14 @@ class Cocycle(namedtuple("Cocycle", "base values")):
 
     def along(self, letters, prefixes) -> list[QuadPoly]:
         """chi(P_0) = 0, ..., chi(P_L) = chi(w) over the prefixes P_j of a
-        word w, from rho's side of its walk (``word_images``)."""
+        word w, from rho's side of its walk (``word_images``), one adjoint
+        action per letter: chi(P x) = chi(P) + Ad(rho(P)) chi(x), and
+        chi(P x^-1) = chi(P) - Ad(rho(P x^-1)) chi(x) on the next prefix."""
         total = QuadPoly.zero()
         out = [total]
-        for (name, exp, m), prefix in zip(letters, prefixes):
-            term = self.values[name] if exp == 1 else -1 * adjoint_action(m, self.values[name])
-            total = total + adjoint_action(prefix, term)
+        for (name, exp), prefix, after in zip(letters, prefixes, prefixes[1:]):
+            total = (total + adjoint_action(prefix, self.values[name]) if exp == 1
+                     else total - adjoint_action(after, self.values[name]))
             out.append(total)
         return out
 
@@ -295,8 +299,7 @@ def relator_extension_matrix(rho: Representation) -> np.ndarray:
     col = {g: i for i, g in enumerate(gens)}
     T = np.zeros((3, 3 * len(gens)), dtype=complex)
     frame = rho.relator_frame
-    for (name, exp, _), before, after in zip(frame.letters, frame.prefixes,
-                                             frame.prefixes[1:]):
+    for (name, exp), before, after in zip(frame.letters, frame.prefixes, frame.prefixes[1:]):
         j = 3 * col[name]
         if exp == 1:
             T[:, j:j + 3] += ad_matrix(before)

@@ -8,7 +8,7 @@ Closed surfaces:
 and for orbifold signatures two more sums: the marked-generator Fox terms
 (dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
 - sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
-rho's side of the relator walk (letter and prefix images) is built once per
+rho's side of the relator walk (letters and prefix images) is built once per
 representation (Representation.relator_frame) and shared by every cocycle's
 walk (_walk) and chi(R); the local solves of all cocycles at all c_i, of
 one representation or of several (goldman_matrices), come from one stacked
@@ -60,7 +60,7 @@ def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
     rho = chi.base
     sharp = {gen: QuadPoly.zero() for gen in rho.signature.generators}
     cs = chi.along(frame.letters, frame.prefixes)
-    for j, (name, exp, _) in enumerate(frame.letters):
+    for j, (name, exp) in enumerate(frame.letters):
         if exp == 1:
             sharp[name] = sharp[name] - adjoint_action(frame.inverses[j], cs[j])
         else:

@@ -105,6 +105,9 @@ class MoebiusMap(namedtuple("MoebiusMap", "a b c d")):
             a, b, c, d = a / s, b / s, c / s, d / s
         return super().__new__(cls, complex(a), complex(b), complex(c), complex(d))
 
+    def __getnewargs_ex__(self):  # a copy or a pickle keeps the lift's bits
+        return tuple(self), {"normalize": False}
+
     @classmethod
     def identity(cls) -> "MoebiusMap":
         return cls(1, 0, 0, 1, normalize=False)

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,10 @@ from charvar.monodromy import (MonodromyEngine, _assemble, _circle_row, _circle_
                                _step_tangents, _transfer, _transport, build_potential)
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
+
+
+#: the routes by which a value is copied: copy, deepcopy and a pickle round trip
+COPIES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
 
 
 def rand_sl2(rng) -> MoebiusMap:

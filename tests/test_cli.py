@@ -372,8 +372,8 @@ def test_identities_report_bytes_are_pinned(capsys, sig, digest):
 
 
 @pytest.mark.parametrize("rep, bundle_digest, digest", [
-    ("genus2_rep", "6b5e385bee54a34a", "915d76c7882e8c1c"),
-    ("orb3_rep", "bb75af249f30fa0d", "589f49624ea66940")])
+    ("genus2_rep", "6b5e385bee54a34a", "71bca77fe7a86fe9"),
+    ("orb3_rep", "bb75af249f30fa0d", "609ff3659e58074b")])
 def test_goldman_report_bytes_are_pinned(capsys, tmp_path, request, rep, bundle_digest,
                                          digest):
     # the bundle of ``_bundle_path`` with seed 3 over the fixture ``rep``: the
@@ -497,7 +497,7 @@ def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2
     chi1 = cocycle_in(bundle["cocycle1"], rho)
     chi2 = cocycle_in(bundle["cocycle2"], rho)
     want = {"config": {"signature": bundle["representation"]["signature"]},
-            "tolerances": {"local": 1e-6},
+            "tolerances": {"cocycle": 1e-8, "local": 1e-6, "relation": 1e-5},
             "representation_relator_residual": rho.relator_residual(),
             "value": complex_out(goldman_closed(rho, chi1, chi2)),
             "residuals": {"chi1_relator": chi1(relator(rho.signature)).norm(),
@@ -513,6 +513,34 @@ def _set(bundle, path, value):
         node = node[key]
     node[path[-1]] = value
     return json.dumps(bundle)
+
+
+@pytest.mark.parametrize("path, bump, failing", [
+    (["cocycle1", "values", "a1", 0], 0.5, ["cocycle"]),
+    (["representation", "images", "a1", 0], 0.3, ["relation", "cocycle"]),
+], ids=["cocycle", "image"])
+def test_goldman_holds_residuals_to_tolerances(capsys, tmp_path, genus2_rep, orb3_rep, path,
+                                               bump, failing):
+    # a cocycle off Z^1 (chi1(R) reads 0.53), and an image that moves rho
+    # off the relator (0.49) and both cocycles with it (0.44, 0.63): the run
+    # reports its value and exits 2, and exits 0 only once --tol lifts every
+    # bound that failed; the fixtures' bundles exit 0
+    for rho in (genus2_rep, orb3_rep):
+        for seed in (3, 4):
+            assert run_cli(capsys, "goldman", "--input",
+                           str(_bundle_path(tmp_path, rho, seed)[0]))[0] == 0
+    _, bundle = _bundle_path(tmp_path, genus2_rep, 3)
+    re, im = functools.reduce(lambda node, key: node[key], path, bundle)
+    text = _set(bundle, path, [re + bump, im])
+    code, rep = run_cli(capsys, "goldman", "--json", text)
+    reads = {"relation": rep["representation_relator_residual"],
+             "cocycle": max(rep["residuals"].values())}
+    assert code == 2 and "error" not in rep and "value" in rep
+    assert {k for k, r in reads.items() if r > 0.4} == set(failing), reads
+    lifts = [arg for k in failing for arg in ("--tol", f"{k}=1")]
+    assert run_cli(capsys, "goldman", "--json", text, *lifts)[0] == 0
+    if len(failing) > 1:  # one bound lifted alone leaves the other failing
+        assert run_cli(capsys, "goldman", "--json", text, *lifts[:2])[0] == 2
 
 
 def test_goldman_non_finite_pairing_is_reported(capsys, tmp_path, genus2_rep):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (local_solves, make_genus2_rep, near_identity_sl2, orb3_data, rand_sl2,
-                      thrice_punctured_rep)
+from conftest import (COPIES, local_solves, make_genus2_rep, near_identity_sl2, orb3_data,
+                      rand_sl2, thrice_punctured_rep)
 from oracles import (BranchJumpError, coboundary, conjugated, direction_family,
                      elliptic_trace_targets, evaluate_ring, finite_difference_cocycle,
                      local_kernel_basis, lstsq_local_coboundary, matrix_to_poly,
@@ -18,7 +18,7 @@ from charvar.cocycles import (Cocycle, CocycleNotParabolicError, Representation,
 from charvar.jets import Jet
 from charvar.serialize import representation_in, representation_out
 from charvar.sl2 import MoebiusMap, QuadPoly, ad_matrix, adjoint_action, killing
-from charvar.words import Signature, relator
+from charvar.words import FreeWord, Signature, relator
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,21 @@ class TestRepresentation:
             assert list(frame.prefixes) == prefixes
             assert list(frame.inverses) == [p.inverse() for p in prefixes]
             assert rho.relator_frame is frame
+
+    def test_copies_and_pickles_keep_the_bits(self, rho2):
+        # images that are products (a conjugate of rho2), and a cocycle over
+        # them: each copy is an equal value bit for bit, images read-only
+        rho = conjugated(rho2, rand_sl2(np.random.default_rng(6)))
+        chi = random_parabolic_cocycle(rho, np.random.default_rng(7))
+        bits = lambda values: np.array([tuple(v) for v in values]).tobytes()
+        for route in COPIES:
+            r, c = route(rho), route(chi)
+            assert r == rho and c == chi and c.base == rho
+            for got in (r, c.base):
+                assert bits(got.images.values()) == bits(rho.images.values())
+                with pytest.raises(TypeError):
+                    got.images["a1"] = MoebiusMap.identity()
+            assert bits(c.values.values()) == bits(chi.values.values())
 
     def test_missing_generator(self):
         with pytest.raises(ValueError):
@@ -183,6 +198,58 @@ class TestEvaluation:
             for scaled in (s * chi, chi * s):
                 assert type(scaled) is Cocycle and scaled.base == rho2
                 assert scaled.values == {g: v * s for g, v in chi.values.items()}
+
+
+def _mp_word_value(mp, rho, chi, w) -> tuple:
+    """chi(w) as (p0, p1, p2) at mp's working precision from the double
+    images and values, by row-major 2x2 tuples: X = (-p1/2, -p0; p2, p1/2)
+    for a QuadPoly, Ad(g) X = g X adj(g) with adj the adjugate,
+    chi(P x) = chi(P) + Ad(rho(P)) chi(x) and
+    chi(x^-1) = -Ad(rho(x)^-1) chi(x)."""
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    def adj(x):
+        return (x[3], -x[1], -x[2], x[0])
+
+    prefix, c = (1, 0, 0, 1), (0, 0, 0, 0)
+    for x, exp in w:
+        g = tuple(map(mp.mpc, rho.images[x]))
+        p0, p1, p2 = map(mp.mpc, chi.values[x])
+        t = (-p1 / 2, -p0, p2, p1 / 2)
+        if exp != 1:
+            g = adj(g)
+            t = tuple(-e for e in mul(mul(g, t), adj(g)))
+        c = tuple(a + b for a, b in zip(c, mul(mul(prefix, t), adj(prefix))))
+        prefix = mul(prefix, g)
+    return (-c[1], c[3] - c[0], c[2])
+
+
+#: the worst relative error of chi(w) against the 40-digit walk over the
+#: words of ``test_word_values_against_a_40_digit_oracle``, recorded once
+#: while the walk took two adjoint actions per inverse letter
+WORD_ORACLE_WORST = 4.414860948331943e-15
+
+
+def test_word_values_against_a_40_digit_oracle():
+    # 100 words of 20-40 letters, three in four of them inverse, over three
+    # parabolic cocycles of the genus-2 fixture: chi(w) holds to twice the
+    # recorded worst relative error of the 40-digit walk of the same inputs
+    mp = pytest.importorskip("mpmath").mp
+    rho = make_genus2_rep()
+    rng = np.random.default_rng(5)
+    chis = [random_parabolic_cocycle(rho, rng) for _ in range(3)]
+    gens = rho.signature.generators
+    worst = 0.0
+    with mp.workdps(40):
+        for k in range(100):
+            w = FreeWord([(gens[int(rng.integers(len(gens)))], 1 if rng.random() < 0.25 else -1)
+                          for _ in range(int(rng.integers(20, 41)))])
+            got, want = chis[k % 3](w), _mp_word_value(mp, rho, chis[k % 3], w)
+            err = max(abs(mp.mpc(a) - b) for a, b in zip(got, want)) / max(map(abs, want))
+            worst = max(worst, float(err))
+    assert worst <= 2 * WORD_ORACLE_WORST, worst
 
 
 def _local_kinds(rng) -> Representation:
