@@ -1,15 +1,19 @@
 import cmath
 import copy
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charvar.cocycles import Representation, local_coboundaries
+from charvar.kawai import AccessoryDirection, GridOffset, PointDirection
 from charvar.monodromy import (MonodromyEngine, _assemble, _circle_row, _circle_tangents,
                                _lassos, _local_monodromy, _lockstep, _row, _stem, _step_row,
                                _step_tangents, _transfer, _transport, build_potential)
+from charvar.serialize import complex_in, int_in, sphere_in
 from charvar.sl2 import MoebiusMap
 from charvar.words import Signature, relator
 
@@ -209,6 +213,24 @@ def thrice_punctured_rep() -> Representation:
     c3 = (c1 @ c2).inverse()
     sig = Signature(0, (None,) * 3)
     return Representation(sig, {"c1": c1, "c2": c2, "c3": c3})
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def kawai_inputs(config):
+    """(base, t directions, grid, accessory directions) of the committed
+    kawai config named ``config``, read as ``charvar kawai`` reads it."""
+    cfg = json.loads((CONFIGS / config).read_text())
+    t_dirs = [PointDirection(tuple(map(complex_in, d["velocities"])))
+              for d in cfg.get("t_directions", [])]
+    acc = None
+    if "accessory_directions" in cfg:
+        acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
+               for d in cfg["accessory_directions"]]
+    grid = [GridOffset(tuple(map(complex_in, g.get("t", []))),
+                       tuple(map(complex_in, g.get("c", [])))) for g in cfg.get("grid", [{}])]
+    return sphere_in(cfg["sphere"]), t_dirs, grid, acc
 
 
 FOUR_CUSP_T = 0.3 + 0.4j

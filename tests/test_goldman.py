@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, local_solves, make_closed_rep,
-                      make_genus1_rep, make_genus2_rep, near_identity_sl2, rand_sl2,
-                      relator_walks, thrice_punctured_rep)
+from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, kawai_inputs, local_solves,
+                      make_closed_rep, make_genus1_rep, make_genus2_rep, near_identity_sl2,
+                      rand_sl2, relator_walks, thrice_punctured_rep)
 from oracles import coboundary, conjugated, evaluate_ring, local_kernel_basis, random_quadpoly
 from charvar.cocycles import Cocycle, parabolic_parameter_basis, random_parabolic_cocycle
 from charvar.goldman import (CUP_SIGN, _walk, cup_product_on_chain, goldman_closed,
@@ -288,11 +288,18 @@ class TestMatrix:
         assert int(np.sum(svals > 1e-6 * svals[0])) == rank, svals
 
 
-def _mp_closed_goldman(mp, rho, chi1, chi2):
-    """The closed Goldman sum -sum_x <chi1(# dR/dx), chi2(x)> at mp's
-    working precision from the double images and values, by matrices:
-    X = (-p1/2, -p0; p2, p1/2) for a QuadPoly, Ad(g) X = g X adj(g) with
-    adj the adjugate (a ``MoebiusMap``'s inverse) and <X, Y> = tr(XY)."""
+def _mp_goldman(mp, rho, chis, pairs):
+    """[omega(chis[i], chis[j]) for i, j in pairs] at mp's working precision
+    from the double images and values: the Fox sum
+    -sum_x <chi_i(# dR/dx), chi_j(x)> - sum_c <chi_i(c^-1), P_jc> over the
+    generators x and the marked generators c, by matrices:
+    X = (-p1/2, -p0; p2, p1/2) for a QuadPoly, Ad(g) X = g X adj(g) with adj
+    the adjugate (a ``MoebiusMap``'s inverse) and <X, Y> = tr(XY).  P_jc is
+    the minimum-norm solution of (Ad rho(c) - 1) P = chi_j(c) by mp's SVD,
+    singular values below 1e-9 of the largest dropped as the program drops
+    them: the term is blind to the kernel only as far as chi_j(c) lies in
+    the range, and a transported rho(c) is parabolic or elliptic to ~1e-12,
+    so a kernel vector that the rounded system keeps would move it."""
     def mat(P):
         p0, p1, p2 = (mp.mpc(c) for c in P.coeffs())
         return mp.matrix([[-p1 / 2, -p0], [p2, p1 / 2]])
@@ -300,20 +307,47 @@ def _mp_closed_goldman(mp, rho, chi1, chi2):
     def adj(g):
         return mp.matrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
 
+    def tr(X):
+        return X[0, 0] + X[1, 1]
+
     images = {x: mp.matrix([[m.a, m.b], [m.c, m.d]]) for x, m in rho.images.items()}
-    sharp = {x: mp.zeros(2) for x in images}
-    prefix, c = mp.eye(2), mp.zeros(2)  # rho(P_j) and chi1(P_j)
-    for x, exp in relator(rho.signature):
-        g, t = images[x], mat(chi1.values[x])
-        if exp == 1:  # dR/dx gains P_(j-1), and chi1(P^-1) = -Ad(P^-1) chi1(P)
-            sharp[x] -= adj(prefix) * c * prefix
-        else:  # chi1(x^-1) = -Ad(x^-1) chi1(x)
-            g, t = adj(g), -(adj(g) * t * g)
-        c += prefix * t * adj(prefix)
-        prefix = prefix * g
-        if exp != 1:  # dR/dx gains -P_j
-            sharp[x] += adj(prefix) * c * prefix
-    return -mp.fsum((sharp[x] * mat(chi2.values[x]))[i, i] for x in images for i in (0, 1))
+
+    def sharps(chi):  # chi(# dR/dx) per generator x
+        sharp = {x: mp.zeros(2) for x in images}
+        prefix, c = mp.eye(2), mp.zeros(2)  # rho(P_j) and chi(P_j)
+        for x, exp in relator(rho.signature):
+            g, t = images[x], mat(chi.values[x])
+            if exp == 1:  # dR/dx gains P_(j-1), and chi(P^-1) = -Ad(P^-1) chi(P)
+                sharp[x] -= adj(prefix) * c * prefix
+            else:  # chi(x^-1) = -Ad(x^-1) chi(x)
+                g, t = adj(g), -(adj(g) * t * g)
+            c += prefix * t * adj(prefix)
+            prefix = prefix * g
+            if exp != 1:  # dR/dx gains -P_j
+                sharp[x] += adj(prefix) * c * prefix
+        return sharp
+
+    basis = [mp.matrix([[1, 0], [0, -1]]), mp.matrix([[0, 1], [0, 0]]),
+             mp.matrix([[0, 0], [1, 0]])]  # traceless X as (X00, X01, X10)
+
+    def solver(g):  # X -> the traceless P with g P adj(g) - P = X
+        cols = [g * e * adj(g) - e for e in basis]
+        u, s, v = mp.svd_c(mp.matrix([[col[0, 0], col[0, 1], col[1, 0]] for col in cols]).T)
+        pinv = v.H * mp.diag([1 / x if x > s[0] * 1e-9 else 0 for x in s]) * u.H
+        return lambda X: sum((y * e for y, e in zip(pinv * mp.matrix([X[0, 0], X[0, 1], X[1, 0]]),
+                                                    basis)), mp.zeros(2))
+
+    solvers = {c: solver(images[c]) for c in rho.signature.marked_generators}
+    walks = {i: sharps(chis[i]) for i in {i for i, _ in pairs}}
+    solves = {j: {c: solve(mat(chis[j].values[c])) for c, solve in solvers.items()}
+              for j in {j for _, j in pairs}}
+    out = []
+    for i, j in pairs:
+        terms = [tr(walks[i][x] * mat(chis[j].values[x])) for x in images]
+        terms += [tr(-(adj(images[c]) * mat(chis[i].values[c]) * images[c]) * solves[j][c])
+                  for c in solvers]
+        out.append(-mp.fsum(terms))
+    return out
 
 
 #: the relative error of goldman_closed against the 40-digit walk over
@@ -336,11 +370,67 @@ def test_closed_goldman_against_a_40_digit_oracle():
             rho = make_closed_rep(8, seed)
             rng = np.random.default_rng(seed)
             chis = [random_parabolic_cocycle(rho, rng) for _ in range(6)]
-            for i, j in GOLDMAN_ORACLE_PAIRS:
-                want = _mp_closed_goldman(mp, rho, chis[i], chis[j])
+            wants = _mp_goldman(mp, rho, chis, GOLDMAN_ORACLE_PAIRS)
+            for (i, j), want in zip(GOLDMAN_ORACLE_PAIRS, wants):
                 got = goldman_closed(rho, chis[i], chis[j])
                 errors.append(float(abs(mp.mpc(got) - want) / abs(want)))
     median, worst = GOLDMAN_ORACLE_ERRORS
+    assert np.median(errors) <= 2 * median and max(errors) <= 2 * worst, \
+        (np.median(errors), max(errors))
+
+
+#: the error of the orbifold Goldman sum against the 40-digit sum,
+#: |omega - oracle| / max(1, max |oracle|) per off-diagonal entry of each
+#: matrix (the draws are of norm 1 and pair to ~1e-6; kawai's pair to pi),
+#: (median, worst) over the entries of each input set; recorded once, on
+#: the sum that paired # images with generator values
+ORBIFOLD_ORACLE_ERRORS = {"draws": (3.9711402814638905e-16, 8.4894612486590235e-16),
+                          "kawai": (1.823005620582609e-11, 6.361412673073989e-11)}
+
+
+def _orbifold_matrices(which, request, monkeypatch):
+    """(rho, cocycles, omega) of each input set of the orbifold oracle:
+    four ``random_parabolic_cocycle`` draws on each of three orbifold
+    fixtures, or the reduced tangent cocycles at every grid point of the
+    committed kawai configs as ``kawai_experiment`` pairs them."""
+    if which == "draws":
+        out = []
+        for seed, fixture in enumerate(("orb3_rep", "four_cusp_rep", "elliptic_rep"), 31):
+            rho = request.getfixturevalue(fixture)
+            rng = np.random.default_rng(seed)
+            chis = [random_parabolic_cocycle(rho, rng) for _ in range(4)]
+            out.append((rho, chis, goldman_matrices([rho], [chis])[0][0]))
+        return out
+    import charvar.kawai as kawai
+    out, matrices = [], kawai.goldman_matrices
+
+    def recorded(rhos, chis, *args, **kwargs):
+        results = matrices(rhos, chis, *args, **kwargs)
+        out.extend((rho, cs, omega) for rho, cs, (omega, _) in zip(rhos, chis, results))
+        return results
+
+    monkeypatch.setattr(kawai, "goldman_matrices", recorded)
+    for config in ("kawai-4cusp.json", "kawai-5point.json"):
+        base, t_dirs, grid, acc = kawai_inputs(config)
+        kawai.kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
+    return out
+
+
+@pytest.mark.parametrize("which", sorted(ORBIFOLD_ORACLE_ERRORS))
+def test_orbifold_goldman_against_a_40_digit_oracle(which, request, monkeypatch):
+    # the marked-generator terms with their local solves, on cusps and
+    # elliptic points: every off-diagonal entry holds to twice the recorded
+    # median and worst error of the 40-digit sum of the same inputs
+    mp = pytest.importorskip("mpmath").mp
+    errors = []
+    with mp.workdps(40):
+        for rho, chis, omega in _orbifold_matrices(which, request, monkeypatch):
+            pairs = [(i, j) for i in range(len(chis)) for j in range(len(chis)) if i != j]
+            wants = _mp_goldman(mp, rho, chis, pairs)
+            scale = max(1, *map(abs, wants))
+            errors += [float(abs(mp.mpc(omega[i][j]) - w) / scale)
+                       for (i, j), w in zip(pairs, wants)]
+    median, worst = ORBIFOLD_ORACLE_ERRORS[which]
     assert np.median(errors) <= 2 * median and max(errors) <= 2 * worst, \
         (np.median(errors), max(errors))
 

@@ -1,37 +1,20 @@
-import json
 import math
 import statistics
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, relator_walks
+from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, four_cusp_data, kawai_inputs,
+                      relator_walks)
 from oracles import direction_family, finite_difference_cocycle, moment_residuals
 from charvar.cli import _grid_out
 from charvar.cocycles import Cocycle, tangent_cocycle
 from charvar.kawai import (AccessoryDirection, GridOffset, PointDirection,
-                           _abs_trace_rate, displace, kawai_experiment)
+                           _abs_trace_rate, _displaced, displace, kawai_experiment)
 from charvar.monodromy import build_potential, potential_tangent, transport
-from charvar.serialize import complex_in, dumps_deterministic, int_in, sphere_in
+from charvar.serialize import dumps_deterministic
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DIRECTIONS = (AccessoryDirection(0), PointDirection((0, 0, 1)))
-
-
-def _experiment(config):
-    """(base, t directions, grid, accessory directions) of a kawai config,
-    read as ``charvar kawai`` reads it."""
-    cfg = json.loads((CONFIGS / config).read_text())
-    t_dirs = [PointDirection(tuple(map(complex_in, d["velocities"])))
-              for d in cfg.get("t_directions", [])]
-    acc = None
-    if "accessory_directions" in cfg:
-        acc = [AccessoryDirection(int_in(d["index"]), complex_in(d.get("scale", 1.0)))
-               for d in cfg["accessory_directions"]]
-    grid = [GridOffset(tuple(map(complex_in, g.get("t", []))),
-                       tuple(map(complex_in, g.get("c", [])))) for g in cfg.get("grid", [{}])]
-    return sphere_in(cfg["sphere"]), t_dirs, grid, acc
 
 
 def _tangents(data):
@@ -104,7 +87,7 @@ def test_reduced_cocycles_keep_omega_accurate():
     # offsets about it, omega(c0, t2) = pi*i to ~2e-11 (subtracting the
     # coboundary through the 3x3 adjoint matrix read 3e-11 to 4e-11 in the
     # median and up to 1e-10 on the grid)
-    base, t_dirs, grid, _ = _experiment("kawai-4cusp.json")
+    base, t_dirs, grid, _ = kawai_inputs("kawai-4cusp.json")
     rng = np.random.default_rng(1)
     grid += [GridOffset(t=(complex(*0.06 * rng.standard_normal(2)),),
                         c=(complex(*0.06 * rng.standard_normal(2)),)) for _ in range(40)]
@@ -146,7 +129,7 @@ def test_grid_points_are_independent(config, monkeypatch):
         return circle_tangents(series, circles, poles, tangents)
 
     monkeypatch.setattr(mono, "_circle_tangents", recorded)
-    base, t_dirs, grid, acc = _experiment(config)
+    base, t_dirs, grid, acc = kawai_inputs(config)
     results = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
     assert len(grid) == 3 and len(batches) == 1
     assert sorted({i for i, _ in batches[0]}) == [0, 1, 2]
@@ -213,3 +196,43 @@ def test_grid_point_pairs_each_cocycle_once(monkeypatch):
         assert [r.labels for r in results] == [["c0", "t2"]] * len(grid)
         assert calls == {"solve": [[(2, 4)] * len(grid)], "walk": 2 * len(grid)}
         assert len(walked) == len(grid)
+
+
+def _kawai_closed_form(data, directions):
+    """Kawai's omega(u, v) = pi*i sum_j (dm^u_j dz^v_j - dm^v_j dz^u_j) over
+    the finite points of ``data``, from each direction's point velocities
+    dz_j and residue velocities dm_j = 2 dB_j (``potential_tangent``, the
+    two dependent residues included)."""
+    tangents = [potential_tangent(data, *d.velocity(data)) for d in directions]
+    return [[math.pi * 1j * sum(2 * dbu * dzv - 2 * dbv * dzu
+                                for (dzu, dbu), (dzv, dbv) in zip(tu, tv))
+             for tv in tangents] for tu in tangents]
+
+
+#: the worst miss max |omega - closed form| / max |closed form| over the
+#: grid of each committed kawai config, recorded once, before the Goldman
+#: sum became the letter sum of two walks (which reads 2.31e-11 and 1.46e-9)
+KAWAI_CLOSED_FORM_MISSES = {"kawai-4cusp.json": 2.3339798265722166e-11,
+                            "kawai-5point.json": 1.4625097035457114e-09}
+
+
+@pytest.mark.parametrize("config", sorted(KAWAI_CLOSED_FORM_MISSES))
+def test_omega_is_kawais_closed_form(config):
+    # every direction pair at every grid point: the fiber block and the
+    # diagonal vanish, omega(c_k, t_j) is pi*i times the residue's rate, and
+    # the whole matrix misses the prediction by no more than it did when
+    # recorded (the miss grows with |rho|: ROADMAP items 2 and 3)
+    base, t_dirs, grid, acc = kawai_inputs(config)
+    results = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc)
+    directions = [AccessoryDirection(i) for i in range(base.free_dimension())] \
+        if acc is None else acc
+    directions = list(directions) + t_dirs
+    worst = 0.0
+    for offset, res in zip(grid, results):
+        want = _kawai_closed_form(_displaced(base, t_dirs, directions[:-len(t_dirs)], offset),
+                                  directions)
+        scale = max(abs(w) for row in want for w in row)
+        assert scale == pytest.approx(math.pi, rel=1e-12)
+        worst = max(worst, max(abs(got - w) for rows in zip(res.omega, want)
+                               for got, w in zip(*rows)) / scale)
+    assert worst <= KAWAI_CLOSED_FORM_MISSES[config], worst
