@@ -256,7 +256,8 @@ def _grid_out(r: GridResult) -> dict:
 
 def _cmd_kawai(args, report: dict) -> int:
     cfg = _load_json(args)
-    tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": RELATION_TOL})
+    tols = _tolerances(args, {"antisymmetry": 1e-8, "relation": RELATION_TOL,
+                              "local": LOCAL_TOL})
     try:
         object_in(cfg, ("sphere", "t_directions", "accessory_directions", "grid"))
         base = sphere_in(cfg["sphere"])
@@ -277,7 +278,7 @@ def _cmd_kawai(args, report: dict) -> int:
         raise InputError(f"bad kawai config: {e}")
     report.update({"config": cfg, "tolerances": tols})
     results = kawai_experiment(base, t_dirs, grid=grid, accessory_directions=acc,
-                               relation_tol=tols["relation"])
+                               relation_tol=tols["relation"], local_tol=tols["local"])
     scale = max(r.scale for r in results)
     defect = max(r.antisymmetry_defect for r in results)
     report.update({"labels": results[0].labels, "scale": scale,

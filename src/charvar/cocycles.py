@@ -53,8 +53,8 @@ def elliptic_trace_residual(t: float, order: int) -> float:
 
 
 #: rho's side of the walk of the relator R: the letters (name, exp) and prefix
-#: images of ``word_images`` and the prefixes' inverses
-RelatorFrame = namedtuple("RelatorFrame", "letters prefixes inverses")
+#: images of ``word_images``
+RelatorFrame = namedtuple("RelatorFrame", "letters prefixes")
 
 
 class Representation(namedtuple("Representation", "signature images")):
@@ -82,12 +82,11 @@ class Representation(namedtuple("Representation", "signature images")):
 
     @functools.cached_property
     def relator_frame(self) -> RelatorFrame:
-        """rho's side of the walk of R (``word_images``) and the prefixes'
-        inverses, built once per representation and read by every walk of
-        R: rho(R), chi(R), the Goldman sums and the relator extension."""
+        """rho's side of the walk of R (``word_images``), built once per
+        representation and read by every walk of R: rho(R), chi(R), the
+        Goldman sums and the relator extension."""
         letters, prefixes = word_images(self, relator(self.signature))
-        return RelatorFrame(tuple(letters), tuple(prefixes),
-                            tuple(p.inverse() for p in prefixes))
+        return RelatorFrame(tuple(letters), tuple(prefixes))
 
     def relator_residual(self) -> float:
         return self.relator_frame.prefixes[-1].psl_distance(MoebiusMap.identity())
@@ -150,18 +149,20 @@ class Cocycle(namedtuple("Cocycle", "base values")):
     def __call__(self, w: FreeWord) -> QuadPoly:
         return self.along(*word_images(self.base, w))[-1]
 
+    def steps(self, letters, prefixes) -> list[QuadPoly]:
+        """chi(P_j) - chi(P_(j-1)) at each letter x_j of a word w, from rho's
+        side of its walk (``word_images``), one adjoint action per letter:
+        Ad(rho(P_(j-1))) chi(x) for x_j = x, and -Ad(rho(P_j)) chi(x) on the
+        next prefix for x_j = x^-1."""
+        return [adjoint_action(prefix, self.values[name]) if exp == 1
+                else -adjoint_action(after, self.values[name])
+                for (name, exp), prefix, after in zip(letters, prefixes, prefixes[1:])]
+
     def along(self, letters, prefixes) -> list[QuadPoly]:
         """chi(P_0) = 0, ..., chi(P_L) = chi(w) over the prefixes P_j of a
-        word w, from rho's side of its walk (``word_images``), one adjoint
-        action per letter: chi(P x) = chi(P) + Ad(rho(P)) chi(x), and
-        chi(P x^-1) = chi(P) - Ad(rho(P x^-1)) chi(x) on the next prefix."""
-        total = QuadPoly.zero()
-        out = [total]
-        for (name, exp), prefix, after in zip(letters, prefixes, prefixes[1:]):
-            total = (total + adjoint_action(prefix, self.values[name]) if exp == 1
-                     else total - adjoint_action(after, self.values[name]))
-            out.append(total)
-        return out
+        word w: the running sum of its ``steps``."""
+        return list(itertools.accumulate(self.steps(letters, prefixes),
+                                         initial=QuadPoly.zero()))
 
     def norm(self) -> float:
         return max((v.norm() for v in self.values.values()), default=0.0)

@@ -1,20 +1,21 @@
-"""Goldman's symplectic pairing on cocycles.
+"""Goldman's symplectic pairing on cocycles, the bilinear form of two walks
+of the relator R = x_1 ... x_L with prefixes P_j = x_1 ... x_j:
 
-Closed surfaces:
+    w(chi1, chi2) = sum_j <A_j, D_j>  -  sum_i <chi1(c_i^-1), P_2i>.
 
-    w(chi1, chi2) = - sum_k  <chi1(# dR/da_k), chi2(a_k)>
-                           + <chi1(# dR/db_k), chi2(b_k)>
-
-and for orbifold signatures two more sums: the marked-generator Fox terms
-(dR/dc_i = R_{g+i-1}) and the local-polynomial corrections
-- sum_i <chi1(c_i^-1), P_2i> with (Ad rho(c_i) - 1) P_2i = chi2(c_i).
-rho's side of the relator walk (letters and prefix images) is built once per
-representation (Representation.relator_frame) and shared by every cocycle's
-walk (_walk) and chi(R); the local solves of all cocycles at all c_i, of
-one representation or of several (goldman_matrices), come from one stacked
-SVD.  The marked generators are single letters, so
-chi(c_i), chi(c_i^-1) and rho(c_i) come from their values and images, not
-from word walks.
+D_j = chi2(P_j) - chi2(P_(j-1)) is chi2's step at x_j (``Cocycle.steps``):
+Ad(rho(P_(j-1))) chi2(x) at x_j = x and -Ad(rho(P_j)) chi2(x) at x_j = x^-1.
+A_j is chi1(P_(j-1)) at x_j = x and chi1(P_j) at x_j = x^-1, and
+(Ad rho(c_i) - 1) P_2i = chi2(c_i) at each marked generator c_i.  The first
+sum is Goldman's (1984) Fox sum -sum_x <chi1(# dR/dx), chi2(x)> regrouped
+letter by letter through <Ad(g^-1) X, Y> = <X, Ad(g) Y>, in the spirit of
+the Riemann bilinear relations; the marked generators are letters of R too,
+so it holds for every signature.  Each cocycle walks R once, one adjoint
+action per letter, on rho's side of the walk (``relator_frame``, built once
+per representation), and the sum of its steps is chi(R).  The local solves
+of all cocycles at all c_i, of one representation or of several
+(goldman_matrices), come from one stacked SVD; chi(c_i^-1) comes from the
+generator's own value and image, not from a word walk.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -23,6 +24,7 @@ the conventions here the two paths agree with global sign +1 (CUP_SIGN):
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -47,27 +49,20 @@ _REDUCIBLE = ("representation is visibly reducible (common fixed point); "
 PairingReport = namedtuple("PairingReport", "value solves relator_residuals")
 
 
-#: one cocycle's chi(# dR/dx) per generator x, chi(R), and chi(c_i^-1) per marked c_i
-_Walk = namedtuple("_Walk", "sharp relator inverses")
+#: one cocycle's walk of R on rho's frame: at each letter x_j its prefix value
+#: A_j and its step D_j; chi(R), the sum of the steps; and chi(c_i^-1) per
+#: marked c_i
+_Walk = namedtuple("_Walk", "heads steps relator inverses")
 
 
 def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
-    """Walk R = x_1 ... x_L carrying c_j = chi(P_j) along the prefixes
-    P_j of rho's ``frame``: dR/dx collects P_{j-1} at x_j = x and -P_j at
-    x_j = x^-1, and chi(P^-1) = -Ad(rho(P)^-1) chi(P) evaluates their #
-    images; for a marked c_i, chi(c_i^-1) = -Ad(rho(c_i)^-1) chi(c_i) from
-    the generator's own image and value."""
     rho = chi.base
-    sharp = {gen: QuadPoly.zero() for gen in rho.signature.generators}
-    cs = chi.along(frame.letters, frame.prefixes)
-    for j, (name, exp) in enumerate(frame.letters):
-        if exp == 1:
-            sharp[name] = sharp[name] - adjoint_action(frame.inverses[j], cs[j])
-        else:
-            sharp[name] = sharp[name] + adjoint_action(frame.inverses[j + 1], cs[j + 1])
-    inverses = {c: -1 * adjoint_action(rho.images[c].inverse(), chi.values[c])
+    steps = chi.steps(frame.letters, frame.prefixes)
+    cs = list(itertools.accumulate(steps, initial=QuadPoly.zero()))
+    heads = [cs[j] if exp == 1 else cs[j + 1] for j, (_, exp) in enumerate(frame.letters)]
+    inverses = {c: -adjoint_action(rho.images[c].inverse(), chi.values[c])
                 for c in rho.signature.marked_generators}
-    return _Walk(sharp, cs[-1], inverses)
+    return _Walk(heads, steps, cs[-1], inverses)
 
 
 def _local_solves(rhos: list[Representation], chis: list[list[Cocycle]], local_tol: float
@@ -80,13 +75,12 @@ def _local_solves(rhos: list[Representation], chis: list[list[Cocycle]], local_t
     return [[dict(zip(gens, solves)) for solves in rows] for gens, rows in zip(names, batch)]
 
 
-def _value(walk: _Walk, chi2: Cocycle, solves2: dict[str, LocalSolve]) -> complex:
-    """One Goldman sum, (G-2) and (G-non) alike: closed signatures have no c_i."""
-    total = 0j
-    for gen, sharp in walk.sharp.items():
-        total -= killing(sharp, chi2.values[gen])
-        if gen in solves2:
-            total -= killing(walk.inverses[gen], solves2[gen].poly)
+def _value(walk1: _Walk, walk2: _Walk, solves2: dict[str, LocalSolve]) -> complex:
+    """One Goldman sum, closed and orbifold alike (closed signatures have no
+    c_i): chi1's prefix values against chi2's steps, less the marked terms."""
+    total = sum(map(killing, walk1.heads, walk2.steps), 0j)
+    for c, solve in solves2.items():
+        total -= killing(walk1.inverses[c], solve.poly)
     return total
 
 
@@ -110,28 +104,29 @@ def _prologue(rho: Representation) -> RelatorFrame:
 
 def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
             local_tol: float = LOCAL_TOL) -> PairingReport:
-    """omega(chi1, chi2) with its correction data, for any signature:
-    chi1's walk of R, chi2's local solves and chi2(R), on rho's frame of R."""
+    """omega(chi1, chi2) with its correction data, for any signature: one
+    walk of R per cocycle on rho's frame of R and chi2's local solves."""
     frame = _prologue(rho)
-    walk = _walk(chi1, frame)
+    walk1, walk2 = _walk(chi1, frame), _walk(chi2, frame)
     ((solves,),) = _local_solves([rho], [[chi2]], local_tol)
-    value = _value(walk, chi2, solves)
-    residuals = (walk.relator.norm(), chi2.along(frame.letters, frame.prefixes)[-1].norm())
+    value = _value(walk1, walk2, solves)
+    residuals = (walk1.relator.norm(), walk2.relator.norm())
     _check_finite(value, residuals)
     return PairingReport(value, solves, residuals)
 
 
-def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]]
+def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]],
+                     local_tol: float = LOCAL_TOL
                      ) -> list[tuple[list[list[complex]], list[dict[str, LocalSolve]]]]:
     """omega(chis[k][i], chis[k][j]) for all i, j of each representation
     ``rhos[k]``, bit for bit the one-pair values, with each cocycle's local
-    solves: from each rho's frame of R and n walks of it, and one batch of
-    local solves for every cocycle of every representation."""
+    solves: from each rho's frame of R and one walk of it per cocycle, and
+    one batch of local solves for every cocycle of every representation."""
     frames = [_prologue(rho) for rho in rhos]
     out = []
-    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, LOCAL_TOL)):
+    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, local_tol)):
         walks = [_walk(chi, frame) for chi in cs]
-        values = [[_value(w, chi2, s2) for chi2, s2 in zip(cs, solves)] for w in walks]
+        values = [[_value(w1, w2, s2) for w2, s2 in zip(walks, solves)] for w1 in walks]
         for row, w1 in zip(values, walks):
             for v, w2 in zip(row, walks):
                 _check_finite(v, (w1.relator.norm(), w2.relator.norm()))

@@ -4,8 +4,9 @@ families, paired through the orbifold Goldman form.
 The structural consequences checked at desk scale: accessory (fiber)
 directions pair to ~0 with one another, the fiber-base pairing is constant
 along the fiber coordinate, and the full pairing matrix is antisymmetric.
-The absolute normalization against the canonical cotangent form is not
-asserted (it lives in out-of-scope quasiconformal pairings).
+Kawai's closed form for the whole matrix, omega(u, v) =
+pi*i sum_j (dm^u_j dz^v_j - dm^v_j dz^u_j) over the finite points, is
+asserted by the tests on the committed configs, not in the report.
 
 An experiment transports and differentiates every grid point, each along
 its own lassos, in one call (``monodromy.transport``: every series of every
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from .cocycles import reduce_by_coboundary, tangent_cocycle
+from .cocycles import LOCAL_TOL, reduce_by_coboundary, tangent_cocycle
 from .goldman import goldman_matrices
 from .monodromy import (RELATION_TOL, SphereData, Transport, build_lassos, build_potential,
                         potential_tangent, transport)
@@ -139,7 +140,8 @@ def kawai_experiment(base: SphereData,
                      t_directions: Sequence[PointDirection],
                      grid: Sequence[GridOffset] = (GridOffset(),),
                      accessory_directions: Optional[Sequence[AccessoryDirection]] = None,
-                     relation_tol: float = RELATION_TOL) -> list[GridResult]:
+                     relation_tol: float = RELATION_TOL,
+                     local_tol: float = LOCAL_TOL) -> list[GridResult]:
     """Pairing matrices of all direction pairs at each of a grid of (t, c)
     offsets, one ``GridResult`` per grid point, in the order of ``grid``.
 
@@ -149,9 +151,9 @@ def kawai_experiment(base: SphereData,
     each lasso's stem once, each circle's monodromy exact, every series of
     every grid point in one lockstep batch, one quadrature over all stem
     steps and one over all circles.  The Goldman matrices share one batch of
-    local solves (``goldman_matrices``).  Each grid point's report is bit for
-    bit that of its offset run alone.  An empty grid, or no direction at
-    all, is a ValueError.
+    local solves (``goldman_matrices``), each held to ``local_tol``.  Each
+    grid point's report is bit for bit that of its offset run alone.  An
+    empty grid, or no direction at all, is a ValueError.
     """
     if accessory_directions is None:
         accessory_directions = [AccessoryDirection(i) for i in range(base.free_dimension())]
@@ -174,7 +176,7 @@ def kawai_experiment(base: SphereData,
     chis = [[tangent_cocycle(tr.rho, dimages) for dimages in tr.images] for tr in transports]
     # the classes are unchanged; the pairing sums are far better conditioned
     matrices = goldman_matrices(rhos, [reduce_by_coboundary(rho, cs)
-                                       for rho, cs in zip(rhos, chis)])
+                                       for rho, cs in zip(rhos, chis)], local_tol)
     # the diagonal of each matrix is a self-pairing null check
     return [_grid_result(offset, labels, tr, cs, omega, solves)
             for offset, tr, cs, (omega, solves) in zip(grid, transports, chis, matrices)]

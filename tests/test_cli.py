@@ -257,8 +257,8 @@ def test_random_sphere_report_bytes_are_pinned(capsys, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("config, digest", [("kawai-4cusp.json", "2d1bb99cfc4eac60"),
-                                            ("kawai-5point.json", "893c75fd0f94130c")])
+@pytest.mark.parametrize("config, digest", [("kawai-4cusp.json", "4d258fdf0f02e53c"),
+                                            ("kawai-5point.json", "2af8e9f5e427fe81")])
 def test_kawai_report_bytes_are_pinned(capsys, config, digest):
     # the kawai report takes the same transports, and its derivative stage
     # reads the series at the quadrature nodes by matmuls of at most 128
@@ -270,6 +270,18 @@ def test_kawai_report_bytes_are_pinned(capsys, config, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_kawai_lists_and_takes_its_local_tolerance(capsys):
+    # every local solve of every grid point is held to `local`: the report
+    # lists it, and --tol sets it; the committed config's residuals (~1e-13)
+    # pass the default and fail a bound below them
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "kawai-4cusp.json")
+    code, rep = run_cli(capsys, "kawai", "--input", config)
+    assert code == 0 and rep["tolerances"]["local"] == 1e-6
+    code, rep = run_cli(capsys, "kawai", "--input", config, "--tol", "local=1e-30")
+    assert code == 2 and rep["tolerances"]["local"] == 1e-30
+    assert rep["error"].startswith("cocycle is not a local coboundary at c1")
 
 
 def test_closed_stdout_ends_quietly():
@@ -372,8 +384,8 @@ def test_identities_report_bytes_are_pinned(capsys, sig, digest):
 
 
 @pytest.mark.parametrize("rep, bundle_digest, digest", [
-    ("genus2_rep", "6b5e385bee54a34a", "71bca77fe7a86fe9"),
-    ("orb3_rep", "bb75af249f30fa0d", "609ff3659e58074b")])
+    ("genus2_rep", "6b5e385bee54a34a", "cfa7ccf15423de9a"),
+    ("orb3_rep", "bb75af249f30fa0d", "eeed9a8ddb608d05")])
 def test_goldman_report_bytes_are_pinned(capsys, tmp_path, request, rep, bundle_digest,
                                          digest):
     # the bundle of ``_bundle_path`` with seed 3 over the fixture ``rep``: the

@@ -88,14 +88,14 @@ class TestRepresentation:
         assert rho == rho2 and rho.images["a1"] is rho2.images["a1"]
 
     def test_relator_frame_is_a_fresh_walk(self, rho2, rho_tp):
-        # bit for bit one walk of R and the inverses of its prefixes, built
-        # once per representation
+        # bit for bit one walk of R, built once per representation; no
+        # prefix is inverted
         for rho in (rho2, rho_tp):
             letters, prefixes = word_images(rho, relator(rho.signature))
             frame = rho.relator_frame
+            assert frame._fields == ("letters", "prefixes")
             assert list(frame.letters) == letters
             assert list(frame.prefixes) == prefixes
-            assert list(frame.inverses) == [p.inverse() for p in prefixes]
             assert rho.relator_frame is frame
 
     def test_copies_and_pickles_keep_the_bits(self, rho2):
@@ -154,6 +154,22 @@ class TestEvaluation:
             rhs = chi(u) + adjoint_action(rho2.image(u), chi(v))
             scale = max(1.0, lhs.norm(), rhs.norm())
             assert (lhs - rhs).norm() < 1e-12 * scale
+
+    def test_walk_is_the_running_sum_of_its_steps(self, rho2):
+        # one step per letter, Ad(rho(P)) chi(x) at x and -Ad(rho(P x^-1))
+        # chi(x) at x^-1, summed from 0: bit for bit chi(P) - Ad(...) chi(x)
+        # at an inverse letter, since t + (-y) is t - y in IEEE arithmetic
+        rng = np.random.default_rng(6)
+        chi = random_parabolic_cocycle(rho2, rng)
+        for _ in range(20):
+            letters, prefixes = word_images(rho2, random_word(rho2.signature, 12, rng))
+            steps = chi.steps(letters, prefixes)
+            walk = [QuadPoly.zero()]
+            for (name, exp), before, after in zip(letters, prefixes, prefixes[1:]):
+                walk.append(walk[-1] + adjoint_action(before, chi.values[name]) if exp == 1
+                            else walk[-1] - adjoint_action(after, chi.values[name]))
+            assert len(steps) == len(letters)
+            assert np.array(chi.along(letters, prefixes)).tobytes() == np.array(walk).tobytes()
 
     def test_coboundary_on_words(self, rho2):
         rng = np.random.default_rng(2)

@@ -240,13 +240,14 @@ def _closed_pairing_genus8():
                    random_parabolic_cocycle(rho, rng))
 
 
-@pytest.mark.parametrize("run,calls", [(_closed_pairing_genus8, 96), (_kawai_config, 96)],
+@pytest.mark.parametrize("run,calls", [(_closed_pairing_genus8, 64), (_kawai_config, 72)],
                          ids=["closed-g8", "kawai-config"])
 def test_adjoint_matches_numpy_conjugation_on_production_inputs(run, calls, monkeypatch):
     # every adjoint action that a closed pairing and `charvar kawai` on the
     # committed config make, against the numpy conjugation, at the bound the
-    # per-call check used; the closed genus-8 pairing makes 12g, and the kawai
-    # run 16 per cocycle and grid point (12 walking R, 4 for chi(c_i^-1))
+    # per-call check used; the closed genus-8 pairing makes 8g (one walk of R
+    # per cocycle), and the kawai run 12 per cocycle and grid point (4 for
+    # its relator residual, 4 walking R for the pairing, 4 for chi(c_i^-1))
     import charvar.cocycles as cocycles
     import charvar.goldman as goldman
     worst = []
