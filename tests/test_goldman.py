@@ -353,7 +353,8 @@ def _mp_goldman(mp, rho, chis, pairs):
 #: the relative error of goldman_closed against the 40-digit walk over
 #: GOLDMAN_ORACLE_SEEDS x GOLDMAN_ORACLE_PAIRS, (median, worst), recorded once
 #: while the walk took two adjoint actions per inverse letter; with one per
-#: letter they read 2.09e-12 and 8.24e-10
+#: letter they read 2.09e-12 and 8.24e-10, and as the letter sum of two
+#: walks 3.63e-12 and 5.45e-10
 GOLDMAN_ORACLE_SEEDS = range(801, 821)
 GOLDMAN_ORACLE_PAIRS = ((0, 1), (2, 3), (4, 5))
 GOLDMAN_ORACLE_ERRORS = (3.188673282785318e-12, 6.18546768196303e-10)
@@ -383,7 +384,8 @@ def test_closed_goldman_against_a_40_digit_oracle():
 #: |omega - oracle| / max(1, max |oracle|) per off-diagonal entry of each
 #: matrix (the draws are of norm 1 and pair to ~1e-6; kawai's pair to pi),
 #: (median, worst) over the entries of each input set; recorded once, on
-#: the sum that paired # images with generator values
+#: the sum that paired # images with generator values (the letter sum of
+#: two walks reads 3.45e-16 and 9.81e-16, and 1.71e-11 and 6.67e-11)
 ORBIFOLD_ORACLE_ERRORS = {"draws": (3.9711402814638905e-16, 8.4894612486590235e-16),
                           "kawai": (1.823005620582609e-11, 6.361412673073989e-11)}
 
