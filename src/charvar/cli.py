@@ -154,6 +154,7 @@ def _cmd_goldman(args, report: dict) -> int:
         "config": {"signature": bundle["representation"]["signature"]},
         "tolerances": tols,
         "representation_relator_residual": relation,
+        "reducible": rho.visibly_reducible,
     })
     result = pairing(rho, chi1, chi2, local_tol=tols["local"])
     residuals = {"chi1_relator": result.relator_residuals[0],
@@ -251,6 +252,7 @@ def _grid_out(r: GridResult) -> dict:
         "cocycle_relator_residuals": r.cocycle_relator_residuals,
         "local_residuals": r.local_residuals,
         "kernel_dims": r.kernel_dims,
+        "reducible": r.reducible,
     }
 
 

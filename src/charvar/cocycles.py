@@ -106,9 +106,10 @@ class Representation(namedtuple("Representation", "signature images")):
 
     @functools.cached_property
     def visibly_reducible(self) -> bool:
-        """Common-fixed-point check over all generator images (a warning-level
-        diagnostic; irreducibility is a hypothesis, not something we certify),
-        computed once per representation."""
+        """Common-fixed-point check over all generator images, computed once
+        per representation: a finding the goldman and kawai reports carry as
+        ``reducible``, where the Goldman form may be degenerate, not an error
+        (irreducibility is a hypothesis, not something we certify)."""
         maps = [m for m in self.images.values() if not m.is_identity(1e-12)]
         if len(maps) < 2:
             return True

@@ -14,8 +14,13 @@ so it holds for every signature.  Each cocycle walks R once, one adjoint
 action per letter, on rho's side of the walk (``relator_frame``, built once
 per representation), and the sum of its steps is chi(R).  The local solves
 of all cocycles at all c_i, of one representation or of several
-(goldman_matrices), come from one stacked SVD; chi(c_i^-1) comes from the
-generator's own value and image, not from a word walk.
+(goldman_matrices), come from one stacked SVD; chi1(c_i^-1) comes from the
+generator's own value and image, not from a word walk, and only for a first
+operand: chi2 enters the marked terms through its solves alone.
+
+The form is nondegenerate only at irreducible rho (Goldman 1984); whether
+rho is visibly reducible is ``Representation.visibly_reducible``, which the
+CLI reports beside the value.
 
 A cross-check evaluates the cup product on the group-homology 2-cycle; with
 the conventions here the two paths agree with global sign +1 (CUP_SIGN):
@@ -26,8 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-import warnings
 from collections import namedtuple
 from typing import Sequence
 
@@ -39,9 +42,6 @@ from .words import FreeWord, GroupRingElement
 #: cup_product_on_chain(fundamental 2-cycle) == CUP_SIGN * goldman_closed
 CUP_SIGN = +1
 
-_REDUCIBLE = ("representation is visibly reducible (common fixed point); "
-              "the pairing may be degenerate")
-
 
 #: value of the pairing together with the correction data that entered it:
 #: chi2's ``LocalSolve`` per marked generator name, and the relator
@@ -50,19 +50,23 @@ PairingReport = namedtuple("PairingReport", "value solves relator_residuals")
 
 
 #: one cocycle's walk of R on rho's frame: at each letter x_j its prefix value
-#: A_j and its step D_j; chi(R), the sum of the steps; and chi(c_i^-1) per
-#: marked c_i
-_Walk = namedtuple("_Walk", "heads steps relator inverses")
+#: A_j and its step D_j, and chi(R), the sum of the steps
+_Walk = namedtuple("_Walk", "heads steps relator")
 
 
 def _walk(chi: Cocycle, frame: RelatorFrame) -> _Walk:
-    rho = chi.base
     steps = chi.steps(frame.letters, frame.prefixes)
     cs = list(itertools.accumulate(steps, initial=QuadPoly.zero()))
     heads = [cs[j] if exp == 1 else cs[j + 1] for j, (_, exp) in enumerate(frame.letters)]
-    inverses = {c: -adjoint_action(rho.images[c].inverse(), chi.values[c])
-                for c in rho.signature.marked_generators}
-    return _Walk(heads, steps, cs[-1], inverses)
+    return _Walk(heads, steps, cs[-1])
+
+
+def _inverses(chi: Cocycle) -> dict[str, QuadPoly]:
+    """chi(c_i^-1) = -Ad(rho(c_i)^-1) chi(c_i) per marked c_i: the first
+    operand's part of the marked terms."""
+    rho = chi.base
+    return {c: -adjoint_action(rho.images[c].inverse(), chi.values[c])
+            for c in rho.signature.marked_generators}
 
 
 def _local_solves(rhos: list[Representation], chis: list[list[Cocycle]], local_tol: float
@@ -75,12 +79,13 @@ def _local_solves(rhos: list[Representation], chis: list[list[Cocycle]], local_t
     return [[dict(zip(gens, solves)) for solves in rows] for gens, rows in zip(names, batch)]
 
 
-def _value(walk1: _Walk, walk2: _Walk, solves2: dict[str, LocalSolve]) -> complex:
+def _value(walk1: _Walk, inverses1: dict[str, QuadPoly], walk2: _Walk,
+           solves2: dict[str, LocalSolve]) -> complex:
     """One Goldman sum, closed and orbifold alike (closed signatures have no
     c_i): chi1's prefix values against chi2's steps, less the marked terms."""
     total = sum(map(killing, walk1.heads, walk2.steps), 0j)
     for c, solve in solves2.items():
-        total -= killing(walk1.inverses[c], solve.poly)
+        total -= killing(inverses1[c], solve.poly)
     return total
 
 
@@ -90,26 +95,14 @@ def _check_finite(value: complex, relator_residuals: tuple[float, float]) -> Non
                              f"(relator residuals {relator_residuals})")
 
 
-def _prologue(rho: Representation) -> RelatorFrame:
-    """The prologue of ``pairing`` and ``goldman_matrices``: warn, at the
-    first frame outside this module, if rho is visibly reducible; then rho's
-    frame of R."""
-    if rho.visibly_reducible:
-        frame, level = sys._getframe(), 1
-        while frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(_REDUCIBLE, RuntimeWarning, stacklevel=level)
-    return rho.relator_frame
-
-
 def pairing(rho: Representation, chi1: Cocycle, chi2: Cocycle,
             local_tol: float = LOCAL_TOL) -> PairingReport:
     """omega(chi1, chi2) with its correction data, for any signature: one
     walk of R per cocycle on rho's frame of R and chi2's local solves."""
-    frame = _prologue(rho)
+    frame = rho.relator_frame
     walk1, walk2 = _walk(chi1, frame), _walk(chi2, frame)
     ((solves,),) = _local_solves([rho], [[chi2]], local_tol)
-    value = _value(walk1, walk2, solves)
+    value = _value(walk1, _inverses(chi1), walk2, solves)
     residuals = (walk1.relator.norm(), walk2.relator.norm())
     _check_finite(value, residuals)
     return PairingReport(value, solves, residuals)
@@ -122,14 +115,16 @@ def goldman_matrices(rhos: list[Representation], chis: list[list[Cocycle]],
     ``rhos[k]``, bit for bit the one-pair values, with each cocycle's local
     solves: from each rho's frame of R and one walk of it per cocycle, and
     one batch of local solves for every cocycle of every representation."""
-    frames = [_prologue(rho) for rho in rhos]
     out = []
-    for frame, cs, solves in zip(frames, chis, _local_solves(rhos, chis, local_tol)):
-        walks = [_walk(chi, frame) for chi in cs]
-        values = [[_value(w1, w2, s2) for w2, s2 in zip(walks, solves)] for w1 in walks]
-        for row, w1 in zip(values, walks):
-            for v, w2 in zip(row, walks):
-                _check_finite(v, (w1.relator.norm(), w2.relator.norm()))
+    for rho, cs, solves in zip(rhos, chis, _local_solves(rhos, chis, local_tol)):
+        walks = [_walk(chi, rho.relator_frame) for chi in cs]
+        inverses = [_inverses(chi) for chi in cs]
+        norms = [w.relator.norm() for w in walks]
+        values = [[_value(w1, inv1, w2, s2) for w2, s2 in zip(walks, solves)]
+                  for w1, inv1 in zip(walks, inverses)]
+        for row, n1 in zip(values, norms):
+            for v, n2 in zip(row, norms):
+                _check_finite(v, (n1, n2))
         out.append((values, solves))
     return out
 

@@ -73,17 +73,11 @@ class Jet(namedtuple("Jet", "base coeffs")):
         n = self._match(other)
         return Jet(self.base, tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
-    def __radd__(self, other):
-        return self + other
-
     def __neg__(self):
         return Jet(self.base, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -101,11 +95,6 @@ class Jet(namedtuple("Jet", "base coeffs")):
 
     def __rmul__(self, other):
         return self * other
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / complex(other))
 
     # -- calculus ------------------------------------------------------------
 

@@ -4,6 +4,8 @@ families, paired through the orbifold Goldman form.
 The structural consequences checked at desk scale: accessory (fiber)
 directions pair to ~0 with one another, the fiber-base pairing is constant
 along the fiber coordinate, and the full pairing matrix is antisymmetric.
+Each grid point reports whether its rho is visibly reducible, where the form
+may be degenerate.
 Kawai's closed form for the whole matrix, omega(u, v) =
 pi*i sum_j (dm^u_j dz^v_j - dm^v_j dz^u_j) over the finite points, is
 asserted by the tests on the committed configs, not in the report.
@@ -85,9 +87,11 @@ GridOffset = namedtuple("GridOffset", "t c", defaults=((), ()))
 
 
 class GridResult(namedtuple("GridResult", "offset labels omega relation_residual wronskian_drift "
-                            "trace_drifts cocycle_relator_residuals local_residuals kernel_dims")):
+                            "trace_drifts cocycle_relator_residuals local_residuals kernel_dims "
+                            "reducible")):
     """One grid point's report: its ``GridOffset``, the direction labels, the
-    pairing matrix omega over them, and the residuals of its checks."""
+    pairing matrix omega over them, the residuals of its checks, and whether
+    its rho is visibly reducible, where omega may be degenerate."""
     __slots__ = ()
 
     @property
@@ -133,7 +137,8 @@ def _grid_result(offset: GridOffset, labels: list[str], tr: Transport, chis, ome
                       wronskian_drift=tr.drift,
                       trace_drifts=drifts,
                       cocycle_relator_residuals=relres,
-                      local_residuals=local, kernel_dims=kdims)
+                      local_residuals=local, kernel_dims=kdims,
+                      reducible=rho.visibly_reducible)
 
 
 def kawai_experiment(base: SphereData,

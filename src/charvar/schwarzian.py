@@ -96,9 +96,6 @@ class InvariantPotential(namedtuple("InvariantPotential", "gamma sigma kind")):
             out = jet_exp(s * (2j * math.pi)) * ds * ds
         return out.truncate(order)
 
-    def __call__(self, z: complex) -> complex:
-        return self.jet(z, 2).value
-
     def involution(self) -> Optional[MoebiusMap]:
         """The order-2 Moebius map sharing gamma's fixed points (generic kind
         only); q is exactly invariant under it as well since 1/w^2 is."""

@@ -54,9 +54,6 @@ class QuadPoly(namedtuple("QuadPoly", "p0 p1 p2", defaults=(0j, 0j, 0j))):
     def coeffs(self) -> tuple[complex, complex, complex]:
         return (self.p0, self.p1, self.p2)
 
-    def __call__(self, z: complex) -> complex:
-        return self.p0 + z * (self.p1 + z * self.p2)
-
     def __add__(self, other: "QuadPoly") -> "QuadPoly":
         return QuadPoly(self.p0 + other.p0, self.p1 + other.p1, self.p2 + other.p2)
 

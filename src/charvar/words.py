@@ -52,10 +52,6 @@ class FreeWord:
         return cls(((name, 1),) * exp if exp >= 0 else ((name, -1),) * (-exp))
 
     @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls()
-
-    @classmethod
     def _reduced(cls, letters: tuple[Letter, ...]) -> "FreeWord":
         """The word of ``letters``, which must be freely reduced already."""
         w = object.__new__(cls)
@@ -246,18 +242,13 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
-    def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
-            return GroupRingElement({w: c * other for w, c in self.terms.items()})
+    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         out: dict[FreeWord, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 * w2
                 out[w] = out.get(w, 0) + c1 * c2
         return GroupRingElement(out)
-
-    def __rmul__(self, other: int) -> "GroupRingElement":
-        return self * other
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
@@ -304,11 +295,8 @@ def fox_derivative(w: FreeWord, gen: str) -> GroupRingElement:
     letters = w.letters  # reduced, so each prefix is a slice, reduced too
     for i, (name, exp) in enumerate(letters):
         if name == gen:
-            # the prefix before x, or the prefix through x^-1
-            t = FreeWord._reduced(letters[:i] if exp == 1 else letters[:i + 1])
-            terms[t] = terms.get(t, 0) + exp
-            if terms[t] == 0:
-                del terms[t]
+            # the prefix before x, or through x^-1: none repeats without an adjacent x^-1 x
+            terms[FreeWord._reduced(letters[:i] if exp == 1 else letters[:i + 1])] = exp
     return GroupRingElement(terms)
 
 
@@ -355,25 +343,17 @@ def dual_generators(sig: Signature) -> DualGenerators:
 IdentityCheck = namedtuple("IdentityCheck", "identity status witness", defaults=("",))
 
 
-class PresentationReport:
-    """Outcome of the exact word-identity suite for one signature.
+class PresentationReport(namedtuple("PresentationReport",
+                                    "signature checks alpha_convention beta_sign")):
+    """Outcome of the exact word-identity suite for one signature: the
+    ``IdentityCheck``s in order.
 
     ``alpha_convention`` records which alpha definition makes
     #dR/da_k = R_{k-1}^-1 (1 - alpha_k) exact; ``beta_sign`` records the sign
     s with #dR/db_k = s * R_k^-1 (1 - beta_k).  Both are determined by free
     reduction, not assumed.
     """
-
-    __slots__ = ("signature", "checks", "alpha_convention", "beta_sign")
-
-    def __init__(self, signature: Signature, checks: Optional[list[IdentityCheck]] = None,
-                 alpha_convention: Optional[str] = None, beta_sign: Optional[int] = None):
-        self.signature, self.checks = signature, [] if checks is None else checks
-        self.alpha_convention, self.beta_sign = alpha_convention, beta_sign
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PresentationReport) and all(
-            getattr(self, k) == getattr(other, k) for k in self.__slots__)
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -392,7 +372,9 @@ def verify_presentation_identities(sig: Signature) -> PresentationReport:
     sharp/Fox identities #dR/da_k, #dR/db_k against both candidate alpha
     definitions and both signs, recording what actually reduces to zero.
     """
-    rep = PresentationReport(signature=sig)
+    checks: list[IdentityCheck] = []
+    alpha_convention: Optional[str] = None
+    beta_sign: Optional[int] = None
     R = prefix_products(sig)
     duals = dual_generators(sig)
     Rword = R[-1]
@@ -403,19 +385,19 @@ def verify_presentation_identities(sig: Signature) -> PresentationReport:
         lhs = commutator(a_k, b_k)
         rhs = R[k - 1] * R[k].inverse()
         ok = lhs == rhs
-        rep.checks.append(IdentityCheck(
+        checks.append(IdentityCheck(
             f"[alpha_{k},beta_{k}] == R_{k - 1} R_{k}^-1", ok,
             "" if ok else str(lhs * rhs.inverse())))
         calR = calR * lhs
         ok = calR == R[k].inverse()
-        rep.checks.append(IdentityCheck(
+        checks.append(IdentityCheck(
             f"calR_{k} == R_{k}^-1", ok, "" if ok else str(calR * R[k])))
 
     total = calR
     for gamma in duals.gammas:
         total = total * gamma
     ok = total == Rword.inverse()
-    rep.checks.append(IdentityCheck(
+    checks.append(IdentityCheck(
         "calR_g gamma_1..gamma_{m+n} == R^-1", ok, "" if ok else str(total * Rword)))
 
     for k in range(1, sig.g + 1):
@@ -428,13 +410,13 @@ def verify_presentation_identities(sig: Signature) -> PresentationReport:
             convention = "section_3.1.1"
         elif sharp_a == pre * _ring_one_minus(alpha_remark):
             convention = "remark_dual"
-        rep.checks.append(IdentityCheck(
+        checks.append(IdentityCheck(
             f"#dR/da_{k} == R_{k - 1}^-1 (1 - alpha_{k})", convention is not None,
             f"alpha definition: {convention}"))
         if convention is not None:
-            if rep.alpha_convention not in (None, convention):
+            if alpha_convention not in (None, convention):
                 convention = "inconsistent"
-            rep.alpha_convention = convention
+            alpha_convention = convention
 
         sharp_b = fox_derivative(Rword, f"b{k}").anti_involution()
         base = GroupRingElement.from_word(R[k].inverse()) * _ring_one_minus(duals.betas[k - 1])
@@ -443,22 +425,22 @@ def verify_presentation_identities(sig: Signature) -> PresentationReport:
             sign = 1
         elif sharp_b == -base:
             sign = -1
-        rep.checks.append(IdentityCheck(
+        checks.append(IdentityCheck(
             f"#dR/db_{k} == s * R_{k}^-1 (1 - beta_{k})", sign is not None,
             f"resolved sign s = {sign}"))
         if sign is not None:
-            if rep.beta_sign not in (None, sign):
+            if beta_sign not in (None, sign):
                 sign = 0
-            rep.beta_sign = sign
+            beta_sign = sign
 
     for i in range(1, sig.num_marked + 1):
         got = fox_derivative(Rword, f"c{i}")
         want = GroupRingElement.from_word(R[sig.g + i - 1])
         ok = got == want
-        rep.checks.append(IdentityCheck(
+        checks.append(IdentityCheck(
             f"dR/dc_{i} == R_{sig.g + i - 1}", ok, "" if ok else str(got - want)))
 
-    return rep
+    return PresentationReport(sig, tuple(checks), alpha_convention, beta_sign)
 
 
 def fundamental_class_chain(sig: Signature) -> tuple[tuple[GroupRingElement, str], ...]:

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import FOUR_CUSP_T, FOUR_CUSP_ZB, make_genus1_rep, make_genus2_rep
 from oracles import (KILLING_MATRIX, b0_bracket, coboundary, direction_family,
@@ -150,7 +149,6 @@ def test_criterion_3_goldman_well_definedness():
                                 1e-10 * max(1.0, chi1.norm())
 
 
-@pytest.mark.filterwarnings("ignore:representation is visibly reducible")
 def test_criterion_4_cross_path_agreement():
     with _Timer(4, 5.0, "cup product on the 2-cycle vs goldman_closed "
                         f"(documented global sign {CUP_SIGN:+d}), genus 1 and 2"):

@@ -74,6 +74,9 @@ def test_bad_signature_is_input_error(capsys):
     code, rep = run_cli(capsys, "identities", "--sig", "{not json")
     assert code == 1
     assert "error" in rep
+    code, rep = run_cli(capsys, "identities", "--sig", '{"g": -1}')
+    assert code == 1
+    assert "must be non-negative" in rep["error"]
 
 
 def test_fox_unknown_generator(capsys):
@@ -257,8 +260,8 @@ def test_random_sphere_report_bytes_are_pinned(capsys, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("config, digest", [("kawai-4cusp.json", "4d258fdf0f02e53c"),
-                                            ("kawai-5point.json", "2af8e9f5e427fe81")])
+@pytest.mark.parametrize("config, digest", [("kawai-4cusp.json", "fa4d207d8a3102dc"),
+                                            ("kawai-5point.json", "a84d0d5b7524c295")])
 def test_kawai_report_bytes_are_pinned(capsys, config, digest):
     # the kawai report takes the same transports, and its derivative stage
     # reads the series at the quadrature nodes by matmuls of at most 128
@@ -270,6 +273,7 @@ def test_kawai_report_bytes_are_pinned(capsys, config, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    assert [point["reducible"] for point in json.loads(out)["grid"]] == [False] * 3
 
 
 def test_kawai_lists_and_takes_its_local_tolerance(capsys):
@@ -303,6 +307,54 @@ def test_closed_stdout_ends_quietly():
 def test_tolerance_override_unknown_rejected(capsys):
     code, rep = run_cli(capsys, "monodromy", "--json", "{}", "--tol", "bogus=1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["kawai", "--input", "{path}"], "malformed JSON in"),
+    (["kawai", "--json", "{not json"], "malformed inline JSON"),
+    (["kawai"], "provide --input FILE or --json TEXT"),
+    (["monodromy", "--json", "{}", "--tol", "bogus"], "--tol expects name=value"),
+], ids=["input-file", "inline", "neither", "tol-without-equals"])
+def test_unreadable_input_ends_in_one_exit_1_report(capsys, tmp_path, argv, error):
+    # input text that is not JSON, no input at all, or a --tol that is no
+    # assignment: one JSON report on stdout, exit 1, nothing on stderr
+    path = tmp_path / "broken.json"
+    path.write_text('{"sphere": ')
+    code = main([arg.replace("{path}", str(path)) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "" and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith(error)
+
+
+def test_an_integral_float_is_its_integer(capsys):
+    # an integer read from JSON may be spelled as an integral float: an
+    # order 3.0 gives the report of 3, byte for byte, and lambda-check's
+    # order 8.0 that of 8 but for the config it echoes
+    runs = [main(["monodromy", "--json", json.dumps(dict(SPHERE, orders=orders))])
+            for orders in ([3.0, None, None], [3, None, None])]
+    first, second = capsys.readouterr().out.splitlines()
+    assert runs == [0, 0] and first == second
+    reports = []
+    for order in (8.0, 8):
+        code, rep = run_cli(capsys, "lambda-check", "--json", json.dumps({"order": order}))
+        assert code == 0 and rep.pop("config") == {"order": order}
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+def test_reducible_representation_is_reported(capsys):
+    # diagonal images fix 0 and infinity: the Goldman form may be degenerate
+    # there, and the report says so under "reducible"; it is a finding, not
+    # a failure, so the run exits 0, and nothing goes to stderr
+    diagonal = {"a1": [2, 0, 0, 0.5], "b1": [3, 0, 0, 1 / 3]}
+    bundle = {"representation": {"signature": {"g": 1, "elliptic": [], "cusps": 0},
+                                 "images": diagonal},
+              "cocycle1": {"values": {"a1": [0, 1, 0], "b1": [0, 0.5, 0]}},
+              "cocycle2": {"values": {"a1": [0, 0.25, 0], "b1": [0, -1, 0]}}}
+    code = main(["goldman", "--json", json.dumps(bundle)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["reducible"] is True
 
 
 def test_serialize_roundtrips(orb3_rep):
@@ -384,8 +436,8 @@ def test_identities_report_bytes_are_pinned(capsys, sig, digest):
 
 
 @pytest.mark.parametrize("rep, bundle_digest, digest", [
-    ("genus2_rep", "6b5e385bee54a34a", "cfa7ccf15423de9a"),
-    ("orb3_rep", "bb75af249f30fa0d", "eeed9a8ddb608d05")])
+    ("genus2_rep", "6b5e385bee54a34a", "6b3fad32cfca83c7"),
+    ("orb3_rep", "bb75af249f30fa0d", "51b3d53f07c63a8a")])
 def test_goldman_report_bytes_are_pinned(capsys, tmp_path, request, rep, bundle_digest,
                                          digest):
     # the bundle of ``_bundle_path`` with seed 3 over the fixture ``rep``: the
@@ -395,7 +447,9 @@ def test_goldman_report_bytes_are_pinned(capsys, tmp_path, request, rep, bundle_
     path, _ = _bundle_path(tmp_path, request.getfixturevalue(rep), 3)
     assert _digest(path.read_text()) == bundle_digest
     assert main(["goldman", "--input", str(path)]) == 0
-    assert _digest(capsys.readouterr().out) == digest
+    out = capsys.readouterr().out
+    assert _digest(out) == digest
+    assert json.loads(out)["reducible"] is False
 
 
 def _json_paths(doc, path=()):
@@ -406,7 +460,6 @@ def _json_paths(doc, path=()):
             yield from _json_paths(value, path + (key,))
 
 
-@pytest.mark.filterwarnings("ignore:representation is visibly reducible")
 def test_every_malformed_input_ends_in_one_report(capsys, tmp_path):
     # each value of each subcommand's input, the whole input included,
     # replaced by a value of every JSON kind: whatever it breaks, the run
@@ -434,8 +487,9 @@ def test_every_malformed_input_ends_in_one_report(capsys, tmp_path):
 
 
 def test_deterministic_float_format():
-    s = dumps_deterministic({"x": 0.1, "y": [1.0, float("nan")], "z": 3})
-    assert s == '{"x":0.10000000000000001,"y":[1.0,"nan"],"z":3}'
+    s = dumps_deterministic({"x": 0.1, "y": [1.0, float("nan"), float("-inf")], "z": 3,
+                             "f": False})
+    assert s == '{"f":false,"x":0.10000000000000001,"y":[1.0,"nan","-inf"],"z":3}'
 
 
 def test_kawai_subcommand_end_to_end(capsys, tmp_path):
@@ -514,7 +568,7 @@ def test_goldman_closed_residuals_come_from_the_pairing(capsys, tmp_path, genus2
             "value": complex_out(goldman_closed(rho, chi1, chi2)),
             "residuals": {"chi1_relator": chi1(relator(rho.signature)).norm(),
                           "chi2_relator": chi2(relator(rho.signature)).norm()},
-            "p2_list": {}, "version": __version__}
+            "p2_list": {}, "reducible": False, "version": __version__}
     assert out == dumps_deterministic(want) + "\n"
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conftest import (FOUR_CUSP_T, FOUR_CUSP_ZB, kawai_inputs, local_solves,
                       rand_sl2, relator_walks, thrice_punctured_rep)
 from oracles import coboundary, conjugated, evaluate_ring, local_kernel_basis, random_quadpoly
 from charvar.cocycles import Cocycle, parabolic_parameter_basis, random_parabolic_cocycle
-from charvar.goldman import (CUP_SIGN, _walk, cup_product_on_chain, goldman_closed,
+from charvar.goldman import (CUP_SIGN, _inverses, cup_product_on_chain, goldman_closed,
                              goldman_matrices, pairing)
 from charvar.monodromy import MonodromyEngine, build_potential
 from charvar.sl2 import QuadPoly, ad_matrix, adjoint_action, killing
@@ -76,7 +78,6 @@ class TestClosed:
 
 class TestCrossPath:
     # genus-1 representations are abelian, hence visibly reducible by design
-    @pytest.mark.filterwarnings("ignore:representation is visibly reducible")
     @pytest.mark.parametrize("make,seed", [(make_genus1_rep, 1), (make_genus1_rep, 2),
                                            (make_genus2_rep, 31), (make_genus2_rep, 32)])
     def test_cup_product_agrees(self, make, seed):
@@ -156,26 +157,40 @@ class TestOrbifold:
         with pytest.raises(CocycleNotParabolicError):
             pairing(orb3_rep, chi1, bad)
 
-    def test_reducible_warning(self):
-        rho = make_genus1_rep(3)
-        rng = np.random.default_rng(16)
-        chi = random_parabolic_cocycle(rho, rng)
-        with pytest.warns(RuntimeWarning, match="visibly reducible"):
-            goldman_closed(rho, chi, chi)
-
     @pytest.mark.parametrize("call", [lambda rho, chi: pairing(rho, chi, chi),
                                       lambda rho, chi: goldman_matrices([rho], [[chi, chi]]),
                                       lambda rho, chi: goldman_closed(rho, chi, chi)])
-    def test_reducible_warning_points_at_the_caller(self, call):
-        # pairing and goldman_matrices share one prologue: one warning per
-        # call, attributed to the line that called them, also through
-        # goldman_closed
+    def test_reducible_rho_is_a_property_not_a_warning(self, call):
+        # a visibly reducible rho is a finding about the input: library
+        # callers read the property, the CLI reports it, and the pairing
+        # itself warns of nothing
         rho = make_genus1_rep(3)
         chi = random_parabolic_cocycle(rho, np.random.default_rng(16))
-        with pytest.warns(RuntimeWarning, match="visibly reducible") as record:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
             call(rho, chi)
-        assert len(record) == 1
-        assert record[0].filename == __file__
+        assert record == [] and rho.visibly_reducible
+
+    def test_pairing_acts_once_per_letter_and_marked_generator(self, orb3_rep, monkeypatch):
+        # one walk of R per cocycle, one adjoint action per letter, and
+        # chi1(c_i^-1) per marked c_i: 2L + m in all, for chi2 enters the
+        # marked terms through its local solves alone
+        import charvar.cocycles as cocycles
+        import charvar.goldman as goldman
+        rng = np.random.default_rng(15)
+        chi1, chi2 = (random_parabolic_cocycle(orb3_rep, rng) for _ in range(2))
+        calls = []
+
+        def counted(g, P):
+            calls.append(g)
+            return adjoint_action(g, P)
+
+        for mod in (cocycles, goldman):
+            monkeypatch.setattr(mod, "adjoint_action", counted)
+        pairing(orb3_rep, chi1, chi2)
+        sig = orb3_rep.signature
+        assert sig.num_marked == 4
+        assert len(calls) == 2 * len(relator(sig)) + sig.num_marked
 
     def test_report_fields(self, orb3_rep):
         rng = np.random.default_rng(15)
@@ -459,9 +474,8 @@ class TestMarkedGenerators:
         marked = [f"c{i}" for i in range(1, sig.num_marked + 1)]
         rng = np.random.default_rng(24)
         chis = [random_parabolic_cocycle(rho, rng) for _ in range(2)]
-        frame = rho.relator_frame
         for chi in chis:
-            inverses = _walk(chi, frame).inverses
+            inverses = _inverses(chi)
             assert list(inverses) == marked
             for c in marked:
                 assert inverses[c] == chi(sig.gen(c).inverse())

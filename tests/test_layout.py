@@ -142,6 +142,26 @@ def _src_trees():
             for path in sorted((ROOT / "src").rglob("*.py"))]
 
 
+def _stray_channel(node) -> bool:
+    """Whether the node imports ``warnings``, or names ``sys._getframe`` or
+    ``sys.stderr``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "warnings" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "warnings" or (node.module == "sys" and any(
+            alias.name in ("_getframe", "stderr") for alias in node.names))
+    return isinstance(node, ast.Attribute) and node.attr in ("_getframe", "stderr") \
+        and getattr(node.value, "id", None) == "sys"
+
+
+def test_stdout_is_the_one_channel():
+    # every finding is a key of the report on stdout: no module warns,
+    # walks the stack for a warning's caller or writes to stderr
+    stray = [f"{module}:{node.lineno}" for module, tree in _src_trees()
+             for node in ast.walk(tree) if _stray_channel(node)]
+    assert not stray, f"output besides the report: {stray}"
+
+
 def test_no_exception_class_derives_from_runtime_error():
     # a failure the program detects derives from sl2.NumericalError, an
     # ArithmeticError, which the CLI answers with exit 2; a RuntimeError
@@ -241,7 +261,6 @@ HAND_ROLLED = {
     "words.Signature": "unequal to the tuple of its fields (tests/test_words.py)",
     "words.FreeWord": "a tuple's +, *, in and len mean other things for a word",
     "words.GroupRingElement": "a tuple's +, *, in and len mean other things for a ring element",
-    "words.PresentationReport": "verify_presentation_identities builds it step by step",
 }
 #: the classes whose own methods write their fields past their __setattr__
 SETATTR_WRITERS = {"words.FreeWord", "words.GroupRingElement"}
